@@ -30,7 +30,12 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .cmdeg import LogGrid, check_sign_pattern, estimate_cm_degree
+from .cmdeg import (
+    LogGrid,
+    ScaledTailOracle,
+    check_sign_pattern,
+    estimate_cm_degree,
+)
 from .inequalities import (
     DEFAULT_BESSEL_GRID,
     DEFAULT_TRIGAMMA_GRID,
@@ -53,7 +58,6 @@ from .laurent import (
     remainder_hk,
     remainder_hk_derivative,
     scaled_remainder_derivative,
-    tail_scaled_derivatives,
 )
 from .specfun import (
     NumericFailure,
@@ -64,9 +68,8 @@ from .specfun import (
     hyp1f2,
     polygamma,
     shifted_factorial,
-    to_mpf,
 )
-from .suite import run_suite
+from .suite import _fmt, run_suite
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -98,19 +101,10 @@ def _require(args, *names):
             raise ValueError(f"--{name.replace('_', '-')} is required here")
 
 
-def _decimal(x, prec):
-    # mp.mpf(x) would re-round an existing mpf to the ambient context, so
-    # only convert non-mpf inputs, and do that at working precision
-    if not isinstance(x, mp.mpf):
-        with prec.workdps():
-            x = to_mpf(x)
-    return mp.nstr(x, prec.digits)
-
-
 def _serialize_value(value, prec):
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return str(value)
-    return _decimal(value, prec)
+    return _fmt(value, prec)
 
 
 # fn name -> (required flags, provenance, callable(args, prec) -> value)
@@ -190,10 +184,11 @@ def cmd_degree(args, prec):
         {
             "id": f"degree-bracket-k{args.k}",
             "provenance": "series",
-            "r_lo": _decimal(estimate.r_lo, prec),
-            "r_hi": _decimal(estimate.r_hi, prec),
-            "width": _decimal(estimate.width, prec),
+            "r_lo": _fmt(estimate.r_lo, prec),
+            "r_hi": _fmt(estimate.r_hi, prec),
+            "width": _fmt(estimate.width, prec),
             "bisections": estimate.bisections,
+            "series": estimate.series,
             "contains_k_plus_1": contains,
             "passed": contains,
         }
@@ -208,15 +203,7 @@ def cmd_verify_cm(args, prec):
         )
         max_order = args.max_order if args.max_order is not None else 6
         r = _rational(args.r) if args.r is not None else args.k + 1
-        cache = {}
-
-        def oracle(n, t):
-            vals = cache.get(t)
-            if vals is None:
-                vals = tail_scaled_derivatives(args.k, r, t, max_order, prec)
-                cache[t] = vals
-            return vals[n]
-
+        oracle = ScaledTailOracle(args.k, max_order, prec).at(r)
         label = f"sign-pattern-hk-k{args.k}"
     else:
         grid = LogGrid(
@@ -234,16 +221,16 @@ def cmd_verify_cm(args, prec):
         "provenance": "series",
         "max_order": report.max_order,
         "evaluations": report.evaluations,
-        "min_signed": _decimal(report.min_signed, prec),
+        "min_signed": _fmt(report.min_signed, prec),
         "argmin_order": report.argmin_order,
-        "argmin_t": _decimal(report.argmin_t, prec),
+        "argmin_t": _fmt(report.argmin_t, prec),
         "passed": report.passed,
     }
     if report.violation is not None:
         record["violation"] = {
             "order": report.violation.order,
-            "t": _decimal(report.violation.t, prec),
-            "value": _decimal(report.violation.value, prec),
+            "t": _fmt(report.violation.t, prec),
+            "value": _fmt(report.violation.value, prec),
         }
     return [record]
 
@@ -262,8 +249,8 @@ def cmd_verify_integral(args, prec):
             "provenance": "quadrature",
             "index": check.index,
             "z": str(args.z),
-            "lhs": _decimal(check.lhs, prec),
-            "rhs": _decimal(check.rhs, prec),
+            "lhs": _fmt(check.lhs, prec),
+            "rhs": _fmt(check.rhs, prec),
             "rel_err": mp.nstr(check.rel_err, 8),
             "tolerance": mp.nstr(check.tol, 5),
             "quadrature_nodes": check.quadrature.nodes,
@@ -286,8 +273,8 @@ def cmd_inequality(args, prec):
         {
             "id": f"inequality-{args.which}",
             "provenance": "series",
-            "min_margin": _decimal(report.min_margin, prec),
-            "argmin_t": _decimal(report.argmin_t, prec),
+            "min_margin": _fmt(report.min_margin, prec),
+            "argmin_t": _fmt(report.argmin_t, prec),
             "evaluations": report.evaluations,
             "passed": report.passed,
         }

@@ -5,12 +5,15 @@ and t > 0; its degree with respect to t is the largest r such that t^r f(t)
 stays completely monotonic.  check_sign_pattern tests the alternating-sign
 property on a finite logarithmic grid up to a finite order; the degree
 estimator bisects on r between a pattern-pass and a pattern-fail, driven by
-the termwise derivatives of t^r H_k(t).  A grid scan can only certify
+the derivatives of t^r H_k(t) that ScaledTailOracle assembles by the
+Leibniz rule from one r-independent table of H_k derivatives per grid
+point, so a bisection step sums no series.  A grid scan can only certify
 failure (a witness) or survive it (no claim beyond the grid), so the result
 is a bracket, never an attained value.
 """
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
 from mpmath import mp
@@ -136,9 +139,96 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
         )
 
 
+class ScaledTailOracle:
+    """d^n/dt^n [t^r H_k(t)] for any r from one r-independent table per t.
+
+    By the Leibniz rule the scaled derivative is
+
+        sum_{j<=n} C(n, j) (r)_j t^(r-j) H_k^(n-j)(t),
+
+    with (r)_j the falling factorial.  The table H_k^(i)(t), i <= max_order,
+    is summed once per t by tail_scaled_derivatives at r = 0 and kept, so
+    evaluating at another r costs O(n) multiplications and no series pass.
+    series counts the tables summed so far.
+    """
+
+    def __init__(self, k, max_order, prec=DEFAULT_PRECISION):
+        if not isinstance(k, int) or k < 0:
+            raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+        if not isinstance(max_order, int) or max_order < 0:
+            raise ValueError(
+                f"max_order must be a nonnegative integer, got {max_order!r}"
+            )
+        self.k = k
+        self.max_order = max_order
+        self.prec = prec
+        self._tables = {}
+
+    @property
+    def series(self):
+        return len(self._tables)
+
+    def at(self, r):
+        """The oracle(n, t) = d^n/dt^n [t^r H_k(t)] for check_sign_pattern.
+
+        Besides the sum it accumulates a = sum |terms| and raises
+        NumericFailure when (n+2) a eps reaches |(-1)^n value + noise_floor|,
+        where rounding in the sum alone could flip the scan's verdict.
+        """
+        prec = self.prec
+        max_order = self.max_order
+        with prec.workdps():
+            r = to_mpf(r)
+            falling = [mp.mpf(1)]
+            for j in range(max_order):
+                falling.append(falling[-1] * (r - j))
+            floor = prec.noise_floor
+            eps = mp.eps
+        powers = {}
+
+        def oracle(n, t):
+            if not isinstance(n, int) or not 0 <= n <= max_order:
+                raise ValueError(f"order must be in 0..{max_order}, got {n!r}")
+            with prec.workdps():
+                t = to_mpf(t)
+                table = self._tables.get(t)
+                if table is None:
+                    table = tail_scaled_derivatives(self.k, 0, t, max_order, prec)
+                    self._tables[t] = table
+                scale = powers.get(t)
+                if scale is None:
+                    scale = [t ** r]
+                    invt = 1 / t
+                    for _ in range(max_order):
+                        scale.append(scale[-1] * invt)
+                    powers[t] = scale
+                value = mp.mpf(0)
+                asum = mp.mpf(0)
+                for j in range(n + 1):
+                    term = comb(n, j) * falling[j] * scale[j] * table[n - j]
+                    value += term
+                    asum += abs(term)
+                if (n + 2) * asum * eps >= abs((-1) ** n * value + floor):
+                    raise NumericFailure(
+                        "ScaledTailOracle",
+                        "rounding in the Leibniz sum could flip the sign verdict",
+                        k=self.k,
+                        r=r,
+                        n=n,
+                        t=t,
+                    )
+                return value
+
+        return oracle
+
+
 @dataclass(frozen=True)
 class DegreeEstimate:
-    """Bisection bracket [r_lo, r_hi]: pattern passes at r_lo, fails at r_hi."""
+    """Bisection bracket [r_lo, r_hi]: pattern passes at r_lo, fails at r_hi.
+
+    series is the number of H_k derivative tables summed for the bracket,
+    one per grid point on the H_k family and 0 under scaled_derivative.
+    """
 
     k: int
     r_lo: object
@@ -147,6 +237,7 @@ class DegreeEstimate:
     grid: LogGrid
     max_order: int
     bisections: int
+    series: int
 
     @property
     def width(self):
@@ -170,11 +261,12 @@ def estimate_cm_degree(
     Scans the sign pattern of d^n/dt^n [t^r H_k(t)] on the grid; the search
     interval defaults to (k, k+2) and must straddle (pass at r_lo, fail at
     r_hi), else BracketError.  Bisection stops once r_hi - r_lo <= tol
-    (default 1/32).  scaled_derivative(r, n, t, prec) may replace the H_k
-    family to bracket other scaled functions with the same machinery.
+    (default 1/32).  Every step shares one ScaledTailOracle, so each grid
+    point sums its tail series once.  scaled_derivative(r, n, t, prec) may
+    replace the H_k family to bracket other scaled functions with the same
+    machinery.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    tables = ScaledTailOracle(k, max_order, prec)
     with prec.workdps():
         if search is None:
             search = (k, k + 2)
@@ -190,15 +282,7 @@ def estimate_cm_degree(
             if scaled_derivative is not None:
                 oracle = lambda n, t: scaled_derivative(r, n, t, prec)
             else:
-                cache = {}
-
-                def oracle(n, t, _cache=cache, _r=r):
-                    vals = _cache.get(t)
-                    if vals is None:
-                        vals = tail_scaled_derivatives(k, _r, t, max_order, prec)
-                        _cache[t] = vals
-                    return vals[n]
-
+                oracle = tables.at(r)
             return check_sign_pattern(oracle, grid, max_order, prec).passed
 
         if not passes(r_lo):
@@ -229,4 +313,5 @@ def estimate_cm_degree(
             grid=grid,
             max_order=max_order,
             bisections=steps,
+            series=tables.series,
         )

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .cmdeg import LogGrid, estimate_cm_degree
+from .cmdeg import DEFAULT_DEGREE_GRID, LogGrid, estimate_cm_degree
 from .inequalities import (
     DEFAULT_BESSEL_GRID,
     DEFAULT_NEGATIVITY_GRID,
@@ -46,13 +46,14 @@ def _fmt(x, prec):
 def criterion_degree(prec=DEFAULT_PRECISION):
     """Degree brackets: width <= 1/32 containing k+1 for k = 0..4, under 60 s."""
     start = time.monotonic()
-    grid = LogGrid(1e-2, 1e6, 200)
     brackets = []
     ok = True
     with prec.workdps():
         tol = mp.mpf(1) / 32
         for k in range(5):
-            est = estimate_cm_degree(k, tol=tol, grid=grid, max_order=6, prec=prec)
+            est = estimate_cm_degree(
+                k, tol=tol, grid=DEFAULT_DEGREE_GRID, max_order=6, prec=prec
+            )
             contains = bool(est.r_lo <= k + 1 <= est.r_hi)
             good = contains and est.width <= tol + mp.mpf("1e-30")
             ok = ok and good
@@ -63,6 +64,7 @@ def criterion_degree(prec=DEFAULT_PRECISION):
                     "r_hi": _fmt(est.r_hi, prec),
                     "width": _fmt(est.width, prec),
                     "contains_k_plus_1": contains,
+                    "series": est.series,
                 }
             )
     elapsed = time.monotonic() - start

@@ -26,6 +26,7 @@ def test_degree_brackets():
     assert len(record["brackets"]) == 5
     for bracket in record["brackets"]:
         assert bracket["contains_k_plus_1"] is True
+        assert bracket["series"] == 200
         assert mp.mpf(bracket["width"]) <= mp.mpf(1) / 32 + mp.mpf("1e-30")
     assert record["passed"] is True
 

@@ -163,6 +163,7 @@ class TestSubcommands:
         assert code == 0
         record = json.loads(out)["results"][0]
         assert record["contains_k_plus_1"] is True
+        assert record["series"] == 50
         with mp.workdps(60):
             assert mp.mpf(record["r_lo"]) <= 1 <= mp.mpf(record["r_hi"])
             assert mp.mpf(record["width"]) <= mp.mpf("0.25")
@@ -241,6 +242,11 @@ class TestExitCodes:
         assert code == 2
         assert "usage error" in err
         assert "positive" in err
+
+    def test_negative_k_is_two(self, capsys):
+        code, _, err = run_cli(["verify-cm", "--target", "hk", "--k", "-1"], capsys)
+        assert code == 2
+        assert "k must be a nonnegative integer" in err
 
     def test_missing_flag_is_two(self, capsys):
         code, _, err = run_cli(["eval", "--fn", "polygamma", "--t", "1"], capsys)

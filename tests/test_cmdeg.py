@@ -1,5 +1,7 @@
 """Sign-pattern scanning and degree bisection on known functions."""
 
+from fractions import Fraction
+
 import pytest
 from mpmath import mp
 
@@ -8,12 +10,13 @@ from cmcheck import (
     BracketError,
     LogGrid,
     NumericFailure,
+    WorkingPrecision,
     check_sign_pattern,
     estimate_cm_degree,
     tail_scaled_derivatives,
     to_mpf,
 )
-from cmcheck.cmdeg import DEFAULT_DEGREE_GRID
+from cmcheck.cmdeg import DEFAULT_DEGREE_GRID, ScaledTailOracle
 
 PREC = DEFAULT_PRECISION
 
@@ -110,6 +113,15 @@ class TestDegreeBisection:
         assert estimate.r_hi == mp.mpf(1) + mp.mpf(1) / 32
         assert estimate.width == mp.mpf(1) / 32
         assert estimate.bisections == 6
+        assert estimate.series == DEFAULT_DEGREE_GRID.points
+
+    def test_one_table_per_grid_point(self):
+        # every bisection step reuses the tables of the first scan
+        grid = LogGrid(1e-2, 1e6, 24)
+        for k in range(5):
+            estimate = estimate_cm_degree(k, grid=grid, prec=PREC)
+            assert estimate.bisections == 6
+            assert estimate.series == grid.points
 
     def test_violation_location_above_bracket(self):
         # just above the bracket the first failing order is 1 and the witness
@@ -141,6 +153,7 @@ class TestDegreeBisection:
         )
         assert estimate.r_lo == 0
         assert estimate.r_hi == mp.mpf(1) / 32
+        assert estimate.series == 0
 
     def test_bracket_must_straddle(self):
         small = LogGrid(1e-2, 1e4, 60)
@@ -165,3 +178,47 @@ class TestDegreeBisection:
         assert estimate.width <= mp.mpf("0.25")
         assert estimate.grid == SMALL_GRID
         assert estimate.max_order == 3
+
+
+class TestScaledTailOracle:
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_leibniz_matches_termwise_route(self, digits):
+        # the Leibniz sum over the r = 0 table against the independent
+        # termwise series at each r: same verdict, agreement to digits - 3
+        prec = WorkingPrecision(digits)
+        grid = LogGrid(1e-2, 1e6, 60)
+        with prec.workdps():
+            floor = prec.noise_floor
+            rel = mp.mpf(10) ** (3 - digits)
+            for k in range(5):
+                tables = ScaledTailOracle(k, 6, prec)
+                for r in (k, k + 1, k + Fraction(33, 32), k + Fraction(5, 4), k + 2):
+                    oracle = tables.at(r)
+                    for t in grid.values(prec):
+                        termwise = tail_scaled_derivatives(k, r, t, 6, prec)
+                        for n in range(7):
+                            got = oracle(n, t)
+                            want = termwise[n]
+                            sign = (-1) ** n
+                            assert (sign * got < -floor) == (sign * want < -floor)
+                            assert abs(got - want) <= rel * max(abs(want), floor)
+                assert tables.series == grid.points
+
+    def test_guard_refuses_a_zero_margin(self):
+        value = ScaledTailOracle(0, 2, PREC).at(1)(2, 2)
+
+        class PinnedFloor(WorkingPrecision):
+            # (-1)^2 value + noise_floor is exactly zero at n = 2, t = 2
+            @property
+            def noise_floor(self):
+                return -value
+
+        oracle = ScaledTailOracle(0, 2, PinnedFloor(PREC.digits)).at(1)
+        assert oracle(0, 2) > 0
+        with pytest.raises(NumericFailure, match="ScaledTailOracle"):
+            oracle(2, 2)
+
+    def test_order_beyond_table_is_rejected(self):
+        oracle = ScaledTailOracle(0, 2, PREC).at(1)
+        with pytest.raises(ValueError):
+            oracle(3, 2)
