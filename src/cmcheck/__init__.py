@@ -43,6 +43,7 @@ from .laurent import (
     TailSeries,
     h_derivative,
     h_function,
+    h_table,
     remainder_hk,
     remainder_hk_derivative,
     scaled_remainder_derivative,
@@ -58,6 +59,7 @@ from .specfun import (
     exp_recip_derivative,
     hyp1f2,
     polygamma,
+    polygamma_range,
     shifted_factorial,
     to_mpf,
 )
@@ -94,11 +96,13 @@ __all__ = [
     "h_derivative",
     "h_function",
     "h_kernel",
+    "h_table",
     "hyp1f2",
     "kernel_1f2",
     "kernel_bessel",
     "laplace_transform",
     "polygamma",
+    "polygamma_range",
     "remainder_hk",
     "remainder_hk_derivative",
     "run_suite",

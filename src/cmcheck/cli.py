@@ -35,6 +35,7 @@ from .cmdeg import (
     ScaledTailOracle,
     check_sign_pattern,
     estimate_cm_degree,
+    h_oracle,
 )
 from .inequalities import (
     DEFAULT_BESSEL_GRID,
@@ -196,24 +197,25 @@ def cmd_degree(args, prec):
 
 
 def cmd_verify_cm(args, prec):
+    def flag(name, default):
+        value = getattr(args, name)
+        return value if value is not None else default
+
     if args.target == "hk":
         _require(args, "k")
         grid = LogGrid(
-            args.grid_min or "1e-2", args.grid_max or "1e6", args.grid_points or 200
+            flag("grid_min", "1e-2"), flag("grid_max", "1e6"), flag("grid_points", 200)
         )
-        max_order = args.max_order if args.max_order is not None else 6
+        max_order = flag("max_order", 6)
         r = _rational(args.r) if args.r is not None else args.k + 1
         oracle = ScaledTailOracle(args.k, max_order, prec).at(r)
         label = f"sign-pattern-hk-k{args.k}"
     else:
         grid = LogGrid(
-            args.grid_min or "0.05", args.grid_max or "1e3", args.grid_points or 200
+            flag("grid_min", "0.05"), flag("grid_max", "1e3"), flag("grid_points", 200)
         )
-        max_order = args.max_order if args.max_order is not None else 8
-
-        def oracle(n, t):
-            return h_function(t, prec) if n == 0 else h_derivative(n, t, prec)
-
+        max_order = flag("max_order", 8)
+        oracle = h_oracle(max_order, prec)
         label = "sign-pattern-h"
     report = check_sign_pattern(oracle, grid, max_order, prec)
     record = {
@@ -440,15 +442,25 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.monotonic()
+    status = code = None
     try:
         prec = WorkingPrecision(args.digits)
         results = COMMANDS[args.subcommand](args, prec)
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        status, code = "numeric-failure", EXIT_NUMERIC
+        inputs = {
+            key: value if isinstance(value, (int, str)) else _fmt(value, prec)
+            for key, value in exc.inputs.items()
+        }
+        failure = {"operation": exc.operation, "detail": exc.detail, "inputs": inputs}
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        status, code = "usage-error", EXIT_USAGE
+        failure = {"detail": str(exc)}
+    if status is not None:
+        # a failure still leaves a report: one record saying what went wrong
+        results = [{"id": status, "passed": False, **failure}]
     report = {
         "command": args.subcommand,
         "inputs": _echo_inputs(args),
@@ -457,8 +469,12 @@ def main(argv=None):
         "pass": all(bool(r.get("passed", True)) for r in results),
         "elapsed_seconds": round(time.monotonic() - start, 3),
     }
+    if status is not None:
+        report["status"] = status
     _emit(_render(report, args.format), args.out)
-    return EXIT_PASS if report["pass"] else EXIT_VIOLATION
+    if code is None:
+        code = EXIT_PASS if report["pass"] else EXIT_VIOLATION
+    return code
 
 
 if __name__ == "__main__":

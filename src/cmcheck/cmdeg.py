@@ -7,7 +7,8 @@ property on a finite logarithmic grid up to a finite order; the degree
 estimator bisects on r between a pattern-pass and a pattern-fail, driven by
 the derivatives of t^r H_k(t) that ScaledTailOracle assembles by the
 Leibniz rule from one r-independent table of H_k derivatives per grid
-point, so a bisection step sums no series.  A grid scan can only certify
+point, so a bisection step sums no series.  The h scans keep one h table
+per grid point in the same way (h_oracle).  A grid scan can only certify
 failure (a witness) or survive it (no claim beyond the grid), so the result
 is a bracket, never an attained value.
 """
@@ -18,7 +19,7 @@ from typing import Optional
 
 from mpmath import mp
 
-from .laurent import tail_scaled_derivatives
+from .laurent import h_table, tail_scaled_derivatives
 from .specfun import DEFAULT_PRECISION, NumericFailure, to_mpf
 
 
@@ -139,7 +140,53 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
         )
 
 
-class ScaledTailOracle:
+class TableOracle:
+    """f^(n)(t) for check_sign_pattern from one derivative table per grid point.
+
+    summer(t) returns [f^(i)(t) for i = 0..max_order]; the table of each t
+    is summed on its first request and kept, so an order-major scan sums
+    each grid point once however many orders it visits.  series counts the
+    tables summed so far.
+    """
+
+    def __init__(self, summer, max_order, prec=DEFAULT_PRECISION):
+        if not isinstance(max_order, int) or max_order < 0:
+            raise ValueError(
+                f"max_order must be a nonnegative integer, got {max_order!r}"
+            )
+        self.max_order = max_order
+        self.prec = prec
+        self._summer = summer
+        self._tables = {}
+
+    @property
+    def series(self):
+        return len(self._tables)
+
+    def table(self, t):
+        """The table at t (an mpf at working precision), summed on first use."""
+        table = self._tables.get(t)
+        if table is None:
+            table = self._summer(t)
+            self._tables[t] = table
+        return table
+
+    def _check_order(self, n):
+        if not isinstance(n, int) or not 0 <= n <= self.max_order:
+            raise ValueError(f"order must be in 0..{self.max_order}, got {n!r}")
+
+    def __call__(self, n, t):
+        self._check_order(n)
+        with self.prec.workdps():
+            return self.table(to_mpf(t))[n]
+
+
+def h_oracle(max_order, prec=DEFAULT_PRECISION):
+    """oracle(n, t) = h^(n)(t), n <= max_order, over one h_table per grid point."""
+    return TableOracle(lambda t: h_table(0, max_order, t, prec), max_order, prec)
+
+
+class ScaledTailOracle(TableOracle):
     """d^n/dt^n [t^r H_k(t)] for any r from one r-independent table per t.
 
     By the Leibniz rule the scaled derivative is
@@ -149,24 +196,17 @@ class ScaledTailOracle:
     with (r)_j the falling factorial.  The table H_k^(i)(t), i <= max_order,
     is summed once per t by tail_scaled_derivatives at r = 0 and kept, so
     evaluating at another r costs O(n) multiplications and no series pass.
-    series counts the tables summed so far.
     """
 
     def __init__(self, k, max_order, prec=DEFAULT_PRECISION):
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-        if not isinstance(max_order, int) or max_order < 0:
-            raise ValueError(
-                f"max_order must be a nonnegative integer, got {max_order!r}"
-            )
+        super().__init__(
+            lambda t: tail_scaled_derivatives(k, 0, t, max_order, prec),
+            max_order,
+            prec,
+        )
         self.k = k
-        self.max_order = max_order
-        self.prec = prec
-        self._tables = {}
-
-    @property
-    def series(self):
-        return len(self._tables)
 
     def at(self, r):
         """The oracle(n, t) = d^n/dt^n [t^r H_k(t)] for check_sign_pattern.
@@ -187,14 +227,10 @@ class ScaledTailOracle:
         powers = {}
 
         def oracle(n, t):
-            if not isinstance(n, int) or not 0 <= n <= max_order:
-                raise ValueError(f"order must be in 0..{max_order}, got {n!r}")
+            self._check_order(n)
             with prec.workdps():
                 t = to_mpf(t)
-                table = self._tables.get(t)
-                if table is None:
-                    table = tail_scaled_derivatives(self.k, 0, t, max_order, prec)
-                    self._tables[t] = table
+                table = self.table(t)
                 scale = powers.get(t)
                 if scale is None:
                     scale = [t ** r]

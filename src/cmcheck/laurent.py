@@ -26,8 +26,8 @@ from .specfun import (
     DEFAULT_PRECISION,
     NumericFailure,
     _SERIES_LIMIT,
-    exp_recip_derivative,
-    polygamma,
+    _exp_recip_from_core,
+    polygamma_range,
     to_mpf,
 )
 
@@ -173,28 +173,39 @@ class TailSeries:
         return scaled_remainder_derivative(self.offset, r, n, t, prec)
 
 
-def h_function(t, prec=DEFAULT_PRECISION):
-    """h(t) = e^(1/t) - psi'(t) for t > 0; completely monotonic, limit 1."""
+def h_table(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
+    """[h^(i)(t) for i = i_lo..i_hi], 0 <= i_lo <= i_hi, t > 0, in one pass.
+
+    h^(i) = (d^i/dt^i e^(1/t)) - psi^(i+1)(t): e^(1/t) is computed once and
+    scaled by the closed-form a_{i,k} polynomial of each order, and one
+    polygamma_range call supplies every psi^(i+1).  The two engines share no
+    code, so their agreement downstream is a real cross-check; the
+    subtraction cancels ~ (i+...) digits at large t, which the guard
+    precision absorbs.
+    """
+    if not isinstance(i_lo, int) or not isinstance(i_hi, int) or not 0 <= i_lo <= i_hi:
+        raise ValueError(f"need integers 0 <= i_lo <= i_hi, got {i_lo!r}, {i_hi!r}")
     with prec.workdps():
         t = to_mpf(t)
         if t <= 0:
             raise ValueError(f"t must be positive, got {t}")
-        return exp_recip_derivative(0, t, prec) - polygamma(1, t, prec)
+        core = mp.exp(1 / t)
+        psi = polygamma_range(i_lo + 1, i_hi + 1, t, prec)
+        return [
+            _exp_recip_from_core(i, t, core) - p
+            for i, p in zip(range(i_lo, i_hi + 1), psi)
+        ]
+
+
+def h_function(t, prec=DEFAULT_PRECISION):
+    """h(t) = e^(1/t) - psi'(t) for t > 0; completely monotonic, limit 1."""
+    return h_table(0, 0, t, prec)[0]
 
 
 def h_derivative(i, t, prec=DEFAULT_PRECISION):
-    """h^(i)(t) = (d^i/dt^i e^(1/t)) - psi^(i+1)(t) for i >= 1, t > 0.
-
-    The two engines share no code, so their agreement downstream is a real
-    cross-check; the subtraction cancels ~ (i+...) digits at large t, which
-    the guard precision absorbs.
-    """
+    """h^(i)(t) for i >= 1, t > 0; the one-order case of h_table."""
     if not isinstance(i, int) or i < 1:
         raise ValueError(
             f"derivative order must be an integer >= 1 (use h_function for i = 0), got {i!r}"
         )
-    with prec.workdps():
-        t = to_mpf(t)
-        if t <= 0:
-            raise ValueError(f"t must be positive, got {t}")
-        return exp_recip_derivative(i, t, prec) - polygamma(i + 1, t, prec)
+    return h_table(i, i, t, prec)[0]

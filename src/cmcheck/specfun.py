@@ -9,7 +9,8 @@ each enters a workdps block and returns a plain mpf.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, inf
 
 from mpmath import mp
 
@@ -158,62 +159,152 @@ def exp_recip_derivative(i, t, prec=DEFAULT_PRECISION):
         t = to_mpf(t)
         if t == 0:
             raise ValueError("t must be nonzero")
-        core = mp.exp(1 / t)
-        if i == 0:
-            return +core
-        acc = mp.mpf(0)
-        for k in range(i - 1, -1, -1):
-            acc = acc * t + a_coeff(i, k)
-        return (-1) ** i * core * acc / t ** (2 * i)
+        return _exp_recip_from_core(i, t, mp.exp(1 / t))
 
 
-def polygamma(n, t, prec=DEFAULT_PRECISION):
-    """psi^(n)(t) for integer n >= 1 and real t > 0.
+def _exp_recip_from_core(i, t, core):
+    """(-1)^i core t^(-2i) sum_k a_{i,k} t^k, with core = e^(1/t) given."""
+    if i == 0:
+        return +core
+    acc = mp.mpf(0)
+    for k in range(i - 1, -1, -1):
+        acc = acc * t + a_coeff(i, k)
+    return (-1) ** i * core * acc / t ** (2 * i)
 
-    Evaluates n! times the Hurwitz-style sum sum_{j>=0} (t+j)^-(n+1):
-    explicit head terms shift the argument to a >= max(10(n+1), ~0.8 dps),
-    then an Euler-Maclaurin tail
+
+# bits kept beyond mp.prec by polygamma's fixed-point sums
+_GUARD_BITS = 32
+
+
+@lru_cache(maxsize=None)  # v < 300, so at most 299 exact pairs
+def _em_coefficient(v):
+    """B_{2v}/(2v)! as an exact (numerator, denominator) pair."""
+    p, q = mp.bernfrac(2 * v)
+    return p, q * factorial(2 * v)
+
+
+def _fixed_head(den, e, shift, s_lo, s_hi, wp):
+    """sum_{j<shift} (t+j)^-s for s = s_lo..s_hi >= 2, integers scaled by 2^wp.
+
+    t = den / 2^e exactly, so t + j = (den + j 2^e) / 2^e and 1/(t+j) is
+    one integer division; each higher power is one multiply-and-shift.  All
+    of them truncate, so each power (t+j)^-s sits below its true value by at
+    most 2s units of 2^-wp, or by at most 2s 2^-wp relative to it where it
+    exceeds 1.
+    """
+    one = 1 << (wp + e)
+    step = 1 << e
+    sums = [0] * (s_hi - s_lo + 1)
+    for _ in range(shift):
+        x = one // den
+        p = x ** s_lo >> (wp * (s_lo - 1))
+        for i in range(len(sums)):
+            sums[i] += p
+            p = p * x >> wp
+        den += step
+    return sums
+
+
+def polygamma_range(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
+    """[psi^(n)(t) for n = n_lo..n_hi] for integers 1 <= n_lo <= n_hi, real t > 0.
+
+    Each order is n! times the Hurwitz-style sum sum_{j>=0} (t+j)^-(n+1).
+    One shift serves every order: explicit head terms move the argument to
+    a >= max(10(n_hi+1), ~0.8 dps), the target of the highest order, then an
+    Euler-Maclaurin tail
 
         a^(1-s)/(s-1) + a^(-s)/2 + sum_v B_{2v}/(2v)! (s)_{2v-1} a^(1-s-2v)
 
-    with s = n+1 finishes the sum; the first omitted term bounds the error
+    with s = n+1 finishes each sum; the first omitted term bounds the error
     since the summand is completely monotone.  Sign is (-1)^(n+1).
+
+    Both parts are summed in fixed-point integers, all orders in one pass.
+    The head uses wp = mp.prec + 32 + (n_hi+1) bitlen(target+1) bits (see
+    _fixed_head): each of its terms exceeds a^-(n_hi+1) > 2^(mp.prec+32-wp)
+    and is low by at most 2s units of 2^-wp.  The tail is summed as
+    a^-n [1/n + u/2 + sum_v B_{2v}/(2v)! (s)_{2v-1} u^(2v)], u = 1/a, with
+    wq = mp.prec + 32 bits: (s)_{2v-1} u^(2v) costs one integer division per
+    term, and while the terms decrease (else the contraction check raises)
+    term v is off by at most 1 + v/12 units, under 2^12 units over the
+    whole budget, against a bracket of at least 1/n.  So each order's head
+    and tail carry relative errors below n_hi 2^-(mp.prec+20), under one
+    ulp of the working precision.  B_{2v}/(2v)! is shared across orders;
+    each order keeps its own contraction check, relative stop
+    series_stop (head + tail) and 300-term budget.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"derivative order must be an integer >= 1, got {n!r}")
+    for n in (n_lo, n_hi):
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"derivative order must be an integer >= 1, got {n!r}")
+    if n_hi < n_lo:
+        raise ValueError(f"need n_lo <= n_hi, got {n_lo!r}, {n_hi!r}")
     with prec.workdps():
         t = to_mpf(t)
         if t <= 0:
             raise ValueError(f"t must be positive, got {t}")
-        s = n + 1
-        target = max(10 * (n + 1), int(0.8 * prec.working_dps) + 1)
+        orders = range(n_lo, n_hi + 1)
+        target = max(10 * (n_hi + 1), int(0.8 * prec.working_dps) + 1)
         shift = max(0, int(mp.ceil(target - t)))
-        head = mp.mpf(0)
-        for j in range(shift):
-            head += (t + j) ** (-s)
-        a = t + shift
-        tail = a ** (1 - s) / (s - 1) + a ** (-s) / 2
-        floor = prec.series_stop * (head + tail)
-        poch = mp.mpf(s)
-        apow = a ** (-s - 1)
-        ainv2 = a ** (-2)
-        prev = mp.inf
+        # t = den / 2^e and a = t + shift = a_den / 2^e, both exactly
+        man, exp = int(t.man), int(t.exp)
+        den, e = (man << exp, 0) if exp >= 0 else (man, -exp)
+        a_den = den + (shift << e)
+        heads = [mp.mpf(0)] * len(orders)
+        if shift:
+            wp = mp.prec + _GUARD_BITS + (n_hi + 1) * (target + 1).bit_length()
+            heads = [
+                mp.mpf((h, -wp))
+                for h in _fixed_head(den, e, shift, n_lo + 1, n_hi + 1, wp)
+            ]
+        ainv = 1 / mp.mpf((a_den, -e))
+        wq = mp.prec + _GUARD_BITS
+        one = 1 << wq
+        a2 = a_den * a_den
+        half_u = (one << e) // (2 * a_den)
+        scales, sums, floors, pochs = [], [], [], []
+        scale = ainv ** n_lo
+        for n, head in zip(orders, heads):
+            scales.append(scale)
+            sums.append(one // n + half_u)
+            # series_stop (head + tail) in units of a^-n 2^-wq
+            floor = prec.series_stop * (head / scale + mp.mpf(1) / n + ainv / 2)
+            floors.append(int(mp.ldexp(floor, wq)))
+            pochs.append(((n + 1) << (wq + 2 * e)) // a2)  # (s)_{2v-1} u^(2v) at v = 1
+            scale *= ainv
+        prev = [inf] * len(orders)
+        active = list(range(len(orders)))
         for v in range(1, 300):
-            term = mp.bernoulli(2 * v) / mp.factorial(2 * v) * poch * apow
-            mag = abs(term)
-            if mag > prev:
-                raise NumericFailure(
-                    "polygamma", "asymptotic tail failed to contract", n=n, t=t
-                )
-            tail += term
-            if mag < floor:
+            p, q = _em_coefficient(v)
+            still = []
+            for i in active:
+                s = n_lo + i + 1
+                term = p * pochs[i] // q
+                mag = abs(term)
+                if mag > prev[i]:
+                    raise NumericFailure(
+                        "polygamma", "asymptotic tail failed to contract", n=s - 1, t=t
+                    )
+                sums[i] += term
+                if mag < floors[i]:
+                    continue
+                pochs[i] = (pochs[i] * (s + 2 * v - 1) * (s + 2 * v) << 2 * e) // a2
+                prev[i] = mag
+                still.append(i)
+            active = still
+            if not active:
                 break
-            poch *= (s + 2 * v - 1) * (s + 2 * v)
-            apow *= ainv2
-            prev = mag
         else:
-            raise NumericFailure("polygamma", "tail budget exhausted", n=n, t=t)
-        return (-1) ** (n + 1) * mp.factorial(n) * (head + tail)
+            raise NumericFailure(
+                "polygamma", "tail budget exhausted", n=n_lo + active[0], t=t
+            )
+        return [
+            (-1) ** (n + 1) * mp.factorial(n) * (head + mp.mpf((total, -wq)) * scale)
+            for n, head, total, scale in zip(orders, heads, sums, scales)
+        ]
+
+
+def polygamma(n, t, prec=DEFAULT_PRECISION):
+    """psi^(n)(t) for integer n >= 1 and real t > 0; see polygamma_range."""
+    return polygamma_range(n, n, t, prec)[0]
 
 
 def bessel_i(nu, z, prec=DEFAULT_PRECISION):

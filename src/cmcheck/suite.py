@@ -12,7 +12,13 @@ from fractions import Fraction
 
 from mpmath import mp
 
-from .cmdeg import DEFAULT_DEGREE_GRID, LogGrid, estimate_cm_degree
+from .cmdeg import (
+    DEFAULT_DEGREE_GRID,
+    LogGrid,
+    check_sign_pattern,
+    estimate_cm_degree,
+    h_oracle,
+)
 from .inequalities import (
     DEFAULT_BESSEL_GRID,
     DEFAULT_NEGATIVITY_GRID,
@@ -30,7 +36,7 @@ from .laplace import (
     u_ratio,
     verify_representation,
 )
-from .laurent import h_derivative, h_function
+from .laurent import h_function
 from .specfun import DEFAULT_PRECISION, bessel_i, polygamma, to_mpf
 
 
@@ -81,36 +87,29 @@ def criterion_degree(prec=DEFAULT_PRECISION):
 
 def criterion_h_complete_monotonicity(prec=DEFAULT_PRECISION):
     """(-1)^i h^(i)(t) > 1e-35 for i <= 8 on [0.05, 1e3], h > 1, h(100) ~ 1."""
+    start = time.monotonic()
     grid = LogGrid(0.05, 1e3, 200)
+    oracle = h_oracle(8, prec)
+    report = check_sign_pattern(oracle, grid, 8, prec)
     with prec.workdps():
-        threshold = mp.mpf("1e-35")
-        min_signed = mp.inf
-        argmin = (None, None)
-        min_h = mp.inf
-        for t in grid.values(prec):
-            hv = h_function(t, prec)
-            min_h = min(min_h, hv)
-            if hv < min_signed:
-                min_signed = hv
-                argmin = (0, t)
-            for i in range(1, 9):
-                signed = (-1) ** i * h_derivative(i, t, prec)
-                if signed < min_signed:
-                    min_signed = signed
-                    argmin = (i, t)
+        # the scan summed one h table per grid point; order 0 is h itself
+        min_h = min(oracle(0, t) for t in grid.values(prec))
         h100_gap = abs(h_function(100, prec) - 1)
         passed = bool(
-            min_signed > threshold and min_h > 1 and h100_gap < mp.mpf("1e-8")
+            report.min_signed > mp.mpf("1e-35")
+            and min_h > 1
+            and h100_gap < mp.mpf("1e-8")
         )
         return {
             "id": "h-complete-monotonicity",
             "description": "alternating derivative signs of h through order 8, h > 1, h(100) -> 1",
             "provenance": "closed-form",
-            "min_signed_derivative": _fmt(min_signed, prec),
-            "argmin_order": argmin[0],
-            "argmin_t": _fmt(argmin[1], prec),
+            "min_signed_derivative": _fmt(report.min_signed, prec),
+            "argmin_order": report.argmin_order,
+            "argmin_t": _fmt(report.argmin_t, prec),
             "min_h": _fmt(min_h, prec),
             "h100_minus_1": _fmt(h100_gap, prec),
+            "elapsed_seconds": round(time.monotonic() - start, 3),
             "passed": passed,
         }
 
@@ -174,6 +173,7 @@ def _tail_series_direct(k, t, prec):
 
 def criterion_kernel_identities(prec=DEFAULT_PRECISION):
     """Kernel routes agree to 1e-30 relative for k <= 5, t in {0.1, 1, 10, 100}."""
+    start = time.monotonic()
     with prec.workdps():
         tol = mp.mpf("1e-30")
         worst = mp.mpf(0)
@@ -204,12 +204,14 @@ def criterion_kernel_identities(prec=DEFAULT_PRECISION):
             "provenance": "series",
             "worst_rel_gap": mp.nstr(worst, 6),
             "tolerance": "1e-30",
+            "elapsed_seconds": round(time.monotonic() - start, 3),
             "passed": bool(ok),
         }
 
 
 def criterion_inequalities(prec=DEFAULT_PRECISION):
     """Both inequality scans strictly positive on their default grids."""
+    start = time.monotonic()
     bessel = check_ineq_bessel(DEFAULT_BESSEL_GRID, prec)
     trigamma = check_ineq_trigamma(DEFAULT_TRIGAMMA_GRID, prec)
     with prec.workdps():
@@ -230,6 +232,7 @@ def criterion_inequalities(prec=DEFAULT_PRECISION):
         "bessel_margin_at_0.2": mp.nstr(margin_02, 6),
         "trigamma_min_margin": _fmt(trigamma.min_margin, prec),
         "trigamma_argmin_t": _fmt(trigamma.argmin_t, prec),
+        "elapsed_seconds": round(time.monotonic() - start, 3),
         "passed": bool(
             bessel.passed and trigamma.passed and tight >= 30 and tight_resolved
         ),
@@ -238,6 +241,7 @@ def criterion_inequalities(prec=DEFAULT_PRECISION):
 
 def criterion_proof_algebra(prec=DEFAULT_PRECISION):
     """Exact form equivalences, f_i negativity, and the difference bound."""
+    start = time.monotonic()
     points = (Fraction(1, 2), 1, Fraction(3, 2), 2, 7)
     ab_ok = all(
         f_poly(i, t, "A") == f_poly(i, t, "B") for i in range(13) for t in points
@@ -273,12 +277,14 @@ def criterion_proof_algebra(prec=DEFAULT_PRECISION):
         "form_c_i0_anomaly_minus22_vs_minus2": anomaly_ok,
         "negativity_i_0_12": neg_ok,
         "difference_bound_i_0_6": diff_ok,
+        "elapsed_seconds": round(time.monotonic() - start, 3),
         "passed": bool(ab_ok and acd_ok and anomaly_ok and neg_ok and diff_ok),
     }
 
 
 def criterion_polygamma_identities(prec=DEFAULT_PRECISION):
     """Closed-form polygamma identities to 40 digits plus the recurrence residual."""
+    start = time.monotonic()
     with prec.workdps():
         tol = mp.mpf("1e-40")
         checks = [
@@ -309,12 +315,14 @@ def criterion_polygamma_identities(prec=DEFAULT_PRECISION):
             "provenance": "closed-form",
             "identities": rows,
             "worst_recurrence_residual": mp.nstr(worst, 6),
+            "elapsed_seconds": round(time.monotonic() - start, 3),
             "passed": bool(identity_ok and recurrence_ok),
         }
 
 
 def criterion_calibration(prec=DEFAULT_PRECISION):
     """Transform engine vs n!/z^(n+1) on monomials, rel 1e-12."""
+    start = time.monotonic()
     with prec.workdps():
         tol = mp.mpf("1e-12")
         worst = mp.mpf(0)
@@ -336,6 +344,7 @@ def criterion_calibration(prec=DEFAULT_PRECISION):
             "provenance": "quadrature",
             "worst_rel_err": mp.nstr(worst, 6),
             "tolerance": "1e-12",
+            "elapsed_seconds": round(time.monotonic() - start, 3),
             "passed": bool(ok),
         }
 

@@ -17,6 +17,7 @@ def _run(criterion):
     record = criterion(PREC)
     verdict = "PASS" if record["passed"] else "FAIL"
     print(f"{verdict} {record['id']}")
+    assert record["elapsed_seconds"] >= 0
     return record
 
 

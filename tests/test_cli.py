@@ -295,6 +295,54 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("target", ("h", "hk"))
+    def test_zero_grid_points_is_two(self, target, capsys):
+        argv = ["verify-cm", "--target", target, "--grid-points", "0"]
+        if target == "hk":
+            argv += ["--k", "0"]
+        code, _, err = run_cli(argv + ["--max-order", "0"], capsys)
+        assert code == 2
+        assert "points must be an integer >= 2" in err
+
+    def test_usage_error_writes_a_report(self, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        argv = ["eval", "--fn", "trigamma", "--t", "-1", "--out", str(target)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err
+        report = json.loads(target.read_text())
+        assert report["pass"] is False
+        assert report["status"] == "usage-error"
+        assert report["inputs"] == {"fn": "trigamma", "t": "-1"}
+        record = report["results"][0]
+        assert record["id"] == "usage-error"
+        assert record["passed"] is False
+        assert "positive" in record["detail"]
+
+    def test_numeric_failure_writes_a_report(self, tmp_path, capsys):
+        target = tmp_path / "report.csv"
+        argv = ["eval", "--fn", "hk", "--k", "0", "--z", "1e-7"]
+        code, out, err = run_cli(
+            argv + ["--format", "csv", "--out", str(target)], capsys
+        )
+        assert code == 3
+        assert out == ""
+        assert "numeric failure" in err
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 3
+        report = json.loads(out)
+        assert report["pass"] is False
+        assert report["status"] == "numeric-failure"
+        record = report["results"][0]
+        assert record["operation"] == "tail_scaled_derivatives"
+        assert record["detail"] == "series budget exhausted"
+        assert record["inputs"]["k"] == 0
+        assert mp.mpf(record["inputs"]["t"]) == mp.mpf("1e-7")
+        lines = target.read_text().strip().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert lines[1].startswith("eval,numeric-failure,False,")
+
 
 class TestInstalledEntryPoint:
     def test_console_script(self):

@@ -13,10 +13,12 @@ from cmcheck import (
     WorkingPrecision,
     check_sign_pattern,
     estimate_cm_degree,
+    h_derivative,
+    h_function,
     tail_scaled_derivatives,
     to_mpf,
 )
-from cmcheck.cmdeg import DEFAULT_DEGREE_GRID, ScaledTailOracle
+from cmcheck.cmdeg import DEFAULT_DEGREE_GRID, ScaledTailOracle, h_oracle
 
 PREC = DEFAULT_PRECISION
 
@@ -222,3 +224,29 @@ class TestScaledTailOracle:
         oracle = ScaledTailOracle(0, 2, PREC).at(1)
         with pytest.raises(ValueError):
             oracle(3, 2)
+
+
+class TestHOracle:
+    def test_one_table_per_grid_point(self):
+        grid = LogGrid(0.05, 1e3, 12)
+        oracle = h_oracle(8, PREC)
+        report = check_sign_pattern(oracle, grid, 8, PREC)
+        assert report.passed
+        assert report.evaluations == 9 * 12
+        assert oracle.series == 12
+
+    def test_values_are_the_h_engines(self):
+        oracle = h_oracle(3, PREC)
+        with PREC.workdps():
+            rel = mp.mpf(10) ** (3 - PREC.digits)
+            assert abs(oracle(0, "0.7") - h_function("0.7", PREC)) <= rel
+            for n in (1, 2, 3):
+                want = h_derivative(n, "0.7", PREC)
+                assert abs(oracle(n, "0.7") - want) <= rel * abs(want)
+        assert oracle.series == 1
+
+    def test_order_beyond_table_is_rejected(self):
+        with pytest.raises(ValueError):
+            h_oracle(2, PREC)(3, 1)
+        with pytest.raises(ValueError):
+            h_oracle(-1, PREC)

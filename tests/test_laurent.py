@@ -13,8 +13,10 @@ from cmcheck import (
     DEFAULT_PRECISION,
     NumericFailure,
     TailSeries,
+    WorkingPrecision,
     h_derivative,
     h_function,
+    h_table,
     remainder_hk,
     remainder_hk_derivative,
     scaled_remainder_derivative,
@@ -254,3 +256,47 @@ class TestHFunction:
             h_function(0, PREC)
         with pytest.raises(ValueError):
             h_derivative(1, -3, PREC)
+
+
+class NoStop(WorkingPrecision):
+    @property
+    def series_stop(self):
+        return mp.mpf(0)
+
+
+class TestHTable:
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_entries_match_one_order_calls(self, digits):
+        prec = WorkingPrecision(digits)
+        with prec.workdps():
+            floor = prec.noise_floor
+            rel = mp.mpf(10) ** (3 - digits)
+            for t in ("0.05", "0.3", 1, "7.5", 99, "1e3", "1e6"):
+                table = h_table(0, 8, t, prec)
+                assert len(table) == 9
+                for i, got in enumerate(table):
+                    want = h_function(t, prec) if i == 0 else h_derivative(i, t, prec)
+                    sign = (-1) ** i
+                    assert (sign * got < -floor) == (sign * want < -floor)
+                    assert abs(got - want) <= rel * max(abs(want), floor), (i, t)
+
+    def test_sub_range_is_a_slice(self):
+        with PREC.workdps():
+            full = h_table(0, 6, 2, PREC)
+            part = h_table(3, 5, 2, PREC)
+            rel = mp.mpf(10) ** (3 - PREC.digits)
+            for got, want in zip(part, full[3:6]):
+                assert abs(got - want) <= rel * abs(want)
+
+    def test_failure_carries_the_polygamma_operation(self):
+        with pytest.raises(NumericFailure) as excinfo:
+            h_table(0, 8, 1, NoStop(30))
+        assert excinfo.value.operation == "polygamma"
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            h_table(-1, 2, 1, PREC)
+        with pytest.raises(ValueError):
+            h_table(3, 2, 1, PREC)
+        with pytest.raises(ValueError):
+            h_table(0, 2, 0, PREC)

@@ -18,6 +18,7 @@ from cmcheck import (
     exp_recip_derivative,
     hyp1f2,
     polygamma,
+    polygamma_range,
     shifted_factorial,
     to_mpf,
 )
@@ -136,6 +137,60 @@ class TestPolygamma:
                 - (-1) ** n * scale
             )
             assert abs(residual) < mp.mpf("1e-40") * scale
+
+
+RANGE_TS = ("1e-3", "0.0502", "0.3", "1", "7", "55", "99.5", "150", "1e3", "1e6")
+
+
+class NoStop(WorkingPrecision):
+    # a zero stop threshold keeps every Euler-Maclaurin tail running until it
+    # diverges or exhausts its budget
+    @property
+    def series_stop(self):
+        return mp.mpf(0)
+
+
+class TestPolygammaRange:
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_every_order_against_mpmath(self, digits):
+        prec = WorkingPrecision(digits)
+        with prec.workdps():
+            stop = prec.series_stop
+            ts = [mp.mpf(t) for t in RANGE_TS]
+        for t in ts:
+            values = polygamma_range(1, 9, t, prec)
+            assert len(values) == 9
+            with mp.workdps(prec.working_dps + 40):
+                for n, value in zip(range(1, 10), values):
+                    want = mp.psi(n, t)
+                    assert abs(value - want) <= stop * abs(want), (n, t)
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_range_matches_one_order_calls(self, digits):
+        prec = WorkingPrecision(digits)
+        with prec.workdps():
+            stop = prec.series_stop
+            ts = [mp.mpf(t) for t in RANGE_TS]
+            for t in ts:
+                values = polygamma_range(2, 7, t, prec)
+                for n, value in zip(range(2, 8), values):
+                    one = polygamma(n, t, prec)
+                    assert abs(value - one) <= stop * abs(one), (n, t)
+
+    def test_failure_carries_the_polygamma_operation(self):
+        for lo, hi, t in ((1, 1, 1), (1, 9, "0.3")):
+            with pytest.raises(NumericFailure) as excinfo:
+                polygamma_range(lo, hi, t, NoStop(30))
+            assert excinfo.value.operation == "polygamma"
+            assert lo <= excinfo.value.inputs["n"] <= hi
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            polygamma_range(0, 3, 1, PREC)
+        with pytest.raises(ValueError):
+            polygamma_range(3, 2, 1, PREC)
+        with pytest.raises(ValueError):
+            polygamma_range(1, 2, 0, PREC)
 
 
 class TestShiftedFactorial:
