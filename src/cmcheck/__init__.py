@@ -40,7 +40,6 @@ from .laplace import (
     verify_representation,
 )
 from .laurent import (
-    TailSeries,
     h_derivative,
     h_function,
     h_table,
@@ -51,7 +50,6 @@ from .laurent import (
 )
 from .specfun import (
     DEFAULT_PRECISION,
-    CoeffTable,
     NumericFailure,
     WorkingPrecision,
     a_coeff,
@@ -69,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BracketError",
-    "CoeffTable",
     "DEFAULT_PRECISION",
     "DegreeEstimate",
     "DifferenceBoundCheck",
@@ -80,7 +77,6 @@ __all__ = [
     "QuadratureResult",
     "RepresentationCheck",
     "SignPatternReport",
-    "TailSeries",
     "Violation",
     "WorkingPrecision",
     "a_coeff",

@@ -102,6 +102,12 @@ def _require(args, *names):
             raise ValueError(f"--{name.replace('_', '-')} is required here")
 
 
+def _reject(args, *names):
+    for name in names:
+        if getattr(args, name, None) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} does not apply here")
+
+
 def _serialize_value(value, prec):
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return str(value)
@@ -211,6 +217,7 @@ def cmd_verify_cm(args, prec):
         oracle = ScaledTailOracle(args.k, max_order, prec).at(r)
         label = f"sign-pattern-hk-k{args.k}"
     else:
+        _reject(args, "k", "r")
         grid = LogGrid(
             flag("grid_min", "0.05"), flag("grid_max", "1e3"), flag("grid_points", 200)
         )
@@ -240,10 +247,14 @@ def cmd_verify_cm(args, prec):
 def cmd_verify_integral(args, prec):
     rep = args.rep.replace("-", "_")
     if rep == "h_deriv":
+        _reject(args, "k")
         _require(args, "n")
         index = args.n
     else:
-        index = args.k
+        _reject(args, "n")
+        if rep == "h":
+            _reject(args, "k")
+        index = args.k if args.k is not None else 0
     check = verify_representation(rep, index, z=args.z, rel_tol=args.rel_tol, prec=prec)
     return [
         {
@@ -363,7 +374,7 @@ def build_parser():
         "verify-integral", help="closed form vs certified quadrature at one point"
     )
     p.add_argument("--rep", required=True, choices=("f12", "bessel", "h", "h-deriv"))
-    p.add_argument("--k", type=int, default=0)
+    p.add_argument("--k", type=int, help="order k for --rep f12 and bessel, default 0")
     p.add_argument("--n", type=int, help="derivative order for --rep h-deriv")
     p.add_argument("--z", required=True)
     p.add_argument("--rel-tol", dest="rel_tol")

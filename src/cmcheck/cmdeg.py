@@ -263,7 +263,7 @@ class DegreeEstimate:
     """Bisection bracket [r_lo, r_hi]: pattern passes at r_lo, fails at r_hi.
 
     series is the number of H_k derivative tables summed for the bracket,
-    one per grid point on the H_k family and 0 under scaled_derivative.
+    one per grid point.
     """
 
     k: int
@@ -290,7 +290,6 @@ def estimate_cm_degree(
     grid=DEFAULT_DEGREE_GRID,
     max_order=6,
     prec=DEFAULT_PRECISION,
-    scaled_derivative=None,
 ):
     """Bracket the completely monotonic degree of H_k by bisection on r.
 
@@ -298,9 +297,7 @@ def estimate_cm_degree(
     interval defaults to (k, k+2) and must straddle (pass at r_lo, fail at
     r_hi), else BracketError.  Bisection stops once r_hi - r_lo <= tol
     (default 1/32).  Every step shares one ScaledTailOracle, so each grid
-    point sums its tail series once.  scaled_derivative(r, n, t, prec) may
-    replace the H_k family to bracket other scaled functions with the same
-    machinery.
+    point sums its tail series once.
     """
     tables = ScaledTailOracle(k, max_order, prec)
     with prec.workdps():
@@ -315,11 +312,7 @@ def estimate_cm_degree(
             raise ValueError(f"tol must be positive, got {tol}")
 
         def passes(r):
-            if scaled_derivative is not None:
-                oracle = lambda n, t: scaled_derivative(r, n, t, prec)
-            else:
-                oracle = tables.at(r)
-            return check_sign_pattern(oracle, grid, max_order, prec).passed
+            return check_sign_pattern(tables.at(r), grid, max_order, prec).passed
 
         if not passes(r_lo):
             raise BracketError(

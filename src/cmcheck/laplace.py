@@ -29,6 +29,7 @@ from .specfun import (
     DEFAULT_PRECISION,
     NumericFailure,
     _SERIES_LIMIT,
+    _series_1f2,
     bessel_i,
     hyp1f2,
     to_mpf,
@@ -60,10 +61,10 @@ def kernel_1f2(k, t, prec=DEFAULT_PRECISION):
 
 
 def kernel_bessel(k, t, prec=DEFAULT_PRECISION):
-    """sum_j t^j / (j! (j+k+2)!) by direct summation.
+    """sum_j t^j / (j! (j+k+2)!), that is 1F2(1; 1, k+3; t) / (k+2)!.
 
-    Equals I_{k+2}(2 sqrt t) / t^((k+2)/2) for t > 0, but is always computed
-    from this series so the Bessel route stays an independent cross-check.
+    Equals I_{k+2}(2 sqrt t) / t^((k+2)/2) for t > 0; kernel-identities
+    checks that against mpmath's besseli, which shares no code with it.
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
@@ -72,14 +73,7 @@ def kernel_bessel(k, t, prec=DEFAULT_PRECISION):
         if t < 0:
             raise ValueError(f"t must be nonnegative, got {t}")
         term = 1 / mp.factorial(k + 2)
-        total = term
-        stop = prec.series_stop
-        for j in range(_SERIES_LIMIT):
-            term *= t / ((j + 1) * (j + k + 3))
-            total += term
-            if term < stop * total and 2 * t < (j + 2) * (j + k + 4):
-                return total
-        raise NumericFailure("kernel_bessel", "series budget exhausted", k=k, t=t)
+        return _series_1f2(term, t, 1, k + 3, prec, "kernel_bessel", k=k, t=t)
 
 
 def _bernoulli_plus(j):
@@ -264,6 +258,17 @@ def _tail_bound(weight, T, z):
     return 2 * mp.exp(a) * total
 
 
+def _check_rel_tol(rel_tol, spent, prec):
+    """Reject rel_tol outside (0, 1), or one whose quadrature share spent
+    is below 10^-(digits-10); messages name rel_tol as the caller gave it."""
+    if not 0 < rel_tol < 1:
+        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
+    if spent < mp.mpf(10) ** (-(prec.digits - 10)):
+        raise ValueError(
+            f"rel_tol {rel_tol} too tight for {prec.digits} digits of working precision"
+        )
+
+
 def laplace_transform(kernel, z, rel_tol=None, prec=DEFAULT_PRECISION):
     """integral_0^inf kernel(t) t^weight e^(-zt) dt with a certified error budget.
 
@@ -280,12 +285,7 @@ def laplace_transform(kernel, z, rel_tol=None, prec=DEFAULT_PRECISION):
         if z <= 0:
             raise ValueError(f"z must be positive, got {z}")
         rel_tol = to_mpf(rel_tol) if rel_tol is not None else mp.mpf("1e-12")
-        if not 0 < rel_tol < 1:
-            raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol}")
-        if rel_tol < mp.mpf(10) ** (-(prec.digits - 10)):
-            raise ValueError(
-                f"rel_tol {rel_tol} too tight for {prec.digits} digits of working precision"
-            )
+        _check_rel_tol(rel_tol, rel_tol, prec)
 
         evals = [0]
 
@@ -415,6 +415,7 @@ def verify_representation(rep, index=0, *, z, rel_tol=None, prec=DEFAULT_PRECISI
             raise ValueError(f"z must be positive, got {z}")
         tol = to_mpf(rel_tol) if rel_tol is not None else mp.mpf(DEFAULT_REL_TOL[rep])
         inner = tol / 2
+        _check_rel_tol(tol, inner, prec)
         if rep == "f12":
             lhs = remainder_hk(index, z, prec)
             quad = laplace_transform(KernelSpec("f12", k=index), z, inner, prec)

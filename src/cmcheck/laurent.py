@@ -16,10 +16,6 @@ Also hosts h(t) = e^(1/t) - psi'(t) and its derivatives, the difference of
 the two engines from specfun.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import factorial
-
 from mpmath import mp
 
 from .specfun import (
@@ -106,71 +102,6 @@ def remainder_hk_derivative(k, n, t, prec=DEFAULT_PRECISION):
 def scaled_remainder_derivative(k, r, n, t, prec=DEFAULT_PRECISION):
     """d^n/dt^n [t^r H_k(t)] for t > 0 and real r."""
     return tail_scaled_derivatives(k, r, t, n, prec)[n]
-
-
-@dataclass(frozen=True)
-class TailSeries:
-    """The tail series sum_{m>offset} t^-m / m! as a value object.
-
-    coefficient(m) is exact (Fraction) through exact_cutoff and an mpf at
-    the ambient precision beyond it; truncation_order bounds where the
-    certified tail estimate clears the relative stop threshold.
-    """
-
-    offset: int
-    exact_cutoff: int = 100
-
-    def __post_init__(self):
-        _validate_order(self.offset)
-
-    def coefficient(self, m):
-        """1/m! for m > offset, 0 otherwise."""
-        if not isinstance(m, int) or m < 0:
-            raise ValueError(f"index must be a nonnegative integer, got {m!r}")
-        if m <= self.offset:
-            return Fraction(0)
-        if m <= self.exact_cutoff:
-            return Fraction(1, factorial(m))
-        return 1 / mp.factorial(m)
-
-    def truncation_order(self, t, prec=DEFAULT_PRECISION):
-        """Smallest M with certified tail bound below the stop threshold.
-
-        Uses sum_{m>M} t^-m/m! <= [t^-(M+1)/(M+1)!] / (1 - q), q = 1/(t(M+2)),
-        measured against the largest term of the series (the natural scale
-        when t < 1 pushes the peak out to m ~ 1/t).
-        """
-        with prec.workdps():
-            t = to_mpf(t)
-            if t <= 0:
-                raise ValueError(f"t must be positive, got {t}")
-            invt = 1 / t
-            m = self.offset + 1
-            term = invt ** m / mp.factorial(m)
-            peak = term
-            stop = prec.series_stop
-            while m < _SERIES_LIMIT:
-                nxt = term * invt / (m + 1)
-                q = invt / (m + 2)
-                if q < mp.mpf("0.5"):
-                    bound = nxt / (1 - q)
-                    if bound <= stop * peak:
-                        return m
-                m += 1
-                term = nxt
-                peak = max(peak, term)
-            raise NumericFailure(
-                "truncation_order", "no admissible order found", offset=self.offset, t=t
-            )
-
-    def evaluate(self, t, prec=DEFAULT_PRECISION):
-        return remainder_hk(self.offset, t, prec)
-
-    def derivative(self, n, t, prec=DEFAULT_PRECISION):
-        return remainder_hk_derivative(self.offset, n, t, prec)
-
-    def scaled_derivative(self, r, n, t, prec=DEFAULT_PRECISION):
-        return scaled_remainder_derivative(self.offset, r, n, t, prec)
 
 
 def h_table(i_lo, i_hi, t, prec=DEFAULT_PRECISION):

@@ -120,33 +120,6 @@ def a_coeff(i, k):
     return comb(i, k) * comb(i - 1, k) * factorial(k)
 
 
-@dataclass(frozen=True)
-class CoeffTable:
-    """Triangular table of the a_{i,k}, rows i = 1 .. max_order.
-
-    row(i) is the tuple (a_{i,0}, ..., a_{i,i-1}).  All entries are exact
-    integers; row i always starts with a_{i,0} = 1 and ends with
-    a_{i,i-1} = i! C(i-1, i-1)... i.e. the closed form above.
-    """
-
-    max_order: int
-    rows: tuple
-
-    @classmethod
-    def up_to(cls, max_order):
-        if not isinstance(max_order, int) or max_order < 1:
-            raise ValueError(f"max_order must be an integer >= 1, got {max_order!r}")
-        rows = tuple(
-            tuple(a_coeff(i, k) for k in range(i)) for i in range(1, max_order + 1)
-        )
-        return cls(max_order=max_order, rows=rows)
-
-    def row(self, i):
-        if not 1 <= i <= self.max_order:
-            raise ValueError(f"row index must be in 1..{self.max_order}, got {i!r}")
-        return self.rows[i - 1]
-
-
 def exp_recip_derivative(i, t, prec=DEFAULT_PRECISION):
     """i-th derivative of e^(1/t) via its closed-form coefficient polynomial.
 
@@ -307,12 +280,30 @@ def polygamma(n, t, prec=DEFAULT_PRECISION):
     return polygamma_range(n, n, t, prec)[0]
 
 
+def _series_1f2(term, x, b1, b2, prec, operation, /, **inputs):
+    """term * sum_n x^n / ((b1)_n (b2)_n) for x >= 0 and b1, b2 > 0.
+
+    The one positive-term summation behind bessel_i, hyp1f2 and
+    laplace.kernel_bessel, at the caller's working precision.  Stops once a
+    term falls below the relative threshold and the next term ratio is below
+    1/2, where the geometric tail is dominated by the last term.  Raises
+    NumericFailure(operation, ..., **inputs) once _SERIES_LIMIT terms are spent.
+    """
+    total = term
+    stop = prec.series_stop
+    for n in range(_SERIES_LIMIT):
+        term *= x / ((b1 + n) * (b2 + n))
+        total += term
+        if term < stop * total and 2 * x < (b1 + n + 1) * (b2 + n + 1):
+            return total
+    raise NumericFailure(operation, "series budget exhausted", **inputs)
+
+
 def bessel_i(nu, z, prec=DEFAULT_PRECISION):
     """Modified Bessel I_nu(z) for integer nu >= 0 and real z >= 0, by power series.
 
-    sum_j (z/2)^(2j+nu) / (j! (j+nu)!), positive terms; stops once the term
-    falls below the relative threshold and the term ratio is below 1/2, at
-    which point the geometric tail is dominated by the last term.
+    sum_j (z/2)^(2j+nu) / (j! (j+nu)!), that is (z/2)^nu/nu! 0F1(; nu+1; z^2/4)
+    summed as a 1F2 with lower parameters 1 and nu+1.
     """
     if not isinstance(nu, int) or nu < 0:
         raise ValueError(f"order must be a nonnegative integer, got {nu!r}")
@@ -323,37 +314,20 @@ def bessel_i(nu, z, prec=DEFAULT_PRECISION):
         if z == 0:
             return mp.mpf(1) if nu == 0 else mp.mpf(0)
         half = z / 2
-        q = half * half
         term = half ** nu / mp.factorial(nu)
-        total = term
-        stop = prec.series_stop
-        for m in range(1, _SERIES_LIMIT):
-            term *= q / (m * (m + nu))
-            total += term
-            if term < stop * total and 2 * q < (m + 1) * (m + 1 + nu):
-                return total
-        raise NumericFailure("bessel_i", "series budget exhausted", nu=nu, z=z)
+        return _series_1f2(term, half * half, 1, nu + 1, prec, "bessel_i", nu=nu, z=z)
 
 
 def hyp1f2(b1, b2, t, prec=DEFAULT_PRECISION):
     """Hypergeometric 1F2(1; b1, b2; t) for b1, b2 > 0 and t >= 0, by power series.
 
-    sum_n t^n / ((b1)_n (b2)_n); same positive-term stop rule as bessel_i.
+    sum_n t^n / ((b1)_n (b2)_n); integer b1, b2 stay exact in the term ratio.
     """
     with prec.workdps():
         t = to_mpf(t)
-        b1 = to_mpf(b1)
-        b2 = to_mpf(b2)
+        b1, b2 = (b if isinstance(b, int) else to_mpf(b) for b in (b1, b2))
         if b1 <= 0 or b2 <= 0:
             raise ValueError(f"lower parameters must be positive, got {b1}, {b2}")
         if t < 0:
             raise ValueError(f"argument must be nonnegative, got {t}")
-        term = mp.mpf(1)
-        total = term
-        stop = prec.series_stop
-        for n in range(_SERIES_LIMIT):
-            term *= t / ((b1 + n) * (b2 + n))
-            total += term
-            if term < stop * total and 2 * t < (b1 + n + 1) * (b2 + n + 1):
-                return total
-        raise NumericFailure("hyp1f2", "series budget exhausted", b1=b1, b2=b2, t=t)
+        return _series_1f2(mp.mpf(1), t, b1, b2, prec, "hyp1f2", b1=b1, b2=b2, t=t)

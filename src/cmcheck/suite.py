@@ -158,21 +158,13 @@ def criterion_representations(prec=DEFAULT_PRECISION):
     }
 
 
-def _tail_series_direct(k, t, prec):
-    """sum_{m>k} t^(m-1)/(m!(m-1)!) by plain iteration, the alternate route."""
-    term = t ** k / (mp.factorial(k) * mp.factorial(k + 1))
-    total = term
-    m = k + 1
-    while True:
-        term *= t / ((m + 1) * m)
-        total += term
-        m += 1
-        if term < mp.mpf(10) ** (-(prec.digits + 10)) * total and t < m * (m + 1):
-            return total
-
-
 def criterion_kernel_identities(prec=DEFAULT_PRECISION):
-    """Kernel routes agree to 1e-30 relative for k <= 5, t in {0.1, 1, 10, 100}."""
+    """Kernel routes agree to 1e-30 relative for k <= 5, t in {0.1, 1, 10, 100}.
+
+    kernel_1f2, kernel_bessel and bessel_i share specfun's one 1F2
+    summation, so every reference side comes from mpmath's own hyp1f2 and
+    besseli instead.
+    """
     start = time.monotonic()
     with prec.workdps():
         tol = mp.mpf("1e-30")
@@ -182,25 +174,27 @@ def criterion_kernel_identities(prec=DEFAULT_PRECISION):
             for ts in ("0.1", "1", "10", "100"):
                 t = mp.mpf(ts)
                 v1 = kernel_1f2(k, t, prec)
-                v2 = _tail_series_direct(k, t, prec)
+                front = t ** k / (mp.factorial(k) * mp.factorial(k + 1))
+                v2 = front * mp.hyp1f2(1, k + 1, k + 2, t)
                 gap = abs(v1 - v2) / v2
                 worst = max(worst, gap)
                 ok = ok and gap < tol
                 b1 = kernel_bessel(k, t, prec)
-                b2 = bessel_i(k + 2, 2 * mp.sqrt(t), prec) / t ** (mp.mpf(k + 2) / 2)
+                b2 = mp.besseli(k + 2, 2 * mp.sqrt(t)) / t ** (mp.mpf(k + 2) / 2)
                 gap = abs(b1 - b2) / b2
                 worst = max(worst, gap)
                 ok = ok and gap < tol
         for ts in ("0.1", "1", "10", "100"):
             t = mp.mpf(ts)
             v1 = kernel_1f2(0, t, prec)
-            v2 = bessel_i(1, 2 * mp.sqrt(t), prec) / mp.sqrt(t)
+            v2 = mp.besseli(1, 2 * mp.sqrt(t)) / mp.sqrt(t)
             gap = abs(v1 - v2) / v2
             worst = max(worst, gap)
             ok = ok and gap < tol
         return {
             "id": "kernel-identities",
-            "description": "1F2 kernel vs tail series, Bessel kernel vs I-composite, k = 0 cross-identity",
+            "description": "1F2 kernel vs mpmath hyp1f2, Bessel kernel vs mpmath "
+            "besseli composite, k = 0 cross-identity vs mpmath besseli",
             "provenance": "series",
             "worst_rel_gap": mp.nstr(worst, 6),
             "tolerance": "1e-30",

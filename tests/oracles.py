@@ -8,7 +8,7 @@ Agreement between these and the package is then evidence, not tautology.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from mpmath import mp
 

@@ -200,6 +200,14 @@ class TestSubcommands:
         with mp.workdps(60):
             assert mp.mpf(record["rel_err"]) < mp.mpf("1e-10")
 
+    def test_verify_integral_index_defaults_to_zero(self, capsys):
+        argv = ["verify-integral", "--rep", "bessel", "--z", "5", "--rel-tol", "1e-3"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert "k" not in report["inputs"]
+        assert report["results"][0]["index"] == 0
+
     def test_fpoly_fraction_input(self, capsys):
         code, out, _ = run_cli(
             ["fpoly", "--i", "3", "--t", "3/2", "--form", "D"], capsys
@@ -303,6 +311,30 @@ class TestExitCodes:
         code, _, err = run_cli(argv + ["--max-order", "0"], capsys)
         assert code == 2
         assert "points must be an integer >= 2" in err
+
+    @pytest.mark.parametrize("rel_tol", ("2", "1.5e-40"))
+    def test_rel_tol_error_names_the_given_value(self, rel_tol, capsys):
+        argv = ["verify-integral", "--rep", "f12", "--k", "1", "--z", "2"]
+        code, out, _ = run_cli(argv + ["--rel-tol", rel_tol], capsys)
+        assert code == 2
+        assert rel_tol in json.loads(out)["results"][0]["detail"]
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        (
+            (["verify-integral", "--rep", "h", "--k", "3", "--z", "1"], "--k"),
+            (["verify-integral", "--rep", "f12", "--n", "4", "--z", "1"], "--n"),
+            (["verify-cm", "--target", "h", "--k", "3", "--r", "9"], "--k"),
+            (["verify-cm", "--target", "h", "--r", "9"], "--r"),
+        ),
+    )
+    def test_flag_that_does_not_apply_is_two(self, argv, flag, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "usage error" in err
+        report = json.loads(out)
+        assert report["status"] == "usage-error"
+        assert report["results"][0]["detail"] == f"{flag} does not apply here"
 
     def test_usage_error_writes_a_report(self, tmp_path, capsys):
         target = tmp_path / "report.json"

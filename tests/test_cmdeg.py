@@ -16,7 +16,6 @@ from cmcheck import (
     h_derivative,
     h_function,
     tail_scaled_derivatives,
-    to_mpf,
 )
 from cmcheck.cmdeg import DEFAULT_DEGREE_GRID, ScaledTailOracle, h_oracle
 
@@ -33,17 +32,6 @@ def exp_decay_oracle(n, t):
 def exp_growth_oracle(n, t):
     # f = e^t: every derivative positive, fails the pattern at order 1
     return mp.exp(t)
-
-
-def power_oracle(r, n, t, prec):
-    # d^n/dt^n t^r with the falling-factorial closed form
-    with prec.workdps():
-        rr = to_mpf(r)
-        tt = to_mpf(t)
-        coeff = mp.mpf(1)
-        for j in range(n):
-            coeff *= rr - j
-        return coeff * tt ** (rr - n)
 
 
 class TestLogGrid:
@@ -141,21 +129,6 @@ class TestDegreeBisection:
         assert not report.passed
         assert report.violation.order == 1
         assert report.violation.t > 1
-
-    def test_power_function_degree_zero(self):
-        # t^r alone: the pattern passes only at r = 0 (constant), so the
-        # bracket from (0, 1) pins r near zero
-        estimate = estimate_cm_degree(
-            0,
-            search=(0, 1),
-            grid=SMALL_GRID,
-            max_order=3,
-            prec=PREC,
-            scaled_derivative=power_oracle,
-        )
-        assert estimate.r_lo == 0
-        assert estimate.r_hi == mp.mpf(1) / 32
-        assert estimate.series == 0
 
     def test_bracket_must_straddle(self):
         small = LogGrid(1e-2, 1e4, 60)

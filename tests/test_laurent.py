@@ -12,7 +12,6 @@ import oracles
 from cmcheck import (
     DEFAULT_PRECISION,
     NumericFailure,
-    TailSeries,
     WorkingPrecision,
     h_derivative,
     h_function,
@@ -171,57 +170,6 @@ class TestScaledDerivatives:
                 remainder_hk_derivative(k, 1, tt, PREC)
             )
             assert abs(lhs - rhs) <= mp.mpf("1e-35") * max(abs(rhs), mp.mpf(1))
-
-
-class TestTailSeries:
-    def test_exact_coefficients(self):
-        series = TailSeries(offset=2)
-        assert series.coefficient(1) == 0
-        assert series.coefficient(2) == 0
-        assert series.coefficient(3) == Fraction(1, 6)
-        assert series.coefficient(100) == Fraction(1, oracles.factorial(100))
-
-    def test_float_coefficients_past_cutoff(self):
-        # beyond the cutoff the coefficient is an mpf at the ambient precision
-        series = TailSeries(offset=0)
-        with mp.workdps(40):
-            c = series.coefficient(101)
-            assert not isinstance(c, Fraction)
-            assert abs(c * mp.factorial(101) - 1) < mp.mpf("1e-30")
-
-    def test_coefficient_validation(self):
-        series = TailSeries(offset=0)
-        with pytest.raises(ValueError):
-            series.coefficient(-1)
-        with pytest.raises(ValueError):
-            TailSeries(offset=-2)
-
-    def test_truncation_order_bounds_the_tail(self):
-        series = TailSeries(offset=1)
-        with PREC.workdps():
-            for t in ("0.5", 2, 50):
-                m = series.truncation_order(t, PREC)
-                assert m > 1
-                tt = to_mpf(t)
-                value = series.evaluate(t, PREC)
-                partial = mp.fsum(
-                    tt ** (-j) / mp.factorial(j) for j in range(2, m + 1)
-                )
-                assert abs(value - partial) <= mp.mpf("1e-50") * value
-
-    def test_truncation_order_grows_as_t_shrinks(self):
-        series = TailSeries(offset=0)
-        assert series.truncation_order("0.05", PREC) > series.truncation_order(
-            5, PREC
-        )
-
-    def test_evaluator_delegation(self):
-        series = TailSeries(offset=3)
-        assert series.evaluate(2, PREC) == remainder_hk(3, 2, PREC)
-        assert series.derivative(2, 2, PREC) == remainder_hk_derivative(3, 2, 2, PREC)
-        assert series.scaled_derivative(4, 1, 2, PREC) == scaled_remainder_derivative(
-            3, 4, 1, 2, PREC
-        )
 
 
 class TestHFunction:

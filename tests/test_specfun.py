@@ -10,13 +10,13 @@ from mpmath import mp
 import oracles
 from cmcheck import (
     DEFAULT_PRECISION,
-    CoeffTable,
     NumericFailure,
     WorkingPrecision,
     a_coeff,
     bessel_i,
     exp_recip_derivative,
     hyp1f2,
+    kernel_bessel,
     polygamma,
     polygamma_range,
     shifted_factorial,
@@ -242,17 +242,6 @@ class TestLaurentCoefficients:
         with pytest.raises(ValueError):
             a_coeff(2, 2)
 
-    def test_table_consistency(self):
-        table = CoeffTable.up_to(6)
-        assert table.max_order == 6
-        assert table.row(3) == (1, 6, 6)
-        assert table.rows[2] == (1, 6, 6)
-        assert table.row(6) == tuple(a_coeff(6, k) for k in range(6))
-        with pytest.raises(ValueError):
-            table.row(7)
-        with pytest.raises(ValueError):
-            CoeffTable.up_to(0)
-
 
 class TestExpRecipDerivative:
     def test_closed_forms(self):
@@ -355,3 +344,19 @@ class TestNumericFailure:
         assert "went sideways" in text
         assert "alpha=3" in text
         assert isinstance(err, ArithmeticError)
+
+    @pytest.mark.parametrize(
+        "engine, args, operation, inputs",
+        (
+            (bessel_i, (2, "0.5"), "bessel_i", {"nu": 2, "z": 0.5}),
+            (hyp1f2, (2, "2.5", "0.5"), "hyp1f2", {"b1": 2, "b2": 2.5, "t": 0.5}),
+            (kernel_bessel, (1, "0.5"), "kernel_bessel", {"k": 1, "t": 0.5}),
+        ),
+    )
+    def test_exhausted_series_budget(self, engine, args, operation, inputs):
+        # a zero stop threshold runs the shared 1F2 summation through its budget
+        with pytest.raises(NumericFailure) as excinfo:
+            engine(*args, NoStop(30))
+        assert excinfo.value.operation == operation
+        assert excinfo.value.detail == "series budget exhausted"
+        assert excinfo.value.inputs == inputs
