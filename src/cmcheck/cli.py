@@ -31,6 +31,10 @@ from fractions import Fraction
 from mpmath import mp
 
 from .cmdeg import (
+    DEFAULT_DEGREE_GRID,
+    DEFAULT_DEGREE_ORDER,
+    DEFAULT_H_GRID,
+    DEFAULT_H_ORDER,
     LogGrid,
     ScaledTailOracle,
     check_sign_pattern,
@@ -114,6 +118,9 @@ def _serialize_value(value, prec):
     return _fmt(value, prec)
 
 
+# every eval flag; the last four parse as integers
+EVAL_FLAGS = ("t", "z", "r", "a", "b1", "b2", "i", "k", "n", "nu")
+
 # fn name -> (required flags, provenance, callable(args, prec) -> value)
 EVAL_FNS = {
     "trigamma": (("t",), "series", lambda a, p: polygamma(1, a.t, p)),
@@ -157,6 +164,7 @@ EVAL_FNS = {
 
 def cmd_eval(args, prec):
     required, provenance, fn = EVAL_FNS[args.fn]
+    _reject(args, *(name for name in EVAL_FLAGS if name not in required))
     _require(args, *required)
     value = fn(args, prec)
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
@@ -202,26 +210,28 @@ def cmd_degree(args, prec):
     ]
 
 
-def cmd_verify_cm(args, prec):
-    def flag(name, default):
-        value = getattr(args, name)
-        return value if value is not None else default
+def _grid(args, default):
+    """The scan grid from --grid-min/max/points, each missing flag from default."""
+    return LogGrid(
+        args.grid_min if args.grid_min is not None else default.t_min,
+        args.grid_max if args.grid_max is not None else default.t_max,
+        args.grid_points if args.grid_points is not None else default.points,
+    )
 
+
+def cmd_verify_cm(args, prec):
+    given = args.max_order
     if args.target == "hk":
         _require(args, "k")
-        grid = LogGrid(
-            flag("grid_min", "1e-2"), flag("grid_max", "1e6"), flag("grid_points", 200)
-        )
-        max_order = flag("max_order", 6)
+        grid = _grid(args, DEFAULT_DEGREE_GRID)
+        max_order = given if given is not None else DEFAULT_DEGREE_ORDER
         r = _rational(args.r) if args.r is not None else args.k + 1
         oracle = ScaledTailOracle(args.k, max_order, prec).at(r)
         label = f"sign-pattern-hk-k{args.k}"
     else:
         _reject(args, "k", "r")
-        grid = LogGrid(
-            flag("grid_min", "0.05"), flag("grid_max", "1e3"), flag("grid_points", 200)
-        )
-        max_order = flag("max_order", 8)
+        grid = _grid(args, DEFAULT_H_GRID)
+        max_order = given if given is not None else DEFAULT_H_ORDER
         oracle = h_oracle(max_order, prec)
         label = "sign-pattern-h"
     report = check_sign_pattern(oracle, grid, max_order, prec)
@@ -275,11 +285,7 @@ def cmd_verify_integral(args, prec):
 
 def cmd_inequality(args, prec):
     default = DEFAULT_TRIGAMMA_GRID if args.which == "trigamma" else DEFAULT_BESSEL_GRID
-    grid = LogGrid(
-        args.grid_min if args.grid_min is not None else default.t_min,
-        args.grid_max if args.grid_max is not None else default.t_max,
-        args.grid_points if args.grid_points is not None else default.points,
-    )
+    grid = _grid(args, default)
     checker = check_ineq_trigamma if args.which == "trigamma" else check_ineq_bessel
     report = checker(grid, prec)
     return [
@@ -343,10 +349,8 @@ def build_parser():
 
     p = sub.add_parser("eval", help="evaluate one library function at a point")
     p.add_argument("--fn", required=True, choices=tuple(EVAL_FNS))
-    for flag in ("t", "z", "r", "a", "b1", "b2"):
-        p.add_argument(f"--{flag}")
-    for flag in ("i", "k", "n", "nu"):
-        p.add_argument(f"--{flag}", type=int)
+    for flag in EVAL_FLAGS:
+        p.add_argument(f"--{flag}", type=int if flag in EVAL_FLAGS[-4:] else None)
     _add_common(p)
 
     p = sub.add_parser("degree", help="bracket the completely monotonic degree of H_k")
@@ -354,10 +358,14 @@ def build_parser():
     p.add_argument("--tol", default="1/32")
     p.add_argument("--r-min", dest="r_min")
     p.add_argument("--r-max", dest="r_max")
-    p.add_argument("--grid-min", dest="grid_min", default="1e-2")
-    p.add_argument("--grid-max", dest="grid_max", default="1e6")
-    p.add_argument("--grid-points", dest="grid_points", type=int, default=200)
-    p.add_argument("--max-order", dest="max_order", type=int, default=6)
+    p.add_argument("--grid-min", dest="grid_min", default=DEFAULT_DEGREE_GRID.t_min)
+    p.add_argument("--grid-max", dest="grid_max", default=DEFAULT_DEGREE_GRID.t_max)
+    p.add_argument(
+        "--grid-points", dest="grid_points", type=int, default=DEFAULT_DEGREE_GRID.points
+    )
+    p.add_argument(
+        "--max-order", dest="max_order", type=int, default=DEFAULT_DEGREE_ORDER
+    )
     _add_common(p)
 
     p = sub.add_parser("verify-cm", help="scan derivative sign patterns")

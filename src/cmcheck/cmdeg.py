@@ -280,7 +280,11 @@ class DegreeEstimate:
         return self.r_hi - self.r_lo
 
 
-DEFAULT_DEGREE_GRID = LogGrid(1e-2, 1e6, 200)
+# default scans: the H_k degree and sign-pattern scans, and those of h
+DEFAULT_DEGREE_GRID = LogGrid("1e-2", "1e6", 200)
+DEFAULT_DEGREE_ORDER = 6
+DEFAULT_H_GRID = LogGrid("0.05", "1e3", 200)
+DEFAULT_H_ORDER = 8
 
 
 def estimate_cm_degree(
@@ -288,7 +292,7 @@ def estimate_cm_degree(
     search=None,
     tol=None,
     grid=DEFAULT_DEGREE_GRID,
-    max_order=6,
+    max_order=DEFAULT_DEGREE_ORDER,
     prec=DEFAULT_PRECISION,
 ):
     """Bracket the completely monotonic degree of H_k by bisection on r.

@@ -134,7 +134,7 @@ def _h_kernel_direct(u, prec=DEFAULT_PRECISION):
     with prec.workdps():
         u = to_mpf(u)
         root = mp.sqrt(u)
-        return bessel_i(1, 2 * root, prec) / root - u / (-mp.expm1(-u))
+        return bessel_i(1, 2 * root, prec) / root - u_ratio(u, prec)
 
 
 def h_kernel(u, prec=DEFAULT_PRECISION):

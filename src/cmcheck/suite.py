@@ -13,7 +13,8 @@ from fractions import Fraction
 from mpmath import mp
 
 from .cmdeg import (
-    DEFAULT_DEGREE_GRID,
+    DEFAULT_H_GRID,
+    DEFAULT_H_ORDER,
     LogGrid,
     check_sign_pattern,
     estimate_cm_degree,
@@ -23,6 +24,7 @@ from .inequalities import (
     DEFAULT_BESSEL_GRID,
     DEFAULT_NEGATIVITY_GRID,
     DEFAULT_TRIGAMMA_GRID,
+    bessel_margin,
     check_difference_bound,
     check_ineq_bessel,
     check_ineq_trigamma,
@@ -33,11 +35,10 @@ from .laplace import (
     kernel_1f2,
     kernel_bessel,
     laplace_transform,
-    u_ratio,
     verify_representation,
 )
 from .laurent import h_function
-from .specfun import DEFAULT_PRECISION, bessel_i, polygamma, to_mpf
+from .specfun import DEFAULT_PRECISION, polygamma, to_mpf
 
 
 def _fmt(x, prec):
@@ -57,9 +58,7 @@ def criterion_degree(prec=DEFAULT_PRECISION):
     with prec.workdps():
         tol = mp.mpf(1) / 32
         for k in range(5):
-            est = estimate_cm_degree(
-                k, tol=tol, grid=DEFAULT_DEGREE_GRID, max_order=6, prec=prec
-            )
+            est = estimate_cm_degree(k, tol=tol, prec=prec)
             contains = bool(est.r_lo <= k + 1 <= est.r_hi)
             good = contains and est.width <= tol + mp.mpf("1e-30")
             ok = ok and good
@@ -88,12 +87,11 @@ def criterion_degree(prec=DEFAULT_PRECISION):
 def criterion_h_complete_monotonicity(prec=DEFAULT_PRECISION):
     """(-1)^i h^(i)(t) > 1e-35 for i <= 8 on [0.05, 1e3], h > 1, h(100) ~ 1."""
     start = time.monotonic()
-    grid = LogGrid(0.05, 1e3, 200)
-    oracle = h_oracle(8, prec)
-    report = check_sign_pattern(oracle, grid, 8, prec)
+    oracle = h_oracle(DEFAULT_H_ORDER, prec)
+    report = check_sign_pattern(oracle, DEFAULT_H_GRID, DEFAULT_H_ORDER, prec)
     with prec.workdps():
         # the scan summed one h table per grid point; order 0 is h itself
-        min_h = min(oracle(0, t) for t in grid.values(prec))
+        min_h = min(oracle(0, t) for t in DEFAULT_H_GRID.values(prec))
         h100_gap = abs(h_function(100, prec) - 1)
         passed = bool(
             report.min_signed > mp.mpf("1e-35")
@@ -117,35 +115,29 @@ def criterion_h_complete_monotonicity(prec=DEFAULT_PRECISION):
 def criterion_representations(prec=DEFAULT_PRECISION):
     """F12/BESSEL at 1e-10 for k <= 3, z in {0.5,1,2,5}; H, H' at 1e-8; under 30 s."""
     start = time.monotonic()
+    cases = [
+        (rep, k, z, "1e-10")
+        for rep in ("f12", "bessel")
+        for k in range(4)
+        for z in ("0.5", "1", "2", "5")
+    ] + [
+        (rep, idx, z, "1e-8")
+        for rep, idx in (("h", 0), ("h_deriv", 1), ("h_deriv", 2))
+        for z in ("1", "2")
+    ]
     checks = []
-    ok = True
-    for rep in ("f12", "bessel"):
-        for k in range(4):
-            for z in ("0.5", "1", "2", "5"):
-                c = verify_representation(rep, k, z=z, rel_tol="1e-10", prec=prec)
-                ok = ok and c.passed
-                checks.append(
-                    {
-                        "rep": rep,
-                        "index": k,
-                        "z": z,
-                        "rel_err": mp.nstr(c.rel_err, 6),
-                        "passed": c.passed,
-                    }
-                )
-    for rep, idx in (("h", 0), ("h_deriv", 1), ("h_deriv", 2)):
-        for z in ("1", "2"):
-            c = verify_representation(rep, idx, z=z, rel_tol="1e-8", prec=prec)
-            ok = ok and c.passed
-            checks.append(
-                {
-                    "rep": rep,
-                    "index": idx,
-                    "z": z,
-                    "rel_err": mp.nstr(c.rel_err, 6),
-                    "passed": c.passed,
-                }
-            )
+    for rep, index, z, tol in cases:
+        c = verify_representation(rep, index, z=z, rel_tol=tol, prec=prec)
+        checks.append(
+            {
+                "rep": rep,
+                "index": index,
+                "z": z,
+                "rel_err": mp.nstr(c.rel_err, 6),
+                "passed": c.passed,
+            }
+        )
+    ok = all(c["passed"] for c in checks)
     elapsed = time.monotonic() - start
     return {
         "id": "integral-representations",
@@ -167,30 +159,19 @@ def criterion_kernel_identities(prec=DEFAULT_PRECISION):
     """
     start = time.monotonic()
     with prec.workdps():
-        tol = mp.mpf("1e-30")
-        worst = mp.mpf(0)
-        ok = True
-        for k in range(6):
-            for ts in ("0.1", "1", "10", "100"):
-                t = mp.mpf(ts)
-                v1 = kernel_1f2(k, t, prec)
+        pairs = []
+        for t in map(mp.mpf, ("0.1", "1", "10", "100")):
+            root = mp.sqrt(t)
+            for k in range(6):
                 front = t ** k / (mp.factorial(k) * mp.factorial(k + 1))
-                v2 = front * mp.hyp1f2(1, k + 1, k + 2, t)
-                gap = abs(v1 - v2) / v2
-                worst = max(worst, gap)
-                ok = ok and gap < tol
-                b1 = kernel_bessel(k, t, prec)
-                b2 = mp.besseli(k + 2, 2 * mp.sqrt(t)) / t ** (mp.mpf(k + 2) / 2)
-                gap = abs(b1 - b2) / b2
-                worst = max(worst, gap)
-                ok = ok and gap < tol
-        for ts in ("0.1", "1", "10", "100"):
-            t = mp.mpf(ts)
-            v1 = kernel_1f2(0, t, prec)
-            v2 = mp.besseli(1, 2 * mp.sqrt(t)) / mp.sqrt(t)
-            gap = abs(v1 - v2) / v2
-            worst = max(worst, gap)
-            ok = ok and gap < tol
+                bessel = mp.besseli(k + 2, 2 * root) / t ** (mp.mpf(k + 2) / 2)
+                pairs += [
+                    (kernel_1f2(k, t, prec), front * mp.hyp1f2(1, k + 1, k + 2, t)),
+                    (kernel_bessel(k, t, prec), bessel),
+                ]
+            pairs.append((kernel_1f2(0, t, prec), mp.besseli(1, 2 * root) / root))
+        worst = max(abs(got - want) / want for got, want in pairs)
+        ok = worst < mp.mpf("1e-30")
         return {
             "id": "kernel-identities",
             "description": "1F2 kernel vs mpmath hyp1f2, Bessel kernel vs mpmath "
@@ -212,8 +193,7 @@ def criterion_inequalities(prec=DEFAULT_PRECISION):
         tight = sum(1 for t in DEFAULT_BESSEL_GRID.values(prec) if t <= mp.mpf("0.2"))
         # margin is increasing, so its value at t = 0.2 bounds the whole
         # tight region; below 1e-7 there, 30+ digits are genuinely needed
-        t = mp.mpf("0.2")
-        margin_02 = bessel_i(1, t, prec) - t / 2 * u_ratio((t / 2) ** 2, prec)
+        margin_02 = bessel_margin("0.2", prec)
         tight_resolved = bool(mp.mpf(0) < margin_02 < mp.mpf("1e-7"))
     return {
         "id": "inequality-scans",
@@ -321,17 +301,12 @@ def criterion_calibration(prec=DEFAULT_PRECISION):
         tol = mp.mpf("1e-12")
         worst = mp.mpf(0)
         ok = True
-        q = laplace_transform(KernelSpec("const"), 2, "1e-13", prec)
-        gap = abs(q.value - mp.mpf(1) / 2) * 2
-        worst = max(worst, gap)
-        ok = ok and gap < tol
-        for n in range(5):
-            for z in (1, 3):
-                q = laplace_transform(KernelSpec("const", weight=n), z, "1e-13", prec)
-                exact = mp.factorial(n) / mp.mpf(z) ** (n + 1)
-                gap = abs(q.value - exact) / exact
-                worst = max(worst, gap)
-                ok = ok and gap < tol
+        for n, z in [(0, 2)] + [(n, z) for n in range(5) for z in (1, 3)]:
+            q = laplace_transform(KernelSpec("const", weight=n), z, "1e-13", prec)
+            exact = mp.factorial(n) / mp.mpf(z) ** (n + 1)
+            gap = abs(q.value - exact) / exact
+            worst = max(worst, gap)
+            ok = ok and gap < tol
         return {
             "id": "quadrature-calibration",
             "description": "monomial transforms against n!/z^(n+1)",

@@ -336,6 +336,24 @@ class TestExitCodes:
         assert report["status"] == "usage-error"
         assert report["results"][0]["detail"] == f"{flag} does not apply here"
 
+    @pytest.mark.parametrize(
+        "flags, flag",
+        (
+            (["--fn", "trigamma", "--t", "1", "--k", "3", "--nu", "9"], "--k"),
+            (["--fn", "h", "--t", "1", "--z", "2"], "--z"),
+            (["--fn", "hk", "--k", "1", "--z", "1", "--r", "2"], "--r"),
+            (["--fn", "a-coeff", "--i", "4", "--k", "2", "--n", "1"], "--n"),
+            (["--fn", "u-ratio", "--t", "0.3", "--a", "2"], "--a"),
+        ),
+    )
+    def test_eval_flag_that_does_not_apply_is_two(self, flags, flag, capsys):
+        code, out, err = run_cli(["eval"] + flags, capsys)
+        assert code == 2
+        assert "usage error" in err
+        report = json.loads(out)
+        assert report["status"] == "usage-error"
+        assert report["results"][0]["detail"] == f"{flag} does not apply here"
+
     def test_usage_error_writes_a_report(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         argv = ["eval", "--fn", "trigamma", "--t", "-1", "--out", str(target)]

@@ -63,7 +63,7 @@ class TestLogGrid:
             LogGrid(10, 10, 5)
 
     def test_default_grid(self):
-        assert DEFAULT_DEGREE_GRID == LogGrid(1e-2, 1e6, 200)
+        assert DEFAULT_DEGREE_GRID == LogGrid("1e-2", "1e6", 200)
 
 
 class TestCheckSignPattern:

@@ -12,6 +12,7 @@ import oracles
 from cmcheck import (
     DEFAULT_PRECISION,
     LogGrid,
+    WorkingPrecision,
     check_difference_bound,
     check_ineq_bessel,
     check_ineq_trigamma,
@@ -161,6 +162,17 @@ class TestInequalityScans:
             report = check_ineq_bessel(LogGrid(1e-2, 0.2, 40), PREC)
             assert report.passed
             assert report.min_margin < mp.mpf("1e-7")
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_printed_bessel_margin_digits(self, digits):
+        # the minimum margin carries all `digits` digits, against the direct
+        # subtraction through mpmath at three times the digits
+        prec = WorkingPrecision(digits)
+        report = check_ineq_bessel(LogGrid(1e-2, 0.2, 5), prec)
+        got, t = report.min_margin, report.argmin_t
+        with mp.workdps(3 * digits):
+            want = mp.besseli(1, t) - (t / 2) ** 3 / (-mp.expm1(-((t / 2) ** 2)))
+            assert abs(got - want) <= mp.mpf(10) ** -(digits + 3) * want
 
     def test_custom_grid(self):
         report = check_ineq_trigamma(LogGrid(0.5, 2, 10), PREC)

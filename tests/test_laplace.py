@@ -8,7 +8,6 @@ import oracles
 from cmcheck import (
     DEFAULT_PRECISION,
     KernelSpec,
-    bessel_i,
     h_kernel,
     hyp1f2,
     kernel_1f2,
@@ -136,12 +135,13 @@ class TestURatioAndHKernel:
                 assert abs(series - direct) <= mp.mpf("1e-45") * direct
 
     def test_h_kernel_composite_route(self):
-        # direct form I_1(2 sqrt u)/sqrt u - u/(1 - e^-u) above the seam
+        # direct form I_1(2 sqrt u)/sqrt u - u/(1 - e^-u) above the seam,
+        # both pieces from mpmath, which shares no code with h_kernel
         with PREC.workdps():
             for u in ("0.5", 2, 10):
                 uu = mp.mpf(u)
-                composite = bessel_i(1, 2 * mp.sqrt(uu), PREC) / mp.sqrt(uu) - u_ratio(
-                    u, PREC
+                composite = mp.besseli(1, 2 * mp.sqrt(uu)) / mp.sqrt(uu) - uu / (
+                    -mp.expm1(-uu)
                 )
                 assert_close(h_kernel(u, PREC), composite, rel="1e-35")
 
