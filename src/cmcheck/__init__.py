@@ -43,6 +43,7 @@ from .laurent import (
     h_derivative,
     h_function,
     h_table,
+    hk_table,
     remainder_hk,
     remainder_hk_derivative,
     scaled_remainder_derivative,
@@ -93,6 +94,7 @@ __all__ = [
     "h_function",
     "h_kernel",
     "h_table",
+    "hk_table",
     "hyp1f2",
     "kernel_1f2",
     "kernel_bessel",

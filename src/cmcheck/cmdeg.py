@@ -19,7 +19,7 @@ from typing import Optional
 
 from mpmath import mp
 
-from .laurent import h_table, tail_scaled_derivatives
+from .laurent import h_table, hk_table
 from .specfun import DEFAULT_PRECISION, NumericFailure, to_mpf
 
 
@@ -194,7 +194,7 @@ class ScaledTailOracle(TableOracle):
         sum_{j<=n} C(n, j) (r)_j t^(r-j) H_k^(n-j)(t),
 
     with (r)_j the falling factorial.  The table H_k^(i)(t), i <= max_order,
-    is summed once per t by tail_scaled_derivatives at r = 0 and kept, so
+    is summed once per t by hk_table and kept, so
     evaluating at another r costs O(n) multiplications and no series pass.
     """
 
@@ -202,7 +202,7 @@ class ScaledTailOracle(TableOracle):
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"k must be a nonnegative integer, got {k!r}")
         super().__init__(
-            lambda t: tail_scaled_derivatives(k, 0, t, max_order, prec),
+            lambda t: hk_table(k, t, max_order, prec),
             max_order,
             prec,
         )

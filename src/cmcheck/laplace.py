@@ -106,6 +106,15 @@ def u_ratio(u, prec=DEFAULT_PRECISION):
         raise NumericFailure("u_ratio", "series budget exhausted", u=u)
 
 
+@lru_cache(maxsize=None)  # u < 1/4 ends the series before j = dps
+def _h_kernel_coefficient(j, dps):
+    """1/(j!(j+1)!) - B_j^+/j!, the u^j coefficient of the h-kernel, at dps digits."""
+    with mp.workdps(dps):
+        return 1 / (mp.factorial(j) * mp.factorial(j + 1)) - _bernoulli_plus(
+            j
+        ) / mp.factorial(j)
+
+
 def _h_kernel_series(u, prec=DEFAULT_PRECISION):
     """Combined small-u series sum_{j>=3} [1/(j!(j+1)!) - B_j^+/j!] u^j.
 
@@ -119,10 +128,7 @@ def _h_kernel_series(u, prec=DEFAULT_PRECISION):
         scale = upow / 144
         stop = prec.series_stop
         for j in range(3, _SERIES_LIMIT):
-            c = 1 / (mp.factorial(j) * mp.factorial(j + 1)) - _bernoulli_plus(
-                j
-            ) / mp.factorial(j)
-            total += c * upow
+            total += _h_kernel_coefficient(j, prec.working_dps) * upow
             if 6 * (u / 6) ** (j + 1) < stop * scale:
                 return total
             upow *= u

@@ -11,7 +11,9 @@ tail termwise:
 
     d^n/dt^n [t^r H_k(t)] = sum_{m>k} (1/m!) prod_{j=0}^{n-1} (r-m-j) t^(r-m-n),
 
-with all orders up to a maximum accumulated in a single pass over m.
+with all orders up to a maximum accumulated in a single pass over m.  At
+r = 0 every order is a positive-term series with integer multipliers, which
+hk_table sums in fixed-point integers.
 Also hosts h(t) = e^(1/t) - psi'(t) and its derivatives, the difference of
 the two engines from specfun.
 """
@@ -21,6 +23,7 @@ from mpmath import mp
 from .specfun import (
     DEFAULT_PRECISION,
     NumericFailure,
+    _GUARD_BITS,
     _SERIES_LIMIT,
     _exp_recip_from_core,
     polygamma_range,
@@ -33,6 +36,26 @@ def _validate_order(k):
         raise ValueError(f"remainder order must be a nonnegative integer, got {k!r}")
 
 
+def _first_stop(k, r, t, invt, max_order):
+    """Smallest m at which the relative stop may end a tail sum over m > k.
+
+    Uniform signs need m > r + max_order; the relative stop additionally
+    needs the term ratio ~ 1/(t m) safely below 1, hence the 1.5/t margin.
+    A first stop at or past the series budget can never be reached, so it
+    raises at once instead of spending the budget.
+    """
+    m_min = k + 3 + max(max_order + int(mp.ceil(max(r, 0))), int(mp.ceil(1.5 * invt)))
+    if m_min >= _SERIES_LIMIT:
+        raise _budget_exhausted(k, r, t)
+    return m_min
+
+
+def _budget_exhausted(k, r, t):
+    return NumericFailure(
+        "tail_scaled_derivatives", "series budget exhausted", k=k, r=r, t=t
+    )
+
+
 def tail_scaled_derivatives(k, r, t, max_order, prec=DEFAULT_PRECISION):
     """All of d^n/dt^n [t^r H_k(t)], n = 0..max_order, in one pass over m.
 
@@ -40,7 +63,8 @@ def tail_scaled_derivatives(k, r, t, max_order, prec=DEFAULT_PRECISION):
     common factor t^(r-n).  Summation continues past the term-magnitude
     peak near m ~ 1/t and past m > r + max_order (where every order has
     uniform sign), then stops once each order's latest term is below the
-    relative threshold of its absolute partial sum.
+    relative threshold of its absolute partial sum.  This is the termwise
+    route for any real r; hk_table sums the r = 0 case in fixed point.
     """
     _validate_order(k)
     if not isinstance(max_order, int) or max_order < 0:
@@ -51,13 +75,11 @@ def tail_scaled_derivatives(k, r, t, max_order, prec=DEFAULT_PRECISION):
         if t <= 0:
             raise ValueError(f"t must be positive, got {t}")
         invt = 1 / t
+        m_min = _first_stop(k, r, t, invt, max_order)
         sums = [mp.mpf(0) for _ in range(max_order + 1)]
         asums = [mp.mpf(0) for _ in range(max_order + 1)]
         last = [mp.inf for _ in range(max_order + 1)]
         stop = prec.series_stop
-        # uniform signs need m > r + max_order; the relative stop additionally
-        # needs the term ratio ~ 1/(t m) safely below 1, hence the 1.5/t margin
-        m_min = k + 3 + max(max_order + int(mp.ceil(max(r, 0))), int(mp.ceil(1.5 * invt)))
         m = k + 1
         q = invt ** (k + 1) / mp.factorial(k + 1)
         while m < _SERIES_LIMIT:
@@ -78,9 +100,7 @@ def tail_scaled_derivatives(k, r, t, max_order, prec=DEFAULT_PRECISION):
             m += 1
             q *= invt / m
         else:
-            raise NumericFailure(
-                "tail_scaled_derivatives", "series budget exhausted", k=k, r=r, t=t
-            )
+            raise _budget_exhausted(k, r, t)
         scale = t ** r
         out = []
         for n in range(max_order + 1):
@@ -89,14 +109,98 @@ def tail_scaled_derivatives(k, r, t, max_order, prec=DEFAULT_PRECISION):
         return out
 
 
+def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):
+    """[H_k^(n)(t) for n = 0..max_order] for t > 0, all orders in one pass.
+
+    H_k^(n)(t) = (-1)^n t^-n sum_{m>k} (m)^(n) t^-m / m!, with (m)^(n) =
+    m (m+1) ... (m+n-1) the rising factorial: every order is a positive-term
+    series with integer multipliers, so it is summed in fixed-point
+    integers.  t = den / 2^e exactly; term m is kept relative to the first,
+    t^-(k+1)/(k+1)!, as q_m with q_{k+1} = 2^wp and
+
+        q_{m+1} = floor(q_m 2^e / (den (m+1))),
+
+    and order n adds q_m (m)^(n), its rising factor updated by one small
+    integer multiply per order.  Whenever q reaches 2^(2 wp) (terms grow up
+    to m ~ 1/t) q and the sums drop wp bits together, so the integers stay
+    near 2^wp in size however small t is.  The sign, t^-n and the leading
+    mpf factor are applied once at the end.  The first stop (_first_stop),
+    the per-order stop (last term < series_stop times its sum), the budget
+    and the NumericFailure are those of tail_scaled_derivatives at r = 0.
+
+    Every truncation is one-sided.  In units of the current scale, with Q_m
+    the exact term: each division and each rescale lowers q by at most one
+    unit, and the terms are unimodal in m with q >= 2^wp after a rescale,
+    so over M <= _SERIES_LIMIT terms q_m sits below Q_m by at most
+    2M max(1, Q_m 2^-wp) units.  The exact rising factor multiplies that
+    error, and a rescale costs each sum at most one unit more.  The sum of
+    order n is at least 2^wp (k+1)^(n) at every scale, so it is low by a
+    relative 2^-wp (3M + 2M^2 ((M+n)/(k+1))^n) at most, and
+
+        wp = mp.prec + 32 + (max_order + 2) bitlen(_SERIES_LIMIT + max_order)
+
+    bounds that by 2^-(mp.prec+29), under one ulp of the working precision.
+    """
+    _validate_order(k)
+    if not isinstance(max_order, int) or max_order < 0:
+        raise ValueError(f"max_order must be a nonnegative integer, got {max_order!r}")
+    with prec.workdps():
+        t = to_mpf(t)
+        if t <= 0:
+            raise ValueError(f"t must be positive, got {t}")
+        invt = 1 / t
+        r = mp.mpf(0)  # for the failure report, as tail_scaled_derivatives gives it
+        m_min = _first_stop(k, r, t, invt, max_order)
+        man, exp = t.man_exp
+        den, e = (man << exp, 0) if exp >= 0 else (man, -exp)
+        # series_stop = s_num / s_den exactly, so the stop test is in integers
+        s_man, s_exp = prec.series_stop.man_exp
+        s_num, s_den = (s_man << s_exp, 1) if s_exp >= 0 else (s_man, 1 << -s_exp)
+        wp = (
+            mp.prec
+            + _GUARD_BITS
+            + (max_order + 2) * (_SERIES_LIMIT + max_order).bit_length()
+        )
+        sums = [0] * (max_order + 1)
+        terms = [0] * (max_order + 1)
+        q = 1 << wp
+        shift = 0
+        m = k + 1
+        while m < _SERIES_LIMIT:
+            c = q
+            for n in range(max_order + 1):
+                if n:
+                    c *= m + n - 1
+                sums[n] += c
+                terms[n] = c
+            if m >= m_min and all(
+                term * s_den < s_num * total for term, total in zip(terms, sums)
+            ):
+                break
+            m += 1
+            q = (q << e) // (den * m)
+            if q >> 2 * wp:
+                q >>= wp
+                sums = [total >> wp for total in sums]
+                shift += wp
+        else:
+            raise _budget_exhausted(k, r, t)
+        scale = invt ** (k + 1) / mp.factorial(k + 1)
+        out = []
+        for total in sums:
+            out.append(scale * mp.mpf((total, shift - wp)))
+            scale *= -invt
+        return out
+
+
 def remainder_hk(k, z, prec=DEFAULT_PRECISION):
     """H_k(z) = sum_{m>k} z^-m / m! for z > 0; strictly positive."""
-    return tail_scaled_derivatives(k, 0, z, 0, prec)[0]
+    return hk_table(k, z, 0, prec)[0]
 
 
 def remainder_hk_derivative(k, n, t, prec=DEFAULT_PRECISION):
     """d^n/dt^n H_k(t) = (-1)^n sum_{m>k} (m)_n t^(-m-n) / m! for t > 0."""
-    return tail_scaled_derivatives(k, 0, t, n, prec)[n]
+    return hk_table(k, t, n, prec)[n]
 
 
 def scaled_remainder_derivative(k, r, n, t, prec=DEFAULT_PRECISION):

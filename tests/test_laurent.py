@@ -11,17 +11,21 @@ from mpmath import mp
 import oracles
 from cmcheck import (
     DEFAULT_PRECISION,
+    LogGrid,
     NumericFailure,
     WorkingPrecision,
+    check_sign_pattern,
     h_derivative,
     h_function,
     h_table,
+    hk_table,
     remainder_hk,
     remainder_hk_derivative,
     scaled_remainder_derivative,
     tail_scaled_derivatives,
     to_mpf,
 )
+from cmcheck.cmdeg import ScaledTailOracle
 
 PREC = DEFAULT_PRECISION
 
@@ -170,6 +174,128 @@ class TestScaledDerivatives:
                 remainder_hk_derivative(k, 1, tt, PREC)
             )
             assert abs(lhs - rhs) <= mp.mpf("1e-35") * max(abs(rhs), mp.mpf(1))
+
+
+@pytest.fixture(scope="module")
+def termwise():
+    """tail_scaled_derivatives(k, 0, t, 6) by (digits, k, t), summed once per module."""
+    tables = {}
+
+    def table(k, t, prec):
+        key = (prec.digits, k, t)
+        if key not in tables:
+            tables[key] = tail_scaled_derivatives(k, 0, t, 6, prec)
+        return tables[key]
+
+    return table
+
+
+class TermwiseTables(ScaledTailOracle):
+    """ScaledTailOracle over the termwise r = 0 tables instead of hk_table."""
+
+    def __init__(self, k, prec, termwise):
+        super().__init__(k, 6, prec)
+        self._summer = lambda t: termwise(k, t, prec)
+
+
+class TestHkTable:
+    GRID = LogGrid(1e-2, 1e6, 60)
+
+    def points(self, prec):
+        # the scan grid, a full-mantissa t that is no short decimal, and 1e12
+        with prec.workdps():
+            return self.GRID.values(prec) + (mp.sqrt(2) * 7 / 3, mp.mpf("1e12"))
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_matches_termwise_route(self, digits, termwise):
+        prec = WorkingPrecision(digits)
+        with prec.workdps():
+            rel = mp.mpf(10) ** (3 - digits)
+            for k in range(5):
+                for t in self.points(prec):
+                    table = hk_table(k, t, 6, prec)
+                    assert len(table) == 7
+                    for n, (got, want) in enumerate(zip(table, termwise(k, t, prec))):
+                        assert (-1) ** n * got > 0
+                        assert abs(got - want) <= rel * abs(want), (k, n, t)
+
+    def test_rescaled_sums_match_termwise_route(self):
+        # below t ~ 4e-3 the terms outgrow 2^(2 wp) and the sums are rescaled
+        prec = WorkingPrecision(30)
+        with prec.workdps():
+            rel = mp.mpf(10) ** (3 - prec.digits)
+            for k in (0, 3):
+                for t in ("1e-3", "2e-4"):
+                    table = hk_table(k, t, 3, prec)
+                    termwise = tail_scaled_derivatives(k, 0, t, 3, prec)
+                    for got, want in zip(table, termwise):
+                        assert abs(got - want) <= rel * abs(want), (k, t)
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_one_order_calls_are_table_entries(self, digits):
+        prec = WorkingPrecision(digits)
+        with prec.workdps():
+            rel = mp.mpf(10) ** (3 - digits)
+            for k in (0, 2, 4):
+                for t in ("1e-2", "0.37", 1, "2.5", "1e3", "1e12"):
+                    table = hk_table(k, t, 6, prec)
+                    want = table[0]
+                    assert abs(remainder_hk(k, t, prec) - want) <= rel * want
+                    for n in range(1, 7):
+                        got = remainder_hk_derivative(k, n, t, prec)
+                        assert abs(got - table[n]) <= rel * abs(table[n]), (k, n, t)
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_sign_pattern_reports_agree(self, digits, termwise):
+        prec = WorkingPrecision(digits)
+        with prec.workdps():
+            rel = mp.mpf(10) ** (3 - digits)
+            for k in range(5):
+                fast = ScaledTailOracle(k, 6, prec)
+                slow = TermwiseTables(k, prec, termwise)
+                for r in (k + 1, k + Fraction(33, 32), k + Fraction(5, 4)):
+                    got = check_sign_pattern(fast.at(r), self.GRID, 6, prec)
+                    want = check_sign_pattern(slow.at(r), self.GRID, 6, prec)
+                    assert got.passed == want.passed == (r == k + 1)
+                    assert got.evaluations == want.evaluations
+                    assert (got.argmin_order, got.argmin_t) == (
+                        want.argmin_order,
+                        want.argmin_t,
+                    )
+                    if not want.passed:
+                        assert (got.violation.order, got.violation.t) == (
+                            want.violation.order,
+                            want.violation.t,
+                        )
+                        assert abs(got.violation.value - want.violation.value) <= (
+                            rel * abs(want.violation.value)
+                        )
+
+    def test_first_stop_past_the_budget_fails(self):
+        # 1.5/t = 1.5e7 puts the first stop past the 200000-term budget
+        for table in (
+            lambda: hk_table(0, "1e-7", 6, PREC),
+            lambda: tail_scaled_derivatives(0, 0, "1e-7", 6, PREC),
+        ):
+            with pytest.raises(NumericFailure) as excinfo:
+                table()
+            failure = excinfo.value
+            assert failure.operation == "tail_scaled_derivatives"
+            assert failure.detail == "series budget exhausted"
+            assert set(failure.inputs) == {"k", "r", "t"}
+            assert failure.inputs["r"] == 0
+
+    def test_exhausted_budget(self):
+        with pytest.raises(NumericFailure, match="series budget exhausted"):
+            hk_table(1, 3, 0, NoStop(30))
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            hk_table(-1, 1, 2, PREC)
+        with pytest.raises(ValueError):
+            hk_table(0, 1, -1, PREC)
+        with pytest.raises(ValueError):
+            hk_table(0, 0, 2, PREC)
 
 
 class TestHFunction:
