@@ -4,7 +4,7 @@ Subcommands
     eval             evaluate one library function at a point
     degree           bracket the completely monotonic degree of H_k
     verify-cm        scan derivative sign patterns of h or of t^r H_k
-    verify-integral  closed form vs certified quadrature
+    verify-integral  closed form vs adaptive quadrature
     inequality       positivity scan of one of the two inequalities
     fpoly            evaluate one of the four f_i polynomial forms
     suite            the full verification battery

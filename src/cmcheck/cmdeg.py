@@ -222,6 +222,11 @@ class ScaledTailOracle(TableOracle):
             falling = [mp.mpf(1)]
             for j in range(max_order):
                 falling.append(falling[-1] * (r - j))
+            # Leibniz coefficients C(n, j) (r)_j, which depend on r alone
+            leibniz = [
+                [comb(n, j) * falling[j] for j in range(n + 1)]
+                for n in range(max_order + 1)
+            ]
             floor = prec.noise_floor
             eps = mp.eps
         powers = {}
@@ -240,8 +245,8 @@ class ScaledTailOracle(TableOracle):
                     powers[t] = scale
                 value = mp.mpf(0)
                 asum = mp.mpf(0)
-                for j in range(n + 1):
-                    term = comb(n, j) * falling[j] * scale[j] * table[n - j]
+                for j, coeff in enumerate(leibniz[n]):
+                    term = coeff * scale[j] * table[n - j]
                     value += term
                     asum += abs(term)
                 if (n + 2) * asum * eps >= abs((-1) ** n * value + floor):

@@ -1,4 +1,4 @@
-"""Laplace-transform kernels and certified quadrature for integral representations.
+"""Laplace-transform kernels and adaptive quadrature for integral representations.
 
 Three completely monotonic objects admit representations f(z) =
 integral_0^inf kernel(t) e^(-zt) dt (up to documented prefactors):
@@ -9,17 +9,20 @@ integral_0^inf kernel(t) e^(-zt) dt (up to documented prefactors):
                             (-1)^n h^(n)(z)
 
 The transform engine integrates over [0, T] with adaptive Gauss-Legendre
-panels (embedded 16/32-point pair for the per-panel error estimate) and
-certifies the discarded tail with the exact closed form of
+panels and bounds the discarded tail with the exact closed form of
 integral_T^inf t^w e^(2 sqrt t - z t) dt, which dominates every kernel here
-termwise.  Results carry their error budget; a tolerance that cannot be
-certified raises NumericFailure rather than returning a guess.
+termwise.  Only that tail is bounded: the error of each panel is the
+heuristic estimate |q32 - q16| from an embedded 16/32-point pair, not a
+bound.  Results carry their error budget (estimate plus tail bound); a
+tolerance the budget cannot reach raises NumericFailure rather than
+returning a guess.
 """
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from math import comb, cos, pi
+from math import comb, cos, factorial, log2, pi
 from typing import Optional
 
 from mpmath import mp
@@ -28,7 +31,9 @@ from .laurent import h_derivative, h_function, remainder_hk
 from .specfun import (
     DEFAULT_PRECISION,
     NumericFailure,
+    _GUARD_BITS,
     _SERIES_LIMIT,
+    _dyadic,
     _series_1f2,
     bessel_i,
     hyp1f2,
@@ -107,32 +112,72 @@ def u_ratio(u, prec=DEFAULT_PRECISION):
 
 
 @lru_cache(maxsize=None)  # u < 1/4 ends the series before j = dps
-def _h_kernel_coefficient(j, dps):
-    """1/(j!(j+1)!) - B_j^+/j!, the u^j coefficient of the h-kernel, at dps digits."""
-    with mp.workdps(dps):
-        return 1 / (mp.factorial(j) * mp.factorial(j + 1)) - _bernoulli_plus(
-            j
-        ) / mp.factorial(j)
+def _h_kernel_coefficient(j, wp):
+    """floor(c_j 2^wp) for c_j = 1/(j!(j+1)!) - B_j^+/j!, the u^j coefficient
+    of the h-kernel, from the exact Bernoulli fraction."""
+    p, q = mp.bernfrac(j)
+    c = Fraction(1, factorial(j + 1)) - Fraction((-1) ** j * p, q)
+    c /= factorial(j)
+    return (c.numerator << wp) // c.denominator
+
+
+def _h_series_last(u, stop):
+    """First J >= 3 with (u/6)^(J-2) < stop/4, or _SERIES_LIMIT if none is below it.
+
+    u in (0, 1/4) and stop >= 0 are mpfs, taken as the exact dyadics
+    un / 2^us and s_num / 2^s_e, so the test is exact in integers.  J is
+    estimated from logarithms and settled by the exact test.
+    """
+    un, us = _dyadic(u)
+    s_num, s_e = _dyadic(stop)
+
+    def ends(m):  # (u/6)^m < stop/4, m = J - 2: 4 un^m 2^s_e < s_num 6^m 2^(us m)
+        d = s_e + 2 - us * m
+        lhs, rhs = un ** m, s_num * 6 ** m
+        return lhs << d < rhs if d >= 0 else lhs < rhs << -d
+
+    last = _SERIES_LIMIT  # a zero threshold never ends the sum
+    if s_num:
+        m = (log2(s_num) - s_e - 2) / (log2(un) - us - log2(6))
+        last = min(last, max(1, int(m) + 1) + 2)
+    while 3 < last < _SERIES_LIMIT and ends(last - 3):
+        last -= 1
+    while last < _SERIES_LIMIT and not ends(last - 2):
+        last += 1
+    return last
 
 
 def _h_kernel_series(u, prec=DEFAULT_PRECISION):
-    """Combined small-u series sum_{j>=3} [1/(j!(j+1)!) - B_j^+/j!] u^j.
+    """Combined small-u series sum_{j>=3} [1/(j!(j+1)!) - B_j^+/j!] u^j, u < 1/4.
 
     The j = 0, 1, 2 coefficients cancel exactly, so the kernel vanishes to
-    third order; leading behaviour u^3/144.
+    third order; leading behaviour u^3/144.  |B_j|/j! <= 4 (2 pi)^-j, so the
+    tail after term J is below 6 (u/6)^(J+1), and the sum stops at the first
+    J >= 3 where that is below series_stop u^3/144, that is where
+    (u/6)^(J-2) < series_stop/4 (_h_series_last, exact in integers, with no
+    pass over the terms).
+
+    S = sum_{j=3}^{J} c_j u^(j-3) is then summed by Horner's rule in
+    wp = mp.prec + 32 bit fixed point on integer coefficients
+    floor(c_j 2^wp) (_h_kernel_coefficient), and multiplied by u^3 once.
+    Each coefficient and each multiply-and-shift is low by at most one unit
+    of 2^-wp, and every earlier error is scaled by u < 1/4, so S is off by
+    at most 3 units.  The majorant |c_j| <= 1/(j!(j+1)!) + 4 (2 pi)^-j
+    gives S >= c_3 - sum_{j>=4} |c_j| 4^(3-j) > 1/144 - 1/1000 > 2^-8, so the
+    relative error of S is below 2^-(mp.prec+22), under one ulp of the
+    working precision.
     """
     with prec.workdps():
         u = to_mpf(u)
-        total = mp.mpf(0)
-        upow = u ** 3
-        scale = upow / 144
-        stop = prec.series_stop
-        for j in range(3, _SERIES_LIMIT):
-            total += _h_kernel_coefficient(j, prec.working_dps) * upow
-            if 6 * (u / 6) ** (j + 1) < stop * scale:
-                return total
-            upow *= u
-        raise NumericFailure("h_kernel", "series budget exhausted", u=u)
+        last = _h_series_last(u, prec.series_stop)
+        if last == _SERIES_LIMIT:
+            raise NumericFailure("h_kernel", "series budget exhausted", u=u)
+        un, us = _dyadic(u)
+        wp = mp.prec + _GUARD_BITS
+        total = 0
+        for j in range(last, 2, -1):
+            total = _h_kernel_coefficient(j, wp) + (total * un >> us)
+        return mp.mpf((total, -wp)) * u ** 3
 
 
 def _h_kernel_direct(u, prec=DEFAULT_PRECISION):
@@ -206,7 +251,7 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """A certified transform value: estimate plus its full error budget."""
+    """A transform value with its error budget: panel estimates plus tail bound."""
 
     value: object
     error_estimate: object
@@ -276,13 +321,13 @@ def _check_rel_tol(rel_tol, spent, prec):
 
 
 def laplace_transform(kernel, z, rel_tol=None, prec=DEFAULT_PRECISION):
-    """integral_0^inf kernel(t) t^weight e^(-zt) dt with a certified error budget.
+    """integral_0^inf kernel(t) t^weight e^(-zt) dt with an error budget.
 
-    Adaptive Gauss-Legendre over [0, T]: per-panel error from the embedded
-    16/32 pair, worst panel bisected until the panel budget is a quarter of
-    the tolerance; T grows until the closed-form tail bound is a tenth of
-    it.  Raises NumericFailure once the node budget is exhausted without
-    certification.
+    Adaptive Gauss-Legendre over [0, T]: per-panel error estimated (not
+    bounded) as the gap of the embedded 16/32 pair, worst panel bisected
+    until the estimates sum to a quarter of the tolerance; T grows until
+    the closed-form tail bound is a tenth of it.  Raises NumericFailure once
+    the node budget is exhausted before the budget meets the tolerance.
     """
     if not isinstance(kernel, KernelSpec):
         raise ValueError(f"kernel must be a KernelSpec, got {kernel!r}")

@@ -25,6 +25,7 @@ from .specfun import (
     NumericFailure,
     _GUARD_BITS,
     _SERIES_LIMIT,
+    _dyadic,
     _exp_recip_from_core,
     polygamma_range,
     to_mpf,
@@ -151,11 +152,9 @@ def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):
         invt = 1 / t
         r = mp.mpf(0)  # for the failure report, as tail_scaled_derivatives gives it
         m_min = _first_stop(k, r, t, invt, max_order)
-        man, exp = t.man_exp
-        den, e = (man << exp, 0) if exp >= 0 else (man, -exp)
-        # series_stop = s_num / s_den exactly, so the stop test is in integers
-        s_man, s_exp = prec.series_stop.man_exp
-        s_num, s_den = (s_man << s_exp, 1) if s_exp >= 0 else (s_man, 1 << -s_exp)
+        den, e = _dyadic(t)
+        # series_stop = s_num / 2^s_e exactly, so the stop test is in integers
+        s_num, s_e = _dyadic(prec.series_stop)
         wp = (
             mp.prec
             + _GUARD_BITS
@@ -174,7 +173,7 @@ def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):
                 sums[n] += c
                 terms[n] = c
             if m >= m_min and all(
-                term * s_den < s_num * total for term, total in zip(terms, sums)
+                term << s_e < s_num * total for term, total in zip(terms, sums)
             ):
                 break
             m += 1

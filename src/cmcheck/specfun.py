@@ -145,8 +145,16 @@ def _exp_recip_from_core(i, t, core):
     return (-1) ** i * core * acc / t ** (2 * i)
 
 
-# bits kept beyond mp.prec by polygamma's fixed-point sums
+# bits kept beyond mp.prec by the fixed-point sums
 _GUARD_BITS = 32
+
+
+def _dyadic(x):
+    """(m, e) with x = m / 2^e exactly and e >= 0, for an int or an mpf x."""
+    if isinstance(x, int):
+        return x, 0
+    man, exp = x.man_exp
+    return (man << exp, 0) if exp >= 0 else (man, -exp)
 
 
 @lru_cache(maxsize=None)  # v < 300, so at most 299 exact pairs
@@ -218,8 +226,7 @@ def polygamma_range(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
         target = max(10 * (n_hi + 1), int(0.8 * prec.working_dps) + 1)
         shift = max(0, int(mp.ceil(target - t)))
         # t = den / 2^e and a = t + shift = a_den / 2^e, both exactly
-        man, exp = int(t.man), int(t.exp)
-        den, e = (man << exp, 0) if exp >= 0 else (man, -exp)
+        den, e = _dyadic(t)
         a_den = den + (shift << e)
         heads = [mp.mpf(0)] * len(orders)
         if shift:
@@ -288,14 +295,54 @@ def _series_1f2(term, x, b1, b2, prec, operation, /, **inputs):
     term falls below the relative threshold and the next term ratio is below
     1/2, where the geometric tail is dominated by the last term.  Raises
     NumericFailure(operation, ..., **inputs) once _SERIES_LIMIT terms are spent.
+
+    x, b1 and b2 are exact dyadics (ints or mpfs), so with x = X / 2^ex and
+    b_i = B_i / 2^e_i the term ratio x / ((b1+n)(b2+n)) is the integer
+    quotient num / den_n, num = X 2^(e1+e2) and den_n = (B1 + n 2^e1)
+    (B2 + n 2^e2) 2^ex.  Term n is kept relative to the first as q_n, with
+    q_0 = 2^wp and q_{n+1} = floor(q_n num / den_n); both stop tests are
+    exact integer comparisons, and term is applied once at the end.  When q
+    reaches 2^(2 wp) (terms grow up to n ~ sqrt x) q and the sum drop wp
+    bits together, or more if q is still at or above 2^(2 wp) after that
+    (a tiny b1 b2 lets the first ratios exceed 2^wp).  If even
+    (b1+L)(b2+L) <= 2x, L = _SERIES_LIMIT, the ratio test cannot pass
+    within the budget, so it raises at once instead of spending the budget
+    on terms that grow.
+
+    Every truncation is one-sided.  In units of the current scale, with Q_n
+    the exact term: each division and each rescale lowers q by at most one
+    unit, and the terms are unimodal in n with q >= 2^wp after a rescale,
+    so over M <= _SERIES_LIMIT terms q_n sits below Q_n by at most
+    2M max(1, Q_n 2^-wp) units, and a rescale costs the sum at most one unit
+    more.  The sum is at least 2^wp at every scale, so it is low by a
+    relative 2^-wp (3M + 2M^2) at most, and
+
+        wp = mp.prec + 32 + 2 bitlen(_SERIES_LIMIT)
+
+    bounds that by 2^-(mp.prec+29), under one ulp of the working precision.
     """
-    total = term
-    stop = prec.series_stop
-    for n in range(_SERIES_LIMIT):
-        term *= x / ((b1 + n) * (b2 + n))
-        total += term
-        if term < stop * total and 2 * x < (b1 + n + 1) * (b2 + n + 1):
-            return total
+    (xn, ex), (b1n, e1), (b2n, e2) = _dyadic(x), _dyadic(b1), _dyadic(b2)
+    num = xn << (e1 + e2)
+    # series_stop = s_num / 2^s_e exactly
+    s_num, s_e = _dyadic(prec.series_stop)
+    den = ((b1n + (_SERIES_LIMIT << e1)) * (b2n + (_SERIES_LIMIT << e2))) << ex
+    if 2 * num >= den:
+        raise NumericFailure(operation, "series budget exhausted", **inputs)
+    wp = mp.prec + _GUARD_BITS + 2 * _SERIES_LIMIT.bit_length()
+    q = total = 1 << wp
+    shift = 0
+    den = (b1n * b2n) << ex
+    for n in range(1, _SERIES_LIMIT + 1):
+        q = q * num // den
+        total += q
+        den = ((b1n + (n << e1)) * (b2n + (n << e2))) << ex
+        if q << s_e < s_num * total and 2 * num < den:
+            return term * mp.mpf((total, shift - wp))
+        if q >> 2 * wp:
+            s = max(wp, q.bit_length() - 2 * wp)
+            q >>= s
+            total >>= s
+            shift += s
     raise NumericFailure(operation, "series budget exhausted", **inputs)
 
 

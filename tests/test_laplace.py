@@ -1,6 +1,9 @@
 """Kernels, certified semi-infinite quadrature, and the four integral
 representations against composite-Bessel, partial-sum, and exact oracles."""
 
+import random
+from fractions import Fraction
+
 import pytest
 from mpmath import mp
 
@@ -8,6 +11,8 @@ import oracles
 from cmcheck import (
     DEFAULT_PRECISION,
     KernelSpec,
+    NumericFailure,
+    WorkingPrecision,
     h_kernel,
     hyp1f2,
     kernel_1f2,
@@ -19,6 +24,12 @@ from cmcheck import (
 )
 
 PREC = DEFAULT_PRECISION
+
+
+class NoStop(WorkingPrecision):
+    @property
+    def series_stop(self):
+        return mp.mpf(0)
 
 # frozen from mpmath's hypergeometric / Bessel composites at 80 dps
 KERNEL_1F2_K2_T5 = "3.2092902907288698008916733967050224365086952091684"
@@ -144,6 +155,55 @@ class TestURatioAndHKernel:
                     -mp.expm1(-uu)
                 )
                 assert_close(h_kernel(u, PREC), composite, rel="1e-35")
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_h_kernel_series_against_mpmath(self, digits):
+        # below the seam, against the direct form from mpmath at 3x the digits,
+        # where its cancellation of ~ log10(144 / u^3) digits is harmless
+        prec = WorkingPrecision(digits)
+        rng = random.Random(digits)
+        with prec.workdps():
+            # short (float) and full-length mantissas
+            us = [mp.mpf(rng.uniform(0, 0.25)) / rng.choice((1, 3)) for _ in range(8)]
+            us += [mp.mpf("1e-9"), mp.mpf(1) / 4 - mp.mpf(2) ** -40]
+        for u in us:
+            value = h_kernel(u, prec)
+            with mp.workdps(3 * digits):
+                root = mp.sqrt(u)
+                want = mp.besseli(1, 2 * root) / root - u / (-mp.expm1(-u))
+                assert abs(value - want) <= mp.mpf(10) ** (3 - digits) * want, u
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_h_series_stop_is_exact(self, digits):
+        # u < 1/4 with (u/6)^m within rounding of series_stop/4, where a
+        # rounded test can pick the neighbouring last term; the exact one must not
+        from cmcheck.laplace import _h_series_last
+
+        prec = WorkingPrecision(digits)
+        stop = prec.series_stop
+
+        def exact(x):
+            man, exp = x.man_exp
+            return Fraction(man) * Fraction(2) ** exp
+
+        for m in (2, 7, 20):
+            with prec.workdps():
+                u = 6 * (stop / 4) ** (mp.mpf(1) / m)
+                nudge = mp.mpf(2) ** (4 - mp.prec)
+                near = (u * (1 - nudge), u, u * (1 + nudge))
+            for v in near:
+                want = 3
+                while (exact(v) / 6) ** (want - 2) >= exact(stop) / 4:
+                    want += 1
+                assert _h_series_last(v, stop) == want, (m, v)
+
+    def test_h_kernel_series_budget(self):
+        # a zero stop threshold can never end the small-u series
+        with pytest.raises(NumericFailure) as excinfo:
+            h_kernel("0.1", NoStop(30))
+        assert excinfo.value.operation == "h_kernel"
+        assert excinfo.value.detail == "series budget exhausted"
+        assert list(excinfo.value.inputs) == ["u"]
 
     def test_h_kernel_small_u_leading_term(self):
         # h_kernel(u) = u^3/144 (1 + O(u)); at u = 1e-4 the ratio is 1 to ~1e-4

@@ -1,5 +1,7 @@
 """Special-function engine against closed forms and independent summation."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -336,6 +338,71 @@ class TestHyp1F2:
             hyp1f2(2, -3, 1, PREC)
 
 
+# seeded x in (0, 40], then x = 225 (I_nu at z = 30), one x whose terms grow
+# past 2^(2 wp) so the sum is rescaled, and a tiny x
+def series_arguments(digits):
+    rng = random.Random(digits)
+    return [rng.uniform(0, 40) for _ in range(6)] + [225, 200000, "1e-60"]
+
+
+@pytest.mark.parametrize("digits", (30, 50, 100))
+class TestSeriesAgainstMpmath:
+    # the 1F2 summation against mpmath's besseli and hyp1f2 at 3x the digits
+
+    def check(self, digits, engine, reference, argument=to_mpf):
+        prec = WorkingPrecision(digits)
+        for x in series_arguments(digits):
+            with prec.workdps():
+                x = argument(to_mpf(x))
+            value = engine(x, prec)
+            with mp.workdps(3 * digits):
+                want = reference(x)
+                tol = mp.mpf(10) ** (3 - digits)
+                assert abs(value - want) <= tol * want, (x, value)
+
+    @pytest.mark.parametrize("nu", (0, 1, 4))
+    def test_bessel_i(self, digits, nu):
+        # z = 2 sqrt x at the working precision, so the series argument is z^2/4
+        self.check(
+            digits,
+            lambda z, prec: bessel_i(nu, z, prec),
+            lambda z: mp.besseli(nu, z),
+            lambda x: 2 * mp.sqrt(x),
+        )
+
+    @pytest.mark.parametrize("b1, b2", ((1, 2), (4, 7), ("2.5", Fraction(7, 3))))
+    def test_hyp1f2(self, digits, b1, b2):
+        def exact(b):
+            if isinstance(b, Fraction):
+                return mp.mpf(b.numerator) / b.denominator
+            return mp.mpf(b)
+
+        self.check(
+            digits,
+            lambda x, prec: hyp1f2(b1, b2, x, prec),
+            lambda x: mp.hyp1f2(1, exact(b1), exact(b2), x),
+        )
+
+    @pytest.mark.parametrize("k", (0, 3))
+    def test_kernel_bessel(self, digits, k):
+        self.check(
+            digits,
+            lambda x, prec: kernel_bessel(k, x, prec),
+            lambda x: mp.besseli(k + 2, 2 * mp.sqrt(x)) / x ** (mp.mpf(k + 2) / 2),
+        )
+
+    @pytest.mark.parametrize("b", ("1e-300", "1e-3000"))
+    def test_hyp1f2_tiny_parameters(self, digits, b):
+        # x/(b1 b2) far above 2^wp: the first terms outgrow one wp-bit rescale;
+        # reference 1 + x/(b1 b2) 1F2(1; b1+1, b2+1; x)
+        prec = WorkingPrecision(digits)
+        value = hyp1f2(b, b, "1e5", prec)
+        with mp.workdps(3 * digits):
+            x, c = mp.mpf("1e5"), mp.mpf(b)
+            want = 1 + x / (c * c) * mp.hyp1f2(1, c + 1, c + 1, x)
+            assert abs(value - want) <= mp.mpf(10) ** (3 - digits) * want
+
+
 class TestNumericFailure:
     def test_carries_operation_and_inputs(self):
         err = NumericFailure("some_op", "went sideways", alpha=3, t="0.5")
@@ -360,3 +427,23 @@ class TestNumericFailure:
         assert excinfo.value.operation == operation
         assert excinfo.value.detail == "series budget exhausted"
         assert excinfo.value.inputs == inputs
+
+    @pytest.mark.parametrize(
+        "engine, args",
+        (
+            (hyp1f2, (1, 2, "1e200")),
+            (hyp1f2, (1, 2, "1e100000")),
+            # 2t = (1 + L)(2 + L), L = 200000: the ratio test first passes past L
+            (hyp1f2, (1, 2, (1 + 200000) * (2 + 200000) // 2)),
+            (bessel_i, (0, "1e1000")),
+            (kernel_bessel, (0, "1e200")),
+        ),
+    )
+    def test_growing_terms_fail_at_once(self, engine, args):
+        # terms that outgrow every rescale would take minutes and gigabytes
+        # to reach the budget; the ratio test cannot pass, so it fails up front
+        start = time.process_time()
+        with pytest.raises(NumericFailure) as excinfo:
+            engine(*args, PREC)
+        assert excinfo.value.detail == "series budget exhausted"
+        assert time.process_time() - start < 1
