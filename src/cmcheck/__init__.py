@@ -3,11 +3,11 @@
 The package evaluates H_k (the tail of the e^(1/z) Laurent series past
 order k), the difference h(t) = e^(1/t) - psi'(t), and their derivative
 structure; brackets completely monotonic degrees by bisection; verifies
-four Laplace-type integral representations against adaptive quadrature;
-and scans the associated strict inequalities and exact polynomial
-identities.  Everything runs in arbitrary precision with explicit error
-control; `cmcheck.suite` bundles the headline checks, and the `cmcheck`
-console script exposes it all.
+four Laplace-type integral representations against quadrature with an
+error bound; and scans the associated strict inequalities and exact
+polynomial identities.  Everything runs in arbitrary precision with
+explicit error control; `cmcheck.suite` bundles the headline checks, and
+the `cmcheck` console script exposes it all.
 """
 
 from .cmdeg import (

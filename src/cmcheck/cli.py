@@ -4,7 +4,7 @@ Subcommands
     eval             evaluate one library function at a point
     degree           bracket the completely monotonic degree of H_k
     verify-cm        scan derivative sign patterns of h or of t^r H_k
-    verify-integral  closed form vs adaptive quadrature
+    verify-integral  closed form vs certified quadrature
     inequality       positivity scan of one of the two inequalities
     fpoly            evaluate one of the four f_i polynomial forms
     suite            the full verification battery
@@ -277,6 +277,8 @@ def cmd_verify_integral(args, prec):
             "rel_err": mp.nstr(check.rel_err, 8),
             "tolerance": mp.nstr(check.tol, 5),
             "quadrature_nodes": check.quadrature.nodes,
+            "bound_evaluations": check.quadrature.bound_evaluations,
+            "error_bound": mp.nstr(check.quadrature.error_bound, 5),
             "tail_bound": mp.nstr(check.quadrature.tail_bound, 5),
             "passed": check.passed,
         }

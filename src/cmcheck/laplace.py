@@ -8,17 +8,20 @@ integral_0^inf kernel(t) e^(-zt) dt (up to documented prefactors):
     h_kernel            ->  h(z) - 1, and with an extra u^n weight,
                             (-1)^n h^(n)(z)
 
-The transform engine integrates over [0, T] with adaptive Gauss-Legendre
-panels and bounds the discarded tail with the exact closed form of
+The transform engine integrates over [0, T] with Gauss-Legendre panels and
+bounds the discarded tail with the exact closed form of
 integral_T^inf t^w e^(2 sqrt t - z t) dt, which dominates every kernel here
-termwise.  Only that tail is bounded: the error of each panel is the
-heuristic estimate |q32 - q16| from an embedded 16/32-point pair, not a
-bound.  Results carry their error budget (estimate plus tail bound); a
-tolerance the budget cannot reach raises NumericFailure rather than
-returning a guess.
+termwise.  Each panel's discretisation error is bounded too, by the
+Gauss-Legendre bound over a Bernstein ellipse (Trefethen, Approximation
+Theory and Approximation Practice, Thm 19.3), with the integrand's maximum
+on the ellipse bounded through the kernel's Taylor coefficients.  Results
+carry that error bound (panel bounds plus tail bound); a tolerance it
+cannot reach raises NumericFailure rather than returning a guess.  The
+bound does not count the kernels' own relative error (series stop
+10^-(digits+5)) or rounding, both at least 15 orders of magnitude below the
+tightest tolerance accepted.
 """
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,16 +34,27 @@ from .laurent import h_derivative, h_function, remainder_hk
 from .specfun import (
     DEFAULT_PRECISION,
     NumericFailure,
+    WorkingPrecision,
     _GUARD_BITS,
     _SERIES_LIMIT,
     _dyadic,
     _series_1f2,
-    bessel_i,
     hyp1f2,
     to_mpf,
 )
 
 _NODE_BUDGET = 100000
+
+# Gauss-Legendre orders a panel may use; a panel no order certifies is bisected
+_ORDERS = (2, 4, 6, 8, 10, 12, 14, 16, 20, 24, 32, 48, 64)
+
+# Bernstein-ellipse parameters rho tried for a panel's bound
+_RHOS = tuple(2**j for j in range(1, 10))
+
+# a bound needs few digits; its majorants are computed at this precision and
+# rounded up by _BOUND_SLACK, which dwarfs their truncation and rounding
+_BOUND_PRECISION = WorkingPrecision(30)
+_BOUND_SLACK = "1e-30"
 
 KERNEL_KINDS = ("f12", "bessel", "h", "const")
 
@@ -81,17 +95,13 @@ def kernel_bessel(k, t, prec=DEFAULT_PRECISION):
         return _series_1f2(term, t, 1, k + 3, prec, "kernel_bessel", k=k, t=t)
 
 
-def _bernoulli_plus(j):
-    """Bernoulli number with the B_1 = +1/2 convention at the ambient precision."""
-    return (-1) ** j * mp.bernoulli(j)
-
-
 def u_ratio(u, prec=DEFAULT_PRECISION):
     """u / (1 - e^-u), continued by its value 1 at u = 0.
 
-    Below u = 1/4 the Bernoulli series sum_j B_j^+ u^j / j! (radius 2 pi)
-    replaces the directly cancelling quotient; above, expm1 keeps the
-    denominator exact.
+    Below u = 1/4 it is kernel_1f2(0, u) - h_kernel(u), both summed without
+    cancellation, and the difference has none either: the first term is
+    >= 1 and the second <= u^3/144.  Above, expm1 keeps the denominator
+    exact.
     """
     with prec.workdps():
         u = to_mpf(u)
@@ -99,16 +109,9 @@ def u_ratio(u, prec=DEFAULT_PRECISION):
             raise ValueError(f"u must be nonnegative, got {u}")
         if u >= mp.mpf(1) / 4:
             return u / (-mp.expm1(-u))
-        total = mp.mpf(0)
-        upow = mp.mpf(1)
-        stop = prec.series_stop
-        for j in range(_SERIES_LIMIT):
-            total += _bernoulli_plus(j) / mp.factorial(j) * upow
-            # |B_j|/j! <= 4 (2 pi)^-j, so the remaining tail is < 6 (u/6)^(j+1)
-            if 6 * (u / 6) ** (j + 1) < stop:
-                return total
-            upow *= u
-        raise NumericFailure("u_ratio", "series budget exhausted", u=u)
+        if u == 0:
+            return mp.mpf(1)
+        return kernel_1f2(0, u, prec) - _h_kernel_series(u, prec)
 
 
 @lru_cache(maxsize=None)  # u < 1/4 ends the series before j = dps
@@ -181,11 +184,11 @@ def _h_kernel_series(u, prec=DEFAULT_PRECISION):
 
 
 def _h_kernel_direct(u, prec=DEFAULT_PRECISION):
-    """I_1(2 sqrt u)/sqrt u - u/(1 - e^-u), the two pieces evaluated separately."""
+    """I_1(2 sqrt u)/sqrt u - u/(1 - e^-u), the two pieces evaluated separately;
+    the first is sum_j u^j/(j!(j+1)!), that is kernel_1f2(0, u)."""
     with prec.workdps():
         u = to_mpf(u)
-        root = mp.sqrt(u)
-        return bessel_i(1, 2 * root, prec) / root - u_ratio(u, prec)
+        return kernel_1f2(0, u, prec) - u / (-mp.expm1(-u))
 
 
 def h_kernel(u, prec=DEFAULT_PRECISION):
@@ -248,16 +251,79 @@ class KernelSpec:
                 value *= t ** self.weight
             return value
 
+    def majorant(self, radius, low, prec=DEFAULT_PRECISION):
+        """An upper bound on |kernel(w)| over complex w with |w| <= radius and
+        Re w >= low, or inf where the kernel may have a pole there.
+
+        f12, bessel and const have nonnegative Taylor coefficients, so
+        kernel(radius) bounds them.  The h-kernel is the entire
+        sum_j w^j/(j!(j+1)!) = kernel_1f2(0, w), bounded the same way, minus
+        w/(1 - e^-w), which has poles at 2 pi i m, m != 0.  For low > 0,
+        |1 - e^-w| >= 1 - e^-low bounds the quotient; for radius < 2 pi the
+        series gives |h(w)| <= sum_{j>=3} [1/(j!(j+1)!) + 4 (2 pi)^-j] R^j,
+        and the first part of that is at most R^3/(144 (1 - R/20)), its terms
+        falling by R/20 or more.  The smaller applicable bound is returned.
+        """
+        if self.kind != "h":
+            return self.base(radius, prec)
+        with prec.workdps():
+            best = mp.inf
+            if low > 0:
+                best = kernel_1f2(0, radius, prec) + radius / (-mp.expm1(-low))
+            x = radius / (2 * mp.pi)
+            if x < 1:
+                series = radius**3 / (144 * (1 - radius / 20)) + 4 * x**3 / (1 - x)
+                best = min(best, series)
+            return best
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """A transform value with its error budget: panel estimates plus tail bound."""
+    """A transform value with a bound on its error.
+
+    error_bound is the sum of the panels' Gauss-Legendre bounds plus
+    tail_bound, the closed-form bound on the integral beyond
+    truncation_point.  nodes counts integrand evaluations at the working
+    precision; bound_evaluations counts the majorants and lower estimates,
+    computed at _BOUND_PRECISION, that chose and certified the panels.
+    """
 
     value: object
-    error_estimate: object
+    error_bound: object
     truncation_point: object
     tail_bound: object
     nodes: int
+    bound_evaluations: int
+
+
+def _ellipse_majorant(kernel, z, a, b, rho):
+    """An upper bound on |kernel(w) w^weight e^(-zw)| over the Bernstein
+    ellipse E_rho of the panel [a, b], 0 <= a < b.
+
+    E_rho has centre c = (a+b)/2 and semi-major axis A = (b-a)/4 (rho + 1/rho),
+    so each of its points w has |w| <= c + A and Re w >= c - A; the kernel's
+    majorant takes it from there, |w^weight| <= (c+A)^weight and
+    |e^(-zw)| <= e^(-z(c-A)).
+    """
+    with _BOUND_PRECISION.workdps():
+        c = (a + b) / 2
+        semi = (b - a) / 4 * (rho + mp.mpf(1) / rho)
+        radius, low = c + semi, c - semi
+        m = kernel.majorant(radius, low, _BOUND_PRECISION)
+        m *= radius**kernel.weight * mp.exp(-z * low)
+        return m * (1 + mp.mpf(_BOUND_SLACK))
+
+
+def _gauss_bound(half, majorant, rho, order):
+    """Error bound of order-point Gauss-Legendre on a panel of half-width half,
+    for an integrand analytic inside E_rho and bounded there by majorant.
+
+    Trefethen (Approximation Theory and Approximation Practice, Thm 19.3;
+    SIAM Rev. 50 (2008), Thm 4.5) bounds the (n+1)-point rule on [-1, 1] by
+    64 M / (15 (rho^2 - 1) rho^(2n)).  With order = n + 1 points that is
+    64 M / (15 (rho^2 - 1) rho^(2 order - 2)); the panel scales it by half.
+    """
+    return half * 64 * majorant / (15 * (rho**2 - 1) * rho ** (2 * order - 2))
 
 
 @lru_cache(maxsize=None)
@@ -287,6 +353,17 @@ def _gauss_legendre(order, dps):
             pairs.append((x, w))
             pairs.append((-x, w))
         return tuple(pairs)
+
+
+def _gauss_panel(kernel, z, a, b, order, prec):
+    """order-point Gauss-Legendre for kernel(t) t^weight e^(-zt) on [a, b]."""
+    with prec.workdps():
+        mid, half = (a + b) / 2, (b - a) / 2
+        total = mp.fsum(
+            w * kernel.evaluate(mid + half * x, prec) * mp.exp(-z * (mid + half * x))
+            for x, w in _gauss_legendre(order, prec.working_dps)
+        )
+        return half * total
 
 
 def _tail_bound(weight, T, z):
@@ -321,13 +398,20 @@ def _check_rel_tol(rel_tol, spent, prec):
 
 
 def laplace_transform(kernel, z, rel_tol=None, prec=DEFAULT_PRECISION):
-    """integral_0^inf kernel(t) t^weight e^(-zt) dt with an error budget.
+    """integral_0^inf kernel(t) t^weight e^(-zt) dt with a bound on its error.
 
-    Adaptive Gauss-Legendre over [0, T]: per-panel error estimated (not
-    bounded) as the gap of the embedded 16/32 pair, worst panel bisected
-    until the estimates sum to a quarter of the tolerance; T grows until
-    the closed-form tail bound is a tenth of it.  Raises NumericFailure once
-    the node budget is exhausted before the budget meets the tolerance.
+    [0, T] is cut at 1/(2z) (at most T/8) times powers of two, and T grows
+    by half until the closed-form tail bound is a tenth of the tolerance.
+    Each panel then takes the fewest nodes in _ORDERS whose Bernstein-ellipse
+    bound (_gauss_bound, the best over rho in _RHOS) meets its equal share
+    of a quarter of the tolerance; a panel no order certifies is bisected,
+    each half taking half the share.  The tolerance is first taken relative
+    to a sum of lower estimates of the panel integrals, each the integral of
+    the exponential through the integrand's values at the panel's ends (a
+    lower bound where the integrand is log-concave).  Once the value is
+    known both budgets are checked against it; while one fails, T is
+    extended or the panel with the largest bound is redone under the same
+    rule.  Raises NumericFailure once the node budget is exhausted first.
     """
     if not isinstance(kernel, KernelSpec):
         raise ValueError(f"kernel must be a KernelSpec, got {kernel!r}")
@@ -338,87 +422,135 @@ def laplace_transform(kernel, z, rel_tol=None, prec=DEFAULT_PRECISION):
         rel_tol = to_mpf(rel_tol) if rel_tol is not None else mp.mpf("1e-12")
         _check_rel_tol(rel_tol, rel_tol, prec)
 
-        evals = [0]
+        nodes, bound_evaluations = 0, 0
+        edge_values = {}
 
-        def f(t):
-            evals[0] += 1
-            return kernel.evaluate(t, prec) * mp.exp(-z * t)
+        def lower(a, b):
+            """integral over [a, b] of the exponential through the integrand's
+            end values, below the integral where the integrand is log-concave."""
+            nonlocal bound_evaluations
+            for t in (a, b):
+                if t not in edge_values:
+                    bound_evaluations += 1
+                    with _BOUND_PRECISION.workdps():
+                        value = kernel.evaluate(t, _BOUND_PRECISION) * mp.exp(-z * t)
+                    edge_values[t] = value
+            fa, fb = edge_values[a], edge_values[b]
+            with _BOUND_PRECISION.workdps():
+                if fa == fb:
+                    return (b - a) * fa
+                if not fa or not fb:
+                    return mp.mpf(0)
+                return (b - a) * (fa - fb) / mp.log(fa / fb)
 
-        wdps = prec.working_dps
-        rule_lo = _gauss_legendre(16, wdps)
-        rule_hi = _gauss_legendre(32, wdps)
+        def tail_at(T):
+            with _BOUND_PRECISION.workdps():
+                return _tail_bound(kernel.weight, T, z) * (1 + mp.mpf(_BOUND_SLACK))
 
-        def panel(a, b):
-            mid = (a + b) / 2
+        def rule(a, b, share):
+            """(order, bound) with the fewest nodes whose bound on [a, b] is at
+            most share, or None.  Each order takes the locally best rho in
+            _RHOS; it grows with the order, so one walk serves them all."""
             half = (b - a) / 2
-            q_lo = half * mp.fsum(w * f(mid + half * x) for x, w in rule_lo)
-            q_hi = half * mp.fsum(w * f(mid + half * x) for x, w in rule_hi)
-            return q_hi, abs(q_hi - q_lo)
+            majorants = {}
 
-        a_shift = 1 / z
-        T = max(mp.mpf(16), (a_shift + mp.mpf("1.5")) ** 2)
+            def bound(j, order):
+                nonlocal bound_evaluations
+                if j not in majorants:
+                    bound_evaluations += 1
+                    majorants[j] = _ellipse_majorant(kernel, z, a, b, _RHOS[j])
+                return _gauss_bound(half, majorants[j], _RHOS[j], order)
+
+            # start near the best rho for e^(-zt) alone at two nodes, 8/(z half),
+            # and leave any ellipse that reaches a pole downwards
+            j = int(mp.nint(mp.log(8 / (z * half), 2))) - 1
+            j = min(max(j, 0), len(_RHOS) - 1)
+            for order in _ORDERS:
+                while j > 0 and (
+                    bound(j, order) == mp.inf or bound(j - 1, order) < bound(j, order)
+                ):
+                    j -= 1
+                while j + 1 < len(_RHOS) and bound(j + 1, order) < bound(j, order):
+                    j += 1
+                if bound(j, order) <= share:
+                    return order, bound(j, order)
+            return None
+
+        def cover(a, b, share):
+            """Panels (bound, a, b, value) over [a, b], bounds summing to <= share."""
+            nonlocal nodes
+            out, todo = [], [(a, b, share)]
+            while todo:
+                if nodes + bound_evaluations > _NODE_BUDGET:
+                    raise NumericFailure(
+                        "laplace_transform",
+                        "node budget exhausted before certification",
+                        z=z,
+                        nodes=nodes,
+                    )
+                a, b, share = todo.pop()
+                chosen = rule(a, b, share)
+                if chosen is None:
+                    mid = (a + b) / 2
+                    todo += [(mid, b, share / 2), (a, mid, share / 2)]
+                    continue
+                order, bound = chosen
+                nodes += order
+                out.append((bound, a, b, _gauss_panel(kernel, z, a, b, order, prec)))
+            return out
+
+        T = max(mp.mpf(16), (1 / z + mp.mpf("1.5")) ** 2)
         edges = [mp.mpf(0)]
-        step = min(1 / (2 * z), T / 8)
-        x = step
+        x = min(1 / (2 * z), T / 8)
         while x < T:
             edges.append(x)
             x *= 2
         if edges[-1] != T:
             edges.append(T)
-
-        heap = []
-        counter = 0
-        total = mp.mpf(0)
-        err_sum = mp.mpf(0)
-        for a, b in zip(edges, edges[1:]):
-            q, e = panel(a, b)
-            heapq.heappush(heap, (-e, counter, a, b, q))
-            counter += 1
-            total += q
-            err_sum += e
-
-        tail = _tail_bound(kernel.weight, T, z)
+        spans = list(zip(edges, edges[1:]))
+        scale = rel_tol * sum(lower(a, b) for a, b in spans)
+        tail = tail_at(T)
         extensions = 0
-        while tail > rel_tol * abs(total) / 10:
-            new_T = T * mp.mpf("1.5")
-            q, e = panel(T, new_T)
-            heapq.heappush(heap, (-e, counter, T, new_T, q))
-            counter += 1
-            total += q
-            err_sum += e
-            T = new_T
-            tail = _tail_bound(kernel.weight, T, z)
+
+        def extend():
+            nonlocal T, tail, extensions
             extensions += 1
             if extensions > 80:
                 raise NumericFailure(
                     "laplace_transform", "tail bound failed to contract", z=z, T=T
                 )
+            span = (T, T * mp.mpf("1.5"))
+            T = span[1]
+            tail = tail_at(T)
+            return span
 
-        while err_sum > rel_tol * abs(total) / 4:
-            if evals[0] > _NODE_BUDGET:
-                raise NumericFailure(
-                    "laplace_transform",
-                    "node budget exhausted before certification",
-                    z=z,
-                    nodes=evals[0],
-                )
-            neg_e, _, a, b, q = heapq.heappop(heap)
-            mid = (a + b) / 2
-            q1, e1 = panel(a, mid)
-            q2, e2 = panel(mid, b)
-            total += q1 + q2 - q
-            err_sum += e1 + e2 - (-neg_e)
-            heapq.heappush(heap, (-e1, counter, a, mid, q1))
-            counter += 1
-            heapq.heappush(heap, (-e2, counter, mid, b, q2))
-            counter += 1
+        while tail > scale / 10:
+            spans.append(extend())
+            scale += rel_tol * lower(*spans[-1])
+
+        panels = []
+        for a, b in spans:
+            panels += cover(a, b, scale / (4 * len(spans)))
+        while True:
+            total = mp.fsum(p[3] for p in panels)
+            err = mp.fsum(p[0] for p in panels)
+            scale = rel_tol * abs(total)
+            if tail > scale / 10:
+                panels += cover(*extend(), scale / (4 * (len(panels) + 1)))
+            elif err > scale / 4:
+                worst = max(range(len(panels)), key=lambda i: panels[i][0])
+                _, a, b, _ = panels.pop(worst)
+                panels += cover(a, b, scale / (4 * (len(panels) + 1)))
+            else:
+                break
 
         return QuadratureResult(
             value=total,
-            error_estimate=err_sum + tail,
+            error_bound=err + tail,
             truncation_point=T,
             tail_bound=tail,
-            nodes=evals[0],
+            nodes=nodes,
+            bound_evaluations=bound_evaluations,
         )
 
 

@@ -150,10 +150,15 @@ _GUARD_BITS = 32
 
 
 def _dyadic(x):
-    """(m, e) with x = m / 2^e exactly and e >= 0, for an int or an mpf x."""
+    """(m, e) with x = m / 2^e exactly and e >= 0, for an int or a finite mpf
+    x; m carries the sign of x."""
     if isinstance(x, int):
         return x, 0
-    man, exp = x.man_exp
+    sign, man, exp, bc = x._mpf_
+    if not man and bc:
+        raise ValueError(f"{x} is not a finite number")
+    if sign:
+        man = -man
     return (man << exp, 0) if exp >= 0 else (man, -exp)
 
 

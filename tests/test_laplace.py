@@ -1,8 +1,11 @@
-"""Kernels, certified semi-infinite quadrature, and the four integral
-representations against composite-Bessel, partial-sum, and exact oracles."""
+"""Kernels, semi-infinite quadrature with a bound on its error, and the four
+integral representations against composite-Bessel, partial-sum, and exact
+oracles.  Single Gauss-Legendre panels are checked against mp.quad at 3x the
+digits: their error must stay within the Bernstein-ellipse bound."""
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from mpmath import mp
@@ -22,6 +25,7 @@ from cmcheck import (
     u_ratio,
     verify_representation,
 )
+from cmcheck.laplace import _ellipse_majorant, _gauss_bound, _gauss_panel
 
 PREC = DEFAULT_PRECISION
 
@@ -126,6 +130,21 @@ class TestURatioAndHKernel:
                 uu = mp.mpf(u)
                 product = u_ratio(u, PREC) * (-mp.expm1(-uu))
                 assert abs(product - uu) <= mp.mpf("1e-45") * uu
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_u_ratio_against_mpmath(self, digits):
+        # both sides of the seam at u = 1/4, against u/(1 - e^-u) at 3x the digits
+        prec = WorkingPrecision(digits)
+        rng = random.Random(digits)
+        with prec.workdps():
+            us = [mp.mpf(rng.uniform(0, 0.25)) / rng.choice((1, 3)) for _ in range(6)]
+            quarter = mp.mpf(1) / 4
+            us += [mp.mpf("1e-9"), quarter - mp.mpf(2) ** -40, quarter, mp.mpf("0.3"), 7]
+        for u in us:
+            value = u_ratio(u, prec)
+            with mp.workdps(3 * digits):
+                want = u / (-mp.expm1(-u))
+                assert abs(value - want) <= mp.mpf(10) ** (3 - digits) * want, u
 
     def test_u_ratio_limit(self):
         with PREC.workdps():
@@ -260,7 +279,7 @@ class TestLaplaceTransform:
     def test_result_certificates(self):
         with PREC.workdps():
             quad = laplace_transform(KernelSpec("f12", k=0), 1, "1e-10", PREC)
-            assert quad.error_estimate <= mp.mpf("1e-10") * abs(quad.value)
+            assert quad.error_bound <= mp.mpf("1e-10") * abs(quad.value)
             assert quad.tail_bound <= mp.mpf("1e-10") * abs(quad.value)
             assert quad.truncation_point > 0
             assert 0 < quad.nodes <= 100000
@@ -341,3 +360,85 @@ class TestRepresentations:
             verify_representation("h_deriv", 0, z=1, prec=PREC)
         with pytest.raises(ValueError):
             verify_representation("f12", 0, z=0, prec=PREC)
+
+
+def _mpmath_kernel(kernel):
+    """kernel(t) t^weight from mpmath's own functions, sharing no code with cmcheck."""
+    k, w = kernel.k, kernel.weight
+    if kernel.kind == "f12":
+        front = factorial(k) * factorial(k + 1)
+        return lambda t: t ** (k + w) * mp.hyp1f2(1, k + 1, k + 2, t) / front
+    if kernel.kind == "bessel":
+        return lambda t: mp.besseli(k + 2, 2 * mp.sqrt(t)) * t ** (w - mp.mpf(k + 2) / 2)
+    if kernel.kind == "h":
+        return lambda t: (
+            mp.besseli(1, 2 * mp.sqrt(t)) / mp.sqrt(t) - t / -mp.expm1(-t)
+        ) * t**w
+    return lambda t: t**w
+
+
+PANEL_KERNELS = (
+    [KernelSpec("f12", k=k) for k in (0, 3)]
+    + [KernelSpec("bessel", k=k) for k in (0, 3)]
+    + [KernelSpec("h", weight=w) for w in range(3)]
+    + [KernelSpec("const", weight=w) for w in range(5)]
+)
+
+# at z = 1: the panel at 0, a middle panel and the widest, the third extension of T
+PANELS = ((0, "0.5"), (2, 4), (36, 54))
+
+# rho = 2^(j/4) up to 512, finer than the engine's ladder, so the smallest
+# bound nearly attains the best the theorem gives
+FINE_RHOS = [mp.mpf(2) ** (mp.mpf(j) / 4) for j in range(1, 37)]
+
+
+class TestPanelBounds:
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    @pytest.mark.parametrize(
+        "kernel", PANEL_KERNELS, ids=lambda q: f"{q.kind}-k{q.k}-w{q.weight}"
+    )
+    def test_gauss_error_within_bound(self, kernel, digits):
+        # few nodes, where the bound is nearly attained (within 8x for e^-t at
+        # two nodes), up to 16, where the error meets the working precision
+        prec = WorkingPrecision(digits)
+        integrand = _mpmath_kernel(kernel)
+        for a, b in PANELS:
+            a, b = mp.mpf(a), mp.mpf(b)
+            with mp.workdps(3 * digits):
+                # mpmath's Gauss-Legendre: on these smooth panels its fastest rule
+                want = mp.quad(
+                    lambda t: integrand(t) * mp.exp(-t), [a, b], method="gauss-legendre"
+                )
+            majorants = [_ellipse_majorant(kernel, 1, a, b, rho) for rho in FINE_RHOS]
+            for order in (2, 4, 8, 16):
+                got = _gauss_panel(kernel, 1, a, b, order, prec)
+                bound = min(
+                    _gauss_bound((b - a) / 2, m, rho, order)
+                    for m, rho in zip(majorants, FINE_RHOS)
+                )
+                with mp.workdps(3 * digits):
+                    # the kernels are good to 10^-(digits+5) relative, below this
+                    rounding = mp.mpf(10) ** -(digits + 3) * want
+                    assert abs(got - want) <= bound + rounding, (a, b, order)
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_transform_error_within_bound(self, digits):
+        prec = WorkingPrecision(digits)
+        with mp.workdps(3 * digits):
+            cases = [
+                (KernelSpec("const", weight=n), z, mp.factorial(n) / mp.mpf(z) ** (n + 1))
+                for n in range(5)
+                for z in (1, 3)
+            ]
+            cases.append((KernelSpec("f12"), 1, mp.e - 1))  # sum_m 1/m!
+        for kernel, z, exact in cases:
+            quad = laplace_transform(kernel, z, "1e-12", prec)
+            with mp.workdps(3 * digits):
+                assert quad.error_bound <= mp.mpf("1e-12") * quad.value
+                rounding = mp.mpf(10) ** -(digits + 3) * exact
+                assert abs(quad.value - exact) <= quad.error_bound + rounding
+
+    def test_work_is_at_most_half_of_the_16_32_pair(self):
+        # the embedded 16/32-point pair this rule replaced took 432 nodes here
+        quad = verify_representation("f12", 0, z=1, prec=PREC).quadrature
+        assert quad.nodes + quad.bound_evaluations <= 432 // 2

@@ -75,6 +75,34 @@ class TestWorkingPrecision:
             to_mpf(1j)
 
 
+class TestDyadic:
+    @pytest.mark.parametrize(
+        "x", ("-0.75", "0.75", "-3", "1e-30", "-1e-30", "-12345678901234567890", "0")
+    )
+    def test_exact_and_signed(self, x):
+        from cmcheck.specfun import _dyadic
+
+        with mp.workdps(60):
+            value = mp.mpf(x)
+        m, e = _dyadic(value)
+        assert e >= 0
+        assert mp.ldexp(m, -e) == value  # ldexp is exact
+        assert (m < 0) == (value < 0)
+
+    def test_negative_mantissa(self):
+        from cmcheck.specfun import _dyadic
+
+        assert _dyadic(mp.mpf(-0.75)) == (-3, 2)
+        assert _dyadic(-5) == (-5, 0)
+
+    @pytest.mark.parametrize("x", (mp.inf, -mp.inf, mp.nan))
+    def test_non_finite_is_rejected(self, x):
+        from cmcheck.specfun import _dyadic
+
+        with pytest.raises(ValueError):
+            _dyadic(x)
+
+
 class TestPolygamma:
     def test_trigamma_closed_forms(self):
         with mp.workdps(70):
