@@ -93,7 +93,10 @@ def _rational(text):
         return text
     s = str(text).strip()
     if "/" in s:
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"{s} has a zero denominator") from None
     try:
         return int(s)
     except ValueError:
@@ -112,10 +115,12 @@ def _reject(args, *names):
             raise ValueError(f"--{name.replace('_', '-')} does not apply here")
 
 
+def _is_exact(value):
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+
+
 def _serialize_value(value, prec):
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return str(value)
-    return _fmt(value, prec)
+    return str(value) if _is_exact(value) else _fmt(value, prec)
 
 
 # every eval flag; the last four parse as integers
@@ -167,7 +172,7 @@ def cmd_eval(args, prec):
     _reject(args, *(name for name in EVAL_FLAGS if name not in required))
     _require(args, *required)
     value = fn(args, prec)
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+    if _is_exact(value):
         provenance = "exact"
     return [
         {
@@ -304,11 +309,10 @@ def cmd_inequality(args, prec):
 
 def cmd_fpoly(args, prec):
     value = f_poly(args.i, _rational(args.t), args.form, prec)
-    exact = isinstance(value, (int, Fraction)) and not isinstance(value, bool)
     return [
         {
             "id": f"fpoly-{args.form}-i{args.i}",
-            "provenance": "exact" if exact else "closed-form",
+            "provenance": "exact" if _is_exact(value) else "closed-form",
             "value": _serialize_value(value, prec),
             "validated_form": fpoly_validated(args.i, args.form),
             "passed": True,

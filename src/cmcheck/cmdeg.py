@@ -100,11 +100,13 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
         arg_n = -1
         arg_t = None
         evals = 0
+        violation = None
         for n in range(max_order + 1):
             sign = (-1) ** n
             for t in ts:
                 try:
                     value = derivative_oracle(n, t)
+                    signed = sign * to_mpf(value)
                 except NumericFailure:
                     raise
                 except (ValueError, ArithmeticError) as exc:
@@ -112,27 +114,20 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
                         "check_sign_pattern", f"oracle failed: {exc}", n=n, t=t
                     ) from exc
                 evals += 1
-                signed = sign * to_mpf(value)
                 if signed < min_signed:
                     min_signed = signed
                     arg_n = n
                     arg_t = t
                 if signed < -floor:
-                    return SignPatternReport(
-                        grid=grid,
-                        max_order=max_order,
-                        passed=False,
-                        violation=Violation(order=n, t=t, value=value),
-                        min_signed=min_signed,
-                        argmin_order=arg_n,
-                        argmin_t=arg_t,
-                        evaluations=evals,
-                    )
+                    violation = Violation(order=n, t=t, value=value)
+                    break
+            if violation is not None:
+                break
         return SignPatternReport(
             grid=grid,
             max_order=max_order,
-            passed=True,
-            violation=None,
+            passed=violation is None,
+            violation=violation,
             min_signed=min_signed,
             argmin_order=arg_n,
             argmin_t=arg_t,

@@ -42,11 +42,7 @@ def fpoly_validated(i, form):
 
 
 def _convert(c, exact):
-    if exact:
-        return c
-    if isinstance(c, Fraction):
-        return mp.mpf(c.numerator) / mp.mpf(c.denominator)
-    return mp.mpf(c)
+    return c if exact else to_mpf(c)
 
 
 def _fpoly_a(i, t):

@@ -8,6 +8,9 @@ integral_0^inf kernel(t) e^(-zt) dt (up to documented prefactors):
     h_kernel            ->  h(z) - 1, and with an extra u^n weight,
                             (-1)^n h^(n)(z)
 
+Each kernel is summed by the 1F2 engine of specfun; below u = 1/4 h_kernel
+adds to it the Bernoulli tail of u/(1 - e^-u), so no digits cancel there.
+
 The transform engine integrates over [0, T] with Gauss-Legendre panels and
 bounds the discarded tail with the exact closed form of
 integral_T^inf t^w e^(2 sqrt t - z t) dt, which dominates every kernel here
@@ -23,9 +26,8 @@ tightest tolerance accepted.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, cos, factorial, log2, pi
+from math import comb, cos, pi
 from typing import Optional
 
 from mpmath import mp
@@ -38,6 +40,7 @@ from .specfun import (
     _GUARD_BITS,
     _SERIES_LIMIT,
     _dyadic,
+    _em_coefficient,
     _series_1f2,
     hyp1f2,
     to_mpf,
@@ -96,107 +99,61 @@ def kernel_bessel(k, t, prec=DEFAULT_PRECISION):
 
 
 def u_ratio(u, prec=DEFAULT_PRECISION):
-    """u / (1 - e^-u), continued by its value 1 at u = 0.
-
-    Below u = 1/4 it is kernel_1f2(0, u) - h_kernel(u), both summed without
-    cancellation, and the difference has none either: the first term is
-    >= 1 and the second <= u^3/144.  Above, expm1 keeps the denominator
-    exact.
-    """
+    """u / (1 - e^-u), continued by its value 1 at u = 0; expm1 keeps the
+    denominator exact for every u > 0."""
     with prec.workdps():
         u = to_mpf(u)
         if u < 0:
             raise ValueError(f"u must be nonnegative, got {u}")
-        if u >= mp.mpf(1) / 4:
-            return u / (-mp.expm1(-u))
         if u == 0:
             return mp.mpf(1)
-        return kernel_1f2(0, u, prec) - _h_kernel_series(u, prec)
+        return u / (-mp.expm1(-u))
 
 
-@lru_cache(maxsize=None)  # u < 1/4 ends the series before j = dps
-def _h_kernel_coefficient(j, wp):
-    """floor(c_j 2^wp) for c_j = 1/(j!(j+1)!) - B_j^+/j!, the u^j coefficient
-    of the h-kernel, from the exact Bernoulli fraction."""
-    p, q = mp.bernfrac(j)
-    c = Fraction(1, factorial(j + 1)) - Fraction((-1) ** j * p, q)
-    c /= factorial(j)
-    return (c.numerator << wp) // c.denominator
+def _bernoulli_tail(u, prec):
+    """T(u) = sum_{v>=2} B_2v/(2v)! u^(2v-4) for an mpf u in (0, 1/4).
 
-
-def _h_series_last(u, stop):
-    """First J >= 3 with (u/6)^(J-2) < stop/4, or _SERIES_LIMIT if none is below it.
-
-    u in (0, 1/4) and stop >= 0 are mpfs, taken as the exact dyadics
-    un / 2^us and s_num / 2^s_e, so the test is exact in integers.  J is
-    estimated from logarithms and settled by the exact test.
+    Summed in fixed point on the exact pairs of _em_coefficient, with u =
+    un / 2^us and wp = mp.prec + 32 + 2 bitlen(_SERIES_LIMIT) bits.  The
+    terms alternate and shrink by at least u^2/(4 pi^2) < 1/600, so the sum
+    stops after the first term below series_stop of it, the omitted tail
+    being smaller still.  The power u^(2v-4) is floored once per term, and
+    so is its product with the coefficient; that costs each term at most
+    1 + 1/600 units of 2^-wp, against |T| > 1/722.  Over at most
+    _SERIES_LIMIT terms T is thus off by a relative 2^-(mp.prec+40) at
+    most.  A zero threshold never stops the sum; it raises once the power
+    underflows to zero.
     """
     un, us = _dyadic(u)
-    s_num, s_e = _dyadic(stop)
-
-    def ends(m):  # (u/6)^m < stop/4, m = J - 2: 4 un^m 2^s_e < s_num 6^m 2^(us m)
-        d = s_e + 2 - us * m
-        lhs, rhs = un ** m, s_num * 6 ** m
-        return lhs << d < rhs if d >= 0 else lhs < rhs << -d
-
-    last = _SERIES_LIMIT  # a zero threshold never ends the sum
-    if s_num:
-        m = (log2(s_num) - s_e - 2) / (log2(un) - us - log2(6))
-        last = min(last, max(1, int(m) + 1) + 2)
-    while 3 < last < _SERIES_LIMIT and ends(last - 3):
-        last -= 1
-    while last < _SERIES_LIMIT and not ends(last - 2):
-        last += 1
-    return last
-
-
-def _h_kernel_series(u, prec=DEFAULT_PRECISION):
-    """Combined small-u series sum_{j>=3} [1/(j!(j+1)!) - B_j^+/j!] u^j, u < 1/4.
-
-    The j = 0, 1, 2 coefficients cancel exactly, so the kernel vanishes to
-    third order; leading behaviour u^3/144.  |B_j|/j! <= 4 (2 pi)^-j, so the
-    tail after term J is below 6 (u/6)^(J+1), and the sum stops at the first
-    J >= 3 where that is below series_stop u^3/144, that is where
-    (u/6)^(J-2) < series_stop/4 (_h_series_last, exact in integers, with no
-    pass over the terms).
-
-    S = sum_{j=3}^{J} c_j u^(j-3) is then summed by Horner's rule in
-    wp = mp.prec + 32 bit fixed point on integer coefficients
-    floor(c_j 2^wp) (_h_kernel_coefficient), and multiplied by u^3 once.
-    Each coefficient and each multiply-and-shift is low by at most one unit
-    of 2^-wp, and every earlier error is scaled by u < 1/4, so S is off by
-    at most 3 units.  The majorant |c_j| <= 1/(j!(j+1)!) + 4 (2 pi)^-j
-    gives S >= c_3 - sum_{j>=4} |c_j| 4^(3-j) > 1/144 - 1/1000 > 2^-8, so the
-    relative error of S is below 2^-(mp.prec+22), under one ulp of the
-    working precision.
-    """
-    with prec.workdps():
-        u = to_mpf(u)
-        last = _h_series_last(u, prec.series_stop)
-        if last == _SERIES_LIMIT:
-            raise NumericFailure("h_kernel", "series budget exhausted", u=u)
-        un, us = _dyadic(u)
-        wp = mp.prec + _GUARD_BITS
-        total = 0
-        for j in range(last, 2, -1):
-            total = _h_kernel_coefficient(j, wp) + (total * un >> us)
-        return mp.mpf((total, -wp)) * u ** 3
-
-
-def _h_kernel_direct(u, prec=DEFAULT_PRECISION):
-    """I_1(2 sqrt u)/sqrt u - u/(1 - e^-u), the two pieces evaluated separately;
-    the first is sum_j u^j/(j!(j+1)!), that is kernel_1f2(0, u)."""
-    with prec.workdps():
-        u = to_mpf(u)
-        return kernel_1f2(0, u, prec) - u / (-mp.expm1(-u))
+    u2, shift = un * un, 2 * us
+    s_num, s_e = _dyadic(prec.series_stop)
+    wp = mp.prec + _GUARD_BITS + 2 * _SERIES_LIMIT.bit_length()
+    power, total = 1 << wp, 0
+    for v in range(2, _SERIES_LIMIT):
+        p, q = _em_coefficient(v)
+        term = power * p // q
+        total += term
+        if abs(term) << s_e < s_num * abs(total):
+            return mp.mpf((total, -wp))
+        if not power:
+            break
+        power = power * u2 >> shift
+    raise NumericFailure("h_kernel", "series budget exhausted", u=u)
 
 
 def h_kernel(u, prec=DEFAULT_PRECISION):
     """The Laplace density of h - 1: I_1(2 sqrt u)/sqrt u - u/(1 - e^-u).
 
-    Positive for u > 0 and ~ u^3/144 near zero; the two direct pieces agree
-    to 1 + u/2 + u^2/12 there, so the crossover at u = 1/4 switches to the
-    combined series before the cancellation can bite.
+    Positive for u > 0 and ~ u^3/144 near zero.  From u = 1/4 on it is
+    kernel_1f2(0, u) - u_ratio(u), whose first piece is
+    sum_j u^j/(j!(j+1)!) = I_1(2 sqrt u)/sqrt u.  Below, the two pieces agree
+    to 1 + u/2 + u^2/12, and the j = 0, 1, 2 terms are cancelled exactly:
+
+        h_kernel(u) = sum_{j>=3} u^j/(j!(j+1)!) - u^4 T(u),
+
+    the first sum through the 1F2 engine (u^3/144 1F2(1; 4, 5; u)) and T the
+    Bernoulli tail of u/(1 - e^-u) (_bernoulli_tail).  T is negative, so the
+    subtraction adds two positive pieces and cancels nothing.
     """
     with prec.workdps():
         u = to_mpf(u)
@@ -204,9 +161,11 @@ def h_kernel(u, prec=DEFAULT_PRECISION):
             raise ValueError(f"u must be nonnegative, got {u}")
         if u == 0:
             return mp.mpf(0)
-        if u < mp.mpf(1) / 4:
-            return _h_kernel_series(u, prec)
-        return _h_kernel_direct(u, prec)
+        if u >= mp.mpf(1) / 4:
+            return kernel_1f2(0, u, prec) - u_ratio(u, prec)
+        tail = _bernoulli_tail(u, prec)
+        head = _series_1f2(u**3 / 144, u, 4, 5, prec, "h_kernel", u=u)
+        return head - u**4 * tail
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,10 @@ DEFAULT_PRECISION = WorkingPrecision()
 
 
 def to_mpf(x):
-    """Convert int, float, str, Fraction, or mpf to mpf at the current precision."""
+    """Convert int, float, str, Fraction, or mpf to mpf at the current precision.
+
+    Infinities and nan are rejected: no quantity here is meaningful there.
+    """
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / mp.mpf(x.denominator)
     try:
@@ -83,6 +86,9 @@ def to_mpf(x):
         raise ValueError(f"cannot interpret {x!r} as a real number") from exc
     if not isinstance(v, mp.mpf):
         raise ValueError(f"cannot interpret {x!r} as a real number")
+    _, man, _, bc = v._mpf_
+    if not man and bc:
+        raise ValueError(f"{x!r} is not a finite real number")
     return v
 
 
@@ -162,7 +168,7 @@ def _dyadic(x):
     return (man << exp, 0) if exp >= 0 else (man, -exp)
 
 
-@lru_cache(maxsize=None)  # v < 300, so at most 299 exact pairs
+@lru_cache(maxsize=None)  # polygamma asks for v < 300, h_kernel ~ (digits+5)/2.8
 def _em_coefficient(v):
     """B_{2v}/(2v)! as an exact (numerator, denominator) pair."""
     p, q = mp.bernfrac(2 * v)

@@ -354,6 +354,47 @@ class TestExitCodes:
         assert report["status"] == "usage-error"
         assert report["results"][0]["detail"] == f"{flag} does not apply here"
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["fpoly", "--i", "1", "--t", "1/0"],
+            ["degree", "--k", "0", "--tol", "1/0"],
+            ["degree", "--k", "0", "--r-min", "1/0", "--r-max", "2"],
+            ["verify-cm", "--target", "hk", "--k", "0", "--r", "1/0"],
+            ["eval", "--fn", "hyp1f2", "--b1", "1/0", "--b2", "2", "--t", "1"],
+            ["eval", "--fn", "shifted-factorial", "--a", "1/0", "--n", "2"],
+        ),
+    )
+    def test_zero_denominator_is_two(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "usage error" in err
+        report = json.loads(out)
+        assert report["status"] == "usage-error"
+        assert report["results"][0]["detail"] == "1/0 has a zero denominator"
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["fpoly", "--i", "1", "--t", "inf"],
+            ["fpoly", "--i", "1", "--t", "nan"],
+            ["eval", "--fn", "exp-recip-deriv", "--i", "1", "--t", "nan"],
+            ["eval", "--fn", "shifted-factorial", "--a", "nan", "--n", "2"],
+            ["eval", "--fn", "u-ratio", "--t", "inf"],
+            ["degree", "--k", "0", "--tol", "nan"],
+            ["eval", "--fn", "trigamma", "--t", "inf"],
+            ["verify-cm", "--target", "hk", "--k", "0", "--r", "nan"],
+            ["eval", "--fn", "h-kernel", "--t=-inf"],
+        ),
+    )
+    def test_non_finite_input_is_two(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert "usage error" in err
+        report = json.loads(out)
+        assert report["status"] == "usage-error"
+        assert "is not a finite real number" in report["results"][0]["detail"]
+
     def test_usage_error_writes_a_report(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         argv = ["eval", "--fn", "trigamma", "--t", "-1", "--out", str(target)]

@@ -90,6 +90,12 @@ class TestCheckSignPattern:
         with pytest.raises(NumericFailure, match="check_sign_pattern"):
             check_sign_pattern(broken, SMALL_GRID, 2, PREC)
 
+    @pytest.mark.parametrize("value", (mp.nan, mp.inf, -mp.inf))
+    def test_non_finite_oracle_values_become_numeric_failures(self, value):
+        with pytest.raises(NumericFailure, match="oracle failed") as excinfo:
+            check_sign_pattern(lambda n, t: value, SMALL_GRID, 2, PREC)
+        assert excinfo.value.inputs["n"] == 0
+
     def test_order_validation(self):
         with pytest.raises(ValueError):
             check_sign_pattern(exp_decay_oracle, SMALL_GRID, -1, PREC)

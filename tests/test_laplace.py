@@ -4,7 +4,6 @@ oracles.  Single Gauss-Legendre panels are checked against mp.quad at 3x the
 digits: their error must stay within the Bernstein-ellipse bound."""
 
 import random
-from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -153,16 +152,19 @@ class TestURatioAndHKernel:
             assert abs(value - 1 - mp.mpf("0.5e-30")) < mp.mpf("1e-40")
 
     def test_h_kernel_seam_routes_agree(self):
-        # the series route (used below u = 1/4) and the direct route (used
-        # above) must coincide wherever both converge, seam included
-        from cmcheck.laplace import _h_kernel_direct, _h_kernel_series
+        # the small-u route (the 1F2 head less u^4 times the Bernoulli tail)
+        # and the route from u = 1/4 on, kernel_1f2(0, u) - u_ratio(u), must
+        # coincide on both sides of the seam
+        from cmcheck.laplace import _bernoulli_tail
+        from cmcheck.specfun import _series_1f2
 
         with PREC.workdps():
-            for u in ("0.2", "0.25", "0.3"):
-                uu = mp.mpf(u)
-                series = _h_kernel_series(uu, PREC)
-                direct = _h_kernel_direct(uu, PREC)
-                assert abs(series - direct) <= mp.mpf("1e-45") * direct
+            quarter = mp.mpf(1) / 4
+            for u in (mp.mpf("0.2"), quarter - mp.mpf(2) ** -40, quarter, mp.mpf("0.3")):
+                head = _series_1f2(u**3 / 144, u, 4, 5, PREC, "h_kernel", u=u)
+                small = head - u**4 * _bernoulli_tail(u, PREC)
+                direct = kernel_1f2(0, u, PREC) - u_ratio(u, PREC)
+                assert abs(small - direct) <= mp.mpf("1e-45") * direct, u
 
     def test_h_kernel_composite_route(self):
         # direct form I_1(2 sqrt u)/sqrt u - u/(1 - e^-u) above the seam,
@@ -175,16 +177,18 @@ class TestURatioAndHKernel:
                 )
                 assert_close(h_kernel(u, PREC), composite, rel="1e-35")
 
-    @pytest.mark.parametrize("digits", (30, 50, 100))
+    @pytest.mark.parametrize("digits", (30, 50, 100, 1000))
     def test_h_kernel_series_against_mpmath(self, digits):
         # below the seam, against the direct form from mpmath at 3x the digits,
-        # where its cancellation of ~ log10(144 / u^3) digits is harmless
+        # where its cancellation of ~ log10(144 / u^3) digits is harmless; near
+        # u = 1/4 at 1000 digits the Bernoulli tail needs ~ (digits + 5)/2.8 terms
         prec = WorkingPrecision(digits)
         rng = random.Random(digits)
         with prec.workdps():
             # short (float) and full-length mantissas
             us = [mp.mpf(rng.uniform(0, 0.25)) / rng.choice((1, 3)) for _ in range(8)]
-            us += [mp.mpf("1e-9"), mp.mpf(1) / 4 - mp.mpf(2) ** -40]
+            us += [mp.mpf(u) for u in ("1e-9", "0.2499")]
+            us.append(mp.mpf(1) / 4 - mp.mpf(2) ** -40)
         for u in us:
             value = h_kernel(u, prec)
             with mp.workdps(3 * digits):
@@ -193,28 +197,27 @@ class TestURatioAndHKernel:
                 assert abs(value - want) <= mp.mpf(10) ** (3 - digits) * want, u
 
     @pytest.mark.parametrize("digits", (30, 50, 100))
-    def test_h_series_stop_is_exact(self, digits):
-        # u < 1/4 with (u/6)^m within rounding of series_stop/4, where a
-        # rounded test can pick the neighbouring last term; the exact one must not
-        from cmcheck.laplace import _h_series_last
+    def test_bernoulli_tail_against_mpmath(self, digits):
+        # sum_{v>=2} B_2v/(2v)! u^(2v-4) from mpmath's Bernoulli numbers at 3x
+        # the digits; the tail stops at series_stop of the sum, and the
+        # first omitted term is 600 times smaller still
+        from cmcheck.laplace import _bernoulli_tail
 
         prec = WorkingPrecision(digits)
-        stop = prec.series_stop
-
-        def exact(x):
-            man, exp = x.man_exp
-            return Fraction(man) * Fraction(2) ** exp
-
-        for m in (2, 7, 20):
-            with prec.workdps():
-                u = 6 * (stop / 4) ** (mp.mpf(1) / m)
-                nudge = mp.mpf(2) ** (4 - mp.prec)
-                near = (u * (1 - nudge), u, u * (1 + nudge))
-            for v in near:
-                want = 3
-                while (exact(v) / 6) ** (want - 2) >= exact(stop) / 4:
-                    want += 1
-                assert _h_series_last(v, stop) == want, (m, v)
+        with prec.workdps():
+            us = [mp.mpf(u) for u in ("1e-30", "2.5e-5", "0.01", "0.2")]
+            us.append(mp.mpf(1) / 4 - mp.mpf(2) ** -40)
+            values = [_bernoulli_tail(u, prec) for u in us]
+        for u, value in zip(us, values):
+            with mp.workdps(3 * digits):
+                want, v = mp.mpf(0), 2
+                while True:
+                    term = mp.bernoulli(2 * v) / mp.factorial(2 * v) * u ** (2 * v - 4)
+                    want += term
+                    if abs(term) < mp.mpf(10) ** (-3 * digits) * abs(want):
+                        break
+                    v += 1
+                assert abs(value - want) <= mp.mpf(10) ** -(digits + 5) * abs(want), u
 
     def test_h_kernel_series_budget(self):
         # a zero stop threshold can never end the small-u series

@@ -74,6 +74,11 @@ class TestWorkingPrecision:
         with pytest.raises(ValueError):
             to_mpf(1j)
 
+    @pytest.mark.parametrize("value", ("inf", "-inf", "nan", float("inf"), mp.nan))
+    def test_to_mpf_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="not a finite real number"):
+            to_mpf(value)
+
 
 class TestDyadic:
     @pytest.mark.parametrize(
