@@ -27,6 +27,7 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp
 
@@ -163,7 +164,7 @@ EVAL_FNS = {
     "kernel-1f2": (("k", "t"), "series", lambda a, p: kernel_1f2(a.k, a.t, p)),
     "kernel-bessel": (("k", "t"), "series", lambda a, p: kernel_bessel(a.k, a.t, p)),
     "h-kernel": (("t",), "series", lambda a, p: h_kernel(a.t, p)),
-    "u-ratio": (("t",), "series", lambda a, p: u_ratio(a.t, p)),
+    "u-ratio": (("t",), "closed-form", lambda a, p: u_ratio(a.t, p)),
 }
 
 
@@ -413,6 +414,13 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """build_parser() once per process: parsing leaves the parser unchanged and
+    no default is mutable, so every main call can share it."""
+    return build_parser()
+
+
 def _echo_inputs(args):
     skip = {"subcommand", "digits", "format", "out"}
     return {
@@ -464,8 +472,7 @@ def _emit(text, out_path):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.monotonic()
     status = code = None
     try:

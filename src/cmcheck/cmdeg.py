@@ -5,9 +5,13 @@ and t > 0; its degree with respect to t is the largest r such that t^r f(t)
 stays completely monotonic.  check_sign_pattern tests the alternating-sign
 property on a finite logarithmic grid up to a finite order; the degree
 estimator bisects on r between a pattern-pass and a pattern-fail, driven by
-the derivatives of t^r H_k(t) that ScaledTailOracle assembles by the
-Leibniz rule from one r-independent table of H_k derivatives per grid
-point, so a bisection step sums no series.  The h scans keep one h table
+the derivatives of t^r H_k(t) that ScaledTailOracle assembles from one
+r-independent set of integer sums per grid point (hk_sums), so a bisection
+step sums no series.  The bisection's r are dyadics, so by the Leibniz rule
+and the Vandermonde identity for rising factorials each scaled derivative
+is a positive factor times an integer bracket, formed exactly with a proven
+radius: most signs are settled in integers, and a value whose radius could
+carry it across the noise floor is refused.  The h scans keep one h table
 per grid point in the same way (h_oracle).  A grid scan can only certify
 failure (a witness) or survive it (no claim beyond the grid), so the result
 is a bracket, never an attained value.
@@ -15,12 +19,13 @@ is a bracket, never an attained value.
 
 from dataclasses import dataclass
 from math import comb
+from operator import mul
 from typing import Optional
 
 from mpmath import mp
 
-from .laurent import h_table, hk_table
-from .specfun import DEFAULT_PRECISION, NumericFailure, to_mpf
+from .laurent import h_table, hk_sums
+from .specfun import DEFAULT_PRECISION, NumericFailure, _dyadic, to_mpf
 
 
 class BracketError(ValueError):
@@ -135,13 +140,12 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
         )
 
 
-class TableOracle:
-    """f^(n)(t) for check_sign_pattern from one derivative table per grid point.
+class TableCache:
+    """One table per grid point for the orders 0..max_order.
 
-    summer(t) returns [f^(i)(t) for i = 0..max_order]; the table of each t
-    is summed on its first request and kept, so an order-major scan sums
-    each grid point once however many orders it visits.  series counts the
-    tables summed so far.
+    summer(t) returns the table of t; it is summed on its first request and
+    kept, so an order-major scan sums each grid point once however many
+    orders it visits.  series counts the tables summed so far.
     """
 
     def __init__(self, summer, max_order, prec=DEFAULT_PRECISION):
@@ -170,6 +174,10 @@ class TableOracle:
         if not isinstance(n, int) or not 0 <= n <= self.max_order:
             raise ValueError(f"order must be in 0..{self.max_order}, got {n!r}")
 
+
+class TableOracle(TableCache):
+    """f^(n)(t) for check_sign_pattern, summer(t) = [f^(i)(t) for i <= max_order]."""
+
     def __call__(self, n, t):
         self._check_order(n)
         with self.prec.workdps():
@@ -181,81 +189,144 @@ def h_oracle(max_order, prec=DEFAULT_PRECISION):
     return TableOracle(lambda t: h_table(0, max_order, t, prec), max_order, prec)
 
 
-class ScaledTailOracle(TableOracle):
+class ScaledTailOracle(TableCache):
     """d^n/dt^n [t^r H_k(t)] for any r from one r-independent table per t.
 
-    By the Leibniz rule the scaled derivative is
+    The table of t is hk_sums' integer sums S_i, i <= max_order, of
+    T_i = sum_{m>k} (m)^(i) t^(k+1-m) (k+1)!/m! in units of 2^exp (rising
+    factorials), kept with their radii and the r-independent factors
+    lead 2^exp (-1/t)^n.  From H_k^(i)(t) = (-1)^i lead t^-i T_i, the
+    Leibniz rule and the Vandermonde identity for rising factorials give
 
-        sum_{j<=n} C(n, j) (r)_j t^(r-j) H_k^(n-j)(t),
+        (-1)^n d^n/dt^n [t^r H_k(t)] = t^(r-n) lead sum_j C(n,j) (-r)^(j) T_(n-j),
 
-    with (r)_j the falling factorial.  The table H_k^(i)(t), i <= max_order,
-    is summed once per t by hk_table and kept, so
-    evaluating at another r costs O(n) multiplications and no series pass.
+    so a step to another r sums no series: ScaledDerivative evaluates the
+    bracket in integers.
     """
 
     def __init__(self, k, max_order, prec=DEFAULT_PRECISION):
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+        # a summer that holds no reference to self, so that no cycle keeps
+        # the tables alive after the last scan
         super().__init__(
-            lambda t: hk_table(k, t, max_order, prec),
-            max_order,
-            prec,
+            lambda t: _leibniz_table(k, t, max_order, prec), max_order, prec
         )
         self.k = k
 
     def at(self, r):
-        """The oracle(n, t) = d^n/dt^n [t^r H_k(t)] for check_sign_pattern.
+        """The oracle(n, t) = d^n/dt^n [t^r H_k(t)] for check_sign_pattern."""
+        return ScaledDerivative(self, r)
 
-        Besides the sum it accumulates a = sum |terms| and raises
-        NumericFailure when (n+2) a eps reaches |(-1)^n value + noise_floor|,
-        where rounding in the sum alone could flip the scan's verdict.
-        """
-        prec = self.prec
-        max_order = self.max_order
-        with prec.workdps():
-            r = to_mpf(r)
-            falling = [mp.mpf(1)]
-            for j in range(max_order):
-                falling.append(falling[-1] * (r - j))
-            # Leibniz coefficients C(n, j) (r)_j, which depend on r alone
-            leibniz = [
-                [comb(n, j) * falling[j] for j in range(n + 1)]
-                for n in range(max_order + 1)
-            ]
-            floor = prec.noise_floor
-            eps = mp.eps
-        powers = {}
 
-        def oracle(n, t):
-            self._check_order(n)
-            with prec.workdps():
-                t = to_mpf(t)
-                table = self.table(t)
-                scale = powers.get(t)
-                if scale is None:
-                    scale = [t ** r]
-                    invt = 1 / t
-                    for _ in range(max_order):
-                        scale.append(scale[-1] * invt)
-                    powers[t] = scale
-                value = mp.mpf(0)
-                asum = mp.mpf(0)
-                for j, coeff in enumerate(leibniz[n]):
-                    term = coeff * scale[j] * table[n - j]
-                    value += term
-                    asum += abs(term)
-                if (n + 2) * asum * eps >= abs((-1) ** n * value + floor):
-                    raise NumericFailure(
-                        "ScaledTailOracle",
-                        "rounding in the Leibniz sum could flip the sign verdict",
-                        k=self.k,
-                        r=r,
-                        n=n,
-                        t=t,
-                    )
-                return value
+def _leibniz_table(k, t, max_order, prec):
+    """hk_sums' sums and radii at t, and the factors lead 2^exp (-1/t)^n."""
+    core = hk_sums(k, t, max_order, prec)
+    step = -1 / t
+    factors = [mp.ldexp(core.lead, core.exp)]
+    for _ in range(max_order):
+        factors.append(factors[-1] * step)
+    return core.sums, core.radii, factors
 
-        return oracle
+
+class ScaledDerivative:
+    """d^n/dt^n [t^r H_k(t)] at one r over the tables of a ScaledTailOracle.
+
+    r = a / 2^s is the dyadic of its mpf, so 2^(s n) C(n,j) (-r)^(j) is the
+    integer coeff_j = C(n,j) prod_{i<j} (i 2^s - a) 2^(s(n-j)), built once
+    per r.  Each evaluation forms the exact bracket B = sum_j coeff_j S_(n-j)
+    and returns B times the factor t^r 2^-(s n) lead 2^exp (-1/t)^n, which
+    costs one pow per (r, t).  The factor is positive up to (-1)^n, so B
+    carries the sign of (-1)^n d^n/dt^n [t^r H_k(t)] whenever |B| > R, the
+    radius below: the common case, settled in integers.
+
+    Error radius (ball).  hk_sums gives S_i <= T_i 2^-exp <= S_i + radii[i],
+    so the exact bracket is within R = sum_j |coeff_j| radii[n-j] of B.  The
+    factor F is within a relative (k + 2n + 7) 2^-prec of its exact value:
+    k + 4 roundings in lead (1/t raised to k+1, one division), 2n in the
+    powers of -1/t, 2 in t^r (taken at enough extra bits that the error of
+    the logarithm, scaled by |r log t|, stays below one of them) and 1 in
+    the product.  The conversion of the product B F rounds once more.  With
+    eta = (k + 2 max_order + 16) 2^-prec, which leaves room for second-order
+    terms and the rounding of the radius itself, the value v = B F is thus
+    within R |F| (1 + eta) + |v| eta of the exact derivative.
+
+    Verdict guard.  When B does not exceed R, and the radius reaches
+    |(-1)^n v + noise_floor|, the error could move the value across
+    check_sign_pattern's -noise_floor, so the call raises NumericFailure.
+    """
+
+    def __init__(self, tables, r):
+        self.tables = tables
+        n_max = tables.max_order
+        with tables.prec.workdps():
+            self.r = to_mpf(r)
+            self._bits = mp.prec
+            self._floor = tables.prec.noise_floor
+            self._eta = mp.ldexp(tables.k + 2 * n_max + 16, -mp.prec)
+        a, self._s = _dyadic(self.r)
+        rising = [1]
+        for i in range(n_max):
+            rising.append(rising[-1] * ((i << self._s) - a))
+        # row n lists coeff_j against S_(n-j), so it pairs with the sums reversed
+        self._coeffs = [
+            [comb(n, j) * rising[j] << self._s * (n - j) for j in range(n, -1, -1)]
+            for n in range(n_max + 1)
+        ]
+        self._abs_coeffs = [[abs(c) for c in row] for row in self._coeffs]
+        self._points = {}
+
+    def _point(self, t):
+        """(S, radii, factors, t^r) at t; the table is the r-independent one."""
+        point = self._points.get(t)
+        if point is None:
+            r = self.r
+            # |r log t| < 2^extra, so log's error costs t^r under 2^-(prec+19)
+            extra = max(mp.mag(r), 0) + (abs(mp.mag(t)) + 1).bit_length() + 10
+            with mp.workprec(self._bits + extra):
+                power = t**r
+            point = self._points[t] = (*self.tables.table(t), +power)
+        return point
+
+    def _evaluate(self, n, t):
+        """(v, B, R, F): the value, the integer bracket and its radius, the factor."""
+        sums, radii, factors, power = self._point(t)
+        bracket = sum(map(mul, self._coeffs[n], sums))
+        radius = sum(map(mul, self._abs_coeffs[n], radii))
+        factor = mp.ldexp(power * factors[n], -self._s * n)
+        return factor * bracket, bracket, radius, factor
+
+    def _radius(self, value, radius, factor):
+        return abs(factor) * radius * (1 + self._eta) + abs(value) * self._eta
+
+    def ball(self, n, t):
+        """(v, rad): v = d^n/dt^n [t^r H_k(t)] and a bound rad on its error."""
+        self.tables._check_order(n)
+        with self.tables.prec.workdps():
+            value, _, radius, factor = self._evaluate(n, to_mpf(t))
+            return value, self._radius(value, radius, factor)
+
+    def __call__(self, n, t):
+        if mp.prec != self._bits:
+            with self.tables.prec.workdps():
+                return self(n, t)
+        self.tables._check_order(n)
+        if type(t) is not mp.mpf:
+            t = to_mpf(t)
+        value, bracket, radius, factor = self._evaluate(n, t)
+        if bracket > radius:
+            return value
+        signed = value if n % 2 == 0 else -value
+        if self._radius(value, radius, factor) >= abs(signed + self._floor):
+            raise NumericFailure(
+                "ScaledTailOracle",
+                "the error radius could move the value across the noise floor",
+                k=self.tables.k,
+                r=self.r,
+                n=n,
+                t=t,
+            )
+        return value
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,13 @@ tail termwise:
 
 with all orders up to a maximum accumulated in a single pass over m.  At
 r = 0 every order is a positive-term series with integer multipliers, which
-hk_table sums in fixed-point integers.
+hk_sums sums in fixed-point integers with a proven radius and hk_table turns
+into mpfs.
 Also hosts h(t) = e^(1/t) - psi'(t) and its derivatives, the difference of
 the two engines from specfun.
 """
+
+from typing import NamedTuple
 
 from mpmath import mp
 
@@ -110,13 +113,26 @@ def tail_scaled_derivatives(k, r, t, max_order, prec=DEFAULT_PRECISION):
         return out
 
 
-def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):
-    """[H_k^(n)(t) for n = 0..max_order] for t > 0, all orders in one pass.
+class HkSums(NamedTuple):
+    """The fixed-point sums of hk_table before any mpf arithmetic.
 
-    H_k^(n)(t) = (-1)^n t^-n sum_{m>k} (m)^(n) t^-m / m!, with (m)^(n) =
-    m (m+1) ... (m+n-1) the rising factorial: every order is a positive-term
-    series with integer multipliers, so it is summed in fixed-point
-    integers.  t = den / 2^e exactly; term m is kept relative to the first,
+    With T_n = sum_{m>k} (m)^(n) t^(k+1-m) (k+1)!/m! the exact sum of order
+    n relative to its first term, S_n 2^exp <= T_n <= (S_n + radii[n]) 2^exp,
+    and
+
+        H_k^(n)(t) = (-1)^n lead t^-n T_n,   lead = t^-(k+1)/(k+1)! > 0.
+    """
+
+    sums: list
+    radii: list
+    exp: int
+    lead: object
+
+
+def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
+    """The integer core of hk_table: S_0..S_max_order, their radii and scale.
+
+    t = den / 2^e exactly; term m is kept relative to the first,
     t^-(k+1)/(k+1)!, as q_m with q_{k+1} = 2^wp and
 
         q_{m+1} = floor(q_m 2^e / (den (m+1))),
@@ -124,23 +140,42 @@ def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):
     and order n adds q_m (m)^(n), its rising factor updated by one small
     integer multiply per order.  Whenever q reaches 2^(2 wp) (terms grow up
     to m ~ 1/t) q and the sums drop wp bits together, so the integers stay
-    near 2^wp in size however small t is.  The sign, t^-n and the leading
-    mpf factor are applied once at the end.  The first stop (_first_stop),
-    the per-order stop (last term < series_stop times its sum), the budget
-    and the NumericFailure are those of tail_scaled_derivatives at r = 0.
+    near 2^wp in size however small t is; exp = shift - wp is their common
+    scale.  The first stop (_first_stop), the per-order stop (last term <
+    series_stop times its sum), the budget and the NumericFailure are those
+    of tail_scaled_derivatives at r = 0.
 
-    Every truncation is one-sided.  In units of the current scale, with Q_m
-    the exact term: each division and each rescale lowers q by at most one
-    unit, and the terms are unimodal in m with q >= 2^wp after a rescale,
-    so over M <= _SERIES_LIMIT terms q_m sits below Q_m by at most
-    2M max(1, Q_m 2^-wp) units.  The exact rising factor multiplies that
-    error, and a rescale costs each sum at most one unit more.  The sum of
-    order n is at least 2^wp (k+1)^(n) at every scale, so it is low by a
-    relative 2^-wp (3M + 2M^2 ((M+n)/(k+1))^n) at most, and
+    Rounding.  Every truncation is one-sided.  In units of the current
+    scale, with Q_m the exact term: each division and each rescale lowers q
+    by at most one unit, and the terms are unimodal in m with q >= 2^wp
+    after a rescale, so over M <= _SERIES_LIMIT terms q_m sits below Q_m by
+    at most 2M max(1, Q_m 2^-wp) units.  The exact rising factor multiplies
+    that error, and a rescale costs each sum at most one unit more.  The
+    sum of order n is at least 2^wp (k+1)^(n) at every scale, so it is low
+    by a relative 2^-wp (3M + 2M^2 ((M+n)/(k+1))^n) at most, and
 
         wp = mp.prec + 32 + (max_order + 2) bitlen(_SERIES_LIMIT + max_order)
 
-    bounds that by 2^-(mp.prec+29), under one ulp of the working precision.
+    bounds that by delta = 2^-(mp.prec+29), under one ulp of the working
+    precision.
+
+    Truncation.  The order-n terms a_m = (m)^(n) t^-m/m! have the ratio
+
+        a_(m+1) / a_m = (m+n) / (t m (m+1)),
+
+    which falls as m grows (its derivative in m has the sign of
+    -(m^2 + 2nm + n)) and rises with n.  The sum therefore also goes on
+    while that ratio at n = max_order is above 1/2; at the stop M every
+    later ratio of every order is at most 1/2, and the tail past M is at
+    most a_M (1/2 + 1/4 + ...) = a_M.  The true a_M exceeds the computed
+    last term by no more than the sum's whole one-sided error, delta P_n,
+    with P_n <= S_n / (1 - delta) the exact partial sum.  So T_n - S_n is
+    at most last_n + 2 delta P_n < last_n + 2^-(mp.prec+27) S_n, and
+
+        radii[n] = last_n + floor(S_n 2^-(mp.prec+27)) + 1.
+
+    Since 1/(t(m+1)) bounds the ratio from below, no m under the budget
+    passes that test once 2/t > _SERIES_LIMIT, which raises at once.
     """
     _validate_order(k)
     if not isinstance(max_order, int) or max_order < 0:
@@ -153,6 +188,8 @@ def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):
         r = mp.mpf(0)  # for the failure report, as tail_scaled_derivatives gives it
         m_min = _first_stop(k, r, t, invt, max_order)
         den, e = _dyadic(t)
+        if 2 << e > den * _SERIES_LIMIT:
+            raise _budget_exhausted(k, r, t)
         # series_stop = s_num / 2^s_e exactly, so the stop test is in integers
         s_num, s_e = _dyadic(prec.series_stop)
         wp = (
@@ -172,8 +209,10 @@ def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):
                     c *= m + n - 1
                 sums[n] += c
                 terms[n] = c
-            if m >= m_min and all(
-                term << s_e < s_num * total for term, total in zip(terms, sums)
+            if (
+                m >= m_min
+                and all(term << s_e < s_num * total for term, total in zip(terms, sums))
+                and den * m * (m + 1) >= (m + max_order) << (e + 1)
             ):
                 break
             m += 1
@@ -184,10 +223,29 @@ def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):
                 shift += wp
         else:
             raise _budget_exhausted(k, r, t)
-        scale = invt ** (k + 1) / mp.factorial(k + 1)
+        rel = mp.prec + 27
+        radii = [term + (total >> rel) + 1 for term, total in zip(terms, sums)]
+        lead = invt ** (k + 1) / mp.factorial(k + 1)
+        return HkSums(sums, radii, shift - wp, lead)
+
+
+def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):
+    """[H_k^(n)(t) for n = 0..max_order] for t > 0, all orders in one pass.
+
+    H_k^(n)(t) = (-1)^n t^-n sum_{m>k} (m)^(n) t^-m / m!, with (m)^(n) =
+    m (m+1) ... (m+n-1) the rising factorial: every order is a positive-term
+    series with integer multipliers, summed in fixed-point integers by
+    hk_sums.  The sign, t^-n and the lead factor are applied here, once per
+    order, so each entry is within a relative 2^-(mp.prec+27) plus the
+    truncated tail of the exact value before those few roundings.
+    """
+    core = hk_sums(k, t, max_order, prec)
+    with prec.workdps():
+        invt = 1 / to_mpf(t)
+        scale = core.lead
         out = []
-        for total in sums:
-            out.append(scale * mp.mpf((total, shift - wp)))
+        for total in core.sums:
+            out.append(scale * mp.mpf((total, core.exp)))
             scale *= -invt
         return out
 

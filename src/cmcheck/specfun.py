@@ -7,7 +7,7 @@ against which sign claims are tested.  No function reads ambient mp.dps;
 each enters a workdps block and returns a plain mpf.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, inf
@@ -46,6 +46,8 @@ class WorkingPrecision:
     """
 
     digits: int = 50
+    # threshold mpfs by (power of ten, mp.prec), each computed on first read
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.digits, int) or self.digits < 30:
@@ -59,15 +61,23 @@ class WorkingPrecision:
         """Context manager setting mp.dps to the guarded working precision."""
         return mp.workdps(self.working_dps)
 
+    def _power_of_ten(self, exponent):
+        """10^exponent rounded at the current precision, kept per precision."""
+        key = (exponent, mp.prec)
+        value = self._powers.get(key)
+        if value is None:
+            value = self._powers[key] = mp.mpf(10) ** exponent
+        return value
+
     @property
     def series_stop(self):
         """Relative term threshold 10^-(digits+5) for positive-term series."""
-        return mp.mpf(10) ** (-(self.digits + 5))
+        return self._power_of_ten(-(self.digits + 5))
 
     @property
     def noise_floor(self):
         """Magnitude 10^(-digits+15) below which a computed sign is meaningless."""
-        return mp.mpf(10) ** (-self.digits + 15)
+        return self._power_of_ten(-self.digits + 15)
 
 
 DEFAULT_PRECISION = WorkingPrecision()

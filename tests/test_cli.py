@@ -9,7 +9,15 @@ import pytest
 from mpmath import mp
 
 import oracles
+from cmcheck import (
+    LogGrid,
+    WorkingPrecision,
+    check_sign_pattern,
+    tail_scaled_derivatives,
+)
 from cmcheck.cli import EVAL_FNS, main
+from cmcheck.cmdeg import DEFAULT_DEGREE_GRID, TableOracle
+from cmcheck.suite import _fmt
 
 CSV_HEADER = "command,id,passed,provenance,value,detail"
 
@@ -125,7 +133,7 @@ class TestDeterminismAndFormats:
         )
         lines = out.strip().splitlines()
         assert lines[0] == CSV_HEADER
-        assert lines[1].startswith("eval,u-ratio,True,series,1.157488774")
+        assert lines[1].startswith("eval,u-ratio,True,closed-form,1.157488774")
 
     def test_out_file_atomic(self, tmp_path, capsys):
         target = tmp_path / "report.json"
@@ -189,6 +197,40 @@ class TestSubcommands:
         record = json.loads(out)["results"][0]
         assert record["passed"] is True
         assert record["evaluations"] == 4 * 20
+
+    @pytest.mark.parametrize(
+        "r",
+        ("1/3", "-1/2", "2305843009213693953/1152921504606846976"),
+        ids=("one-third", "minus-half", "k+1+2^-60"),
+    )
+    def test_verify_cm_hk_long_r_matches_termwise_route(self, r, capsys):
+        # r values whose dyadics are long or negative, against a scan of the
+        # termwise series summed afresh at r
+        argv = ["verify-cm", "--target", "hk", "--k", "1", f"--r={r}"]
+        argv += ["--grid-points", "30", "--digits", "30"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        record = json.loads(out)["results"][0]
+        prec = WorkingPrecision(30)
+        grid = LogGrid(DEFAULT_DEGREE_GRID.t_min, DEFAULT_DEGREE_GRID.t_max, 30)
+        termwise = TableOracle(
+            lambda t: tail_scaled_derivatives(1, Fraction(r), t, 6, prec), 6, prec
+        )
+        want = check_sign_pattern(termwise, grid, 6, prec)
+        assert record["passed"] is want.passed is True
+        assert record["evaluations"] == want.evaluations
+        assert record["argmin_order"] == want.argmin_order
+        assert record["argmin_t"] == _fmt(want.argmin_t, prec)
+        with prec.workdps():
+            got = mp.mpf(record["min_signed"])
+            assert abs(got - want.min_signed) <= mp.mpf("1e-27") * abs(want.min_signed)
+
+    def test_parses_share_no_state(self, capsys):
+        # the parser is built once per process; each parse starts afresh
+        _, first, _ = run_cli(["eval", "--fn", "polygamma", "--n", "2", "--t", "1"], capsys)
+        _, second, _ = run_cli(["eval", "--fn", "trigamma", "--t", "1"], capsys)
+        assert json.loads(first)["inputs"] == {"fn": "polygamma", "n": 2, "t": "1"}
+        assert json.loads(second)["inputs"] == {"fn": "trigamma", "t": "1"}
 
     def test_verify_integral(self, capsys):
         code, out, _ = run_cli(

@@ -1,5 +1,7 @@
 """Sign-pattern scanning and degree bisection on known functions."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from cmcheck import (
     estimate_cm_degree,
     h_derivative,
     h_function,
+    hk_table,
     tail_scaled_derivatives,
 )
 from cmcheck.cmdeg import DEFAULT_DEGREE_GRID, ScaledTailOracle, h_oracle
@@ -185,19 +188,80 @@ class TestScaledTailOracle:
                             assert abs(got - want) <= rel * max(abs(want), floor)
                 assert tables.series == grid.points
 
+    @pytest.mark.parametrize("digits", (30, 50))
+    def test_radius_is_honest(self, digits):
+        # the ball of the integer bracket holds the termwise route at three
+        # times the digits, on a scan grid and at t = 1e-3, where the sums
+        # are rescaled and the ratio rule sets the stop
+        prec = WorkingPrecision(digits)
+        fine = WorkingPrecision(3 * digits)
+        with prec.workdps():
+            points = LogGrid(1e-2, 1e6, 12).values(prec) + (mp.mpf("1e-3"),)
+        for k in range(5):
+            tables = ScaledTailOracle(k, 6, prec)
+            for r in (k + 1, k + Fraction(33, 32), Fraction(1, 3), Fraction(-1, 2)):
+                oracle = tables.at(r)
+                for t in points:
+                    exact = tail_scaled_derivatives(k, oracle.r, t, 6, fine)
+                    for n in range(7):
+                        value, radius = oracle.ball(n, t)
+                        assert oracle(n, t) == value
+                        with fine.workdps():
+                            assert abs(value - exact[n]) <= radius, (k, r, n, t)
+                            # and narrow enough to decide the scan's test
+                            signed = (-1) ** n * exact[n]
+                            assert radius < abs(signed + prec.noise_floor)
+
     def test_guard_refuses_a_zero_margin(self):
-        value = ScaledTailOracle(0, 2, PREC).at(1)(2, 2)
+        # at r = 5/4 the first derivative of t^r H_0 is positive at t = 100,
+        # so the bracket is settled negative, but its signed value pinned at
+        # exactly -noise_floor leaves a margin no radius can decide
+        with PREC.workdps():
+            signed = -ScaledTailOracle(0, 2, PREC).at("1.25")(1, 100)
+        assert signed < 0
 
         class PinnedFloor(WorkingPrecision):
-            # (-1)^2 value + noise_floor is exactly zero at n = 2, t = 2
             @property
             def noise_floor(self):
-                return -value
+                return -signed
 
-        oracle = ScaledTailOracle(0, 2, PinnedFloor(PREC.digits)).at(1)
-        assert oracle(0, 2) > 0
-        with pytest.raises(NumericFailure, match="ScaledTailOracle"):
-            oracle(2, 2)
+        oracle = ScaledTailOracle(0, 2, PinnedFloor(PREC.digits)).at("1.25")
+        assert oracle(0, 100) > 0
+        assert oracle(1, "0.5") < 0
+        with pytest.raises(NumericFailure, match="ScaledTailOracle") as excinfo:
+            oracle(1, 100)
+        assert excinfo.value.inputs["n"] == 1
+
+    def test_undecided_bracket_is_refused(self):
+        # at r = -t H_0'(t) / H_0(t) the first derivative of t^r H_0 vanishes
+        # at t = 32, so the bracket sits inside its radius; a stop threshold
+        # of 1/4 leaves the truncated tails in that radius, above the floor
+        with PREC.workdps():
+            h0, h1 = hk_table(0, 32, 1, PREC)
+            root = -32 * h1 / h0
+        value, radius = ScaledTailOracle(0, 1, PREC).at(root).ball(1, 32)
+        assert abs(value) <= radius < PREC.noise_floor
+
+        class CoarseStop(WorkingPrecision):
+            @property
+            def series_stop(self):
+                return mp.mpf(1) / 4
+
+        oracle = ScaledTailOracle(0, 1, CoarseStop(PREC.digits)).at(root)
+        with pytest.raises(NumericFailure, match="noise floor"):
+            oracle(1, 32)
+
+    def test_tables_are_freed_without_the_cycle_collector(self):
+        # the tables must not outlive their last scan by a reference cycle
+        gc.disable()
+        try:
+            tables = ScaledTailOracle(0, 2, PREC)
+            check_sign_pattern(tables.at(1), SMALL_GRID, 2, PREC)
+            alive = weakref.ref(tables)
+            del tables
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_order_beyond_table_is_rejected(self):
         oracle = ScaledTailOracle(0, 2, PREC).at(1)
