@@ -227,7 +227,8 @@ class TestSubcommands:
 
     def test_parses_share_no_state(self, capsys):
         # the parser is built once per process; each parse starts afresh
-        _, first, _ = run_cli(["eval", "--fn", "polygamma", "--n", "2", "--t", "1"], capsys)
+        argv = ["eval", "--fn", "polygamma", "--n", "2", "--t", "1"]
+        _, first, _ = run_cli(argv, capsys)
         _, second, _ = run_cli(["eval", "--fn", "trigamma", "--t", "1"], capsys)
         assert json.loads(first)["inputs"] == {"fn": "polygamma", "n": 2, "t": "1"}
         assert json.loads(second)["inputs"] == {"fn": "trigamma", "t": "1"}

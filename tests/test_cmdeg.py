@@ -27,6 +27,14 @@ PREC = DEFAULT_PRECISION
 SMALL_GRID = LogGrid(0.1, 10, 25)
 
 
+class CoarseStop(WorkingPrecision):
+    # a stop threshold of 1/4 ends each H_k sum after a few terms, so the
+    # truncated tail dominates the radius of every bracket
+    @property
+    def series_stop(self):
+        return mp.mpf(1) / 4
+
+
 def exp_decay_oracle(n, t):
     # f = e^-t: f^(n) = (-1)^n e^-t, completely monotonic
     return (-1) ** n * mp.exp(-t)
@@ -212,6 +220,26 @@ class TestScaledTailOracle:
                             signed = (-1) ** n * exact[n]
                             assert radius < abs(signed + prec.noise_floor)
 
+    def test_radius_is_honest_where_the_tail_dominates(self):
+        # under a coarse stop the tail bound carries the radius and is nearly
+        # tight, so a radius that undercounts the tail, or a stop that lets
+        # the term ratio exceed 1/2, shows here
+        prec = CoarseStop(30)
+        fine = WorkingPrecision(90)
+        with prec.workdps():
+            points = LogGrid("0.05", 50, 12).values(prec)
+        for k in range(3):
+            tables = ScaledTailOracle(k, 6, prec)
+            rs = (k + 1, k + Fraction(33, 32), k + 2, Fraction(1, 3), Fraction(-1, 2))
+            for r in rs:
+                oracle = tables.at(r)
+                for t in points:
+                    exact = tail_scaled_derivatives(k, oracle.r, t, 6, fine)
+                    for n in range(7):
+                        value, radius = oracle.ball(n, t)
+                        with fine.workdps():
+                            assert abs(value - exact[n]) <= radius, (k, r, n, t)
+
     def test_guard_refuses_a_zero_margin(self):
         # at r = 5/4 the first derivative of t^r H_0 is positive at t = 100,
         # so the bracket is settled negative, but its signed value pinned at
@@ -234,22 +262,30 @@ class TestScaledTailOracle:
 
     def test_undecided_bracket_is_refused(self):
         # at r = -t H_0'(t) / H_0(t) the first derivative of t^r H_0 vanishes
-        # at t = 32, so the bracket sits inside its radius; a stop threshold
-        # of 1/4 leaves the truncated tails in that radius, above the floor
+        # at t = 32, so the bracket sits inside its radius
         with PREC.workdps():
             h0, h1 = hk_table(0, 32, 1, PREC)
             root = -32 * h1 / h0
         value, radius = ScaledTailOracle(0, 1, PREC).at(root).ball(1, 32)
         assert abs(value) <= radius < PREC.noise_floor
 
-        class CoarseStop(WorkingPrecision):
-            @property
-            def series_stop(self):
-                return mp.mpf(1) / 4
-
-        oracle = ScaledTailOracle(0, 1, CoarseStop(PREC.digits)).at(root)
-        with pytest.raises(NumericFailure, match="noise floor"):
-            oracle(1, 32)
+        # a stop threshold of 1/4 leaves the truncated tails in the radius,
+        # far above the floor; brackets of either sign inside it are refused
+        coarse = CoarseStop(PREC.digits)
+        with PREC.workdps():
+            h0, h1 = hk_table(0, 32, 1, coarse)
+            root = -32 * h1 / h0
+            shift = root * mp.mpf("1e-20")
+            near = (root - shift, root + shift)
+        values = []
+        for r in near:
+            oracle = ScaledTailOracle(0, 1, coarse).at(r)
+            value, radius = oracle.ball(1, 32)
+            assert abs(value) <= radius
+            values.append(value > 0)
+            with pytest.raises(NumericFailure, match="noise floor"):
+                oracle(1, 32)
+        assert values == [False, True]
 
     def test_tables_are_freed_without_the_cycle_collector(self):
         # the tables must not outlive their last scan by a reference cycle
