@@ -11,7 +11,9 @@ step sums no series.  The bisection's r are dyadics, so by the Leibniz rule
 and the Vandermonde identity for rising factorials each scaled derivative
 is a positive factor times an integer bracket, formed exactly with a proven
 radius: most signs are settled in integers, and a value whose radius could
-carry it across the noise floor is refused.  The h scans keep one h table
+carry it across the noise floor is refused.  A bisection step settles its
+signs in integers and builds an mpf value only where a bracket is not
+settled positive (ScaledDerivative.passes).  The h scans keep one h table
 per grid point in the same way (h_oracle).  A grid scan can only certify
 failure (a witness) or survive it (no claim beyond the grid), so the result
 is a bracket, never an attained value.
@@ -107,17 +109,8 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
         evals = 0
         violation = None
         for n in range(max_order + 1):
-            sign = (-1) ** n
             for t in ts:
-                try:
-                    value = derivative_oracle(n, t)
-                    signed = sign * to_mpf(value)
-                except NumericFailure:
-                    raise
-                except (ValueError, ArithmeticError) as exc:
-                    raise NumericFailure(
-                        "check_sign_pattern", f"oracle failed: {exc}", n=n, t=t
-                    ) from exc
+                value, signed = _signed_value(derivative_oracle, n, t)
                 evals += 1
                 if signed < min_signed:
                     min_signed = signed
@@ -138,6 +131,19 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
             argmin_t=arg_t,
             evaluations=evals,
         )
+
+
+def _signed_value(derivative_oracle, n, t):
+    """(f^(n)(t), (-1)^n f^(n)(t)); oracle errors surface as NumericFailure."""
+    try:
+        value = derivative_oracle(n, t)
+        return value, (-1) ** n * to_mpf(value)
+    except NumericFailure:
+        raise
+    except (ValueError, ArithmeticError) as exc:
+        raise NumericFailure(
+            "check_sign_pattern", f"oracle failed: {exc}", n=n, t=t
+        ) from exc
 
 
 class TableCache:
@@ -328,6 +334,31 @@ class ScaledDerivative:
             )
         return value
 
+    def passes(self, ts):
+        """check_sign_pattern(self, grid, max_order).passed, ts = grid.values(prec).
+
+        The walk is the scan's, orders outermost and t ascending, up to the
+        tables' max_order.  A bracket settled positive (B > R) has a positive
+        signed value, above the scan's -noise_floor, so it passes in integers
+        with no factor and no t^r.  Any other goes through __call__ and the
+        scan's comparison, so the guard and the failures are the scan's.
+        """
+        tables = self.tables
+        with tables.prec.workdps():
+            rows = []  # each t's (S, radii), fetched in the order-0 pass
+            for n in range(tables.max_order + 1):
+                coeffs = self._coeffs[n]
+                abs_coeffs = self._abs_coeffs[n]
+                for i, t in enumerate(ts):
+                    if n == 0:
+                        rows.append(tables.table(t))
+                    sums, radii, _ = rows[i]
+                    if sum(map(mul, coeffs, sums)) > sum(map(mul, abs_coeffs, radii)):
+                        continue
+                    if _signed_value(self, n, t)[1] < -self._floor:
+                        return False
+            return True
+
 
 @dataclass(frozen=True)
 class DegreeEstimate:
@@ -372,7 +403,10 @@ def estimate_cm_degree(
     interval defaults to (k, k+2) and must straddle (pass at r_lo, fail at
     r_hi), else BracketError.  Bisection stops once r_hi - r_lo <= tol
     (default 1/32).  Every step shares one ScaledTailOracle, so each grid
-    point sums its tail series once.
+    point sums its tail series once, and the grid's values once.  A step is
+    check_sign_pattern's verdict by ScaledDerivative.passes: it settles the
+    signs in integers and builds a value only where a bracket is not
+    settled positive.
     """
     tables = ScaledTailOracle(k, max_order, prec)
     with prec.workdps():
@@ -386,8 +420,10 @@ def estimate_cm_degree(
         if tol <= 0:
             raise ValueError(f"tol must be positive, got {tol}")
 
+        ts = grid.values(prec)
+
         def passes(r):
-            return check_sign_pattern(tables.at(r), grid, max_order, prec).passed
+            return tables.at(r).passes(ts)
 
         if not passes(r_lo):
             raise BracketError(

@@ -12,6 +12,9 @@ from math import comb
 
 from mpmath import mp
 
+from cmcheck import tail_scaled_derivatives
+from cmcheck.cmdeg import TableOracle
+
 
 def mpf_from_fraction(q):
     """Convert a Fraction to mpf at the current working precision."""
@@ -146,6 +149,29 @@ def tail_derivative_partial(k, r, n, t, terms, dps=60):
                 prod *= r - m - j
             total += prod * t ** (r - m - n) / mp.factorial(m)
         return total
+
+
+# tail_scaled_derivatives tables by (prec, k, r, t), shared by every test
+_TERMWISE = {}
+
+
+def termwise_table(k, r, t, prec):
+    """tail_scaled_derivatives(k, r, t, 6, prec), summed once per (prec, k, r, t).
+
+    The termwise mpf series at r itself, with no shared code with the integer
+    Leibniz brackets over hk_sums; r is an int or a Fraction and t a grid
+    mpf, so the cross-checks that meet at the same point share one sum.
+    """
+    key = (prec, k, r, t)
+    table = _TERMWISE.get(key)
+    if table is None:
+        table = _TERMWISE[key] = tail_scaled_derivatives(k, r, t, 6, prec)
+    return table
+
+
+def termwise_oracle(k, r, prec):
+    """d^n/dt^n [t^r H_k(t)], n <= 6, for check_sign_pattern from termwise_table."""
+    return TableOracle(lambda t: termwise_table(k, r, t, prec), 6, prec)
 
 
 def exp_recip_poly(i):

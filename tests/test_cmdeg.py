@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+import oracles
 from cmcheck import (
     DEFAULT_PRECISION,
     BracketError,
@@ -43,6 +44,27 @@ def exp_decay_oracle(n, t):
 def exp_growth_oracle(n, t):
     # f = e^t: every derivative positive, fails the pattern at order 1
     return mp.exp(t)
+
+
+def pinned_floor():
+    """(s, prec): s = -d/dt [t^(5/4) H_0](100) and PREC with noise floor -s."""
+    with PREC.workdps():
+        signed = -ScaledTailOracle(0, 2, PREC).at("1.25")(1, 100)
+
+    class PinnedFloor(WorkingPrecision):
+        @property
+        def noise_floor(self):
+            return -signed
+
+    return signed, PinnedFloor(PREC.digits)
+
+
+def outcome(scan):
+    """scan()'s result, or the operation, detail and inputs of its NumericFailure."""
+    try:
+        return scan()
+    except NumericFailure as failure:
+        return failure.operation, failure.detail, failure.inputs
 
 
 class TestLogGrid:
@@ -187,7 +209,7 @@ class TestScaledTailOracle:
                 for r in (k, k + 1, k + Fraction(33, 32), k + Fraction(5, 4), k + 2):
                     oracle = tables.at(r)
                     for t in grid.values(prec):
-                        termwise = tail_scaled_derivatives(k, r, t, 6, prec)
+                        termwise = oracles.termwise_table(k, r, t, prec)
                         for n in range(7):
                             got = oracle(n, t)
                             want = termwise[n]
@@ -244,16 +266,9 @@ class TestScaledTailOracle:
         # at r = 5/4 the first derivative of t^r H_0 is positive at t = 100,
         # so the bracket is settled negative, but its signed value pinned at
         # exactly -noise_floor leaves a margin no radius can decide
-        with PREC.workdps():
-            signed = -ScaledTailOracle(0, 2, PREC).at("1.25")(1, 100)
+        signed, pinned = pinned_floor()
         assert signed < 0
-
-        class PinnedFloor(WorkingPrecision):
-            @property
-            def noise_floor(self):
-                return -signed
-
-        oracle = ScaledTailOracle(0, 2, PinnedFloor(PREC.digits)).at("1.25")
+        oracle = ScaledTailOracle(0, 2, pinned).at("1.25")
         assert oracle(0, 100) > 0
         assert oracle(1, "0.5") < 0
         with pytest.raises(NumericFailure, match="ScaledTailOracle") as excinfo:
@@ -303,6 +318,85 @@ class TestScaledTailOracle:
         oracle = ScaledTailOracle(0, 2, PREC).at(1)
         with pytest.raises(ValueError):
             oracle(3, 2)
+
+
+class TestSignPredicate:
+    GRID = LogGrid(1e-2, 1e6, 24)
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_predicate_is_the_scan_verdict(self, digits):
+        prec = WorkingPrecision(digits)
+        ts = self.GRID.values(prec)
+        for k in range(5):
+            tables = ScaledTailOracle(k, 6, prec)
+            rs = (k, k + 1, k + 1 + Fraction(1, 2**60), k + Fraction(33, 32),
+                  k + Fraction(5, 4), k + 2, Fraction(1, 3), Fraction(-1, 2))
+            for r in rs:
+                want = check_sign_pattern(tables.at(r), self.GRID, 6, prec).passed
+                assert tables.at(r).passes(ts) == want, (k, r)
+                if r != k + 1 + Fraction(1, 2**60):
+                    assert want == (r <= k + 1), (k, r)
+            # a passing scan settles every sign in integers: it takes no t^r
+            oracle = tables.at(k + 1)
+            assert oracle.passes(ts)
+            assert oracle._points == {}
+
+    def test_predicate_raises_the_scan_failures(self):
+        _, pinned = pinned_floor()
+        coarse = CoarseStop(PREC.digits)
+        with PREC.workdps():
+            h0, h1 = hk_table(0, 32, 1, coarse)
+            root = -32 * h1 / h0
+        # the zero margin at (1, 100), the undecided bracket at (1, 32) and
+        # a first table past the series budget: (k, max_order, r, grid, prec)
+        cases = (
+            (0, 2, "1.25", LogGrid("0.5", 100, 2), pinned),
+            (0, 1, root, LogGrid(32, 1e3, 2), coarse),
+            (0, 6, 1, LogGrid("1e-7", 1, 2), PREC),
+        )
+        operations = []
+        for k, max_order, r, grid, prec in cases:
+            want = outcome(
+                lambda: check_sign_pattern(
+                    ScaledTailOracle(k, max_order, prec).at(r), grid, max_order, prec
+                )
+            )
+            ts = grid.values(prec)
+            got = outcome(lambda: ScaledTailOracle(k, max_order, prec).at(r).passes(ts))
+            assert got == want
+            operations.append(want[0])
+        assert operations == [
+            "ScaledTailOracle",
+            "ScaledTailOracle",
+            "tail_scaled_derivatives",
+        ]
+
+    def test_bracket_matches_the_termwise_bisection(self):
+        # the same bisection driven by check_sign_pattern over the termwise
+        # series summed afresh at each r
+        prec = WorkingPrecision(30)
+        grid = LogGrid(1e-2, 1e6, 12)
+        for k in range(5):
+
+            def passes(r):
+                oracle = oracles.termwise_oracle(k, r, prec)
+                return check_sign_pattern(oracle, grid, 6, prec).passed
+
+            lo, hi = Fraction(k), Fraction(k + 2)
+            assert passes(lo) and not passes(hi)
+            steps = 0
+            while hi - lo > Fraction(1, 32):
+                mid = (lo + hi) / 2
+                if passes(mid):
+                    lo = mid
+                else:
+                    hi = mid
+                steps += 1
+            estimate = estimate_cm_degree(k, grid=grid, prec=prec)
+            with prec.workdps():
+                assert estimate.r_lo == oracles.mpf_from_fraction(lo)
+                assert estimate.r_hi == oracles.mpf_from_fraction(hi)
+            assert estimate.bisections == steps
 
 
 class TestHOracle:

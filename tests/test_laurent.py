@@ -25,7 +25,7 @@ from cmcheck import (
     tail_scaled_derivatives,
     to_mpf,
 )
-from cmcheck.cmdeg import ScaledTailOracle, TableOracle
+from cmcheck.cmdeg import ScaledTailOracle
 
 PREC = DEFAULT_PRECISION
 
@@ -176,25 +176,6 @@ class TestScaledDerivatives:
             assert abs(lhs - rhs) <= mp.mpf("1e-35") * max(abs(rhs), mp.mpf(1))
 
 
-@pytest.fixture(scope="module")
-def termwise():
-    """tail_scaled_derivatives(k, 0, t, 6) by (digits, k, t), summed once per module."""
-    tables = {}
-
-    def table(k, t, prec):
-        key = (prec.digits, k, t)
-        if key not in tables:
-            tables[key] = tail_scaled_derivatives(k, 0, t, 6, prec)
-        return tables[key]
-
-    return table
-
-
-def termwise_oracle(k, r, prec):
-    """d^n/dt^n [t^r H_k(t)] from one tail_scaled_derivatives pass per t at r."""
-    return TableOracle(lambda t: tail_scaled_derivatives(k, r, t, 6, prec), 6, prec)
-
-
 class TestHkTable:
     GRID = LogGrid(1e-2, 1e6, 60)
 
@@ -204,7 +185,7 @@ class TestHkTable:
             return self.GRID.values(prec) + (mp.sqrt(2) * 7 / 3, mp.mpf("1e12"))
 
     @pytest.mark.parametrize("digits", (30, 50, 100))
-    def test_matches_termwise_route(self, digits, termwise):
+    def test_matches_termwise_route(self, digits):
         prec = WorkingPrecision(digits)
         with prec.workdps():
             rel = mp.mpf(10) ** (3 - digits)
@@ -212,7 +193,8 @@ class TestHkTable:
                 for t in self.points(prec):
                     table = hk_table(k, t, 6, prec)
                     assert len(table) == 7
-                    for n, (got, want) in enumerate(zip(table, termwise(k, t, prec))):
+                    termwise = oracles.termwise_table(k, 0, t, prec)
+                    for n, (got, want) in enumerate(zip(table, termwise)):
                         assert (-1) ** n * got > 0
                         assert abs(got - want) <= rel * abs(want), (k, n, t)
 
@@ -253,7 +235,7 @@ class TestHkTable:
                 fast = ScaledTailOracle(k, 6, prec)
                 for r in (k + 1, k + Fraction(33, 32), k + Fraction(5, 4)):
                     got = check_sign_pattern(fast.at(r), self.GRID, 6, prec)
-                    slow = termwise_oracle(k, r, prec)
+                    slow = oracles.termwise_oracle(k, r, prec)
                     want = check_sign_pattern(slow, self.GRID, 6, prec)
                     assert got.passed == want.passed == (r == k + 1)
                     assert got.evaluations == want.evaluations
