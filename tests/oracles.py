@@ -5,6 +5,9 @@ package does: plain partial sums with explicit term counts, symbolic
 differentiation over exact rationals, numerical quadrature of classical
 integral formulas, bracketed direct summation, or central finite differences.
 Agreement between these and the package is then evidence, not tautology.
+termwise_table keeps the package's own termwise series tail_scaled_derivatives,
+the mpf route the integer Leibniz brackets are cross-checked against, summed
+once per point for all the tests that meet there.
 """
 
 from fractions import Fraction
