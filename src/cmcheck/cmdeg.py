@@ -6,17 +6,19 @@ stays completely monotonic.  check_sign_pattern tests the alternating-sign
 property on a finite logarithmic grid up to a finite order; the degree
 estimator bisects on r between a pattern-pass and a pattern-fail, driven by
 the derivatives of t^r H_k(t) that ScaledTailOracle assembles from one
-r-independent set of integer sums per grid point (hk_sums), so a bisection
-step sums no series.  The bisection's r are dyadics, so by the Leibniz rule
-and the Vandermonde identity for rising factorials each scaled derivative
-is a positive factor times an integer bracket, formed exactly with a proven
+r-independent set of integer sums per grid point (hk_sums, which sums one
+series there and derives every order from it), so a bisection step sums no
+series.  The bisection's r are dyadics, so by the Leibniz rule and the
+Vandermonde identity for rising factorials each scaled derivative is a
+positive factor times an integer bracket, formed exactly with a proven
 radius: most signs are settled in integers, and a value whose radius could
 carry it across the noise floor is refused.  A bisection step settles its
 signs in integers and builds an mpf value only where a bracket is not
-settled positive (ScaledDerivative.passes).  The h scans keep one h table
-per grid point in the same way (h_oracle).  A grid scan can only certify
-failure (a witness) or survive it (no claim beyond the grid), so the result
-is a bracket, never an attained value.
+settled positive (ScaledDerivative.passes); the r-independent factors of
+such values are built at the first t that needs one and kept.  The h scans
+keep one h table per grid point in the same way (h_oracle).  A grid scan
+can only certify failure (a witness) or survive it (no claim beyond the
+grid), so the result is a bracket, never an attained value.
 """
 
 from dataclasses import dataclass
@@ -200,9 +202,10 @@ class ScaledTailOracle(TableCache):
 
     The table of t is hk_sums' integer sums S_i, i <= max_order, of
     T_i = sum_{m>k} (m)^(i) t^(k+1-m) (k+1)!/m! in units of 2^exp (rising
-    factorials), kept with their radii and the r-independent factors
-    lead 2^exp (-1/t)^n.  From H_k^(i)(t) = (-1)^i lead t^-i T_i, the
-    Leibniz rule and the Vandermonde identity for rising factorials give
+    factorials), with their radii.  The r-independent factors
+    lead 2^exp (-1/t)^n are built by factors(t) on first use and kept.
+    From H_k^(i)(t) = (-1)^i lead t^-i T_i, the Leibniz rule and the
+    Vandermonde identity for rising factorials give
 
         (-1)^n d^n/dt^n [t^r H_k(t)] = t^(r-n) lead sum_j C(n,j) (-r)^(j) T_(n-j),
 
@@ -215,24 +218,25 @@ class ScaledTailOracle(TableCache):
             raise ValueError(f"k must be a nonnegative integer, got {k!r}")
         # a summer that holds no reference to self, so that no cycle keeps
         # the tables alive after the last scan
-        super().__init__(
-            lambda t: _leibniz_table(k, t, max_order, prec), max_order, prec
-        )
+        super().__init__(lambda t: hk_sums(k, t, max_order, prec), max_order, prec)
         self.k = k
+        self._factors = {}
 
     def at(self, r):
         """The oracle(n, t) = d^n/dt^n [t^r H_k(t)] for check_sign_pattern."""
         return ScaledDerivative(self, r)
 
-
-def _leibniz_table(k, t, max_order, prec):
-    """hk_sums' sums and radii at t, and the factors lead 2^exp (-1/t)^n."""
-    core = hk_sums(k, t, max_order, prec)
-    step = -1 / t
-    factors = [mp.ldexp(core.lead, core.exp)]
-    for _ in range(max_order):
-        factors.append(factors[-1] * step)
-    return core.sums, core.radii, factors
+    def factors(self, t):
+        """[lead 2^exp (-1/t)^n for n <= max_order] at t, built on first use."""
+        factors = self._factors.get(t)
+        if factors is None:
+            core = self.table(t)
+            step = -1 / t
+            factors = [mp.ldexp(core.lead, core.exp)]
+            for _ in range(self.max_order):
+                factors.append(factors[-1] * step)
+            self._factors[t] = factors
+        return factors
 
 
 class ScaledDerivative:
@@ -283,7 +287,7 @@ class ScaledDerivative:
         self._points = {}
 
     def _point(self, t):
-        """(S, radii, factors, t^r) at t; the table is the r-independent one."""
+        """(S, radii, factors, t^r) at t; all but t^r are r-independent."""
         point = self._points.get(t)
         if point is None:
             r = self.r
@@ -291,7 +295,9 @@ class ScaledDerivative:
             extra = max(mp.mag(r), 0) + (abs(mp.mag(t)) + 1).bit_length() + 10
             with mp.workprec(self._bits + extra):
                 power = t**r
-            point = self._points[t] = (*self.tables.table(t), +power)
+            core = self.tables.table(t)
+            point = (core.sums, core.radii, self.tables.factors(t), +power)
+            self._points[t] = point
         return point
 
     def _evaluate(self, n, t):
@@ -351,8 +357,9 @@ class ScaledDerivative:
                 abs_coeffs = self._abs_coeffs[n]
                 for i, t in enumerate(ts):
                     if n == 0:
-                        rows.append(tables.table(t))
-                    sums, radii, _ = rows[i]
+                        core = tables.table(t)
+                        rows.append((core.sums, core.radii))
+                    sums, radii = rows[i]
                     if sum(map(mul, coeffs, sums)) > sum(map(mul, abs_coeffs, radii)):
                         continue
                     if _signed_value(self, n, t)[1] < -self._floor:

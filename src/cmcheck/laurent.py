@@ -12,13 +12,18 @@ tail termwise:
     d^n/dt^n [t^r H_k(t)] = sum_{m>k} (1/m!) prod_{j=0}^{n-1} (r-m-j) t^(r-m-n),
 
 with all orders up to a maximum accumulated in a single pass over m.  At
-r = 0 every order is a positive-term series with integer multipliers, which
-hk_sums sums in fixed-point integers with a proven radius and hk_table turns
-into mpfs.
+r = 0 every order is a positive-term series with integer multipliers, and
+the Lah numbers make each a fixed positive combination of the order-0 tail
+and a short exact prefix: hk_sums sums that one series in fixed-point
+integers, derives every order from it with a proven radius, and hk_table
+turns the results into mpfs.
 Also hosts h(t) = e^(1/t) - psi'(t) and its derivatives, the difference of
 the two engines from specfun.
 """
 
+from functools import lru_cache
+from math import comb, factorial
+from operator import mul
 from typing import NamedTuple
 
 from mpmath import mp
@@ -40,15 +45,16 @@ def _validate_order(k):
         raise ValueError(f"remainder order must be a nonnegative integer, got {k!r}")
 
 
-def _first_stop(k, r, t, invt, max_order):
+def _first_stop(k, r, t, m_sign, m_ratio):
     """Smallest m at which the relative stop may end a tail sum over m > k.
 
-    Uniform signs need m > r + max_order; the relative stop additionally
-    needs the term ratio ~ 1/(t m) safely below 1, hence the 1.5/t margin.
-    A first stop at or past the series budget can never be reached, so it
+    Uniform signs need m > r + max_order, given as m_sign =
+    max_order + ceil(max(r, 0)); the relative stop additionally needs the
+    term ratio ~ 1/(t m) safely below 1, given as m_ratio = ceil(1.5/t).  A
+    first stop at or past the series budget can never be reached, so it
     raises at once instead of spending the budget.
     """
-    m_min = k + 3 + max(max_order + int(mp.ceil(max(r, 0))), int(mp.ceil(1.5 * invt)))
+    m_min = k + 3 + max(m_sign, m_ratio)
     if m_min >= _SERIES_LIMIT:
         raise _budget_exhausted(k, r, t)
     return m_min
@@ -79,7 +85,9 @@ def tail_scaled_derivatives(k, r, t, max_order, prec=DEFAULT_PRECISION):
         if t <= 0:
             raise ValueError(f"t must be positive, got {t}")
         invt = 1 / t
-        m_min = _first_stop(k, r, t, invt, max_order)
+        m_min = _first_stop(
+            k, r, t, max_order + int(mp.ceil(max(r, 0))), int(mp.ceil(1.5 * invt))
+        )
         sums = [mp.mpf(0) for _ in range(max_order + 1)]
         asums = [mp.mpf(0) for _ in range(max_order + 1)]
         last = [mp.inf for _ in range(max_order + 1)]
@@ -129,53 +137,87 @@ class HkSums(NamedTuple):
     lead: object
 
 
+@lru_cache(maxsize=None)  # one entry per max_order that hk_sums is asked for
+def _lah_rows(max_order):
+    """Rows n = 1..max_order of the unsigned Lah numbers, as pairs (row, sum).
+
+    row = (L(n,1), ..., L(n,n)) with L(n,j) = C(n-1,j-1) n!/j!, which carry
+    falling factorials to rising ones: (m)^(n) = sum_j L(n,j) m (m-1) ...
+    (m-j+1) (Riordan, An Introduction to Combinatorial Analysis, 1958).
+    """
+    rows = []
+    for n in range(1, max_order + 1):
+        row = tuple(
+            comb(n - 1, j - 1) * factorial(n) // factorial(j) for j in range(1, n + 1)
+        )
+        rows.append((row, sum(row)))
+    return tuple(rows)
+
+
 def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
     """The integer core of hk_table: S_0..S_max_order, their radii and scale.
 
-    t = den / 2^e exactly; term m is kept relative to the first,
-    t^-(k+1)/(k+1)!, as q_m with q_{k+1} = 2^wp and
+    One series is summed.  With x = 1/t and q_m = x^(m-k-1) (k+1)!/m! for
+    every m >= 0, T_n = sum_{m>k} (m)^(n) q_m.  The Lah numbers of _lah_rows
+    and m (m-1) ... (m-j+1) q_m = x^j q_(m-j) give, for n >= 1,
 
-        q_{m+1} = floor(q_m 2^e / (den (m+1))),
+        T_n = sum_{j=1..n} L(n,j) x^j (T_0 + P_j),
+        x^j P_j = x^j sum_{i=max(0,k+1-j)..k} q_i
+                = sum_{d=1..min(j,k+1)} (k+1)_d x^(j-d),
 
-    and order n adds q_m (m)^(n), its rising factor updated by one small
-    integer multiply per order.  Whenever q reaches 2^(2 wp) (terms grow up
-    to m ~ 1/t) q and the sums drop wp bits together, so the integers stay
-    near 2^wp in size however small t is; exp = shift - wp is their common
-    scale.  The first stop (_first_stop), the per-order stop (last term <
-    series_stop times its sum), the budget and the NumericFailure are those
-    of tail_scaled_derivatives at r = 0.
+    with (k+1)_d = (k+1)!/(k+1-d)!.  Every coefficient is positive, so
+    nothing cancels.
 
-    Rounding.  Every truncation is one-sided.  In units of the current
-    scale, with Q_m the exact term: each division and each rescale lowers q
-    by at most one unit, and the terms are unimodal in m with q >= 2^wp
-    after a rescale, so over M <= _SERIES_LIMIT terms q_m sits below Q_m by
-    at most 2M max(1, Q_m 2^-wp) units.  The exact rising factor multiplies
-    that error, and a rescale costs each sum at most one unit more.  The
-    sum of order n is at least 2^wp (k+1)^(n) at every scale, so it is low
-    by a relative 2^-wp (3M + 2M^2 ((M+n)/(k+1))^n) at most, and
+    Summation.  t = den / 2^e exactly; the order-0 terms are kept relative
+    to the first as q_(k+1) = 2^wp and q_(m+1) = floor(q_m 2^e / (den (m+1))),
+    one add per term.  Whenever q reaches 2^(2 wp) (terms grow up to
+    m ~ 1/t) q and the sum drop wp bits together, so the integers stay near
+    2^wp in size however small t is; exp = shift - wp is their scale.  The
+    sum ends at the first m >= m_min with q_m < series_stop S_0, tested in
+    integers.  m_min is the first stop of tail_scaled_derivatives at r = 0
+    (_first_stop, its ceil(1.5/t) taken as ceil(3 2^e / (2 den))), raised
+    to where the term ratio x/(m+1) is at most 1/2.  An m_min at or past
+    the series budget raises its NumericFailure at once.
 
-        wp = mp.prec + 32 + (max_order + 2) bitlen(_SERIES_LIMIT + max_order)
+    Derived orders.  In units of 2^exp each x^j (S_0 + P_j 2^-exp) is the
+    exact rational (S_0 2^(e j) + pre_j 2^-exp) / den^j, with the integer
+    pre_j = den^j x^j P_j; A_j is its floor, B_j = ceil(x^j q_M) with q_M
+    the last term, and S_n = sum_j L(n,j) A_j.
 
-    bounds that by delta = 2^-(mp.prec+29), under one ulp of the working
-    precision.
+    Rounding of S_0.  Every truncation is one-sided.  In units of the
+    current scale, with Q_m the exact term: each division and each rescale
+    lowers q by at most one unit, and the terms are unimodal in m with
+    q >= 2^wp after a rescale, so over M < _SERIES_LIMIT < 2^b terms
+    (b = bitlen(_SERIES_LIMIT)) q_m sits below Q_m by at most
+    2M max(1, Q_m 2^-wp) units, and a rescale costs the sum at most one
+    unit more.  S_0 >= 2^wp at every scale, so it is low by a relative
+    delta <= 2^-wp (3M + 2M^2) < 2^-(wp-2b-2), and
 
-    Truncation.  The order-n terms a_m = (m)^(n) t^-m/m! have the ratio
+        wp = mp.prec + 32 + 2b
 
-        a_(m+1) / a_m = (m+n) / (t m (m+1)),
+    bounds that by 2^-(mp.prec+30), under one ulp of the working precision.
 
-    which falls as m grows (its derivative in m has the sign of
-    -(m^2 + 2nm + n)) and rises with n.  The sum therefore also goes on
-    while that ratio at n = max_order is above 1/2; at the stop M every
-    later ratio of every order is at most 1/2, and the tail past M is at
-    most a_M (1/2 + 1/4 + ...) = a_M.  The true a_M exceeds the computed
-    last term by no more than the sum's whole one-sided error, delta P_n,
-    with P_n <= S_n / (1 - delta) the exact partial sum.  So T_n - S_n is
-    at most last_n + 2 delta P_n < last_n + 2^-(mp.prec+27) S_n, and
+    Truncation.  The ratio x/(m+1) falls as m grows and is at most 1/2 at
+    the stop M, so the tail past M is at most a_M (1/2 + 1/4 + ...) = a_M.
+    The true a_M exceeds q_M by no more than the sum's whole one-sided
+    error, delta P, with P <= S_0 / (1 - delta) the exact partial sum.  So
+    T_0 2^-exp - S_0 <= q_M + 2 delta P < q_M + 2^-(mp.prec+28) S_0, and
 
-        radii[n] = last_n + floor(S_n 2^-(mp.prec+27)) + 1.
+        radii[0] = q_M + floor(S_0 2^-(mp.prec+27)) + 1.
 
-    Since 1/(t(m+1)) bounds the ratio from below, no m under the budget
-    passes that test once 2/t > _SERIES_LIMIT, which raises at once.
+    Radii of the derived orders.  S_0 <= T_0 2^-exp and the floors give
+    S_n <= T_n 2^-exp.  The exact x^j (T_0 + P_j) 2^-exp exceeds A_j by
+    less than x^j (q_M + 2 delta P) + 1: the prefix enters exactly before
+    the one floor, so prefix terms far below one unit after a rescale cost
+    nothing more.  Sum over j with the weights L(n,j), whose sum is l_n.
+    The tails give at most sum_j L(n,j) B_j.  As x^j S_0 < A_j + 1, the
+    rounding gives at most 2 delta/(1 - delta) (S_n + l_n) <
+    2^-(mp.prec+28) (S_n + l_n), and the floors less than l_n, so
+
+        radii[n] = sum_j L(n,j) B_j + floor((S_n + l_n) 2^-(mp.prec+27)) + 1 + l_n.
+
+    Each order's relative error is at most order 0's, as its tail,
+    sum_j L(n,j) x^j q_M, is under q_M / S_0 times S_n + l_n.
     """
     _validate_order(k)
     if not isinstance(max_order, int) or max_order < 0:
@@ -184,49 +226,61 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
         t = to_mpf(t)
         if t <= 0:
             raise ValueError(f"t must be positive, got {t}")
-        invt = 1 / t
         r = mp.mpf(0)  # for the failure report, as tail_scaled_derivatives gives it
-        m_min = _first_stop(k, r, t, invt, max_order)
         den, e = _dyadic(t)
-        if 2 << e > den * _SERIES_LIMIT:
+        m_min = _first_stop(k, r, t, max_order, -((-3 << e) // (2 * den)))
+        # x/(m+1) <= 1/2 from m = ceil(2/t) - 1 on
+        m_min = max(m_min, -((-2 << e) // den) - 1)
+        if m_min >= _SERIES_LIMIT:
             raise _budget_exhausted(k, r, t)
         # series_stop = s_num / 2^s_e exactly, so the stop test is in integers
         s_num, s_e = _dyadic(prec.series_stop)
-        wp = (
-            mp.prec
-            + _GUARD_BITS
-            + (max_order + 2) * (_SERIES_LIMIT + max_order).bit_length()
-        )
-        sums = [0] * (max_order + 1)
-        terms = [0] * (max_order + 1)
-        q = 1 << wp
+        wp = mp.prec + _GUARD_BITS + 2 * _SERIES_LIMIT.bit_length()
+        q = total = 1 << wp
         shift = 0
         m = k + 1
-        while m < _SERIES_LIMIT:
-            c = q
-            for n in range(max_order + 1):
-                if n:
-                    c *= m + n - 1
-                sums[n] += c
-                terms[n] = c
-            if (
-                m >= m_min
-                and all(term << s_e < s_num * total for term, total in zip(terms, sums))
-                and den * m * (m + 1) >= (m + max_order) << (e + 1)
-            ):
-                break
+        while m < m_min:
             m += 1
             q = (q << e) // (den * m)
+            total += q
             if q >> 2 * wp:
                 q >>= wp
-                sums = [total >> wp for total in sums]
+                total >>= wp
                 shift += wp
-        else:
-            raise _budget_exhausted(k, r, t)
+        # past m_min the terms at least halve, so q needs no rescale
+        while q << s_e >= s_num * total:
+            m += 1
+            if m >= _SERIES_LIMIT:
+                raise _budget_exhausted(k, r, t)
+            q = (q << e) // (den * m)
+            total += q
+        exp = shift - wp
+        # 2^-exp = 2^low / 2^high, so every floor below is of integers
+        low, high = (-exp, 0) if exp < 0 else (0, exp)
+        floors = []
+        tails = []
+        pre = 0
+        falling = 1
+        den_j = 1
+        for j in range(1, max_order + 1):
+            den_j *= den
+            pre <<= e
+            if j <= k + 1:
+                falling *= k + 2 - j
+                pre += falling * den_j
+            floors.append(((total << e * j + high) + (pre << low)) // (den_j << high))
+            tails.append(-((-q << e * j) // den_j))
         rel = mp.prec + 27
-        radii = [term + (total >> rel) + 1 for term, total in zip(terms, sums)]
-        lead = invt ** (k + 1) / mp.factorial(k + 1)
-        return HkSums(sums, radii, shift - wp, lead)
+        sums = [total]
+        radii = [q + (total >> rel) + 1]
+        for row, weight in _lah_rows(max_order):
+            derived = sum(map(mul, row, floors))
+            sums.append(derived)
+            radii.append(
+                sum(map(mul, row, tails)) + ((derived + weight) >> rel) + 1 + weight
+            )
+        lead = (1 / t) ** (k + 1) / mp.factorial(k + 1)
+        return HkSums(sums, radii, exp, lead)
 
 
 def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):
@@ -234,10 +288,12 @@ def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):
 
     H_k^(n)(t) = (-1)^n t^-n sum_{m>k} (m)^(n) t^-m / m!, with (m)^(n) =
     m (m+1) ... (m+n-1) the rising factorial: every order is a positive-term
-    series with integer multipliers, summed in fixed-point integers by
-    hk_sums.  The sign, t^-n and the lead factor are applied here, once per
-    order, so each entry is within a relative 2^-(mp.prec+27) plus the
-    truncated tail of the exact value before those few roundings.
+    series with integer multipliers, which hk_sums derives from one
+    fixed-point sum of the order-0 tail.  The sign, t^-n and the lead factor
+    are applied here, once per order, so each entry is within a relative
+    2^-(mp.prec+27) plus the truncated tail of the exact value before those
+    few roundings; no order's truncated tail is relatively larger than
+    order 0's.
     """
     core = hk_sums(k, t, max_order, prec)
     with prec.workdps():

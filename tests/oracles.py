@@ -7,7 +7,9 @@ integral formulas, bracketed direct summation, or central finite differences.
 Agreement between these and the package is then evidence, not tautology.
 termwise_table keeps the package's own termwise series tail_scaled_derivatives,
 the mpf route the integer Leibniz brackets are cross-checked against, summed
-once per point for all the tests that meet there.
+once per point for all the tests that meet there.  CoarseStop is the one
+precision policy here: a stop so coarse that the truncated tail carries
+every radius of the H_k sums.
 """
 
 from fractions import Fraction
@@ -15,8 +17,16 @@ from math import comb
 
 from mpmath import mp
 
-from cmcheck import tail_scaled_derivatives
+from cmcheck import WorkingPrecision, tail_scaled_derivatives
 from cmcheck.cmdeg import TableOracle
+
+
+class CoarseStop(WorkingPrecision):
+    # a stop threshold of 1/4 ends each H_k sum after a few terms, so the
+    # truncated tail dominates the radius of every bracket
+    @property
+    def series_stop(self):
+        return mp.mpf(1) / 4
 
 
 def mpf_from_fraction(q):

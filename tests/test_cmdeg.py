@@ -8,6 +8,7 @@ import pytest
 from mpmath import mp
 
 import oracles
+from oracles import CoarseStop
 from cmcheck import (
     DEFAULT_PRECISION,
     BracketError,
@@ -26,14 +27,6 @@ from cmcheck.cmdeg import DEFAULT_DEGREE_GRID, ScaledTailOracle, h_oracle
 PREC = DEFAULT_PRECISION
 
 SMALL_GRID = LogGrid(0.1, 10, 25)
-
-
-class CoarseStop(WorkingPrecision):
-    # a stop threshold of 1/4 ends each H_k sum after a few terms, so the
-    # truncated tail dominates the radius of every bracket
-    @property
-    def series_stop(self):
-        return mp.mpf(1) / 4
 
 
 def exp_decay_oracle(n, t):
@@ -337,9 +330,15 @@ class TestSignPredicate:
                 if r != k + 1 + Fraction(1, 2**60):
                     assert want == (r <= k + 1), (k, r)
             # a passing scan settles every sign in integers: it takes no t^r
-            oracle = tables.at(k + 1)
+            # and builds no factor
+            fresh = ScaledTailOracle(k, 6, prec)
+            oracle = fresh.at(k + 1)
             assert oracle.passes(ts)
             assert oracle._points == {}
+            assert fresh._factors == {}
+            # a failing one builds the factors of the points it values
+            assert not fresh.at(k + 2).passes(ts)
+            assert fresh._factors and set(fresh._factors) <= set(ts)
 
     def test_predicate_raises_the_scan_failures(self):
         _, pinned = pinned_floor()

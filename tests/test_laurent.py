@@ -2,6 +2,8 @@
 subtractive, termwise, and finite-difference oracles."""
 
 from fractions import Fraction
+from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import oracles
+from oracles import CoarseStop
 from cmcheck import (
     DEFAULT_PRECISION,
     LogGrid,
@@ -26,6 +29,8 @@ from cmcheck import (
     to_mpf,
 )
 from cmcheck.cmdeg import ScaledTailOracle
+from cmcheck.laurent import _lah_rows, hk_sums
+from cmcheck.specfun import _dyadic
 
 PREC = DEFAULT_PRECISION
 
@@ -277,6 +282,54 @@ class TestHkTable:
             hk_table(0, 1, -1, PREC)
         with pytest.raises(ValueError):
             hk_table(0, 0, 2, PREC)
+
+
+class TestHkSums:
+    @staticmethod
+    def points(prec):
+        # 2e-4 sums rescaled, 0.01 the bench grid's start, a full-mantissa t
+        # that is no short decimal, and large t where the prefix dominates
+        with prec.workdps():
+            return [mp.mpf(v) for v in ("1e-3", "2e-4", "0.01")] + [
+                mp.sqrt(2) * 7 / 3,
+                mp.mpf(32),
+                mp.mpf("1e6"),
+                mp.mpf("1e12"),
+            ]
+
+    @pytest.mark.parametrize(
+        "prec",
+        (WorkingPrecision(30), WorkingPrecision(50), WorkingPrecision(100), CoarseStop(30)),
+        ids=("30", "50", "100", "coarse-30"),
+    )
+    def test_radii_enclose_the_termwise_sums(self, prec):
+        # S_n 2^exp <= T_n <= (S_n + radii[n]) 2^exp in integers, with T_n
+        # from the termwise route at three times the digits (the coarse stop
+        # shares the 90-digit sums of the 30-digit case)
+        fine = WorkingPrecision(3 * prec.digits)
+        for t in self.points(prec):
+            for k in range(5):
+                core = hk_sums(k, t, 6, prec)
+                exact = oracles.termwise_table(k, 0, t, fine)
+                with fine.workdps():
+                    for n in range(7):
+                        # T_n = (-1)^n H_k^(n)(t) t^n / lead
+                        total = (-1) ** n * exact[n] * t ** (n + k + 1) * mp.factorial(k + 1)
+                        man, e = _dyadic(total)
+                        low = Fraction(core.sums[n]) * Fraction(2) ** core.exp
+                        high = low + Fraction(core.radii[n]) * Fraction(2) ** core.exp
+                        assert low <= Fraction(man, 2**e) <= high, (k, n, t)
+
+    def test_lah_table(self):
+        # (m)^(n) = sum_j L(n,j) m (m-1) ... (m-j+1), exactly
+        rows = _lah_rows(12)
+        assert len(rows) == 12
+        for n, (row, weight) in enumerate(rows, 1):
+            assert len(row) == n and weight == sum(row)
+            for m in range(41):
+                rising = prod(range(m, m + n))
+                falling = [prod(range(m - j + 1, m + 1)) for j in range(1, n + 1)]
+                assert rising == sum(map(mul, row, falling)), (n, m)
 
 
 class TestHFunction:
