@@ -198,9 +198,9 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
     bounds that by 2^-(mp.prec+30), under one ulp of the working precision.
 
     Truncation.  The ratio x/(m+1) falls as m grows and is at most 1/2 at
-    the stop M, so the tail past M is at most a_M (1/2 + 1/4 + ...) = a_M.
-    The true a_M exceeds q_M by no more than the sum's whole one-sided
-    error, delta P, with P <= S_0 / (1 - delta) the exact partial sum.  So
+    the stop M, so the tail past M is at most Q_M (1/2 + 1/4 + ...) = Q_M.
+    Q_M exceeds q_M by no more than the sum's whole one-sided error,
+    delta P, with P <= S_0 / (1 - delta) the exact partial sum.  So
     T_0 2^-exp - S_0 <= q_M + 2 delta P < q_M + 2^-(mp.prec+28) S_0, and
 
         radii[0] = q_M + floor(S_0 2^-(mp.prec+27)) + 1.
