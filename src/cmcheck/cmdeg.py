@@ -28,7 +28,7 @@ from typing import Optional
 
 from mpmath import mp
 
-from .laurent import h_table, hk_sums
+from .laurent import _hk_lead, h_table, hk_sums
 from .specfun import DEFAULT_PRECISION, NumericFailure, _dyadic, to_mpf
 
 
@@ -230,9 +230,8 @@ class ScaledTailOracle(TableCache):
         """[lead 2^exp (-1/t)^n for n <= max_order] at t, built on first use."""
         factors = self._factors.get(t)
         if factors is None:
-            core = self.table(t)
             step = -1 / t
-            factors = [mp.ldexp(core.lead, core.exp)]
+            factors = [mp.ldexp(_hk_lead(self.k, t), self.table(t).exp)]
             for _ in range(self.max_order):
                 factors.append(factors[-1] * step)
             self._factors[t] = factors
@@ -340,7 +339,7 @@ class ScaledDerivative:
             )
         return value
 
-    def passes(self, ts):
+    def passes(self, ts, rows=None):
         """check_sign_pattern(self, grid, max_order).passed, ts = grid.values(prec).
 
         The walk is the scan's, orders outermost and t ascending, up to the
@@ -348,15 +347,22 @@ class ScaledDerivative:
         signed value, above the scan's -noise_floor, so it passes in integers
         with no factor and no t^r.  Any other goes through __call__ and the
         scan's comparison, so the guard and the failures are the scan's.
+
+        rows holds the (S, radii) of the first points of ts by position, and
+        the order-0 pass appends each point it reaches first.  A bisection
+        passes the same list to every step over the same ts, so a step
+        looks up no table by t that an earlier step fetched, and fetches
+        none that its walk does not reach.
         """
         tables = self.tables
+        if rows is None:
+            rows = []
         with tables.prec.workdps():
-            rows = []  # each t's (S, radii), fetched in the order-0 pass
             for n in range(tables.max_order + 1):
                 coeffs = self._coeffs[n]
                 abs_coeffs = self._abs_coeffs[n]
                 for i, t in enumerate(ts):
-                    if n == 0:
+                    if i == len(rows):
                         core = tables.table(t)
                         rows.append((core.sums, core.radii))
                     sums, radii = rows[i]
@@ -410,10 +416,10 @@ def estimate_cm_degree(
     interval defaults to (k, k+2) and must straddle (pass at r_lo, fail at
     r_hi), else BracketError.  Bisection stops once r_hi - r_lo <= tol
     (default 1/32).  Every step shares one ScaledTailOracle, so each grid
-    point sums its tail series once, and the grid's values once.  A step is
-    check_sign_pattern's verdict by ScaledDerivative.passes: it settles the
-    signs in integers and builds a value only where a bracket is not
-    settled positive.
+    point sums its tail series once, and the grid's values and the rows of
+    its sums by position once.  A step is check_sign_pattern's verdict by
+    ScaledDerivative.passes: it settles the signs in integers and builds a
+    value only where a bracket is not settled positive.
     """
     tables = ScaledTailOracle(k, max_order, prec)
     with prec.workdps():
@@ -428,9 +434,10 @@ def estimate_cm_degree(
             raise ValueError(f"tol must be positive, got {tol}")
 
         ts = grid.values(prec)
+        rows = []
 
         def passes(r):
-            return tables.at(r).passes(ts)
+            return tables.at(r).passes(ts, rows)
 
         if not passes(r_lo):
             raise BracketError(

@@ -34,8 +34,8 @@ from .specfun import (
     _GUARD_BITS,
     _SERIES_LIMIT,
     _dyadic,
-    _exp_recip_from_core,
-    polygamma_range,
+    _exp_recip_fixed,
+    polygamma_fixed,
     to_mpf,
 )
 
@@ -128,13 +128,21 @@ class HkSums(NamedTuple):
     n relative to its first term, S_n 2^exp <= T_n <= (S_n + radii[n]) 2^exp,
     and
 
-        H_k^(n)(t) = (-1)^n lead t^-n T_n,   lead = t^-(k+1)/(k+1)! > 0.
+        H_k^(n)(t) = (-1)^n lead t^-n T_n,   lead = _hk_lead(k, t) > 0.
     """
 
     sums: list
     radii: list
     exp: int
-    lead: object
+
+
+def _hk_lead(k, t):
+    """lead = t^-(k+1)/(k+1)! for an mpf t > 0, at the current precision.
+
+    The first term of H_k(t), which HkSums leaves out: hk_table and the
+    factors of cmdeg.ScaledTailOracle apply it only where they build a value.
+    """
+    return (1 / t) ** (k + 1) / mp.factorial(k + 1)
 
 
 @lru_cache(maxsize=None)  # one entry per max_order that hk_sums is asked for
@@ -279,8 +287,7 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
             radii.append(
                 sum(map(mul, row, tails)) + ((derived + weight) >> rel) + 1 + weight
             )
-        lead = (1 / t) ** (k + 1) / mp.factorial(k + 1)
-        return HkSums(sums, radii, exp, lead)
+        return HkSums(sums, radii, exp)
 
 
 def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):
@@ -297,8 +304,9 @@ def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):
     """
     core = hk_sums(k, t, max_order, prec)
     with prec.workdps():
-        invt = 1 / to_mpf(t)
-        scale = core.lead
+        t = to_mpf(t)
+        invt = 1 / t
+        scale = _hk_lead(k, t)
         out = []
         for total in core.sums:
             out.append(scale * mp.mpf((total, core.exp)))
@@ -324,12 +332,25 @@ def scaled_remainder_derivative(k, r, n, t, prec=DEFAULT_PRECISION):
 def h_table(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
     """[h^(i)(t) for i = i_lo..i_hi], 0 <= i_lo <= i_hi, t > 0, in one pass.
 
-    h^(i) = (d^i/dt^i e^(1/t)) - psi^(i+1)(t): e^(1/t) is computed once and
-    scaled by the closed-form a_{i,k} polynomial of each order, and one
-    polygamma_range call supplies every psi^(i+1).  The two engines share no
-    code, so their agreement downstream is a real cross-check; the
-    subtraction cancels ~ (i+...) digits at large t, which the guard
-    precision absorbs.
+    h^(i) = (d^i/dt^i e^(1/t)) - psi^(i+1)(t).  Both parts come as integers
+    at binary scales: _exp_recip_fixed takes e^(1/t) once and the
+    closed-form a_{i,k} polynomial of each order in fixed point, and one
+    polygamma_fixed call supplies every psi^(i+1).  Each order shifts the
+    part at the finer scale down to the coarser one, subtracts in integers
+    and builds one mpf.  The two engines share no code, so their agreement
+    downstream is a real cross-check.
+
+    Error bound.  With E the exp part and P = psi^(i+1)(t), the integers
+    give E within 2^-(mp.prec+1) relative (_exp_recip_fixed: one rounding
+    of mp.exp and a few units per fixed-point power) and P within
+    (i+1) 2^-(mp.prec+20) relative (polygamma_fixed, less its truncation at
+    series_stop).  Both integers have at least wq - log2(i+1) bits, wq =
+    mp.prec + 32, so shifting the finer one to the coarser scale costs
+    under (i+1) 2^-wq of the part at that scale, and the mpf conversion
+    rounds h^(i) once.  So for i < 512 h^(i) is within
+    2^-mp.prec (|h^(i)| + |E| + |P|) of its exact value: the subtraction
+    cancels about log2((|E| + |P|) / |h^(i)|) bits at large t, which the
+    guard precision absorbs.
     """
     if not isinstance(i_lo, int) or not isinstance(i_hi, int) or not 0 <= i_lo <= i_hi:
         raise ValueError(f"need integers 0 <= i_lo <= i_hi, got {i_lo!r}, {i_hi!r}")
@@ -337,12 +358,14 @@ def h_table(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
         t = to_mpf(t)
         if t <= 0:
             raise ValueError(f"t must be positive, got {t}")
-        core = mp.exp(1 / t)
-        psi = polygamma_range(i_lo + 1, i_hi + 1, t, prec)
-        return [
-            _exp_recip_from_core(i, t, core) - p
-            for i, p in zip(range(i_lo, i_hi + 1), psi)
-        ]
+        exps = _exp_recip_fixed(i_lo, i_hi, t)
+        out = []
+        for (e_man, e_exp), (p_man, p_scale) in zip(
+            exps, polygamma_fixed(i_lo + 1, i_hi + 1, t, prec)
+        ):
+            exp = max(e_exp, -p_scale)
+            out.append(mp.mpf(((e_man >> exp - e_exp) - (p_man >> exp + p_scale), exp)))
+        return out
 
 
 def h_function(t, prec=DEFAULT_PRECISION):

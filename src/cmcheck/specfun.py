@@ -1,10 +1,15 @@
-"""Special-function engines: polygamma, modified Bessel I, and 1F2 series.
+"""Special-function engines: polygamma, the derivatives of e^(1/t), modified
+Bessel I, and 1F2 series.
 
 Everything here evaluates at an explicit, caller-supplied precision.  The
 policy object is WorkingPrecision: user-facing digits plus a fixed guard,
 a relative stop threshold for positive-term series, and the noise floor
 against which sign claims are tested.  No function reads ambient mp.dps;
-each enters a workdps block and returns a plain mpf.
+each public one enters a workdps block and returns a plain mpf.  The
+engines compute in Python integers at binary scales and round once at the
+end.  Polygamma and the e^(1/t) derivatives have integer cores
+(polygamma_fixed, _exp_recip_fixed) that return each value as an integer
+and its scale, so laurent.h_table subtracts the two parts in integers.
 """
 
 from dataclasses import dataclass, field
@@ -140,7 +145,8 @@ def exp_recip_derivative(i, t, prec=DEFAULT_PRECISION):
     """i-th derivative of e^(1/t) via its closed-form coefficient polynomial.
 
     Returns (-1)^i e^(1/t) t^(-2i) sum_k a_{i,k} t^k; the i = 0 case is
-    e^(1/t) itself.  t must be nonzero.
+    e^(1/t) itself.  t must be nonzero.  The value is _exp_recip_fixed's
+    integer at its scale, rounded once to the working precision.
     """
     if not isinstance(i, int) or i < 0:
         raise ValueError(f"derivative order must be a nonnegative integer, got {i!r}")
@@ -148,17 +154,63 @@ def exp_recip_derivative(i, t, prec=DEFAULT_PRECISION):
         t = to_mpf(t)
         if t == 0:
             raise ValueError("t must be nonzero")
-        return _exp_recip_from_core(i, t, mp.exp(1 / t))
+        ((man, exp),) = _exp_recip_fixed(i, i, t)
+        return mp.mpf((man, exp))
 
 
-def _exp_recip_from_core(i, t, core):
-    """(-1)^i core t^(-2i) sum_k a_{i,k} t^k, with core = e^(1/t) given."""
-    if i == 0:
-        return +core
-    acc = mp.mpf(0)
-    for k in range(i - 1, -1, -1):
-        acc = acc * t + a_coeff(i, k)
-    return (-1) ** i * core * acc / t ** (2 * i)
+@lru_cache(maxsize=None)  # one row per order, i <= the highest order asked for
+def _exp_recip_row(i):
+    """(a_{i,0}, ..., a_{i,i-1}), the coefficients of order i; (1,) for i = 0."""
+    return tuple(a_coeff(i, k) for k in range(i)) if i else (1,)
+
+
+def _exp_recip_fixed(i_lo, i_hi, t):
+    """[(F_i, f_i) for i = i_lo..i_hi]: d^i/dt^i e^(1/t) = F_i 2^f_i, t a nonzero mpf.
+
+    With x = 1/t the derivative is (-1)^i e^x Q_i, Q_i = sum_k a_{i,k}
+    x^(2i-k) (Q_0 = 1).  t = (+-) c 2^d with c a bc-bit integer, so
+    |x| 2^g = 2^bc / c lies in (1, 2] for g = bc + d, and X = floor(2^(wq+bc)
+    / c), wq = mp.prec + 32, is that number at 2^-wq: one integer division.
+    X_m = |x|^m 2^(m g) at 2^-wq is X_(m-1) X >> wq.  Each order puts its
+    terms on the scale of its largest power x^top: top = i+1 for g > 0
+    (|x| <= 1), top = 2i otherwise, and top = 0 for i = 0.  Term k is
+    a_{i,k} X_(2i-k) shifted right by (2i-k-top) g >= 0 bits, so no integer
+    grows with log |t|, and for t < 0 it takes the sign (-1)^k of
+    x^(2i-k).  e^x is one mp.exp at p = mp.prec + 4 + max(0, 1-g) bits,
+    with mantissa e0 and exponent ex, and F_i = (-1)^i e0 Q, f_i = ex - wq
+    - top g.
+
+    Error bound.  |x| <= 2^(1-g), so rounding 1/t to p bits moves e^x by a
+    relative |x| 2^-p, and exp's own error, under one ulp, adds 2^(1-p):
+    e0 2^ex is within (|x| + 2) 2^-p <= 2^-(mp.prec+2) relative of e^x.  X
+    is low by less than one unit, a relative 2^-wq as X >= 2^wq, so X_m,
+    after m - 1 more floors of integers >= 2^wq, is within (2m-1) 2^-wq
+    relative, and each shifted term loses one unit more.  The integer Q is
+    thus within 5i 2^-wq relative of Q_i(|x|) = sum_k a_{i,k} |x|^(2i-k) in
+    units of 2^-(wq + top g), and so of Q_i itself for t > 0, whose terms
+    are all positive.  The product e0 Q is exact, so for t > 0 each
+    F_i 2^f_i is within 2^-(mp.prec+1) relative of the derivative.
+    """
+    sign, man, exp, bc = t._mpf_
+    g = bc + exp
+    with mp.workprec(mp.prec + 4 + max(0, 1 - g)):
+        _, e0, ex, _ = mp.exp(1 / t)._mpf_
+    wq = mp.prec + _GUARD_BITS
+    x = (1 << (wq + bc)) // man
+    powers = [1 << wq, x]
+    for _ in range(2 * i_hi - 1):
+        powers.append(powers[-1] * x >> wq)
+    out = []
+    for i in range(i_lo, i_hi + 1):
+        row = _exp_recip_row(i)
+        top = 2 * i - (len(row) - 1 if g > 0 else 0)
+        q = 0
+        for k, a in enumerate(row):
+            m = 2 * i - k
+            term = a * powers[m] >> (m - top) * g
+            q += -term if sign and k % 2 else term
+        out.append((-e0 * q if i % 2 else e0 * q, ex - wq - top * g))
+    return out
 
 
 # bits kept beyond mp.prec by the fixed-point sums
@@ -200,15 +252,19 @@ def _fixed_head(den, e, shift, s_lo, s_hi, wp):
     for _ in range(shift):
         x = one // den
         p = x ** s_lo >> (wp * (s_lo - 1))
-        for i in range(len(sums)):
-            sums[i] += p
+        sums[0] += p
+        for i in range(1, len(sums)):
             p = p * x >> wp
+            sums[i] += p
         den += step
     return sums
 
 
-def polygamma_range(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
-    """[psi^(n)(t) for n = n_lo..n_hi] for integers 1 <= n_lo <= n_hi, real t > 0.
+def polygamma_fixed(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
+    """The integer core of polygamma_range: [(P_n, W_n) for n = n_lo..n_hi].
+
+    psi^(n)(t) = P_n 2^-W_n up to the error below, with n! and the sign
+    (-1)^(n+1) included, for integers 1 <= n_lo <= n_hi and real t > 0.
 
     Each order is n! times the Hurwitz-style sum sum_{j>=0} (t+j)^-(n+1).
     One shift serves every order: explicit head terms move the argument to
@@ -218,21 +274,47 @@ def polygamma_range(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
         a^(1-s)/(s-1) + a^(-s)/2 + sum_v B_{2v}/(2v)! (s)_{2v-1} a^(1-s-2v)
 
     with s = n+1 finishes each sum; the first omitted term bounds the error
-    since the summand is completely monotone.  Sign is (-1)^(n+1).
+    since the summand is completely monotone.
 
-    Both parts are summed in fixed-point integers, all orders in one pass.
-    The head uses wp = mp.prec + 32 + (n_hi+1) bitlen(target+1) bits (see
-    _fixed_head): each of its terms exceeds a^-(n_hi+1) > 2^(mp.prec+32-wp)
-    and is low by at most 2s units of 2^-wp.  The tail is summed as
-    a^-n [1/n + u/2 + sum_v B_{2v}/(2v)! (s)_{2v-1} u^(2v)], u = 1/a, with
-    wq = mp.prec + 32 bits: (s)_{2v-1} u^(2v) costs one integer division per
-    term, and while the terms decrease (else the contraction check raises)
-    term v is off by at most 1 + v/12 units, under 2^12 units over the
-    whole budget, against a bracket of at least 1/n.  So each order's head
-    and tail carry relative errors below n_hi 2^-(mp.prec+20), under one
-    ulp of the working precision.  B_{2v}/(2v)! is shared across orders;
-    each order keeps its own contraction check, relative stop
-    series_stop (head + tail) and 300-term budget.
+    Scales.  a = t + shift is an exact mpf c 2^d with c a b-bit integer, so
+    2^(beta-1) <= a < 2^beta for beta = b + d.  Order n is kept at 2^-W_n,
+    W_n = wq + n beta with wq = mp.prec + 32, where a^-n is at least 2^wq
+    units: every integer has about wq bits whatever t is, and only the
+    exponents W_n grow with log t.  U = floor(2^(wq+b) / c) and U2 =
+    floor(2^(wq+2b) / c^2) are 2^beta/a and (2^beta/a)^2 at 2^-wq, one
+    division each, and A_n = a^-n 2^(n beta) at 2^-wq is U^n, shifted back
+    by wq after each product.
+
+    Head.  When shift > 0, t = den / 2^e and _fixed_head sums every order
+    at wp = wq + (n_hi+1) beta bits, where each term exceeds a^-(n_hi+1) >
+    2^(wq-wp).  Order n's head is shifted down to 2^-W_n, so over at most
+    a < 2^beta terms, each low by at most 2s units of 2^-wp, it is low by
+    at most 2s + 1 units of 2^-W_n plus a relative 2s 2^-wp.
+
+    Tail.  It is summed as the bracket a^-n [1/n + u/2 + sum_v c_v
+    (s)_{2v-1} u^(2v)] at 2^-wq, with u = 1/a and c_v = B_{2v}/(2v)!.  The
+    rising factorial (s)_{2v-1} of each order is an exact integer, advanced
+    by two small factors per term.  The rest of term v is shared by every
+    order and formed once per v: C_v = floor(c_v 2^G_v) of wq or wq+1 bits,
+    (2^beta/a)^(2v) as the last one times U2 shifted back by wq, and their
+    product shifted back by wq, the weight.  Term v of each order is then
+    the weight times (s)_{2v-1}, shifted right by G_v - wq + 2v beta: one
+    multiply and one shift.  The weight is within a relative (2v+4) 2^-wq
+    (2^(1-wq) for C_v and for the product, 2^-wq for each U2 and each of
+    the 2v floors), so term v is off by at most (2v+4) 2^-wq |T_v| + 1
+    units, T_v the exact term.  While the terms decrease (else the
+    contraction check raises), |T_v| <= T_1 = s u^2/12 < 2^wq/2400 as
+    a >= 10 s, so over the 300-term budget the bracket is off by under
+    2^9 + 3 units, against a bracket of at least 1/n.  The bracket times
+    A_n, shifted back by wq, is the tail at 2^-W_n, within a relative
+    (3n+1) 2^-wq more.
+
+    So the integer head + tail of order n is within n (2^10 + 6n) 2^-wq of
+    the exact partial sum, relatively, that is n 2^-(mp.prec+20) for
+    n <= 512, and the exact n! and sign leave that unchanged.  Each order
+    keeps its own contraction check, its 300-term budget and its relative
+    stop: once a term drops below series_stop (head + tail), with the tail
+    at its first two terms, all compared in integers.
     """
     for n in (n_lo, n_hi):
         if not isinstance(n, int) or n < 1:
@@ -245,40 +327,50 @@ def polygamma_range(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
             raise ValueError(f"t must be positive, got {t}")
         orders = range(n_lo, n_hi + 1)
         target = max(10 * (n_hi + 1), int(0.8 * prec.working_dps) + 1)
-        shift = max(0, int(mp.ceil(target - t)))
-        # t = den / 2^e and a = t + shift = a_den / 2^e, both exactly
-        den, e = _dyadic(t)
-        a_den = den + (shift << e)
-        heads = [mp.mpf(0)] * len(orders)
-        if shift:
-            wp = mp.prec + _GUARD_BITS + (n_hi + 1) * (target + 1).bit_length()
-            heads = [
-                mp.mpf((h, -wp))
-                for h in _fixed_head(den, e, shift, n_lo + 1, n_hi + 1, wp)
-            ]
-        ainv = 1 / mp.mpf((a_den, -e))
+        shift = int(mp.ceil(target - t)) if t < target else 0
+        a = mp.fadd(t, shift, exact=True)
+        _, c, d, b = a._mpf_
+        beta = b + d
         wq = mp.prec + _GUARD_BITS
+        heads = [0] * len(orders)
+        if shift:
+            den, e = _dyadic(t)
+            wp = wq + (n_hi + 1) * beta
+            heads = [
+                h >> (n_hi + 1 - n) * beta
+                for n, h in zip(orders, _fixed_head(den, e, shift, n_lo + 1, n_hi + 1, wp))
+            ]
         one = 1 << wq
-        a2 = a_den * a_den
-        half_u = (one << e) // (2 * a_den)
-        scales, sums, floors, pochs = [], [], [], []
-        scale = ainv ** n_lo
+        u_scaled = (1 << (wq + b)) // c
+        u2_scaled = (1 << (wq + 2 * b)) // (c * c)
+        half_u = u_scaled >> (beta + 1)
+        # series_stop = s_num / 2^s_e exactly
+        s_num, s_e = _dyadic(prec.series_stop)
+        powers, sums, floors, risings = [], [], [], []
+        power = one
+        for _ in range(n_lo):
+            power = power * u_scaled >> wq
         for n, head in zip(orders, heads):
-            scales.append(scale)
+            powers.append(power)
             sums.append(one // n + half_u)
             # series_stop (head + tail) in units of a^-n 2^-wq
-            floor = prec.series_stop * (head / scale + mp.mpf(1) / n + ainv / 2)
-            floors.append(int(mp.ldexp(floor, wq)))
-            pochs.append(((n + 1) << (wq + 2 * e)) // a2)  # (s)_{2v-1} u^(2v) at v = 1
-            scale *= ainv
+            floors.append(s_num * ((head << wq) // power + sums[-1]) >> s_e)
+            risings.append(n + 1)  # (s)_{2v-1} at v = 1
+            power = power * u_scaled >> wq
+        u2v = one
         prev = [inf] * len(orders)
         active = list(range(len(orders)))
         for v in range(1, 300):
+            # c_v (2^beta u)^(2v) at 2^-g, shared by every order
             p, q = _em_coefficient(v)
+            g = wq + q.bit_length() - abs(p).bit_length()
+            u2v = u2v * u2_scaled >> wq
+            weight = ((p << g) // q) * u2v >> wq
+            down = g - wq + 2 * v * beta
             still = []
             for i in active:
                 s = n_lo + i + 1
-                term = p * pochs[i] // q
+                term = weight * risings[i] >> down
                 mag = abs(term)
                 if mag > prev[i]:
                     raise NumericFailure(
@@ -287,7 +379,7 @@ def polygamma_range(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
                 sums[i] += term
                 if mag < floors[i]:
                     continue
-                pochs[i] = (pochs[i] * (s + 2 * v - 1) * (s + 2 * v) << 2 * e) // a2
+                risings[i] *= (s + 2 * v - 1) * (s + 2 * v)
                 prev[i] = mag
                 still.append(i)
             active = still
@@ -297,10 +389,23 @@ def polygamma_range(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
             raise NumericFailure(
                 "polygamma", "tail budget exhausted", n=n_lo + active[0], t=t
             )
-        return [
-            (-1) ** (n + 1) * mp.factorial(n) * (head + mp.mpf((total, -wq)) * scale)
-            for n, head, total, scale in zip(orders, heads, sums, scales)
-        ]
+        out = []
+        for n, head, total, power in zip(orders, heads, sums, powers):
+            value = factorial(n) * (head + (total * power >> wq))
+            out.append((value if n % 2 else -value, wq + n * beta))
+        return out
+
+
+def polygamma_range(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
+    """[psi^(n)(t) for n = n_lo..n_hi] for integers 1 <= n_lo <= n_hi, real t > 0.
+
+    All orders come from one pass of polygamma_fixed, whose integers are
+    within n 2^-(mp.prec+20) relative (n <= 512) of the sum it truncates at
+    series_stop; each is rounded once to the working precision here.
+    """
+    core = polygamma_fixed(n_lo, n_hi, t, prec)
+    with prec.workdps():
+        return [mp.mpf((value, -scale)) for value, scale in core]
 
 
 def polygamma(n, t, prec=DEFAULT_PRECISION):

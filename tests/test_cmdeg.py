@@ -340,6 +340,29 @@ class TestSignPredicate:
             assert not fresh.at(k + 2).passes(ts)
             assert fresh._factors and set(fresh._factors) <= set(ts)
 
+    def test_rows_are_kept_by_position(self):
+        # the rows list carries each point's sums from one walk to the next,
+        # so later walks look up no table by t
+        prec = WorkingPrecision(30)
+        ts = self.GRID.values(prec)
+        for k in (0, 3):
+            tables = ScaledTailOracle(k, 6, prec)
+            rows = []
+            assert not tables.at(k + 2).passes(ts, rows)
+            assert len(rows) == tables.series <= len(ts)
+            assert tables.at(k + 1).passes(ts, rows)
+            assert len(rows) == tables.series == len(ts)
+            for t, (sums, radii) in zip(ts, rows):
+                core = tables.table(t)
+                assert (sums, radii) == (core.sums, core.radii)
+
+            def refuse(t):
+                raise AssertionError(f"table looked up at {t}")
+
+            tables.table = refuse
+            # r = k+1 settles every sign in integers, so it needs only the rows
+            assert tables.at(k + 1).passes(ts, rows)
+
     def test_predicate_raises_the_scan_failures(self):
         _, pinned = pinned_floor()
         coarse = CoarseStop(PREC.digits)

@@ -1,6 +1,7 @@
 """Remainder family H_k, its derivatives, and h = e^(1/t) - psi' against
 subtractive, termwise, and finite-difference oracles."""
 
+import time
 from fractions import Fraction
 from math import prod
 from operator import mul
@@ -17,11 +18,13 @@ from cmcheck import (
     LogGrid,
     NumericFailure,
     WorkingPrecision,
+    a_coeff,
     check_sign_pattern,
     h_derivative,
     h_function,
     h_table,
     hk_table,
+    polygamma_range,
     remainder_hk,
     remainder_hk_derivative,
     scaled_remainder_derivative,
@@ -30,7 +33,7 @@ from cmcheck import (
 )
 from cmcheck.cmdeg import ScaledTailOracle
 from cmcheck.laurent import _lah_rows, hk_sums
-from cmcheck.specfun import _dyadic
+from cmcheck.specfun import _dyadic, polygamma_fixed
 
 PREC = DEFAULT_PRECISION
 
@@ -400,6 +403,65 @@ class TestHTable:
         with pytest.raises(NumericFailure) as excinfo:
             h_table(0, 8, 1, NoStop(30))
         assert excinfo.value.operation == "polygamma"
+        # the integer core raises it, with the same detail and inputs
+        with pytest.raises(NumericFailure) as core:
+            polygamma_fixed(1, 9, 1, NoStop(30))
+        assert (core.value.operation, core.value.detail, core.value.inputs) == (
+            excinfo.value.operation,
+            excinfo.value.detail,
+            excinfo.value.inputs,
+        )
+
+    # 99.5, 100 and 100.5 sit on both sides of the shift target 100 of
+    # polygamma_fixed(1, 9) at these digits
+    ENCLOSURE_TS = ("1e-3", "0.05", "1", "99.5", "100", "100.5", "1e3", "1e6")
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_within_the_error_bound(self, digits):
+        # |h^(i) - exact| <= 2^-prec (|h^(i)| + |E| + |P|) + series_stop |P|,
+        # the h_table bound, with E = (e^(1/t))^(i) from the a_{i,k} closed
+        # form and P = psi^(i+1)(t) from mpmath, both at three times the digits
+        prec = WorkingPrecision(digits)
+        with prec.workdps():
+            ts = [mp.mpf(t) for t in self.ENCLOSURE_TS]
+            eps = mp.ldexp(1, -mp.prec)
+            stop = prec.series_stop
+        for t in ts:
+            table = h_table(0, 8, t, prec)
+            with mp.workdps(3 * prec.working_dps):
+                x = 1 / t
+                for i, got in enumerate(table):
+                    poly = sum(a_coeff(i, k) * x ** (2 * i - k) for k in range(i))
+                    exp_part = (-1) ** i * mp.exp(x) * (poly if i else 1)
+                    psi = mp.psi(i + 1, t)
+                    want = exp_part - psi
+                    bound = eps * (abs(want) + abs(exp_part) + abs(psi)) + stop * abs(psi)
+                    assert abs(got - want) <= bound, (i, t)
+
+    def test_huge_t_stays_cheap(self):
+        # every integer keeps about wq bits however large t is, so these
+        # take milliseconds; an integer that grew with log t would take
+        # seconds at t = 1e100000
+        prec = WorkingPrecision(30)
+        with prec.workdps():
+            eps = mp.ldexp(1, 1 - mp.prec)
+            ts = [mp.mpf(t) for t in ("1e300", "1e5000", "1e100000")]
+        for t in ts:
+            start = time.process_time()
+            table = h_table(0, 8, t, prec)
+            psi = polygamma_range(1, 9, t, prec)
+            assert time.process_time() - start < 1, t
+            with prec.workdps():
+                assert all(mp.isfinite(v) for v in table + psi)
+                for n, value in enumerate(psi, 1):
+                    # psi^(n)(t) = (-1)^(n+1) (n-1)!/t^n (1 + n/(2t) + ...)
+                    lead = (-1) ** (n + 1) * mp.factorial(n - 1) / t**n
+                    assert abs(value / lead - 1) <= eps, (n, t)
+                # h = 1 + O(t^-4); each h^(i) with i >= 1 is far below the
+                # cancellation bound i! t^-(i+1) eps of its two parts
+                assert abs(table[0] - 1) <= eps
+                for i, value in enumerate(table[1:], 1):
+                    assert abs(value) <= 4 * mp.factorial(i) / t ** (i + 1) * eps, (i, t)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -24,6 +24,7 @@ from cmcheck import (
     shifted_factorial,
     to_mpf,
 )
+from cmcheck.specfun import polygamma_fixed
 
 PREC = DEFAULT_PRECISION
 
@@ -218,6 +219,14 @@ class TestPolygammaRange:
                 polygamma_range(lo, hi, t, NoStop(30))
             assert excinfo.value.operation == "polygamma"
             assert lo <= excinfo.value.inputs["n"] <= hi
+            # the integer core raises it, with the same detail and inputs
+            with pytest.raises(NumericFailure) as core:
+                polygamma_fixed(lo, hi, t, NoStop(30))
+            assert (core.value.operation, core.value.detail, core.value.inputs) == (
+                excinfo.value.operation,
+                excinfo.value.detail,
+                excinfo.value.inputs,
+            )
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
