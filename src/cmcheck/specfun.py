@@ -4,12 +4,12 @@ Bessel I, and 1F2 series.
 Everything here evaluates at an explicit, caller-supplied precision.  The
 policy object is WorkingPrecision: user-facing digits plus a fixed guard,
 a relative stop threshold for positive-term series, and the noise floor
-against which sign claims are tested.  No function reads ambient mp.dps;
-each public one enters a workdps block and returns a plain mpf.  The
-engines compute in Python integers at binary scales and round once at the
-end.  Polygamma and the e^(1/t) derivatives have integer cores
-(polygamma_fixed, _exp_recip_fixed) that return each value as an integer
-and its scale, so laurent.h_table subtracts the two parts in integers.
+against which sign claims are tested.  No function reads ambient mp.dps.
+The engines compute in Python integers at binary scales, enter a workdps
+block and round once to a plain mpf at the end.  Polygamma and the
+e^(1/t) derivatives have integer cores (polygamma_fixed, _exp_recip_fixed)
+that return each value as an integer and its binary exponent, so
+laurent.h_table subtracts the two parts in integers before it rounds.
 """
 
 from dataclasses import dataclass, field
@@ -261,7 +261,7 @@ def _fixed_head(den, e, shift, s_lo, s_hi, wp):
 
 
 def polygamma_fixed(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
-    """The integer core of polygamma_range: [(P_n, W_n) for n = n_lo..n_hi].
+    """The integer core of polygamma_range: [(P_n, -W_n) for n = n_lo..n_hi].
 
     psi^(n)(t) = P_n 2^-W_n up to the error below, with n! and the sign
     (-1)^(n+1) included, for integers 1 <= n_lo <= n_hi and real t > 0.
@@ -392,7 +392,7 @@ def polygamma_fixed(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
         out = []
         for n, head, total, power in zip(orders, heads, sums, powers):
             value = factorial(n) * (head + (total * power >> wq))
-            out.append((value if n % 2 else -value, wq + n * beta))
+            out.append((value if n % 2 else -value, -(wq + n * beta)))
         return out
 
 
@@ -405,7 +405,7 @@ def polygamma_range(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
     """
     core = polygamma_fixed(n_lo, n_hi, t, prec)
     with prec.workdps():
-        return [mp.mpf((value, -scale)) for value, scale in core]
+        return [mp.mpf(pair) for pair in core]
 
 
 def polygamma(n, t, prec=DEFAULT_PRECISION):
