@@ -21,8 +21,9 @@ Also hosts h(t) = e^(1/t) - psi'(t) and its derivatives, the difference of
 the two engines from specfun.
 """
 
+from dataclasses import replace
 from functools import lru_cache
-from math import comb, factorial
+from math import ceil, comb, factorial, log10
 from operator import mul
 from typing import NamedTuple
 
@@ -329,6 +330,26 @@ def scaled_remainder_derivative(k, r, n, t, prec=DEFAULT_PRECISION):
     return tail_scaled_derivatives(k, r, t, n, prec)[n]
 
 
+# bits an h table may cancel, about 10 of the 15 guard digits, before it is
+# redone at a precision raised by what it lost; t = 1e3 cancels 33
+_CANCEL_BITS = 34
+
+
+def _h_integers(i_lo, i_hi, t, prec):
+    """([(H_i, f_i) for i = i_lo..i_hi], lost): h^(i)(t) ~ H_i 2^f_i at the
+    working precision of prec, and the most bits any order cancelled."""
+    with prec.workdps():
+        exps = _exp_recip_fixed(i_lo, i_hi, t)
+        psis = polygamma_fixed(i_lo + 1, i_hi + 1, t, prec)
+    rows, lost = [], 0
+    for (e_man, e_exp), (p_man, p_exp) in zip(exps, psis):
+        exp = max(e_exp, p_exp)
+        e, p = e_man >> exp - e_exp, p_man >> exp - p_exp
+        rows.append((e - p, exp))
+        lost = max(lost, max(e.bit_length(), p.bit_length()) - (e - p).bit_length())
+    return rows, lost
+
+
 def h_table(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
     """[h^(i)(t) for i = i_lo..i_hi], 0 <= i_lo <= i_hi, t > 0, in one pass.
 
@@ -343,15 +364,27 @@ def h_table(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
     Error bound.  With E the exp part and P = psi^(i+1)(t), the integers
     give E within 2^-(mp.prec+1) relative (_exp_recip_fixed: one rounding
     of mp.exp and a few units per fixed-point power) and P within
-    (i+1) 2^-(mp.prec+20) relative (polygamma_fixed, less its truncation at
-    series_stop).  Both integers have at least wq - log2(i+1) bits, wq =
+    (i+1) 2^-(mp.prec+21) relative (polygamma_fixed, less its truncation at
+    series_stop).  Both integers have at least wq - log2(i+1) bits, wq >=
     mp.prec + 32, so shifting the finer one to the coarser scale costs
     under (i+1) 2^-wq of the part at that scale, and the mpf conversion
-    rounds h^(i) once.  So for i < 512 h^(i) is within
-    2^-mp.prec (|h^(i)| + |E| + |P|) of its exact value: the subtraction
-    cancels about log2((|E| + |P|) / |h^(i)|) bits at large t, which the
-    guard digits absorb on the default grid (about 9 digits at t = 1e3 and
-    order 8, but 18 at t = 1e6).
+    rounds h^(i) once.  So for i < 512 one pass gives h^(i) within
+
+        2^-mp.prec (|h^(i)| + |E| + |P|) + series_stop |P|.
+
+    The subtraction cancels about log2((|E| + |P|) / |h^(i)|) bits, which
+    grows like 3 log2 t at large t (33 bits at t = 1e3 and order 1, 63 at
+    t = 1e6), and the aligned integers show it: lost = max(bitlen E,
+    bitlen P) - bitlen(E - P) is within a bit of it, so |E| + |P| <
+    2^(lost+2) |h^(i)|.  When an order loses more than 34 bits, about 10 of
+    the 15 guard digits, the table is computed again the same way at r =
+    min(lost + 1, mp.prec) more bits: ceil(r log10 2) more digits, which
+    lower series_stop by as much, and the one pass bound holds there.  For
+    lost < mp.prec that puts h^(i) within about 2^(1-mp.prec) |h^(i)| +
+    2 series_stop |h^(i)|.  Past that, t beyond about 2^(mp.prec/3), the
+    retry stops at twice the precision, so a table costs at most two passes
+    however large t is; the one pass bound at 2 mp.prec bits still holds.
+    Grids ending at 1e3 never retry.
     """
     if not isinstance(i_lo, int) or not isinstance(i_hi, int) or not 0 <= i_lo <= i_hi:
         raise ValueError(f"need integers 0 <= i_lo <= i_hi, got {i_lo!r}, {i_hi!r}")
@@ -359,13 +392,13 @@ def h_table(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
         t = to_mpf(t)
         if t <= 0:
             raise ValueError(f"t must be positive, got {t}")
-        exps = _exp_recip_fixed(i_lo, i_hi, t)
-        psis = polygamma_fixed(i_lo + 1, i_hi + 1, t, prec)
-        out = []
-        for (e_man, e_exp), (p_man, p_exp) in zip(exps, psis):
-            exp = max(e_exp, p_exp)
-            out.append(mp.mpf(((e_man >> exp - e_exp) - (p_man >> exp - p_exp), exp)))
-        return out
+        rows, lost = _h_integers(i_lo, i_hi, t, prec)
+        if lost > _CANCEL_BITS:
+            more_digits = ceil(min(lost + 1, mp.prec) * log10(2))
+            rows, _ = _h_integers(
+                i_lo, i_hi, t, replace(prec, digits=prec.digits + more_digits)
+            )
+        return [mp.mpf(row) for row in rows]
 
 
 def h_function(t, prec=DEFAULT_PRECISION):

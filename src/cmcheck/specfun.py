@@ -230,11 +230,19 @@ def _dyadic(x):
     return (man << exp, 0) if exp >= 0 else (man, -exp)
 
 
-@lru_cache(maxsize=None)  # polygamma asks for v < 300, h_kernel ~ (digits+5)/2.8
+@lru_cache(maxsize=None)  # v below polygamma's budget, h_kernel ~ (digits+5)/2.8
 def _em_coefficient(v):
     """B_{2v}/(2v)! as an exact (numerator, denominator) pair."""
     p, q = mp.bernfrac(2 * v)
     return p, q * factorial(2 * v)
+
+
+@lru_cache(maxsize=None)  # one entry per v and per precision a process uses
+def _em_weight(v, wq):
+    """(C_v, G_v): C_v = floor(B_{2v}/(2v)! 2^G_v), of wq or wq+1 bits."""
+    p, q = _em_coefficient(v)
+    g = wq + q.bit_length() - abs(p).bit_length()
+    return (p << g) // q, g
 
 
 def _fixed_head(den, e, shift, s_lo, s_hi, wp):
@@ -268,22 +276,27 @@ def polygamma_fixed(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
 
     Each order is n! times the Hurwitz-style sum sum_{j>=0} (t+j)^-(n+1).
     One shift serves every order: explicit head terms move the argument to
-    a >= max(10(n_hi+1), ~0.8 dps), the target of the highest order, then an
+    a >= max(2(n_hi+1), dps/2), dps = prec.working_dps, then an
     Euler-Maclaurin tail
 
         a^(1-s)/(s-1) + a^(-s)/2 + sum_v B_{2v}/(2v)! (s)_{2v-1} a^(1-s-2v)
 
     with s = n+1 finishes each sum; the first omitted term bounds the error
-    since the summand is completely monotone.
+    since the summand is completely monotone.  The target balances the two
+    parts: a head term costs one division and a product per order, about
+    what a tail term costs, and a larger a saves ever fewer tail terms.
+    At a >= dps/2 the smallest tail term, near v = pi a, is about
+    e^(-2 pi a) < 10^-(1.3 dps), so each tail stops after about 0.6 dps
+    terms, inside the budget of N = max(300, dps) terms.
 
     Scales.  a = t + shift is an exact mpf c 2^d with c a b-bit integer, so
     2^(beta-1) <= a < 2^beta for beta = b + d.  Order n is kept at 2^-W_n,
-    W_n = wq + n beta with wq = mp.prec + 32, where a^-n is at least 2^wq
-    units: every integer has about wq bits whatever t is, and only the
-    exponents W_n grow with log t.  U = floor(2^(wq+b) / c) and U2 =
-    floor(2^(wq+2b) / c^2) are 2^beta/a and (2^beta/a)^2 at 2^-wq, one
-    division each, and A_n = a^-n 2^(n beta) at 2^-wq is U^n, shifted back
-    by wq after each product.
+    W_n = wq + n beta with wq = mp.prec + 16 + 2 bitlen(N), where a^-n is
+    at least 2^wq units: every integer has about wq bits whatever t is,
+    and only the exponents W_n grow with log t.  U = floor(2^(wq+b) / c)
+    and U2 = floor(2^(wq+2b) / c^2) are 2^beta/a and (2^beta/a)^2 at 2^-wq,
+    one division each, and A_n = a^-n 2^(n beta) at 2^-wq is U^n, shifted
+    back by wq after each product.
 
     Head.  When shift > 0, t = den / 2^e and _fixed_head sums every order
     at wp = wq + (n_hi+1) beta bits, where each term exceeds a^-(n_hi+1) >
@@ -295,26 +308,28 @@ def polygamma_fixed(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
     (s)_{2v-1} u^(2v)] at 2^-wq, with u = 1/a and c_v = B_{2v}/(2v)!.  The
     rising factorial (s)_{2v-1} of each order is an exact integer, advanced
     by two small factors per term.  The rest of term v is shared by every
-    order and formed once per v: C_v = floor(c_v 2^G_v) of wq or wq+1 bits,
-    (2^beta/a)^(2v) as the last one times U2 shifted back by wq, and their
-    product shifted back by wq, the weight.  Term v of each order is then
-    the weight times (s)_{2v-1}, shifted right by G_v - wq + 2v beta: one
-    multiply and one shift.  The weight is within a relative (2v+4) 2^-wq
-    (2^(1-wq) for C_v and for the product, 2^-wq for each U2 and each of
-    the 2v floors), so term v is off by at most (2v+4) 2^-wq |T_v| + 1
-    units, T_v the exact term.  While the terms decrease (else the
-    contraction check raises), |T_v| <= T_1 = s u^2/12 < 2^wq/2400 as
-    a >= 10 s, so over the 300-term budget the bracket is off by under
-    2^9 + 3 units, against a bracket of at least 1/n.  The bracket times
-    A_n, shifted back by wq, is the tail at 2^-W_n, within a relative
-    (3n+1) 2^-wq more.
+    order and formed once per v: C_v = floor(c_v 2^G_v) of wq or wq+1 bits
+    (_em_weight, kept per v and wq), (2^beta/a)^(2v) as the last one times
+    U2 shifted back by wq, and their product shifted back by wq, the
+    weight.  Term v of each order is then the weight times (s)_{2v-1},
+    shifted right by G_v - wq + 2v beta: one multiply and one shift.  The
+    weight is within a relative (2v+4) 2^-wq (2^(1-wq) for C_v and for the
+    product, 2^-wq for each U2 and each of the 2v floors), so term v is off
+    by at most (2v+4) 2^-wq |T_v| + 1 units, T_v the exact term.  While the
+    terms decrease (else the contraction check raises), |T_v| <= T_1 =
+    s u^2/12 <= 2^wq/(48 s) <= 2^wq/96 as a >= 2s, so over the at most
+    N - 1 terms, with 1/n and u/2 off by 3 units, the bracket is off by at
+    most (N-1)(N+4)/96 + N + 2 <= N^2/48 units (N >= 101), against a
+    bracket of at least 1/n.  The bracket times A_n, shifted back by wq, is
+    the tail at 2^-W_n, within a relative (3n+1) 2^-wq more.
 
-    So the integer head + tail of order n is within n (2^10 + 6n) 2^-wq of
-    the exact partial sum, relatively, that is n 2^-(mp.prec+20) for
-    n <= 512, and the exact n! and sign leave that unchanged.  Each order
-    keeps its own contraction check, its 300-term budget and its relative
-    stop: once a term drops below series_stop (head + tail), with the tail
-    at its first two terms, all compared in integers.
+    So the integer head + tail of order n is within n N^2/48 2^-wq + n (2n
+    + 11) 2^-wq of the exact partial sum, relatively.  As N < 2^bitlen(N)
+    and bitlen(N) >= 9, that is under n 2^-(mp.prec+21) for n <= 512, and
+    the exact n! and sign leave that unchanged.  Each order keeps its own
+    contraction check, its N-term budget and its relative stop: once a
+    term drops below series_stop (head + tail), with the tail at its first
+    two terms, all compared in integers.
     """
     for n in (n_lo, n_hi):
         if not isinstance(n, int) or n < 1:
@@ -326,12 +341,14 @@ def polygamma_fixed(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
         if t <= 0:
             raise ValueError(f"t must be positive, got {t}")
         orders = range(n_lo, n_hi + 1)
-        target = max(10 * (n_hi + 1), int(0.8 * prec.working_dps) + 1)
+        target = max(2 * (n_hi + 1), prec.working_dps // 2 + 1)
         shift = int(mp.ceil(target - t)) if t < target else 0
         a = mp.fadd(t, shift, exact=True)
         _, c, d, b = a._mpf_
         beta = b + d
-        wq = mp.prec + _GUARD_BITS
+        budget = max(300, prec.working_dps)
+        # 34 guard bits under 512 terms, two more each time the budget doubles
+        wq = mp.prec + 16 + 2 * budget.bit_length()
         heads = [0] * len(orders)
         if shift:
             den, e = _dyadic(t)
@@ -360,12 +377,11 @@ def polygamma_fixed(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
         u2v = one
         prev = [inf] * len(orders)
         active = list(range(len(orders)))
-        for v in range(1, 300):
+        for v in range(1, budget):
             # c_v (2^beta u)^(2v) at 2^-g, shared by every order
-            p, q = _em_coefficient(v)
-            g = wq + q.bit_length() - abs(p).bit_length()
+            c_scaled, g = _em_weight(v, wq)
             u2v = u2v * u2_scaled >> wq
-            weight = ((p << g) // q) * u2v >> wq
+            weight = c_scaled * u2v >> wq
             down = g - wq + 2 * v * beta
             still = []
             for i in active:
@@ -400,7 +416,7 @@ def polygamma_range(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
     """[psi^(n)(t) for n = n_lo..n_hi] for integers 1 <= n_lo <= n_hi, real t > 0.
 
     All orders come from one pass of polygamma_fixed, whose integers are
-    within n 2^-(mp.prec+20) relative (n <= 512) of the sum it truncates at
+    within n 2^-(mp.prec+21) relative (n <= 512) of the sum it truncates at
     series_stop; each is rounded once to the working precision here.
     """
     core = polygamma_fixed(n_lo, n_hi, t, prec)

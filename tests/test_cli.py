@@ -42,6 +42,16 @@ class TestEval:
         with mp.workdps(70):
             assert record["value"] == mp.nstr(mp.pi ** 2 / 6, 50)
 
+    def test_trigamma_at_a_thousand_digits(self, capsys):
+        # the Euler-Maclaurin budget of polygamma grows with the digits
+        argv = ["eval", "--fn", "trigamma", "--t", "0.5", "--digits", "1000"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        value = json.loads(out)["results"][0]["value"]
+        with mp.workdps(1040):
+            want = mp.psi(1, mp.mpf("0.5"))
+            assert abs(mp.mpf(value) - want) <= mp.mpf(10) ** -997 * want
+
     def test_digits_flag_controls_output(self, capsys):
         code, out, _ = run_cli(
             ["eval", "--fn", "trigamma", "--t", "1", "--digits", "30"], capsys

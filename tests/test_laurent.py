@@ -412,31 +412,53 @@ class TestHTable:
             excinfo.value.inputs,
         )
 
-    # 99.5, 100 and 100.5 sit on both sides of the shift target 100 of
-    # polygamma_fixed(1, 9) at these digits
     ENCLOSURE_TS = ("1e-3", "0.05", "1", "99.5", "100", "100.5", "1e3", "1e6")
+
+    @staticmethod
+    def parts(i, t):
+        """(E, P): the i-th derivative of e^(1/t) by the a_{i,k} closed form,
+        and psi^(i+1)(t) by mpmath, at the current precision."""
+        x = 1 / t
+        poly = sum(a_coeff(i, k) * x ** (2 * i - k) for k in range(i))
+        return (-1) ** i * mp.exp(x) * (poly if i else 1), mp.psi(i + 1, t)
 
     @pytest.mark.parametrize("digits", (30, 50, 100))
     def test_within_the_error_bound(self, digits):
         # |h^(i) - exact| <= 2^-prec (|h^(i)| + |E| + |P|) + series_stop |P|,
-        # the h_table bound, with E = (e^(1/t))^(i) from the a_{i,k} closed
-        # form and P = psi^(i+1)(t) from mpmath, both at three times the digits
+        # the h_table bound, with E and P at three times the digits; the
+        # target +- 1/2 of polygamma_fixed(1, 9), working_dps // 2 + 1 here,
+        # sits on both sides of its shift
         prec = WorkingPrecision(digits)
+        target = prec.working_dps // 2 + 1
         with prec.workdps():
             ts = [mp.mpf(t) for t in self.ENCLOSURE_TS]
+            ts += [target - mp.mpf("0.5"), mp.mpf(target), target + mp.mpf("0.5")]
             eps = mp.ldexp(1, -mp.prec)
             stop = prec.series_stop
         for t in ts:
             table = h_table(0, 8, t, prec)
             with mp.workdps(3 * prec.working_dps):
-                x = 1 / t
                 for i, got in enumerate(table):
-                    poly = sum(a_coeff(i, k) * x ** (2 * i - k) for k in range(i))
-                    exp_part = (-1) ** i * mp.exp(x) * (poly if i else 1)
-                    psi = mp.psi(i + 1, t)
+                    exp_part, psi = self.parts(i, t)
                     want = exp_part - psi
                     bound = eps * (abs(want) + abs(exp_part) + abs(psi)) + stop * abs(psi)
                     assert abs(got - want) <= bound, (i, t)
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_large_t_keeps_its_digits(self, digits):
+        # past t = 1e3 the two parts cancel more than 10 of the 15 guard
+        # digits, and the table is redone at a precision raised by as many
+        prec = WorkingPrecision(digits)
+        with prec.workdps():
+            stop = prec.series_stop
+            ts = [mp.mpf(t) for t in ("1e4", "1e6", "1e9")]
+        for t in ts:
+            table = h_table(0, 8, t, prec)
+            with mp.workdps(3 * prec.working_dps):
+                for i, got in enumerate(table):
+                    exp_part, psi = self.parts(i, t)
+                    want = exp_part - psi
+                    assert abs(got - want) <= stop * abs(want), (i, t)
 
     def test_huge_t_stays_cheap(self):
         # every integer keeps about wq bits however large t is, so these

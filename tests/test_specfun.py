@@ -213,6 +213,24 @@ class TestPolygammaRange:
                     one = polygamma(n, t, prec)
                     assert abs(value - one) <= stop * abs(one), (n, t)
 
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_orders_on_both_sides_of_the_shift_target(self, digits):
+        # the head ends at max(2 (n_hi + 1), working_dps // 2 + 1): 84 for 41
+        # orders at these digits, and the digits' own target for 9
+        prec = WorkingPrecision(digits)
+        target = prec.working_dps // 2 + 1
+        cases = [(41, t) for t in ("0.01", "83.5", 84, "84.5")]
+        cases += [(9, t) for t in (target - mp.mpf("0.5"), target, target + mp.mpf("0.5"))]
+        with prec.workdps():
+            stop = prec.series_stop
+        for n_hi, t in cases:
+            values = polygamma_range(1, n_hi, t, prec)
+            with mp.workdps(prec.working_dps + 40):
+                t = mp.mpf(t)
+                for n, value in enumerate(values, 1):
+                    want = mp.psi(n, t)
+                    assert abs(value - want) <= stop * abs(want), (n, t)
+
     def test_failure_carries_the_polygamma_operation(self):
         for lo, hi, t in ((1, 1, 1), (1, 9, "0.3")):
             with pytest.raises(NumericFailure) as excinfo:
