@@ -16,9 +16,13 @@ carry it across the noise floor is refused.  A bisection step settles its
 signs in integers and builds an mpf value only where a bracket is not
 settled positive (ScaledDerivative.passes); the r-independent factors of
 such values are built at the first t that needs one and kept.  The h scans
-keep one h table per grid point in the same way (h_oracle).  A grid scan
-can only certify failure (a witness) or survive it (no claim beyond the
-grid), so the result is a bracket, never an attained value.
+take two passes (HOracle): one 30-digit table per grid point gives every
+h^(n)(t) as an integer ball that holds its value at the digits asked for,
+and ball_minimum evaluates at those digits only the values the balls
+cannot settle, those that may lie below the noise floor and the
+candidates for the minimum, so the report is the one-pass report.  A grid
+scan can only certify failure (a witness) or survive it (no claim beyond
+the grid), so the result is a bracket, never an attained value.
 """
 
 from dataclasses import dataclass
@@ -28,7 +32,7 @@ from typing import Optional
 
 from mpmath import mp
 
-from .laurent import _hk_lead, h_table, hk_sums
+from .laurent import _hk_lead, h_balls, h_table, hk_sums
 from .specfun import DEFAULT_PRECISION, NumericFailure, _dyadic, to_mpf
 
 
@@ -99,30 +103,43 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
     outermost and t ascends, so a reported violation carries the smallest
     failing order and, within it, the smallest failing t.  Oracle errors
     surface as NumericFailure tagged with the offending (n, t).
+
+    An HOracle is walked in two passes by ball_minimum: its 30-digit balls
+    settle every evaluation they can, and only the rest, with the
+    candidates for the minimum, are evaluated at prec.  The report is the
+    one-pass walk's.
     """
     if not isinstance(max_order, int) or max_order < 0:
         raise ValueError(f"max_order must be a nonnegative integer, got {max_order!r}")
     with prec.workdps():
         floor = prec.noise_floor
         ts = grid.values(prec)
-        min_signed = mp.inf
-        arg_n = -1
-        arg_t = None
-        evals = 0
-        violation = None
-        for n in range(max_order + 1):
-            for t in ts:
-                value, signed = _signed_value(derivative_oracle, n, t)
-                evals += 1
-                if signed < min_signed:
-                    min_signed = signed
-                    arg_n = n
-                    arg_t = t
-                if signed < -floor:
-                    violation = Violation(order=n, t=t, value=value)
+        if (
+            isinstance(derivative_oracle, HOracle)
+            and max_order <= derivative_oracle.max_order
+        ):
+            walk = _h_walk(derivative_oracle, ts, max_order, floor)
+            min_signed, (arg_n, arg_t), evals, violation = walk
+        else:
+            # one pass, each (n, t) evaluated
+            min_signed = mp.inf
+            arg_n = -1
+            arg_t = None
+            evals = 0
+            violation = None
+            for n in range(max_order + 1):
+                for t in ts:
+                    value, signed = _signed_value(derivative_oracle, n, t)
+                    evals += 1
+                    if signed < min_signed:
+                        min_signed = signed
+                        arg_n = n
+                        arg_t = t
+                    if signed < -floor:
+                        violation = Violation(order=n, t=t, value=value)
+                        break
+                if violation is not None:
                     break
-            if violation is not None:
-                break
         return SignPatternReport(
             grid=grid,
             max_order=max_order,
@@ -133,6 +150,89 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
             argmin_t=arg_t,
             evaluations=evals,
         )
+
+
+def _h_walk(oracle, ts, max_order, floor):
+    """(min_signed, (n, t) of it, evaluations, violation) of check_sign_pattern
+    over an HOracle, by ball_minimum at the current working precision."""
+
+    def ball(key):
+        n, t = key
+        balls = oracle.balls(t)
+        if balls is None:
+            return None
+        mid, rad, x = balls[n]
+        return (-mid if n % 2 else mid), rad, x
+
+    keys = [(n, t) for n in range(max_order + 1) for t in ts]
+    least, arg, evals, stopped = ball_minimum(
+        keys, ball, lambda key: _signed_value(oracle, *key)[1], floor
+    )
+    violation = None
+    if stopped:
+        n, t = keys[evals - 1]
+        violation = Violation(order=n, t=t, value=oracle(n, t))
+    return least, arg, evals, violation
+
+
+def _below(a, x, b, y):
+    """a 2^x < b 2^y, exactly, for integers a, b, x and y."""
+    if x > y:
+        return a << x - y < b
+    return a < b << y - x
+
+
+def ball_minimum(keys, ball, exact, floor=None):
+    """(least, key, count, stopped): the smallest exact(key) over keys in
+    order, as a one-pass walk that evaluates every key finds it.
+
+    ball(key) is None or integers (H, R, x) with exact(key) in
+    [H - R, H + R] 2^x; exact(key) is the value itself, an mpf.  The walk
+    takes the keys in order.  A key whose ball is None, or with a floor
+    one whose lower end lies below -floor, is evaluated at once, and with
+    a floor the first such value below -floor ends the walk: stopped is
+    then True and that key is the last of the count walked.  Every other
+    key is settled by its ball alone.
+
+    A ball whose lower end lies above the smallest upper end of all the
+    balls walked holds a value larger than that ball's, so it cannot be
+    the minimum.  The rest, the candidates, are evaluated in walk order,
+    and the first value smaller than all before it is kept, as the
+    one-pass walk's strict < keeps it: least, its key, count and stopped
+    equal that walk's.  Every comparison of balls is exact, in integers at
+    a common binary exponent; an evaluated value enters as the ball of
+    radius 0 at its mpf's own dyadic.
+    """
+    if floor is not None:
+        f_num, f_e = _dyadic(floor)
+    walked = []  # (key, ball, value or None)
+    stopped = False
+    for key in keys:
+        b = ball(key)
+        if b is not None and (
+            floor is None or not _below(b[0] - b[1], b[2], -f_num, -f_e)
+        ):
+            walked.append((key, b, None))
+            continue
+        value = exact(key)
+        num, e = _dyadic(value)
+        walked.append((key, (num, 0, -e), value))
+        if floor is not None and value < -floor:
+            stopped = True
+            break
+    top, top_x = None, None
+    for _, (mid, rad, x), _ in walked:
+        if top is None or _below(mid + rad, x, top, top_x):
+            top, top_x = mid + rad, x
+    least = arg = None
+    for key, (mid, rad, x), value in walked:
+        if _below(top, top_x, mid - rad, x):
+            continue
+        if value is None:
+            value = exact(key)
+        if least is None or value < least:
+            least, arg = value, key
+    return least, arg, len(walked), stopped
 
 
 def _signed_value(derivative_oracle, n, t):
@@ -192,9 +292,34 @@ class TableOracle(TableCache):
             return self.table(to_mpf(t))[n]
 
 
+class HOracle(TableOracle):
+    """h^(n)(t), n <= max_order, over h_table, with a 30-digit ball per point.
+
+    balls(t) is h_balls(0, max_order, t, prec), kept per t like the tables:
+    check_sign_pattern and the suite walk an HOracle in two passes
+    (ball_minimum), so the tables at prec are summed only at the points
+    that the balls cannot settle.  series counts the points summed at
+    either precision.
+    """
+
+    def __init__(self, max_order, prec=DEFAULT_PRECISION):
+        super().__init__(lambda t: h_table(0, max_order, t, prec), max_order, prec)
+        self._balls = {}
+
+    @property
+    def series(self):
+        return len(self._tables.keys() | self._balls.keys())
+
+    def balls(self, t):
+        """The balls at t, an mpf at working precision, or None (h_balls)."""
+        if t not in self._balls:
+            self._balls[t] = h_balls(0, self.max_order, t, self.prec)
+        return self._balls[t]
+
+
 def h_oracle(max_order, prec=DEFAULT_PRECISION):
-    """oracle(n, t) = h^(n)(t), n <= max_order, over one h_table per grid point."""
-    return TableOracle(lambda t: h_table(0, max_order, t, prec), max_order, prec)
+    """oracle(n, t) = h^(n)(t), n <= max_order, as an HOracle."""
+    return HOracle(max_order, prec)
 
 
 class ScaledTailOracle(TableCache):

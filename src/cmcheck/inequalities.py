@@ -3,7 +3,10 @@
 Two inequalities are scanned over log grids, both through the h engines:
 the trigamma bound psi'(t) < e^(1/t) - 1 (margin h(t) - 1) and the Bessel
 lower bound I_1(t) > (t/2)^3 / (1 - e^(-(t/2)^2)) (margin (t/2) times the
-Laplace density of h - 1 at (t/2)^2).  The polynomial family f_i(t) that
+Laplace density of h - 1 at (t/2)^2).  The trigamma scan takes two passes:
+30-digit balls of h - 1 at every grid point (laurent.h_balls), and the
+margin at the digits asked for only where cmdeg.ball_minimum cannot rule
+the point out of the minimum.  The polynomial family f_i(t) that
 drives the difference-derivative bound
 
     (-1)^i [h(t+1) - h(t)]^(i) < i! f_i(t) / (12 t^(i+3) (t+1)^(i+3))
@@ -19,9 +22,9 @@ from math import comb
 
 from mpmath import mp
 
-from .cmdeg import LogGrid
+from .cmdeg import LogGrid, ball_minimum
 from .laplace import h_kernel
-from .laurent import h_function, h_table
+from .laurent import h_balls, h_function, h_table
 from .specfun import DEFAULT_PRECISION, to_mpf
 
 FPOLY_FORMS = ("A", "B", "C", "D")
@@ -133,18 +136,29 @@ class InequalityScanReport:
     evaluations: int
 
 
-def _scan(inequality, margin_fn, grid, prec):
+def _scan(inequality, margin_fn, grid, prec, ball=None):
+    """The smallest margin_fn(t) over the grid, the first t to reach it.
+
+    With ball(t), the integer ball of ball_minimum, the margins come from
+    ball_minimum, which evaluates margin_fn only at the t whose balls do
+    not rule them out; without it every t is evaluated.  Both give the
+    same report.
+    """
     with prec.workdps():
         floor = prec.noise_floor
-        best = mp.inf
-        best_t = None
-        count = 0
-        for t in grid.values(prec):
-            m = margin_fn(t)
-            count += 1
-            if m < best:
-                best = m
-                best_t = t
+        ts = grid.values(prec)
+        if ball is not None:
+            best, best_t, count, _ = ball_minimum(ts, ball, margin_fn)
+        else:
+            best = mp.inf
+            best_t = None
+            count = 0
+            for t in ts:
+                m = margin_fn(t)
+                count += 1
+                if m < best:
+                    best = m
+                    best_t = t
         return InequalityScanReport(
             inequality=inequality,
             grid=grid,
@@ -155,13 +169,33 @@ def _scan(inequality, margin_fn, grid, prec):
         )
 
 
+def _h_minus_one_ball(t, prec):
+    """The ball of h(t) - 1 from h_balls, whose radius covers that one
+    rounding, or None where h_balls gives none."""
+    balls = h_balls(0, 0, t, prec)
+    if balls is None:
+        return None
+    ((mid, rad, x),) = balls
+    if x > 0:
+        mid, rad, x = mid << x, rad << x, 0
+    return mid - (1 << -x), rad, x
+
+
 def check_ineq_trigamma(grid=DEFAULT_TRIGAMMA_GRID, prec=DEFAULT_PRECISION):
     """Scan psi'(t) < e^(1/t) - 1, i.e. margin h(t) - 1 > 0.
 
     At large t the margin decays like 1/(24 t^4), still far above the noise
-    floor on the default grid.
+    floor on the default grid.  The scan takes two passes: the margin
+    h_function(t) - 1 at prec only where a 30-digit ball (h_balls) leaves
+    t a candidate for the minimum, usually one grid point.
     """
-    return _scan("trigamma", lambda t: h_function(t, prec) - 1, grid, prec)
+    return _scan(
+        "trigamma",
+        lambda t: h_function(t, prec) - 1,
+        grid,
+        prec,
+        lambda t: _h_minus_one_ball(t, prec),
+    )
 
 
 def bessel_margin(t, prec=DEFAULT_PRECISION):

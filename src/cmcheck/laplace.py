@@ -20,12 +20,15 @@ Theory and Approximation Practice, Thm 19.3), with the integrand's maximum
 on the ellipse bounded through the kernel's Taylor coefficients.  Results
 carry that error bound (panel bounds plus tail bound); a tolerance it
 cannot reach raises NumericFailure rather than returning a guess.  The
-bound does not count the kernels' own relative error (series stop
-10^-(digits+5)) or rounding, both at least 15 orders of magnitude below the
-tightest tolerance accepted.
+bound does not count the kernels' own relative error or rounding.  The
+nodes are evaluated at d = max(30, ceil(-log10 rel_tol) + 10) digits,
+capped at the digits asked for (_node_precision), so the kernels stop at
+10^-(d+5) <= 10^-15 rel_tol relative and round at d + 15 digits: both at
+least 15 orders of magnitude below the tolerance, which _check_rel_tol
+keeps at or above 10^-(digits-10), so the cap never binds.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import comb, cos, pi
 from typing import Optional
@@ -326,11 +329,18 @@ def _gauss_panel(kernel, z, a, b, order, prec):
 
 
 def _tail_bound(weight, T, z):
-    """Exact integral_T^inf t^w e^(2 sqrt t - z t) dt at the ambient precision.
+    """An upper bound on integral_T^inf t^w e^(2 sqrt t - z t) dt at the
+    ambient precision.
 
-    Completing the square after t = s^2 reduces it to upper incomplete
-    gamma functions; every transform kernel here is dominated by
-    t^w e^(2 sqrt t) termwise, so this bounds the discarded tail.
+    Every transform kernel here is dominated by t^w e^(2 sqrt t) termwise,
+    so this bounds the discarded tail.  With t = v^2, v = a + y, a = 1/z,
+    the integral is 2 e^a sum_j C(n,j) a^(n-j) Gamma(s_j, x) / (2 z^s_j),
+    n = 2w + 1, s_j = (j+1)/2 and x = z (sqrt T - a)^2, a sum of positive
+    terms.  Each Gamma(s, x) is replaced by an upper bound with one shared
+    e^-x where one applies: x^(s-1) e^-x for s <= 1 (DLMF 8.10.1), and
+    x^(s-1) e^-x / (1 - (s-1)/x) for s > 1 and x > s - 1, since
+    (u/x)^(s-1) <= e^((s-1)(u-x)/x) for u >= x.  For s > 1 and x <= s - 1
+    it is mpmath's gammainc.
     """
     a = 1 / z
     v0 = mp.sqrt(T) - a
@@ -338,10 +348,20 @@ def _tail_bound(weight, T, z):
         return mp.inf
     x = z * v0 * v0
     n = 2 * weight + 1
+    root_x, root_z = mp.sqrt(x), mp.sqrt(z)
+    decay = mp.exp(-x)
+    power = decay / root_x  # x^(s-1) e^-x at s = 1/2
     total = mp.mpf(0)
     for j in range(n + 1):
-        g = mp.gammainc(mp.mpf(j + 1) / 2, x) / (2 * z ** (mp.mpf(j + 1) / 2))
-        total += comb(n, j) * a ** (n - j) * g
+        s = mp.mpf(j + 1) / 2
+        if s <= 1:
+            g = power
+        elif x > s - 1:
+            g = power / (1 - (s - 1) / x)
+        else:
+            g = mp.gammainc(s, x)
+        total += comb(n, j) * a ** (n - j) * g / (2 * root_z ** (j + 1))
+        power *= root_x
     return 2 * mp.exp(a) * total
 
 
@@ -354,6 +374,13 @@ def _check_rel_tol(rel_tol, spent, prec):
         raise ValueError(
             f"rel_tol {rel_tol} too tight for {prec.digits} digits of working precision"
         )
+
+
+def _node_precision(prec, rel_tol):
+    """prec's policy at max(30, ceil(-log10 rel_tol) + 10) digits, at most
+    prec.digits: the precision of the quadrature nodes."""
+    digits = max(30, int(mp.ceil(-mp.log10(rel_tol))) + 10)
+    return replace(prec, digits=min(digits, prec.digits))
 
 
 def laplace_transform(kernel, z, rel_tol=None, prec=DEFAULT_PRECISION):
@@ -371,6 +398,7 @@ def laplace_transform(kernel, z, rel_tol=None, prec=DEFAULT_PRECISION):
     known both budgets are checked against it; while one fails, T is
     extended or the panel with the largest bound is redone under the same
     rule.  Raises NumericFailure once the node budget is exhausted first.
+    The panels are evaluated at _node_precision and summed at prec.
     """
     if not isinstance(kernel, KernelSpec):
         raise ValueError(f"kernel must be a KernelSpec, got {kernel!r}")
@@ -380,6 +408,7 @@ def laplace_transform(kernel, z, rel_tol=None, prec=DEFAULT_PRECISION):
             raise ValueError(f"z must be positive, got {z}")
         rel_tol = to_mpf(rel_tol) if rel_tol is not None else mp.mpf("1e-12")
         _check_rel_tol(rel_tol, rel_tol, prec)
+        node_prec = _node_precision(prec, rel_tol)
 
         nodes, bound_evaluations = 0, 0
         edge_values = {}
@@ -455,7 +484,8 @@ def laplace_transform(kernel, z, rel_tol=None, prec=DEFAULT_PRECISION):
                     continue
                 order, bound = chosen
                 nodes += order
-                out.append((bound, a, b, _gauss_panel(kernel, z, a, b, order, prec)))
+                value = _gauss_panel(kernel, z, a, b, order, node_prec)
+                out.append((bound, a, b, value))
             return out
 
         T = max(mp.mpf(16), (1 / z + mp.mpf("1.5")) ** 2)

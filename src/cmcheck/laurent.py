@@ -18,7 +18,9 @@ and a short exact prefix: hk_sums sums that one series in fixed-point
 integers, derives every order from it with a proven radius, and hk_table
 turns the results into mpfs.
 Also hosts h(t) = e^(1/t) - psi'(t) and its derivatives, the difference of
-the two engines from specfun.
+the two engines from specfun: h_table rounds them to mpfs, and h_balls keeps
+a 30-digit table as integer balls, with a radius that covers h_table's value
+at any digits too, for the first pass of the h scans.
 """
 
 from dataclasses import replace
@@ -335,19 +337,18 @@ def scaled_remainder_derivative(k, r, n, t, prec=DEFAULT_PRECISION):
 _CANCEL_BITS = 34
 
 
-def _h_integers(i_lo, i_hi, t, prec):
-    """([(H_i, f_i) for i = i_lo..i_hi], lost): h^(i)(t) ~ H_i 2^f_i at the
-    working precision of prec, and the most bits any order cancelled."""
+def _h_parts(i_lo, i_hi, t, prec):
+    """[(E_i, P_i, x_i) for i = i_lo..i_hi]: d^i/dt^i e^(1/t) ~ E_i 2^x_i and
+    psi^(i+1)(t) ~ P_i 2^x_i at the working precision of prec, each pair
+    shifted to the coarser of its two scales, so h^(i)(t) ~ (E_i - P_i) 2^x_i."""
     with prec.workdps():
         exps = _exp_recip_fixed(i_lo, i_hi, t)
         psis = polygamma_fixed(i_lo + 1, i_hi + 1, t, prec)
-    rows, lost = [], 0
+    parts = []
     for (e_man, e_exp), (p_man, p_exp) in zip(exps, psis):
         exp = max(e_exp, p_exp)
-        e, p = e_man >> exp - e_exp, p_man >> exp - p_exp
-        rows.append((e - p, exp))
-        lost = max(lost, max(e.bit_length(), p.bit_length()) - (e - p).bit_length())
-    return rows, lost
+        parts.append((e_man >> exp - e_exp, p_man >> exp - p_exp, exp))
+    return parts
 
 
 def h_table(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
@@ -392,13 +393,94 @@ def h_table(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
         t = to_mpf(t)
         if t <= 0:
             raise ValueError(f"t must be positive, got {t}")
-        rows, lost = _h_integers(i_lo, i_hi, t, prec)
+        parts = _h_parts(i_lo, i_hi, t, prec)
+        lost = max(
+            max(e.bit_length(), p.bit_length()) - (e - p).bit_length()
+            for e, p, _ in parts
+        )
         if lost > _CANCEL_BITS:
             more_digits = ceil(min(lost + 1, mp.prec) * log10(2))
-            rows, _ = _h_integers(
+            parts = _h_parts(
                 i_lo, i_hi, t, replace(prec, digits=prec.digits + more_digits)
             )
-        return [mp.mpf(row) for row in rows]
+        return [mp.mpf((e - p, exp)) for e, p, exp in parts]
+
+
+# digits of the first pass of the h scans, the lowest the CLI accepts
+BALL_DIGITS = 30
+
+
+@lru_cache(maxsize=None)  # one entry per policy that the h scans run at
+def _ball_precision(prec):
+    """prec's policy at BALL_DIGITS, or None where either series stop
+    exceeds 2^-80 or the stop at prec exceeds the one at BALL_DIGITS:
+    h_balls proves its radius only under those two conditions."""
+    ball = replace(prec, digits=BALL_DIGITS)
+    with ball.workdps():
+        stop = ball.series_stop
+    with prec.workdps():
+        if stop <= mp.ldexp(1, -80) and prec.series_stop <= stop:
+            return ball
+    return None
+
+
+def h_balls(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
+    """[(H_i, R_i, x_i) for i = i_lo..i_hi]: h^(i)(t) from a 30-digit table,
+    as integers whose ball [H_i - R_i, H_i + R_i] 2^x_i holds the exact
+    h^(i)(t) and h_table(i_lo, i_hi, t, prec)[i - i_lo] alike.
+
+    None where _ball_precision(prec) is None or the 30-digit table raises
+    NumericFailure: the caller then evaluates h_table at prec, so any
+    failure it reports is the one there.  t is converted at prec and never
+    rounded again, so both passes of a scan evaluate the same t.
+    H_i = E_i - P_i and x_i come from _h_parts at BALL_DIGITS, whose working
+    precision has p = 153 bits; prec's has P >= p bits.
+
+    Radius.  In units u = 2^x_i, with E and P the exact parts of order i,
+    s and S the series stops at BALL_DIGITS and at prec (each <= 2^-80,
+    S <= s, and no larger at the more digits of h_table's retry, as
+    WorkingPrecision's falls with its digits), and i < 512:
+    - the ball's own error (h_table's bound without its final rounding):
+      E_i within 2^-(p+1) |E| + u, P_i within (i+1) 2^-(p+21) |P| + s |P|
+      + u, the u for the shift to the coarser scale;
+    - h_table at prec, with or without its retry: within
+      2^-P (|h^(i)| + |E| + |P|) + S |P| <= 2^(1-P) (|E| + |P|) + S |P|;
+    - one more rounding at P bits of that value minus any c with |c| <= |E|,
+      such as the trigamma margin h - 1: at most 3 2^-P (|E| + |P|).
+    The coefficients of |E| + |P| sum to under 5.6 2^-p.  |E| + |P| <=
+    (|E_i| + |P_i| + 2) u / (1 - 2^-79), and the same factor on (s + S) |P|
+    costs under 2^-157 (|P_i| + 1) u, so
+
+        R_i = floor((|E_i| + |P_i| + 2) 2^(3-p)) + floor((s + S)(|P_i| + 1)) + 4
+
+    covers the distance from H_i u to both values: 2^(3-p) leaves 2.3 2^-p
+    of room for those factors, and the 4 units are the two floors and the
+    two shifts.
+    """
+    ball = _ball_precision(prec)
+    if ball is None:
+        return None
+    with prec.workdps():
+        t = to_mpf(t)
+        if t <= 0:
+            raise ValueError(f"t must be positive, got {t}")
+        s_full, e_full = _dyadic(prec.series_stop)
+    with ball.workdps():
+        bits = mp.prec
+        s_ball, e_ball = _dyadic(ball.series_stop)
+    # s + S = s_num / 2^s_e exactly
+    s_e = max(e_ball, e_full)
+    s_num = (s_ball << s_e - e_ball) + (s_full << s_e - e_full)
+    try:
+        parts = _h_parts(i_lo, i_hi, t, ball)
+    except NumericFailure:
+        return None
+    balls = []
+    for e, p, x in parts:
+        size = abs(p) + 1
+        rad = (abs(e) + size + 1 >> bits - 3) + (s_num * size >> s_e) + 4
+        balls.append((e - p, rad, x))
+    return balls
 
 
 def h_function(t, prec=DEFAULT_PRECISION):

@@ -16,6 +16,7 @@ from .cmdeg import (
     DEFAULT_H_GRID,
     DEFAULT_H_ORDER,
     LogGrid,
+    ball_minimum,
     check_sign_pattern,
     estimate_cm_degree,
     h_oracle,
@@ -90,8 +91,15 @@ def criterion_h_complete_monotonicity(prec=DEFAULT_PRECISION):
     oracle = h_oracle(DEFAULT_H_ORDER, prec)
     report = check_sign_pattern(oracle, DEFAULT_H_GRID, DEFAULT_H_ORDER, prec)
     with prec.workdps():
-        # the scan summed one h table per grid point; order 0 is h itself
-        min_h = min(oracle(0, t) for t in DEFAULT_H_GRID.values(prec))
+        # the scan kept one ball per grid point; order 0 is h itself, and
+        # ball_minimum evaluates it at prec only where a ball leaves t a
+        # candidate for the minimum
+        balls = oracle.balls
+        min_h, _, _, _ = ball_minimum(
+            DEFAULT_H_GRID.values(prec),
+            lambda t: None if balls(t) is None else balls(t)[0],
+            lambda t: oracle(0, t),
+        )
         h100_gap = abs(h_function(100, prec) - 1)
         passed = bool(
             report.min_signed > mp.mpf("1e-35")

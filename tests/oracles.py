@@ -5,6 +5,9 @@ package does: plain partial sums with explicit term counts, symbolic
 differentiation over exact rationals, numerical quadrature of classical
 integral formulas, bracketed direct summation, or central finite differences.
 Agreement between these and the package is then evidence, not tautology.
+one_pass_minimum, one_pass_sign_pattern and one_pass_trigamma are the walks
+as one pass at the full precision, every key or grid point evaluated, which
+the package's two-pass walks must reproduce report for report.
 termwise_table keeps the package's own termwise series tail_scaled_derivatives,
 the mpf route the integer Leibniz brackets are cross-checked against, summed
 once per point for all the tests that meet there.  CoarseStop is the one
@@ -17,8 +20,9 @@ from math import comb
 
 from mpmath import mp
 
-from cmcheck import WorkingPrecision, tail_scaled_derivatives
-from cmcheck.cmdeg import TableOracle
+from cmcheck import WorkingPrecision, h_function, h_table, tail_scaled_derivatives
+from cmcheck.cmdeg import SignPatternReport, TableOracle, Violation
+from cmcheck.inequalities import InequalityScanReport
 
 
 class CoarseStop(WorkingPrecision):
@@ -232,3 +236,74 @@ def fpoly_bruteforce(i, t):
     b = 12 * t ** 2 * (t + 1) ** 2 * (tp1_pow(i + 1) - t ** (i + 1))
     c = (i + 1) * (i + 2) * (tp1_pow(i + 3) - t ** (i + 3))
     return a - b - c
+
+
+def one_pass_minimum(keys, exact, floor=None):
+    """cmdeg.ball_minimum's result by evaluating every key in order."""
+    least, arg, count = None, None, 0
+    for key in keys:
+        value = exact(key)
+        count += 1
+        if least is None or value < least:
+            least, arg = value, key
+        if floor is not None and value < -floor:
+            return least, arg, count, True
+    return least, arg, count, False
+
+
+def one_pass_sign_pattern(oracle, grid, max_order, prec):
+    """check_sign_pattern as one walk that evaluates every (n, t) it reaches.
+
+    Orders outermost, t ascending, the smallest signed value kept by strict
+    <, and the first signed value below -noise_floor ends the walk.
+    """
+    with prec.workdps():
+        floor = prec.noise_floor
+        least, arg_n, arg_t, evals, violation = mp.inf, -1, None, 0, None
+        for n in range(max_order + 1):
+            for t in grid.values(prec):
+                value = oracle(n, t)
+                signed = (-1) ** n * value
+                evals += 1
+                if signed < least:
+                    least, arg_n, arg_t = signed, n, t
+                if signed < -floor:
+                    violation = Violation(order=n, t=t, value=value)
+                    break
+            if violation is not None:
+                break
+        return SignPatternReport(
+            grid=grid,
+            max_order=max_order,
+            passed=violation is None,
+            violation=violation,
+            min_signed=least,
+            argmin_order=arg_n,
+            argmin_t=arg_t,
+            evaluations=evals,
+        )
+
+
+def one_pass_h_sign_pattern(grid, max_order, prec):
+    """one_pass_sign_pattern over one full-precision h_table per grid point."""
+    oracle = TableOracle(lambda t: h_table(0, max_order, t, prec), max_order, prec)
+    return one_pass_sign_pattern(oracle, grid, max_order, prec)
+
+
+def one_pass_trigamma(grid, prec):
+    """check_ineq_trigamma as one walk: h_function(t) - 1 at every grid point."""
+    with prec.workdps():
+        least, arg = mp.inf, None
+        ts = grid.values(prec)
+        for t in ts:
+            margin = h_function(t, prec) - 1
+            if margin < least:
+                least, arg = margin, t
+        return InequalityScanReport(
+            inequality="trigamma",
+            grid=grid,
+            min_margin=least,
+            argmin_t=arg,
+            passed=bool(least > prec.noise_floor),
+            evaluations=len(ts),
+        )

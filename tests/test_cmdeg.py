@@ -5,6 +5,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 import oracles
@@ -22,7 +24,15 @@ from cmcheck import (
     hk_table,
     tail_scaled_derivatives,
 )
-from cmcheck.cmdeg import DEFAULT_DEGREE_GRID, ScaledTailOracle, h_oracle
+from cmcheck.cmdeg import (
+    DEFAULT_DEGREE_GRID,
+    DEFAULT_H_GRID,
+    HOracle,
+    ScaledTailOracle,
+    ball_minimum,
+    h_oracle,
+)
+from cmcheck.specfun import _dyadic
 
 PREC = DEFAULT_PRECISION
 
@@ -445,3 +455,197 @@ class TestHOracle:
             h_oracle(2, PREC)(3, 1)
         with pytest.raises(ValueError):
             h_oracle(-1, PREC)
+
+
+def ball_of(center, radius):
+    """The ball (H, R, x) of two exact dyadics (mpfs or ints), radius >= 0."""
+    (c, ce), (r, re) = _dyadic(center), _dyadic(radius)
+    e = max(ce, re)
+    return c << e - ce, r << e - re, -e
+
+
+def ball_around(value, bits=40, widen=1):
+    """A ball centred on the mpf value, widen times 2^-bits |value| wide."""
+    return ball_of(value, widen * mp.ldexp(abs(value), -bits))
+
+
+class FakeSource:
+    """Exact values and balls by key, counting the exact evaluations."""
+
+    def __init__(self, values, balls):
+        self.values = values
+        self.balls = balls
+        self.evaluated = []
+
+    def exact(self, key):
+        self.evaluated.append(key)
+        return self.values[key]
+
+    def run(self, floor=None):
+        return ball_minimum(list(self.values), self.balls.get, self.exact, floor)
+
+    def reference(self, floor=None):
+        return oracles.one_pass_minimum(list(self.values), self.values.get, floor)
+
+
+class TestBallMinimum:
+    def test_narrow_balls_evaluate_only_the_minimum(self):
+        with PREC.workdps():
+            values = dict(enumerate(map(mp.mpf, ("3", "0.5", "2", "0.75", "1"))))
+            balls = {j: ball_around(v) for j, v in values.items()}
+            source = FakeSource(values, balls)
+            assert source.run(PREC.noise_floor) == source.reference(PREC.noise_floor)
+        assert source.evaluated == [1]
+
+    def test_undecided_balls_are_evaluated_in_walk_order(self):
+        # balls 1 and 3 straddle -floor, so they are evaluated as the walk
+        # reaches them; neither is a violation, and 1 is also the minimum
+        with PREC.workdps():
+            floor = PREC.noise_floor
+            values = {0: mp.mpf(1), 1: -floor / 2, 2: mp.mpf(2), 3: floor / 4}
+            balls = {j: ball_around(v) for j, v in values.items()}
+            for j in (1, 3):
+                balls[j] = ball_of(values[j], 2 * floor)
+            source = FakeSource(values, balls)
+            got = source.run(floor)
+            assert got == source.reference(floor)
+            assert got[1:] == (1, 4, False)
+        assert source.evaluated == [1, 3]
+
+    def test_violation_ends_the_walk(self):
+        with PREC.workdps():
+            floor = PREC.noise_floor
+            values = {0: mp.mpf(1), 1: mp.mpf("0.25"), 2: -2 * floor, 3: mp.mpf(-5)}
+            balls = {j: ball_around(v) for j, v in values.items()}
+            source = FakeSource(values, balls)
+            got = source.run(floor)
+            assert got == source.reference(floor) == (-2 * floor, 2, 3, True)
+        # the violation is evaluated as the walk reaches it; the key past it
+        # is never looked at
+        assert source.evaluated == [2]
+
+    def test_ties_keep_the_first_in_walk_order(self):
+        # keys 1 and 3 share the smallest value; 3's ball reaches lower
+        with PREC.workdps():
+            least = mp.mpf("0.125")
+            values = {0: mp.mpf(1), 1: least, 2: mp.mpf(2), 3: least}
+            balls = {j: ball_around(v) for j, v in values.items()}
+            balls[3] = ball_around(least, widen=5)
+            source = FakeSource(values, balls)
+            got = source.run()
+            assert got == source.reference() == (least, 1, 4, False)
+        assert source.evaluated == [1, 3]
+
+    def test_missing_ball_is_evaluated_at_once(self):
+        # a key with no ball is evaluated where the walk reaches it, so a
+        # failure there surfaces before any later key is evaluated
+        def exact(key):
+            if key == 1:
+                raise NumericFailure("fake", "no value", key=key)
+            return mp.mpf(key)
+
+        balls = {j: ball_around(mp.mpf(j)) for j in (0, 2, 3)}
+        with PREC.workdps(), pytest.raises(NumericFailure) as failure:
+            ball_minimum([0, 1, 2, 3], balls.get, exact)
+        assert failure.value.inputs == {"key": 1}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=-40, max_value=40),
+                st.integers(min_value=0, max_value=12),
+                st.integers(min_value=0, max_value=6),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(min_value=0, max_value=8),
+    )
+    def test_matches_the_one_pass_walk(self, items, floor_units):
+        # values on a coarse lattice, so ties and straddled floors are common;
+        # each ball holds its value, some are missing
+        with PREC.workdps():
+            values = {j: mp.ldexp(v, -3) for j, (v, _, _, _) in enumerate(items)}
+            balls = {}
+            for j, (v, below, above, present) in enumerate(items):
+                if present:
+                    balls[j] = (8 * v + 4 * (above - below), 4 * (above + below), -6)
+            floor = mp.ldexp(floor_units, -3)
+            for floor_arg in (None, floor):
+                source = FakeSource(values, balls)
+                assert source.run(floor_arg) == source.reference(floor_arg)
+
+
+class NoStopPolicy(WorkingPrecision):
+    @property
+    def series_stop(self):
+        return mp.mpf(0)
+
+
+class FakeBallOracle(HOracle):
+    """An HOracle over summer(t), with balls that hold its values, widened
+    by widen units."""
+
+    def __init__(self, summer, max_order, prec, widen):
+        super().__init__(max_order, prec)
+        self._summer = summer
+        self._widen = widen
+
+    def balls(self, t):
+        with self.prec.workdps():
+            return [ball_around(v, 20, self._widen) for v in self.table(t)]
+
+
+class TestTwoPassHScan:
+    """check_sign_pattern over an HOracle against one pass at full precision."""
+
+    GRIDS = (LogGrid("0.0503", 1e3, 40), DEFAULT_H_GRID)
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_reports_equal_the_one_pass_walk(self, digits):
+        prec = WorkingPrecision(digits)
+        for grid in self.GRIDS:
+            oracle = h_oracle(8, prec)
+            got = check_sign_pattern(oracle, grid, 8, prec)
+            assert got == oracles.one_pass_h_sign_pattern(grid, 8, prec)
+            # one ball table per point; the balls settle all but the minimum
+            assert oracle.series == grid.points
+            assert len(oracle._tables) == 1
+
+    def test_low_orders_on_a_wide_grid(self):
+        prec = WorkingPrecision(50)
+        grid = LogGrid("2e-3", "1e6", 30)
+        got = check_sign_pattern(h_oracle(3, prec), grid, 3, prec)
+        assert got == oracles.one_pass_h_sign_pattern(grid, 3, prec)
+
+    def test_failure_is_the_one_pass_failure(self):
+        # polygamma cannot stop without a series stop: the first point fails
+        # at 30 digits, is evaluated at full precision and fails there as the
+        # one-pass scan does
+        prec = NoStopPolicy(50)
+        grid = LogGrid("0.05", 1e3, 5)
+        want = outcome(lambda: oracles.one_pass_h_sign_pattern(grid, 8, prec))
+        got = outcome(lambda: check_sign_pattern(h_oracle(8, prec), grid, 8, prec))
+        assert got == want
+        assert got[0] == "polygamma"
+
+    def test_violation_report_through_fake_balls(self):
+        # e^t over an HOracle whose balls hold its values: the pattern
+        # fails at order 1 on the first point, where the walk stops
+        grid = LogGrid("0.1", 10, 6)
+        prec = PREC
+        for widen in (1, 1 << 400):
+            oracle = FakeBallOracle(lambda t: [mp.exp(t)] * 4, 3, prec, widen)
+            got = check_sign_pattern(oracle, grid, 3, prec)
+            want = oracles.one_pass_sign_pattern(
+                FakeBallOracle(lambda t: [mp.exp(t)] * 4, 3, prec, widen), grid, 3, prec
+            )
+            assert got == want
+            assert got.violation.order == 1 and got.evaluations == 7
+
+    def test_orders_past_the_oracle_keep_the_one_pass_scan(self):
+        with pytest.raises(NumericFailure) as failure:
+            check_sign_pattern(h_oracle(2, PREC), LogGrid(1, 2, 2), 3, PREC)
+        assert failure.value.operation == "check_sign_pattern"

@@ -179,6 +179,16 @@ class TestInequalityScans:
         assert report.passed
         assert report.evaluations == 10
 
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_two_pass_trigamma_equals_the_one_pass_scan(self, digits):
+        # the 30-digit balls of h - 1 pick the candidates; the report is the
+        # one of evaluating h_function(t) - 1 at every grid point
+        prec = WorkingPrecision(digits)
+        grids = (LogGrid(1e-2, 100, 40), DEFAULT_TRIGAMMA_GRID)
+        for grid in grids + (LogGrid("1e-3", "1e6", 25),):
+            got = check_ineq_trigamma(grid, prec)
+            assert got == oracles.one_pass_trigamma(grid, prec)
+
 
 class TestDifferenceBound:
     def test_both_sides_negative_and_ordered(self):

@@ -4,7 +4,7 @@ oracles.  Single Gauss-Legendre panels are checked against mp.quad at 3x the
 digits: their error must stay within the Bernstein-ellipse bound."""
 
 import random
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from mpmath import mp
@@ -24,7 +24,13 @@ from cmcheck import (
     u_ratio,
     verify_representation,
 )
-from cmcheck.laplace import _ellipse_majorant, _gauss_bound, _gauss_panel
+from cmcheck.laplace import (
+    _ellipse_majorant,
+    _gauss_bound,
+    _gauss_panel,
+    _node_precision,
+    _tail_bound,
+)
 
 PREC = DEFAULT_PRECISION
 
@@ -299,6 +305,36 @@ class TestLaplaceTransform:
             )
             assert 0 < true_tail < quad.tail_bound
 
+    def test_tail_bound_is_an_upper_bound_near_the_gamma_form(self):
+        # the exact sum of upper incomplete gammas it replaces, at 60 digits;
+        # (4, 2.25, 1) takes the gammainc branch for s > 1 + x
+        cases = ((0, 16, 1), (0, 100, "0.5"), (1, 40, 2), (2, "2.25", 1),
+                 (4, "2.25", 1), (4, 30, "0.3"), (3, 1000, "0.1"))
+        for weight, T, z in cases:
+            with mp.workdps(60):
+                T, z = mp.mpf(T), mp.mpf(z)
+                a = 1 / z
+                x = z * (mp.sqrt(T) - a) ** 2
+                n = 2 * weight + 1
+                exact = 2 * mp.exp(a) * mp.fsum(
+                    comb(n, j) * a ** (n - j) * mp.gammainc(mp.mpf(j + 1) / 2, x)
+                    / (2 * z ** (mp.mpf(j + 1) / 2))
+                    for j in range(n + 1)
+                )
+                bound = _tail_bound(weight, T, z)
+                assert exact <= bound <= mp.mpf("1.25") * exact, (weight, T, z)
+
+    def test_nodes_take_the_digits_the_tolerance_needs(self):
+        # max(30, ceil(-log10 rel_tol) + 10), at most the digits asked for,
+        # under the caller's policy
+        for digits, rel_tol, want in (
+            (50, "5e-11", 30), (50, "1e-25", 35), (100, "1e-80", 90), (30, "1e-20", 30),
+        ):
+            prec = WorkingPrecision(digits)
+            with prec.workdps():
+                assert _node_precision(prec, mp.mpf(rel_tol)).digits == want
+        assert type(_node_precision(NoStop(50), mp.mpf("1e-10"))) is NoStop
+
     def test_kernel_transform_reproduces_shifted_remainder(self):
         # transform of the Bessel kernel alone is z^(k+1) H_{k+1}(z): the
         # constant 1/(k+1)! lives outside the integral
@@ -440,6 +476,21 @@ class TestPanelBounds:
                 assert quad.error_bound <= mp.mpf("1e-12") * quad.value
                 rounding = mp.mpf(10) ** -(digits + 3) * exact
                 assert abs(quad.value - exact) <= quad.error_bound + rounding
+
+    def test_cli_mix_points_keep_their_work(self):
+        # the nodes and bound evaluations of the verify-integral calls of the
+        # benchmark, at their unjittered z, with the panels at node digits
+        for rep, index, z, digits, nodes, bounds in (
+            ("f12", 1, "2.0", 30, 62, 42),
+            ("bessel", 2, "3.5", 50, 58, 40),
+            ("h_deriv", 1, "1.0", 100, 82, 44),
+        ):
+            check = verify_representation(rep, index, z=z, prec=WorkingPrecision(digits))
+            assert check.passed
+            assert (check.quadrature.nodes, check.quadrature.bound_evaluations) == (
+                nodes,
+                bounds,
+            )
 
     def test_work_is_at_most_half_of_the_16_32_pair(self):
         # the embedded 16/32-point pair this rule replaced took 432 nodes here

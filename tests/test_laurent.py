@@ -32,7 +32,8 @@ from cmcheck import (
     to_mpf,
 )
 from cmcheck.cmdeg import ScaledTailOracle
-from cmcheck.laurent import _lah_rows, hk_sums
+from cmcheck.inequalities import _h_minus_one_ball
+from cmcheck.laurent import BALL_DIGITS, _lah_rows, h_balls, hk_sums
 from cmcheck.specfun import _dyadic, polygamma_fixed
 
 PREC = DEFAULT_PRECISION
@@ -492,3 +493,68 @@ class TestHTable:
             h_table(3, 2, 1, PREC)
         with pytest.raises(ValueError):
             h_table(0, 2, 0, PREC)
+
+
+class TestHBalls:
+    """The 30-digit balls that the two-pass h scans settle their signs with."""
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_radius_covers_the_documented_budget(self, digits):
+        # each ball holds the exact h^(i)(t) (E and P at three times the
+        # digits) and h_table's value at prec, and its radius is at least the
+        # budget its docstring adds up: the 30-digit table's own error,
+        # h_table's at prec and one more rounding there.  The targets +- 1/2
+        # of polygamma_fixed at 30 digits and at prec sit on both sides of
+        # its shifts.
+        prec = WorkingPrecision(digits)
+        ball = WorkingPrecision(BALL_DIGITS)
+        with ball.workdps():
+            p, s = mp.prec, ball.series_stop
+        with prec.workdps():
+            big_p, big_s = mp.prec, prec.series_stop
+            ts = [mp.mpf(t) for t in ("1e-3", "0.05", "1", "99.5", "1e3", "1e6")]
+            for target in {ball.working_dps // 2 + 1, prec.working_dps // 2 + 1}:
+                ts += [target - mp.mpf("0.5"), target + mp.mpf("0.5")]
+        for t in ts:
+            balls = h_balls(0, 8, t, prec)
+            table = h_table(0, 8, t, prec)
+            with mp.workdps(3 * prec.working_dps):
+                for i, ((mid, rad, x), full) in enumerate(zip(balls, table)):
+                    exp_part, psi = TestHTable.parts(i, t)
+                    exact = exp_part - psi
+                    unit = mp.ldexp(1, x)
+                    centre, radius = mid * unit, rad * unit
+                    assert abs(exact - centre) <= radius, (i, t)
+                    assert abs(full - centre) <= radius, (i, t)
+                    parts = abs(exp_part) + abs(psi)
+                    budget = (
+                        mp.ldexp(abs(exp_part), -(p + 1))
+                        + (i + 1) * mp.ldexp(abs(psi), -(p + 21))
+                        + 2 * unit
+                        + mp.ldexp(abs(exact) + parts, -big_p)
+                        + 3 * mp.ldexp(parts, -big_p)
+                        + (s + big_s) * abs(psi)
+                    )
+                    assert radius >= budget, (i, t)
+
+    def test_margin_ball_holds_the_rounded_margin(self):
+        # the trigamma scan's ball of h - 1 holds h_function(t) - 1 as the
+        # scan rounds it at prec
+        for digits in (30, 100):
+            prec = WorkingPrecision(digits)
+            with prec.workdps():
+                ts = [mp.mpf(t) for t in ("1e-3", "0.01", "1", "100")]
+            for t in ts:
+                mid, rad, x = _h_minus_one_ball(t, prec)
+                with prec.workdps():
+                    margin = h_function(t, prec) - 1
+                with mp.workdps(3 * prec.working_dps):
+                    exp_part, psi = TestHTable.parts(0, t)
+                    unit = mp.ldexp(1, x)
+                    assert abs(margin - mid * unit) <= rad * unit
+                    assert abs(exp_part - psi - 1 - mid * unit) <= rad * unit
+
+    def test_coarse_stops_get_no_balls(self):
+        # the radius is proven for series stops up to 2^-80 only
+        assert h_balls(0, 2, 1, CoarseStop(50)) is None
+        assert h_balls(0, 2, 1, PREC) is not None
