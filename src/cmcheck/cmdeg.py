@@ -15,9 +15,11 @@ radius: most signs are settled in integers, and a value whose radius could
 carry it across the noise floor is refused.  A bisection step settles its
 signs in integers and builds an mpf value only where a bracket is not
 settled positive (ScaledDerivative.passes); the r-independent factors of
-such values are built at the first t that needs one and kept.  The h scans
-take two passes (HOracle): one 30-digit table per grid point gives every
-h^(n)(t) as an integer ball that holds its value at the digits asked for,
+such values are built at the first t that needs one and kept.  The sign
+scans of h (HOracle) and of t^r H_k (ScaledDerivative) take two passes:
+one 30-digit table per grid point gives every derivative there as an
+integer ball that holds its value at the digits asked for (h_balls, and
+for H_k the Leibniz bracket over 30-digit hk_sums times an integer factor),
 and ball_minimum evaluates at those digits only the values the balls
 cannot settle, those that may lie below the noise floor and the
 candidates for the minimum, so the report is the one-pass report.  A grid
@@ -26,13 +28,24 @@ the grid), so the result is a bracket, never an attained value.
 """
 
 from dataclasses import dataclass
-from math import comb
+from functools import partial
+from math import comb, factorial
 from operator import mul
 from typing import Optional
 
 from mpmath import mp
 
-from .laurent import _hk_lead, h_balls, h_table, hk_sums
+from .laurent import (
+    _ball_precision,
+    _h_ball_parts,
+    _h_kept_table,
+    _hk_fits,
+    _hk_lead,
+    _hk_scale_bits,
+    _lah_rows,
+    h_table,
+    hk_sums,
+)
 from .specfun import DEFAULT_PRECISION, NumericFailure, _dyadic, to_mpf
 
 
@@ -104,10 +117,11 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
     failing order and, within it, the smallest failing t.  Oracle errors
     surface as NumericFailure tagged with the offending (n, t).
 
-    An HOracle is walked in two passes by ball_minimum: its 30-digit balls
+    An oracle with balls, an HOracle or a ScaledDerivative, is walked in
+    two passes by ball_minimum up to its max_order: its 30-digit balls
     settle every evaluation they can, and only the rest, with the
     candidates for the minimum, are evaluated at prec.  The report is the
-    one-pass walk's.
+    one-pass walk's, which serves any other callable.
     """
     if not isinstance(max_order, int) or max_order < 0:
         raise ValueError(f"max_order must be a nonnegative integer, got {max_order!r}")
@@ -115,10 +129,10 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
         floor = prec.noise_floor
         ts = grid.values(prec)
         if (
-            isinstance(derivative_oracle, HOracle)
+            getattr(derivative_oracle, "balls", None) is not None
             and max_order <= derivative_oracle.max_order
         ):
-            walk = _h_walk(derivative_oracle, ts, max_order, floor)
+            walk = _ball_walk(derivative_oracle, ts, max_order, floor)
             min_signed, (arg_n, arg_t), evals, violation = walk
         else:
             # one pass, each (n, t) evaluated
@@ -152,27 +166,33 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
         )
 
 
-def _h_walk(oracle, ts, max_order, floor):
+def _ball_walk(oracle, ts, max_order, floor):
     """(min_signed, (n, t) of it, evaluations, violation) of check_sign_pattern
-    over an HOracle, by ball_minimum at the current working precision."""
+    over an oracle with balls, by ball_minimum at the current working
+    precision; oracle.balls(t) is None or the balls of f^(n)(t), n <= the
+    oracle's max_order."""
+
+    rows = []  # the balls of ts by position, fetched as order 0 reaches them
 
     def ball(key):
-        n, t = key
-        balls = oracle.balls(t)
+        n, i = key
+        if n == 0:
+            rows.append(oracle.balls(ts[i]))
+        balls = rows[i]
         if balls is None:
             return None
         mid, rad, x = balls[n]
         return (-mid if n % 2 else mid), rad, x
 
-    keys = [(n, t) for n in range(max_order + 1) for t in ts]
-    least, arg, evals, stopped = ball_minimum(
-        keys, ball, lambda key: _signed_value(oracle, *key)[1], floor
+    keys = [(n, i) for n in range(max_order + 1) for i in range(len(ts))]
+    least, (arg_n, arg_i), evals, stopped = ball_minimum(
+        keys, ball, lambda key: _signed_value(oracle, key[0], ts[key[1]])[1], floor
     )
     violation = None
     if stopped:
-        n, t = keys[evals - 1]
-        violation = Violation(order=n, t=t, value=oracle(n, t))
-    return least, arg, evals, violation
+        n, i = keys[evals - 1]
+        violation = Violation(order=n, t=ts[i], value=oracle(n, ts[i]))
+    return least, (arg_n, ts[arg_i]), evals, violation
 
 
 def _below(a, x, b, y):
@@ -298,13 +318,16 @@ class HOracle(TableOracle):
     balls(t) is h_balls(0, max_order, t, prec), kept per t like the tables:
     check_sign_pattern and the suite walk an HOracle in two passes
     (ball_minimum), so the tables at prec are summed only at the points
-    that the balls cannot settle.  series counts the points summed at
-    either precision.
+    that the balls cannot settle.  At 30 digits the balls' parts are
+    h_table's own, so a table there is rounded from them, unless an order
+    cancels past _CANCEL_BITS and h_table would redo it.  series counts the
+    points summed at either precision.
     """
 
     def __init__(self, max_order, prec=DEFAULT_PRECISION):
         super().__init__(lambda t: h_table(0, max_order, t, prec), max_order, prec)
         self._balls = {}
+        self._parts = {}  # h_table's own parts, kept from the balls at 30 digits
 
     @property
     def series(self):
@@ -313,13 +336,37 @@ class HOracle(TableOracle):
     def balls(self, t):
         """The balls at t, an mpf at working precision, or None (h_balls)."""
         if t not in self._balls:
-            self._balls[t] = h_balls(0, self.max_order, t, self.prec)
+            self._balls[t], parts = _h_ball_parts(0, self.max_order, t, self.prec)
+            if parts is not None:
+                self._parts[t] = parts
         return self._balls[t]
+
+    def table(self, t):
+        """The table at t, rounded from h_table's own parts where kept."""
+        parts = self._parts.pop(t, None)
+        if parts is not None:
+            table = _h_kept_table(parts)
+            if table is not None:
+                self._tables[t] = table
+        return super().table(t)
 
 
 def h_oracle(max_order, prec=DEFAULT_PRECISION):
     """oracle(n, t) = h^(n)(t), n <= max_order, as an HOracle."""
     return HOracle(max_order, prec)
+
+
+# bits of the integer factors of ScaledDerivative.balls
+_FACTOR_BITS = 64
+
+
+def _power(t, r):
+    """t^r at the working precision, rounded once from a pow at extra bits."""
+    # |r log t| < 2^extra, so log's error costs t^r under 2^-(prec+19)
+    extra = max(mp.mag(r), 0) + (abs(mp.mag(t)) + 1).bit_length() + 10
+    with mp.workprec(mp.prec + extra):
+        power = t**r
+    return +power
 
 
 class ScaledTailOracle(TableCache):
@@ -335,7 +382,8 @@ class ScaledTailOracle(TableCache):
         (-1)^n d^n/dt^n [t^r H_k(t)] = t^(r-n) lead sum_j C(n,j) (-r)^(j) T_(n-j),
 
     so a step to another r sums no series: ScaledDerivative evaluates the
-    bracket in integers.
+    bracket in integers.  The scans' first pass reads ball_sums(t), kept
+    like the tables.
     """
 
     def __init__(self, k, max_order, prec=DEFAULT_PRECISION):
@@ -346,6 +394,30 @@ class ScaledTailOracle(TableCache):
         super().__init__(lambda t: hk_sums(k, t, max_order, prec), max_order, prec)
         self.k = k
         self._factors = {}
+        self._ball_sums = {}
+
+    def ball_sums(self, t):
+        """hk_sums of t at _ball_precision(prec), the table itself at 30
+        digits, or None; kept per t.
+
+        None where there is no ball precision, where that sum raises
+        NumericFailure, or where the sum at prec might exhaust the series
+        budget (_hk_fits): such a point is evaluated at prec, so every
+        failure a scan reports is the one there.
+        """
+        sums = self._ball_sums.get(t, self)
+        if sums is self:
+            ball = _ball_precision(self.prec)
+            sums = None
+            try:
+                if ball == self.prec:
+                    sums = self.table(t)
+                elif ball is not None and _hk_fits(self.k, t, self.max_order, self.prec):
+                    sums = hk_sums(self.k, t, self.max_order, ball)
+            except NumericFailure:
+                pass
+            self._ball_sums[t] = sums
+        return sums
 
     def at(self, r):
         """The oracle(n, t) = d^n/dt^n [t^r H_k(t)] for check_sign_pattern."""
@@ -388,6 +460,10 @@ class ScaledDerivative:
     Verdict guard.  When B does not exceed R, and the radius reaches
     |(-1)^n v + noise_floor|, the error could move the value across
     check_sign_pattern's -noise_floor, so the call raises NumericFailure.
+
+    check_sign_pattern walks it in two passes, as an HOracle: balls(t)
+    gives every order at t as an integer ball from one 30-digit sum, and
+    only the values the balls cannot settle are evaluated at prec.
     """
 
     def __init__(self, tables, r):
@@ -409,20 +485,130 @@ class ScaledDerivative:
         ]
         self._abs_coeffs = [[abs(c) for c in row] for row in self._coeffs]
         self._points = {}
+        self._balls = None  # built by the first scan that asks, never by passes
+
+    @property
+    def max_order(self):
+        return self.tables.max_order
 
     def _point(self, t):
         """(S, radii, factors, t^r) at t; all but t^r are r-independent."""
         point = self._points.get(t)
         if point is None:
-            r = self.r
-            # |r log t| < 2^extra, so log's error costs t^r under 2^-(prec+19)
-            extra = max(mp.mag(r), 0) + (abs(mp.mag(t)) + 1).bit_length() + 10
-            with mp.workprec(self._bits + extra):
-                power = t**r
             core = self.tables.table(t)
-            point = (core.sums, core.radii, self.tables.factors(t), +power)
+            power = _power(t, self.r)
+            point = (core.sums, core.radii, self.tables.factors(t), power)
             self._points[t] = point
         return point
+
+    def balls(self, t):
+        """[(H, R, x) for n <= max_order]: d^n/dt^n [t^r H_k(t)] in
+        [H - R, H + R] 2^x, from the ball sums of t (ScaledTailOracle), or
+        None where they are None.  Kept per t.
+
+        Write S', r', exp' for the ball sums, B' = sum_j coeff_j S'_(n-j),
+        R' = sum_j |coeff_j| r'_(n-j), U = sum_j |coeff_j| (S' + r')_(n-j)
+        and V = t^(r-n) lead 2^(exp' - s n) > 0.  By the error radius above
+        at the ball sums, the exact (-1)^n d^n/dt^n [t^r H_k(t)] is V b for
+        a b within R' of B'.
+
+        The value at prec.  v = B F, from the sums at prec, lies within
+        rho = |F| R (1 + eta) + |v| eta of V b, and __call__'s radius is rho
+        rounded up by under 2^-(P-3) relative, P = mp.prec at prec.  hk_sums
+        bounds each radius at prec, times its 2^exp, by (Z + 2^-(P+27)) T_i +
+        (2 l_i + 2) 2^-wp T_0: Z the series stop at prec, l_i the Lah weights
+        (l_0 = 0), wp = _hk_scale_bits().  With T_i <= (S'_i + r'_i) 2^exp'
+        and |F| <= 1.01 V 2^(exp - exp'), so |F| R <= 1.01 V Q with
+
+            Q = (Z + 2^-(P+27)) U + 2^-wp (S'_0 + r'_0) L_n,
+            L_n = sum_j |coeff_j| (2 l_(n-j) + 2).
+
+        As |v| <= V U + rho, rho <= 1.02 V Q + 1.01 eta V U, and the distance
+        from V B' to v plus __call__'s radius is under V (R' + 2.1 Q +
+        2.1 eta U) <= V R_V for the integer
+
+            R_V = R' + floor(U omega) + floor((S'_0 + r'_0) 3 L_n 2^-wp) + 2,
+            omega = 3 Z + 3 2^-(P+27) + (k + 2 max_order + 16) 2^-(P-2).
+
+        So V [B' - R_V, B' + R_V] holds the exact value, v, and v less its
+        radius: where its lower end clears -noise_floor, __call__'s guard
+        cannot fire.  P >= 153, and k and max_order are under hk_sums'
+        series budget, so the constants 1.01 and 1.02 hold with room.
+
+        The factor.  V = g 2^y within a relative eps_n = (8 + 4n) 2^-64, as
+        V = t^(r-k-1-n) 2^(exp' - s n) / (k+1)!.  At order 0, t^(r-k-1) at 64
+        bits (_power; r - k - 1 is exact) is within 2 2^-64, and g is the
+        floor of its mantissa, shifted to over 2^63, over (k+1)!: 2^-63
+        more.  Each order multiplies g by inv = floor(2^(64+b)/den), b =
+        bitlen(den) and t = den/2^e, within 2^-64 of 2^(64+b-e)/t, and
+        shifts it down by 64 bits, within 2^-63 as g stays over 2^63;
+        2^exp', 2^-s and the rest of 1/t enter y exactly.  So V b lies
+        within (R_V + eps_n (|B'| + R_V)) g 2^y of B' g 2^y, and
+
+            H = (-1)^n B' g,  R = R_V g + floor((|B'| + R_V) g eps_n) + 1.
+
+        A point costs one pow at 64 bits; an order costs integer sums, one
+        multiply and one shift for its factor, and no mpf.  The orders are
+        built on first use, so a walk that stops at order 1 builds no more.
+        """
+        if self._balls is None:
+            self._balls = {}
+            self._ball_terms = self._ball_constants()
+        balls = self._balls.get(t, self)
+        if balls is self:
+            balls = self._balls[t] = self._ball_row(t)
+        return balls
+
+    def _ball_constants(self):
+        """((k+1)!, r - k - 1, omega as w_num / 2^w_e, wp, [3 L_n for n <=
+        max_order]) of balls."""
+        tables = self.tables
+        bits = self._bits
+        with tables.prec.workdps():
+            z_num, z_e = _dyadic(tables.prec.series_stop)
+            wp = _hk_scale_bits()
+        exponent = mp.fsub(self.r, tables.k + 1, exact=True)
+        eta = tables.k + 2 * tables.max_order + 16
+        w_e = max(z_e, bits + 27)
+        w_num = (
+            3 * (z_num << w_e - z_e)
+            + (3 << w_e - bits - 27)
+            + (eta << w_e - bits + 2)
+        )
+        weights = [0] + [weight for _, weight in _lah_rows(tables.max_order)]
+        lahs = [
+            3 * sum(c * (2 * weight + 2) for c, weight in zip(row, weights))
+            for row in self._abs_coeffs
+        ]
+        return factorial(tables.k + 1), exponent, w_num, w_e, wp, lahs
+
+    def _ball_row(self, t):
+        """The balls at t by order, each built on first use, or None."""
+        core = self.tables.ball_sums(t)
+        if core is None:
+            return None
+        fact, exponent = self._ball_terms[:2]
+        with mp.workprec(_FACTOR_BITS):
+            _, man, y, size = _power(t, exponent)._mpf_
+        shift = _FACTOR_BITS - size + fact.bit_length()
+        factors = [(man << shift) // fact]
+        den, e = _dyadic(t)
+        inv = (1 << _FACTOR_BITS + den.bit_length()) // den
+        for _ in range(self.max_order):
+            factors.append(factors[-1] * inv >> _FACTOR_BITS)
+        # a builder that holds no reference to self, as the tables' summer
+        return _Balls(
+            partial(
+                _scaled_ball,
+                core,
+                factors,
+                y + core.exp - shift,
+                e - den.bit_length() - self._s,
+                self._coeffs,
+                self._abs_coeffs,
+                self._ball_terms[2:],
+            )
+        )
 
     def _evaluate(self, n, t):
         """(v, B, R, F): the value, the integer bracket and its radius, the factor."""
@@ -496,6 +682,33 @@ class ScaledDerivative:
                     if _signed_value(self, n, t)[1] < -self._floor:
                         return False
             return True
+
+
+class _Balls(dict):
+    """Balls by order, each built by build(n) on first use."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, n):
+        ball = self[n] = self._build(n)
+        return ball
+
+
+def _scaled_ball(core, factors, y, step, coeffs, abs_coeffs, terms, n):
+    """The ball of order n of ScaledDerivative.balls from the ball sums core,
+    the integer factors g_n at 2^(y + n step) and ScaledDerivative's rows."""
+    sums, radii = core.sums, core.radii
+    w_num, w_e, wp, lahs = terms
+    g = factors[n]
+    bracket = sum(map(mul, coeffs[n], sums))
+    spread = sum(map(mul, abs_coeffs[n], radii))
+    size = sum(map(mul, abs_coeffs[n], sums)) + spread
+    spread += (size * w_num >> w_e) + ((sums[0] + radii[0]) * lahs[n] >> wp) + 2
+    slack = (abs(bracket) + spread) * g * (8 + 4 * n) >> _FACTOR_BITS
+    mid = bracket * g
+    return (-mid if n % 2 else mid), spread * g + slack + 1, y + n * step
 
 
 @dataclass(frozen=True)

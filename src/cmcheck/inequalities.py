@@ -24,7 +24,7 @@ from mpmath import mp
 
 from .cmdeg import LogGrid, ball_minimum
 from .laplace import h_kernel
-from .laurent import h_balls, h_function, h_table
+from .laurent import _h_ball_parts, _h_kept_table, h_function, h_table
 from .specfun import DEFAULT_PRECISION, to_mpf
 
 FPOLY_FORMS = ("A", "B", "C", "D")
@@ -169,10 +169,13 @@ def _scan(inequality, margin_fn, grid, prec, ball=None):
         )
 
 
-def _h_minus_one_ball(t, prec):
+def _h_minus_one_ball(t, prec, kept=None):
     """The ball of h(t) - 1 from h_balls, whose radius covers that one
-    rounding, or None where h_balls gives none."""
-    balls = h_balls(0, 0, t, prec)
+    rounding, or None where h_balls gives none.  The 30-digit parts behind
+    it that are h_table's own go into the dict kept, by t."""
+    balls, parts = _h_ball_parts(0, 0, t, prec)
+    if kept is not None and parts is not None:
+        kept[t] = parts
     if balls is None:
         return None
     ((mid, rad, x),) = balls
@@ -187,14 +190,18 @@ def check_ineq_trigamma(grid=DEFAULT_TRIGAMMA_GRID, prec=DEFAULT_PRECISION):
     At large t the margin decays like 1/(24 t^4), still far above the noise
     floor on the default grid.  The scan takes two passes: the margin
     h_function(t) - 1 at prec only where a 30-digit ball (h_balls) leaves
-    t a candidate for the minimum, usually one grid point.
+    t a candidate for the minimum, usually one grid point.  At 30 digits
+    that h is rounded from the ball's own parts, as h_table rounds them.
     """
+    kept = {}
+
+    def margin(t):
+        parts = kept.pop(t, None)
+        table = None if parts is None else _h_kept_table(parts)
+        return (h_function(t, prec) if table is None else table[0]) - 1
+
     return _scan(
-        "trigamma",
-        lambda t: h_function(t, prec) - 1,
-        grid,
-        prec,
-        lambda t: _h_minus_one_ball(t, prec),
+        "trigamma", margin, grid, prec, lambda t: _h_minus_one_ball(t, prec, kept)
     )
 
 
@@ -245,12 +252,21 @@ def check_difference_bound(i, t, prec=DEFAULT_PRECISION):
         t = to_mpf(t)
         if t <= 0:
             raise ValueError(f"t must be positive, got {t}")
-        lhs = (-1) ** i * (h_table(i, i, t + 1, prec)[0] - h_table(i, i, t, prec)[0])
-        rhs = (
-            mp.factorial(i)
-            * f_poly(i, t, "A", prec)
-            / (12 * t ** (i + 3) * (t + 1) ** (i + 3))
+        return _difference_bound(
+            i, t, h_table(i, i, t, prec)[0], h_table(i, i, t + 1, prec)[0], prec
         )
-        floor = prec.noise_floor
-        passed = bool(rhs - lhs > floor and lhs < -floor and rhs < -floor)
-        return DifferenceBoundCheck(i=i, t=t, lhs=lhs, rhs=rhs, passed=passed)
+
+
+def _difference_bound(i, t, h_at, h_next, prec):
+    """check_difference_bound(i, t, prec) from h^(i)(t) and h^(i)(t+1), for
+    an mpf t > 0 inside prec.workdps(); the suite passes one table of the
+    orders 0..6 per point."""
+    lhs = (-1) ** i * (h_next - h_at)
+    rhs = (
+        mp.factorial(i)
+        * f_poly(i, t, "A", prec)
+        / (12 * t ** (i + 3) * (t + 1) ** (i + 3))
+    )
+    floor = prec.noise_floor
+    passed = bool(rhs - lhs > floor and lhs < -floor and rhs < -floor)
+    return DifferenceBoundCheck(i=i, t=t, lhs=lhs, rhs=rhs, passed=passed)

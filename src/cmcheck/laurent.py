@@ -187,8 +187,8 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
     sum ends at the first m >= m_min with q_m < series_stop S_0, tested in
     integers.  m_min is the first stop of tail_scaled_derivatives at r = 0
     (_first_stop, its ceil(1.5/t) taken as ceil(3 2^e / (2 den))), raised
-    to where the term ratio x/(m+1) is at most 1/2.  An m_min at or past
-    the series budget raises its NumericFailure at once.
+    to where the term ratio x/(m+1) is at most 1/2 (_hk_first_stop).  An
+    m_min at or past the series budget raises its NumericFailure at once.
 
     Derived orders.  In units of 2^exp each x^j (S_0 + P_j 2^-exp) is the
     exact rational (S_0 2^(e j) + pre_j 2^-exp) / den^j, with the integer
@@ -229,6 +229,18 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
 
     Each order's relative error is at most order 0's, as its tail,
     sum_j L(n,j) x^j q_M, is under q_M / S_0 times S_n + l_n.
+
+    Radii against the exact sums.  At the stop q_M < series_stop S_0, so
+    sum_j L(n,j) B_j < series_stop T_n 2^-exp + l_n, as sum_j L(n,j) x^j T_0
+    <= T_n; the rounding term is at most (T_n 2^-exp + l_n) 2^-(mp.prec+27).
+    S_0 >= 2^wp at every scale and S_0 2^exp <= T_0, so 2^exp <= T_0 2^-wp,
+    and with l_0 = 0
+
+        radii[n] 2^exp <= (series_stop + 2^-(mp.prec+27)) T_n + (2 l_n + 2) 2^-wp T_0,
+
+    a bound that needs no sum at this precision (cmdeg's scaled-derivative
+    balls).  Nor does the budget: the terms past m_min at least halve, so
+    the stop comes within b + 1 terms, 2^-b <= series_stop (_hk_fits).
     """
     _validate_order(k)
     if not isinstance(max_order, int) or max_order < 0:
@@ -238,15 +250,10 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
         if t <= 0:
             raise ValueError(f"t must be positive, got {t}")
         r = mp.mpf(0)  # for the failure report, as tail_scaled_derivatives gives it
-        den, e = _dyadic(t)
-        m_min = _first_stop(k, r, t, max_order, -((-3 << e) // (2 * den)))
-        # x/(m+1) <= 1/2 from m = ceil(2/t) - 1 on
-        m_min = max(m_min, -((-2 << e) // den) - 1)
-        if m_min >= _SERIES_LIMIT:
-            raise _budget_exhausted(k, r, t)
+        den, e, m_min = _hk_first_stop(k, r, t, max_order)
         # series_stop = s_num / 2^s_e exactly, so the stop test is in integers
         s_num, s_e = _dyadic(prec.series_stop)
-        wp = mp.prec + _GUARD_BITS + 2 * _SERIES_LIMIT.bit_length()
+        wp = _hk_scale_bits()
         q = total = 1 << wp
         shift = 0
         m = k + 1
@@ -291,6 +298,43 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
                 sum(map(mul, row, tails)) + ((derived + weight) >> rel) + 1 + weight
             )
         return HkSums(sums, radii, exp)
+
+
+def _hk_first_stop(k, r, t, max_order):
+    """(den, e, m_min) of hk_sums at an mpf t = den / 2^e > 0: the first stop
+    of tail_scaled_derivatives at r = 0, raised to where x/(m+1) <= 1/2."""
+    den, e = _dyadic(t)
+    m_min = _first_stop(k, r, t, max_order, -((-3 << e) // (2 * den)))
+    # x/(m+1) <= 1/2 from m = ceil(2/t) - 1 on
+    m_min = max(m_min, -((-2 << e) // den) - 1)
+    if m_min >= _SERIES_LIMIT:
+        raise _budget_exhausted(k, r, t)
+    return den, e, m_min
+
+
+def _hk_scale_bits():
+    """wp of hk_sums at the current precision: S_0 >= 2^wp at every scale."""
+    return mp.prec + _GUARD_BITS + 2 * _SERIES_LIMIT.bit_length()
+
+
+def _hk_fits(k, t, max_order, prec):
+    """Whether hk_sums(k, t, max_order, prec) surely ends inside the series
+    budget, judged without summing: m_min + b + 1 < _SERIES_LIMIT with
+    2^-b <= series_stop (hk_sums).  It may raise hk_sums' own failure of
+    an m_min past the budget."""
+    terms = _hk_stop_terms(prec)
+    return (
+        terms is not None
+        and _hk_first_stop(k, mp.mpf(0), t, max_order)[2] + terms < _SERIES_LIMIT
+    )
+
+
+@lru_cache(maxsize=None)  # one entry per policy that the hk scans run at
+def _hk_stop_terms(prec):
+    """b + 1 with 2^-b <= series_stop, or None for a stop of 0."""
+    with prec.workdps():
+        s_num, s_e = _dyadic(prec.series_stop)
+    return s_e - s_num.bit_length() + 2 if s_num > 0 else None
 
 
 def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):
@@ -394,16 +438,27 @@ def h_table(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
         if t <= 0:
             raise ValueError(f"t must be positive, got {t}")
         parts = _h_parts(i_lo, i_hi, t, prec)
-        lost = max(
-            max(e.bit_length(), p.bit_length()) - (e - p).bit_length()
-            for e, p, _ in parts
-        )
+        lost = _lost_bits(parts)
         if lost > _CANCEL_BITS:
             more_digits = ceil(min(lost + 1, mp.prec) * log10(2))
             parts = _h_parts(
                 i_lo, i_hi, t, replace(prec, digits=prec.digits + more_digits)
             )
-        return [mp.mpf((e - p, exp)) for e, p, exp in parts]
+        return _h_rounded(parts)
+
+
+def _lost_bits(parts):
+    """The most bits any order of _h_parts cancels, within a bit of
+    log2((|E| + |P|) / |h^(i)|)."""
+    return max(
+        max(e.bit_length(), p.bit_length()) - (e - p).bit_length()
+        for e, p, _ in parts
+    )
+
+
+def _h_rounded(parts):
+    """h_table's values from the parts of _h_parts, one rounding each."""
+    return [mp.mpf((e - p, exp)) for e, p, exp in parts]
 
 
 # digits of the first pass of the h scans, the lowest the CLI accepts
@@ -457,9 +512,16 @@ def h_balls(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
     of room for those factors, and the 4 units are the two floors and the
     two shifts.
     """
+    return _h_ball_parts(i_lo, i_hi, t, prec)[0]
+
+
+def _h_ball_parts(i_lo, i_hi, t, prec):
+    """(h_balls(i_lo, i_hi, t, prec), parts): parts are the _h_parts behind
+    the balls where prec has 30 digits, h_table's own first pass there
+    (_h_kept_table); else None."""
     ball = _ball_precision(prec)
     if ball is None:
-        return None
+        return None, None
     with prec.workdps():
         t = to_mpf(t)
         if t <= 0:
@@ -474,13 +536,19 @@ def h_balls(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
     try:
         parts = _h_parts(i_lo, i_hi, t, ball)
     except NumericFailure:
-        return None
+        return None, None
     balls = []
     for e, p, x in parts:
         size = abs(p) + 1
         rad = (abs(e) + size + 1 >> bits - 3) + (s_num * size >> s_e) + 4
         balls.append((e - p, rad, x))
-    return balls
+    return balls, parts if prec.digits == BALL_DIGITS else None
+
+
+def _h_kept_table(parts):
+    """h_table's table from its own first-pass parts, or None where an order
+    cancels past _CANCEL_BITS, so that h_table would redo it."""
+    return None if _lost_bits(parts) > _CANCEL_BITS else _h_rounded(parts)
 
 
 def h_function(t, prec=DEFAULT_PRECISION):

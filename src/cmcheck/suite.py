@@ -25,8 +25,8 @@ from .inequalities import (
     DEFAULT_BESSEL_GRID,
     DEFAULT_NEGATIVITY_GRID,
     DEFAULT_TRIGAMMA_GRID,
+    _difference_bound,
     bessel_margin,
-    check_difference_bound,
     check_ineq_bessel,
     check_ineq_trigamma,
     f_poly,
@@ -38,7 +38,7 @@ from .laplace import (
     laplace_transform,
     verify_representation,
 )
-from .laurent import h_function
+from .laurent import h_function, h_table
 from .specfun import DEFAULT_PRECISION, polygamma, to_mpf
 
 
@@ -244,11 +244,13 @@ def criterion_proof_algebra(prec=DEFAULT_PRECISION):
             for i in range(13)
             for t in DEFAULT_NEGATIVITY_GRID.values(prec)
         )
-        diff_grid = LogGrid(0.25, 50, 25)
+        # one table of the orders 0..6 at t and at t + 1 serves every i
+        ts = LogGrid(0.25, 50, 25).values(prec)
+        tables = [(h_table(0, 6, t, prec), h_table(0, 6, t + 1, prec)) for t in ts]
         diff_ok = all(
-            check_difference_bound(i, t, prec).passed
+            _difference_bound(i, t, h_at[i], h_next[i], prec).passed
             for i in range(7)
-            for t in diff_grid.values(prec)
+            for t, (h_at, h_next) in zip(ts, tables)
         )
     return {
         "id": "proof-algebra",

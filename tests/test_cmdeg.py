@@ -3,6 +3,7 @@
 import gc
 import weakref
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -21,18 +22,22 @@ from cmcheck import (
     estimate_cm_degree,
     h_derivative,
     h_function,
+    h_table,
     hk_table,
     tail_scaled_derivatives,
 )
+from cmcheck import cmdeg
 from cmcheck.cmdeg import (
     DEFAULT_DEGREE_GRID,
     DEFAULT_H_GRID,
     HOracle,
+    ScaledDerivative,
     ScaledTailOracle,
     ball_minimum,
     h_oracle,
 )
-from cmcheck.specfun import _dyadic
+from cmcheck.laurent import _lah_rows
+from cmcheck.specfun import _GUARD_BITS, _SERIES_LIMIT, _dyadic
 
 PREC = DEFAULT_PRECISION
 
@@ -649,3 +654,272 @@ class TestTwoPassHScan:
         with pytest.raises(NumericFailure) as failure:
             check_sign_pattern(h_oracle(2, PREC), LogGrid(1, 2, 2), 3, PREC)
         assert failure.value.operation == "check_sign_pattern"
+
+    def test_thirty_digit_tables_come_from_the_balls(self, monkeypatch):
+        # at 30 digits the balls' parts are h_table's own, so the scan sums
+        # no second table where no order cancels past _CANCEL_BITS; past
+        # t = 1e3 the parts cancel more and h_table redoes them
+        prec = WorkingPrecision(30)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return h_table(*args)
+
+        monkeypatch.setattr(cmdeg, "h_table", counted)
+        for grid, redone in ((LogGrid("0.0503", 1e3, 40), False),
+                             (LogGrid(2e3, 1e6, 6), True)):
+            calls.clear()
+            oracle = h_oracle(8, prec)
+            got = check_sign_pattern(oracle, grid, 8, prec)
+            assert got == oracles.one_pass_h_sign_pattern(grid, 8, prec)
+            assert bool(calls) == redone
+            with prec.workdps():
+                for t in grid.values(prec):
+                    assert oracle.table(t) == h_table(0, 8, t, prec)
+
+
+class LooseStop(WorkingPrecision):
+    # a series stop of 2^-81, the loosest the balls are proven for: the
+    # truncated tails carry both the ball sums' radius and the term for the
+    # value at prec
+    @property
+    def series_stop(self):
+        return mp.ldexp(1, -81)
+
+
+BALL_POLICIES = (
+    WorkingPrecision(30),
+    WorkingPrecision(50),
+    WorkingPrecision(100),
+    LooseStop(30),
+    LooseStop(50),
+)
+
+
+def documented_ball(oracle, n, t):
+    """(centre, least radius) that ScaledDerivative.balls' docstring allows,
+    as mpfs at the current precision: V B' and V (R' + 2.1 Q + 2.1 eta U),
+    from the ball sums of t and the Leibniz coefficients as Fractions."""
+    tables, prec = oracle.tables, oracle.tables.prec
+    core = tables.ball_sums(t)
+    k, n_max = tables.k, tables.max_order
+    with prec.workdps():
+        bits, stop = mp.prec, prec.series_stop
+    a, s = _dyadic(oracle.r)
+    r = Fraction(a, 2**s)
+    coeffs = []  # C(n,j) (-r)^(j), against S_(n-j)
+    for j in range(n + 1):
+        rising = Fraction(1)
+        for i in range(j):
+            rising *= i - r
+        coeffs.append(comb(n, j) * rising)
+    sums = [core.sums[n - j] for j in range(n + 1)]
+    radii = [core.radii[n - j] for j in range(n + 1)]
+    weights = [0] + [w for _, w in _lah_rows(n_max)]
+    to = oracles.mpf_from_fraction
+    bracket = to(sum(c * q for c, q in zip(coeffs, sums)))
+    own = to(sum(abs(c) * q for c, q in zip(coeffs, radii)))
+    size = to(sum(abs(c) * (q + w) for c, q, w in zip(coeffs, sums, radii)))
+    lah = to(sum(abs(c) * (2 * weights[n - j] + 2) for j, c in enumerate(coeffs)))
+    wp = bits + _GUARD_BITS + 2 * _SERIES_LIMIT.bit_length()
+    q = (stop + mp.ldexp(1, -(bits + 27))) * size + mp.ldexp(
+        (core.sums[0] + core.radii[0]) * lah, -wp
+    )
+    eta = mp.ldexp(k + 2 * n_max + 16, -bits)
+    # V = t^(r-n) lead 2^exp', with the 2^-(s n) of the integer rows in r's
+    # Fractions instead
+    value = mp.ldexp(t ** (to(r) - n - k - 1) / mp.factorial(k + 1), core.exp)
+    least = value * (own + mp.mpf("2.1") * (q + eta * size))
+    return (-1) ** n * value * bracket, least
+
+
+def holds(ball, *values):
+    """Whether the ball (H, R, x) holds every mpf value, compared exactly."""
+    mid, rad, x = ball
+    for value in values:
+        num, e = _dyadic(value)
+        shift = x + e
+        if shift >= 0:
+            lo, hi = (mid - rad) << shift, (mid + rad) << shift
+        else:
+            lo, hi, num = mid - rad, mid + rad, num << -shift
+        if not lo <= num <= hi:
+            return False
+    return True
+
+
+def zero_of_first_derivative(k, t, prec):
+    """The r at which d/dt [t^r H_k(t)] vanishes at t: -t H_k'(t) / H_k(t)."""
+    with prec.workdps():
+        h0, h1 = hk_table(k, t, 1, prec)
+        return -t * h1 / h0
+
+
+class FakeScaledBalls(ScaledDerivative):
+    """A ScaledDerivative whose balls are built around its own values at
+    prec, widened by widen units, or taken from replace by (n, t)."""
+
+    def __init__(self, tables, r, widen=1, replace=None):
+        super().__init__(tables, r)
+        self._widen = widen
+        self._replace = replace or {}
+
+    def balls(self, t):
+        out = []
+        for n in range(self.max_order + 1):
+            fake = self._replace.get((n, t))
+            if fake is None:
+                with self.tables.prec.workdps():
+                    fake = ball_around(self(n, t), 20, self._widen)
+            out.append(fake)
+        return out
+
+
+class TestTwoPassHkScan:
+    """check_sign_pattern over a ScaledDerivative against one pass at prec."""
+
+    @staticmethod
+    def points():
+        # converted once at 30 digits, so every precision scans the same t
+        with WorkingPrecision(30).workdps():
+            return [mp.mpf(t) for t in ("1e-2", "0.1", "1", "10", "1e3", "1e6")]
+
+    def test_balls_hold_the_exact_and_the_prec_values(self):
+        # each ball holds the termwise route at 90 digits, three times the
+        # digits of the ball sums, and the value at prec with its radius, so
+        # a ball above -noise_floor leaves __call__'s guard nothing to refuse
+        fine = WorkingPrecision(90)
+        ts = self.points()
+        for prec in BALL_POLICIES[:3]:
+            for k in range(5):
+                tables = ScaledTailOracle(k, 6, prec)
+                for r in (k + 1, k + Fraction(5, 4), k + Fraction(1, 2), Fraction(99, 32)):
+                    oracle = tables.at(r)
+                    for t in ts:
+                        exact = oracles.termwise_table(k, r, t, fine)
+                        balls = oracle.balls(t)
+                        for n in range(7):
+                            value, radius = oracle.ball(n, t)
+                            low = mp.fsub(value, radius, exact=True)
+                            high = mp.fadd(value, radius, exact=True)
+                            assert holds(balls[n], exact[n], low, high), (
+                                prec, k, r, n, t
+                            )
+
+    def test_radius_covers_the_documented_budget(self):
+        # the radius is at least what balls' proof needs: the ball sums' own
+        # radius, 2.1 times the term for the value at prec, and the distance
+        # from the centre to V B'.  At the zero of the first derivative at
+        # t = 32 the bracket cancels, so the factor's rounding does not hide
+        # the prec term; under a stop of 2^-81 that term is as large as the
+        # sums' own radius
+        ts = self.points() + [mp.mpf(32)]
+        for prec in BALL_POLICIES:
+            for k in (0, 3):
+                tables = ScaledTailOracle(k, 6, prec)
+                zero = zero_of_first_derivative(k, 32, prec)
+                for r in (k + 1, k + Fraction(5, 4), zero):
+                    oracle = tables.at(r)
+                    for t in ts:
+                        balls = oracle.balls(t)
+                        with mp.workdps(3 * prec.working_dps):
+                            for n in range(7):
+                                centre, least = documented_ball(oracle, n, t)
+                                mid, rad, x = balls[n]
+                                unit = mp.ldexp(1, x)
+                                assert abs(mid * unit - centre) + least <= rad * unit, (
+                                    prec, k, r, n, t
+                                )
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_reports_equal_the_one_pass_walk(self, digits):
+        # the cli-mix scans of each digits level, pass and fail, on two of
+        # its 40-point grids and on the default grid
+        prec = WorkingPrecision(digits)
+        k = {30: 0, 50: 2, 100: 4}[digits]
+        grids = (LogGrid("0.010037", 1e6, 40), LogGrid("0.0109", 1e6, 40),
+                 DEFAULT_DEGREE_GRID)
+        for grid in grids:
+            for r in (k + 1, Fraction(4 * k + 5, 4)):
+                tables = ScaledTailOracle(k, 6, prec)
+                got = check_sign_pattern(tables.at(r), grid, 6, prec)
+                want = oracles.one_pass_sign_pattern(
+                    ScaledTailOracle(k, 6, prec).at(r), grid, 6, prec
+                )
+                assert got == want
+                assert got.passed == (r == k + 1)
+                # one sum per point; at 30 digits the ball sums are the
+                # tables, above it the balls leave one or two points to sum
+                assert len(tables._ball_sums) == grid.points
+                assert tables.series == grid.points if digits == 30 else (
+                    1 <= tables.series <= 2
+                )
+
+    def test_violation_through_fake_balls(self):
+        # balls that hold the values at prec, narrow or too wide to settle
+        # anything: the violation and the report are the one-pass walk's
+        grid = LogGrid("0.05", 1e3, 12)
+        for widen in (1, 1 << 400):
+            got = check_sign_pattern(
+                FakeScaledBalls(ScaledTailOracle(1, 4, PREC), "2.25", widen), grid, 4, PREC
+            )
+            want = oracles.one_pass_sign_pattern(
+                ScaledTailOracle(1, 4, PREC).at("2.25"), grid, 4, PREC
+            )
+            assert got == want and got.violation.order == 1
+
+    def test_guard_fires_where_the_ball_reaches_the_floor(self):
+        # under the pinned floor, the guard fires at (1, 100): its real ball
+        # reaches below -noise_floor, so the walk evaluates it and raises as
+        # the one-pass walk does.  A fake ball settled above the floor there
+        # would skip the evaluation, and the scan would pass instead
+        _, pinned = pinned_floor()
+        grid = LogGrid("0.5", 100, 2)
+        want = outcome(
+            lambda: oracles.one_pass_sign_pattern(
+                ScaledTailOracle(0, 1, pinned).at("1.25"), grid, 1, pinned
+            )
+        )
+        oracle = ScaledTailOracle(0, 1, pinned).at("1.25")
+        assert outcome(lambda: check_sign_pattern(oracle, grid, 1, pinned)) == want
+        assert want[0] == "ScaledTailOracle" and want[2]["n"] == 1
+        with pinned.workdps():
+            t = grid.values(pinned)[1]
+            mid, rad, x = oracle.balls(t)[1]
+            # the signed value of an odd order is -h, so its ball's lower end
+            # is -(mid + rad)
+            assert mp.ldexp(-mid - rad, x) < -pinned.noise_floor
+            # far above every other value, so not a candidate for the minimum
+            settled = {(1, t): ball_of(-mp.ldexp(1, 100), 0)}
+        fake = FakeScaledBalls(ScaledTailOracle(0, 1, pinned), "1.25", replace=settled)
+        report = check_sign_pattern(fake, grid, 1, pinned)
+        assert report.passed and report.evaluations == 4
+
+    def test_failures_are_the_one_pass_failures(self):
+        # no series stop: the ball sums fail, and each point is evaluated at
+        # prec, where the sum fails as the one-pass walk's does; a coarse
+        # stop gives no balls, so the walk and its guard are the one-pass
+        # ones, failing or passing
+        coarse = CoarseStop(PREC.digits)
+        zero = zero_of_first_derivative(0, 32, coarse)
+        cases = (
+            (NoStopPolicy(50), 1, LogGrid(1, 10, 2)),
+            (coarse, zero, LogGrid(32, 1e3, 2)),
+            (coarse, 1, LogGrid(1, 10, 5)),
+        )
+        outcomes = []
+        for prec, r, grid in cases:
+            want = outcome(
+                lambda: oracles.one_pass_sign_pattern(
+                    ScaledTailOracle(0, 1, prec).at(r), grid, 1, prec
+                )
+            )
+            oracle = ScaledTailOracle(0, 1, prec).at(r)
+            assert outcome(lambda: check_sign_pattern(oracle, grid, 1, prec)) == want
+            outcomes.append(want)
+            if prec is coarse:
+                assert all(oracle.balls(t) is None for t in grid.values(prec))
+        assert outcomes[0][0] == "tail_scaled_derivatives"
+        assert outcomes[1][0] == "ScaledTailOracle"
+        assert outcomes[2].passed

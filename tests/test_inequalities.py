@@ -20,12 +20,15 @@ from cmcheck import (
     fpoly_validated,
     h_derivative,
     h_function,
+    h_table,
 )
+from cmcheck import inequalities
 from cmcheck.inequalities import (
     DEFAULT_BESSEL_GRID,
     DEFAULT_NEGATIVITY_GRID,
     DEFAULT_TRIGAMMA_GRID,
     FPOLY_FORMS,
+    _difference_bound,
 )
 
 PREC = DEFAULT_PRECISION
@@ -189,6 +192,23 @@ class TestInequalityScans:
             got = check_ineq_trigamma(grid, prec)
             assert got == oracles.one_pass_trigamma(grid, prec)
 
+    def test_thirty_digit_margins_come_from_the_balls(self, monkeypatch):
+        # at 30 digits the balls' parts are h_table's own, so the scan sums
+        # no second table; h itself, order 0, never cancels past
+        # _CANCEL_BITS, as h ~ e^(1/t) for small t and h ~ 1 for large t
+        prec = WorkingPrecision(30)
+        calls = []
+
+        def counted(t, prec):
+            calls.append(t)
+            return h_function(t, prec)
+
+        monkeypatch.setattr(inequalities, "h_function", counted)
+        for grid in (LogGrid(1e-2, 100, 40), LogGrid("1e-3", "1e6", 25)):
+            got = check_ineq_trigamma(grid, prec)
+            assert got == oracles.one_pass_trigamma(grid, prec)
+        assert calls == []
+
 
 class TestDifferenceBound:
     def test_both_sides_negative_and_ordered(self):
@@ -219,6 +239,28 @@ class TestDifferenceBound:
                 for t in ("0.3", 1, 5, 40):
                     check = check_difference_bound(i, t, PREC)
                     assert check.passed, (i, t)
+
+    @pytest.mark.parametrize("digits", (30, 50))
+    def test_suite_tables_give_the_same_checks(self, digits):
+        # proof-algebra takes every h^(i) from one table of the orders 0..6
+        # at t and one at t + 1; each check keeps check_difference_bound's
+        # verdict and rhs, and its lhs to the digits asked for.  At 30 digits
+        # both routes fail i = 5 and 6 at t = 50, with rhs inside the floor
+        prec = WorkingPrecision(digits)
+        failed = []
+        with prec.workdps():
+            rel = mp.mpf(10) ** (5 - digits)
+            for t in LogGrid(0.25, 50, 25).values(prec):
+                h_at, h_next = h_table(0, 6, t, prec), h_table(0, 6, t + 1, prec)
+                for i in range(7):
+                    got = _difference_bound(i, t, h_at[i], h_next[i], prec)
+                    want = check_difference_bound(i, t, prec)
+                    assert (got.passed, got.rhs) == (want.passed, want.rhs), (i, t)
+                    assert abs(got.lhs - want.lhs) <= rel * abs(want.lhs), (i, t)
+                    if not got.passed:
+                        failed.append((i, t))
+        assert [i for i, _ in failed] == ([5, 6] if digits == 30 else [])
+        assert all(t == 50 for _, t in failed)
 
     def test_domain(self):
         with pytest.raises(ValueError):
