@@ -215,35 +215,35 @@ def ball_minimum(keys, ball, exact, floor=None):
     key is settled by its ball alone.
 
     A ball whose lower end lies above the smallest upper end of all the
-    balls walked holds a value larger than that ball's, so it cannot be
-    the minimum.  The rest, the candidates, are evaluated in walk order,
-    and the first value smaller than all before it is kept, as the
-    one-pass walk's strict < keeps it: least, its key, count and stopped
-    equal that walk's.  Every comparison of balls is exact, in integers at
-    a common binary exponent; an evaluated value enters as the ball of
-    radius 0 at its mpf's own dyadic.
+    balls walked, kept during the walk, holds a value larger than that
+    ball's, so it cannot be the minimum.  The rest, the candidates, are
+    evaluated in walk order in a second walk, and the first value smaller
+    than all before it is kept, as the one-pass walk's strict < keeps it:
+    least, its key, count and stopped equal that walk's.  Every comparison
+    of balls is exact, in integers at a common binary exponent; an
+    evaluated value enters as the ball of radius 0 at its mpf's own dyadic.
     """
     if floor is not None:
         f_num, f_e = _dyadic(floor)
     walked = []  # (key, ball, value or None)
+    top = top_x = None  # the smallest upper end so far
     stopped = False
     for key in keys:
         b = ball(key)
-        if b is not None and (
-            floor is None or not _below(b[0] - b[1], b[2], -f_num, -f_e)
+        value = None
+        if b is None or (
+            floor is not None and _below(b[0] - b[1], b[2], -f_num, -f_e)
         ):
-            walked.append((key, b, None))
-            continue
-        value = exact(key)
-        num, e = _dyadic(value)
-        walked.append((key, (num, 0, -e), value))
-        if floor is not None and value < -floor:
-            stopped = True
-            break
-    top, top_x = None, None
-    for _, (mid, rad, x), _ in walked:
+            value = exact(key)
+            num, e = _dyadic(value)
+            b = (num, 0, -e)
+        walked.append((key, b, value))
+        mid, rad, x = b
         if top is None or _below(mid + rad, x, top, top_x):
             top, top_x = mid + rad, x
+        if value is not None and floor is not None and value < -floor:
+            stopped = True
+            break
     least = arg = None
     for key, (mid, rad, x), value in walked:
         if _below(top, top_x, mid - rad, x):

@@ -6,8 +6,9 @@ lower bound I_1(t) > (t/2)^3 / (1 - e^(-(t/2)^2)) (margin (t/2) times the
 Laplace density of h - 1 at (t/2)^2).  The trigamma scan takes two passes:
 30-digit balls of h - 1 at every grid point (laurent.h_balls), and the
 margin at the digits asked for only where cmdeg.ball_minimum cannot rule
-the point out of the minimum.  The polynomial family f_i(t) that
-drives the difference-derivative bound
+the point out of the minimum.  The Bessel scan takes every margin of its
+grid from one sequence evaluation of the h kernel.  The polynomial family
+f_i(t) that drives the difference-derivative bound
 
     (-1)^i [h(t+1) - h(t)]^(i) < i! f_i(t) / (12 t^(i+3) (t+1)^(i+3))
 
@@ -23,7 +24,7 @@ from math import comb
 from mpmath import mp
 
 from .cmdeg import LogGrid, ball_minimum
-from .laplace import h_kernel
+from .laplace import _h_kernel_many
 from .laurent import _h_ball_parts, _h_kept_table, h_function, h_table
 from .specfun import DEFAULT_PRECISION, to_mpf
 
@@ -136,29 +137,12 @@ class InequalityScanReport:
     evaluations: int
 
 
-def _scan(inequality, margin_fn, grid, prec, ball=None):
-    """The smallest margin_fn(t) over the grid, the first t to reach it.
-
-    With ball(t), the integer ball of ball_minimum, the margins come from
-    ball_minimum, which evaluates margin_fn only at the t whose balls do
-    not rule them out; without it every t is evaluated.  Both give the
-    same report.
-    """
+def _scan(inequality, minimum, grid, prec):
+    """The report of minimum(ts) = (least margin, the first t to reach it,
+    evaluations) over the grid's values ts."""
     with prec.workdps():
         floor = prec.noise_floor
-        ts = grid.values(prec)
-        if ball is not None:
-            best, best_t, count, _ = ball_minimum(ts, ball, margin_fn)
-        else:
-            best = mp.inf
-            best_t = None
-            count = 0
-            for t in ts:
-                m = margin_fn(t)
-                count += 1
-                if m < best:
-                    best = m
-                    best_t = t
+        best, best_t, count = minimum(grid.values(prec))
         return InequalityScanReport(
             inequality=inequality,
             grid=grid,
@@ -200,9 +184,13 @@ def check_ineq_trigamma(grid=DEFAULT_TRIGAMMA_GRID, prec=DEFAULT_PRECISION):
         table = None if parts is None else _h_kept_table(parts)
         return (h_function(t, prec) if table is None else table[0]) - 1
 
-    return _scan(
-        "trigamma", margin, grid, prec, lambda t: _h_minus_one_ball(t, prec, kept)
-    )
+    def minimum(ts):
+        least, arg, count, _ = ball_minimum(
+            ts, lambda t: _h_minus_one_ball(t, prec, kept), margin
+        )
+        return least, arg, count
+
+    return _scan("trigamma", minimum, grid, prec)
 
 
 def bessel_margin(t, prec=DEFAULT_PRECISION):
@@ -213,9 +201,16 @@ def bessel_margin(t, prec=DEFAULT_PRECISION):
     summed as one series with the cancelling terms removed exactly; the
     direct subtraction loses ~ log10(9216 / t^6) digits (16 at t = 0.01).
     """
+    return _bessel_margins([t], prec)[0]
+
+
+def _bessel_margins(ts, prec):
+    """[bessel_margin(t) for t in ts], every density from one evaluation of
+    the h kernel's sequence evaluator."""
     with prec.workdps():
-        half = to_mpf(t) / 2
-        return half * h_kernel(half ** 2, prec)
+        halves = [to_mpf(t) / 2 for t in ts]
+        densities = _h_kernel_many([half**2 for half in halves], prec)
+        return [half * density for half, density in zip(halves, densities)]
 
 
 def check_ineq_bessel(grid=DEFAULT_BESSEL_GRID, prec=DEFAULT_PRECISION):
@@ -223,8 +218,15 @@ def check_ineq_bessel(grid=DEFAULT_BESSEL_GRID, prec=DEFAULT_PRECISION):
 
     For small t both sides open t/2 + t^3/16 + O(t^5) and the margin is
     ~ t^7/18432, which is why the scan needs the extended working precision.
+    Every margin of the grid comes from one _bessel_margins.
     """
-    return _scan("bessel", lambda t: bessel_margin(t, prec), grid, prec)
+
+    def minimum(ts):
+        margins = _bessel_margins(ts, prec)
+        first = min(range(len(ts)), key=margins.__getitem__)
+        return margins[first], ts[first], len(ts)
+
+    return _scan("bessel", minimum, grid, prec)
 
 
 @dataclass(frozen=True)

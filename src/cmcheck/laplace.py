@@ -10,6 +10,10 @@ integral_0^inf kernel(t) e^(-zt) dt (up to documented prefactors):
 
 Each kernel is summed by the 1F2 engine of specfun; below u = 1/4 h_kernel
 adds to it the Bernoulli tail of u/(1 - e^-u), so no digits cancel there.
+The engine takes a sequence of arguments, and KernelSpec.evaluate_many
+evaluates every node of a panel, or every edge of the first cut, in one
+pass (two for h, one per side of u = 1/4).  Each value, and the error bound
+of each argument, is the one a call per argument gives.
 
 The transform engine integrates over [0, T] with Gauss-Legendre panels and
 bounds the discarded tail with the exact closed form of
@@ -45,7 +49,7 @@ from .specfun import (
     _dyadic,
     _em_coefficient,
     _series_1f2,
-    hyp1f2,
+    _series_sums,
     to_mpf,
 )
 
@@ -58,15 +62,29 @@ _ORDERS = (2, 4, 6, 8, 10, 12, 14, 16, 20, 24, 32, 48, 64)
 _RHOS = tuple(2**j for j in range(1, 10))
 
 # a bound needs few digits; its majorants are computed at this precision and
-# rounded up by _BOUND_SLACK, which dwarfs their truncation and rounding
+# rounded up by the factor _BOUND_SLACK, whose 1e-30 dwarfs their truncation
+# and rounding; it and rho + 1/rho for each rho (_RHO_SUMS) are formed once
 _BOUND_PRECISION = WorkingPrecision(30)
-_BOUND_SLACK = "1e-30"
+with _BOUND_PRECISION.workdps():
+    _BOUND_SLACK = 1 + mp.mpf("1e-30")
+    _RHO_SUMS = tuple(rho + mp.mpf(1) / rho for rho in _RHOS)
 
 KERNEL_KINDS = ("f12", "bessel", "h", "const")
 
 REPRESENTATIONS = ("f12", "bessel", "h", "h_deriv")
 
+_EXHAUSTED = "series budget exhausted"
+
 DEFAULT_REL_TOL = {"f12": "1e-10", "bessel": "1e-10", "h": "1e-8", "h_deriv": "1e-8"}
+
+
+def _nonnegative(xs, name):
+    """xs as mpfs at the current precision; ValueError at the first negative."""
+    xs = [to_mpf(x) for x in xs]
+    for x in xs:
+        if x < 0:
+            raise ValueError(f"{name} must be nonnegative, got {x}")
+    return xs
 
 
 def kernel_1f2(k, t, prec=DEFAULT_PRECISION):
@@ -75,14 +93,21 @@ def kernel_1f2(k, t, prec=DEFAULT_PRECISION):
     Equals t^k/(k! (k+1)!) 1F2(1; k+1, k+2; t); the series indexing starts
     at m = k+1 >= 1, so the would-be 1/Gamma(0) term never arises.
     """
+    return _kernel_1f2_many(k, [t], prec)[0]
+
+
+def _kernel_1f2_many(k, ts, prec):
+    """[kernel_1f2(k, t) for t in ts], the series summed in one pass; a
+    failure is hyp1f2's, for the first t that fails."""
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     with prec.workdps():
-        t = to_mpf(t)
-        if t < 0:
-            raise ValueError(f"t must be nonnegative, got {t}")
-        front = t ** k / (mp.factorial(k) * mp.factorial(k + 1))
-        return front * hyp1f2(k + 1, k + 2, t, prec)
+        ts = _nonnegative(ts, "t")
+        fact = mp.factorial(k) * mp.factorial(k + 1)
+        named = [{"b1": k + 1, "b2": k + 2, "t": t} for t in ts]
+        ones = [mp.mpf(1)] * len(ts)
+        sums = _series_1f2(ones, ts, k + 1, k + 2, prec, "hyp1f2", named)
+        return [t ** k / fact * value for t, value in zip(ts, sums)]
 
 
 def kernel_bessel(k, t, prec=DEFAULT_PRECISION):
@@ -91,14 +116,18 @@ def kernel_bessel(k, t, prec=DEFAULT_PRECISION):
     Equals I_{k+2}(2 sqrt t) / t^((k+2)/2) for t > 0; kernel-identities
     checks that against mpmath's besseli, which shares no code with it.
     """
+    return _kernel_bessel_many(k, [t], prec)[0]
+
+
+def _kernel_bessel_many(k, ts, prec):
+    """[kernel_bessel(k, t) for t in ts], the series summed in one pass."""
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     with prec.workdps():
-        t = to_mpf(t)
-        if t < 0:
-            raise ValueError(f"t must be nonnegative, got {t}")
+        ts = _nonnegative(ts, "t")
         term = 1 / mp.factorial(k + 2)
-        return _series_1f2(term, t, 1, k + 3, prec, "kernel_bessel", k=k, t=t)
+        named = [{"k": k, "t": t} for t in ts]
+        return _series_1f2([term] * len(ts), ts, 1, k + 3, prec, "kernel_bessel", named)
 
 
 def u_ratio(u, prec=DEFAULT_PRECISION):
@@ -141,7 +170,7 @@ def _bernoulli_tail(u, prec):
         if not power:
             break
         power = power * u2 >> shift
-    raise NumericFailure("h_kernel", "series budget exhausted", u=u)
+    raise NumericFailure("h_kernel", _EXHAUSTED, u=u)
 
 
 def h_kernel(u, prec=DEFAULT_PRECISION):
@@ -158,17 +187,41 @@ def h_kernel(u, prec=DEFAULT_PRECISION):
     Bernoulli tail of u/(1 - e^-u) (_bernoulli_tail).  T is negative, so the
     subtraction adds two positive pieces and cancels nothing.
     """
+    return _h_kernel_many([u], prec)[0]
+
+
+def _h_kernel_many(us, prec):
+    """[h_kernel(u) for u in us]: one 1F2 pass over the u >= 1/4 and one over
+    the 0 < u < 1/4.  A failure is the one h_kernel raises for the first u
+    that fails: hyp1f2's from u = 1/4 on, h_kernel's below."""
     with prec.workdps():
-        u = to_mpf(u)
-        if u < 0:
-            raise ValueError(f"u must be nonnegative, got {u}")
-        if u == 0:
-            return mp.mpf(0)
-        if u >= mp.mpf(1) / 4:
-            return kernel_1f2(0, u, prec) - u_ratio(u, prec)
-        tail = _bernoulli_tail(u, prec)
-        head = _series_1f2(u**3 / 144, u, 4, 5, prec, "h_kernel", u=u)
-        return head - u**4 * tail
+        us = _nonnegative(us, "u")
+        quarter = mp.mpf(1) / 4
+        high = [i for i, u in enumerate(us) if u >= quarter]
+        low = [i for i, u in enumerate(us) if 0 < u < quarter]
+        out = [mp.mpf(0)] * len(us)
+        failures = []  # (position, NumericFailure), the first of each branch
+        for i, pair in zip(high, _series_sums([us[i] for i in high], 1, 2, prec)):
+            u = us[i]
+            if pair is None:
+                failures.append(
+                    (i, NumericFailure("hyp1f2", _EXHAUSTED, b1=1, b2=2, t=u))
+                )
+                break
+            out[i] = mp.mpf(pair) - u_ratio(u, prec)
+        for i, pair in zip(low, _series_sums([us[i] for i in low], 4, 5, prec)):
+            u = us[i]
+            try:
+                if pair is None:
+                    raise NumericFailure("h_kernel", _EXHAUSTED, u=u)
+                tail = _bernoulli_tail(u, prec)
+            except NumericFailure as exc:
+                failures.append((i, exc))
+                break
+            out[i] = u**3 / 144 * mp.mpf(pair) - u**4 * tail
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        return out
 
 
 @dataclass(frozen=True)
@@ -195,23 +248,30 @@ class KernelSpec:
                 f"weight must be a nonnegative integer, got {self.weight!r}"
             )
 
-    def base(self, t, prec=DEFAULT_PRECISION):
+    def _bases(self, ts, prec):
+        """[kernel(t) for t in ts] from one pass of the 1F2 engine (two for h)."""
         if self.kind == "f12":
-            return kernel_1f2(self.k, t, prec)
+            return _kernel_1f2_many(self.k, ts, prec)
         if self.kind == "bessel":
-            return kernel_bessel(self.k, t, prec)
+            return _kernel_bessel_many(self.k, ts, prec)
         if self.kind == "h":
-            return h_kernel(t, prec)
-        return mp.mpf(1)
+            return _h_kernel_many(ts, prec)
+        return [mp.mpf(1)] * len(ts)
+
+    def evaluate_many(self, ts, prec=DEFAULT_PRECISION):
+        """[kernel(t) t^weight for t in ts] at the working precision; each
+        value equals evaluate(t)'s, and a failure is the first evaluate
+        would raise."""
+        with prec.workdps():
+            ts = [to_mpf(t) for t in ts]
+            values = self._bases(ts, prec)
+            if self.weight:
+                values = [value * t**self.weight for value, t in zip(values, ts)]
+            return values
 
     def evaluate(self, t, prec=DEFAULT_PRECISION):
         """kernel(t) t^weight at the working precision."""
-        with prec.workdps():
-            t = to_mpf(t)
-            value = self.base(t, prec)
-            if self.weight:
-                value *= t ** self.weight
-            return value
+        return self.evaluate_many([t], prec)[0]
 
     def majorant(self, radius, low, prec=DEFAULT_PRECISION):
         """An upper bound on |kernel(w)| over complex w with |w| <= radius and
@@ -227,7 +287,7 @@ class KernelSpec:
         falling by R/20 or more.  The smaller applicable bound is returned.
         """
         if self.kind != "h":
-            return self.base(radius, prec)
+            return self._bases([radius], prec)[0]
         with prec.workdps():
             best = mp.inf
             if low > 0:
@@ -258,9 +318,10 @@ class QuadratureResult:
     bound_evaluations: int
 
 
-def _ellipse_majorant(kernel, z, a, b, rho):
+def _ellipse_majorant(kernel, z, c, semi):
     """An upper bound on |kernel(w) w^weight e^(-zw)| over the Bernstein
-    ellipse E_rho of the panel [a, b], 0 <= a < b.
+    ellipse E_rho of a panel [a, b], 0 <= a < b, given its centre c and
+    semi-major axis semi.
 
     E_rho has centre c = (a+b)/2 and semi-major axis A = (b-a)/4 (rho + 1/rho),
     so each of its points w has |w| <= c + A and Re w >= c - A; the kernel's
@@ -268,12 +329,10 @@ def _ellipse_majorant(kernel, z, a, b, rho):
     |e^(-zw)| <= e^(-z(c-A)).
     """
     with _BOUND_PRECISION.workdps():
-        c = (a + b) / 2
-        semi = (b - a) / 4 * (rho + mp.mpf(1) / rho)
         radius, low = c + semi, c - semi
         m = kernel.majorant(radius, low, _BOUND_PRECISION)
         m *= radius**kernel.weight * mp.exp(-z * low)
-        return m * (1 + mp.mpf(_BOUND_SLACK))
+        return m * _BOUND_SLACK
 
 
 def _gauss_bound(half, majorant, rho, order):
@@ -318,12 +377,15 @@ def _gauss_legendre(order, dps):
 
 
 def _gauss_panel(kernel, z, a, b, order, prec):
-    """order-point Gauss-Legendre for kernel(t) t^weight e^(-zt) on [a, b]."""
+    """order-point Gauss-Legendre for kernel(t) t^weight e^(-zt) on [a, b],
+    the kernel at every node from one evaluate_many."""
     with prec.workdps():
         mid, half = (a + b) / 2, (b - a) / 2
+        rule = _gauss_legendre(order, prec.working_dps)
+        ts = [mid + half * x for x, _ in rule]
+        values = kernel.evaluate_many(ts, prec)
         total = mp.fsum(
-            w * kernel.evaluate(mid + half * x, prec) * mp.exp(-z * (mid + half * x))
-            for x, w in _gauss_legendre(order, prec.working_dps)
+            w * value * mp.exp(-z * t) for (_, w), value, t in zip(rule, values, ts)
         )
         return half * total
 
@@ -413,16 +475,20 @@ def laplace_transform(kernel, z, rel_tol=None, prec=DEFAULT_PRECISION):
         nodes, bound_evaluations = 0, 0
         edge_values = {}
 
+        def evaluate_edges(ts):
+            """The integrand at each t in ts not yet evaluated, in one pass."""
+            nonlocal bound_evaluations
+            new = [t for t in ts if t not in edge_values]
+            bound_evaluations += len(new)
+            with _BOUND_PRECISION.workdps():
+                values = kernel.evaluate_many(new, _BOUND_PRECISION)
+                for t, value in zip(new, values):
+                    edge_values[t] = value * mp.exp(-z * t)
+
         def lower(a, b):
             """integral over [a, b] of the exponential through the integrand's
             end values, below the integral where the integrand is log-concave."""
-            nonlocal bound_evaluations
-            for t in (a, b):
-                if t not in edge_values:
-                    bound_evaluations += 1
-                    with _BOUND_PRECISION.workdps():
-                        value = kernel.evaluate(t, _BOUND_PRECISION) * mp.exp(-z * t)
-                    edge_values[t] = value
+            evaluate_edges((a, b))
             fa, fb = edge_values[a], edge_values[b]
             with _BOUND_PRECISION.workdps():
                 if fa == fb:
@@ -433,21 +499,29 @@ def laplace_transform(kernel, z, rel_tol=None, prec=DEFAULT_PRECISION):
 
         def tail_at(T):
             with _BOUND_PRECISION.workdps():
-                return _tail_bound(kernel.weight, T, z) * (1 + mp.mpf(_BOUND_SLACK))
+                return _tail_bound(kernel.weight, T, z) * _BOUND_SLACK
 
         def rule(a, b, share):
             """(order, bound) with the fewest nodes whose bound on [a, b] is at
             most share, or None.  Each order takes the locally best rho in
-            _RHOS; it grows with the order, so one walk serves them all."""
+            _RHOS; it grows with the order, so one walk serves them all.  Each
+            majorant and each bound is computed once."""
             half = (b - a) / 2
-            majorants = {}
+            with _BOUND_PRECISION.workdps():
+                c, quarter = (a + b) / 2, (b - a) / 4
+            majorants, bounds = {}, {}
 
             def bound(j, order):
                 nonlocal bound_evaluations
-                if j not in majorants:
-                    bound_evaluations += 1
-                    majorants[j] = _ellipse_majorant(kernel, z, a, b, _RHOS[j])
-                return _gauss_bound(half, majorants[j], _RHOS[j], order)
+                key = (j, order)
+                if key not in bounds:
+                    if j not in majorants:
+                        bound_evaluations += 1
+                        with _BOUND_PRECISION.workdps():
+                            semi = quarter * _RHO_SUMS[j]
+                        majorants[j] = _ellipse_majorant(kernel, z, c, semi)
+                    bounds[key] = _gauss_bound(half, majorants[j], _RHOS[j], order)
+                return bounds[key]
 
             # start near the best rho for e^(-zt) alone at two nodes, 8/(z half),
             # and leave any ellipse that reaches a pole downwards
@@ -497,6 +571,7 @@ def laplace_transform(kernel, z, rel_tol=None, prec=DEFAULT_PRECISION):
         if edges[-1] != T:
             edges.append(T)
         spans = list(zip(edges, edges[1:]))
+        evaluate_edges(edges)
         scale = rel_tol * sum(lower(a, b) for a, b in spans)
         tail = tail_at(T)
         extensions = 0

@@ -10,6 +10,7 @@ block and round once to a plain mpf at the end.  Polygamma and the
 e^(1/t) derivatives have integer cores (polygamma_fixed, _exp_recip_fixed)
 that return each value as an integer and its binary exponent, so
 laurent.h_table subtracts the two parts in integers before it rounds.
+The 1F2 summation (_series_1f2) sums a sequence of arguments in one pass.
 """
 
 from dataclasses import dataclass, field
@@ -429,27 +430,48 @@ def polygamma(n, t, prec=DEFAULT_PRECISION):
     return polygamma_range(n, n, t, prec)[0]
 
 
-def _series_1f2(term, x, b1, b2, prec, operation, /, **inputs):
-    """term * sum_n x^n / ((b1)_n (b2)_n) for x >= 0 and b1, b2 > 0.
+def _series_1f2(terms, xs, b1, b2, prec, operation, inputs):
+    """[term * sum_n x^n / ((b1)_n (b2)_n) for term, x in zip(terms, xs)],
+    each x >= 0, b1, b2 > 0.
 
-    The one positive-term summation behind bessel_i, hyp1f2 and
-    laplace.kernel_bessel, at the caller's working precision.  Stops once a
-    term falls below the relative threshold and the next term ratio is below
-    1/2, where the geometric tail is dominated by the last term.  Raises
-    NumericFailure(operation, ..., **inputs) once _SERIES_LIMIT terms are spent.
+    The one positive-term summation behind bessel_i, hyp1f2 and the laplace
+    kernels, at the caller's working precision; a single argument is the
+    one-element case.  The sums come from one pass of _series_sums, whose
+    error bound holds for each argument unchanged.  Where an argument's
+    series cannot stop within _SERIES_LIMIT terms, raises
+    NumericFailure(operation, "series budget exhausted", **inputs[i]) for
+    the first such argument i, the one a call per argument would raise for;
+    inputs holds one dict per argument.
+    """
+    sums = _series_sums(xs, b1, b2, prec)
+    for pair, named in zip(sums, inputs):
+        if pair is None:
+            raise NumericFailure(operation, "series budget exhausted", **named)
+    return [term * mp.mpf(pair) for term, pair in zip(terms, sums)]
 
-    x, b1 and b2 are exact dyadics (ints or mpfs), so with x = X / 2^ex and
-    b_i = B_i / 2^e_i the term ratio x / ((b1+n)(b2+n)) is the integer
-    quotient num / den_n, num = X 2^(e1+e2) and den_n = (B1 + n 2^e1)
-    (B2 + n 2^e2) 2^ex.  Term n is kept relative to the first as q_n, with
-    q_0 = 2^wp and q_{n+1} = floor(q_n num / den_n); both stop tests are
-    exact integer comparisons, and term is applied once at the end.  When q
-    reaches 2^(2 wp) (terms grow up to n ~ sqrt x) q and the sum drop wp
-    bits together, or more if q is still at or above 2^(2 wp) after that
-    (a tiny b1 b2 lets the first ratios exceed 2^wp).  If even
-    (b1+L)(b2+L) <= 2x, L = _SERIES_LIMIT, the ratio test cannot pass
-    within the budget, so it raises at once instead of spending the budget
-    on terms that grow.
+
+def _series_sums(xs, b1, b2, prec):
+    """For each x in xs, (S, s) with sum_n x^n / ((b1)_n (b2)_n) = S 2^s,
+    low by the bound below, or None where the series cannot stop within
+    _SERIES_LIMIT terms.
+
+    Each sum stops once a term falls below the relative threshold and the
+    next term ratio is below 1/2, where the geometric tail is dominated by
+    the last term.  x, b1 and b2 are exact dyadics (ints or mpfs), so with
+    x_i = X_i / 2^e_i, ex = max e_i and b_j = B_j / 2^e_j the term ratio
+    x_i / ((b1+n)(b2+n)) is the integer quotient num_i / den_n, num_i =
+    X_i 2^(ex - e_i + e1 + e2) and den_n = (B1 + n 2^e1)(B2 + n 2^e2) 2^ex:
+    den_n is formed once per term for every argument.  Scaling num_i and
+    den_n by the same power of two leaves every floor quotient and every
+    comparison below as it is for x_i alone.  Term n is kept relative to
+    the first as q_n, with q_0 = 2^wp and q_{n+1} = floor(q_n num_i /
+    den_n); both stop tests are exact integer comparisons, and an argument
+    leaves the pass once it stops.  When q reaches 2^(2 wp) (terms grow up
+    to n ~ sqrt x) q and the sum drop wp bits together, or more if q is
+    still at or above 2^(2 wp) after that (a tiny b1 b2 lets the first
+    ratios exceed 2^wp).  If even (b1+L)(b2+L) <= 2x, L = _SERIES_LIMIT,
+    the ratio test cannot pass within the budget, so that argument is
+    given up at once instead of spending the budget on terms that grow.
 
     Every truncation is one-sided.  In units of the current scale, with Q_n
     the exact term: each division and each rescale lowers q by at most one
@@ -461,31 +483,47 @@ def _series_1f2(term, x, b1, b2, prec, operation, /, **inputs):
 
         wp = mp.prec + 32 + 2 bitlen(_SERIES_LIMIT)
 
-    bounds that by 2^-(mp.prec+29), under one ulp of the working precision.
+    bounds that by 2^-(mp.prec+29), under one ulp of the working precision,
+    for each argument.
     """
-    (xn, ex), (b1n, e1), (b2n, e2) = _dyadic(x), _dyadic(b1), _dyadic(b2)
-    num = xn << (e1 + e2)
+    if not xs:
+        return []
+    (b1n, e1), (b2n, e2) = _dyadic(b1), _dyadic(b2)
+    pairs = [_dyadic(x) for x in xs]
+    ex = max(e for _, e in pairs)
     # series_stop = s_num / 2^s_e exactly
     s_num, s_e = _dyadic(prec.series_stop)
-    den = ((b1n + (_SERIES_LIMIT << e1)) * (b2n + (_SERIES_LIMIT << e2))) << ex
-    if 2 * num >= den:
-        raise NumericFailure(operation, "series budget exhausted", **inputs)
     wp = mp.prec + _GUARD_BITS + 2 * _SERIES_LIMIT.bit_length()
-    q = total = 1 << wp
-    shift = 0
+    out = [None] * len(xs)
+    last = ((b1n + (_SERIES_LIMIT << e1)) * (b2n + (_SERIES_LIMIT << e2))) << ex
+    active = []  # [q, total, shift, num, position] of each unstopped argument
+    for i, (xn, e) in enumerate(pairs):
+        num = xn << (ex - e + e1 + e2)
+        if 2 * num < last:
+            active.append([1 << wp, 1 << wp, 0, num, i])
     den = (b1n * b2n) << ex
     for n in range(1, _SERIES_LIMIT + 1):
-        q = q * num // den
-        total += q
-        den = ((b1n + (n << e1)) * (b2n + (n << e2))) << ex
-        if q << s_e < s_num * total and 2 * num < den:
-            return term * mp.mpf((total, shift - wp))
-        if q >> 2 * wp:
-            s = max(wp, q.bit_length() - 2 * wp)
-            q >>= s
-            total >>= s
-            shift += s
-    raise NumericFailure(operation, "series budget exhausted", **inputs)
+        if not active:
+            break
+        after = ((b1n + (n << e1)) * (b2n + (n << e2))) << ex
+        still = []
+        for state in active:
+            q, total, shift, num, i = state
+            q = q * num // den
+            total += q
+            if q << s_e < s_num * total and 2 * num < after:
+                out[i] = (total, shift - wp)
+                continue
+            if q >> 2 * wp:
+                s = max(wp, q.bit_length() - 2 * wp)
+                q >>= s
+                total >>= s
+                state[2] = shift + s
+            state[0], state[1] = q, total
+            still.append(state)
+        active = still
+        den = after
+    return out
 
 
 def bessel_i(nu, z, prec=DEFAULT_PRECISION):
@@ -504,7 +542,9 @@ def bessel_i(nu, z, prec=DEFAULT_PRECISION):
             return mp.mpf(1) if nu == 0 else mp.mpf(0)
         half = z / 2
         term = half ** nu / mp.factorial(nu)
-        return _series_1f2(term, half * half, 1, nu + 1, prec, "bessel_i", nu=nu, z=z)
+        return _series_1f2(
+            [term], [half * half], 1, nu + 1, prec, "bessel_i", [{"nu": nu, "z": z}]
+        )[0]
 
 
 def hyp1f2(b1, b2, t, prec=DEFAULT_PRECISION):
@@ -519,4 +559,6 @@ def hyp1f2(b1, b2, t, prec=DEFAULT_PRECISION):
             raise ValueError(f"lower parameters must be positive, got {b1}, {b2}")
         if t < 0:
             raise ValueError(f"argument must be nonnegative, got {t}")
-        return _series_1f2(mp.mpf(1), t, b1, b2, prec, "hyp1f2", b1=b1, b2=b2, t=t)
+        return _series_1f2(
+            [mp.mpf(1)], [t], b1, b2, prec, "hyp1f2", [{"b1": b1, "b2": b2, "t": t}]
+        )[0]

@@ -22,7 +22,7 @@ from mpmath import mp
 
 from cmcheck import WorkingPrecision, h_function, h_table, tail_scaled_derivatives
 from cmcheck.cmdeg import SignPatternReport, TableOracle, Violation
-from cmcheck.inequalities import InequalityScanReport
+from cmcheck.inequalities import InequalityScanReport, bessel_margin
 
 
 class CoarseStop(WorkingPrecision):
@@ -288,6 +288,25 @@ def one_pass_h_sign_pattern(grid, max_order, prec):
     """one_pass_sign_pattern over one full-precision h_table per grid point."""
     oracle = TableOracle(lambda t: h_table(0, max_order, t, prec), max_order, prec)
     return one_pass_sign_pattern(oracle, grid, max_order, prec)
+
+
+def one_pass_bessel(grid, prec):
+    """check_ineq_bessel as one walk: bessel_margin(t) at every grid point."""
+    with prec.workdps():
+        least, arg = mp.inf, None
+        ts = grid.values(prec)
+        for t in ts:
+            margin = bessel_margin(t, prec)
+            if margin < least:
+                least, arg = margin, t
+        return InequalityScanReport(
+            inequality="bessel",
+            grid=grid,
+            min_margin=least,
+            argmin_t=arg,
+            passed=bool(least > prec.noise_floor),
+            evaluations=len(ts),
+        )
 
 
 def one_pass_trigamma(grid, prec):

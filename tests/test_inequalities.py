@@ -192,6 +192,14 @@ class TestInequalityScans:
             got = check_ineq_trigamma(grid, prec)
             assert got == oracles.one_pass_trigamma(grid, prec)
 
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_bessel_scan_equals_the_point_by_point_scan(self, digits):
+        # every margin from one sequence evaluation of the h kernel; the
+        # report is the one of bessel_margin(t) at each grid point in turn
+        prec = WorkingPrecision(digits)
+        for grid in (LogGrid(1e-2, 50, 40), DEFAULT_BESSEL_GRID):
+            assert check_ineq_bessel(grid, prec) == oracles.one_pass_bessel(grid, prec)
+
     def test_thirty_digit_margins_come_from_the_balls(self, monkeypatch):
         # at 30 digits the balls' parts are h_table's own, so the scan sums
         # no second table; h itself, order 0, never cancels past

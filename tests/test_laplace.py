@@ -25,9 +25,13 @@ from cmcheck import (
     verify_representation,
 )
 from cmcheck.laplace import (
+    _BOUND_PRECISION,
     _ellipse_majorant,
     _gauss_bound,
     _gauss_panel,
+    _h_kernel_many,
+    _kernel_1f2_many,
+    _kernel_bessel_many,
     _node_precision,
     _tail_bound,
 )
@@ -167,7 +171,9 @@ class TestURatioAndHKernel:
         with PREC.workdps():
             quarter = mp.mpf(1) / 4
             for u in (mp.mpf("0.2"), quarter - mp.mpf(2) ** -40, quarter, mp.mpf("0.3")):
-                head = _series_1f2(u**3 / 144, u, 4, 5, PREC, "h_kernel", u=u)
+                (head,) = _series_1f2(
+                    [u**3 / 144], [u], 4, 5, PREC, "h_kernel", [{"u": u}]
+                )
                 small = head - u**4 * _bernoulli_tail(u, PREC)
                 direct = kernel_1f2(0, u, PREC) - u_ratio(u, PREC)
                 assert abs(small - direct) <= mp.mpf("1e-45") * direct, u
@@ -266,6 +272,60 @@ class TestKernelSpec:
             KernelSpec("f12", k=-1)
         with pytest.raises(ValueError):
             KernelSpec("f12", weight=-2)
+
+
+def kernel_arguments(digits):
+    # seeded t on both sides of u = 1/4, the seam itself, 1e-60 beside 1e3,
+    # a t near 2e5 whose terms are rescaled, and 0
+    rng = random.Random(2000 + digits)
+    ts = [rng.uniform(0, 0.25) for _ in range(3)]
+    ts += [rng.uniform(0.25, 40) for _ in range(3)]
+    return ts + ["0.25", "1e-60", 1000, "2e5", 0]
+
+
+class TestKernelBatches:
+    # one sequence evaluation gives each argument's one-at-a-time bits
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_kernels_batch_is_bit_identical(self, digits):
+        prec = WorkingPrecision(digits)
+        ts = kernel_arguments(digits)
+        for k in (0, 2):
+            assert _kernel_1f2_many(k, ts, prec) == [kernel_1f2(k, t, prec) for t in ts]
+            assert _kernel_bessel_many(k, ts, prec) == [
+                kernel_bessel(k, t, prec) for t in ts
+            ]
+        assert _h_kernel_many(ts, prec) == [h_kernel(u, prec) for u in ts]
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    @pytest.mark.parametrize(
+        "kind, k", (("f12", 1), ("bessel", 2), ("h", 0), ("const", 0))
+    )
+    def test_kernel_spec_batch_is_bit_identical(self, digits, kind, k):
+        prec = WorkingPrecision(digits)
+        ts = kernel_arguments(digits)
+        for weight in range(3):
+            spec = KernelSpec(kind, k=k, weight=weight)
+            assert spec.evaluate_many(ts, prec) == [spec.evaluate(t, prec) for t in ts]
+
+    @pytest.mark.parametrize(
+        "us", (["0.5", "0.1"], ["0.1", "0.5"], [0, "0.3"]), ids=str
+    )
+    def test_h_batch_raises_the_first_failure(self, us):
+        # under a zero stop threshold every u > 0 fails: from u = 1/4 on in
+        # hyp1f2's budget, below in the Bernoulli tail; the batch raises
+        # what the first failing u raises alone
+        prec = NoStop(30)
+        first = next(u for u in us if u != 0)
+        with pytest.raises(NumericFailure) as one:
+            h_kernel(first, prec)
+        with pytest.raises(NumericFailure) as batch:
+            _h_kernel_many(us, prec)
+        assert (batch.value.operation, batch.value.detail, batch.value.inputs) == (
+            one.value.operation,
+            one.value.detail,
+            one.value.inputs,
+        )
 
 
 class TestLaplaceTransform:
@@ -448,7 +508,10 @@ class TestPanelBounds:
                 want = mp.quad(
                     lambda t: integrand(t) * mp.exp(-t), [a, b], method="gauss-legendre"
                 )
-            majorants = [_ellipse_majorant(kernel, 1, a, b, rho) for rho in FINE_RHOS]
+            with _BOUND_PRECISION.workdps():
+                c, quarter = (a + b) / 2, (b - a) / 4
+                semis = [quarter * (rho + 1 / rho) for rho in FINE_RHOS]
+            majorants = [_ellipse_majorant(kernel, 1, c, semi) for semi in semis]
             for order in (2, 4, 8, 16):
                 got = _gauss_panel(kernel, 1, a, b, order, prec)
                 bound = min(
@@ -477,20 +540,32 @@ class TestPanelBounds:
                 rounding = mp.mpf(10) ** -(digits + 3) * exact
                 assert abs(quad.value - exact) <= quad.error_bound + rounding
 
-    def test_cli_mix_points_keep_their_work(self):
+    def test_cli_mix_points_keep_their_work(self, monkeypatch):
         # the nodes and bound evaluations of the verify-integral calls of the
-        # benchmark, at their unjittered z, with the panels at node digits
-        for rep, index, z, digits, nodes, bounds in (
-            ("f12", 1, "2.0", 30, 62, 42),
-            ("bessel", 2, "3.5", 50, 58, 40),
-            ("h_deriv", 1, "1.0", 100, 82, 44),
+        # benchmark, at their unjittered z, with the panels at node digits,
+        # and the Gauss bounds the rule forms, each (rho, order) once
+        import cmcheck.laplace
+
+        gauss_bounds = []
+
+        def counted(*args):
+            gauss_bounds.append(args)
+            return _gauss_bound(*args)
+
+        monkeypatch.setattr(cmcheck.laplace, "_gauss_bound", counted)
+        for rep, index, z, digits, nodes, bounds, formed in (
+            ("f12", 1, "2.0", 30, 62, 42, 97),
+            ("bessel", 2, "3.5", 50, 58, 40, 90),
+            ("h_deriv", 1, "1.0", 100, 82, 44, 125),
         ):
+            gauss_bounds.clear()
             check = verify_representation(rep, index, z=z, prec=WorkingPrecision(digits))
             assert check.passed
             assert (check.quadrature.nodes, check.quadrature.bound_evaluations) == (
                 nodes,
                 bounds,
             )
+            assert len(gauss_bounds) == formed
 
     def test_work_is_at_most_half_of_the_16_32_pair(self):
         # the embedded 16/32-point pair this rule replaced took 432 nodes here
