@@ -6,8 +6,9 @@ stays completely monotonic.  check_sign_pattern tests the alternating-sign
 property on a finite logarithmic grid up to a finite order; the degree
 estimator bisects on r between a pattern-pass and a pattern-fail, driven by
 the derivatives of t^r H_k(t) that ScaledTailOracle assembles from one
-r-independent set of integer sums per grid point (hk_sums, which sums one
-series there and derives every order from it), so a bisection step sums no
+r-independent set of integer sums per grid point (hk_sums, which takes the
+order-0 tail there from one series, or past the seam 1/t = 2(k+1) from one
+exponential, and derives every order from it), so a bisection step sums no
 series.  The bisection's r are dyadics, so by the Leibniz rule and the
 Vandermonde identity for rising factorials each scaled derivative is a
 positive factor times an integer bracket, formed exactly with a proven
@@ -621,13 +622,6 @@ class ScaledDerivative:
     def _radius(self, value, radius, factor):
         return abs(factor) * radius * (1 + self._eta) + abs(value) * self._eta
 
-    def ball(self, n, t):
-        """(v, rad): v = d^n/dt^n [t^r H_k(t)] and a bound rad on its error."""
-        self.tables._check_order(n)
-        with self.tables.prec.workdps():
-            value, _, radius, factor = self._evaluate(n, to_mpf(t))
-            return value, self._radius(value, radius, factor)
-
     def __call__(self, n, t):
         if mp.prec != self._bits:
             with self.tables.prec.workdps():
@@ -715,8 +709,8 @@ def _scaled_ball(core, factors, y, step, coeffs, abs_coeffs, terms, n):
 class DegreeEstimate:
     """Bisection bracket [r_lo, r_hi]: pattern passes at r_lo, fails at r_hi.
 
-    series is the number of H_k derivative tables summed for the bracket,
-    one per grid point.
+    series is the number of H_k derivative tables formed for the bracket,
+    one per grid point, each from one series or one exponential (hk_sums).
     """
 
     k: int
@@ -754,7 +748,7 @@ def estimate_cm_degree(
     interval defaults to (k, k+2) and must straddle (pass at r_lo, fail at
     r_hi), else BracketError.  Bisection stops once r_hi - r_lo <= tol
     (default 1/32).  Every step shares one ScaledTailOracle, so each grid
-    point sums its tail series once, and the grid's values and the rows of
+    point takes its order-0 tail once, and the grid's values and the rows of
     its sums by position once.  A step is check_sign_pattern's verdict by
     ScaledDerivative.passes: it settles the signs in integers and builds a
     value only where a bracket is not settled positive.

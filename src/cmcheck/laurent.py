@@ -4,8 +4,10 @@ The remainder of order k is
 
     H_k(z) = e^(1/z) - sum_{m=0}^{k} z^-m / m! = sum_{m=k+1}^inf z^-m / m!,
 
-always evaluated from the convergent tail on the right, never by the
-subtraction on the left (which cancels catastrophically once z is large).
+evaluated from the convergent tail on the right where 1/z < 2(k+1), and
+by the subtraction on the left only from that seam on, where the head's
+terms increase and it cancels at most log2((k+3)/2) bits (it cancels
+catastrophically once z is large).
 Derivatives and the scaled family d^n/dt^n [t^r H_k(t)] differentiate the
 tail termwise:
 
@@ -14,9 +16,10 @@ tail termwise:
 with all orders up to a maximum accumulated in a single pass over m.  At
 r = 0 every order is a positive-term series with integer multipliers, and
 the Lah numbers make each a fixed positive combination of the order-0 tail
-and a short exact prefix: hk_sums sums that one series in fixed-point
-integers, derives every order from it with a proven radius, and hk_table
-turns the results into mpfs.
+and a short exact prefix: hk_sums takes that tail in fixed-point integers,
+from its series or, past the seam, from one exponential, derives every
+order from it with a proven radius, and hk_table turns the results into
+mpfs.
 Also hosts h(t) = e^(1/t) - psi'(t) and its derivatives, the difference of
 the two engines from specfun: h_table rounds them to mpfs, and h_balls keeps
 a 30-digit table as integer balls, with a radius that covers h_table's value
@@ -30,6 +33,7 @@ from operator import mul
 from typing import NamedTuple
 
 from mpmath import mp
+from mpmath.libmp import from_int, mpf_div, mpf_exp, round_nearest
 
 from .specfun import (
     DEFAULT_PRECISION,
@@ -168,79 +172,105 @@ def _lah_rows(max_order):
 def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
     """The integer core of hk_table: S_0..S_max_order, their radii and scale.
 
-    One series is summed.  With x = 1/t and q_m = x^(m-k-1) (k+1)!/m! for
-    every m >= 0, T_n = sum_{m>k} (m)^(n) q_m.  The Lah numbers of _lah_rows
-    and m (m-1) ... (m-j+1) q_m = x^j q_(m-j) give, for n >= 1,
+    With x = 1/t and q_m = x^(m-k-1) (k+1)!/m! for every m >= 0, T_n =
+    sum_{m>k} (m)^(n) q_m.  The Lah numbers of _lah_rows and m (m-1) ...
+    (m-j+1) q_m = x^j q_(m-j) give, for n >= 1,
 
         T_n = sum_{j=1..n} L(n,j) x^j (T_0 + P_j),
         x^j P_j = x^j sum_{i=max(0,k+1-j)..k} q_i
                 = sum_{d=1..min(j,k+1)} (k+1)_d x^(j-d),
 
     with (k+1)_d = (k+1)!/(k+1-d)!.  Every coefficient is positive, so
-    nothing cancels.
+    nothing cancels.  T_0 = (k+1)! x^-(k+1) (e^x - sum_{m<=k} x^m/m!) comes
+    by one of two routes, split at the seam x = 2(k+1); both leave an S_0 >=
+    2^wp, wp = mp.prec + 32 + 2b (b = bitlen(_SERIES_LIMIT)), a tail bound
+    q <= S_0 and exp with
 
-    Summation.  t = den / 2^e exactly; the order-0 terms are kept relative
-    to the first as q_(k+1) = 2^wp and q_(m+1) = floor(q_m 2^e / (den (m+1))),
-    one add per term.  Whenever q reaches 2^(2 wp) (terms grow up to
-    m ~ 1/t) q and the sum drop wp bits together, so the integers stay near
-    2^wp in size however small t is; exp = shift - wp is their scale.  The
+        S_0 <= T'_0 <= S_0 + q + eps S_0,                           (*)
+
+    writing T'_n = T_n 2^-exp and eps = 2^-(mp.prec+29) (1 + 2^-mp.prec).
+    Both routes first take t = den / 2^e exactly and the first stop m_min
+    (_hk_first_stop), whose NumericFailure of an m_min at or past the
+    series budget therefore comes before either.
+
+    Series route, x < 2(k+1).  The order-0 terms are kept relative to the
+    first as q_(k+1) = 2^wp and q_(m+1) = floor(q_m 2^e / (den (m+1))), one
+    add per term.  Whenever q reaches 2^(2 wp) (terms grow up to m ~ 1/t) q
+    and the sum drop wp bits together; exp = shift - wp is their scale.  The
     sum ends at the first m >= m_min with q_m < series_stop S_0, tested in
     integers.  m_min is the first stop of tail_scaled_derivatives at r = 0
     (_first_stop, its ceil(1.5/t) taken as ceil(3 2^e / (2 den))), raised
-    to where the term ratio x/(m+1) is at most 1/2 (_hk_first_stop).  An
-    m_min at or past the series budget raises its NumericFailure at once.
+    to where the term ratio x/(m+1) is at most 1/2.  Every truncation is
+    one-sided: each division and each rescale lowers q by at most one unit
+    of the current scale, and the terms are unimodal in m with q >= 2^wp
+    after a rescale, so over M < _SERIES_LIMIT < 2^b terms q_m sits below
+    the exact Q_m by at most 2M max(1, Q_m 2^-wp) units, and a rescale costs
+    the sum one unit more.  S_0 is thus low by a relative delta <= 2^-wp
+    (3M + 2M^2) < 2^-(mp.prec+30).  The ratio is at most 1/2 past the stop
+    M, so the tail past it is at most Q_M <= q_M + delta P, with P <= S_0 /
+    (1 - delta) the exact partial sum: (*) holds with q = q_M, as T'_0 - S_0
+    <= q_M + 2 delta P.  Nor does the budget need a sum: the terms past
+    m_min at least halve, so the stop comes within b + 1 terms, 2^-b <=
+    series_stop (_hk_fits).
 
-    Derived orders.  In units of 2^exp each x^j (S_0 + P_j 2^-exp) is the
-    exact rational (S_0 2^(e j) + pre_j 2^-exp) / den^j, with the integer
-    pre_j = den^j x^j P_j; A_j is its floor, B_j = ceil(x^j q_M) with q_M
-    the last term, and S_n = sum_j L(n,j) A_j.
+    Exp route, x >= 2(k+1).  There the head's terms increase, so head =
+    sum_{m<=k} x^m/m! <= (k+1) x^k/k! <= (k+1)/2 x^(k+1)/(k+1)!, and the
+    tail e^x - head is at least 2 e^x / (k+3): the subtraction cancels at
+    most log2((k+3)/2) bits.  _hk_exp_parts gives e^x ~ E 2^g, E a p-bit
+    integer, p = mp.prec + 34 + bitlen(k+3), within 1.52 units of 2^g (its
+    docstring), and ceil(head 2^-g) exactly; D = E - 2 - ceil(head 2^-g) is
+    below (e^x - head) 2^-g by less than 4.52 units, a relative
+    5 (k+3) 2^-p < 2^-(mp.prec+31) of it.  With x^-(k+1) = den^(k+1)
+    2^-(e(k+1)) exact, N = (k+1)! den^(k+1) D is below T_0 2^(e(k+1) - g)
+    by that relative amount, and S_0 = N shifted to wp + 1 bits, floored,
+    loses one unit, 2^-wp S_0 more: (*) holds with q = 0.  No term is
+    summed, so series_stop does not enter.
 
-    Rounding of S_0.  Every truncation is one-sided.  In units of the
-    current scale, with Q_m the exact term: each division and each rescale
-    lowers q by at most one unit, and the terms are unimodal in m with
-    q >= 2^wp after a rescale, so over M < _SERIES_LIMIT < 2^b terms
-    (b = bitlen(_SERIES_LIMIT)) q_m sits below Q_m by at most
-    2M max(1, Q_m 2^-wp) units, and a rescale costs the sum at most one
-    unit more.  S_0 >= 2^wp at every scale, so it is low by a relative
-    delta <= 2^-wp (3M + 2M^2) < 2^-(wp-2b-2), and
+    Derived orders.  t = den / 2^e, and X = floor(2^(W+e) / den) with W =
+    wp + bitlen(den) - e >= 0 (x < 2^17 below the budget), so x 2^W >= 2^wp
+    and X 2^-W lies in [x (1 - 2^-wp), x].  At F = 32 fraction bits below
+    the unit 2^exp, u_0 = S_0 2^F and
 
-        wp = mp.prec + 32 + 2b
+        u_j = floor(u_(j-1) X 2^-W) + floor((k+1)_j 2^(F-exp)) [j <= k+1],
+        v_0 = q 2^F,   v_j = ceil(v_(j-1) (X+1) 2^-W),
 
-    bounds that by 2^-(mp.prec+30), under one ulp of the working precision.
+    with (X+1) 2^-W in [x, x (1 + 2^-wp)].  Then S_n = floor(sum_j L(n,j)
+    u_j 2^-F) and tail_n = ceil(sum_j L(n,j) v_j 2^-F), multiplies and
+    shifts only.  Both chains are one-sided: with y_j = x^j (S_0 + P_j
+    2^-exp), u_j 2^-F <= y_j, and v_j 2^-F >= x^j q.  Each step costs a
+    relative 2^-wp of at most y_j and two floors; as y_j grows by at least
+    x per step and y_j >= x^j 2^wp, unrolling gives for both chains an
+    error under 2j 2^-wp y_j + 2j 2^-F units (x^j q <= y_j as q <= S_0).
+    Summed with the weights L(n,j), whose sum is l_n, and with the
+    sums Y_n = sum_j L(n,j) y_j <= T'_n:
 
-    Truncation.  The ratio x/(m+1) falls as m grows and is at most 1/2 at
-    the stop M, so the tail past M is at most Q_M (1/2 + 1/4 + ...) = Q_M.
-    Q_M exceeds q_M by no more than the sum's whole one-sided error,
-    delta P, with P <= S_0 / (1 - delta) the exact partial sum.  So
-    T_0 2^-exp - S_0 <= q_M + 2 delta P < q_M + 2^-(mp.prec+28) S_0, and
+        Y_n < S_n + 1 + 2n 2^-wp Y_n + 2n l_n 2^-F,
+        tail_n < sum_j L(n,j) x^j q + 2n 2^-wp Y_n + 2n l_n 2^-F + 1.
 
-        radii[0] = q_M + floor(S_0 2^-(mp.prec+27)) + 1.
+    Radii.  S_n <= Y_n <= T'_n, and by (*) T'_n - S_n <= tail_n + (Y_n - S_n)
+    + eps Y_n.  max_order < _SERIES_LIMIT < 2^18, so 2n 2^-F < 2^-13 and
+    eps + 2n 2^-wp < 2^-(mp.prec+29) (1 + 2^-20); with Y_n < (1 + 2^-12)
+    (S_n + l_n) that is T'_n - S_n < tail_n + 1 + 2^-13 l_n + (1 + 2^-11)
+    z/2, z = (S_n + l_n) 2^-(mp.prec+28).  floor(z) + l_n exceeds 2^-13 l_n
+    + (1 + 2^-11) z/2 for every z >= 0 and l_n >= 1 (floor(z) >= z/2 from
+    z = 1 on), so
 
-    Radii of the derived orders.  S_0 <= T_0 2^-exp and the floors give
-    S_n <= T_n 2^-exp.  The exact x^j (T_0 + P_j) 2^-exp exceeds A_j by
-    less than x^j (q_M + 2 delta P) + 1: the prefix enters exactly before
-    the one floor, so prefix terms far below one unit after a rescale cost
-    nothing more.  Sum over j with the weights L(n,j), whose sum is l_n.
-    The tails give at most sum_j L(n,j) B_j.  As x^j S_0 < A_j + 1, the
-    rounding gives at most 2 delta/(1 - delta) (S_n + l_n) <
-    2^-(mp.prec+28) (S_n + l_n), and the floors less than l_n, so
+        radii[n] = tail_n + floor((S_n + l_n) 2^-(mp.prec+28)) + 1 + l_n,
 
-        radii[n] = sum_j L(n,j) B_j + floor((S_n + l_n) 2^-(mp.prec+27)) + 1 + l_n.
+    and radii[0] = q + floor(S_0 2^-(mp.prec+28)) + 1 directly from (*).
+    Each order's relative error is thus at most order 0's, as its tail is
+    under q / S_0 times Y_n plus a few units.
 
-    Each order's relative error is at most order 0's, as its tail,
-    sum_j L(n,j) x^j q_M, is under q_M / S_0 times S_n + l_n.
-
-    Radii against the exact sums.  At the stop q_M < series_stop S_0, so
-    sum_j L(n,j) B_j < series_stop T_n 2^-exp + l_n, as sum_j L(n,j) x^j T_0
-    <= T_n; the rounding term is at most (T_n 2^-exp + l_n) 2^-(mp.prec+27).
-    S_0 >= 2^wp at every scale and S_0 2^exp <= T_0, so 2^exp <= T_0 2^-wp,
-    and with l_0 = 0
+    Radii against the exact sums.  At the series stop q < series_stop S_0,
+    so sum_j L(n,j) x^j q < series_stop T'_n (on the exp route q = 0);
+    2n 2^-wp Y_n < 2^-(mp.prec+28) T'_n and the rounding term is at most
+    (T'_n + l_n) 2^-(mp.prec+28).  S_0 >= 2^wp and S_0 2^exp <= T_0, so
+    2^exp <= T_0 2^-wp, and with l_0 = 0
 
         radii[n] 2^exp <= (series_stop + 2^-(mp.prec+27)) T_n + (2 l_n + 2) 2^-wp T_0,
 
     a bound that needs no sum at this precision (cmdeg's scaled-derivative
-    balls).  Nor does the budget: the terms past m_min at least halve, so
-    the stop comes within b + 1 terms, 2^-b <= series_stop (_hk_fits).
+    balls).
     """
     _validate_order(k)
     if not isinstance(max_order, int) or max_order < 0:
@@ -251,53 +281,107 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
             raise ValueError(f"t must be positive, got {t}")
         r = mp.mpf(0)  # for the failure report, as tail_scaled_derivatives gives it
         den, e, m_min = _hk_first_stop(k, r, t, max_order)
-        # series_stop = s_num / 2^s_e exactly, so the stop test is in integers
-        s_num, s_e = _dyadic(prec.series_stop)
         wp = _hk_scale_bits()
-        q = total = 1 << wp
-        shift = 0
-        m = k + 1
-        while m < m_min:
-            m += 1
-            q = (q << e) // (den * m)
-            total += q
-            if q >> 2 * wp:
-                q >>= wp
-                total >>= wp
-                shift += wp
-        # past m_min the terms at least halve, so q needs no rescale
-        while q << s_e >= s_num * total:
-            m += 1
-            if m >= _SERIES_LIMIT:
-                raise _budget_exhausted(k, r, t)
-            q = (q << e) // (den * m)
-            total += q
-        exp = shift - wp
-        # 2^-exp = 2^low / 2^high, so every floor below is of integers
-        low, high = (-exp, 0) if exp < 0 else (0, exp)
-        floors = []
-        tails = []
-        pre = 0
+        if _hk_exp_side(k, den, e):
+            total, exp = _hk_exp_sum(k, den, e, wp)
+            q = 0
+        else:
+            total, q, exp = _hk_series_sum(k, r, t, den, e, m_min, prec, wp)
+        # X = 1/t at 2^-cut, an integer of wp + 1 bits; F = _GUARD_BITS fraction bits
+        bits = wp + den.bit_length()
+        recip = (1 << bits) // den
+        above = recip + 1
+        cut = bits - e
+        frac = _GUARD_BITS
+        lift = frac - exp
+        low = total << frac
+        high = q << frac
+        lows = []
+        highs = []
         falling = 1
-        den_j = 1
         for j in range(1, max_order + 1):
-            den_j *= den
-            pre <<= e
+            low = low * recip >> cut
             if j <= k + 1:
                 falling *= k + 2 - j
-                pre += falling * den_j
-            floors.append(((total << e * j + high) + (pre << low)) // (den_j << high))
-            tails.append(-((-q << e * j) // den_j))
-        rel = mp.prec + 27
+                low += falling << lift if lift >= 0 else falling >> -lift
+            lows.append(low)
+            high = -(-high * above >> cut)
+            highs.append(high)
+        rel = mp.prec + 28
         sums = [total]
         radii = [q + (total >> rel) + 1]
         for row, weight in _lah_rows(max_order):
-            derived = sum(map(mul, row, floors))
+            derived = sum(map(mul, row, lows)) >> frac
+            tail = -(-sum(map(mul, row, highs)) >> frac)
             sums.append(derived)
-            radii.append(
-                sum(map(mul, row, tails)) + ((derived + weight) >> rel) + 1 + weight
-            )
+            radii.append(tail + (derived + weight >> rel) + 1 + weight)
         return HkSums(sums, radii, exp)
+
+
+def _hk_series_sum(k, r, t, den, e, m_min, prec, wp):
+    """(S_0, q_M, exp) of hk_sums' series route at t = den / 2^e."""
+    # series_stop = s_num / 2^s_e exactly, so the stop test is in integers
+    s_num, s_e = _dyadic(prec.series_stop)
+    q = total = 1 << wp
+    shift = 0
+    m = k + 1
+    while m < m_min:
+        m += 1
+        q = (q << e) // (den * m)
+        total += q
+        if q >> 2 * wp:
+            q >>= wp
+            total >>= wp
+            shift += wp
+    # past m_min the terms at least halve, so q needs no rescale
+    while q << s_e >= s_num * total:
+        m += 1
+        if m >= _SERIES_LIMIT:
+            raise _budget_exhausted(k, r, t)
+        q = (q << e) // (den * m)
+        total += q
+    return total, q, shift - wp
+
+
+def _hk_exp_side(k, den, e):
+    """Whether hk_sums takes the exp route at t = den / 2^e: x = 1/t >= 2(k+1)."""
+    return (2 * k + 2) * den <= 1 << e
+
+
+def _hk_exp_parts(k, den, e):
+    """(E, H, g) for hk_sums' exp route at t = den / 2^e, x = 1/t >= 2(k+1):
+    e^x ~ E 2^g with E a p-bit integer, p = mp.prec + 34 + bitlen(k+3), and
+    H = ceil(2^-g sum_{m<=k} x^m/m!).
+
+    1/t is rounded to p + bitlen(floor(x)) bits, within 2^-(p+1) of x, which
+    moves e^x by under 0.51 2^-p relative; exp's own error is under one ulp.
+    As e^x < (2^p + 2) 2^g, E 2^g is within 1.52 units of 2^g of e^x.  The
+    head is the exact rational n_0 / (k! den^k), by Horner's rule n_k = 1,
+    n_m = (k!/m!) den^(k-m) + 2^e n_(m+1), so H is one integer ceiling.
+    """
+    p = mp.prec + 34 + (k + 3).bit_length()
+    bits = p + ((1 << e) // den).bit_length()
+    x = mpf_div((0, 1, e, 1), from_int(den), bits, round_nearest)
+    _, man, g, size = mpf_exp(x, p, round_nearest)
+    man <<= p - size
+    g -= p - size
+    num = fact = power = 1
+    for m in range(k - 1, -1, -1):
+        fact *= m + 1
+        power *= den
+        num = fact * power + (num << e)
+    denom = fact * power
+    head = -(-num // (denom << g)) if g >= 0 else -((-num << -g) // denom)
+    return man, head, g
+
+
+def _hk_exp_sum(k, den, e, wp):
+    """(S_0, exp) of hk_sums' exp route at t = den / 2^e."""
+    man, head, g = _hk_exp_parts(k, den, e)
+    big = factorial(k + 1) * den ** (k + 1) * (man - 2 - head)
+    shift = big.bit_length() - wp - 1
+    total = big >> shift if shift >= 0 else big << -shift
+    return total, g - e * (k + 1) + shift
 
 
 def _hk_first_stop(k, r, t, max_order):
@@ -343,11 +427,12 @@ def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):
     H_k^(n)(t) = (-1)^n t^-n sum_{m>k} (m)^(n) t^-m / m!, with (m)^(n) =
     m (m+1) ... (m+n-1) the rising factorial: every order is a positive-term
     series with integer multipliers, which hk_sums derives from one
-    fixed-point sum of the order-0 tail.  The sign, t^-n and the lead factor
-    are applied here, once per order, so each entry is within a relative
-    2^-(mp.prec+27) plus the truncated tail of the exact value before those
-    few roundings; no order's truncated tail is relatively larger than
-    order 0's.
+    fixed-point value of the order-0 tail: the series summed where 1/t <
+    2(k+1), one exponential less the head of its Taylor series from that
+    seam on.  The sign, t^-n and the lead factor are applied here, once per
+    order, so each entry is within a relative 2^-(mp.prec+27) plus the
+    truncated tail (none past the seam) of the exact value before those few
+    roundings; no order's truncated tail is relatively larger than order 0's.
     """
     core = hk_sums(k, t, max_order, prec)
     with prec.workdps():

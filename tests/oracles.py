@@ -10,9 +10,12 @@ as one pass at the full precision, every key or grid point evaluated, which
 the package's two-pass walks must reproduce report for report.
 termwise_table keeps the package's own termwise series tail_scaled_derivatives,
 the mpf route the integer Leibniz brackets are cross-checked against, summed
-once per point for all the tests that meet there.  CoarseStop is the one
-precision policy here: a stop so coarse that the truncated tail carries
-every radius of the H_k sums.
+once per point for all the tests that meet there; rising_sums sums the r = 0
+case termwise in integers, fast enough for t down to 1e-5, where the mpf
+route takes seconds.  value_and_radius reads a ScaledDerivative's value and
+the error radius its guard tests, which the package keeps private.
+CoarseStop is the one precision policy here: a stop so coarse that the
+truncated tail carries every radius of the H_k sums.
 """
 
 from fractions import Fraction
@@ -23,6 +26,7 @@ from mpmath import mp
 from cmcheck import WorkingPrecision, h_function, h_table, tail_scaled_derivatives
 from cmcheck.cmdeg import SignPatternReport, TableOracle, Violation
 from cmcheck.inequalities import InequalityScanReport, bessel_margin
+from cmcheck.specfun import to_mpf
 
 
 class CoarseStop(WorkingPrecision):
@@ -168,6 +172,16 @@ def tail_derivative_partial(k, r, n, t, terms, dps=60):
         return total
 
 
+def value_and_radius(oracle, n, t):
+    """(v, rad) of a ScaledDerivative at order n and t: v the value that
+    oracle(n, t) returns and rad the bound on its error that its error
+    radius documents, from the same _evaluate and _radius as the guard."""
+    oracle.tables._check_order(n)
+    with oracle.tables.prec.workdps():
+        value, _, radius, factor = oracle._evaluate(n, to_mpf(t))
+        return value, oracle._radius(value, radius, factor)
+
+
 # tail_scaled_derivatives tables by (prec, k, r, t), shared by every test
 _TERMWISE = {}
 
@@ -184,6 +198,46 @@ def termwise_table(k, r, t, prec):
     if table is None:
         table = _TERMWISE[key] = tail_scaled_derivatives(k, r, t, 6, prec)
     return table
+
+
+def rising_sums(k, t, max_order, bits):
+    """[T_n for n <= max_order] as Fractions, T_n = sum_{m>k} (m)^(n)
+    t^(k+1-m) (k+1)!/m! with (m)^(n) = m (m+1) ... (m+n-1), for an mpf t > 0.
+
+    Plain termwise sums in integers: q_m = x^(m-k-1) (k+1)!/m! (x = 1/t)
+    kept at a floating binary scale with at least bits bits, each order
+    adding (m)^(n) q_m, so no Lah numbers, no exponential and no fixed
+    reciprocal of t.  Past m = x + max_order the ratio of successive terms
+    of order n, (m+n) x / (m (m+1)), falls below 1, so the rest is at most
+    the term over one less that ratio; the sum stops once that bound, for
+    the largest weight (m+max_order)^max_order, is under 2^-bits of T_0.
+    Every floor is relative 2^-bits, so at t >= 1e-5 (about 1e5 terms) the
+    sums hold about bits - 40 bits.
+    """
+    man, exp = int(t.man), int(t.exp)
+    num, den = (1 << -exp, man) if exp < 0 else (1, man << exp)
+    q = 1 << bits
+    scale = -bits
+    sums = [0] * (max_order + 1)
+    m = k + 1
+    while True:
+        rising = 1
+        for n in range(max_order + 1):
+            sums[n] += rising * q
+            rising *= m + n
+        spare = m * (m + 1) * den - (m + max_order) * num
+        if spare > 0 and (
+            (q * (m + max_order) ** max_order * m * (m + 1) * den) << bits
+            < sums[0] * spare
+        ):
+            break
+        m += 1
+        q = q * num // (den * m)
+        if q.bit_length() > 2 * bits:
+            q >>= bits
+            sums = [total >> bits for total in sums]
+            scale += bits
+    return [Fraction(total) * Fraction(2) ** scale for total in sums]
 
 
 def termwise_oracle(k, r, prec):

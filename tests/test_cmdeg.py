@@ -242,7 +242,7 @@ class TestScaledTailOracle:
                 for t in points:
                     exact = tail_scaled_derivatives(k, oracle.r, t, 6, fine)
                     for n in range(7):
-                        value, radius = oracle.ball(n, t)
+                        value, radius = oracles.value_and_radius(oracle, n, t)
                         assert oracle(n, t) == value
                         with fine.workdps():
                             assert abs(value - exact[n]) <= radius, (k, r, n, t)
@@ -266,7 +266,7 @@ class TestScaledTailOracle:
                 for t in points:
                     exact = tail_scaled_derivatives(k, oracle.r, t, 6, fine)
                     for n in range(7):
-                        value, radius = oracle.ball(n, t)
+                        value, radius = oracles.value_and_radius(oracle, n, t)
                         with fine.workdps():
                             assert abs(value - exact[n]) <= radius, (k, r, n, t)
 
@@ -289,7 +289,9 @@ class TestScaledTailOracle:
         with PREC.workdps():
             h0, h1 = hk_table(0, 32, 1, PREC)
             root = -32 * h1 / h0
-        value, radius = ScaledTailOracle(0, 1, PREC).at(root).ball(1, 32)
+        value, radius = oracles.value_and_radius(
+            ScaledTailOracle(0, 1, PREC).at(root), 1, 32
+        )
         assert abs(value) <= radius < PREC.noise_floor
 
         # a stop threshold of 1/4 leaves the truncated tails in the radius,
@@ -303,7 +305,7 @@ class TestScaledTailOracle:
         values = []
         for r in near:
             oracle = ScaledTailOracle(0, 1, coarse).at(r)
-            value, radius = oracle.ball(1, 32)
+            value, radius = oracles.value_and_radius(oracle, 1, 32)
             assert abs(value) <= radius
             values.append(value > 0)
             with pytest.raises(NumericFailure, match="noise floor"):
@@ -800,7 +802,7 @@ class TestTwoPassHkScan:
                         exact = oracles.termwise_table(k, r, t, fine)
                         balls = oracle.balls(t)
                         for n in range(7):
-                            value, radius = oracle.ball(n, t)
+                            value, radius = oracles.value_and_radius(oracle, n, t)
                             low = mp.fsub(value, radius, exact=True)
                             high = mp.fadd(value, radius, exact=True)
                             assert holds(balls[n], exact[n], low, high), (

@@ -3,7 +3,7 @@ subtractive, termwise, and finite-difference oracles."""
 
 import time
 from fractions import Fraction
-from math import prod
+from math import log2, prod
 from operator import mul
 
 import pytest
@@ -33,7 +33,14 @@ from cmcheck import (
 )
 from cmcheck.cmdeg import ScaledTailOracle
 from cmcheck.inequalities import _h_minus_one_ball
-from cmcheck.laurent import BALL_DIGITS, _lah_rows, h_balls, hk_sums
+from cmcheck.laurent import (
+    BALL_DIGITS,
+    _hk_exp_parts,
+    _hk_exp_side,
+    _lah_rows,
+    h_balls,
+    hk_sums,
+)
 from cmcheck.specfun import _dyadic, polygamma_fixed
 
 PREC = DEFAULT_PRECISION
@@ -334,6 +341,76 @@ class TestHkSums:
                 rising = prod(range(m, m + n))
                 falling = [prod(range(m - j + 1, m + 1)) for j in range(1, n + 1)]
                 assert rising == sum(map(mul, row, falling)), (n, m)
+
+
+class TestHkSeam:
+    """hk_sums on both sides of its seam x = 1/t = 2(k+1): the series below
+    it, one exponential less the head from it on."""
+
+    @staticmethod
+    def points(k, prec):
+        # down to 1e-5, a third of the seam, the seam and its two neighbours
+        # one ulp away, and three times the seam; 1/(2k+2) is a dyadic for
+        # k = 0 and 1 only, where the seam itself takes the exp route.  1e-5
+        # is the last t whose first stop, ceil(2/t) - 1, fits the 200000-term
+        # budget, and its mpf falls below it at some digits, so 1.0001e-5
+        with prec.workdps():
+            seam = mp.mpf(1) / (2 * k + 2)
+            ulp = mp.ldexp(seam, 1 - mp.prec)
+            return [mp.mpf("1.0001e-5"), mp.mpf("1e-3"), seam / 3, seam - ulp, seam,
+                    seam + ulp, 3 * seam]
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_radii_enclose_the_termwise_sums(self, digits):
+        # S_n 2^exp <= T_n <= (S_n + radii[n]) 2^exp in integers, with T_n
+        # summed termwise in integers at three times the digits
+        prec = WorkingPrecision(digits)
+        with WorkingPrecision(3 * digits).workdps():
+            bits = mp.prec
+        for k in (0, 1, 4, 12):
+            sides = []
+            for t in self.points(k, prec):
+                den, e = _dyadic(t)
+                sides.append(_hk_exp_side(k, den, e))
+                core = hk_sums(k, t, 6, prec)
+                exact = oracles.rising_sums(k, t, 6, bits)
+                for n in range(7):
+                    low = Fraction(core.sums[n]) * Fraction(2) ** core.exp
+                    high = low + Fraction(core.radii[n]) * Fraction(2) ** core.exp
+                    assert low <= exact[n] <= high, (k, n, t)
+            assert sides[:4] == [True] * 4 and sides[-2:] == [False] * 2, k
+            if k < 2:
+                assert sides[4], k
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_subtraction_cancels_few_bits(self, digits):
+        # e^x less the head loses at most log2((k+3)/2) bits, plus one for
+        # the bit lengths, wherever the exp route is taken
+        prec = WorkingPrecision(digits)
+        for k in (0, 1, 4, 12):
+            for t in self.points(k, prec)[:5]:
+                den, e = _dyadic(t)
+                if not _hk_exp_side(k, den, e):
+                    continue
+                with prec.workdps():
+                    power, head, _ = _hk_exp_parts(k, den, e)
+                lost = power.bit_length() - (power - head).bit_length()
+                assert lost <= log2((k + 3) / 2) + 1, (k, t)
+
+    def test_integer_reference_matches_the_termwise_route(self):
+        # the integer termwise sums of the seam tests against the mpf
+        # termwise route, both at 90 digits
+        fine = WorkingPrecision(90)
+        with fine.workdps():
+            bits = mp.prec
+            for k in (0, 4):
+                for t in (mp.mpf("0.01"), mp.mpf("0.3")):
+                    exact = oracles.rising_sums(k, t, 6, bits)
+                    termwise = oracles.termwise_table(k, 0, t, fine)
+                    for n in range(7):
+                        total = (-1) ** n * termwise[n] * t ** (n + k + 1) * mp.factorial(k + 1)
+                        want = oracles.mpf_from_fraction(exact[n])
+                        assert abs(total - want) <= mp.mpf("1e-93") * want, (k, n, t)
 
 
 class TestHFunction:
