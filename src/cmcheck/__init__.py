@@ -18,6 +18,7 @@ from .cmdeg import (
     Violation,
     check_sign_pattern,
     estimate_cm_degree,
+    scaled_remainder_derivative,
 )
 from .inequalities import (
     DifferenceBoundCheck,
@@ -46,8 +47,6 @@ from .laurent import (
     hk_table,
     remainder_hk,
     remainder_hk_derivative,
-    scaled_remainder_derivative,
-    tail_scaled_derivatives,
 )
 from .specfun import (
     DEFAULT_PRECISION,
@@ -106,7 +105,6 @@ __all__ = [
     "run_suite",
     "scaled_remainder_derivative",
     "shifted_factorial",
-    "tail_scaled_derivatives",
     "to_mpf",
     "u_ratio",
     "verify_representation",

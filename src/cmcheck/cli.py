@@ -36,11 +36,12 @@ from .cmdeg import (
     DEFAULT_DEGREE_ORDER,
     DEFAULT_H_GRID,
     DEFAULT_H_ORDER,
+    HOracle,
     LogGrid,
     ScaledTailOracle,
     check_sign_pattern,
     estimate_cm_degree,
-    h_oracle,
+    scaled_remainder_derivative,
 )
 from .inequalities import (
     DEFAULT_BESSEL_GRID,
@@ -63,7 +64,6 @@ from .laurent import (
     h_function,
     remainder_hk,
     remainder_hk_derivative,
-    scaled_remainder_derivative,
 )
 from .specfun import (
     NumericFailure,
@@ -238,7 +238,7 @@ def cmd_verify_cm(args, prec):
         _reject(args, "k", "r")
         grid = _grid(args, DEFAULT_H_GRID)
         max_order = given if given is not None else DEFAULT_H_ORDER
-        oracle = h_oracle(max_order, prec)
+        oracle = HOracle(max_order, prec)
         label = "sign-pattern-h"
     report = check_sign_pattern(oracle, grid, max_order, prec)
     record = {

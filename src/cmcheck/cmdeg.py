@@ -23,12 +23,16 @@ integer ball that holds its value at the digits asked for (h_balls, and
 for H_k the Leibniz bracket over 30-digit hk_sums times an integer factor),
 and ball_minimum evaluates at those digits only the values the balls
 cannot settle, those that may lie below the noise floor and the
-candidates for the minimum, so the report is the one-pass report.  A grid
-scan can only certify failure (a witness) or survive it (no claim beyond
-the grid), so the result is a bracket, never an attained value.
+candidates for the minimum, so the report is the one-pass report; any
+other oracle goes through the same walk with no balls, every value
+evaluated.  A grid scan can only certify failure (a witness) or survive it
+(no claim beyond the grid), so the result is a bracket, never an attained
+value.  scaled_remainder_derivative, the one value of t^r H_k that eval
+prints, comes from the same bracket and its radius, taken again at more
+digits where the bracket cancels.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from math import comb, factorial
 from operator import mul
@@ -118,43 +122,20 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
     failing order and, within it, the smallest failing t.  Oracle errors
     surface as NumericFailure tagged with the offending (n, t).
 
-    An oracle with balls, an HOracle or a ScaledDerivative, is walked in
-    two passes by ball_minimum up to its max_order: its 30-digit balls
-    settle every evaluation they can, and only the rest, with the
-    candidates for the minimum, are evaluated at prec.  The report is the
-    one-pass walk's, which serves any other callable.
+    The walk is ball_minimum's, so its report is the one-pass walk's that
+    evaluates every (n, t) it reaches.  An oracle with balls, an HOracle or
+    a ScaledDerivative, has its 30-digit balls settle every evaluation they
+    can up to its max_order, and only the rest, with the candidates for the
+    minimum, are evaluated at prec; any other callable, and any order past
+    the oracle's max_order, is evaluated at every key the walk reaches.
     """
     if not isinstance(max_order, int) or max_order < 0:
         raise ValueError(f"max_order must be a nonnegative integer, got {max_order!r}")
     with prec.workdps():
-        floor = prec.noise_floor
         ts = grid.values(prec)
-        if (
-            getattr(derivative_oracle, "balls", None) is not None
-            and max_order <= derivative_oracle.max_order
-        ):
-            walk = _ball_walk(derivative_oracle, ts, max_order, floor)
-            min_signed, (arg_n, arg_t), evals, violation = walk
-        else:
-            # one pass, each (n, t) evaluated
-            min_signed = mp.inf
-            arg_n = -1
-            arg_t = None
-            evals = 0
-            violation = None
-            for n in range(max_order + 1):
-                for t in ts:
-                    value, signed = _signed_value(derivative_oracle, n, t)
-                    evals += 1
-                    if signed < min_signed:
-                        min_signed = signed
-                        arg_n = n
-                        arg_t = t
-                    if signed < -floor:
-                        violation = Violation(order=n, t=t, value=value)
-                        break
-                if violation is not None:
-                    break
+        min_signed, (arg_n, arg_t), evals, violation = _ball_walk(
+            derivative_oracle, ts, max_order, prec.noise_floor
+        )
         return SignPatternReport(
             grid=grid,
             max_order=max_order,
@@ -169,30 +150,38 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
 
 def _ball_walk(oracle, ts, max_order, floor):
     """(min_signed, (n, t) of it, evaluations, violation) of check_sign_pattern
-    over an oracle with balls, by ball_minimum at the current working
-    precision; oracle.balls(t) is None or the balls of f^(n)(t), n <= the
-    oracle's max_order."""
+    by ball_minimum at the current working precision.
 
+    oracle.balls(t), where the oracle has it, is None or the balls of
+    f^(n)(t) for n <= the oracle's max_order; every other key has no ball.
+    A walk that stops ends at the violation, whose signed value lies below
+    -floor and so below every other value walked: it is the least, and its
+    value is (-1)^n times it, with no second evaluation.
+    """
+    balls = getattr(oracle, "balls", None)
+    top = -1 if balls is None else oracle.max_order
     rows = []  # the balls of ts by position, fetched as order 0 reaches them
 
     def ball(key):
         n, i = key
-        if n == 0:
-            rows.append(oracle.balls(ts[i]))
-        balls = rows[i]
-        if balls is None:
+        if n > top:
             return None
-        mid, rad, x = balls[n]
+        if n == 0:
+            rows.append(balls(ts[i]))
+        row = rows[i]
+        if row is None:
+            return None
+        mid, rad, x = row[n]
         return (-mid if n % 2 else mid), rad, x
 
     keys = [(n, i) for n in range(max_order + 1) for i in range(len(ts))]
     least, (arg_n, arg_i), evals, stopped = ball_minimum(
-        keys, ball, lambda key: _signed_value(oracle, key[0], ts[key[1]])[1], floor
+        keys, ball, lambda key: _signed_value(oracle, key[0], ts[key[1]]), floor
     )
     violation = None
     if stopped:
-        n, i = keys[evals - 1]
-        violation = Violation(order=n, t=ts[i], value=oracle(n, ts[i]))
+        value = -least if arg_n % 2 else least
+        violation = Violation(order=arg_n, t=ts[arg_i], value=value)
     return least, (arg_n, ts[arg_i]), evals, violation
 
 
@@ -257,10 +246,9 @@ def ball_minimum(keys, ball, exact, floor=None):
 
 
 def _signed_value(derivative_oracle, n, t):
-    """(f^(n)(t), (-1)^n f^(n)(t)); oracle errors surface as NumericFailure."""
+    """(-1)^n f^(n)(t); oracle errors surface as NumericFailure."""
     try:
-        value = derivative_oracle(n, t)
-        return value, (-1) ** n * to_mpf(value)
+        return (-1) ** n * to_mpf(derivative_oracle(n, t))
     except NumericFailure:
         raise
     except (ValueError, ArithmeticError) as exc:
@@ -304,16 +292,7 @@ class TableCache:
             raise ValueError(f"order must be in 0..{self.max_order}, got {n!r}")
 
 
-class TableOracle(TableCache):
-    """f^(n)(t) for check_sign_pattern, summer(t) = [f^(i)(t) for i <= max_order]."""
-
-    def __call__(self, n, t):
-        self._check_order(n)
-        with self.prec.workdps():
-            return self.table(to_mpf(t))[n]
-
-
-class HOracle(TableOracle):
+class HOracle(TableCache):
     """h^(n)(t), n <= max_order, over h_table, with a 30-digit ball per point.
 
     balls(t) is h_balls(0, max_order, t, prec), kept per t like the tables:
@@ -351,10 +330,10 @@ class HOracle(TableOracle):
                 self._tables[t] = table
         return super().table(t)
 
-
-def h_oracle(max_order, prec=DEFAULT_PRECISION):
-    """oracle(n, t) = h^(n)(t), n <= max_order, as an HOracle."""
-    return HOracle(max_order, prec)
+    def __call__(self, n, t):
+        self._check_order(n)
+        with self.prec.workdps():
+            return self.table(to_mpf(t))[n]
 
 
 # bits of the integer factors of ScaledDerivative.balls
@@ -673,7 +652,7 @@ class ScaledDerivative:
                     sums, radii = rows[i]
                     if sum(map(mul, coeffs, sums)) > sum(map(mul, abs_coeffs, radii)):
                         continue
-                    if _signed_value(self, n, t)[1] < -self._floor:
+                    if _signed_value(self, n, t) < -self._floor:
                         return False
             return True
 
@@ -703,6 +682,57 @@ def _scaled_ball(core, factors, y, step, coeffs, abs_coeffs, terms, n):
     slack = (abs(bracket) + spread) * g * (8 + 4 * n) >> _FACTOR_BITS
     mid = bracket * g
     return (-mid if n % 2 else mid), spread * g + slack + 1, y + n * step
+
+
+# precision raises that scaled_remainder_derivative takes before it refuses
+_MAX_RAISES = 3
+
+
+def scaled_remainder_derivative(k, r, n, t, prec=DEFAULT_PRECISION):
+    """d^n/dt^n [t^r H_k(t)] for t > 0 and real r, to prec's digits.
+
+    The value v and its error radius are ScaledDerivative's: the integer
+    Leibniz bracket over hk_sums times one mpf factor, within the radius
+    its docstring proves.  Where the bracket cancels (r near a zero of the
+    derivative, or t far from 1/r) the radius may exceed |v| 10^-(digits+3);
+    v is then taken again at digits raised by ceil(log10(radius/|v|)) +
+    digits + 5, what it lost plus a margin (Ziv, ACM TOMS 17(3), 1991), and
+    after _MAX_RAISES raises the call refuses with NumericFailure.  r and t
+    are converted once, at prec, so every attempt evaluates the same point.
+    """
+    tables = ScaledTailOracle(k, n, prec)
+    with prec.workdps():
+        t = to_mpf(t)
+        r = to_mpf(r)
+        if t <= 0:
+            raise ValueError(f"t must be positive, got {t}")
+        wanted = mp.mpf(10) ** -(prec.digits + 3)
+    level = prec
+    for _ in range(_MAX_RAISES + 1):
+        oracle = tables.at(r)
+        with level.workdps():
+            value, _, radius, factor = oracle._evaluate(n, t)
+            radius = oracle._radius(value, radius, factor)
+            if radius <= abs(value) * wanted:
+                break
+            lost = (
+                int(mp.ceil(mp.log10(radius / abs(value))))
+                if value
+                else level.working_dps
+            )
+        level = replace(level, digits=level.digits + lost + prec.digits + 5)
+        tables = ScaledTailOracle(k, n, level)
+    else:
+        raise NumericFailure(
+            "scaled_remainder_derivative",
+            f"error radius above the digits asked for after {_MAX_RAISES} raises",
+            k=k,
+            r=r,
+            n=n,
+            t=t,
+        )
+    with prec.workdps():
+        return +value
 
 
 @dataclass(frozen=True)

@@ -8,18 +8,17 @@ evaluated from the convergent tail on the right where 1/z < 2(k+1), and
 by the subtraction on the left only from that seam on, where the head's
 terms increase and it cancels at most log2((k+3)/2) bits (it cancels
 catastrophically once z is large).
-Derivatives and the scaled family d^n/dt^n [t^r H_k(t)] differentiate the
-tail termwise:
+Differentiated termwise, every order
 
-    d^n/dt^n [t^r H_k(t)] = sum_{m>k} (1/m!) prod_{j=0}^{n-1} (r-m-j) t^(r-m-n),
+    H_k^(n)(t) = (-1)^n sum_{m>k} (m)^(n) t^(-m-n) / m!
 
-with all orders up to a maximum accumulated in a single pass over m.  At
-r = 0 every order is a positive-term series with integer multipliers, and
-the Lah numbers make each a fixed positive combination of the order-0 tail
-and a short exact prefix: hk_sums takes that tail in fixed-point integers,
-from its series or, past the seam, from one exponential, derives every
-order from it with a proven radius, and hk_table turns the results into
-mpfs.
+is a positive-term series with integer multipliers, and the Lah numbers
+make each a fixed positive combination of the order-0 tail and a short
+exact prefix: hk_sums takes that tail in fixed-point integers, from its
+series or, past the seam, from one exponential, derives every order from
+it with a proven radius, and hk_table turns the results into mpfs.  The
+scaled family d^n/dt^n [t^r H_k(t)] for real r is built from those integer
+sums by the Leibniz rule in cmdeg.
 Also hosts h(t) = e^(1/t) - psi'(t) and its derivatives, the difference of
 the two engines from specfun: h_table rounds them to mpfs, and h_balls keeps
 a 30-digit table as integer balls, with a radius that covers h_table's value
@@ -52,80 +51,12 @@ def _validate_order(k):
         raise ValueError(f"remainder order must be a nonnegative integer, got {k!r}")
 
 
-def _first_stop(k, r, t, m_sign, m_ratio):
-    """Smallest m at which the relative stop may end a tail sum over m > k.
-
-    Uniform signs need m > r + max_order, given as m_sign =
-    max_order + ceil(max(r, 0)); the relative stop additionally needs the
-    term ratio ~ 1/(t m) safely below 1, given as m_ratio = ceil(1.5/t).  A
-    first stop at or past the series budget can never be reached, so it
-    raises at once instead of spending the budget.
-    """
-    m_min = k + 3 + max(m_sign, m_ratio)
-    if m_min >= _SERIES_LIMIT:
-        raise _budget_exhausted(k, r, t)
-    return m_min
-
-
-def _budget_exhausted(k, r, t):
+def _budget_exhausted(k, t):
+    # named for the termwise sum of d^n/dt^n [t^r H_k] at r = 0, whose first
+    # stop hk_sums keeps
     return NumericFailure(
-        "tail_scaled_derivatives", "series budget exhausted", k=k, r=r, t=t
+        "tail_scaled_derivatives", "series budget exhausted", k=k, r=mp.mpf(0), t=t
     )
-
-
-def tail_scaled_derivatives(k, r, t, max_order, prec=DEFAULT_PRECISION):
-    """All of d^n/dt^n [t^r H_k(t)], n = 0..max_order, in one pass over m.
-
-    Term m contributes (t^-m / m!) prod_{j<n} (r-m-j) to order n before the
-    common factor t^(r-n).  Summation continues past the term-magnitude
-    peak near m ~ 1/t and past m > r + max_order (where every order has
-    uniform sign), then stops once each order's latest term is below the
-    relative threshold of its absolute partial sum.  This is the termwise
-    route for any real r; hk_table sums the r = 0 case in fixed point.
-    """
-    _validate_order(k)
-    if not isinstance(max_order, int) or max_order < 0:
-        raise ValueError(f"max_order must be a nonnegative integer, got {max_order!r}")
-    with prec.workdps():
-        t = to_mpf(t)
-        r = to_mpf(r)
-        if t <= 0:
-            raise ValueError(f"t must be positive, got {t}")
-        invt = 1 / t
-        m_min = _first_stop(
-            k, r, t, max_order + int(mp.ceil(max(r, 0))), int(mp.ceil(1.5 * invt))
-        )
-        sums = [mp.mpf(0) for _ in range(max_order + 1)]
-        asums = [mp.mpf(0) for _ in range(max_order + 1)]
-        last = [mp.inf for _ in range(max_order + 1)]
-        stop = prec.series_stop
-        m = k + 1
-        q = invt ** (k + 1) / mp.factorial(k + 1)
-        while m < _SERIES_LIMIT:
-            sums[0] += q
-            asums[0] += q
-            last[0] = q
-            prod = mp.mpf(1)
-            for n in range(1, max_order + 1):
-                prod *= r - m - (n - 1)
-                c = q * prod
-                sums[n] += c
-                asums[n] += abs(c)
-                last[n] = abs(c)
-            if m >= m_min and all(
-                last[n] < stop * asums[n] for n in range(max_order + 1)
-            ):
-                break
-            m += 1
-            q *= invt / m
-        else:
-            raise _budget_exhausted(k, r, t)
-        scale = t ** r
-        out = []
-        for n in range(max_order + 1):
-            out.append(sums[n] * scale)
-            scale *= invt
-        return out
 
 
 class HkSums(NamedTuple):
@@ -198,9 +129,10 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
     add per term.  Whenever q reaches 2^(2 wp) (terms grow up to m ~ 1/t) q
     and the sum drop wp bits together; exp = shift - wp is their scale.  The
     sum ends at the first m >= m_min with q_m < series_stop S_0, tested in
-    integers.  m_min is the first stop of tail_scaled_derivatives at r = 0
-    (_first_stop, its ceil(1.5/t) taken as ceil(3 2^e / (2 den))), raised
-    to where the term ratio x/(m+1) is at most 1/2.  Every truncation is
+    integers.  m_min = k + 3 + max(max_order, ceil(1.5/t)), the first stop
+    of the termwise sum of every order at r = 0 (past max_order, and where
+    the term ratio is safely below 1), is raised to where the ratio x/(m+1)
+    is at most 1/2 (_hk_first_stop).  Every truncation is
     one-sided: each division and each rescale lowers q by at most one unit
     of the current scale, and the terms are unimodal in m with q >= 2^wp
     after a rescale, so over M < _SERIES_LIMIT < 2^b terms q_m sits below
@@ -279,14 +211,13 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
         t = to_mpf(t)
         if t <= 0:
             raise ValueError(f"t must be positive, got {t}")
-        r = mp.mpf(0)  # for the failure report, as tail_scaled_derivatives gives it
-        den, e, m_min = _hk_first_stop(k, r, t, max_order)
+        den, e, m_min = _hk_first_stop(k, t, max_order)
         wp = _hk_scale_bits()
         if _hk_exp_side(k, den, e):
             total, exp = _hk_exp_sum(k, den, e, wp)
             q = 0
         else:
-            total, q, exp = _hk_series_sum(k, r, t, den, e, m_min, prec, wp)
+            total, q, exp = _hk_series_sum(k, t, den, e, m_min, prec, wp)
         # X = 1/t at 2^-cut, an integer of wp + 1 bits; F = _GUARD_BITS fraction bits
         bits = wp + den.bit_length()
         recip = (1 << bits) // den
@@ -318,7 +249,7 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
         return HkSums(sums, radii, exp)
 
 
-def _hk_series_sum(k, r, t, den, e, m_min, prec, wp):
+def _hk_series_sum(k, t, den, e, m_min, prec, wp):
     """(S_0, q_M, exp) of hk_sums' series route at t = den / 2^e."""
     # series_stop = s_num / 2^s_e exactly, so the stop test is in integers
     s_num, s_e = _dyadic(prec.series_stop)
@@ -337,7 +268,7 @@ def _hk_series_sum(k, r, t, den, e, m_min, prec, wp):
     while q << s_e >= s_num * total:
         m += 1
         if m >= _SERIES_LIMIT:
-            raise _budget_exhausted(k, r, t)
+            raise _budget_exhausted(k, t)
         q = (q << e) // (den * m)
         total += q
     return total, q, shift - wp
@@ -384,15 +315,20 @@ def _hk_exp_sum(k, den, e, wp):
     return total, g - e * (k + 1) + shift
 
 
-def _hk_first_stop(k, r, t, max_order):
-    """(den, e, m_min) of hk_sums at an mpf t = den / 2^e > 0: the first stop
-    of tail_scaled_derivatives at r = 0, raised to where x/(m+1) <= 1/2."""
+def _hk_first_stop(k, t, max_order):
+    """(den, e, m_min) of hk_sums at an mpf t = den / 2^e > 0.
+
+    m_min = k + 3 + max(max_order, ceil(1.5/t)) with ceil(1.5/t) taken as
+    ceil(3 2^e / (2 den)), raised to ceil(2/t) - 1, from where x/(m+1) <=
+    1/2.  A first stop at or past the series budget can never be reached, so
+    it raises at once instead of spending the budget.
+    """
     den, e = _dyadic(t)
-    m_min = _first_stop(k, r, t, max_order, -((-3 << e) // (2 * den)))
-    # x/(m+1) <= 1/2 from m = ceil(2/t) - 1 on
-    m_min = max(m_min, -((-2 << e) // den) - 1)
+    m_min = max(
+        k + 3 + max(max_order, -((-3 << e) // (2 * den))), -((-2 << e) // den) - 1
+    )
     if m_min >= _SERIES_LIMIT:
-        raise _budget_exhausted(k, r, t)
+        raise _budget_exhausted(k, t)
     return den, e, m_min
 
 
@@ -409,7 +345,7 @@ def _hk_fits(k, t, max_order, prec):
     terms = _hk_stop_terms(prec)
     return (
         terms is not None
-        and _hk_first_stop(k, mp.mpf(0), t, max_order)[2] + terms < _SERIES_LIMIT
+        and _hk_first_stop(k, t, max_order)[2] + terms < _SERIES_LIMIT
     )
 
 
@@ -454,11 +390,6 @@ def remainder_hk(k, z, prec=DEFAULT_PRECISION):
 def remainder_hk_derivative(k, n, t, prec=DEFAULT_PRECISION):
     """d^n/dt^n H_k(t) = (-1)^n sum_{m>k} (m)_n t^(-m-n) / m! for t > 0."""
     return hk_table(k, t, n, prec)[n]
-
-
-def scaled_remainder_derivative(k, r, n, t, prec=DEFAULT_PRECISION):
-    """d^n/dt^n [t^r H_k(t)] for t > 0 and real r."""
-    return tail_scaled_derivatives(k, r, t, n, prec)[n]
 
 
 # bits an h table may cancel, about 10 of the 15 guard digits, before it is

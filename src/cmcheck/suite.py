@@ -15,11 +15,11 @@ from mpmath import mp
 from .cmdeg import (
     DEFAULT_H_GRID,
     DEFAULT_H_ORDER,
+    HOracle,
     LogGrid,
     ball_minimum,
     check_sign_pattern,
     estimate_cm_degree,
-    h_oracle,
 )
 from .inequalities import (
     DEFAULT_BESSEL_GRID,
@@ -88,7 +88,7 @@ def criterion_degree(prec=DEFAULT_PRECISION):
 def criterion_h_complete_monotonicity(prec=DEFAULT_PRECISION):
     """(-1)^i h^(i)(t) > 1e-35 for i <= 8 on [0.05, 1e3], h > 1, h(100) ~ 1."""
     start = time.monotonic()
-    oracle = h_oracle(DEFAULT_H_ORDER, prec)
+    oracle = HOracle(DEFAULT_H_ORDER, prec)
     report = check_sign_pattern(oracle, DEFAULT_H_GRID, DEFAULT_H_ORDER, prec)
     with prec.workdps():
         # the scan kept one ball per grid point; order 0 is h itself, and

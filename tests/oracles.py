@@ -8,12 +8,15 @@ Agreement between these and the package is then evidence, not tautology.
 one_pass_minimum, one_pass_sign_pattern and one_pass_trigamma are the walks
 as one pass at the full precision, every key or grid point evaluated, which
 the package's two-pass walks must reproduce report for report.
-termwise_table keeps the package's own termwise series tail_scaled_derivatives,
-the mpf route the integer Leibniz brackets are cross-checked against, summed
-once per point for all the tests that meet there; rising_sums sums the r = 0
-case termwise in integers, fast enough for t down to 1e-5, where the mpf
-route takes seconds.  value_and_radius reads a ScaledDerivative's value and
-the error radius its guard tests, which the package keeps private.
+tail_scaled_derivatives sums every order of d^n/dt^n [t^r H_k(t)] for any
+real r termwise in mpfs, with its own first stop and failure record: the
+route the integer Leibniz brackets of the package are cross-checked
+against.  termwise_table keeps its tables, summed once per point for all
+the tests that meet there, and TableOracle serves such tables to
+check_sign_pattern as termwise_oracle does; rising_sums sums the r = 0 case
+termwise in integers, fast enough for t down to 1e-5, where the mpf route
+takes seconds.  value_and_radius reads a ScaledDerivative's value and the
+error radius its guard tests, which the package keeps private.
 CoarseStop is the one precision policy here: a stop so coarse that the
 truncated tail carries every radius of the H_k sums.
 """
@@ -23,10 +26,17 @@ from math import comb
 
 from mpmath import mp
 
-from cmcheck import WorkingPrecision, h_function, h_table, tail_scaled_derivatives
-from cmcheck.cmdeg import SignPatternReport, TableOracle, Violation
+from cmcheck import (
+    DEFAULT_PRECISION,
+    NumericFailure,
+    WorkingPrecision,
+    h_function,
+    h_table,
+)
+from cmcheck.cmdeg import SignPatternReport, TableCache, Violation
 from cmcheck.inequalities import InequalityScanReport, bessel_margin
-from cmcheck.specfun import to_mpf
+from cmcheck.laurent import _validate_order
+from cmcheck.specfun import _SERIES_LIMIT, to_mpf
 
 
 class CoarseStop(WorkingPrecision):
@@ -170,6 +180,91 @@ def tail_derivative_partial(k, r, n, t, terms, dps=60):
                 prod *= r - m - j
             total += prod * t ** (r - m - n) / mp.factorial(m)
         return total
+
+
+def _first_stop(k, r, t, m_sign, m_ratio):
+    """Smallest m at which the relative stop may end a tail sum over m > k.
+
+    Uniform signs need m > r + max_order, given as m_sign =
+    max_order + ceil(max(r, 0)); the relative stop additionally needs the
+    term ratio ~ 1/(t m) safely below 1, given as m_ratio = ceil(1.5/t).  A
+    first stop at or past the series budget can never be reached, so it
+    raises at once instead of spending the budget.
+    """
+    m_min = k + 3 + max(m_sign, m_ratio)
+    if m_min >= _SERIES_LIMIT:
+        raise _budget_exhausted(k, r, t)
+    return m_min
+
+
+def _budget_exhausted(k, r, t):
+    return NumericFailure(
+        "tail_scaled_derivatives", "series budget exhausted", k=k, r=r, t=t
+    )
+
+
+def tail_scaled_derivatives(k, r, t, max_order, prec=DEFAULT_PRECISION):
+    """All of d^n/dt^n [t^r H_k(t)], n = 0..max_order, in one pass over m.
+
+    Term m contributes (t^-m / m!) prod_{j<n} (r-m-j) to order n before the
+    common factor t^(r-n).  Summation continues past the term-magnitude
+    peak near m ~ 1/t and past m > r + max_order (where every order has
+    uniform sign), then stops once each order's latest term is below the
+    relative threshold of its absolute partial sum.  This is the termwise
+    route for any real r; hk_table sums the r = 0 case in fixed point.
+    """
+    _validate_order(k)
+    if not isinstance(max_order, int) or max_order < 0:
+        raise ValueError(f"max_order must be a nonnegative integer, got {max_order!r}")
+    with prec.workdps():
+        t = to_mpf(t)
+        r = to_mpf(r)
+        if t <= 0:
+            raise ValueError(f"t must be positive, got {t}")
+        invt = 1 / t
+        m_min = _first_stop(
+            k, r, t, max_order + int(mp.ceil(max(r, 0))), int(mp.ceil(1.5 * invt))
+        )
+        sums = [mp.mpf(0) for _ in range(max_order + 1)]
+        asums = [mp.mpf(0) for _ in range(max_order + 1)]
+        last = [mp.inf for _ in range(max_order + 1)]
+        stop = prec.series_stop
+        m = k + 1
+        q = invt ** (k + 1) / mp.factorial(k + 1)
+        while m < _SERIES_LIMIT:
+            sums[0] += q
+            asums[0] += q
+            last[0] = q
+            prod = mp.mpf(1)
+            for n in range(1, max_order + 1):
+                prod *= r - m - (n - 1)
+                c = q * prod
+                sums[n] += c
+                asums[n] += abs(c)
+                last[n] = abs(c)
+            if m >= m_min and all(
+                last[n] < stop * asums[n] for n in range(max_order + 1)
+            ):
+                break
+            m += 1
+            q *= invt / m
+        else:
+            raise _budget_exhausted(k, r, t)
+        scale = t ** r
+        out = []
+        for n in range(max_order + 1):
+            out.append(sums[n] * scale)
+            scale *= invt
+        return out
+
+
+class TableOracle(TableCache):
+    """f^(n)(t) for check_sign_pattern, summer(t) = [f^(i)(t) for i <= max_order]."""
+
+    def __call__(self, n, t):
+        self._check_order(n)
+        with self.prec.workdps():
+            return self.table(to_mpf(t))[n]
 
 
 def value_and_radius(oracle, n, t):

@@ -9,14 +9,10 @@ import pytest
 from mpmath import mp
 
 import oracles
-from cmcheck import (
-    LogGrid,
-    WorkingPrecision,
-    check_sign_pattern,
-    tail_scaled_derivatives,
-)
+from cmcheck import LogGrid, WorkingPrecision, check_sign_pattern, cli, hk_table
 from cmcheck.cli import EVAL_FNS, main
-from cmcheck.cmdeg import DEFAULT_DEGREE_GRID, TableOracle
+from cmcheck.cmdeg import DEFAULT_DEGREE_GRID
+from cmcheck.specfun import _dyadic
 from cmcheck.suite import _fmt
 
 CSV_HEADER = "command,id,passed,provenance,value,detail"
@@ -97,6 +93,69 @@ class TestEval:
         )
         inputs = json.loads(out)["inputs"]
         assert inputs == {"fn": "polygamma", "n": 2, "t": "0.5"}
+
+
+def eval_scaled(flags, digits, capsys):
+    """(exit code, first record) of eval --fn hk-scaled-deriv at digits."""
+    argv = ["eval", "--fn", "hk-scaled-deriv", *flags, "--digits", str(digits)]
+    code, out, _ = run_cli(argv, capsys)
+    return code, json.loads(out)["results"][0]
+
+
+class TestScaledDerivativeEval:
+    """eval --fn hk-scaled-deriv against termwise mpmath sums at several times
+    the digits: every printed digit must be the reference's."""
+
+    @pytest.mark.parametrize("digits", (30, 50))
+    def test_near_a_zero_of_the_derivative(self, digits, capsys):
+        # at r = -t H_0'(t) / H_0(t) the first derivative of t^r H_0 vanishes
+        # at t = 32; r is that zero's dyadic at the working precision, passed
+        # exactly, so the eval and the reference take the same r.  The bracket
+        # cancels there, so the digits must be raised before printing
+        prec = WorkingPrecision(digits)
+        with prec.workdps():
+            h0, h1 = hk_table(0, 32, 1, prec)
+            root = -32 * h1 / h0
+        a, s = _dyadic(root)
+        flags = ["--k", "0", f"--r={a}/{2**s}", "--n", "1", "--t", "32"]
+        code, record = eval_scaled(flags, digits, capsys)
+        assert code == 0
+        want = oracles.tail_derivative_partial(0, root, 1, 32, 150, dps=4 * digits)
+        assert record["value"] == mp.nstr(want, digits)
+
+    @pytest.mark.parametrize("digits", (30, 50))
+    def test_large_r_has_a_closed_form(self, digits, capsys):
+        # d/dt [t^r H_0(t)] at t = 1 is r H_0(1) + H_0'(1) = r (e - 1) - e
+        flags = ["--k", "0", "--r", "300000", "--n", "1", "--t", "1"]
+        code, record = eval_scaled(flags, digits, capsys)
+        assert code == 0
+        with mp.workdps(3 * digits):
+            want = 300000 * (mp.e - 1) - mp.e
+            assert record["value"] == mp.nstr(want, digits)
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    @pytest.mark.parametrize("n", (3, 6))
+    @pytest.mark.parametrize("t", ("3", "1e4"))
+    def test_cancelling_brackets_keep_every_digit(self, t, n, digits, capsys):
+        # at r = 5 the termwise terms m <= 5 vanish, so at t = 1e4 the
+        # Leibniz bracket cancels about 16 digits
+        flags = ["--k", "2", "--r", "5", "--n", str(n), "--t", t]
+        code, record = eval_scaled(flags, digits, capsys)
+        assert code == 0
+        want = oracles.tail_derivative_partial(2, 5, n, t, 400, dps=3 * digits)
+        assert record["value"] == mp.nstr(want, digits)
+
+    def test_raise_cap_exits_three(self, monkeypatch, capsys):
+        # a series stop that no digits can lower keeps the radius near a
+        # quarter of the value, so every raise fails and the eval refuses
+        monkeypatch.setattr(cli, "WorkingPrecision", oracles.CoarseStop)
+        flags = ["--k", "0", "--r", "1", "--n", "1", "--t", "2"]
+        code, record = eval_scaled(flags, 30, capsys)
+        assert code == 3
+        assert record["id"] == "numeric-failure"
+        assert record["operation"] == "scaled_remainder_derivative"
+        assert record["detail"].startswith("error radius")
+        assert record["inputs"] == {"k": 0, "r": "1.0", "n": 1, "t": "2.0"}
 
 
 class TestDeterminismAndFormats:
@@ -223,8 +282,10 @@ class TestSubcommands:
         record = json.loads(out)["results"][0]
         prec = WorkingPrecision(30)
         grid = LogGrid(DEFAULT_DEGREE_GRID.t_min, DEFAULT_DEGREE_GRID.t_max, 30)
-        termwise = TableOracle(
-            lambda t: tail_scaled_derivatives(1, Fraction(r), t, 6, prec), 6, prec
+        termwise = oracles.TableOracle(
+            lambda t: oracles.tail_scaled_derivatives(1, Fraction(r), t, 6, prec),
+            6,
+            prec,
         )
         want = check_sign_pattern(termwise, grid, 6, prec)
         assert record["passed"] is want.passed is True

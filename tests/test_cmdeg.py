@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import oracles
-from oracles import CoarseStop
+from oracles import CoarseStop, tail_scaled_derivatives
 from cmcheck import (
     DEFAULT_PRECISION,
     BracketError,
@@ -24,7 +24,6 @@ from cmcheck import (
     h_function,
     h_table,
     hk_table,
-    tail_scaled_derivatives,
 )
 from cmcheck import cmdeg
 from cmcheck.cmdeg import (
@@ -34,7 +33,6 @@ from cmcheck.cmdeg import (
     ScaledDerivative,
     ScaledTailOracle,
     ball_minimum,
-    h_oracle,
 )
 from cmcheck.laurent import _lah_rows
 from cmcheck.specfun import _GUARD_BITS, _SERIES_LIMIT, _dyadic
@@ -123,6 +121,27 @@ class TestCheckSignPattern:
         assert not report.passed
         assert report.violation.order == 1
         assert report.violation.t == SMALL_GRID.values(PREC)[0]
+
+    @pytest.mark.parametrize(
+        "f, passed", ((exp_decay_oracle, True), (exp_growth_oracle, False))
+    )
+    def test_each_key_is_evaluated_once(self, f, passed):
+        # a plain callable has no balls: the walk evaluates every key it
+        # reaches once, and takes the violation's value from that evaluation
+        calls = []
+
+        def counted(n, t):
+            calls.append((n, t))
+            return f(n, t)
+
+        report = check_sign_pattern(counted, SMALL_GRID, 4, PREC)
+        assert report.passed is passed
+        assert len(calls) == len(set(calls)) == report.evaluations
+        if not passed:
+            n, t = calls[-1]
+            assert (report.violation.order, report.violation.t) == (n, t)
+            with PREC.workdps():
+                assert report.violation.value == f(n, t)
 
     def test_oracle_errors_become_numeric_failures(self):
         def broken(n, t):
@@ -441,14 +460,14 @@ class TestSignPredicate:
 class TestHOracle:
     def test_one_table_per_grid_point(self):
         grid = LogGrid(0.05, 1e3, 12)
-        oracle = h_oracle(8, PREC)
+        oracle = HOracle(8, PREC)
         report = check_sign_pattern(oracle, grid, 8, PREC)
         assert report.passed
         assert report.evaluations == 9 * 12
         assert oracle.series == 12
 
     def test_values_are_the_h_engines(self):
-        oracle = h_oracle(3, PREC)
+        oracle = HOracle(3, PREC)
         with PREC.workdps():
             rel = mp.mpf(10) ** (3 - PREC.digits)
             assert abs(oracle(0, "0.7") - h_function("0.7", PREC)) <= rel
@@ -459,9 +478,9 @@ class TestHOracle:
 
     def test_order_beyond_table_is_rejected(self):
         with pytest.raises(ValueError):
-            h_oracle(2, PREC)(3, 1)
+            HOracle(2, PREC)(3, 1)
         with pytest.raises(ValueError):
-            h_oracle(-1, PREC)
+            HOracle(-1, PREC)
 
 
 def ball_of(center, radius):
@@ -614,7 +633,7 @@ class TestTwoPassHScan:
     def test_reports_equal_the_one_pass_walk(self, digits):
         prec = WorkingPrecision(digits)
         for grid in self.GRIDS:
-            oracle = h_oracle(8, prec)
+            oracle = HOracle(8, prec)
             got = check_sign_pattern(oracle, grid, 8, prec)
             assert got == oracles.one_pass_h_sign_pattern(grid, 8, prec)
             # one ball table per point; the balls settle all but the minimum
@@ -624,7 +643,7 @@ class TestTwoPassHScan:
     def test_low_orders_on_a_wide_grid(self):
         prec = WorkingPrecision(50)
         grid = LogGrid("2e-3", "1e6", 30)
-        got = check_sign_pattern(h_oracle(3, prec), grid, 3, prec)
+        got = check_sign_pattern(HOracle(3, prec), grid, 3, prec)
         assert got == oracles.one_pass_h_sign_pattern(grid, 3, prec)
 
     def test_failure_is_the_one_pass_failure(self):
@@ -634,7 +653,7 @@ class TestTwoPassHScan:
         prec = NoStopPolicy(50)
         grid = LogGrid("0.05", 1e3, 5)
         want = outcome(lambda: oracles.one_pass_h_sign_pattern(grid, 8, prec))
-        got = outcome(lambda: check_sign_pattern(h_oracle(8, prec), grid, 8, prec))
+        got = outcome(lambda: check_sign_pattern(HOracle(8, prec), grid, 8, prec))
         assert got == want
         assert got[0] == "polygamma"
 
@@ -652,9 +671,28 @@ class TestTwoPassHScan:
             assert got == want
             assert got.violation.order == 1 and got.evaluations == 7
 
+    def test_the_violation_is_evaluated_once(self):
+        # the balls settle every key but the violation, which the walk
+        # evaluates where it reaches it and does not evaluate again
+        grid = LogGrid("0.1", 10, 6)
+        calls = []
+
+        class Counted(FakeBallOracle):
+            def __call__(self, n, t):
+                calls.append((n, t))
+                return super().__call__(n, t)
+
+        report = check_sign_pattern(
+            Counted(lambda t: [mp.exp(t)] * 4, 3, PREC, 1), grid, 3, PREC
+        )
+        violation = report.violation
+        assert calls == [(violation.order, violation.t)]
+        with PREC.workdps():
+            assert violation.value == mp.exp(violation.t)
+
     def test_orders_past_the_oracle_keep_the_one_pass_scan(self):
         with pytest.raises(NumericFailure) as failure:
-            check_sign_pattern(h_oracle(2, PREC), LogGrid(1, 2, 2), 3, PREC)
+            check_sign_pattern(HOracle(2, PREC), LogGrid(1, 2, 2), 3, PREC)
         assert failure.value.operation == "check_sign_pattern"
 
     def test_thirty_digit_tables_come_from_the_balls(self, monkeypatch):
@@ -672,7 +710,7 @@ class TestTwoPassHScan:
         for grid, redone in ((LogGrid("0.0503", 1e3, 40), False),
                              (LogGrid(2e3, 1e6, 6), True)):
             calls.clear()
-            oracle = h_oracle(8, prec)
+            oracle = HOracle(8, prec)
             got = check_sign_pattern(oracle, grid, 8, prec)
             assert got == oracles.one_pass_h_sign_pattern(grid, 8, prec)
             assert bool(calls) == redone

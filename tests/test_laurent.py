@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 import oracles
-from oracles import CoarseStop
+from oracles import CoarseStop, tail_scaled_derivatives
 from cmcheck import (
     DEFAULT_PRECISION,
     LogGrid,
@@ -28,7 +28,6 @@ from cmcheck import (
     remainder_hk,
     remainder_hk_derivative,
     scaled_remainder_derivative,
-    tail_scaled_derivatives,
     to_mpf,
 )
 from cmcheck.cmdeg import ScaledTailOracle
