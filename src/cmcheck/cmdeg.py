@@ -694,7 +694,8 @@ def scaled_remainder_derivative(k, r, n, t, prec=DEFAULT_PRECISION):
     The value v and its error radius are ScaledDerivative's: the integer
     Leibniz bracket over hk_sums times one mpf factor, within the radius
     its docstring proves.  Where the bracket cancels (r near a zero of the
-    derivative, or t far from 1/r) the radius may exceed |v| 10^-(digits+3);
+    derivative, or an integer r > k at large t, where the leading terms of
+    the termwise sum vanish) the radius may exceed |v| 10^-(digits+3);
     v is then taken again at digits raised by ceil(log10(radius/|v|)) +
     digits + 5, what it lost plus a margin (Ziv, ACM TOMS 17(3), 1991), and
     after _MAX_RAISES raises the call refuses with NumericFailure.  r and t

@@ -132,10 +132,10 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
     integers.  m_min = k + 3 + max(max_order, ceil(1.5/t)), the first stop
     of the termwise sum of every order at r = 0 (past max_order, and where
     the term ratio is safely below 1), is raised to where the ratio x/(m+1)
-    is at most 1/2 (_hk_first_stop).  Every truncation is
-    one-sided: each division and each rescale lowers q by at most one unit
-    of the current scale, and the terms are unimodal in m with q >= 2^wp
-    after a rescale, so over M < _SERIES_LIMIT < 2^b terms q_m sits below
+    is at most 1/2 (_hk_first_stop).  Every truncation is one-sided: each
+    division and each rescale lowers q by at most one unit of the current
+    scale, and the terms are unimodal in m with q >= 2^wp after a rescale,
+    so over M < _SERIES_LIMIT < 2^b terms q_m sits below
     the exact Q_m by at most 2M max(1, Q_m 2^-wp) units, and a rescale costs
     the sum one unit more.  S_0 is thus low by a relative delta <= 2^-wp
     (3M + 2M^2) < 2^-(mp.prec+30).  The ratio is at most 1/2 past the stop
