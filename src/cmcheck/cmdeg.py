@@ -14,18 +14,19 @@ Vandermonde identity for rising factorials each scaled derivative is a
 positive factor times an integer bracket, formed exactly with a proven
 radius: most signs are settled in integers, and a value whose radius could
 carry it across the noise floor is refused.  A bisection step settles its
-signs in integers and builds an mpf value only where a bracket is not
-settled positive (ScaledDerivative.passes); the r-independent factors of
-such values are built at the first t that needs one and kept.  The sign
-scans of h (HOracle) and of t^r H_k (ScaledDerivative) take two passes:
-one 30-digit table per grid point gives every derivative there as an
-integer ball that holds its value at the digits asked for (h_balls, and
-for H_k the Leibniz bracket over 30-digit hk_sums times an integer factor),
-and ball_minimum evaluates at those digits only the values the balls
-cannot settle, those that may lie below the noise floor and the
-candidates for the minimum, so the report is the one-pass report; any
-other oracle goes through the same walk with no balls, every value
-evaluated.  A grid scan can only certify failure (a witness) or survive it
+signs in integers, and a violation too where a power-of-two bound on the
+factor puts its bracket below the noise floor, so it builds an mpf value
+only where a bracket is settled neither way (ScaledDerivative.passes); the
+r-independent factors of such values are built at the first t that needs
+one and kept.  The sign scans of h (HOracle) and of t^r H_k
+(ScaledDerivative) take two passes: one 30-digit table per grid point
+gives every derivative there as an integer ball that holds its value at
+the digits asked for (h_balls, and for H_k the Leibniz bracket over
+30-digit hk_sums times an integer factor), and ball_minimum evaluates at
+those digits only the values the balls cannot settle, those that may lie
+below the noise floor and the candidates for the minimum, so the report
+is the one-pass report; any other oracle goes through the same walk with
+no balls, every value evaluated.  A grid scan can only certify failure (a witness) or survive it
 (no claim beyond the grid), so the result is a bracket, never an attained
 value.  scaled_remainder_derivative, the one value of t^r H_k that eval
 prints, comes from the same bracket and its radius, taken again at more
@@ -33,7 +34,7 @@ digits where the bracket cancels.
 """
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from math import comb, factorial
 from operator import mul
 from typing import Optional
@@ -403,6 +404,20 @@ class ScaledTailOracle(TableCache):
         """The oracle(n, t) = d^n/dt^n [t^r H_k(t)] for check_sign_pattern."""
         return ScaledDerivative(self, r)
 
+    @cached_property
+    def _guard(self):
+        """(bits, eta, noise_floor) of every ScaledDerivative's values at prec:
+        mp.prec there, eta = (k + 2 max_order + 16) 2^-bits, built on first use."""
+        with self.prec.workdps():
+            eta = mp.ldexp(self.k + 2 * self.max_order + 16, -mp.prec)
+            return mp.prec, eta, self.prec.noise_floor
+
+    @cached_property
+    def _settled_floor(self):
+        """(c, y) with 2 noise_floor (k+1)! = c 2^-y exactly, for passes."""
+        num, y = _dyadic(self._guard[2])
+        return 2 * num * factorial(self.k + 1), y
+
     def factors(self, t):
         """[lead 2^exp (-1/t)^n for n <= max_order] at t, built on first use."""
         factors = self._factors.get(t)
@@ -420,11 +435,14 @@ class ScaledDerivative:
 
     r = a / 2^s is the dyadic of its mpf, so 2^(s n) C(n,j) (-r)^(j) is the
     integer coeff_j = C(n,j) prod_{i<j} (i 2^s - a) 2^(s(n-j)), built once
-    per r.  Each evaluation forms the exact bracket B = sum_j coeff_j S_(n-j)
-    and returns B times the factor t^r 2^-(s n) lead 2^exp (-1/t)^n, which
-    costs one pow per (r, t).  The factor is positive up to (-1)^n, so B
-    carries the sign of (-1)^n d^n/dt^n [t^r H_k(t)] whenever |B| > R, the
-    radius below: the common case, settled in integers.
+    per r; nothing else is built per r, as the guard's mpf constants are
+    the tables', built at the first value of any r.  Each evaluation forms
+    the exact bracket B = sum_j coeff_j S_(n-j) and returns B times the
+    factor t^r 2^-(s n) lead 2^exp (-1/t)^n, which costs one pow per (r, t)
+    it values.  The factor is positive up to (-1)^n, so B carries the sign
+    of (-1)^n d^n/dt^n [t^r H_k(t)] whenever |B| > R, the radius below: the
+    common case, settled in integers, and passes settles a B far below -R
+    against the noise floor in integers too.
 
     Error radius (ball).  hk_sums gives S_i <= T_i 2^-exp <= S_i + radii[i],
     so the exact bracket is within R = sum_j |coeff_j| radii[n-j] of B.  The
@@ -449,12 +467,14 @@ class ScaledDerivative:
     def __init__(self, tables, r):
         self.tables = tables
         n_max = tables.max_order
-        with tables.prec.workdps():
+        if type(r) is mp.mpf:  # kept as it is at any precision
             self.r = to_mpf(r)
-            self._bits = mp.prec
-            self._floor = tables.prec.noise_floor
-            self._eta = mp.ldexp(tables.k + 2 * n_max + 16, -mp.prec)
+        else:
+            with tables.prec.workdps():
+                self.r = to_mpf(r)
         a, self._s = _dyadic(self.r)
+        # r - k - 1 = _x / 2^s, the exponent of t in the factor at order 0
+        self._x = a - (tables.k + 1 << self._s)
         rising = [1]
         for i in range(n_max):
             rising.append(rising[-1] * ((i << self._s) - a))
@@ -543,7 +563,7 @@ class ScaledDerivative:
         """((k+1)!, r - k - 1, omega as w_num / 2^w_e, wp, [3 L_n for n <=
         max_order]) of balls."""
         tables = self.tables
-        bits = self._bits
+        bits = tables._guard[0]
         with tables.prec.workdps():
             z_num, z_e = _dyadic(tables.prec.series_stop)
             wp = _hk_scale_bits()
@@ -599,10 +619,12 @@ class ScaledDerivative:
         return factor * bracket, bracket, radius, factor
 
     def _radius(self, value, radius, factor):
-        return abs(factor) * radius * (1 + self._eta) + abs(value) * self._eta
+        eta = self.tables._guard[1]
+        return abs(factor) * radius * (1 + eta) + abs(value) * eta
 
     def __call__(self, n, t):
-        if mp.prec != self._bits:
+        bits, _, floor = self.tables._guard
+        if mp.prec != bits:
             with self.tables.prec.workdps():
                 return self(n, t)
         self.tables._check_order(n)
@@ -612,7 +634,7 @@ class ScaledDerivative:
         if bracket > radius:
             return value
         signed = value if n % 2 == 0 else -value
-        if self._radius(value, radius, factor) >= abs(signed + self._floor):
+        if self._radius(value, radius, factor) >= abs(signed + floor):
             raise NumericFailure(
                 "ScaledTailOracle",
                 "the error radius could move the value across the noise floor",
@@ -629,32 +651,73 @@ class ScaledDerivative:
         The walk is the scan's, orders outermost and t ascending, up to the
         tables' max_order.  A bracket settled positive (B > R) has a positive
         signed value, above the scan's -noise_floor, so it passes in integers
-        with no factor and no t^r.  Any other goes through __call__ and the
-        scan's comparison, so the guard and the failures are the scan's.
+        with no factor and no t^r.  A bracket settled far below zero fails in
+        integers, as below.  Any other goes through __call__ and the scan's
+        comparison, so the guard and the failures are the scan's.
 
-        rows holds the (S, radii) of the first points of ts by position, and
-        the order-0 pass appends each point it reaches first.  A bisection
-        passes the same list to every step over the same ts, so a step
-        looks up no table by t that an earlier step fetched, and fetches
-        none that its walk does not reach.
+        Settled negative.  Let B < -2R.  |F| is within a relative eta of
+        F* = t^x 2^(exp - s n) / (k+1)!, x = r - k - 1 - n, the modulus of the
+        exact factor (the error radius above), and __call__'s signed value
+        w = (-1)^n v is B |F| rounded once.  x is an exact dyadic, so t^x >=
+        2^lo for the integer lo of _log2_power_floor.  The key fails in
+        integers when (_below, exact)
+
+            (-B - 2R) 2^(lo + exp - s n) > 2 noise_floor (k+1)!,
+
+        so that F* (|B| - 2R) > 2 noise_floor.  __call__'s radius rho is
+        R |F| (1 + eta) + |w| eta in five roundings, under (1 + eta/2) times
+        that as eta >= 16 2^-P at P = mp.prec, and |w| <= |B| |F| (1 + 2^-P).
+        As R < |B|/2 < |B| - R,
+
+            -w - rho >= |F| (|B| - R - 2 eta |B|) >= |F| (|B| - R) (1 - 4 eta)
+                     >= F* (|B| - 2R) (1 - 5 eta),
+
+        which exceeds noise_floor, as eta < 1/10 (P >= 153, and k + max_order
+        is under hk_sums' budgets), and exceeds 0 where noise_floor <= 0.
+        So w < -noise_floor and rho < |w + noise_floor|: __call__'s guard
+        does not fire, it returns v, and the scan's comparison fails, as here.
+
+        rows holds the hk_sums (S, radii, exp) of the first points of ts by
+        position, and the order-0 pass appends each point it reaches first.
+        A bisection passes the same list to every step over the same ts, so
+        a step looks up no table by t that an earlier step fetched, and
+        fetches none that its walk does not reach.
         """
         tables = self.tables
         if rows is None:
             rows = []
-        with tables.prec.workdps():
-            for n in range(tables.max_order + 1):
-                coeffs = self._coeffs[n]
-                abs_coeffs = self._abs_coeffs[n]
-                for i, t in enumerate(ts):
-                    if i == len(rows):
-                        core = tables.table(t)
-                        rows.append((core.sums, core.radii))
-                    sums, radii = rows[i]
-                    if sum(map(mul, coeffs, sums)) > sum(map(mul, abs_coeffs, radii)):
-                        continue
-                    if _signed_value(self, n, t) < -self._floor:
+        s = self._s
+        for n in range(tables.max_order + 1):
+            coeffs = self._coeffs[n]
+            abs_coeffs = self._abs_coeffs[n]
+            for i, t in enumerate(ts):
+                if i == len(rows):
+                    rows.append(tables.table(t))
+                sums, radii, exp = rows[i]
+                bracket = sum(map(mul, coeffs, sums))
+                radius = sum(map(mul, abs_coeffs, radii))
+                if bracket > radius:
+                    continue
+                margin = -bracket - 2 * radius
+                if margin > 0:
+                    c, y = tables._settled_floor
+                    lo = _log2_power_floor(t, self._x - (n << s), s)
+                    if _below(c, -y, margin, lo + exp - s * n):
                         return False
-            return True
+                with tables.prec.workdps():
+                    if _signed_value(self, n, t) < -tables._guard[2]:
+                        return False
+        return True
+
+
+def _log2_power_floor(t, x, s):
+    """An integer lo with t^(x / 2^s) >= 2^lo, for an mpf t > 0 and integers
+    x and s >= 0.  With t = den / 2^e and L = bitlen(den), 2^(L-1-e) <= t <
+    2^(L-e), so lo = floor(x (L-1-e) / 2^s) for x >= 0 and floor(x (L-e) /
+    2^s) for x < 0."""
+    den, e = _dyadic(t)
+    size = den.bit_length() - e
+    return x * (size - 1 if x >= 0 else size) >> s
 
 
 class _Balls(dict):
@@ -781,8 +844,9 @@ def estimate_cm_degree(
     (default 1/32).  Every step shares one ScaledTailOracle, so each grid
     point takes its order-0 tail once, and the grid's values and the rows of
     its sums by position once.  A step is check_sign_pattern's verdict by
-    ScaledDerivative.passes: it settles the signs in integers and builds a
-    value only where a bracket is not settled positive.
+    ScaledDerivative.passes: it settles the signs in integers, a violation
+    too where its bracket is settled far below the noise floor, and builds
+    an mpf value only where a bracket is settled neither way.
     """
     tables = ScaledTailOracle(k, max_order, prec)
     with prec.workdps():

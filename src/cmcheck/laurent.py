@@ -51,12 +51,8 @@ def _validate_order(k):
         raise ValueError(f"remainder order must be a nonnegative integer, got {k!r}")
 
 
-def _budget_exhausted(k, t):
-    # named for the termwise sum of d^n/dt^n [t^r H_k] at r = 0, whose first
-    # stop hk_sums keeps
-    return NumericFailure(
-        "tail_scaled_derivatives", "series budget exhausted", k=k, r=mp.mpf(0), t=t
-    )
+def _budget_exhausted(k, t, route="series"):
+    return NumericFailure("hk_sums", f"{route} budget exhausted", k=k, t=t)
 
 
 class HkSums(NamedTuple):
@@ -120,9 +116,10 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
         S_0 <= T'_0 <= S_0 + q + eps S_0,                           (*)
 
     writing T'_n = T_n 2^-exp and eps = 2^-(mp.prec+29) (1 + 2^-mp.prec).
-    Both routes first take t = den / 2^e exactly and the first stop m_min
-    (_hk_first_stop), whose NumericFailure of an m_min at or past the
-    series budget therefore comes before either.
+    Both routes first take t = den / 2^e exactly and the series route's
+    first stop m_min (_hk_first_stop), whose NumericFailure of an m_min at
+    or past the series budget therefore comes before any sum; the exp route
+    sums no series and refuses only past its own budget.
 
     Series route, x < 2(k+1).  The order-0 terms are kept relative to the
     first as q_(k+1) = 2^wp and q_(m+1) = floor(q_m 2^e / (den (m+1))), one
@@ -159,9 +156,9 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
     summed, so series_stop does not enter.
 
     Derived orders.  t = den / 2^e, and X = floor(2^(W+e) / den) with W =
-    wp + bitlen(den) - e >= 0 (x < 2^17 below the budget), so x 2^W >= 2^wp
-    and X 2^-W lies in [x (1 - 2^-wp), x].  At F = 32 fraction bits below
-    the unit 2^exp, u_0 = S_0 2^F and
+    wp + bitlen(den) - e >= 0 (x < 2^17 on the series route, and the exp
+    route's budget), so x 2^W >= 2^wp and X 2^-W lies in [x (1 - 2^-wp),
+    x].  At F = 32 fraction bits below the unit 2^exp, u_0 = S_0 2^F and
 
         u_j = floor(u_(j-1) X 2^-W) + floor((k+1)_j 2^(F-exp)) [j <= k+1],
         v_0 = q 2^F,   v_j = ceil(v_(j-1) (X+1) 2^-W),
@@ -213,7 +210,7 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
             raise ValueError(f"t must be positive, got {t}")
         den, e, m_min = _hk_first_stop(k, t, max_order)
         wp = _hk_scale_bits()
-        if _hk_exp_side(k, den, e):
+        if m_min is None:
             total, exp = _hk_exp_sum(k, den, e, wp)
             q = 0
         else:
@@ -288,7 +285,8 @@ def _hk_exp_parts(k, den, e):
     moves e^x by under 0.51 2^-p relative; exp's own error is under one ulp.
     As e^x < (2^p + 2) 2^g, E 2^g is within 1.52 units of 2^g of e^x.  The
     head is the exact rational n_0 / (k! den^k), by Horner's rule n_k = 1,
-    n_m = (k!/m!) den^(k-m) + 2^e n_(m+1), so H is one integer ceiling.
+    n_m = (k!/m!) den^(k-m) + 2^e n_(m+1), so H is an integer ceiling,
+    taken in two steps for g >= 0, as g grows with x.
     """
     p = mp.prec + 34 + (k + 3).bit_length()
     bits = p + ((1 << e) // den).bit_length()
@@ -302,7 +300,12 @@ def _hk_exp_parts(k, den, e):
         power *= den
         num = fact * power + (num << e)
     denom = fact * power
-    head = -(-num // (denom << g)) if g >= 0 else -((-num << -g) // denom)
+    if g >= 0:
+        # ceil(a / (b 2^g)) = ceil(ceil(a / 2^g) / b), with no 2^g formed
+        up = -(-num >> g)
+        head = -(-up // denom)
+    else:
+        head = -((-num << -g) // denom)
     return man, head, g
 
 
@@ -316,14 +319,23 @@ def _hk_exp_sum(k, den, e, wp):
 
 
 def _hk_first_stop(k, t, max_order):
-    """(den, e, m_min) of hk_sums at an mpf t = den / 2^e > 0.
+    """(den, e, m_min) of hk_sums at an mpf t = den / 2^e > 0; m_min is None
+    on the exp route (_hk_exp_side), which sums no series.
 
     m_min = k + 3 + max(max_order, ceil(1.5/t)) with ceil(1.5/t) taken as
     ceil(3 2^e / (2 den)), raised to ceil(2/t) - 1, from where x/(m+1) <=
     1/2.  A first stop at or past the series budget can never be reached, so
-    it raises at once instead of spending the budget.
+    it raises at once instead of spending the budget.  The exp route has a
+    budget of its own: k + 3 + max_order below the series budget, as its
+    work and hk_sums' radius proof grow with k and max_order, and e <= wp +
+    bitlen(den), so x < 2^(wp+1) at wp = _hk_scale_bits() and 1/t fits the
+    fixed-point reciprocal of the derived orders.
     """
     den, e = _dyadic(t)
+    if _hk_exp_side(k, den, e):
+        if k + 3 + max_order >= _SERIES_LIMIT or e > _hk_scale_bits() + den.bit_length():
+            raise _budget_exhausted(k, t, "exp route")
+        return den, e, None
     m_min = max(
         k + 3 + max(max_order, -((-3 << e) // (2 * den))), -((-2 << e) // den) - 1
     )
@@ -339,14 +351,15 @@ def _hk_scale_bits():
 
 def _hk_fits(k, t, max_order, prec):
     """Whether hk_sums(k, t, max_order, prec) surely ends inside the series
-    budget, judged without summing: m_min + b + 1 < _SERIES_LIMIT with
-    2^-b <= series_stop (hk_sums).  It may raise hk_sums' own failure of
-    an m_min past the budget."""
+    budget, judged without summing: on the exp route always, else m_min +
+    b + 1 < _SERIES_LIMIT with 2^-b <= series_stop (hk_sums).  It may raise
+    hk_sums' own failure of a first stop past the budget."""
+    with prec.workdps():
+        m_min = _hk_first_stop(k, t, max_order)[2]
+    if m_min is None:
+        return True
     terms = _hk_stop_terms(prec)
-    return (
-        terms is not None
-        and _hk_first_stop(k, t, max_order)[2] + terms < _SERIES_LIMIT
-    )
+    return terms is not None and m_min + terms < _SERIES_LIMIT
 
 
 @lru_cache(maxsize=None)  # one entry per policy that the hk scans run at

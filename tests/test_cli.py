@@ -87,6 +87,22 @@ class TestEval:
             assert code == 0, (fn, out)
             assert json.loads(out)["results"][0]["passed"] is True
 
+    @pytest.mark.parametrize("z", ("1e-5", "1e-7"))
+    @pytest.mark.parametrize("k", (0, 3))
+    def test_hk_past_the_series_budget(self, k, z, capsys):
+        # 1/z is past the seam 2(k+1), where H_k takes one exponential and
+        # sums no series, so no series budget refuses it
+        argv = ["eval", "--fn", "hk", "--k", str(k), "--z", z, "--digits", "30"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        value = json.loads(out)["results"][0]["value"]
+        with WorkingPrecision(30).workdps():
+            t = mp.mpf(z)
+        with mp.workprec(400):
+            x = 1 / t
+            want = mp.exp(x) - sum(x**m / mp.factorial(m) for m in range(k + 1))
+            assert abs(mp.mpf(value) - want) <= mp.mpf("1e-29") * want
+
     def test_inputs_echo(self, capsys):
         _, out, _ = run_cli(
             ["eval", "--fn", "polygamma", "--n", "2", "--t", "0.5"], capsys
@@ -406,7 +422,9 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_numeric_failure_is_three(self, capsys):
-        code, _, err = run_cli(["eval", "--fn", "hk", "--k", "0", "--z", "1e-7"], capsys)
+        # k = 60000 sums its series at 1e-5, whose first stop passes the budget
+        argv = ["eval", "--fn", "hk", "--k", "60000", "--z", "1e-5"]
+        code, _, err = run_cli(argv, capsys)
         assert code == 3
         assert "numeric failure" in err
         assert "series budget" in err
@@ -527,7 +545,7 @@ class TestExitCodes:
 
     def test_numeric_failure_writes_a_report(self, tmp_path, capsys):
         target = tmp_path / "report.csv"
-        argv = ["eval", "--fn", "hk", "--k", "0", "--z", "1e-7"]
+        argv = ["eval", "--fn", "hk", "--k", "60000", "--z", "1e-5"]
         code, out, err = run_cli(
             argv + ["--format", "csv", "--out", str(target)], capsys
         )
@@ -540,10 +558,11 @@ class TestExitCodes:
         assert report["pass"] is False
         assert report["status"] == "numeric-failure"
         record = report["results"][0]
-        assert record["operation"] == "tail_scaled_derivatives"
+        assert record["operation"] == "hk_sums"
         assert record["detail"] == "series budget exhausted"
-        assert record["inputs"]["k"] == 0
-        assert mp.mpf(record["inputs"]["t"]) == mp.mpf("1e-7")
+        assert set(record["inputs"]) == {"k", "t"}
+        assert record["inputs"]["k"] == 60000
+        assert mp.mpf(record["inputs"]["t"]) == mp.mpf("1e-5")
         lines = target.read_text().strip().splitlines()
         assert lines[0] == CSV_HEADER
         assert lines[1].startswith("eval,numeric-failure,False,")

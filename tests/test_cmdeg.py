@@ -366,15 +366,62 @@ class TestSignPredicate:
                 if r != k + 1 + Fraction(1, 2**60):
                     assert want == (r <= k + 1), (k, r)
             # a passing scan settles every sign in integers: it takes no t^r
-            # and builds no factor
+            # and builds no factor; so does a failing one, whose violation
+            # is settled below the floor in integers
             fresh = ScaledTailOracle(k, 6, prec)
-            oracle = fresh.at(k + 1)
-            assert oracle.passes(ts)
-            assert oracle._points == {}
+            for r, passed in ((k + 1, True), (k + 2, False)):
+                oracle = fresh.at(r)
+                assert oracle.passes(ts) is passed
+                assert oracle._points == {}
             assert fresh._factors == {}
-            # a failing one builds the factors of the points it values
-            assert not fresh.at(k + 2).passes(ts)
-            assert fresh._factors and set(fresh._factors) <= set(ts)
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_bisection_builds_no_mpf_value(self, digits, monkeypatch):
+        # every step of a bisection on the bench grid, passing or failing,
+        # is decided in integers: no t^r and no factor
+        prec = WorkingPrecision(digits)
+        made = []
+
+        class Recording(ScaledTailOracle):
+            def at(self, r):
+                oracle = super().at(r)
+                made.append((self, oracle))
+                return oracle
+
+        monkeypatch.setattr(cmdeg, "ScaledTailOracle", Recording)
+        for k in range(5):
+            made.clear()
+            estimate = estimate_cm_degree(k, grid=self.GRID, prec=prec)
+            with prec.workdps():
+                assert (estimate.r_lo, estimate.r_hi) == (k + 1, k + 1 + mp.mpf(1) / 32)
+            assert len(made) == estimate.bisections + 2 == 8
+            (tables,) = {tables for tables, _ in made}
+            assert all(oracle._points == {} for _, oracle in made)
+            assert tables._factors == {}
+
+    @pytest.mark.parametrize("digits", (30, 500))
+    def test_default_brackets(self, digits):
+        # on the default degree grid every bracket is [k+1, k+1 + 1/32], in
+        # six steps over 200 tables, at the lowest digits and at many
+        prec = WorkingPrecision(digits)
+        for k in range(5):
+            estimate = estimate_cm_degree(k, prec=prec)
+            with prec.workdps():
+                assert estimate.r_lo == k + 1
+                assert estimate.r_hi == k + 1 + mp.mpf(1) / 32
+            assert (estimate.bisections, estimate.series) == (6, 200)
+
+    def test_power_floor_is_a_lower_bound(self):
+        # 2^lo <= t^(x / 2^s) on both sides of powers of two, for x of both
+        # signs: the bound that passes settles a violation with
+        with mp.workprec(200):
+            ts = [mp.ldexp(1, p) * f for p in (-7, 0, 5, 20)
+                  for f in (1, 1 + mp.ldexp(1, -150), 2 - mp.ldexp(1, -150), mp.mpf(1.5))]
+            for t in ts:
+                for x, s in ((0, 0), (7, 0), (-7, 0), (29, 3), (-29, 3), (-1, 5), (1, 5)):
+                    lo = cmdeg._log2_power_floor(t, x, s)
+                    exact = mp.log(t, 2) * x / 2**s
+                    assert lo <= exact < lo + abs(x) / 2**s + 1, (t, x, s)
 
     def test_rows_are_kept_by_position(self):
         # the rows list carries each point's sums from one walk to the next,
@@ -388,9 +435,8 @@ class TestSignPredicate:
             assert len(rows) == tables.series <= len(ts)
             assert tables.at(k + 1).passes(ts, rows)
             assert len(rows) == tables.series == len(ts)
-            for t, (sums, radii) in zip(ts, rows):
-                core = tables.table(t)
-                assert (sums, radii) == (core.sums, core.radii)
+            for t, row in zip(ts, rows):
+                assert row == tables.table(t)
 
             def refuse(t):
                 raise AssertionError(f"table looked up at {t}")
@@ -405,12 +451,18 @@ class TestSignPredicate:
         with PREC.workdps():
             h0, h1 = hk_table(0, 32, 1, coarse)
             root = -32 * h1 / h0
-        # the zero margin at (1, 100), the undecided bracket at (1, 32) and
-        # a first table past the series budget: (k, max_order, r, grid, prec)
+            past = root + mp.mpf("1e-8")
+        # the zero margin at (1, 100), which the integer bound cannot settle,
+        # so the guard fires through __call__; the undecided bracket at
+        # (1, 32), at the root and just past it, where B < 0 < B + R and the
+        # value, 3e-10, is far above the floor; and a first table past the
+        # series budget (k = 60000 sums its series at 1e-5):
+        # (k, max_order, r, grid, prec)
         cases = (
             (0, 2, "1.25", LogGrid("0.5", 100, 2), pinned),
             (0, 1, root, LogGrid(32, 1e3, 2), coarse),
-            (0, 6, 1, LogGrid("1e-7", 1, 2), PREC),
+            (0, 1, past, LogGrid(32, 1e3, 2), coarse),
+            (60000, 6, 1, LogGrid("1e-5", 1, 2), PREC),
         )
         operations = []
         for k, max_order, r, grid, prec in cases:
@@ -423,11 +475,7 @@ class TestSignPredicate:
             got = outcome(lambda: ScaledTailOracle(k, max_order, prec).at(r).passes(ts))
             assert got == want
             operations.append(want[0])
-        assert operations == [
-            "ScaledTailOracle",
-            "ScaledTailOracle",
-            "tail_scaled_derivatives",
-        ]
+        assert operations == ["ScaledTailOracle"] * 3 + ["hk_sums"]
 
     def test_bracket_matches_the_termwise_bisection(self):
         # the same bisection driven by check_sign_pattern over the termwise
@@ -960,6 +1008,6 @@ class TestTwoPassHkScan:
             outcomes.append(want)
             if prec is coarse:
                 assert all(oracle.balls(t) is None for t in grid.values(prec))
-        assert outcomes[0][0] == "tail_scaled_derivatives"
+        assert outcomes[0][0] == "hk_sums"
         assert outcomes[1][0] == "ScaledTailOracle"
         assert outcomes[2].passed

@@ -40,7 +40,7 @@ from cmcheck.laurent import (
     h_balls,
     hk_sums,
 )
-from cmcheck.specfun import _dyadic, polygamma_fixed
+from cmcheck.specfun import _SERIES_LIMIT, _dyadic, polygamma_fixed
 
 PREC = DEFAULT_PRECISION
 
@@ -101,8 +101,9 @@ class TestRemainder:
             remainder_hk(-1, 1, PREC)
         with pytest.raises(ValueError):
             remainder_hk(0, 0, PREC)
+        # k = 60000 sums its series at 1e-5, whose first stop passes the budget
         with pytest.raises(NumericFailure):
-            remainder_hk(0, "1e-7", PREC)
+            remainder_hk(60000, "1e-5", PREC)
 
 
 class TestRemainderDerivatives:
@@ -268,18 +269,24 @@ class TestHkTable:
                         )
 
     def test_first_stop_past_the_budget_fails(self):
-        # 1.5/t = 1.5e7 puts the first stop past the 200000-term budget
-        for table in (
-            lambda: hk_table(0, "1e-7", 6, PREC),
-            lambda: tail_scaled_derivatives(0, 0, "1e-7", 6, PREC),
-        ):
+        # 1.5/t = 1.5e5 puts the first stop of k = 60000, which sums its
+        # series at 1e-5, past the 200000-term budget; the termwise reference
+        # at 1e-7 (1.5/t = 1.5e7) keeps its own record
+        cases = (
+            (lambda: hk_table(60000, "1e-5", 6, PREC), "hk_sums", {"k", "t"}),
+            (
+                lambda: tail_scaled_derivatives(0, 0, "1e-7", 6, PREC),
+                "tail_scaled_derivatives",
+                {"k", "r", "t"},
+            ),
+        )
+        for table, operation, inputs in cases:
             with pytest.raises(NumericFailure) as excinfo:
                 table()
             failure = excinfo.value
-            assert failure.operation == "tail_scaled_derivatives"
+            assert failure.operation == operation
             assert failure.detail == "series budget exhausted"
-            assert set(failure.inputs) == {"k", "r", "t"}
-            assert failure.inputs["r"] == 0
+            assert set(failure.inputs) == inputs
 
     def test_exhausted_budget(self):
         with pytest.raises(NumericFailure, match="series budget exhausted"):
@@ -348,11 +355,11 @@ class TestHkSeam:
 
     @staticmethod
     def points(k, prec):
-        # down to 1e-5, a third of the seam, the seam and its two neighbours
-        # one ulp away, and three times the seam; 1/(2k+2) is a dyadic for
-        # k = 0 and 1 only, where the seam itself takes the exp route.  1e-5
-        # is the last t whose first stop, ceil(2/t) - 1, fits the 200000-term
-        # budget, and its mpf falls below it at some digits, so 1.0001e-5
+        # down to 1.0001e-5, a third of the seam, the seam and its two
+        # neighbours one ulp away, and three times the seam; 1/(2k+2) is a
+        # dyadic for k = 0 and 1 only, where the seam itself takes the exp
+        # route.  The termwise reference sums about 2/t terms, so the points
+        # stop near 1e-5, where a series would reach the 200000-term budget
         with prec.workdps():
             seam = mp.mpf(1) / (2 * k + 2)
             ulp = mp.ldexp(seam, 1 - mp.prec)
@@ -395,6 +402,49 @@ class TestHkSeam:
                     power, head, _ = _hk_exp_parts(k, den, e)
                 lost = power.bit_length() - (power - head).bit_length()
                 assert lost <= log2((k + 3) / 2) + 1, (k, t)
+
+    @pytest.mark.parametrize("digits", (30, 50))
+    def test_exp_route_has_no_series_budget(self, digits):
+        # the exp route sums no series, so t far below the series budget's
+        # reach is served: sums and radii enclose T_n from e^x at 4000 bits
+        # and the Lah identity of hk_sums' docstring
+        prec = WorkingPrecision(digits)
+        for k, z in ((0, "1e-5"), (3, "1e-5"), (0, "1e-7"), (3, "1e-7"), (2, "1e-60")):
+            with prec.workdps():
+                t = mp.mpf(z)
+            core = hk_sums(k, t, 6, prec)
+            with mp.workprec(4000):
+                x = 1 / t
+                head = sum(x**m / mp.factorial(m) for m in range(k + 1))
+                t0 = mp.factorial(k + 1) * x ** -(k + 1) * (mp.exp(x) - head)
+                for n in range(7):
+                    exact = t0
+                    if n:
+                        exact = sum(
+                            weight * (x**j * t0 + sum(
+                                mp.ff(k + 1, d) * x ** (j - d)
+                                for d in range(1, min(j, k + 1) + 1)
+                            ))
+                            for j, weight in enumerate(_lah_rows(n)[-1][0], 1)
+                        )
+                    exact = mp.ldexp(exact, -core.exp)
+                    assert core.sums[n] <= exact <= core.sums[n] + core.radii[n], (k, z, n)
+
+    def test_exp_route_budget(self):
+        # the exp route refuses x past 2^(wp+1), where 1/t outgrows the
+        # fixed-point reciprocal of the derived orders, and k + 3 + max_order
+        # past the series budget; the record names hk_sums, k and t
+        for k, z, max_order in ((0, "1e-70", 0), (0, "0.01", _SERIES_LIMIT)):
+            with pytest.raises(NumericFailure) as excinfo:
+                hk_table(k, z, max_order, WorkingPrecision(30))
+            failure = excinfo.value
+            assert (failure.operation, failure.detail) == (
+                "hk_sums",
+                "exp route budget exhausted",
+            )
+            assert set(failure.inputs) == {"k", "t"}
+        # 1e-60 is inside the exp route's budget at 30 digits
+        assert hk_table(0, "1e-60", 0, WorkingPrecision(30))[0] > 0
 
     def test_integer_reference_matches_the_termwise_route(self):
         # the integer termwise sums of the seam tests against the mpf
