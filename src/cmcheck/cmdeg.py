@@ -12,25 +12,23 @@ exponential, and derives every order from it), so a bisection step sums no
 series.  The bisection's r are dyadics, so by the Leibniz rule and the
 Vandermonde identity for rising factorials each scaled derivative is a
 positive factor times an integer bracket, formed exactly with a proven
-radius: most signs are settled in integers, and a value whose radius could
-carry it across the noise floor is refused.  A bisection step settles its
-signs in integers, and a violation too where a power-of-two bound on the
-factor puts its bracket below the noise floor, so it builds an mpf value
-only where a bracket is settled neither way (ScaledDerivative.passes); the
-r-independent factors of such values are built at the first t that needs
-one and kept.  The sign scans of h (HOracle) and of t^r H_k
-(ScaledDerivative) take two passes: one 30-digit table per grid point
-gives every derivative there as an integer ball that holds its value at
-the digits asked for (h_balls, and for H_k the Leibniz bracket over
+radius.  Every sign is read by one rule, specfun.ball_sign: a value and
+its error ball are positive or negative where the ball lies on one side of
+0, and undecided, refused with NumericFailure, where it holds 0.  A
+bisection step reads every sign from an integer bracket and builds no mpf
+value (ScaledDerivative.passes).  The sign scans of h (HOracle) and of
+t^r H_k (ScaledDerivative) take two passes: one 30-digit table per grid
+point gives every derivative there as an integer ball that holds its value
+at the digits asked for (h_balls, and for H_k the Leibniz bracket over
 30-digit hk_sums times an integer factor), and ball_minimum evaluates at
-those digits only the values the balls cannot settle, those that may lie
-below the noise floor and the candidates for the minimum, so the report
-is the one-pass report; any other oracle goes through the same walk with
-no balls, every value evaluated.  A grid scan can only certify failure (a witness) or survive it
-(no claim beyond the grid), so the result is a bracket, never an attained
-value.  scaled_remainder_derivative, the one value of t^r H_k that eval
-prints, comes from the same bracket and its radius, taken again at more
-digits where the bracket cancels.
+those digits only the values whose balls do not lie above 0, each judged
+by its ball there, and the candidates for the minimum.  Any other oracle
+goes through the same walk with no balls, each value a ball of radius 0.
+A grid scan can only certify failure (a witness) or survive it (no claim
+beyond the grid), so the result is a bracket, never an attained value.
+scaled_remainder_derivative, the one value of t^r H_k that eval prints,
+comes from the same bracket and its radius, taken again at more digits
+where the bracket cancels.
 """
 
 from dataclasses import dataclass, replace
@@ -49,10 +47,11 @@ from .laurent import (
     _hk_lead,
     _hk_scale_bits,
     _lah_rows,
+    h_balls,
     h_table,
     hk_sums,
 )
-from .specfun import DEFAULT_PRECISION, NumericFailure, _dyadic, to_mpf
+from .specfun import DEFAULT_PRECISION, NumericFailure, _dyadic, ball_sign, to_mpf
 
 
 class BracketError(ValueError):
@@ -101,8 +100,9 @@ class SignPatternReport:
     """Outcome of a sign-pattern scan.
 
     min_signed is the smallest (-1)^n f^(n)(t) seen over all evaluated
-    points, with its location; the scan passes when no signed value drops
-    below minus the noise floor.
+    points, with its location; the scan passes when every signed value is
+    proven positive (ball_sign), and the first proven negative is the
+    violation.  A sign that its ball leaves undecided raises NumericFailure.
     """
 
     grid: LogGrid
@@ -125,42 +125,20 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
 
     The walk is ball_minimum's, so its report is the one-pass walk's that
     evaluates every (n, t) it reaches.  An oracle with balls, an HOracle or
-    a ScaledDerivative, has its 30-digit balls settle every evaluation they
-    can up to its max_order, and only the rest, with the candidates for the
-    minimum, are evaluated at prec; any other callable, and any order past
-    the oracle's max_order, is evaluated at every key the walk reaches.
+    a ScaledDerivative, has its 30-digit balls settle every sign they can
+    up to its max_order, and only the rest, with the candidates for the
+    minimum, are evaluated at prec, where the oracle's judge(n, t) reads
+    the sign from its ball there; any other callable, and any order past
+    the oracle's max_order, is evaluated at every key the walk reaches, its
+    value a ball of radius 0.
     """
     if not isinstance(max_order, int) or max_order < 0:
         raise ValueError(f"max_order must be a nonnegative integer, got {max_order!r}")
-    with prec.workdps():
-        ts = grid.values(prec)
-        min_signed, (arg_n, arg_t), evals, violation = _ball_walk(
-            derivative_oracle, ts, max_order, prec.noise_floor
-        )
-        return SignPatternReport(
-            grid=grid,
-            max_order=max_order,
-            passed=violation is None,
-            violation=violation,
-            min_signed=min_signed,
-            argmin_order=arg_n,
-            argmin_t=arg_t,
-            evaluations=evals,
-        )
-
-
-def _ball_walk(oracle, ts, max_order, floor):
-    """(min_signed, (n, t) of it, evaluations, violation) of check_sign_pattern
-    by ball_minimum at the current working precision.
-
-    oracle.balls(t), where the oracle has it, is None or the balls of
-    f^(n)(t) for n <= the oracle's max_order; every other key has no ball.
-    A walk that stops ends at the violation, whose signed value lies below
-    -floor and so below every other value walked: it is the least, and its
-    value is (-1)^n times it, with no second evaluation.
-    """
-    balls = getattr(oracle, "balls", None)
-    top = -1 if balls is None else oracle.max_order
+    # oracle.balls(t), where the oracle has it, is None or the balls of
+    # f^(n)(t) for n <= the oracle's max_order; every other key has no ball
+    balls = getattr(derivative_oracle, "balls", None)
+    top = -1 if balls is None else derivative_oracle.max_order
+    judge = getattr(derivative_oracle, "judge", None)
     rows = []  # the balls of ts by position, fetched as order 0 reaches them
 
     def ball(key):
@@ -175,15 +153,35 @@ def _ball_walk(oracle, ts, max_order, floor):
         mid, rad, x = row[n]
         return (-mid if n % 2 else mid), rad, x
 
-    keys = [(n, i) for n in range(max_order + 1) for i in range(len(ts))]
-    least, (arg_n, arg_i), evals, stopped = ball_minimum(
-        keys, ball, lambda key: _signed_value(oracle, key[0], ts[key[1]]), floor
-    )
-    violation = None
-    if stopped:
-        value = -least if arg_n % 2 else least
-        violation = Violation(order=arg_n, t=ts[arg_i], value=value)
-    return least, (arg_n, ts[arg_i]), evals, violation
+    def sign(key, signed):
+        n, t = key[0], ts[key[1]]
+        if judge is not None:
+            return judge(n, t)
+        return ball_sign(signed, 0, "check_sign_pattern", n=n, t=t)
+
+    with prec.workdps():
+        ts = grid.values(prec)
+        keys = [(n, i) for n in range(max_order + 1) for i in range(len(ts))]
+        least, (n, i), evals, stopped = ball_minimum(
+            keys,
+            ball,
+            lambda key: _signed_value(derivative_oracle, key[0], ts[key[1]]),
+            sign,
+        )
+        # the violation, if any, is the one negative signed value walked
+        violation = None
+        if stopped:
+            violation = Violation(order=n, t=ts[i], value=-least if n % 2 else least)
+        return SignPatternReport(
+            grid=grid,
+            max_order=max_order,
+            passed=not stopped,
+            violation=violation,
+            min_signed=least,
+            argmin_order=n,
+            argmin_t=ts[i],
+            evaluations=evals,
+        )
 
 
 def _below(a, x, b, y):
@@ -193,17 +191,20 @@ def _below(a, x, b, y):
     return a < b << y - x
 
 
-def ball_minimum(keys, ball, exact, floor=None):
+def ball_minimum(keys, ball, exact, judge=None):
     """(least, key, count, stopped): the smallest exact(key) over keys in
     order, as a one-pass walk that evaluates every key finds it.
 
     ball(key) is None or integers (H, R, x) with exact(key) in
     [H - R, H + R] 2^x; exact(key) is the value itself, an mpf.  The walk
-    takes the keys in order.  A key whose ball is None, or with a floor
-    one whose lower end lies below -floor, is evaluated at once, and with
-    a floor the first such value below -floor ends the walk: stopped is
-    then True and that key is the last of the count walked.  Every other
-    key is settled by its ball alone.
+    takes the keys in order, and a key whose ball is None is evaluated at
+    once.  With judge, the walk also reads the sign of every key
+    (ball_sign): a key whose ball lies above 0 is positive, and any other
+    is evaluated at once, its sign the ball's where that lies below 0, else
+    judge(key, value), 1 or -1, which raises NumericFailure where its own
+    ball leaves the sign undecided.  The first negative key ends the walk:
+    stopped is then True and that key is the last of the count walked.
+    Every other key is settled by its ball alone.
 
     A ball whose lower end lies above the smallest upper end of all the
     balls walked, kept during the walk, holds a value larger than that
@@ -214,26 +215,24 @@ def ball_minimum(keys, ball, exact, floor=None):
     of balls is exact, in integers at a common binary exponent; an
     evaluated value enters as the ball of radius 0 at its mpf's own dyadic.
     """
-    if floor is not None:
-        f_num, f_e = _dyadic(floor)
     walked = []  # (key, ball, value or None)
     top = top_x = None  # the smallest upper end so far
-    stopped = False
+    sign = 1
     for key in keys:
         b = ball(key)
         value = None
-        if b is None or (
-            floor is not None and _below(b[0] - b[1], b[2], -f_num, -f_e)
-        ):
+        sign = 1 if judge is None else 0 if b is None else ball_sign(b[0], b[1])
+        if b is None or sign < 1:
             value = exact(key)
+            if sign == 0:
+                sign = judge(key, value)
             num, e = _dyadic(value)
             b = (num, 0, -e)
         walked.append((key, b, value))
         mid, rad, x = b
         if top is None or _below(mid + rad, x, top, top_x):
             top, top_x = mid + rad, x
-        if value is not None and floor is not None and value < -floor:
-            stopped = True
+        if sign < 0:
             break
     least = arg = None
     for key, (mid, rad, x), value in walked:
@@ -243,7 +242,7 @@ def ball_minimum(keys, ball, exact, floor=None):
             value = exact(key)
         if least is None or value < least:
             least, arg = value, key
-    return least, arg, len(walked), stopped
+    return least, arg, len(walked), sign < 0
 
 
 def _signed_value(derivative_oracle, n, t):
@@ -302,7 +301,8 @@ class HOracle(TableCache):
     that the balls cannot settle.  At 30 digits the balls' parts are
     h_table's own, so a table there is rounded from them, unless an order
     cancels past _CANCEL_BITS and h_table would redo it.  series counts the
-    points summed at either precision.
+    points summed at either precision.  judge(n, t) reads a sign that the
+    30-digit ball leaves undecided from the ball of the table at prec.
     """
 
     def __init__(self, max_order, prec=DEFAULT_PRECISION):
@@ -335,6 +335,11 @@ class HOracle(TableCache):
         self._check_order(n)
         with self.prec.workdps():
             return self.table(to_mpf(t))[n]
+
+    def judge(self, n, t):
+        """The sign of (-1)^n h^(n)(t) by the ball of the table at prec."""
+        ((mid, rad, _),) = h_balls(n, n, t, self.prec, self.prec.digits)
+        return ball_sign((-1) ** n * mid, rad, "HOracle", n=n, t=t)
 
 
 # bits of the integer factors of ScaledDerivative.balls
@@ -406,17 +411,10 @@ class ScaledTailOracle(TableCache):
 
     @cached_property
     def _guard(self):
-        """(bits, eta, noise_floor) of every ScaledDerivative's values at prec:
-        mp.prec there, eta = (k + 2 max_order + 16) 2^-bits, built on first use."""
+        """(bits, eta) of every ScaledDerivative's values at prec: mp.prec
+        there and eta = (k + 2 max_order + 16) 2^-bits, built on first use."""
         with self.prec.workdps():
-            eta = mp.ldexp(self.k + 2 * self.max_order + 16, -mp.prec)
-            return mp.prec, eta, self.prec.noise_floor
-
-    @cached_property
-    def _settled_floor(self):
-        """(c, y) with 2 noise_floor (k+1)! = c 2^-y exactly, for passes."""
-        num, y = _dyadic(self._guard[2])
-        return 2 * num * factorial(self.k + 1), y
+            return mp.prec, mp.ldexp(self.k + 2 * self.max_order + 16, -mp.prec)
 
     def factors(self, t):
         """[lead 2^exp (-1/t)^n for n <= max_order] at t, built on first use."""
@@ -435,14 +433,14 @@ class ScaledDerivative:
 
     r = a / 2^s is the dyadic of its mpf, so 2^(s n) C(n,j) (-r)^(j) is the
     integer coeff_j = C(n,j) prod_{i<j} (i 2^s - a) 2^(s(n-j)), built once
-    per r; nothing else is built per r, as the guard's mpf constants are
+    per r; nothing else is built per r, as the radius's mpf constants are
     the tables', built at the first value of any r.  Each evaluation forms
     the exact bracket B = sum_j coeff_j S_(n-j) and returns B times the
     factor t^r 2^-(s n) lead 2^exp (-1/t)^n, which costs one pow per (r, t)
-    it values.  The factor is positive up to (-1)^n, so B carries the sign
-    of (-1)^n d^n/dt^n [t^r H_k(t)] whenever |B| > R, the radius below: the
-    common case, settled in integers, and passes settles a B far below -R
-    against the noise floor in integers too.
+    it values.  The factor is positive up to (-1)^n, so the sign of
+    (-1)^n d^n/dt^n [t^r H_k(t)] is that of the exact bracket, which lies
+    within R, the radius below, of B: it is ball_sign(B, R), read in
+    integers (judge, passes).
 
     Error radius (ball).  hk_sums gives S_i <= T_i 2^-exp <= S_i + radii[i],
     so the exact bracket is within R = sum_j |coeff_j| radii[n-j] of B.  The
@@ -454,10 +452,6 @@ class ScaledDerivative:
     eta = (k + 2 max_order + 16) 2^-prec, which leaves room for second-order
     terms and the rounding of the radius itself, the value v = B F is thus
     within R |F| (1 + eta) + |v| eta of the exact derivative.
-
-    Verdict guard.  When B does not exceed R, and the radius reaches
-    |(-1)^n v + noise_floor|, the error could move the value across
-    check_sign_pattern's -noise_floor, so the call raises NumericFailure.
 
     check_sign_pattern walks it in two passes, as an HOracle: balls(t)
     gives every order at t as an integer ball from one 30-digit sum, and
@@ -473,8 +467,6 @@ class ScaledDerivative:
             with tables.prec.workdps():
                 self.r = to_mpf(r)
         a, self._s = _dyadic(self.r)
-        # r - k - 1 = _x / 2^s, the exponent of t in the factor at order 0
-        self._x = a - (tables.k + 1 << self._s)
         rising = [1]
         for i in range(n_max):
             rising.append(rising[-1] * ((i << self._s) - a))
@@ -530,9 +522,8 @@ class ScaledDerivative:
             R_V = R' + floor(U omega) + floor((S'_0 + r'_0) 3 L_n 2^-wp) + 2,
             omega = 3 Z + 3 2^-(P+27) + (k + 2 max_order + 16) 2^-(P-2).
 
-        So V [B' - R_V, B' + R_V] holds the exact value, v, and v less its
-        radius: where its lower end clears -noise_floor, __call__'s guard
-        cannot fire.  P >= 153, and k and max_order are under hk_sums'
+        So V [B' - R_V, B' + R_V] holds the exact value, v, and v less and
+        plus its radius.  P >= 153, and k and max_order are under hk_sums'
         series budget, so the constants 1.01 and 1.02 hold with room.
 
         The factor.  V = g 2^y within a relative eps_n = (8 + 4n) 2^-64, as
@@ -623,59 +614,36 @@ class ScaledDerivative:
         return abs(factor) * radius * (1 + eta) + abs(value) * eta
 
     def __call__(self, n, t):
-        bits, _, floor = self.tables._guard
-        if mp.prec != bits:
+        if mp.prec != self.tables._guard[0]:
             with self.tables.prec.workdps():
                 return self(n, t)
         self.tables._check_order(n)
         if type(t) is not mp.mpf:
             t = to_mpf(t)
-        value, bracket, radius, factor = self._evaluate(n, t)
-        if bracket > radius:
-            return value
-        signed = value if n % 2 == 0 else -value
-        if self._radius(value, radius, factor) >= abs(signed + floor):
-            raise NumericFailure(
-                "ScaledTailOracle",
-                "the error radius could move the value across the noise floor",
-                k=self.tables.k,
-                r=self.r,
-                n=n,
-                t=t,
-            )
-        return value
+        return self._evaluate(n, t)[0]
+
+    def judge(self, n, t):
+        """The sign of (-1)^n d^n/dt^n [t^r H_k(t)], ball_sign(B, R) of the
+        bracket at prec, as passes reads it."""
+        self.tables._check_order(n)
+        with self.tables.prec.workdps():
+            _, bracket, radius, _ = self._evaluate(n, to_mpf(t))
+        return self._sign(bracket, radius, n, t)
+
+    def _sign(self, bracket, radius, n, t):
+        return ball_sign(
+            bracket, radius, "ScaledTailOracle", k=self.tables.k, r=self.r, n=n, t=t
+        )
 
     def passes(self, ts, rows=None):
         """check_sign_pattern(self, grid, max_order).passed, ts = grid.values(prec).
 
         The walk is the scan's, orders outermost and t ascending, up to the
-        tables' max_order.  A bracket settled positive (B > R) has a positive
-        signed value, above the scan's -noise_floor, so it passes in integers
-        with no factor and no t^r.  A bracket settled far below zero fails in
-        integers, as below.  Any other goes through __call__ and the scan's
-        comparison, so the guard and the failures are the scan's.
-
-        Settled negative.  Let B < -2R.  |F| is within a relative eta of
-        F* = t^x 2^(exp - s n) / (k+1)!, x = r - k - 1 - n, the modulus of the
-        exact factor (the error radius above), and __call__'s signed value
-        w = (-1)^n v is B |F| rounded once.  x is an exact dyadic, so t^x >=
-        2^lo for the integer lo of _log2_power_floor.  The key fails in
-        integers when (_below, exact)
-
-            (-B - 2R) 2^(lo + exp - s n) > 2 noise_floor (k+1)!,
-
-        so that F* (|B| - 2R) > 2 noise_floor.  __call__'s radius rho is
-        R |F| (1 + eta) + |w| eta in five roundings, under (1 + eta/2) times
-        that as eta >= 16 2^-P at P = mp.prec, and |w| <= |B| |F| (1 + 2^-P).
-        As R < |B|/2 < |B| - R,
-
-            -w - rho >= |F| (|B| - R - 2 eta |B|) >= |F| (|B| - R) (1 - 4 eta)
-                     >= F* (|B| - 2R) (1 - 5 eta),
-
-        which exceeds noise_floor, as eta < 1/10 (P >= 153, and k + max_order
-        is under hk_sums' budgets), and exceeds 0 where noise_floor <= 0.
-        So w < -noise_floor and rho < |w + noise_floor|: __call__'s guard
-        does not fire, it returns v, and the scan's comparison fails, as here.
+        tables' max_order, and each sign is ball_sign(B, R) of the bracket,
+        judge's: B > R passes, B < -R fails and any other raises
+        NumericFailure, in integers, with no factor and no t^r.  A sign
+        that the scan's 30-digit ball settles is settled so here too, as
+        that ball holds the value at prec less and plus its radius (balls).
 
         rows holds the hk_sums (S, radii, exp) of the first points of ts by
         position, and the order-0 pass appends each point it reaches first.
@@ -686,38 +654,18 @@ class ScaledDerivative:
         tables = self.tables
         if rows is None:
             rows = []
-        s = self._s
         for n in range(tables.max_order + 1):
             coeffs = self._coeffs[n]
             abs_coeffs = self._abs_coeffs[n]
             for i, t in enumerate(ts):
                 if i == len(rows):
                     rows.append(tables.table(t))
-                sums, radii, exp = rows[i]
+                sums, radii, _ = rows[i]
                 bracket = sum(map(mul, coeffs, sums))
                 radius = sum(map(mul, abs_coeffs, radii))
-                if bracket > radius:
-                    continue
-                margin = -bracket - 2 * radius
-                if margin > 0:
-                    c, y = tables._settled_floor
-                    lo = _log2_power_floor(t, self._x - (n << s), s)
-                    if _below(c, -y, margin, lo + exp - s * n):
-                        return False
-                with tables.prec.workdps():
-                    if _signed_value(self, n, t) < -tables._guard[2]:
-                        return False
+                if bracket <= radius and self._sign(bracket, radius, n, t) < 0:
+                    return False
         return True
-
-
-def _log2_power_floor(t, x, s):
-    """An integer lo with t^(x / 2^s) >= 2^lo, for an mpf t > 0 and integers
-    x and s >= 0.  With t = den / 2^e and L = bitlen(den), 2^(L-1-e) <= t <
-    2^(L-e), so lo = floor(x (L-1-e) / 2^s) for x >= 0 and floor(x (L-e) /
-    2^s) for x < 0."""
-    den, e = _dyadic(t)
-    size = den.bit_length() - e
-    return x * (size - 1 if x >= 0 else size) >> s
 
 
 class _Balls(dict):
@@ -844,9 +792,9 @@ def estimate_cm_degree(
     (default 1/32).  Every step shares one ScaledTailOracle, so each grid
     point takes its order-0 tail once, and the grid's values and the rows of
     its sums by position once.  A step is check_sign_pattern's verdict by
-    ScaledDerivative.passes: it settles the signs in integers, a violation
-    too where its bracket is settled far below the noise floor, and builds
-    an mpf value only where a bracket is settled neither way.
+    ScaledDerivative.passes: it reads every sign from an integer bracket
+    and its radius, builds no mpf value, and raises NumericFailure where a
+    bracket leaves its sign undecided.
     """
     tables = ScaledTailOracle(k, max_order, prec)
     with prec.workdps():

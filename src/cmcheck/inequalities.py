@@ -3,30 +3,35 @@
 Two inequalities are scanned over log grids, both through the h engines:
 the trigamma bound psi'(t) < e^(1/t) - 1 (margin h(t) - 1) and the Bessel
 lower bound I_1(t) > (t/2)^3 / (1 - e^(-(t/2)^2)) (margin (t/2) times the
-Laplace density of h - 1 at (t/2)^2).  The trigamma scan takes two passes:
-30-digit balls of h - 1 at every grid point (laurent.h_balls), and the
-margin at the digits asked for only where cmdeg.ball_minimum cannot rule
-the point out of the minimum.  The Bessel scan takes every margin of its
-grid from one sequence evaluation of the h kernel.  The polynomial family
-f_i(t) that drives the difference-derivative bound
+Laplace density of h - 1 at (t/2)^2).  A scan passes where the sign of
+every margin's ball is positive (specfun.ball_sign), and an undecided
+sign raises NumericFailure.  The trigamma scan takes two passes: 30-digit
+balls of h - 1 at every grid point (laurent.h_balls), and the margin at
+the digits asked for only where cmdeg.ball_minimum cannot rule the point
+out of the minimum or its ball leaves the sign undecided.  The Bessel scan
+takes every margin of its grid, with a relative radius, from one sequence
+evaluation of the h kernel.  The polynomial family f_i(t) that drives the
+difference-derivative bound
 
     (-1)^i [h(t+1) - h(t)]^(i) < i! f_i(t) / (12 t^(i+3) (t+1)^(i+3))
 
 is implemented in four algebraically equivalent displayed forms, evaluated
 in exact rational arithmetic whenever t is exact, so form equivalence and
-negativity can be checked with zero tolerance.
+negativity can be checked with zero tolerance, and so can the sign of the
+bound's right side at a dyadic t.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import partial
+from math import comb, factorial
 
 from mpmath import mp
 
 from .cmdeg import LogGrid, ball_minimum
 from .laplace import _h_kernel_many
-from .laurent import _h_ball_parts, _h_kept_table, h_function, h_table
-from .specfun import DEFAULT_PRECISION, to_mpf
+from .laurent import BALL_DIGITS, _h_ball_parts, _h_kept_table, h_balls, h_function
+from .specfun import DEFAULT_PRECISION, _dyadic, ball_sign, to_mpf
 
 FPOLY_FORMS = ("A", "B", "C", "D")
 
@@ -137,27 +142,18 @@ class InequalityScanReport:
     evaluations: int
 
 
-def _scan(inequality, minimum, grid, prec):
-    """The report of minimum(ts) = (least margin, the first t to reach it,
-    evaluations) over the grid's values ts."""
-    with prec.workdps():
-        floor = prec.noise_floor
-        best, best_t, count = minimum(grid.values(prec))
-        return InequalityScanReport(
-            inequality=inequality,
-            grid=grid,
-            min_margin=best,
-            argmin_t=best_t,
-            passed=bool(best > floor),
-            evaluations=count,
-        )
+def _scan(inequality, grid, ts, ball, margin, judge):
+    """The report of ball_minimum(ts, ball, margin, judge) over the grid's
+    values ts, which passes where no margin's sign is negative."""
+    best, best_t, count, stopped = ball_minimum(ts, ball, margin, judge)
+    return InequalityScanReport(inequality, grid, best, best_t, not stopped, count)
 
 
-def _h_minus_one_ball(t, prec, kept=None):
-    """The ball of h(t) - 1 from h_balls, whose radius covers that one
-    rounding, or None where h_balls gives none.  The 30-digit parts behind
-    it that are h_table's own go into the dict kept, by t."""
-    balls, parts = _h_ball_parts(0, 0, t, prec)
+def _h_minus_one_ball(t, prec, kept=None, digits=BALL_DIGITS):
+    """The ball of h(t) - 1 from h_balls at digits, whose radius covers that
+    one rounding, or None where h_balls gives none.  The parts behind it
+    that are h_table's own go into the dict kept, by t."""
+    balls, parts = _h_ball_parts(0, 0, t, prec, digits)
     if kept is not None and parts is not None:
         kept[t] = parts
     if balls is None:
@@ -171,11 +167,12 @@ def _h_minus_one_ball(t, prec, kept=None):
 def check_ineq_trigamma(grid=DEFAULT_TRIGAMMA_GRID, prec=DEFAULT_PRECISION):
     """Scan psi'(t) < e^(1/t) - 1, i.e. margin h(t) - 1 > 0.
 
-    At large t the margin decays like 1/(24 t^4), still far above the noise
-    floor on the default grid.  The scan takes two passes: the margin
-    h_function(t) - 1 at prec only where a 30-digit ball (h_balls) leaves
-    t a candidate for the minimum, usually one grid point.  At 30 digits
-    that h is rounded from the ball's own parts, as h_table rounds them.
+    At large t the margin decays like 1/(24 t^4), far above its radius on
+    the default grid.  The scan takes two passes: the margin h_function(t)
+    - 1 at prec only where a 30-digit ball (h_balls) leaves t a candidate
+    for the minimum, usually one grid point, or leaves its sign undecided,
+    which the ball of the table at prec then reads.  At 30 digits that h is
+    rounded from the ball's own parts, as h_table rounds them.
     """
     kept = {}
 
@@ -184,13 +181,14 @@ def check_ineq_trigamma(grid=DEFAULT_TRIGAMMA_GRID, prec=DEFAULT_PRECISION):
         table = None if parts is None else _h_kept_table(parts)
         return (h_function(t, prec) if table is None else table[0]) - 1
 
-    def minimum(ts):
-        least, arg, count, _ = ball_minimum(
-            ts, lambda t: _h_minus_one_ball(t, prec, kept), margin
-        )
-        return least, arg, count
+    def judge(t, _):
+        mid, rad, _ = _h_minus_one_ball(t, prec, digits=prec.digits)
+        return ball_sign(mid, rad, "check_ineq_trigamma", t=t)
 
-    return _scan("trigamma", minimum, grid, prec)
+    with prec.workdps():
+        ts = grid.values(prec)
+        ball = partial(_h_minus_one_ball, prec=prec, kept=kept)
+        return _scan("trigamma", grid, ts, ball, margin, judge)
 
 
 def bessel_margin(t, prec=DEFAULT_PRECISION):
@@ -201,16 +199,34 @@ def bessel_margin(t, prec=DEFAULT_PRECISION):
     summed as one series with the cancelling terms removed exactly; the
     direct subtraction loses ~ log10(9216 / t^6) digits (16 at t = 0.01).
     """
-    return _bessel_margins([t], prec)[0]
+    return _bessel_margins([t], prec)[0][0]
 
 
 def _bessel_margins(ts, prec):
-    """[bessel_margin(t) for t in ts], every density from one evaluation of
-    the h kernel's sequence evaluator."""
+    """[(bessel_margin(t), its radius) for t in ts], every density from one
+    evaluation of the h kernel's sequence evaluator.
+
+    Radius.  t/2 and u = (t/2)^2 are exact, and the h kernel is a - b
+    rounded once (_h_kernel_many's pieces).  With P = mp.prec and S the
+    series stop, each piece is within S + 20 2^-P of itself, relative,
+    taking a power of u within 4 ulps: the 1F2 sums F are low by under
+    S + 2^-(P+28) (_series_sums: past the stop the term ratio is under
+    1/2, so the rest adds less than the last term), the Bernoulli tail T
+    is within S + 2^-(P+40) (_bernoulli_tail), expm1 within an ulp, and
+    a = u^3/144 F, b = u^4 T below u = 1/4, or a = F, b = u_ratio(u), take
+    at most 5 more roundings.  Two more round the margin, so the radius
+    (t/2)(|a| + |b|)(2 S + 2^(6-P)) covers its error with room for the
+    second-order terms and its own rounding.  Below u = 1/4, a > 0 > b, so
+    the radius is 2 S + 2^(6-P) of the margin: every sign there is decided.
+    """
     with prec.workdps():
         halves = [to_mpf(t) / 2 for t in ts]
-        densities = _h_kernel_many([half**2 for half in halves], prec)
-        return [half * density for half, density in zip(halves, densities)]
+        us = [mp.fmul(half, half, exact=True) for half in halves]
+        relative = 2 * prec.series_stop + mp.ldexp(1, 6 - mp.prec)
+        return [
+            (half * (a - b), half * (abs(a) + abs(b)) * relative)
+            for half, (a, b) in zip(halves, _h_kernel_many(us, prec, pieces=True))
+        ]
 
 
 def check_ineq_bessel(grid=DEFAULT_BESSEL_GRID, prec=DEFAULT_PRECISION):
@@ -218,15 +234,17 @@ def check_ineq_bessel(grid=DEFAULT_BESSEL_GRID, prec=DEFAULT_PRECISION):
 
     For small t both sides open t/2 + t^3/16 + O(t^5) and the margin is
     ~ t^7/18432, which is why the scan needs the extended working precision.
-    Every margin of the grid comes from one _bessel_margins.
+    Every margin of the grid comes from one _bessel_margins, and each sign
+    is read from the margin and its radius.
     """
+    with prec.workdps():
+        ts = grid.values(prec)
+        margins = dict(zip(ts, _bessel_margins(ts, prec)))
 
-    def minimum(ts):
-        margins = _bessel_margins(ts, prec)
-        first = min(range(len(ts)), key=margins.__getitem__)
-        return margins[first], ts[first], len(ts)
+        def judge(t, margin):
+            return ball_sign(margin, margins[t][1], "check_ineq_bessel", t=t)
 
-    return _scan("bessel", minimum, grid, prec)
+        return _scan("bessel", grid, ts, lambda t: None, lambda t: margins[t][0], judge)
 
 
 @dataclass(frozen=True)
@@ -243,9 +261,9 @@ class DifferenceBoundCheck:
 def check_difference_bound(i, t, prec=DEFAULT_PRECISION):
     """Check (-1)^i [h^(i)(t+1) - h^(i)(t)] < i! f_i(t) / (12 t^(i+3) (t+1)^(i+3)).
 
-    The left side uses one h table per point; the right uses
-    form A of f_i.  Passing requires the strict inequality to clear the
-    noise floor and both sides to be negative, which is the recursion step
+    The left side comes from the balls of the table at prec (h_balls) at t
+    and at t + 1, the right from form A of f_i.  Passing requires the strict
+    inequality and both sides to be negative, which is the recursion step
     that drives complete monotonicity of h.
     """
     if not isinstance(i, int) or i < 0:
@@ -254,21 +272,29 @@ def check_difference_bound(i, t, prec=DEFAULT_PRECISION):
         t = to_mpf(t)
         if t <= 0:
             raise ValueError(f"t must be positive, got {t}")
-        return _difference_bound(
-            i, t, h_table(i, i, t, prec)[0], h_table(i, i, t + 1, prec)[0], prec
-        )
+        balls = partial(h_balls, i, i, prec=prec, digits=prec.digits)
+        after = balls(mp.fadd(t, 1, exact=True))[0]
+        return _difference_bound(i, t, balls(t)[0], after, prec)
 
 
-def _difference_bound(i, t, h_at, h_next, prec):
-    """check_difference_bound(i, t, prec) from h^(i)(t) and h^(i)(t+1), for
-    an mpf t > 0 inside prec.workdps(); the suite passes one table of the
-    orders 0..6 per point."""
-    lhs = (-1) ** i * (h_next - h_at)
-    rhs = (
-        mp.factorial(i)
-        * f_poly(i, t, "A", prec)
-        / (12 * t ** (i + 3) * (t + 1) ** (i + 3))
-    )
-    floor = prec.noise_floor
-    passed = bool(rhs - lhs > floor and lhs < -floor and rhs < -floor)
-    return DifferenceBoundCheck(i=i, t=t, lhs=lhs, rhs=rhs, passed=passed)
+def _difference_bound(i, t, at, after, prec):
+    """check_difference_bound(i, t, prec) from the balls (H, R, x) of
+    h^(i)(t) and h^(i)(t+1), for an mpf t > 0 inside prec.workdps(); the
+    suite passes one ball table of the orders 0..6 per point.
+
+    rhs is exact in Fractions at the dyadic t, so its sign needs no radius.
+    lhs lies in the difference of the two balls, rhs - lhs in that ball
+    moved by rhs, and ball_sign reads both signs.  The values reported are
+    rounded once each.
+    """
+    (h_at, r_at, x_at), (h_after, r_after, x_after) = at, after
+    x = min(x_at, x_after)
+    mid = (-1) ** i * ((h_after << x_after - x) - (h_at << x_at - x))
+    rad = (r_after << x_after - x) + (r_at << x_at - x)
+    num, e = _dyadic(t)
+    q = Fraction(num, 1 << e)
+    rhs = factorial(i) * f_poly(i, q) / (12 * q ** (i + 3) * (q + 1) ** (i + 3))
+    sign = partial(ball_sign, operation="check_difference_bound", i=i, t=t)
+    gap = rhs / Fraction(2) ** x - mid  # rhs - lhs in units 2^x
+    passed = rhs < 0 and sign(mid, rad) < 0 and sign(gap, rad) > 0
+    return DifferenceBoundCheck(i, t, mp.mpf((mid, x)), to_mpf(rhs), passed)

@@ -190,16 +190,17 @@ def h_kernel(u, prec=DEFAULT_PRECISION):
     return _h_kernel_many([u], prec)[0]
 
 
-def _h_kernel_many(us, prec):
+def _h_kernel_many(us, prec, pieces=False):
     """[h_kernel(u) for u in us]: one 1F2 pass over the u >= 1/4 and one over
-    the 0 < u < 1/4.  A failure is the one h_kernel raises for the first u
-    that fails: hyp1f2's from u = 1/4 on, h_kernel's below."""
+    the 0 < u < 1/4; with pieces, the pairs (a, b) of h_kernel(u) = a - b.
+    A failure is the one h_kernel raises for the first u that fails:
+    hyp1f2's from u = 1/4 on, h_kernel's below."""
     with prec.workdps():
         us = _nonnegative(us, "u")
         quarter = mp.mpf(1) / 4
         high = [i for i, u in enumerate(us) if u >= quarter]
         low = [i for i, u in enumerate(us) if 0 < u < quarter]
-        out = [mp.mpf(0)] * len(us)
+        out = [(mp.mpf(0), 0)] * len(us)
         failures = []  # (position, NumericFailure), the first of each branch
         for i, pair in zip(high, _series_sums([us[i] for i in high], 1, 2, prec)):
             u = us[i]
@@ -208,7 +209,7 @@ def _h_kernel_many(us, prec):
                     (i, NumericFailure("hyp1f2", _EXHAUSTED, b1=1, b2=2, t=u))
                 )
                 break
-            out[i] = mp.mpf(pair) - u_ratio(u, prec)
+            out[i] = mp.mpf(pair), u_ratio(u, prec)
         for i, pair in zip(low, _series_sums([us[i] for i in low], 4, 5, prec)):
             u = us[i]
             try:
@@ -218,10 +219,10 @@ def _h_kernel_many(us, prec):
             except NumericFailure as exc:
                 failures.append((i, exc))
                 break
-            out[i] = u**3 / 144 * mp.mpf(pair) - u**4 * tail
+            out[i] = u**3 / 144 * mp.mpf(pair), u**4 * tail
         if failures:
             raise min(failures, key=lambda failure: failure[0])[1]
-        return out
+        return out if pieces else [a - b for a, b in out]
 
 
 @dataclass(frozen=True)

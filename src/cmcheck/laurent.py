@@ -495,11 +495,11 @@ BALL_DIGITS = 30
 
 
 @lru_cache(maxsize=None)  # one entry per policy that the h scans run at
-def _ball_precision(prec):
-    """prec's policy at BALL_DIGITS, or None where either series stop
-    exceeds 2^-80 or the stop at prec exceeds the one at BALL_DIGITS:
-    h_balls proves its radius only under those two conditions."""
-    ball = replace(prec, digits=BALL_DIGITS)
+def _ball_precision(prec, digits=BALL_DIGITS):
+    """prec's policy at digits, or None where either series stop exceeds
+    2^-80 or the stop at prec exceeds the one at digits: h_balls proves its
+    radius only under those two conditions."""
+    ball = replace(prec, digits=digits)
     with ball.workdps():
         stop = ball.series_stop
     with prec.workdps():
@@ -508,20 +508,24 @@ def _ball_precision(prec):
     return None
 
 
-def h_balls(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
-    """[(H_i, R_i, x_i) for i = i_lo..i_hi]: h^(i)(t) from a 30-digit table,
-    as integers whose ball [H_i - R_i, H_i + R_i] 2^x_i holds the exact
-    h^(i)(t) and h_table(i_lo, i_hi, t, prec)[i - i_lo] alike.
+def h_balls(i_lo, i_hi, t, prec=DEFAULT_PRECISION, digits=BALL_DIGITS):
+    """[(H_i, R_i, x_i) for i = i_lo..i_hi]: h^(i)(t) from a table at digits
+    digits, 30 by default, as integers whose ball [H_i - R_i, H_i + R_i]
+    2^x_i holds the exact h^(i)(t) and h_table(i_lo, i_hi, t, prec)[i - i_lo]
+    alike.
 
-    None where _ball_precision(prec) is None or the 30-digit table raises
-    NumericFailure: the caller then evaluates h_table at prec, so any
-    failure it reports is the one there.  t is converted at prec and never
-    rounded again, so both passes of a scan evaluate the same t.
-    H_i = E_i - P_i and x_i come from _h_parts at BALL_DIGITS, whose working
-    precision has p = 153 bits; prec's has P >= p bits.
+    None where _ball_precision(prec, digits) is None or the table at digits
+    raises NumericFailure: the caller then evaluates h_table at prec, so
+    any failure it reports is the one there.  With digits = prec.digits
+    the balls are the table's at prec itself, which settle a sign that the
+    30-digit balls leave undecided, and there a failure, or a series stop
+    past the radius proof, raises NumericFailure.  t is converted at prec
+    and never rounded again, so both passes of a scan evaluate the same t.
+    H_i = E_i - P_i and x_i come from _h_parts at digits, whose working
+    precision has p >= 153 bits; prec's has P >= p bits.
 
     Radius.  In units u = 2^x_i, with E and P the exact parts of order i,
-    s and S the series stops at BALL_DIGITS and at prec (each <= 2^-80,
+    s and S the series stops at digits and at prec (each <= 2^-80,
     S <= s, and no larger at the more digits of h_table's retry, as
     WorkingPrecision's falls with its digits), and i < 512:
     - the ball's own error (h_table's bound without its final rounding):
@@ -541,15 +545,18 @@ def h_balls(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
     of room for those factors, and the 4 units are the two floors and the
     two shifts.
     """
-    return _h_ball_parts(i_lo, i_hi, t, prec)[0]
+    return _h_ball_parts(i_lo, i_hi, t, prec, digits)[0]
 
 
-def _h_ball_parts(i_lo, i_hi, t, prec):
-    """(h_balls(i_lo, i_hi, t, prec), parts): parts are the _h_parts behind
-    the balls where prec has 30 digits, h_table's own first pass there
-    (_h_kept_table); else None."""
-    ball = _ball_precision(prec)
+def _h_ball_parts(i_lo, i_hi, t, prec, digits=BALL_DIGITS):
+    """(h_balls(i_lo, i_hi, t, prec, digits), parts): parts are the _h_parts
+    behind the balls where digits = prec.digits, h_table's own first pass
+    there (_h_kept_table); else None."""
+    own = digits == prec.digits
+    ball = _ball_precision(prec, digits)
     if ball is None:
+        if own:
+            raise NumericFailure("h_balls", "series stop past the radius proof", t=t)
         return None, None
     with prec.workdps():
         t = to_mpf(t)
@@ -565,13 +572,15 @@ def _h_ball_parts(i_lo, i_hi, t, prec):
     try:
         parts = _h_parts(i_lo, i_hi, t, ball)
     except NumericFailure:
+        if own:
+            raise
         return None, None
     balls = []
     for e, p, x in parts:
         size = abs(p) + 1
         rad = (abs(e) + size + 1 >> bits - 3) + (s_num * size >> s_e) + 4
         balls.append((e - p, rad, x))
-    return balls, parts if prec.digits == BALL_DIGITS else None
+    return balls, parts if own else None
 
 
 def _h_kept_table(parts):

@@ -2,9 +2,10 @@
 Bessel I, and 1F2 series.
 
 Everything here evaluates at an explicit, caller-supplied precision.  The
-policy object is WorkingPrecision: user-facing digits plus a fixed guard,
-a relative stop threshold for positive-term series, and the noise floor
-against which sign claims are tested.  No function reads ambient mp.dps.
+policy object is WorkingPrecision: user-facing digits plus a fixed guard
+and a relative stop threshold for positive-term series.  No function reads
+ambient mp.dps.  Every sign verdict of the package is ball_sign's: the sign
+of a value with a proven error radius, or undecided.
 The engines compute in Python integers at binary scales, enter a workdps
 block and round once to a plain mpf at the end.  Polygamma and the
 e^(1/t) derivatives have integer cores (polygamma_fixed, _exp_recip_fixed)
@@ -41,19 +42,34 @@ class NumericFailure(ArithmeticError):
         super().__init__(f"{operation}: {detail} ({parts})")
 
 
+def ball_sign(mid, rad, operation=None, **inputs):
+    """1 or -1, the sign of every real in [mid - rad, mid + rad], for exact
+    mid and rad >= 0 (a plain value is the ball of radius 0), as in Arb's
+    midpoint-radius arithmetic; a ball that holds 0 is undecided: 0 without
+    an operation, else NumericFailure(operation, ...) naming the inputs."""
+    if mid > rad:
+        return 1
+    if mid < -rad:
+        return -1
+    if operation is None:
+        return 0
+    raise NumericFailure(operation, "sign undecided: the error ball holds 0", **inputs)
+
+
 @dataclass(frozen=True)
 class WorkingPrecision:
-    """Precision policy: requested digits, derived guard digits and thresholds.
+    """Precision policy: requested digits, derived guard digits and the
+    series stop.
 
     digits is the user-facing precision (>= 30).  Internal work runs at
     digits + 15.  Positive-term series stop once a term drops below
-    10^-(digits+5) of the running sum; sign checks treat anything within
-    10^(-digits+15) of zero as noise.
+    10^-(digits+5) of the running sum.  No threshold judges a sign: each
+    verdict is ball_sign's, of a value and its error radius.
     """
 
     digits: int = 50
-    # threshold mpfs by (power of ten, mp.prec), each computed on first read
-    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the series stop by mp.prec, computed on first read
+    _stops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.digits, int) or self.digits < 30:
@@ -67,23 +83,14 @@ class WorkingPrecision:
         """Context manager setting mp.dps to the guarded working precision."""
         return mp.workdps(self.working_dps)
 
-    def _power_of_ten(self, exponent):
-        """10^exponent rounded at the current precision, kept per precision."""
-        key = (exponent, mp.prec)
-        value = self._powers.get(key)
-        if value is None:
-            value = self._powers[key] = mp.mpf(10) ** exponent
-        return value
-
     @property
     def series_stop(self):
-        """Relative term threshold 10^-(digits+5) for positive-term series."""
-        return self._power_of_ten(-(self.digits + 5))
-
-    @property
-    def noise_floor(self):
-        """Magnitude 10^(-digits+15) below which a computed sign is meaningless."""
-        return self._power_of_ten(-self.digits + 15)
+        """Relative term threshold 10^-(digits+5) for positive-term series,
+        rounded at the current precision and kept per precision."""
+        stop = self._stops.get(mp.prec)
+        if stop is None:
+            stop = self._stops[mp.prec] = mp.mpf(10) ** -(self.digits + 5)
+        return stop
 
 
 DEFAULT_PRECISION = WorkingPrecision()

@@ -9,6 +9,7 @@ both consume these records, so there is exactly one implementation of what
 
 import time
 from fractions import Fraction
+from functools import partial
 
 from mpmath import mp
 
@@ -38,7 +39,7 @@ from .laplace import (
     laplace_transform,
     verify_representation,
 )
-from .laurent import h_function, h_table
+from .laurent import h_balls, h_function
 from .specfun import DEFAULT_PRECISION, polygamma, to_mpf
 
 
@@ -86,7 +87,7 @@ def criterion_degree(prec=DEFAULT_PRECISION):
 
 
 def criterion_h_complete_monotonicity(prec=DEFAULT_PRECISION):
-    """(-1)^i h^(i)(t) > 1e-35 for i <= 8 on [0.05, 1e3], h > 1, h(100) ~ 1."""
+    """(-1)^i h^(i)(t) > 0 for i <= 8 on [0.05, 1e3], h > 1, h(100) ~ 1."""
     start = time.monotonic()
     oracle = HOracle(DEFAULT_H_ORDER, prec)
     report = check_sign_pattern(oracle, DEFAULT_H_GRID, DEFAULT_H_ORDER, prec)
@@ -102,7 +103,7 @@ def criterion_h_complete_monotonicity(prec=DEFAULT_PRECISION):
         )
         h100_gap = abs(h_function(100, prec) - 1)
         passed = bool(
-            report.min_signed > mp.mpf("1e-35")
+            report.passed
             and min_h > 1
             and h100_gap < mp.mpf("1e-8")
         )
@@ -159,7 +160,7 @@ def criterion_representations(prec=DEFAULT_PRECISION):
 
 
 def criterion_kernel_identities(prec=DEFAULT_PRECISION):
-    """Kernel routes agree to 1e-30 relative for k <= 5, t in {0.1, 1, 10, 100}.
+    """Kernel routes agree within series_stop for k <= 5, t in {0.1, 1, 10, 100}.
 
     kernel_1f2, kernel_bessel and bessel_i share specfun's one 1F2
     summation, so every reference side comes from mpmath's own hyp1f2 and
@@ -179,14 +180,15 @@ def criterion_kernel_identities(prec=DEFAULT_PRECISION):
                 ]
             pairs.append((kernel_1f2(0, t, prec), mp.besseli(1, 2 * root) / root))
         worst = max(abs(got - want) / want for got, want in pairs)
-        ok = worst < mp.mpf("1e-30")
+        tol = prec.series_stop
+        ok = worst < tol
         return {
             "id": "kernel-identities",
             "description": "1F2 kernel vs mpmath hyp1f2, Bessel kernel vs mpmath "
             "besseli composite, k = 0 cross-identity vs mpmath besseli",
             "provenance": "series",
             "worst_rel_gap": mp.nstr(worst, 6),
-            "tolerance": "1e-30",
+            "tolerance": mp.nstr(tol, 6),
             "elapsed_seconds": round(time.monotonic() - start, 3),
             "passed": bool(ok),
         }
@@ -244,13 +246,15 @@ def criterion_proof_algebra(prec=DEFAULT_PRECISION):
             for i in range(13)
             for t in DEFAULT_NEGATIVITY_GRID.values(prec)
         )
-        # one table of the orders 0..6 at t and at t + 1 serves every i
+        # one ball table of the orders 0..6 at t and at t + 1 (exact) serves
+        # every i
         ts = LogGrid(0.25, 50, 25).values(prec)
-        tables = [(h_table(0, 6, t, prec), h_table(0, 6, t + 1, prec)) for t in ts]
+        balls = partial(h_balls, 0, 6, prec=prec, digits=prec.digits)
+        tables = [(balls(t), balls(mp.fadd(t, 1, exact=True))) for t in ts]
         diff_ok = all(
-            _difference_bound(i, t, h_at[i], h_next[i], prec).passed
+            _difference_bound(i, t, at[i], after[i], prec).passed
             for i in range(7)
-            for t, (h_at, h_next) in zip(ts, tables)
+            for t, (at, after) in zip(ts, tables)
         )
     return {
         "id": "proof-algebra",
@@ -267,10 +271,12 @@ def criterion_proof_algebra(prec=DEFAULT_PRECISION):
 
 
 def criterion_polygamma_identities(prec=DEFAULT_PRECISION):
-    """Closed-form polygamma identities to 40 digits plus the recurrence residual."""
+    """Polygamma closed forms, gaps relative to them, and the recurrence,
+    residual relative to |psi^(n)(t+1)| + |psi^(n)(t)|, within 2 series_stop:
+    polygamma is within series_stop of itself and 2^-(mp.prec+21) more."""
     start = time.monotonic()
     with prec.workdps():
-        tol = mp.mpf("1e-40")
+        tol = 2 * prec.series_stop
         checks = [
             ("psi1(1) = pi^2/6", polygamma(1, 1, prec), mp.pi ** 2 / 6),
             ("psi1(1/2) = pi^2/2", polygamma(1, "0.5", prec), mp.pi ** 2 / 2),
@@ -283,24 +289,24 @@ def criterion_polygamma_identities(prec=DEFAULT_PRECISION):
             identity_ok = identity_ok and gap < tol
             rows.append({"identity": label, "rel_gap": mp.nstr(gap, 6)})
         grid = LogGrid(0.1, 100, 40)
-        worst = mp.mpf(0)
+        worst = worst_rel = mp.mpf(0)
         for n in (1, 2, 3):
             for t in grid.values(prec):
-                res = abs(
-                    polygamma(n, t + 1, prec)
-                    - polygamma(n, t, prec)
-                    - (-1) ** n * mp.factorial(n) / t ** (n + 1)
-                )
+                after, at = polygamma(n, t + 1, prec), polygamma(n, t, prec)
+                res = abs(after - at - (-1) ** n * mp.factorial(n) / t ** (n + 1))
                 worst = max(worst, res)
-        recurrence_ok = worst < tol
+                worst_rel = max(worst_rel, res / (abs(after) + abs(at)))
         return {
             "id": "polygamma-identities",
-            "description": "trigamma/tetragamma closed forms to 40 digits, recurrence residual",
+            "description": "trigamma/tetragamma closed forms and the recurrence, "
+            "relative gaps within twice the series stop",
             "provenance": "closed-form",
             "identities": rows,
             "worst_recurrence_residual": mp.nstr(worst, 6),
+            "worst_recurrence_rel_residual": mp.nstr(worst_rel, 6),
+            "tolerance": mp.nstr(tol, 6),
             "elapsed_seconds": round(time.monotonic() - start, 3),
-            "passed": bool(identity_ok and recurrence_ok),
+            "passed": bool(identity_ok and worst_rel < tol),
         }
 
 

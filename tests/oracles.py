@@ -5,9 +5,11 @@ package does: plain partial sums with explicit term counts, symbolic
 differentiation over exact rationals, numerical quadrature of classical
 integral formulas, bracketed direct summation, or central finite differences.
 Agreement between these and the package is then evidence, not tautology.
-one_pass_minimum, one_pass_sign_pattern and one_pass_trigamma are the walks
-as one pass at the full precision, every key or grid point evaluated, which
-the package's two-pass walks must reproduce report for report.
+one_pass_minimum, one_pass_sign_pattern, one_pass_bessel and
+one_pass_trigamma are the walks as one pass at the full precision, every
+key or grid point evaluated and its sign read from the value alone (a zero
+is undecided), which the package's two-pass walks must reproduce report
+for report wherever no error ball leaves a sign undecided.
 tail_scaled_derivatives sums every order of d^n/dt^n [t^r H_k(t)] for any
 real r termwise in mpfs, with its own first stop and failure record: the
 route the integer Leibniz brackets of the package are cross-checked
@@ -15,16 +17,17 @@ against.  termwise_table keeps its tables, summed once per point for all
 the tests that meet there, and TableOracle serves such tables to
 check_sign_pattern as termwise_oracle does; rising_sums sums the r = 0 case
 termwise in integers, fast enough for t down to 1e-5, where the mpf route
-takes seconds.  value_and_radius reads a ScaledDerivative's value and the
-error radius its guard tests, which the package keeps private.
-CoarseStop is the one precision policy here: a stop so coarse that the
+takes seconds.  value_and_radius reads a ScaledDerivative's value and its
+error radius, which the package keeps private.
+interval_bessel_margin encloses the Bessel margin in mpmath's interval
+arithmetic.  CoarseStop is the one precision policy here: a stop so coarse that the
 truncated tail carries every radius of the H_k sums.
 """
 
 from fractions import Fraction
 from math import comb
 
-from mpmath import mp
+from mpmath import iv, mp
 
 from cmcheck import (
     DEFAULT_PRECISION,
@@ -387,15 +390,23 @@ def fpoly_bruteforce(i, t):
     return a - b - c
 
 
-def one_pass_minimum(keys, exact, floor=None):
-    """cmdeg.ball_minimum's result by evaluating every key in order."""
+def value_sign(value, **inputs):
+    """The sign of a value with no radius: a zero is undecided."""
+    if value == 0:
+        raise NumericFailure("one_pass", "zero value", **inputs)
+    return 1 if value > 0 else -1
+
+
+def one_pass_minimum(keys, exact, judged=False):
+    """cmdeg.ball_minimum's result by evaluating every key in order; judged,
+    the first negative value ends the walk, and a zero raises."""
     least, arg, count = None, None, 0
     for key in keys:
         value = exact(key)
         count += 1
         if least is None or value < least:
             least, arg = value, key
-        if floor is not None and value < -floor:
+        if judged and value_sign(value, key=key) < 0:
             return least, arg, count, True
     return least, arg, count, False
 
@@ -404,10 +415,9 @@ def one_pass_sign_pattern(oracle, grid, max_order, prec):
     """check_sign_pattern as one walk that evaluates every (n, t) it reaches.
 
     Orders outermost, t ascending, the smallest signed value kept by strict
-    <, and the first signed value below -noise_floor ends the walk.
+    <, and the first negative signed value ends the walk.
     """
     with prec.workdps():
-        floor = prec.noise_floor
         least, arg_n, arg_t, evals, violation = mp.inf, -1, None, 0, None
         for n in range(max_order + 1):
             for t in grid.values(prec):
@@ -416,7 +426,7 @@ def one_pass_sign_pattern(oracle, grid, max_order, prec):
                 evals += 1
                 if signed < least:
                     least, arg_n, arg_t = signed, n, t
-                if signed < -floor:
+                if value_sign(signed, n=n, t=t) < 0:
                     violation = Violation(order=n, t=t, value=value)
                     break
             if violation is not None:
@@ -439,39 +449,59 @@ def one_pass_h_sign_pattern(grid, max_order, prec):
     return one_pass_sign_pattern(oracle, grid, max_order, prec)
 
 
-def one_pass_bessel(grid, prec):
-    """check_ineq_bessel as one walk: bessel_margin(t) at every grid point."""
+def _one_pass_scan(inequality, margin, grid, prec):
+    """An inequality scan as one walk: margin(t) at every grid point, passed
+    where every margin is positive."""
     with prec.workdps():
-        least, arg = mp.inf, None
         ts = grid.values(prec)
-        for t in ts:
-            margin = bessel_margin(t, prec)
-            if margin < least:
-                least, arg = margin, t
+        least, arg, count, stopped = one_pass_minimum(ts, margin, judged=True)
         return InequalityScanReport(
-            inequality="bessel",
+            inequality=inequality,
             grid=grid,
             min_margin=least,
             argmin_t=arg,
-            passed=bool(least > prec.noise_floor),
-            evaluations=len(ts),
+            passed=not stopped,
+            evaluations=count,
         )
+
+
+def one_pass_bessel(grid, prec):
+    """check_ineq_bessel as one walk: bessel_margin(t) at every grid point."""
+    return _one_pass_scan("bessel", lambda t: bessel_margin(t, prec), grid, prec)
 
 
 def one_pass_trigamma(grid, prec):
     """check_ineq_trigamma as one walk: h_function(t) - 1 at every grid point."""
-    with prec.workdps():
-        least, arg = mp.inf, None
-        ts = grid.values(prec)
-        for t in ts:
-            margin = h_function(t, prec) - 1
-            if margin < least:
-                least, arg = margin, t
-        return InequalityScanReport(
-            inequality="trigamma",
-            grid=grid,
-            min_margin=least,
-            argmin_t=arg,
-            passed=bool(least > prec.noise_floor),
-            evaluations=len(ts),
-        )
+    return _one_pass_scan(
+        "trigamma", lambda t: h_function(t, prec) - 1, grid, prec
+    )
+
+
+def interval_bessel_margin(t, dps):
+    """(lo, hi), mpfs enclosing I_1(t) - (t/2)^3 / (1 - e^(-(t/2)^2)), by
+    mpmath's interval arithmetic at dps digits and the direct difference.
+
+    I_1 is its power series sum_j (t/2)^(2j+1) / (j! (j+1)!) in intervals
+    (iv.besseli does not evaluate in mpmath 1.3), stopped once the next
+    term ratio is at most 1/2, so that the rest is under the last term,
+    which is added as the interval [0, last term].
+    """
+    saved = iv.prec
+    iv.dps = dps
+    try:
+        half = iv.mpf(t) / 2
+        u = half * half
+        term = total = half
+        j = 0
+        while True:
+            j += 1
+            term = term * u / (j * (j + 1))
+            total += term
+            ratio = u / ((j + 1) * (j + 2))
+            if ratio.b <= 0.5 and term.b <= total.a * iv.mpf(10) ** -(dps + 5):
+                break
+        total += iv.mpf([0, term.b])
+        want = total - half**3 / (1 - iv.exp(-u))
+        return mp.make_mpf(want._mpi_[0]), mp.make_mpf(want._mpi_[1])
+    finally:
+        iv.prec = saved

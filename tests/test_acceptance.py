@@ -6,6 +6,7 @@ subcommand uses, so a green run here and `cmcheck suite` agree by
 construction.
 """
 
+import pytest
 from mpmath import mp
 
 from cmcheck import WorkingPrecision, suite
@@ -79,6 +80,21 @@ def test_polygamma_identities():
         assert mp.mpf(row["rel_gap"]) < mp.mpf("1e-40")
     assert mp.mpf(record["worst_recurrence_residual"]) < mp.mpf("1e-40")
     assert record["passed"] is True
+
+
+@pytest.mark.parametrize("digits", range(30, 41))
+def test_sign_criteria_pass_at_low_digits(digits):
+    # each sign verdict reads a value with its error ball and each suite
+    # tolerance scales with the series stop, so these criteria hold at
+    # every digits level from the lowest the CLI accepts
+    prec = WorkingPrecision(digits)
+    for criterion in (
+        suite.criterion_inequalities,
+        suite.criterion_proof_algebra,
+        suite.criterion_polygamma_identities,
+    ):
+        record = criterion(prec)
+        assert record["passed"] is True, (digits, record["id"])
 
 
 def test_quadrature_calibration():

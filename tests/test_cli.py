@@ -353,6 +353,18 @@ class TestExitCodes:
         code, _, _ = run_cli(["eval", "--fn", "h", "--t", "1"], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("digits", range(30, 41))
+    def test_bessel_scan_passes_at_low_digits(self, digits, capsys):
+        # the least margin, 5.4e-19 at t = 0.01, is decided by its radius at
+        # every digits level, so the scan exits 0 from 30 digits on
+        code, out, _ = run_cli(
+            ["inequality", "--which", "bessel", "--digits", str(digits)], capsys
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["pass"] is True
+        assert report["results"][0]["argmin_t"].startswith("0.0100000")
+
     def test_violation_is_one(self, capsys):
         code, out, _ = run_cli(
             [

@@ -52,19 +52,6 @@ def exp_growth_oracle(n, t):
     return mp.exp(t)
 
 
-def pinned_floor():
-    """(s, prec): s = -d/dt [t^(5/4) H_0](100) and PREC with noise floor -s."""
-    with PREC.workdps():
-        signed = -ScaledTailOracle(0, 2, PREC).at("1.25")(1, 100)
-
-    class PinnedFloor(WorkingPrecision):
-        @property
-        def noise_floor(self):
-            return -signed
-
-    return signed, PinnedFloor(PREC.digits)
-
-
 def outcome(scan):
     """scan()'s result, or the operation, detail and inputs of its NumericFailure."""
     try:
@@ -142,6 +129,33 @@ class TestCheckSignPattern:
             assert (report.violation.order, report.violation.t) == (n, t)
             with PREC.workdps():
                 assert report.violation.value == f(n, t)
+
+    def test_tiny_negative_value_is_a_violation(self):
+        # a plain value is a ball of radius 0, so -1e-20 at 30 digits is
+        # proven negative: no threshold lets it pass
+        prec = WorkingPrecision(30)
+        with prec.workdps():
+            bad = SMALL_GRID.values(prec)[7]
+            tiny = mp.mpf("-1e-20")
+
+        def oracle(n, t):
+            return tiny if t == bad else exp_decay_oracle(n, t)
+
+        report = check_sign_pattern(oracle, SMALL_GRID, 2, prec)
+        assert not report.passed
+        assert (report.violation.order, report.violation.t) == (0, bad)
+        assert report.violation.value == tiny
+        assert report.evaluations == 8
+
+    def test_zero_value_is_undecided(self):
+        # a zero holds no sign: the scan refuses it, naming the point
+        def oracle(n, t):
+            return mp.mpf(0) if n == 1 else exp_decay_oracle(n, t)
+
+        with pytest.raises(NumericFailure, match="undecided") as excinfo:
+            check_sign_pattern(oracle, SMALL_GRID, 2, PREC)
+        assert excinfo.value.operation == "check_sign_pattern"
+        assert excinfo.value.inputs["n"] == 1
 
     def test_oracle_errors_become_numeric_failures(self):
         def broken(n, t):
@@ -229,7 +243,6 @@ class TestScaledTailOracle:
         prec = WorkingPrecision(digits)
         grid = LogGrid(1e-2, 1e6, 60)
         with prec.workdps():
-            floor = prec.noise_floor
             rel = mp.mpf(10) ** (3 - digits)
             for k in range(5):
                 tables = ScaledTailOracle(k, 6, prec)
@@ -241,8 +254,8 @@ class TestScaledTailOracle:
                             got = oracle(n, t)
                             want = termwise[n]
                             sign = (-1) ** n
-                            assert (sign * got < -floor) == (sign * want < -floor)
-                            assert abs(got - want) <= rel * max(abs(want), floor)
+                            assert (sign * got < 0) == (sign * want < 0)
+                            assert abs(got - want) <= rel * abs(want)
                 assert tables.series == grid.points
 
     @pytest.mark.parametrize("digits", (30, 50))
@@ -265,9 +278,8 @@ class TestScaledTailOracle:
                         assert oracle(n, t) == value
                         with fine.workdps():
                             assert abs(value - exact[n]) <= radius, (k, r, n, t)
-                            # and narrow enough to decide the scan's test
-                            signed = (-1) ** n * exact[n]
-                            assert radius < abs(signed + prec.noise_floor)
+                            # and narrow enough to decide the sign
+                            assert radius < abs(exact[n])
 
     def test_radius_is_honest_where_the_tail_dominates(self):
         # under a coarse stop the tail bound carries the radius and is nearly
@@ -289,32 +301,27 @@ class TestScaledTailOracle:
                         with fine.workdps():
                             assert abs(value - exact[n]) <= radius, (k, r, n, t)
 
-    def test_guard_refuses_a_zero_margin(self):
-        # at r = 5/4 the first derivative of t^r H_0 is positive at t = 100,
-        # so the bracket is settled negative, but its signed value pinned at
-        # exactly -noise_floor leaves a margin no radius can decide
-        signed, pinned = pinned_floor()
-        assert signed < 0
-        oracle = ScaledTailOracle(0, 2, pinned).at("1.25")
-        assert oracle(0, 100) > 0
-        assert oracle(1, "0.5") < 0
-        with pytest.raises(NumericFailure, match="ScaledTailOracle") as excinfo:
-            oracle(1, 100)
-        assert excinfo.value.inputs["n"] == 1
-
     def test_undecided_bracket_is_refused(self):
         # at r = -t H_0'(t) / H_0(t) the first derivative of t^r H_0 vanishes
-        # at t = 32, so the bracket sits inside its radius
+        # at t = 32, so the bracket sits inside its radius: the scan and the
+        # bisection predicate refuse it alike, naming the point
         with PREC.workdps():
             h0, h1 = hk_table(0, 32, 1, PREC)
             root = -32 * h1 / h0
-        value, radius = oracles.value_and_radius(
-            ScaledTailOracle(0, 1, PREC).at(root), 1, 32
-        )
-        assert abs(value) <= radius < PREC.noise_floor
+        oracle = ScaledTailOracle(0, 1, PREC).at(root)
+        value, radius = oracles.value_and_radius(oracle, 1, 32)
+        assert abs(value) <= radius
+        grid = LogGrid(32, 1e3, 2)
+        scan = outcome(lambda: check_sign_pattern(oracle, grid, 1, PREC))
+        ts = grid.values(PREC)
+        step = outcome(lambda: ScaledTailOracle(0, 1, PREC).at(root).passes(ts))
+        assert scan == step
+        operation, detail, inputs = scan
+        assert (operation, inputs["n"], inputs["t"]) == ("ScaledTailOracle", 1, 32)
+        assert "undecided" in detail
 
-        # a stop threshold of 1/4 leaves the truncated tails in the radius,
-        # far above the floor; brackets of either sign inside it are refused
+        # a stop threshold of 1/4 leaves the truncated tails in the radius;
+        # brackets of either sign inside it are refused
         coarse = CoarseStop(PREC.digits)
         with PREC.workdps():
             h0, h1 = hk_table(0, 32, 1, coarse)
@@ -327,8 +334,10 @@ class TestScaledTailOracle:
             value, radius = oracles.value_and_radius(oracle, 1, 32)
             assert abs(value) <= radius
             values.append(value > 0)
-            with pytest.raises(NumericFailure, match="noise floor"):
-                oracle(1, 32)
+            with pytest.raises(NumericFailure, match="undecided"):
+                oracle.judge(1, 32)
+            with pytest.raises(NumericFailure, match="undecided"):
+                check_sign_pattern(oracle, grid, 1, coarse)
         assert values == [False, True]
 
     def test_tables_are_freed_without_the_cycle_collector(self):
@@ -366,8 +375,8 @@ class TestSignPredicate:
                 if r != k + 1 + Fraction(1, 2**60):
                     assert want == (r <= k + 1), (k, r)
             # a passing scan settles every sign in integers: it takes no t^r
-            # and builds no factor; so does a failing one, whose violation
-            # is settled below the floor in integers
+            # and builds no factor; so does a failing one, whose violation's
+            # sign is its bracket's
             fresh = ScaledTailOracle(k, 6, prec)
             for r, passed in ((k + 1, True), (k + 2, False)):
                 oracle = fresh.at(r)
@@ -411,18 +420,6 @@ class TestSignPredicate:
                 assert estimate.r_hi == k + 1 + mp.mpf(1) / 32
             assert (estimate.bisections, estimate.series) == (6, 200)
 
-    def test_power_floor_is_a_lower_bound(self):
-        # 2^lo <= t^(x / 2^s) on both sides of powers of two, for x of both
-        # signs: the bound that passes settles a violation with
-        with mp.workprec(200):
-            ts = [mp.ldexp(1, p) * f for p in (-7, 0, 5, 20)
-                  for f in (1, 1 + mp.ldexp(1, -150), 2 - mp.ldexp(1, -150), mp.mpf(1.5))]
-            for t in ts:
-                for x, s in ((0, 0), (7, 0), (-7, 0), (29, 3), (-29, 3), (-1, 5), (1, 5)):
-                    lo = cmdeg._log2_power_floor(t, x, s)
-                    exact = mp.log(t, 2) * x / 2**s
-                    assert lo <= exact < lo + abs(x) / 2**s + 1, (t, x, s)
-
     def test_rows_are_kept_by_position(self):
         # the rows list carries each point's sums from one walk to the next,
         # so later walks look up no table by t
@@ -446,20 +443,16 @@ class TestSignPredicate:
             assert tables.at(k + 1).passes(ts, rows)
 
     def test_predicate_raises_the_scan_failures(self):
-        _, pinned = pinned_floor()
         coarse = CoarseStop(PREC.digits)
         with PREC.workdps():
             h0, h1 = hk_table(0, 32, 1, coarse)
             root = -32 * h1 / h0
             past = root + mp.mpf("1e-8")
-        # the zero margin at (1, 100), which the integer bound cannot settle,
-        # so the guard fires through __call__; the undecided bracket at
-        # (1, 32), at the root and just past it, where B < 0 < B + R and the
-        # value, 3e-10, is far above the floor; and a first table past the
-        # series budget (k = 60000 sums its series at 1e-5):
+        # the undecided bracket at (1, 32), at the root and just past it,
+        # where B < 0 < B + R and the value is 3e-10; and a first table past
+        # the series budget (k = 60000 sums its series at 1e-5):
         # (k, max_order, r, grid, prec)
         cases = (
-            (0, 2, "1.25", LogGrid("0.5", 100, 2), pinned),
             (0, 1, root, LogGrid(32, 1e3, 2), coarse),
             (0, 1, past, LogGrid(32, 1e3, 2), coarse),
             (60000, 6, 1, LogGrid("1e-5", 1, 2), PREC),
@@ -475,7 +468,7 @@ class TestSignPredicate:
             got = outcome(lambda: ScaledTailOracle(k, max_order, prec).at(r).passes(ts))
             assert got == want
             operations.append(want[0])
-        assert operations == ["ScaledTailOracle"] * 3 + ["hk_sums"]
+        assert operations == ["ScaledTailOracle"] * 2 + ["hk_sums"]
 
     def test_bracket_matches_the_termwise_bisection(self):
         # the same bisection driven by check_sign_pattern over the termwise
@@ -555,11 +548,15 @@ class FakeSource:
         self.evaluated.append(key)
         return self.values[key]
 
-    def run(self, floor=None):
-        return ball_minimum(list(self.values), self.balls.get, self.exact, floor)
+    def judge(self, key, value):
+        return oracles.value_sign(value, key=key)
 
-    def reference(self, floor=None):
-        return oracles.one_pass_minimum(list(self.values), self.values.get, floor)
+    def run(self, judged=False):
+        judge = self.judge if judged else None
+        return ball_minimum(list(self.values), self.balls.get, self.exact, judge)
+
+    def reference(self, judged=False):
+        return oracles.one_pass_minimum(list(self.values), self.values.get, judged)
 
 
 class TestBallMinimum:
@@ -568,35 +565,39 @@ class TestBallMinimum:
             values = dict(enumerate(map(mp.mpf, ("3", "0.5", "2", "0.75", "1"))))
             balls = {j: ball_around(v) for j, v in values.items()}
             source = FakeSource(values, balls)
-            assert source.run(PREC.noise_floor) == source.reference(PREC.noise_floor)
+            assert source.run(True) == source.reference(True)
         assert source.evaluated == [1]
 
     def test_undecided_balls_are_evaluated_in_walk_order(self):
-        # balls 1 and 3 straddle -floor, so they are evaluated as the walk
-        # reaches them; neither is a violation, and 1 is also the minimum
+        # balls 1 and 3 hold 0, so they are judged as the walk reaches them;
+        # neither is a violation, and 1 is also the minimum
         with PREC.workdps():
-            floor = PREC.noise_floor
-            values = {0: mp.mpf(1), 1: -floor / 2, 2: mp.mpf(2), 3: floor / 4}
+            tiny = mp.ldexp(1, -100)
+            values = {0: mp.mpf(1), 1: tiny, 2: mp.mpf(2), 3: 4 * tiny}
             balls = {j: ball_around(v) for j, v in values.items()}
             for j in (1, 3):
-                balls[j] = ball_of(values[j], 2 * floor)
+                balls[j] = ball_of(values[j], 8 * tiny)
             source = FakeSource(values, balls)
-            got = source.run(floor)
-            assert got == source.reference(floor)
+            got = source.run(True)
+            assert got == source.reference(True)
             assert got[1:] == (1, 4, False)
         assert source.evaluated == [1, 3]
 
     def test_violation_ends_the_walk(self):
-        with PREC.workdps():
-            floor = PREC.noise_floor
-            values = {0: mp.mpf(1), 1: mp.mpf("0.25"), 2: -2 * floor, 3: mp.mpf(-5)}
-            balls = {j: ball_around(v) for j, v in values.items()}
-            source = FakeSource(values, balls)
-            got = source.run(floor)
-            assert got == source.reference(floor) == (-2 * floor, 2, 3, True)
-        # the violation is evaluated as the walk reaches it; the key past it
-        # is never looked at
-        assert source.evaluated == [2]
+        # the violation's ball lies below 0, or holds it and the key is
+        # judged negative
+        for widen in (1, 1 << 100):
+            with PREC.workdps():
+                tiny = -mp.ldexp(1, -100)
+                values = {0: mp.mpf(1), 1: mp.mpf("0.25"), 2: tiny, 3: mp.mpf(-5)}
+                balls = {j: ball_around(v) for j, v in values.items()}
+                balls[2] = ball_around(tiny, widen=widen)
+                source = FakeSource(values, balls)
+                got = source.run(True)
+                assert got == source.reference(True) == (tiny, 2, 3, True)
+            # the violation is evaluated as the walk reaches it; the key past
+            # it is never looked at
+            assert source.evaluated == [2]
 
     def test_ties_keep_the_first_in_walk_order(self):
         # keys 1 and 3 share the smallest value; 3's ball reaches lower
@@ -635,21 +636,20 @@ class TestBallMinimum:
             min_size=1,
             max_size=12,
         ),
-        st.integers(min_value=0, max_value=8),
     )
-    def test_matches_the_one_pass_walk(self, items, floor_units):
-        # values on a coarse lattice, so ties and straddled floors are common;
-        # each ball holds its value, some are missing
+    def test_matches_the_one_pass_walk(self, items):
+        # values on a coarse lattice, so ties, zeros and balls that hold 0
+        # are common; each ball holds its value, some are missing
         with PREC.workdps():
             values = {j: mp.ldexp(v, -3) for j, (v, _, _, _) in enumerate(items)}
             balls = {}
             for j, (v, below, above, present) in enumerate(items):
                 if present:
                     balls[j] = (8 * v + 4 * (above - below), 4 * (above + below), -6)
-            floor = mp.ldexp(floor_units, -3)
-            for floor_arg in (None, floor):
+            for judged in (False, True):
                 source = FakeSource(values, balls)
-                assert source.run(floor_arg) == source.reference(floor_arg)
+                got = outcome(lambda: source.run(judged))
+                assert got == outcome(lambda: source.reference(judged))
 
 
 class NoStopPolicy(WorkingPrecision):
@@ -660,7 +660,9 @@ class NoStopPolicy(WorkingPrecision):
 
 class FakeBallOracle(HOracle):
     """An HOracle over summer(t), with balls that hold its values, widened
-    by widen units."""
+    by widen units; its values are judged as balls of radius 0."""
+
+    judge = None
 
     def __init__(self, summer, max_order, prec, widen):
         super().__init__(max_order, prec)
@@ -876,7 +878,7 @@ class TestTwoPassHkScan:
     def test_balls_hold_the_exact_and_the_prec_values(self):
         # each ball holds the termwise route at 90 digits, three times the
         # digits of the ball sums, and the value at prec with its radius, so
-        # a ball above -noise_floor leaves __call__'s guard nothing to refuse
+        # a ball's sign is that of the value at prec
         fine = WorkingPrecision(90)
         ts = self.points()
         for prec in BALL_POLICIES[:3]:
@@ -957,57 +959,52 @@ class TestTwoPassHkScan:
             )
             assert got == want and got.violation.order == 1
 
-    def test_guard_fires_where_the_ball_reaches_the_floor(self):
-        # under the pinned floor, the guard fires at (1, 100): its real ball
-        # reaches below -noise_floor, so the walk evaluates it and raises as
-        # the one-pass walk does.  A fake ball settled above the floor there
-        # would skip the evaluation, and the scan would pass instead
-        _, pinned = pinned_floor()
-        grid = LogGrid("0.5", 100, 2)
-        want = outcome(
-            lambda: oracles.one_pass_sign_pattern(
-                ScaledTailOracle(0, 1, pinned).at("1.25"), grid, 1, pinned
-            )
-        )
-        oracle = ScaledTailOracle(0, 1, pinned).at("1.25")
-        assert outcome(lambda: check_sign_pattern(oracle, grid, 1, pinned)) == want
-        assert want[0] == "ScaledTailOracle" and want[2]["n"] == 1
-        with pinned.workdps():
-            t = grid.values(pinned)[1]
-            mid, rad, x = oracle.balls(t)[1]
-            # the signed value of an odd order is -h, so its ball's lower end
-            # is -(mid + rad)
-            assert mp.ldexp(-mid - rad, x) < -pinned.noise_floor
-            # far above every other value, so not a candidate for the minimum
-            settled = {(1, t): ball_of(-mp.ldexp(1, 100), 0)}
-        fake = FakeScaledBalls(ScaledTailOracle(0, 1, pinned), "1.25", replace=settled)
-        report = check_sign_pattern(fake, grid, 1, pinned)
+    def test_undecided_ball_is_judged_at_prec(self):
+        # at the zero of the first derivative at t = 32 the 30-digit ball of
+        # order 1 holds 0, so the walk judges that key at prec, where its
+        # bracket is undecided too, and raises as judge does.  A fake ball
+        # settled there would skip the evaluation, and the scan would pass
+        # instead
+        zero = zero_of_first_derivative(0, 32, PREC)
+        grid = LogGrid(1, 32, 2)
+        oracle = ScaledTailOracle(0, 1, PREC).at(zero)
+        with PREC.workdps():
+            t = grid.values(PREC)[1]
+            mid, rad, _ = oracle.balls(t)[1]
+            assert abs(mid) <= rad
+        got = outcome(lambda: check_sign_pattern(oracle, grid, 1, PREC))
+        assert got == outcome(lambda: oracle.judge(1, t))
+        assert got[0] == "ScaledTailOracle" and got[2]["n"] == 1
+        # far above every other value, so not a candidate for the minimum
+        settled = {(1, t): ball_of(-mp.ldexp(1, 100), 0)}
+        fake = FakeScaledBalls(ScaledTailOracle(0, 1, PREC), zero, replace=settled)
+        report = check_sign_pattern(fake, grid, 1, PREC)
         assert report.passed and report.evaluations == 4
 
     def test_failures_are_the_one_pass_failures(self):
         # no series stop: the ball sums fail, and each point is evaluated at
         # prec, where the sum fails as the one-pass walk's does; a coarse
-        # stop gives no balls, so the walk and its guard are the one-pass
-        # ones, failing or passing
+        # stop gives no balls, so each value is judged at prec: the walk
+        # passes as the one-pass walk does, or refuses the undecided bracket
+        # at the zero of the first derivative at t = 32, as judge does
         coarse = CoarseStop(PREC.digits)
-        zero = zero_of_first_derivative(0, 32, coarse)
-        cases = (
-            (NoStopPolicy(50), 1, LogGrid(1, 10, 2)),
-            (coarse, zero, LogGrid(32, 1e3, 2)),
-            (coarse, 1, LogGrid(1, 10, 5)),
-        )
+        cases = ((NoStopPolicy(50), LogGrid(1, 10, 2)), (coarse, LogGrid(1, 10, 5)))
         outcomes = []
-        for prec, r, grid in cases:
+        for prec, grid in cases:
             want = outcome(
                 lambda: oracles.one_pass_sign_pattern(
-                    ScaledTailOracle(0, 1, prec).at(r), grid, 1, prec
+                    ScaledTailOracle(0, 1, prec).at(1), grid, 1, prec
                 )
             )
-            oracle = ScaledTailOracle(0, 1, prec).at(r)
+            oracle = ScaledTailOracle(0, 1, prec).at(1)
             assert outcome(lambda: check_sign_pattern(oracle, grid, 1, prec)) == want
             outcomes.append(want)
-            if prec is coarse:
-                assert all(oracle.balls(t) is None for t in grid.values(prec))
         assert outcomes[0][0] == "hk_sums"
-        assert outcomes[1][0] == "ScaledTailOracle"
-        assert outcomes[2].passed
+        assert outcomes[1].passed
+        zero = zero_of_first_derivative(0, 32, coarse)
+        oracle = ScaledTailOracle(0, 1, coarse).at(zero)
+        grid = LogGrid(32, 1e3, 2)
+        got = outcome(lambda: check_sign_pattern(oracle, grid, 1, coarse))
+        assert all(oracle.balls(t) is None for t in grid.values(coarse))
+        assert got == outcome(lambda: oracle.judge(1, grid.values(coarse)[0]))
+        assert got[0] == "ScaledTailOracle"

@@ -30,6 +30,8 @@ from cmcheck.inequalities import (
     FPOLY_FORMS,
     _difference_bound,
 )
+from cmcheck.laurent import h_balls
+from cmcheck.specfun import to_mpf
 
 PREC = DEFAULT_PRECISION
 
@@ -177,6 +179,25 @@ class TestInequalityScans:
             want = mp.besseli(1, t) - (t / 2) ** 3 / (-mp.expm1(-((t / 2) ** 2)))
             assert abs(got - want) <= mp.mpf(10) ** -(digits + 3) * want
 
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_bessel_ball_encloses_interval_arithmetic(self, digits):
+        # each margin's ball holds mpmath's interval enclosure of the direct
+        # difference at three times the digits: at t = 0.01, where the
+        # margin is 5.4e-19 and the difference cancels 16 digits, on either
+        # side of the branch point t = 1 (u = 1/4) and on a scan grid
+        prec = WorkingPrecision(digits)
+        with prec.workdps():
+            ts = [mp.mpf(t) for t in ("0.01", "0.2", "0.999", "1", "3", "50")]
+            ts += LogGrid(1e-2, 50, 7).values(prec)
+            balls = inequalities._bessel_margins(ts, prec)
+        for t, (margin, radius) in zip(ts, balls):
+            lo, hi = oracles.interval_bessel_margin(t, 3 * prec.working_dps)
+            low = mp.fsub(margin, radius, exact=True)
+            high = mp.fadd(margin, radius, exact=True)
+            assert low <= lo <= hi <= high, t
+            # a relative radius, which decides every sign
+            assert radius < margin * mp.mpf(10) ** -digits, t
+
     def test_custom_grid(self):
         report = check_ineq_trigamma(LogGrid(0.5, 2, 10), PREC)
         assert report.passed
@@ -250,25 +271,37 @@ class TestDifferenceBound:
 
     @pytest.mark.parametrize("digits", (30, 50))
     def test_suite_tables_give_the_same_checks(self, digits):
-        # proof-algebra takes every h^(i) from one table of the orders 0..6
-        # at t and one at t + 1; each check keeps check_difference_bound's
-        # verdict and rhs, and its lhs to the digits asked for.  At 30 digits
-        # both routes fail i = 5 and 6 at t = 50, with rhs inside the floor
+        # proof-algebra takes every h^(i) from one ball table of the orders
+        # 0..6 at t and one at t + 1; each check keeps check_difference_bound's
+        # verdict and rhs, and its lhs to the digits asked for.  Every check
+        # passes at 30 digits too, i = 5 and 6 at t = 50 included, where rhs
+        # is about -1e-15: its sign is exact, and lhs's radius is far below
+        # rhs - lhs
         prec = WorkingPrecision(digits)
-        failed = []
         with prec.workdps():
             rel = mp.mpf(10) ** (5 - digits)
             for t in LogGrid(0.25, 50, 25).values(prec):
-                h_at, h_next = h_table(0, 6, t, prec), h_table(0, 6, t + 1, prec)
+                at, after = (
+                    h_balls(0, 6, x, prec, digits)
+                    for x in (t, mp.fadd(t, 1, exact=True))
+                )
                 for i in range(7):
-                    got = _difference_bound(i, t, h_at[i], h_next[i], prec)
+                    got = _difference_bound(i, t, at[i], after[i], prec)
                     want = check_difference_bound(i, t, prec)
                     assert (got.passed, got.rhs) == (want.passed, want.rhs), (i, t)
                     assert abs(got.lhs - want.lhs) <= rel * abs(want.lhs), (i, t)
-                    if not got.passed:
-                        failed.append((i, t))
-        assert [i for i, _ in failed] == ([5, 6] if digits == 30 else [])
-        assert all(t == 50 for _, t in failed)
+                    assert got.passed, (i, t)
+
+    def test_rhs_sign_is_exact(self):
+        # at t = 50 the right side of i = 6 is about -2e-16, and it is the
+        # exact rational, rounded once
+        check = check_difference_bound(6, 50, WorkingPrecision(30))
+        assert check.passed
+        q = Fraction(50)
+        exact = 720 * f_poly(6, q) / (12 * q**9 * (q + 1) ** 9)
+        assert exact < 0
+        with WorkingPrecision(30).workdps():
+            assert check.rhs == to_mpf(exact)
 
     def test_domain(self):
         with pytest.raises(ValueError):
