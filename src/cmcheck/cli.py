@@ -60,6 +60,7 @@ from .laplace import (
     verify_representation,
 )
 from .laurent import (
+    _hk_exp_side,
     h_derivative,
     h_function,
     remainder_hk,
@@ -68,12 +69,14 @@ from .laurent import (
 from .specfun import (
     NumericFailure,
     WorkingPrecision,
+    _dyadic,
     a_coeff,
     bessel_i,
     exp_recip_derivative,
     hyp1f2,
     polygamma,
     shifted_factorial,
+    to_mpf,
 )
 from .suite import _fmt, run_suite
 
@@ -127,7 +130,18 @@ def _serialize_value(value, prec):
 # every eval flag; the last four parse as integers
 EVAL_FLAGS = ("t", "z", "r", "a", "b1", "b2", "i", "k", "n", "nu")
 
-# fn name -> (required flags, provenance, callable(args, prec) -> value)
+
+def _hk_route(args, prec):
+    """The provenance of an H_k value at its --z or --t, by hk_sums' own
+    route there: "closed-form" from the seam 1/t = 2(k+1) on, where it takes
+    one exponential less its head, and "series" below it."""
+    with prec.workdps():
+        t = to_mpf(args.t if args.z is None else args.z)
+    return "closed-form" if _hk_exp_side(args.k, *_dyadic(t)) else "series"
+
+
+# fn name -> (required flags, provenance or callable(args, prec) -> provenance,
+# callable(args, prec) -> value)
 EVAL_FNS = {
     "trigamma": (("t",), "series", lambda a, p: polygamma(1, a.t, p)),
     "polygamma": (("n", "t"), "series", lambda a, p: polygamma(a.n, a.t, p)),
@@ -148,15 +162,15 @@ EVAL_FNS = {
         lambda a, p: shifted_factorial(_rational(a.a), a.n, p),
     ),
     "a-coeff": (("i", "k"), "exact", lambda a, p: a_coeff(a.i, a.k)),
-    "hk": (("k", "z"), "series", lambda a, p: remainder_hk(a.k, a.z, p)),
+    "hk": (("k", "z"), _hk_route, lambda a, p: remainder_hk(a.k, a.z, p)),
     "hk-deriv": (
         ("k", "n", "t"),
-        "series",
+        _hk_route,
         lambda a, p: remainder_hk_derivative(a.k, a.n, a.t, p),
     ),
     "hk-scaled-deriv": (
         ("k", "r", "n", "t"),
-        "series",
+        _hk_route,
         lambda a, p: scaled_remainder_derivative(a.k, _rational(a.r), a.n, a.t, p),
     ),
     "h": (("t",), "closed-form", lambda a, p: h_function(a.t, p)),
@@ -175,6 +189,8 @@ def cmd_eval(args, prec):
     value = fn(args, prec)
     if _is_exact(value):
         provenance = "exact"
+    elif callable(provenance):
+        provenance = provenance(args, prec)
     return [
         {
             "id": args.fn,

@@ -33,6 +33,7 @@ where the bracket cancels.
 
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
+from itertools import accumulate
 from math import comb, factorial
 from operator import mul
 from typing import Optional
@@ -432,15 +433,16 @@ class ScaledDerivative:
     """d^n/dt^n [t^r H_k(t)] at one r over the tables of a ScaledTailOracle.
 
     r = a / 2^s is the dyadic of its mpf, so 2^(s n) C(n,j) (-r)^(j) is the
-    integer coeff_j = C(n,j) prod_{i<j} (i 2^s - a) 2^(s(n-j)), built once
-    per r; nothing else is built per r, as the radius's mpf constants are
-    the tables', built at the first value of any r.  Each evaluation forms
-    the exact bracket B = sum_j coeff_j S_(n-j) and returns B times the
-    factor t^r 2^-(s n) lead 2^exp (-1/t)^n, which costs one pow per (r, t)
-    it values.  The factor is positive up to (-1)^n, so the sign of
-    (-1)^n d^n/dt^n [t^r H_k(t)] is that of the exact bracket, which lies
-    within R, the radius below, of B: it is ball_sign(B, R), read in
-    integers (judge, passes).
+    integer coeff_j = C(n,j) prod_{i<j} (i 2^s - a) 2^(s(n-j)); row n of
+    them, with its absolute values and their sum W_n, is built on first use
+    of order n (_coefficient_row).  Nothing else is built per r, as the
+    radius's mpf constants are the tables', built at the first value of any
+    r.  Each evaluation forms the exact bracket B = sum_j coeff_j S_(n-j)
+    and returns B times the factor t^r 2^-(s n) lead 2^exp (-1/t)^n, which
+    costs one pow per (r, t) it values.  The factor is positive up to
+    (-1)^n, so the sign of (-1)^n d^n/dt^n [t^r H_k(t)] is that of the
+    exact bracket, which lies within R, the radius below, of B: it is
+    ball_sign(B, R), read in integers (judge, passes).
 
     Error radius (ball).  hk_sums gives S_i <= T_i 2^-exp <= S_i + radii[i],
     so the exact bracket is within R = sum_j |coeff_j| radii[n-j] of B.  The
@@ -460,22 +462,14 @@ class ScaledDerivative:
 
     def __init__(self, tables, r):
         self.tables = tables
-        n_max = tables.max_order
         if type(r) is mp.mpf:  # kept as it is at any precision
             self.r = to_mpf(r)
         else:
             with tables.prec.workdps():
                 self.r = to_mpf(r)
         a, self._s = _dyadic(self.r)
-        rising = [1]
-        for i in range(n_max):
-            rising.append(rising[-1] * ((i << self._s) - a))
-        # row n lists coeff_j against S_(n-j), so it pairs with the sums reversed
-        self._coeffs = [
-            [comb(n, j) * rising[j] << self._s * (n - j) for j in range(n, -1, -1)]
-            for n in range(n_max + 1)
-        ]
-        self._abs_coeffs = [[abs(c) for c in row] for row in self._coeffs]
+        # a builder that holds no reference to self, as the tables' summer
+        self._rows = _Lazy(partial(_coefficient_row, a, self._s))
         self._points = {}
         self._balls = None  # built by the first scan that asks, never by passes
 
@@ -568,8 +562,8 @@ class ScaledDerivative:
         )
         weights = [0] + [weight for _, weight in _lah_rows(tables.max_order)]
         lahs = [
-            3 * sum(c * (2 * weight + 2) for c, weight in zip(row, weights))
-            for row in self._abs_coeffs
+            3 * sum(c * (2 * weight + 2) for c, weight in zip(self._rows[n][1], weights))
+            for n in range(tables.max_order + 1)
         ]
         return factorial(tables.k + 1), exponent, w_num, w_e, wp, lahs
 
@@ -588,15 +582,14 @@ class ScaledDerivative:
         for _ in range(self.max_order):
             factors.append(factors[-1] * inv >> _FACTOR_BITS)
         # a builder that holds no reference to self, as the tables' summer
-        return _Balls(
+        return _Lazy(
             partial(
                 _scaled_ball,
                 core,
                 factors,
                 y + core.exp - shift,
                 e - den.bit_length() - self._s,
-                self._coeffs,
-                self._abs_coeffs,
+                self._rows,
                 self._ball_terms[2:],
             )
         )
@@ -604,8 +597,9 @@ class ScaledDerivative:
     def _evaluate(self, n, t):
         """(v, B, R, F): the value, the integer bracket and its radius, the factor."""
         sums, radii, factors, power = self._point(t)
-        bracket = sum(map(mul, self._coeffs[n], sums))
-        radius = sum(map(mul, self._abs_coeffs[n], radii))
+        coeffs, magnitudes, _ = self._rows[n]
+        bracket = sum(map(mul, coeffs, sums))
+        radius = sum(map(mul, magnitudes, radii))
         factor = mp.ldexp(power * factors[n], -self._s * n)
         return factor * bracket, bracket, radius, factor
 
@@ -645,31 +639,42 @@ class ScaledDerivative:
         that the scan's 30-digit ball settles is settled so here too, as
         that ball holds the value at prec less and plus its radius (balls).
 
-        rows holds the hk_sums (S, radii, exp) of the first points of ts by
-        position, and the order-0 pass appends each point it reaches first.
-        A bisection passes the same list to every step over the same ts, so
-        a step looks up no table by t that an earlier step fetched, and
-        fetches none that its walk does not reach.
+        rows holds, by position, (S, radii, tops) of the first points of ts
+        whose order 0 has passed: hk_sums' sums and radii, and tops[n] =
+        M_n = max(radii[0..n]).  Order 0's bracket is S_0 with radius
+        radii[0] at every r (coeff_0 = 1), so a point's order 0 is judged
+        once, when it joins rows, and only a point that passes it joins;
+        the walk goes on at order 1 over all of rows.  A bisection passes
+        the same list to every step over the same ts, so a step looks up no
+        table by t that an earlier step fetched, judges no order 0 that an
+        earlier step passed, and fetches no table that its walk does not
+        reach.  As R = sum_j |coeff_j| radii[n-j] <= W_n M_n, a bracket
+        above W_n M_n passes on one product, and only a bracket at or below
+        it forms R.  Coefficient row n is built when the walk first reaches
+        order n, so a step that fails at order 1 builds row 1 alone.
         """
         tables = self.tables
         if rows is None:
             rows = []
-        for n in range(tables.max_order + 1):
-            coeffs = self._coeffs[n]
-            abs_coeffs = self._abs_coeffs[n]
-            for i, t in enumerate(ts):
-                if i == len(rows):
-                    rows.append(tables.table(t))
-                sums, radii, _ = rows[i]
+        for i in range(len(rows), len(ts)):
+            sums, radii, _ = tables.table(ts[i])
+            if self._sign(sums[0], radii[0], 0, ts[i]) < 0:
+                return False
+            rows.append((sums, radii, list(accumulate(radii, max))))
+        for n in range(1, tables.max_order + 1):
+            coeffs, magnitudes, weight = self._rows[n]
+            for t, (sums, radii, tops) in zip(ts, rows):
                 bracket = sum(map(mul, coeffs, sums))
-                radius = sum(map(mul, abs_coeffs, radii))
+                if bracket > weight * tops[n]:
+                    continue
+                radius = sum(map(mul, magnitudes, radii))
                 if bracket <= radius and self._sign(bracket, radius, n, t) < 0:
                     return False
         return True
 
 
-class _Balls(dict):
-    """Balls by order, each built by build(n) on first use."""
+class _Lazy(dict):
+    """Values by order, each built by build(n) on first use."""
 
     def __init__(self, build):
         super().__init__()
@@ -680,15 +685,29 @@ class _Balls(dict):
         return ball
 
 
-def _scaled_ball(core, factors, y, step, coeffs, abs_coeffs, terms, n):
+def _coefficient_row(a, s, n):
+    """(coeffs, magnitudes, weight) of order n at r = a / 2^s: coeff_j =
+    C(n,j) prod_{i<j} (i 2^s - a) 2^(s(n-j)) for j = n..0, so that the row
+    pairs with the sums in order (coeff_j with S_(n-j)), their absolute
+    values and weight = W_n, the sum of those."""
+    rising = [1]
+    for i in range(n):
+        rising.append(rising[-1] * ((i << s) - a))
+    coeffs = [comb(n, j) * rising[j] << s * (n - j) for j in range(n, -1, -1)]
+    magnitudes = [abs(c) for c in coeffs]
+    return coeffs, magnitudes, sum(magnitudes)
+
+
+def _scaled_ball(core, factors, y, step, rows, terms, n):
     """The ball of order n of ScaledDerivative.balls from the ball sums core,
     the integer factors g_n at 2^(y + n step) and ScaledDerivative's rows."""
     sums, radii = core.sums, core.radii
     w_num, w_e, wp, lahs = terms
+    coeffs, magnitudes, _ = rows[n]
     g = factors[n]
-    bracket = sum(map(mul, coeffs[n], sums))
-    spread = sum(map(mul, abs_coeffs[n], radii))
-    size = sum(map(mul, abs_coeffs[n], sums)) + spread
+    bracket = sum(map(mul, coeffs, sums))
+    spread = sum(map(mul, magnitudes, radii))
+    size = sum(map(mul, magnitudes, sums)) + spread
     spread += (size * w_num >> w_e) + ((sums[0] + radii[0]) * lahs[n] >> wp) + 2
     slack = (abs(bracket) + spread) * g * (8 + 4 * n) >> _FACTOR_BITS
     mid = bracket * g
@@ -794,7 +813,9 @@ def estimate_cm_degree(
     its sums by position once.  A step is check_sign_pattern's verdict by
     ScaledDerivative.passes: it reads every sign from an integer bracket
     and its radius, builds no mpf value, and raises NumericFailure where a
-    bracket leaves its sign undecided.
+    bracket leaves its sign undecided.  A step redoes only the work that
+    depends on r: order 0 is judged once per point, and the rows of the
+    integer coefficients and exact radii only as the walk needs them.
     """
     tables = ScaledTailOracle(k, max_order, prec)
     with prec.workdps():

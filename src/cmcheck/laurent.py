@@ -165,7 +165,9 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
 
     with (X+1) 2^-W in [x, x (1 + 2^-wp)].  Then S_n = floor(sum_j L(n,j)
     u_j 2^-F) and tail_n = ceil(sum_j L(n,j) v_j 2^-F), multiplies and
-    shifts only.  Both chains are one-sided: with y_j = x^j (S_0 + P_j
+    shifts only.  Where q = 0, as on the exp route, every v_j and tail_n is
+    0 exactly, so the upper chain and its combinations are skipped.  Both
+    chains are one-sided: with y_j = x^j (S_0 + P_j
     2^-exp), u_j 2^-F <= y_j, and v_j 2^-F >= x^j q.  Each step costs a
     relative 2^-wp of at most y_j and two floors; as y_j grows by at least
     x per step and y_j >= x^j 2^wp, unrolling gives for both chains an
@@ -233,14 +235,15 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
                 falling *= k + 2 - j
                 low += falling << lift if lift >= 0 else falling >> -lift
             lows.append(low)
-            high = -(-high * above >> cut)
-            highs.append(high)
+            if q:
+                high = -(-high * above >> cut)
+                highs.append(high)
         rel = mp.prec + 28
         sums = [total]
         radii = [q + (total >> rel) + 1]
         for row, weight in _lah_rows(max_order):
             derived = sum(map(mul, row, lows)) >> frac
-            tail = -(-sum(map(mul, row, highs)) >> frac)
+            tail = -(-sum(map(mul, row, highs)) >> frac) if q else 0
             sums.append(derived)
             radii.append(tail + (derived + weight >> rel) + 1 + weight)
         return HkSums(sums, radii, exp)

@@ -103,6 +103,27 @@ class TestEval:
             want = mp.exp(x) - sum(x**m / mp.factorial(m) for m in range(k + 1))
             assert abs(mp.mpf(value) - want) <= mp.mpf("1e-29") * want
 
+    @pytest.mark.parametrize(
+        "fn, flags, provenance",
+        (
+            ("hk", ("--k", "4", "--z", "0.01"), "closed-form"),
+            ("hk", ("--k", "0", "--z", "1e-7", "--digits", "30"), "closed-form"),
+            ("hk", ("--k", "1", "--z", "0.25"), "closed-form"),
+            ("hk", ("--k", "4", "--z", "0.5"), "series"),
+            ("hk", ("--k", "1", "--z", "1.2"), "series"),
+            ("hk-deriv", ("--k", "1", "--n", "2", "--t", "0.2"), "closed-form"),
+            ("hk-deriv", ("--k", "1", "--n", "2", "--t", "0.3"), "series"),
+            ("hk-scaled-deriv", ("--k", "1", "--r", "2", "--n", "2", "--t", "0.2"), "closed-form"),
+            ("hk-scaled-deriv", ("--k", "1", "--r", "2", "--n", "2", "--t", "0.3"), "series"),
+        ),
+    )
+    def test_hk_provenance_names_the_route(self, fn, flags, provenance, capsys):
+        # from the seam 1/t = 2(k+1) on, the seam itself at k = 1 included,
+        # H_k is one exponential less its head, below it a series
+        code, out, _ = run_cli(["eval", "--fn", fn, *flags], capsys)
+        assert code == 0
+        assert json.loads(out)["results"][0]["provenance"] == provenance
+
     def test_inputs_echo(self, capsys):
         _, out, _ = run_cli(
             ["eval", "--fn", "polygamma", "--n", "2", "--t", "0.5"], capsys

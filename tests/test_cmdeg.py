@@ -3,6 +3,7 @@
 import gc
 import weakref
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -34,7 +35,7 @@ from cmcheck.cmdeg import (
     ScaledTailOracle,
     ball_minimum,
 )
-from cmcheck.laurent import _lah_rows
+from cmcheck.laurent import HkSums, _hk_exp_side, _lah_rows, hk_sums
 from cmcheck.specfun import _GUARD_BITS, _SERIES_LIMIT, _dyadic
 
 PREC = DEFAULT_PRECISION
@@ -361,15 +362,18 @@ class TestScaledTailOracle:
 class TestSignPredicate:
     GRID = LogGrid(1e-2, 1e6, 24)
 
+    @staticmethod
+    def rs(k):
+        return (k, k + 1, k + 1 + Fraction(1, 2**60), k + Fraction(33, 32),
+                k + Fraction(5, 4), k + 2, Fraction(1, 3), Fraction(-1, 2))
+
     @pytest.mark.parametrize("digits", (30, 50, 100))
     def test_predicate_is_the_scan_verdict(self, digits):
         prec = WorkingPrecision(digits)
         ts = self.GRID.values(prec)
         for k in range(5):
             tables = ScaledTailOracle(k, 6, prec)
-            rs = (k, k + 1, k + 1 + Fraction(1, 2**60), k + Fraction(33, 32),
-                  k + Fraction(5, 4), k + 2, Fraction(1, 3), Fraction(-1, 2))
-            for r in rs:
+            for r in self.rs(k):
                 want = check_sign_pattern(tables.at(r), self.GRID, 6, prec).passed
                 assert tables.at(r).passes(ts) == want, (k, r)
                 if r != k + 1 + Fraction(1, 2**60):
@@ -383,6 +387,119 @@ class TestSignPredicate:
                 assert oracle.passes(ts) is passed
                 assert oracle._points == {}
             assert fresh._factors == {}
+
+    @pytest.mark.parametrize("digits", (30, 50))
+    def test_fallback_is_the_scan_verdict(self, digits):
+        # under a coarse stop the truncated tail dominates every radius, so
+        # the brackets near their radii take the exact R: a pass, a fail or
+        # a refusal of the step is the scan's
+        prec = CoarseStop(digits)
+        ts = self.GRID.values(prec)
+        for k in range(5):
+            tables = ScaledTailOracle(k, 6, prec)
+            for r in self.rs(k):
+                want = outcome(
+                    lambda: check_sign_pattern(tables.at(r), self.GRID, 6, prec).passed
+                )
+                assert outcome(lambda: tables.at(r).passes(ts)) == want, (k, r)
+
+    def test_bracket_below_the_bound_takes_the_radius(self):
+        # at t = 0.2 under a coarse stop, x = 5 makes order 1's tail about 5
+        # times order 0's, so M_1 = radii[1] > radii[0]: at an r whose
+        # order-1 bracket lies in (W_1 radii[0], R] the sign is undecided,
+        # and the step refuses it as the scan does
+        prec = CoarseStop(50)
+        grid = LogGrid("0.2", 1, 2)
+        ts = grid.values(prec)
+        k = 4
+        (s0, s1), (r0, r1), _ = hk_sums(k, ts[0], 1, prec)
+        assert r1 > r0
+        # S_1 - r S_0 = r r0 + (r0 + r1)/2, inside ((r + 1) r0, r r0 + r1]
+        r = Fraction(2 * s1 - r0 - r1, 2 * (s0 + r0))
+        r = Fraction(round(r * 2**60), 2**60)
+        a, s = _dyadic(ScaledTailOracle(k, 1, prec).at(r).r)
+        bracket = (s1 << s) - a * s0
+        assert a > 0 and (a + (1 << s)) * r0 < bracket <= a * r0 + (r1 << s)
+        want = outcome(
+            lambda: check_sign_pattern(ScaledTailOracle(k, 1, prec).at(r), grid, 1, prec)
+        )
+        got = outcome(lambda: ScaledTailOracle(k, 1, prec).at(r).passes(ts))
+        assert got == want
+        operation, detail, inputs = want
+        assert (operation, inputs["n"], inputs["t"]) == ("ScaledTailOracle", 1, ts[0])
+        assert "undecided" in detail
+
+    def test_work_is_what_the_walk_reaches(self, monkeypatch):
+        # on the bench grid each point's order 0 is judged once per bracket,
+        # when it joins the rows, and a step builds the coefficient rows of
+        # the orders its walk reaches: row 1 alone where it fails at order 1;
+        # past the seam hk_sums' radii carry no tail
+        prec = WorkingPrecision(50)
+        ts = self.GRID.values(prec)
+        with prec.workdps():
+            rel = mp.prec + 28
+        weights = [0] + [weight for _, weight in _lah_rows(6)]
+        judged = []
+        made = []
+        sign = ScaledDerivative._sign
+
+        def spy(self, bracket, radius, n, t):
+            if n == 0:
+                judged.append(t)
+            return sign(self, bracket, radius, n, t)
+
+        class Recording(ScaledTailOracle):
+            def at(self, r):
+                oracle = super().at(r)
+                made.append(oracle)
+                return oracle
+
+        monkeypatch.setattr(ScaledDerivative, "_sign", spy)
+        monkeypatch.setattr(cmdeg, "ScaledTailOracle", Recording)
+        for k in range(5):
+            judged.clear()
+            made.clear()
+            estimate_cm_degree(k, grid=self.GRID, prec=prec)
+            assert judged == list(ts), k
+            first_order_fails = 0
+            for oracle in made:
+                scan = check_sign_pattern(
+                    ScaledTailOracle(k, 6, prec).at(oracle.r), self.GRID, 6, prec
+                )
+                reached = scan.violation.order if scan.violation else 6
+                assert sorted(oracle._rows) == list(range(1, reached + 1)), (k, oracle.r)
+                first_order_fails += reached == 1
+            assert first_order_fails == 6, k
+            exp_side = [t for t in ts if _hk_exp_side(k, *_dyadic(t))]
+            assert exp_side, k
+            for t in exp_side:
+                sums, radii, _ = hk_sums(k, t, 6, prec)
+                assert radii == [
+                    (total + weight >> rel) + 1 + weight
+                    for total, weight in zip(sums, weights)
+                ], (k, t)
+
+    def test_order_zero_refusal_keeps_the_point_out_of_the_rows(self):
+        # a point joins the rows only once its order 0 has passed, so the
+        # next step judges it again and refuses it the same way
+        prec = WorkingPrecision(30)
+        ts = self.GRID.values(prec)
+        tables = ScaledTailOracle(0, 6, prec)
+        table = tables.table
+
+        def doctored(t):
+            sums, radii, exp = table(t)
+            if t == ts[5]:
+                radii = [2 * sums[0], *radii[1:]]
+            return HkSums(sums, radii, exp)
+
+        tables.table = doctored
+        rows = []
+        for r in (1, 2):
+            operation, detail, inputs = outcome(lambda: tables.at(r).passes(ts, rows))
+            assert (operation, inputs["n"], inputs["t"]) == ("ScaledTailOracle", 0, ts[5])
+            assert "undecided" in detail
+            assert len(rows) == 5
 
     @pytest.mark.parametrize("digits", (30, 50, 100))
     def test_bisection_builds_no_mpf_value(self, digits, monkeypatch):
@@ -433,7 +550,8 @@ class TestSignPredicate:
             assert tables.at(k + 1).passes(ts, rows)
             assert len(rows) == tables.series == len(ts)
             for t, row in zip(ts, rows):
-                assert row == tables.table(t)
+                sums, radii, _ = tables.table(t)
+                assert row == (sums, radii, list(accumulate(radii, max)))
 
             def refuse(t):
                 raise AssertionError(f"table looked up at {t}")
