@@ -131,13 +131,22 @@ def _serialize_value(value, prec):
 EVAL_FLAGS = ("t", "z", "r", "a", "b1", "b2", "i", "k", "n", "nu")
 
 
-def _hk_route(args, prec):
-    """The provenance of an H_k value at its --z or --t, by hk_sums' own
-    route there: "closed-form" from the seam 1/t = 2(k+1) on, where it takes
-    one exponential less its head, and "series" below it."""
+def _hk_route(k, ts, prec):
+    """The provenance of H_k values at the ascending ts by hk_sums' route at
+    the two ends: "closed-form" from the seam 1/t = 2(k+1) on, where it
+    takes one exponential less its head, "series" below it, and
+    "series+closed-form" where the seam splits ts, at most once."""
     with prec.workdps():
-        t = to_mpf(args.t if args.z is None else args.z)
-    return "closed-form" if _hk_exp_side(args.k, *_dyadic(t)) else "series"
+        low, high = (
+            "closed-form" if _hk_exp_side(k, *_dyadic(to_mpf(t))) else "series"
+            for t in (ts[0], ts[-1])
+        )
+    return low if low == high else "series+closed-form"
+
+
+def _hk_point_route(args, prec):
+    """_hk_route at the --z or --t of an eval."""
+    return _hk_route(args.k, [args.t if args.z is None else args.z], prec)
 
 
 # fn name -> (required flags, provenance or callable(args, prec) -> provenance,
@@ -162,15 +171,15 @@ EVAL_FNS = {
         lambda a, p: shifted_factorial(_rational(a.a), a.n, p),
     ),
     "a-coeff": (("i", "k"), "exact", lambda a, p: a_coeff(a.i, a.k)),
-    "hk": (("k", "z"), _hk_route, lambda a, p: remainder_hk(a.k, a.z, p)),
+    "hk": (("k", "z"), _hk_point_route, lambda a, p: remainder_hk(a.k, a.z, p)),
     "hk-deriv": (
         ("k", "n", "t"),
-        _hk_route,
+        _hk_point_route,
         lambda a, p: remainder_hk_derivative(a.k, a.n, a.t, p),
     ),
     "hk-scaled-deriv": (
         ("k", "r", "n", "t"),
-        _hk_route,
+        _hk_point_route,
         lambda a, p: scaled_remainder_derivative(a.k, _rational(a.r), a.n, a.t, p),
     ),
     "h": (("t",), "closed-form", lambda a, p: h_function(a.t, p)),
@@ -220,7 +229,7 @@ def cmd_degree(args, prec):
     return [
         {
             "id": f"degree-bracket-k{args.k}",
-            "provenance": "series",
+            "provenance": _hk_route(args.k, (grid.t_min, grid.t_max), prec),
             "r_lo": _fmt(estimate.r_lo, prec),
             "r_hi": _fmt(estimate.r_hi, prec),
             "width": _fmt(estimate.width, prec),
@@ -250,16 +259,18 @@ def cmd_verify_cm(args, prec):
         r = _rational(args.r) if args.r is not None else args.k + 1
         oracle = ScaledTailOracle(args.k, max_order, prec).at(r)
         label = f"sign-pattern-hk-k{args.k}"
+        provenance = _hk_route(args.k, (grid.t_min, grid.t_max), prec)
     else:
         _reject(args, "k", "r")
         grid = _grid(args, DEFAULT_H_GRID)
         max_order = given if given is not None else DEFAULT_H_ORDER
         oracle = HOracle(max_order, prec)
         label = "sign-pattern-h"
+        provenance = "series"
     report = check_sign_pattern(oracle, grid, max_order, prec)
     record = {
         "id": label,
-        "provenance": "series",
+        "provenance": provenance,
         "max_order": report.max_order,
         "evaluations": report.evaluations,
         "min_signed": _fmt(report.min_signed, prec),

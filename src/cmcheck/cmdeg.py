@@ -31,7 +31,7 @@ comes from the same bracket and its radius, taken again at more digits
 where the bracket cancels.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import accumulate
 from math import comb, factorial
@@ -42,8 +42,6 @@ from mpmath import mp
 
 from .laurent import (
     _ball_precision,
-    _h_ball_parts,
-    _h_kept_table,
     _hk_fits,
     _hk_lead,
     _hk_scale_bits,
@@ -52,7 +50,14 @@ from .laurent import (
     h_table,
     hk_sums,
 )
-from .specfun import DEFAULT_PRECISION, NumericFailure, _dyadic, ball_sign, to_mpf
+from .specfun import (
+    DEFAULT_PRECISION,
+    NumericFailure,
+    _dyadic,
+    ball_sign,
+    refine,
+    to_mpf,
+)
 
 
 class BracketError(ValueError):
@@ -299,17 +304,14 @@ class HOracle(TableCache):
     balls(t) is h_balls(0, max_order, t, prec), kept per t like the tables:
     check_sign_pattern and the suite walk an HOracle in two passes
     (ball_minimum), so the tables at prec are summed only at the points
-    that the balls cannot settle.  At 30 digits the balls' parts are
-    h_table's own, so a table there is rounded from them, unless an order
-    cancels past _CANCEL_BITS and h_table would redo it.  series counts the
-    points summed at either precision.  judge(n, t) reads a sign that the
-    30-digit ball leaves undecided from the ball of the table at prec.
+    that the balls cannot settle.  series counts the points summed at either
+    precision.  judge(n, t) reads a sign that the 30-digit ball leaves
+    undecided from the ball of the table at prec.
     """
 
     def __init__(self, max_order, prec=DEFAULT_PRECISION):
         super().__init__(lambda t: h_table(0, max_order, t, prec), max_order, prec)
         self._balls = {}
-        self._parts = {}  # h_table's own parts, kept from the balls at 30 digits
 
     @property
     def series(self):
@@ -318,19 +320,8 @@ class HOracle(TableCache):
     def balls(self, t):
         """The balls at t, an mpf at working precision, or None (h_balls)."""
         if t not in self._balls:
-            self._balls[t], parts = _h_ball_parts(0, self.max_order, t, self.prec)
-            if parts is not None:
-                self._parts[t] = parts
+            self._balls[t] = h_balls(0, self.max_order, t, self.prec)
         return self._balls[t]
-
-    def table(self, t):
-        """The table at t, rounded from h_table's own parts where kept."""
-        parts = self._parts.pop(t, None)
-        if parts is not None:
-            table = _h_kept_table(parts)
-            if table is not None:
-                self._tables[t] = table
-        return super().table(t)
 
     def __call__(self, n, t):
         self._check_order(n)
@@ -714,10 +705,6 @@ def _scaled_ball(core, factors, y, step, rows, terms, n):
     return (-mid if n % 2 else mid), spread * g + slack + 1, y + n * step
 
 
-# precision raises that scaled_remainder_derivative takes before it refuses
-_MAX_RAISES = 3
-
-
 def scaled_remainder_derivative(k, r, n, t, prec=DEFAULT_PRECISION):
     """d^n/dt^n [t^r H_k(t)] for t > 0 and real r, to prec's digits.
 
@@ -726,42 +713,21 @@ def scaled_remainder_derivative(k, r, n, t, prec=DEFAULT_PRECISION):
     its docstring proves.  Where the bracket cancels (r near a zero of the
     derivative, or an integer r > k at large t, where the leading terms of
     the termwise sum vanish) the radius may exceed |v| 10^-(digits+3);
-    v is then taken again at digits raised by ceil(log10(radius/|v|)) +
-    digits + 5, what it lost plus a margin (Ziv, ACM TOMS 17(3), 1991), and
-    after _MAX_RAISES raises the call refuses with NumericFailure.  r and t
-    are converted once, at prec, so every attempt evaluates the same point.
+    specfun.refine then takes v again at more digits, or refuses with
+    NumericFailure.  r and t are converted once, at prec, so every attempt
+    evaluates the same point.
     """
-    tables = ScaledTailOracle(k, n, prec)
     with prec.workdps():
         t = to_mpf(t)
         r = to_mpf(r)
-        if t <= 0:
-            raise ValueError(f"t must be positive, got {t}")
-        wanted = mp.mpf(10) ** -(prec.digits + 3)
-    level = prec
-    for _ in range(_MAX_RAISES + 1):
-        oracle = tables.at(r)
+
+    def evaluate(level):
+        oracle = ScaledTailOracle(k, n, level).at(r)
         with level.workdps():
             value, _, radius, factor = oracle._evaluate(n, t)
-            radius = oracle._radius(value, radius, factor)
-            if radius <= abs(value) * wanted:
-                break
-            lost = (
-                int(mp.ceil(mp.log10(radius / abs(value))))
-                if value
-                else level.working_dps
-            )
-        level = replace(level, digits=level.digits + lost + prec.digits + 5)
-        tables = ScaledTailOracle(k, n, level)
-    else:
-        raise NumericFailure(
-            "scaled_remainder_derivative",
-            f"error radius above the digits asked for after {_MAX_RAISES} raises",
-            k=k,
-            r=r,
-            n=n,
-            t=t,
-        )
+            return value, [(value, oracle._radius(value, radius, factor))]
+
+    value = refine(evaluate, prec, "scaled_remainder_derivative", k=k, r=r, n=n, t=t)
     with prec.workdps():
         return +value
 

@@ -30,7 +30,7 @@ from mpmath import mp
 
 from .cmdeg import LogGrid, ball_minimum
 from .laplace import _h_kernel_many
-from .laurent import BALL_DIGITS, _h_ball_parts, _h_kept_table, h_balls, h_function
+from .laurent import BALL_DIGITS, h_balls, h_function
 from .specfun import DEFAULT_PRECISION, _dyadic, ball_sign, to_mpf
 
 FPOLY_FORMS = ("A", "B", "C", "D")
@@ -149,13 +149,10 @@ def _scan(inequality, grid, ts, ball, margin, judge):
     return InequalityScanReport(inequality, grid, best, best_t, not stopped, count)
 
 
-def _h_minus_one_ball(t, prec, kept=None, digits=BALL_DIGITS):
+def _h_minus_one_ball(t, prec, digits=BALL_DIGITS):
     """The ball of h(t) - 1 from h_balls at digits, whose radius covers that
-    one rounding, or None where h_balls gives none.  The parts behind it
-    that are h_table's own go into the dict kept, by t."""
-    balls, parts = _h_ball_parts(0, 0, t, prec, digits)
-    if kept is not None and parts is not None:
-        kept[t] = parts
+    one rounding, or None where h_balls gives none."""
+    balls = h_balls(0, 0, t, prec, digits)
     if balls is None:
         return None
     ((mid, rad, x),) = balls
@@ -171,15 +168,8 @@ def check_ineq_trigamma(grid=DEFAULT_TRIGAMMA_GRID, prec=DEFAULT_PRECISION):
     the default grid.  The scan takes two passes: the margin h_function(t)
     - 1 at prec only where a 30-digit ball (h_balls) leaves t a candidate
     for the minimum, usually one grid point, or leaves its sign undecided,
-    which the ball of the table at prec then reads.  At 30 digits that h is
-    rounded from the ball's own parts, as h_table rounds them.
+    which the ball of the table at prec then reads.
     """
-    kept = {}
-
-    def margin(t):
-        parts = kept.pop(t, None)
-        table = None if parts is None else _h_kept_table(parts)
-        return (h_function(t, prec) if table is None else table[0]) - 1
 
     def judge(t, _):
         mid, rad, _ = _h_minus_one_ball(t, prec, digits=prec.digits)
@@ -187,8 +177,10 @@ def check_ineq_trigamma(grid=DEFAULT_TRIGAMMA_GRID, prec=DEFAULT_PRECISION):
 
     with prec.workdps():
         ts = grid.values(prec)
-        ball = partial(_h_minus_one_ball, prec=prec, kept=kept)
-        return _scan("trigamma", grid, ts, ball, margin, judge)
+        ball = partial(_h_minus_one_ball, prec=prec)
+        return _scan(
+            "trigamma", grid, ts, ball, lambda t: h_function(t, prec) - 1, judge
+        )
 
 
 def bessel_margin(t, prec=DEFAULT_PRECISION):

@@ -20,14 +20,16 @@ it with a proven radius, and hk_table turns the results into mpfs.  The
 scaled family d^n/dt^n [t^r H_k(t)] for real r is built from those integer
 sums by the Leibniz rule in cmdeg.
 Also hosts h(t) = e^(1/t) - psi'(t) and its derivatives, the difference of
-the two engines from specfun: h_table rounds them to mpfs, and h_balls keeps
-a 30-digit table as integer balls, with a radius that covers h_table's value
-at any digits too, for the first pass of the h scans.
+the two engines from specfun as integer balls (h_balls): h_table rounds
+the balls of a table at its own digits to mpfs, taken again at more digits
+where a ball is too wide (specfun.refine), and the 30-digit balls, whose
+radius covers h_table's value at any digits too, are the first pass of the
+h scans.
 """
 
 from dataclasses import replace
 from functools import lru_cache
-from math import ceil, comb, factorial, log10
+from math import comb, factorial
 from operator import mul
 from typing import NamedTuple
 
@@ -42,6 +44,7 @@ from .specfun import (
     _dyadic,
     _exp_recip_fixed,
     polygamma_fixed,
+    refine,
     to_mpf,
 )
 
@@ -408,27 +411,9 @@ def remainder_hk_derivative(k, n, t, prec=DEFAULT_PRECISION):
     return hk_table(k, t, n, prec)[n]
 
 
-# bits an h table may cancel, about 10 of the 15 guard digits, before it is
-# redone at a precision raised by what it lost; t = 1e3 cancels 33
-_CANCEL_BITS = 34
-
-
-def _h_parts(i_lo, i_hi, t, prec):
-    """[(E_i, P_i, x_i) for i = i_lo..i_hi]: d^i/dt^i e^(1/t) ~ E_i 2^x_i and
-    psi^(i+1)(t) ~ P_i 2^x_i at the working precision of prec, each pair
-    shifted to the coarser of its two scales, so h^(i)(t) ~ (E_i - P_i) 2^x_i."""
-    with prec.workdps():
-        exps = _exp_recip_fixed(i_lo, i_hi, t)
-        psis = polygamma_fixed(i_lo + 1, i_hi + 1, t, prec)
-    parts = []
-    for (e_man, e_exp), (p_man, p_exp) in zip(exps, psis):
-        exp = max(e_exp, p_exp)
-        parts.append((e_man >> exp - e_exp, p_man >> exp - p_exp, exp))
-    return parts
-
-
 def h_table(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
-    """[h^(i)(t) for i = i_lo..i_hi], 0 <= i_lo <= i_hi, t > 0, in one pass.
+    """[h^(i)(t) for i = i_lo..i_hi], 0 <= i_lo <= i_hi, t > 0, all orders in
+    one pass at each precision.
 
     h^(i) = (d^i/dt^i e^(1/t)) - psi^(i+1)(t).  Both parts come as integers
     at binary scales: _exp_recip_fixed takes e^(1/t) once and the
@@ -449,48 +434,28 @@ def h_table(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
 
         2^-mp.prec (|h^(i)| + |E| + |P|) + series_stop |P|.
 
-    The subtraction cancels about log2((|E| + |P|) / |h^(i)|) bits, which
-    grows like 3 log2 t at large t (33 bits at t = 1e3 and order 1, 63 at
-    t = 1e6), and the aligned integers show it: lost = max(bitlen E,
-    bitlen P) - bitlen(E - P) is within a bit of it, so |E| + |P| <
-    2^(lost+2) |h^(i)|.  When an order loses more than 34 bits, about 10 of
-    the 15 guard digits, the table is computed again the same way at r =
-    min(lost + 1, mp.prec) more bits: ceil(r log10 2) more digits, which
-    lower series_stop by as much, and the one pass bound holds there.  For
-    lost < mp.prec that puts h^(i) within about 2^(1-mp.prec) |h^(i)| +
-    2 series_stop |h^(i)|.  Past that, t beyond about 2^(mp.prec/3), the
-    retry stops at twice the precision, so a table costs at most two passes
-    however large t is; the one pass bound at 2 mp.prec bits still holds.
-    Grids ending at 1e3 never retry.
+    The subtraction cancels about log10((|E| + |P|) / |h^(i)|) digits,
+    which grows like 3 log10 t at large t for i >= 1.  The pass is the
+    integer mid of h_balls at prec's own digits, whose radius covers this
+    bound; where any order's radius exceeds |mid| 10^-(digits+3) the table
+    is taken again at raised digits (specfun.refine) and rounded at prec.
+    A table that three raises cannot settle is refused with
+    NumericFailure("h_table", ..., t=t): from about t = 1e190 on at 30
+    digits, where a ball that holds 0 takes a raise of every working digit
+    plus digits + 5.
     """
     if not isinstance(i_lo, int) or not isinstance(i_hi, int) or not 0 <= i_lo <= i_hi:
         raise ValueError(f"need integers 0 <= i_lo <= i_hi, got {i_lo!r}, {i_hi!r}")
     with prec.workdps():
         t = to_mpf(t)
-        if t <= 0:
-            raise ValueError(f"t must be positive, got {t}")
-        parts = _h_parts(i_lo, i_hi, t, prec)
-        lost = _lost_bits(parts)
-        if lost > _CANCEL_BITS:
-            more_digits = ceil(min(lost + 1, mp.prec) * log10(2))
-            parts = _h_parts(
-                i_lo, i_hi, t, replace(prec, digits=prec.digits + more_digits)
-            )
-        return _h_rounded(parts)
 
+    def evaluate(level):
+        balls = h_balls(i_lo, i_hi, t, level, level.digits)
+        return balls, [(mid, rad) for mid, rad, _ in balls]
 
-def _lost_bits(parts):
-    """The most bits any order of _h_parts cancels, within a bit of
-    log2((|E| + |P|) / |h^(i)|)."""
-    return max(
-        max(e.bit_length(), p.bit_length()) - (e - p).bit_length()
-        for e, p, _ in parts
-    )
-
-
-def _h_rounded(parts):
-    """h_table's values from the parts of _h_parts, one rounding each."""
-    return [mp.mpf((e - p, exp)) for e, p, exp in parts]
+    balls = refine(evaluate, prec, "h_table", t=t)
+    with prec.workdps():
+        return [mp.mpf((mid, x)) for mid, _, x in balls]
 
 
 # digits of the first pass of the h scans, the lowest the CLI accepts
@@ -524,17 +489,19 @@ def h_balls(i_lo, i_hi, t, prec=DEFAULT_PRECISION, digits=BALL_DIGITS):
     30-digit balls leave undecided, and there a failure, or a series stop
     past the radius proof, raises NumericFailure.  t is converted at prec
     and never rounded again, so both passes of a scan evaluate the same t.
-    H_i = E_i - P_i and x_i come from _h_parts at digits, whose working
-    precision has p >= 153 bits; prec's has P >= p bits.
+    E_i 2^x_i ~ d^i/dt^i e^(1/t) and P_i 2^x_i ~ psi^(i+1)(t) come from
+    _exp_recip_fixed and polygamma_fixed at digits, whose working precision
+    has p >= 153 bits (prec's has P >= p bits), each pair shifted to the
+    coarser of its two scales, and H_i = E_i - P_i.
 
     Radius.  In units u = 2^x_i, with E and P the exact parts of order i,
     s and S the series stops at digits and at prec (each <= 2^-80,
-    S <= s, and no larger at the more digits of h_table's retry, as
+    S <= s, and no larger at the raised digits of h_table, as
     WorkingPrecision's falls with its digits), and i < 512:
     - the ball's own error (h_table's bound without its final rounding):
       E_i within 2^-(p+1) |E| + u, P_i within (i+1) 2^-(p+21) |P| + s |P|
       + u, the u for the shift to the coarser scale;
-    - h_table at prec, with or without its retry: within
+    - h_table at prec, from its pass at prec or at raised digits: within
       2^-P (|h^(i)| + |E| + |P|) + S |P| <= 2^(1-P) (|E| + |P|) + S |P|;
     - one more rounding at P bits of that value minus any c with |c| <= |E|,
       such as the trigamma margin h - 1: at most 3 2^-P (|E| + |P|).
@@ -548,19 +515,12 @@ def h_balls(i_lo, i_hi, t, prec=DEFAULT_PRECISION, digits=BALL_DIGITS):
     of room for those factors, and the 4 units are the two floors and the
     two shifts.
     """
-    return _h_ball_parts(i_lo, i_hi, t, prec, digits)[0]
-
-
-def _h_ball_parts(i_lo, i_hi, t, prec, digits=BALL_DIGITS):
-    """(h_balls(i_lo, i_hi, t, prec, digits), parts): parts are the _h_parts
-    behind the balls where digits = prec.digits, h_table's own first pass
-    there (_h_kept_table); else None."""
     own = digits == prec.digits
     ball = _ball_precision(prec, digits)
     if ball is None:
         if own:
             raise NumericFailure("h_balls", "series stop past the radius proof", t=t)
-        return None, None
+        return None
     with prec.workdps():
         t = to_mpf(t)
         if t <= 0:
@@ -569,27 +529,25 @@ def _h_ball_parts(i_lo, i_hi, t, prec, digits=BALL_DIGITS):
     with ball.workdps():
         bits = mp.prec
         s_ball, e_ball = _dyadic(ball.series_stop)
+        try:
+            exps = _exp_recip_fixed(i_lo, i_hi, t)
+            psis = polygamma_fixed(i_lo + 1, i_hi + 1, t, ball)
+        except NumericFailure:
+            if own:
+                raise
+            return None
     # s + S = s_num / 2^s_e exactly
     s_e = max(e_ball, e_full)
     s_num = (s_ball << s_e - e_ball) + (s_full << s_e - e_full)
-    try:
-        parts = _h_parts(i_lo, i_hi, t, ball)
-    except NumericFailure:
-        if own:
-            raise
-        return None, None
     balls = []
-    for e, p, x in parts:
+    for (e, e_exp), (p, p_exp) in zip(exps, psis):
+        x = max(e_exp, p_exp)
+        e >>= x - e_exp
+        p >>= x - p_exp
         size = abs(p) + 1
         rad = (abs(e) + size + 1 >> bits - 3) + (s_num * size >> s_e) + 4
         balls.append((e - p, rad, x))
-    return balls, parts if own else None
-
-
-def _h_kept_table(parts):
-    """h_table's table from its own first-pass parts, or None where an order
-    cancels past _CANCEL_BITS, so that h_table would redo it."""
-    return None if _lost_bits(parts) > _CANCEL_BITS else _h_rounded(parts)
+    return balls
 
 
 def h_function(t, prec=DEFAULT_PRECISION):

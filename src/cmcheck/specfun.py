@@ -5,7 +5,8 @@ Everything here evaluates at an explicit, caller-supplied precision.  The
 policy object is WorkingPrecision: user-facing digits plus a fixed guard
 and a relative stop threshold for positive-term series.  No function reads
 ambient mp.dps.  Every sign verdict of the package is ball_sign's: the sign
-of a value with a proven error radius, or undecided.
+of a value with a proven error radius, or undecided, and every value whose
+radius is too wide for its digits is taken again at more by refine.
 The engines compute in Python integers at binary scales, enter a workdps
 block and round once to a plain mpf at the end.  Polygamma and the
 e^(1/t) derivatives have integer cores (polygamma_fixed, _exp_recip_fixed)
@@ -14,7 +15,7 @@ laurent.h_table subtracts the two parts in integers before it rounds.
 The 1F2 summation (_series_1f2) sums a sequence of arguments in one pass.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, inf
@@ -54,6 +55,46 @@ def ball_sign(mid, rad, operation=None, **inputs):
     if operation is None:
         return 0
     raise NumericFailure(operation, "sign undecided: the error ball holds 0", **inputs)
+
+
+# precision raises that refine takes before it refuses
+_MAX_RAISES = 3
+# the most digits one raise adds, so no pass runs past 3000 digits more
+# than asked for; h^(i)(t), i >= 1, cancels about 3 log10 t of them
+_MAX_RAISE_DIGITS = 1000
+
+
+def refine(evaluate, prec, operation, **inputs):
+    """evaluate(level)'s result at prec's digits or more, by Ziv's rule
+    (Ziv, ACM TOMS 17(3), 1991).
+
+    evaluate(level) returns (result, balls) for a WorkingPrecision level:
+    balls are pairs (mid, rad), exact reals with rad >= 0, each of which
+    must have rad <= |mid| 10^-(digits+3) at prec's digits.  Where one does
+    not, result is taken again at level's digits raised by the digits lost,
+    ceil(log10(rad/|mid|)) at the widest ball or every working digit of
+    level where a ball holds 0, plus prec's digits + 5, but by at most
+    _MAX_RAISE_DIGITS.  A ball still too wide after _MAX_RAISES raises
+    refuses with NumericFailure(operation, "error radius ...") naming the
+    inputs.
+    """
+    scale = 10 ** (prec.digits + 3)
+    level = prec
+    for _ in range(_MAX_RAISES + 1):
+        result, balls = evaluate(level)
+        with level.workdps():
+            wide = [(mid, rad) for mid, rad in balls if rad * scale > abs(mid)]
+            if not wide:
+                return result
+            worst = max(mp.mpf(rad) / abs(mid) if mid else mp.inf for mid, rad in wide)
+            lost = level.working_dps if worst >= 1 else int(mp.ceil(mp.log10(worst)))
+        more = min(lost + prec.digits + 5, _MAX_RAISE_DIGITS)
+        level = replace(level, digits=level.digits + more)
+    raise NumericFailure(
+        operation,
+        f"error radius above the digits asked for after {_MAX_RAISES} raises",
+        **inputs,
+    )
 
 
 @dataclass(frozen=True)

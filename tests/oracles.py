@@ -20,8 +20,10 @@ termwise in integers, fast enough for t down to 1e-5, where the mpf route
 takes seconds.  value_and_radius reads a ScaledDerivative's value and its
 error radius, which the package keeps private.
 interval_bessel_margin encloses the Bessel margin in mpmath's interval
-arithmetic.  CoarseStop is the one precision policy here: a stop so coarse that the
-truncated tail carries every radius of the H_k sums.
+arithmetic.  ball_candidates picks a walk's candidates for the minimum
+from its balls alone, and h_table_passes records the digits of every pass
+that h_table takes.  CoarseStop is the one precision policy here: a stop so
+coarse that the truncated tail carries every radius of the H_k sums.
 """
 
 from fractions import Fraction
@@ -36,6 +38,7 @@ from cmcheck import (
     h_function,
     h_table,
 )
+from cmcheck import laurent
 from cmcheck.cmdeg import SignPatternReport, TableCache, Violation
 from cmcheck.inequalities import InequalityScanReport, bessel_margin
 from cmcheck.laurent import _validate_order
@@ -505,3 +508,31 @@ def interval_bessel_margin(t, dps):
         return mp.make_mpf(want._mpi_[0]), mp.make_mpf(want._mpi_[1])
     finally:
         iv.prec = saved
+
+
+def ball_candidates(balls):
+    """The keys of a walk that reaches every key which ball_minimum must
+    evaluate as candidates for the minimum, from [(key, (H, R, x))] in walk
+    order: each whose lower end, in exact rationals, is not above the
+    smallest upper end of all the balls."""
+    ends = [
+        (key, Fraction(mid - rad) * Fraction(2) ** x, Fraction(mid + rad) * Fraction(2) ** x)
+        for key, (mid, rad, x) in balls
+    ]
+    top = min(high for _, _, high in ends)
+    return [key for key, low, _ in ends if low <= top]
+
+
+def h_table_passes(monkeypatch):
+    """{t: [digits of each pass]} of every h_table call from here on: the
+    balls at the table's own digits that it takes, first at prec and then at
+    each raise."""
+    passes = {}
+    balls = laurent.h_balls
+
+    def recorded(i_lo, i_hi, t, prec, digits):
+        passes.setdefault(t, []).append(digits)
+        return balls(i_lo, i_hi, t, prec, digits)
+
+    monkeypatch.setattr(laurent, "h_balls", recorded)
+    return passes

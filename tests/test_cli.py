@@ -282,6 +282,30 @@ class TestSubcommands:
             assert mp.mpf(record["r_lo"]) <= 1 <= mp.mpf(record["r_hi"])
             assert mp.mpf(record["width"]) <= mp.mpf("0.25")
 
+    @pytest.mark.parametrize(
+        "argv, provenance",
+        (
+            (("degree", "--k", "1", "--grid-min", "1e-7"), "series+closed-form"),
+            (("degree", "--k", "0", "--grid-min", "0.6"), "series"),
+            (("verify-cm", "--target", "hk", "--k", "2"), "series+closed-form"),
+            (
+                ("verify-cm", "--target", "hk", "--k", "2", "--grid-max", "0.01",
+                 "--grid-min", "1e-3"),
+                "closed-form",
+            ),
+        ),
+    )
+    def test_hk_scan_provenance_names_its_routes(self, argv, provenance, capsys):
+        # H_k from the seam 1/t = 2(k+1) on is one exponential less its
+        # head, below it a series: the grid from 1e-7 straddles the seam of
+        # k = 1 at 1/4, the one from 0.6 lies below that of k = 0 at 1/2,
+        # the default from 0.01 straddles that of k = 2 at 1/6 and the one
+        # up to 0.01 lies past it
+        flags = ("--grid-points", "20", "--digits", "30")
+        code, out, _ = run_cli([*argv, *flags], capsys)
+        assert code == 0
+        assert json.loads(out)["results"][0]["provenance"] == provenance
+
     def test_verify_cm_h_small(self, capsys):
         code, out, _ = run_cli(
             [

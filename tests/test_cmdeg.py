@@ -36,7 +36,7 @@ from cmcheck.cmdeg import (
     ball_minimum,
 )
 from cmcheck.laurent import HkSums, _hk_exp_side, _lah_rows, hk_sums
-from cmcheck.specfun import _GUARD_BITS, _SERIES_LIMIT, _dyadic
+from cmcheck.specfun import _GUARD_BITS, _MAX_RAISES, _SERIES_LIMIT, _dyadic
 
 PREC = DEFAULT_PRECISION
 
@@ -864,9 +864,9 @@ class TestTwoPassHScan:
         assert failure.value.operation == "check_sign_pattern"
 
     def test_thirty_digit_tables_come_from_the_balls(self, monkeypatch):
-        # at 30 digits the balls' parts are h_table's own, so the scan sums
-        # no second table where no order cancels past _CANCEL_BITS; past
-        # t = 1e3 the parts cancel more and h_table redoes them
+        # the scan sums a table at prec only at the points of ball_minimum's
+        # candidates, as picked from the 30-digit balls alone, and each of
+        # those takes at most _MAX_RAISES raises (one at t = 1e3 and past it)
         prec = WorkingPrecision(30)
         calls = []
 
@@ -875,15 +875,29 @@ class TestTwoPassHScan:
             return h_table(*args)
 
         monkeypatch.setattr(cmdeg, "h_table", counted)
-        for grid, redone in ((LogGrid("0.0503", 1e3, 40), False),
-                             (LogGrid(2e3, 1e6, 6), True)):
+        passes = oracles.h_table_passes(monkeypatch)
+        for grid in (LogGrid("0.0503", 1e3, 40), LogGrid(2e3, 1e6, 6)):
             calls.clear()
+            passes.clear()
             oracle = HOracle(8, prec)
             got = check_sign_pattern(oracle, grid, 8, prec)
-            assert got == oracles.one_pass_h_sign_pattern(grid, 8, prec)
-            assert bool(calls) == redone
             with prec.workdps():
-                for t in grid.values(prec):
+                ts = grid.values(prec)
+            balls = [
+                (t, ((-1) ** n * mid, rad, x))
+                for n in range(9)
+                for t in ts
+                for mid, rad, x in [oracle.balls(t)[n]]
+            ]
+            assert sorted(calls) == sorted(set(oracles.ball_candidates(balls)))
+            assert sorted(passes) == sorted(calls)
+            for digits in passes.values():
+                assert digits[0] == prec.digits
+                assert digits == sorted(set(digits))
+                assert len(digits) <= _MAX_RAISES + 1
+            assert got == oracles.one_pass_h_sign_pattern(grid, 8, prec)
+            with prec.workdps():
+                for t in ts:
                     assert oracle.table(t) == h_table(0, 8, t, prec)
 
 

@@ -29,6 +29,7 @@ from cmcheck.inequalities import (
     DEFAULT_TRIGAMMA_GRID,
     FPOLY_FORMS,
     _difference_bound,
+    _h_minus_one_ball,
 )
 from cmcheck.laurent import h_balls
 from cmcheck.specfun import to_mpf
@@ -222,9 +223,10 @@ class TestInequalityScans:
             assert check_ineq_bessel(grid, prec) == oracles.one_pass_bessel(grid, prec)
 
     def test_thirty_digit_margins_come_from_the_balls(self, monkeypatch):
-        # at 30 digits the balls' parts are h_table's own, so the scan sums
-        # no second table; h itself, order 0, never cancels past
-        # _CANCEL_BITS, as h ~ e^(1/t) for small t and h ~ 1 for large t
+        # the scan sums h at prec only at ball_minimum's candidates, as picked
+        # from the 30-digit balls of h - 1 alone, each in one pass: h itself,
+        # order 0, never cancels, as h ~ e^(1/t) for small t and h ~ 1 for
+        # large t, so no table is raised
         prec = WorkingPrecision(30)
         calls = []
 
@@ -233,10 +235,17 @@ class TestInequalityScans:
             return h_function(t, prec)
 
         monkeypatch.setattr(inequalities, "h_function", counted)
+        passes = oracles.h_table_passes(monkeypatch)
         for grid in (LogGrid(1e-2, 100, 40), LogGrid("1e-3", "1e6", 25)):
+            calls.clear()
+            passes.clear()
             got = check_ineq_trigamma(grid, prec)
+            with prec.workdps():
+                ts = grid.values(prec)
+            balls = [(t, _h_minus_one_ball(t, prec)) for t in ts]
+            assert calls == oracles.ball_candidates(balls)
+            assert passes == {t: [prec.digits] for t in calls}
             assert got == oracles.one_pass_trigamma(grid, prec)
-        assert calls == []
 
 
 class TestDifferenceBound:

@@ -40,7 +40,7 @@ from cmcheck.laurent import (
     h_balls,
     hk_sums,
 )
-from cmcheck.specfun import _SERIES_LIMIT, _dyadic, polygamma_fixed
+from cmcheck.specfun import _MAX_RAISE_DIGITS, _SERIES_LIMIT, _dyadic, polygamma_fixed
 
 PREC = DEFAULT_PRECISION
 
@@ -570,46 +570,74 @@ class TestHTable:
                     bound = eps * (abs(want) + abs(exp_part) + abs(psi)) + stop * abs(psi)
                     assert abs(got - want) <= bound, (i, t)
 
+    @staticmethod
+    def assert_refused_past_the_raises(failure, t, prec):
+        # h^(i)(t), i >= 1, cancels about 3 log10 t digits, so a refusal
+        # may only come where that passes the working digits and the first
+        # raise, every working digit and digits + 5 or the ceiling
+        assert failure.operation == "h_table"
+        assert failure.inputs == {"t": t}
+        assert failure.detail.startswith("error radius")
+        first = min(prec.working_dps + prec.digits + 5, _MAX_RAISE_DIGITS)
+        with mp.workdps(30):
+            assert 3 * mp.log10(t) > prec.working_dps + first, t
+
     @pytest.mark.parametrize("digits", (30, 50, 100))
     def test_large_t_keeps_its_digits(self, digits):
-        # past t = 1e3 the two parts cancel more than 10 of the 15 guard
-        # digits, and the table is redone at a precision raised by as many
+        # the parts cancel about 3 log10 t digits, 10 at t = 1e3, which the
+        # table takes again at raised digits; the references are at three
+        # times the digits plus that cancellation
         prec = WorkingPrecision(digits)
         with prec.workdps():
             stop = prec.series_stop
-            ts = [mp.mpf(t) for t in ("1e4", "1e6", "1e9")]
+            ts = [
+                mp.mpf(t)
+                for t in ("1e3", "1e4", "1e6", "1e9", "1e25", "1e40", "1e80", "1e300")
+            ]
         for t in ts:
-            table = h_table(0, 8, t, prec)
-            with mp.workdps(3 * prec.working_dps):
+            try:
+                table = h_table(0, 8, t, prec)
+            except NumericFailure as failure:
+                self.assert_refused_past_the_raises(failure, t, prec)
+                continue
+            with mp.workdps(3 * prec.working_dps + 4 * int(mp.log10(t))):
                 for i, got in enumerate(table):
                     exp_part, psi = self.parts(i, t)
                     want = exp_part - psi
                     assert abs(got - want) <= stop * abs(want), (i, t)
 
     def test_huge_t_stays_cheap(self):
-        # every integer keeps about wq bits however large t is, so these
-        # take milliseconds; an integer that grew with log t would take
-        # seconds at t = 1e100000
+        # every integer keeps about wq bits however large t is, and an h
+        # table that three raises cannot settle is refused, so these take
+        # milliseconds
         prec = WorkingPrecision(30)
         with prec.workdps():
             eps = mp.ldexp(1, 1 - mp.prec)
+            stop = prec.series_stop
             ts = [mp.mpf(t) for t in ("1e300", "1e5000", "1e100000")]
         for t in ts:
             start = time.process_time()
-            table = h_table(0, 8, t, prec)
             psi = polygamma_range(1, 9, t, prec)
+            try:
+                table = h_table(0, 8, t, prec)
+            except NumericFailure as failure:
+                self.assert_refused_past_the_raises(failure, t, prec)
+                table = None
             assert time.process_time() - start < 1, t
             with prec.workdps():
-                assert all(mp.isfinite(v) for v in table + psi)
+                assert all(mp.isfinite(v) for v in psi)
                 for n, value in enumerate(psi, 1):
                     # psi^(n)(t) = (-1)^(n+1) (n-1)!/t^n (1 + n/(2t) + ...)
                     lead = (-1) ** (n + 1) * mp.factorial(n - 1) / t**n
                     assert abs(value / lead - 1) <= eps, (n, t)
-                # h = 1 + O(t^-4); each h^(i) with i >= 1 is far below the
-                # cancellation bound i! t^-(i+1) eps of its two parts
-                assert abs(table[0] - 1) <= eps
+                if table is None:
+                    continue
+                # h = 1 + t^-4/24 + O(t^-5), so h^(i) = (-1)^i (i+3)!/144
+                # t^-(i+4) (1 + O(1/t)) for i >= 1: correct to the stop
+                assert abs(table[0] - 1) <= stop
                 for i, value in enumerate(table[1:], 1):
-                    assert abs(value) <= 4 * mp.factorial(i) / t ** (i + 1) * eps, (i, t)
+                    lead = (-1) ** i * mp.factorial(i + 3) / 144 / t ** (i + 4)
+                    assert abs(value / lead - 1) <= stop, (i, t)
 
     def test_domain(self):
         with pytest.raises(ValueError):

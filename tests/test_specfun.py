@@ -24,7 +24,14 @@ from cmcheck import (
     shifted_factorial,
     to_mpf,
 )
-from cmcheck.specfun import _series_1f2, _series_sums, polygamma_fixed
+from cmcheck.specfun import (
+    _MAX_RAISE_DIGITS,
+    _MAX_RAISES,
+    _series_1f2,
+    _series_sums,
+    polygamma_fixed,
+    refine,
+)
 
 PREC = DEFAULT_PRECISION
 
@@ -545,6 +552,60 @@ def hyp1f2_batch(b1, b2, ts, prec):
             "hyp1f2",
             [{"b1": b1, "b2": b2, "t": t} for t in ts],
         )
+
+
+class TestRefine:
+    """refine, the one rule by which a value too wide for its digits is
+    taken again at more digits, on scripted balls."""
+
+    @staticmethod
+    def run(widths, digits=30):
+        """refine over balls of mid 10^3000 and radius 10^(3000 + w), w the
+        next of widths at each pass (None: a ball that holds 0); returns the
+        digits of every pass."""
+        levels = []
+        widths = iter(widths)
+
+        def evaluate(level):
+            levels.append(level.digits)
+            width = next(widths)
+            mid = 10**3000 if width is not None else 0
+            return "value", [(mid, 10 ** (3000 + (width or 0)))]
+
+        assert refine(evaluate, WorkingPrecision(digits), "op", x=1) == "value"
+        return levels
+
+    def test_a_radius_at_the_threshold_takes_one_pass(self):
+        assert self.run([-33]) == [30]
+        assert self.run([-53], digits=50) == [50]
+
+    def test_a_wider_radius_raises_by_the_digits_lost(self):
+        # 10^-32 of the value at 30 digits: -32 + 30 + 5 more digits
+        assert self.run([-32, -40]) == [30, 33]
+        assert self.run([-20, -33]) == [30, 45]
+
+    def test_a_ball_that_holds_0_raises_by_every_working_digit(self):
+        # its digits lost are taken as the 45 working digits at 30
+        assert self.run([None, -40]) == [30, 30 + 45 + 35]
+        assert self.run([0, -40]) == [30, 30 + 45 + 35]
+
+    def test_refuses_after_the_last_raise(self):
+        with pytest.raises(NumericFailure) as failure:
+            self.run([-32] * (_MAX_RAISES + 1))
+        assert failure.value.operation == "op"
+        assert failure.value.inputs == {"x": 1}
+        assert failure.value.detail.startswith("error radius")
+        assert f"after {_MAX_RAISES} raises" in failure.value.detail
+
+    def test_a_raise_adds_at_most_the_ceiling(self):
+        # a ball that holds 0 at d digits calls for (d + 15) + d + 5 more,
+        # and a ball 10^-2 of its value at d digits for d + 3 more
+        top = _MAX_RAISE_DIGITS
+        digits = (top - 20) // 2
+        assert self.run([None, -900], digits) == [digits, 3 * digits + 20]
+        assert self.run([None, -900], digits + 1) == [digits + 1, digits + 1 + top]
+        assert self.run([-2, -1100], top - 3) == [top - 3, 2 * top - 3]
+        assert self.run([-2, -1100], top) == [top, 2 * top]
 
 
 class TestSeriesBatches:
