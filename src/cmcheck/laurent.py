@@ -38,6 +38,7 @@ from mpmath.libmp import from_int, mpf_div, mpf_exp, round_nearest
 
 from .specfun import (
     DEFAULT_PRECISION,
+    GUARD_DIGITS,
     NumericFailure,
     _GUARD_BITS,
     _SERIES_LIMIT,
@@ -427,30 +428,33 @@ def h_table(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
     give E within 2^-(mp.prec+1) relative (_exp_recip_fixed: one rounding
     of mp.exp and a few units per fixed-point power) and P within
     (i+1) 2^-(mp.prec+21) relative (polygamma_fixed, less its truncation at
-    series_stop).  Both integers have at least wq - log2(i+1) bits, wq >=
-    mp.prec + 32, so shifting the finer one to the coarser scale costs
-    under (i+1) 2^-wq of the part at that scale, and the mpf conversion
-    rounds h^(i) once.  So for i < 512 one pass gives h^(i) within
+    the series stop S of its policy).  Both integers have at least wq -
+    log2(i+1) bits, wq >= mp.prec + 32, so shifting the finer one to the
+    coarser scale costs under (i+1) 2^-wq of the part at that scale, and
+    the mpf conversion rounds h^(i) once.  So for i < 512 one pass gives
+    h^(i) within
 
-        2^-mp.prec (|h^(i)| + |E| + |P|) + series_stop |P|.
+        2^-mp.prec (|h^(i)| + |E| + |P|) + S |P|.
 
     The subtraction cancels about log10((|E| + |P|) / |h^(i)|) digits,
-    which grows like 3 log10 t at large t for i >= 1.  The pass is the
-    integer mid of h_balls at prec's own digits, whose radius covers this
+    about 3 log10 t at large t for i >= 1, and S is relative to |P|, so P
+    is summed one digit further per bit of t's exponent, at most
+    GUARD_DIGITS: one pass settles every table to about t = 3e3.  The pass
+    is the integer mid of _h_balls at its digits, whose radius covers this
     bound; where any order's radius exceeds |mid| 10^-(digits+3) the table
     is taken again at raised digits (specfun.refine) and rounded at prec.
-    A table that three raises cannot settle is refused with
-    NumericFailure("h_table", ..., t=t): from about t = 1e190 on at 30
-    digits, where a ball that holds 0 takes a raise of every working digit
-    plus digits + 5.
+    A table that three raises cannot settle is refused with NumericFailure
+    ("h_table", ..., t=t): for i >= 1 from about t = 10^(7 digits/3 + 4).
     """
     if not isinstance(i_lo, int) or not isinstance(i_hi, int) or not 0 <= i_lo <= i_hi:
         raise ValueError(f"need integers 0 <= i_lo <= i_hi, got {i_lo!r}, {i_hi!r}")
     with prec.workdps():
         t = to_mpf(t)
+    more = min(max(t._mpf_[2] + t._mpf_[3], 0), GUARD_DIGITS)
 
     def evaluate(level):
-        balls = h_balls(i_lo, i_hi, t, level, level.digits)
+        psi = replace(level, digits=level.digits + more)
+        balls = _h_balls(i_lo, i_hi, t, level, psi, psi)
         return balls, [(mid, rad) for mid, rad, _ in balls]
 
     balls = refine(evaluate, prec, "h_table", t=t)
@@ -485,19 +489,36 @@ def h_balls(i_lo, i_hi, t, prec=DEFAULT_PRECISION, digits=BALL_DIGITS):
     None where _ball_precision(prec, digits) is None or the table at digits
     raises NumericFailure: the caller then evaluates h_table at prec, so
     any failure it reports is the one there.  With digits = prec.digits
-    the balls are the table's at prec itself, which settle a sign that the
-    30-digit balls leave undecided, and there a failure, or a series stop
-    past the radius proof, raises NumericFailure.  t is converted at prec
-    and never rounded again, so both passes of a scan evaluate the same t.
-    E_i 2^x_i ~ d^i/dt^i e^(1/t) and P_i 2^x_i ~ psi^(i+1)(t) come from
-    _exp_recip_fixed and polygamma_fixed at digits, whose working precision
-    has p >= 153 bits (prec's has P >= p bits), each pair shifted to the
-    coarser of its two scales, and H_i = E_i - P_i.
+    the balls are a table at prec itself, which settle a sign that the
+    30-digit balls leave undecided, and there a failure raises
+    NumericFailure.  t is converted at prec and never rounded again, so
+    both passes of a scan evaluate the same t.
+    """
+    with prec.workdps():
+        t = to_mpf(t)
+    if digits == prec.digits:
+        return _h_balls(i_lo, i_hi, t, prec, prec, prec)
+    ball = _ball_precision(prec, digits)
+    if ball is None:
+        return None
+    try:
+        return _h_balls(i_lo, i_hi, t, ball, ball, prec)
+    except NumericFailure:
+        return None
+
+
+def _h_balls(i_lo, i_hi, t, ball, psi, prec):
+    """h_balls' integers for an mpf t: E_i 2^x_i ~ d^i/dt^i e^(1/t) from
+    _exp_recip_fixed at ball's working precision, of p >= 153 bits, and
+    P_i 2^x_i ~ psi^(i+1)(t) from polygamma_fixed at psi, each pair shifted
+    to the coarser of its two scales, and H_i = E_i - P_i; psi and prec
+    have P >= p bits (h_table passes psi as prec: its value is the mid).
 
     Radius.  In units u = 2^x_i, with E and P the exact parts of order i,
-    s and S the series stops at digits and at prec (each <= 2^-80,
-    S <= s, and no larger at the raised digits of h_table, as
-    WorkingPrecision's falls with its digits), and i < 512:
+    s and S the series stops of psi and of prec, each <= 2^-80 (else
+    NumericFailure("h_balls", ...)), and i < 512: S bounds the stop of
+    h_table at prec, whose polygamma runs at prec's digits or more, and at
+    its raised digits, as WorkingPrecision's stop falls with its digits.
     - the ball's own error (h_table's bound without its final rounding):
       E_i within 2^-(p+1) |E| + u, P_i within (i+1) 2^-(p+21) |P| + s |P|
       + u, the u for the shift to the coarser scale;
@@ -515,30 +536,20 @@ def h_balls(i_lo, i_hi, t, prec=DEFAULT_PRECISION, digits=BALL_DIGITS):
     of room for those factors, and the 4 units are the two floors and the
     two shifts.
     """
-    own = digits == prec.digits
-    ball = _ball_precision(prec, digits)
-    if ball is None:
-        if own:
-            raise NumericFailure("h_balls", "series stop past the radius proof", t=t)
-        return None
     with prec.workdps():
-        t = to_mpf(t)
-        if t <= 0:
-            raise ValueError(f"t must be positive, got {t}")
         s_full, e_full = _dyadic(prec.series_stop)
+    with psi.workdps():
+        s_psi, e_psi = _dyadic(psi.series_stop)
+    if s_full << 80 > 1 << e_full or s_psi << 80 > 1 << e_psi:
+        raise NumericFailure("h_balls", "series stop past the radius proof", t=t)
+    # polygamma_fixed first: it refuses a t <= 0
+    psis = polygamma_fixed(i_lo + 1, i_hi + 1, t, psi)
     with ball.workdps():
         bits = mp.prec
-        s_ball, e_ball = _dyadic(ball.series_stop)
-        try:
-            exps = _exp_recip_fixed(i_lo, i_hi, t)
-            psis = polygamma_fixed(i_lo + 1, i_hi + 1, t, ball)
-        except NumericFailure:
-            if own:
-                raise
-            return None
+        exps = _exp_recip_fixed(i_lo, i_hi, t)
     # s + S = s_num / 2^s_e exactly
-    s_e = max(e_ball, e_full)
-    s_num = (s_ball << s_e - e_ball) + (s_full << s_e - e_full)
+    s_e = max(e_psi, e_full)
+    s_num = (s_psi << s_e - e_psi) + (s_full << s_e - e_full)
     balls = []
     for (e, e_exp), (p, p_exp) in zip(exps, psis):
         x = max(e_exp, p_exp)

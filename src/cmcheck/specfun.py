@@ -59,9 +59,6 @@ def ball_sign(mid, rad, operation=None, **inputs):
 
 # precision raises that refine takes before it refuses
 _MAX_RAISES = 3
-# the most digits one raise adds, so no pass runs past 3000 digits more
-# than asked for; h^(i)(t), i >= 1, cancels about 3 log10 t of them
-_MAX_RAISE_DIGITS = 1000
 
 
 def refine(evaluate, prec, operation, **inputs):
@@ -74,9 +71,10 @@ def refine(evaluate, prec, operation, **inputs):
     not, result is taken again at level's digits raised by the digits lost,
     ceil(log10(rad/|mid|)) at the widest ball or every working digit of
     level where a ball holds 0, plus prec's digits + 5, but by at most
-    _MAX_RAISE_DIGITS.  A ball still too wide after _MAX_RAISES raises
-    refuses with NumericFailure(operation, "error radius ...") naming the
-    inputs.
+    level's digits: a raise at most doubles them, so the last of
+    _MAX_RAISES raises runs at no more than 8 times prec's digits.  A ball
+    still too wide there refuses with NumericFailure(operation, "error
+    radius ...") naming the inputs.
     """
     scale = 10 ** (prec.digits + 3)
     level = prec
@@ -88,7 +86,7 @@ def refine(evaluate, prec, operation, **inputs):
                 return result
             worst = max(mp.mpf(rad) / abs(mid) if mid else mp.inf for mid, rad in wide)
             lost = level.working_dps if worst >= 1 else int(mp.ceil(mp.log10(worst)))
-        more = min(lost + prec.digits + 5, _MAX_RAISE_DIGITS)
+        more = min(lost + prec.digits + 5, level.digits)
         level = replace(level, digits=level.digits + more)
     raise NumericFailure(
         operation,

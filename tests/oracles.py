@@ -525,14 +525,17 @@ def ball_candidates(balls):
 
 def h_table_passes(monkeypatch):
     """{t: [digits of each pass]} of every h_table call from here on: the
-    balls at the table's own digits that it takes, first at prec and then at
-    each raise."""
+    levels at which refine has it take its balls, first prec's and then
+    each raise's."""
     passes = {}
-    balls = laurent.h_balls
+    refine = laurent.refine
 
-    def recorded(i_lo, i_hi, t, prec, digits):
-        passes.setdefault(t, []).append(digits)
-        return balls(i_lo, i_hi, t, prec, digits)
+    def recorded(evaluate, prec, operation, **inputs):
+        def counted(level):
+            passes.setdefault(inputs["t"], []).append(level.digits)
+            return evaluate(level)
 
-    monkeypatch.setattr(laurent, "h_balls", recorded)
+        return refine(counted, prec, operation, **inputs)
+
+    monkeypatch.setattr(laurent, "refine", recorded)
     return passes

@@ -866,7 +866,8 @@ class TestTwoPassHScan:
     def test_thirty_digit_tables_come_from_the_balls(self, monkeypatch):
         # the scan sums a table at prec only at the points of ball_minimum's
         # candidates, as picked from the 30-digit balls alone, and each of
-        # those takes at most _MAX_RAISES raises (one at t = 1e3 and past it)
+        # those takes at most _MAX_RAISES raises (none up to t = 3e3, one
+        # past it)
         prec = WorkingPrecision(30)
         calls = []
 

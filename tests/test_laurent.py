@@ -40,7 +40,7 @@ from cmcheck.laurent import (
     h_balls,
     hk_sums,
 )
-from cmcheck.specfun import _MAX_RAISE_DIGITS, _SERIES_LIMIT, _dyadic, polygamma_fixed
+from cmcheck.specfun import _SERIES_LIMIT, _dyadic, polygamma_fixed
 
 PREC = DEFAULT_PRECISION
 
@@ -572,15 +572,27 @@ class TestHTable:
 
     @staticmethod
     def assert_refused_past_the_raises(failure, t, prec):
-        # h^(i)(t), i >= 1, cancels about 3 log10 t digits, so a refusal
-        # may only come where that passes the working digits and the first
-        # raise, every working digit and digits + 5 or the ceiling
+        # h^(i)(t), i >= 1, cancels about 3 log10 t digits, and each of the
+        # three raises at most doubles the digits, so a refusal may only
+        # come where that passes 7 times the digits, the ones left at the
+        # last raise's 8 times
         assert failure.operation == "h_table"
         assert failure.inputs == {"t": t}
         assert failure.detail.startswith("error radius")
-        first = min(prec.working_dps + prec.digits + 5, _MAX_RAISE_DIGITS)
         with mp.workdps(30):
-            assert 3 * mp.log10(t) > prec.working_dps + first, t
+            assert 3 * mp.log10(t) > 7 * prec.digits, t
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_one_pass_up_to_three_thousand(self, digits, monkeypatch):
+        # psi^(i+1) is summed one digit further per bit of t's exponent, so
+        # its truncation stays under the cancellation and no table is raised
+        prec = WorkingPrecision(digits)
+        passes = oracles.h_table_passes(monkeypatch)
+        with prec.workdps():
+            ts = [mp.mpf(t) for t in ("0.05", "1", "2", "10", "99.5", "1e3", "3e3")]
+        for t in ts:
+            h_table(0, 8, t, prec)
+        assert passes == {t: [digits] for t in ts}
 
     @pytest.mark.parametrize("digits", (30, 50, 100))
     def test_large_t_keeps_its_digits(self, digits):

@@ -25,7 +25,6 @@ from cmcheck import (
     to_mpf,
 )
 from cmcheck.specfun import (
-    _MAX_RAISE_DIGITS,
     _MAX_RAISES,
     _series_1f2,
     _series_sums,
@@ -560,7 +559,7 @@ class TestRefine:
 
     @staticmethod
     def run(widths, digits=30):
-        """refine over balls of mid 10^3000 and radius 10^(3000 + w), w the
+        """refine over balls of mid 10^9000 and radius 10^(9000 + w), w the
         next of widths at each pass (None: a ball that holds 0); returns the
         digits of every pass."""
         levels = []
@@ -569,8 +568,8 @@ class TestRefine:
         def evaluate(level):
             levels.append(level.digits)
             width = next(widths)
-            mid = 10**3000 if width is not None else 0
-            return "value", [(mid, 10 ** (3000 + (width or 0)))]
+            mid = 10**9000 if width is not None else 0
+            return "value", [(mid, 10 ** (9000 + (width or 0)))]
 
         assert refine(evaluate, WorkingPrecision(digits), "op", x=1) == "value"
         return levels
@@ -584,10 +583,11 @@ class TestRefine:
         assert self.run([-32, -40]) == [30, 33]
         assert self.run([-20, -33]) == [30, 45]
 
-    def test_a_ball_that_holds_0_raises_by_every_working_digit(self):
-        # its digits lost are taken as the 45 working digits at 30
-        assert self.run([None, -40]) == [30, 30 + 45 + 35]
-        assert self.run([0, -40]) == [30, 30 + 45 + 35]
+    def test_a_ball_that_holds_0_doubles_the_digits(self):
+        # its digits lost, the 45 working digits at 30, and 35 more would
+        # add 80; a raise adds at most the level's digits
+        assert self.run([None, -40]) == [30, 60]
+        assert self.run([0, None, None, -40]) == [30, 60, 120, 240]
 
     def test_refuses_after_the_last_raise(self):
         with pytest.raises(NumericFailure) as failure:
@@ -597,15 +597,17 @@ class TestRefine:
         assert failure.value.detail.startswith("error radius")
         assert f"after {_MAX_RAISES} raises" in failure.value.detail
 
-    def test_a_raise_adds_at_most_the_ceiling(self):
-        # a ball that holds 0 at d digits calls for (d + 15) + d + 5 more,
-        # and a ball 10^-2 of its value at d digits for d + 3 more
-        top = _MAX_RAISE_DIGITS
-        digits = (top - 20) // 2
-        assert self.run([None, -900], digits) == [digits, 3 * digits + 20]
-        assert self.run([None, -900], digits + 1) == [digits + 1, digits + 1 + top]
-        assert self.run([-2, -1100], top - 3) == [top - 3, 2 * top - 3]
-        assert self.run([-2, -1100], top) == [top, 2 * top]
+    def test_a_raise_adds_at_most_the_level_digits(self):
+        # a ball 10^w of its value at d digits calls for d + 5 + w more
+        assert self.run([-6, -40]) == [30, 59]
+        assert self.run([-4, -40]) == [30, 60]
+        assert self.run([-4, -3, -40]) == [30, 60, 92]
+
+    def test_high_digits_raise_past_a_thousand(self):
+        # 5000 digits that fall 3588 short take one raise of 3590 digits,
+        # and a ball that holds 0 there one of 5000
+        assert self.run([-1415, -5003], 5000) == [5000, 8590]
+        assert self.run([None, -5003], 5000) == [5000, 10000]
 
 
 class TestSeriesBatches:
