@@ -1,0 +1,78 @@
+"""The golden scan reports: fixed verify-cm commands with their reports.
+
+Each entry of golden_reports.json is one command's exit code and its JSON
+report, elapsed_seconds masked to null.  test_golden.py reruns every
+command in process and compares its report byte for byte; a change that
+means to alter a report rewrites the corpus with
+
+    PYTHONPATH=src python tests/golden.py
+
+and names every changed byte in its description.  The corpus applies to
+mpmath's pure-Python backend, on which it was written.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_reports.json")
+
+
+def commands():
+    """Every command of the corpus, each an argv list for cli.main."""
+    out = []
+    for digits in ("30", "50", "100"):
+        for k in range(5):
+            for r in (str(k + 1), f"{4 * k + 5}/4"):
+                out.append(
+                    ["verify-cm", "--target", "hk", "--k", str(k), "--r", r,
+                     "--grid-min", "0.0101", "--grid-points", "40", "--digits", digits]
+                )
+    for r in ("3", "13/4"):
+        out.append(
+            ["verify-cm", "--target", "hk", "--k", "2", "--r", r,
+             "--grid-min", "0.0101", "--grid-points", "20", "--digits", "500"]
+        )
+    for digits in ("30", "50", "100"):
+        out.append(["verify-cm", "--target", "h", "--digits", digits])
+    # the exp route's budget exhausted: exit 3 with its record
+    out.append(
+        ["verify-cm", "--target", "hk", "--k", "0", "--grid-min", "1e-100",
+         "--grid-points", "5", "--digits", "50"]
+    )
+    return out
+
+
+def run(argv):
+    """(exit code, report) of cli.main(argv) in process, elapsed_seconds
+    masked to None."""
+    from cmcheck.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    report = json.loads(out.getvalue())
+    report["elapsed_seconds"] = None
+    return code, report
+
+
+def render(corpus):
+    """The corpus file's text."""
+    return json.dumps(corpus, indent=1) + "\n"
+
+
+def generate():
+    """{command line: {"exit": code, "report": report}} over commands()."""
+    corpus = {}
+    for argv in commands():
+        code, report = run(argv)
+        corpus[" ".join(argv)] = {"exit": code, "report": report}
+    return corpus
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, os.path.join(os.path.dirname(CORPUS), os.pardir, "src"))
+    with open(CORPUS, "w") as handle:
+        handle.write(render(generate()))
