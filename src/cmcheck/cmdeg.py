@@ -16,14 +16,16 @@ radius.  Every sign is read by one rule, specfun.ball_sign: a value and
 its error ball are positive or negative where the ball lies on one side of
 0, and undecided, refused with NumericFailure, where it holds 0.  A
 bisection step reads every sign from an integer bracket and builds no mpf
-value (ScaledDerivative.passes).  The sign scans of h (HOracle) and of
-t^r H_k (ScaledDerivative) take two passes: one 30-digit table per grid
-point gives every derivative there as an integer ball that holds its value
-at the digits asked for (h_balls, and for H_k the Leibniz bracket over
-30-digit hk_sums times an integer factor), and ball_minimum evaluates at
-those digits only the values whose balls do not lie above 0, each judged
-by its ball there, and the candidates for the minimum.  Any other oracle
-goes through the same walk with no balls, each value a ball of radius 0.
+value (ScaledDerivative.passes).  The sign scans of h (HOracle) take two
+passes: one 30-digit table per grid point gives every derivative there as
+an integer ball that holds its value at the digits asked for (h_balls),
+and ball_minimum evaluates at those digits only the values whose balls do
+not lie above 0, each judged by its ball there, and the candidates for
+the minimum.  The sign scans of t^r H_k (ScaledDerivative) take the same
+walk in one pass: each ball is the bracket over the hk_sums that a
+bisection step reads, times an integer factor, so every sign is that
+bracket's.  Any other oracle goes through the same walk with no balls,
+each value a ball of radius 0.
 A grid scan can only certify failure (a witness) or survive it (no claim
 beyond the grid), so the result is a bracket, never an attained value.
 scaled_remainder_derivative, the one value of t^r H_k that eval prints,
@@ -40,16 +42,7 @@ from typing import Optional
 
 from mpmath import mp
 
-from .laurent import (
-    _ball_precision,
-    _hk_fits,
-    _hk_lead,
-    _hk_scale_bits,
-    _lah_rows,
-    h_balls,
-    h_table,
-    hk_sums,
-)
+from .laurent import _hk_lead, h_balls, h_table, hk_sums
 from .specfun import (
     DEFAULT_PRECISION,
     NumericFailure,
@@ -130,11 +123,12 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
     surface as NumericFailure tagged with the offending (n, t).
 
     The walk is ball_minimum's, so its report is the one-pass walk's that
-    evaluates every (n, t) it reaches.  An oracle with balls, an HOracle or
-    a ScaledDerivative, has its 30-digit balls settle every sign they can
-    up to its max_order, and only the rest, with the candidates for the
-    minimum, are evaluated at prec, where the oracle's judge(n, t) reads
-    the sign from its ball there; any other callable, and any order past
+    evaluates every (n, t) it reaches.  An oracle with balls, an HOracle
+    (30-digit balls) or a ScaledDerivative (balls from its brackets at
+    prec), has its balls settle every sign they can up to its max_order,
+    and only the rest, with the candidates for the minimum, are evaluated
+    at prec, where the oracle's judge(n, t) reads the sign from its ball
+    there; any other callable, and any order past
     the oracle's max_order, is evaluated at every key the walk reaches, its
     value a ball of radius 0.
     """
@@ -191,10 +185,19 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
 
 
 def _below(a, x, b, y):
-    """a 2^x < b 2^y, exactly, for integers a, b, x and y."""
-    if x > y:
-        return a << x - y < b
-    return a < b << y - x
+    """a 2^x < b 2^y, exactly, for integers a, b, x and y.  Where the shift
+    to the common exponent reaches past the other integer's bits, the
+    shifted side is the larger in magnitude unless 0, and its sign decides,
+    so no shift is longer than the integers."""
+    if x >= y:
+        shift = x - y
+        if a and shift >= b.bit_length():
+            return a < 0
+        return a << shift < b
+    shift = y - x
+    if b and shift >= a.bit_length():
+        return b > 0
+    return a < b << shift
 
 
 def ball_minimum(keys, ball, exact, judge=None):
@@ -218,8 +221,8 @@ def ball_minimum(keys, ball, exact, judge=None):
     evaluated in walk order in a second walk, and the first value smaller
     than all before it is kept, as the one-pass walk's strict < keeps it:
     least, its key, count and stopped equal that walk's.  Every comparison
-    of balls is exact, in integers at a common binary exponent; an
-    evaluated value enters as the ball of radius 0 at its mpf's own dyadic.
+    of balls is exact (_below), and an evaluated value enters as the ball
+    of radius 0 at its mpf's own mantissa and exponent.
     """
     walked = []  # (key, ball, value or None)
     top = top_x = None  # the smallest upper end so far
@@ -232,8 +235,8 @@ def ball_minimum(keys, ball, exact, judge=None):
             value = exact(key)
             if sign == 0:
                 sign = judge(key, value)
-            num, e = _dyadic(value)
-            b = (num, 0, -e)
+            negative, man, e, _ = value._mpf_
+            b = (-man if negative else man, 0, e)
         walked.append((key, b, value))
         mid, rad, x = b
         if top is None or _below(mid + rad, x, top, top_x):
@@ -360,8 +363,7 @@ class ScaledTailOracle(TableCache):
         (-1)^n d^n/dt^n [t^r H_k(t)] = t^(r-n) lead sum_j C(n,j) (-r)^(j) T_(n-j),
 
     so a step to another r sums no series: ScaledDerivative evaluates the
-    bracket in integers.  The scans' first pass reads ball_sums(t), kept
-    like the tables.
+    bracket in integers.
     """
 
     def __init__(self, k, max_order, prec=DEFAULT_PRECISION):
@@ -372,30 +374,6 @@ class ScaledTailOracle(TableCache):
         super().__init__(lambda t: hk_sums(k, t, max_order, prec), max_order, prec)
         self.k = k
         self._factors = {}
-        self._ball_sums = {}
-
-    def ball_sums(self, t):
-        """hk_sums of t at _ball_precision(prec), the table itself at 30
-        digits, or None; kept per t.
-
-        None where there is no ball precision, where that sum raises
-        NumericFailure, or where the sum at prec might exhaust the series
-        budget (_hk_fits): such a point is evaluated at prec, so every
-        failure a scan reports is the one there.
-        """
-        sums = self._ball_sums.get(t, self)
-        if sums is self:
-            ball = _ball_precision(self.prec)
-            sums = None
-            try:
-                if ball == self.prec:
-                    sums = self.table(t)
-                elif ball is not None and _hk_fits(self.k, t, self.max_order, self.prec):
-                    sums = hk_sums(self.k, t, self.max_order, ball)
-            except NumericFailure:
-                pass
-            self._ball_sums[t] = sums
-        return sums
 
     def at(self, r):
         """The oracle(n, t) = d^n/dt^n [t^r H_k(t)] for check_sign_pattern."""
@@ -446,9 +424,9 @@ class ScaledDerivative:
     terms and the rounding of the radius itself, the value v = B F is thus
     within R |F| (1 + eta) + |v| eta of the exact derivative.
 
-    check_sign_pattern walks it in two passes, as an HOracle: balls(t)
-    gives every order at t as an integer ball from one 30-digit sum, and
-    only the values the balls cannot settle are evaluated at prec.
+    check_sign_pattern walks it as an HOracle: balls(t) gives every order
+    at t as an integer ball from the same sums, and only the values the
+    balls cannot settle are evaluated.
     """
 
     def __init__(self, tables, r):
@@ -462,7 +440,7 @@ class ScaledDerivative:
         # a builder that holds no reference to self, as the tables' summer
         self._rows = _Lazy(partial(_coefficient_row, a, self._s))
         self._points = {}
-        self._balls = None  # built by the first scan that asks, never by passes
+        self._balls = {}
 
     @property
     def max_order(self):
@@ -479,92 +457,47 @@ class ScaledDerivative:
         return point
 
     def balls(self, t):
-        """[(H, R, x) for n <= max_order]: d^n/dt^n [t^r H_k(t)] in
-        [H - R, H + R] 2^x, from the ball sums of t (ScaledTailOracle), or
-        None where they are None.  Kept per t.
+        """[(H, rad, x) for n <= max_order]: d^n/dt^n [t^r H_k(t)] and the
+        value v = B F of __call__ both in [H - rad, H + rad] 2^x, from the
+        sums of t at prec that passes reads.  Kept per t.
 
-        Write S', r', exp' for the ball sums, B' = sum_j coeff_j S'_(n-j),
-        R' = sum_j |coeff_j| r'_(n-j), U = sum_j |coeff_j| (S' + r')_(n-j)
-        and V = t^(r-n) lead 2^(exp' - s n) > 0.  By the error radius above
-        at the ball sums, the exact (-1)^n d^n/dt^n [t^r H_k(t)] is V b for
-        a b within R' of B'.
+        With V = t^(r-n) lead 2^(exp - s n) > 0, the exact (-1)^n d^n/dt^n
+        [t^r H_k(t)] is V b for a b within R of B (error radius), and (-1)^n
+        v is within (k + 2n + 8) 2^-P |B| V of V B, P = mp.prec at prec:
+        the factor's k + 2n + 7 roundings and the product's one.
 
-        The value at prec.  v = B F, from the sums at prec, lies within
-        rho = |F| R (1 + eta) + |v| eta of V b, and __call__'s radius is rho
-        rounded up by under 2^-(P-3) relative, P = mp.prec at prec.  hk_sums
-        bounds each radius at prec, times its 2^exp, by (Z + 2^-(P+27)) T_i +
-        (2 l_i + 2) 2^-wp T_0: Z the series stop at prec, l_i the Lah weights
-        (l_0 = 0), wp = _hk_scale_bits().  With T_i <= (S'_i + r'_i) 2^exp'
-        and |F| <= 1.01 V 2^(exp - exp'), so |F| R <= 1.01 V Q with
+        The factor.  V = g 2^y within a relative eps_n = (8 + 4n) 2^-64 of
+        g 2^y, as V = t^(r-k-1-n) 2^(exp - s n) / (k+1)!.  At order 0,
+        t^(r-k-1) at 64 bits (_power; r - k - 1 is exact) is within 2 2^-64,
+        and g is the floor of its mantissa, shifted to over 2^63, over
+        (k+1)!: 2^-63 more.  Each order multiplies g by inv =
+        floor(2^(64+b)/den), b = bitlen(den) and t = den/2^e, within 2^-64 of
+        2^(64+b-e)/t, and shifts it down by 64 bits, within 2^-63 as g stays
+        over 2^63; 2^exp, 2^-s and the rest of 1/t enter y exactly.  So V b
+        lies within (R + eps_n (|B| + R)) g 2^y of B g 2^y, and (-1)^n v
+        within (eps_n + 2^-64) |B| g 2^y, as P >= 153 and k and n are under
+        hk_sums' series budget, so (k + 2n + 8) 2^-P (1 + eps_n) < 2^-64:
 
-            Q = (Z + 2^-(P+27)) U + 2^-wp (S'_0 + r'_0) L_n,
-            L_n = sum_j |coeff_j| (2 l_(n-j) + 2).
+            H = (-1)^n B g,  rad = R g + floor((|B| + R) g (9 + 4n) 2^-64) + 1.
 
-        As |v| <= V U + rho, rho <= 1.02 V Q + 1.01 eta V U, and the distance
-        from V B' to v plus __call__'s radius is under V (R' + 2.1 Q +
-        2.1 eta U) <= V R_V for the integer
-
-            R_V = R' + floor(U omega) + floor((S'_0 + r'_0) 3 L_n 2^-wp) + 2,
-            omega = 3 Z + 3 2^-(P+27) + (k + 2 max_order + 16) 2^-(P-2).
-
-        So V [B' - R_V, B' + R_V] holds the exact value, v, and v less and
-        plus its radius.  P >= 153, and k and max_order are under hk_sums'
-        series budget, so the constants 1.01 and 1.02 hold with room.
-
-        The factor.  V = g 2^y within a relative eps_n = (8 + 4n) 2^-64, as
-        V = t^(r-k-1-n) 2^(exp' - s n) / (k+1)!.  At order 0, t^(r-k-1) at 64
-        bits (_power; r - k - 1 is exact) is within 2 2^-64, and g is the
-        floor of its mantissa, shifted to over 2^63, over (k+1)!: 2^-63
-        more.  Each order multiplies g by inv = floor(2^(64+b)/den), b =
-        bitlen(den) and t = den/2^e, within 2^-64 of 2^(64+b-e)/t, and
-        shifts it down by 64 bits, within 2^-63 as g stays over 2^63;
-        2^exp', 2^-s and the rest of 1/t enter y exactly.  So V b lies
-        within (R_V + eps_n (|B'| + R_V)) g 2^y of B' g 2^y, and
-
-            H = (-1)^n B' g,  R = R_V g + floor((|B'| + R_V) g eps_n) + 1.
-
-        A point costs one pow at 64 bits; an order costs integer sums, one
-        multiply and one shift for its factor, and no mpf.  The orders are
-        built on first use, so a walk that stops at order 1 builds no more.
+        As rad >= R g, a ball above 0 has B > R and one below 0 has B < -R:
+        its sign is ball_sign(B, R), judge's and passes'.  A point costs one
+        pow at 64 bits; an order costs integer sums, one multiply and one
+        shift for its factor, and no mpf.  The orders are built on first
+        use, so a walk that stops at order 1 builds no more.
         """
-        if self._balls is None:
-            self._balls = {}
-            self._ball_terms = self._ball_constants()
-        balls = self._balls.get(t, self)
-        if balls is self:
+        balls = self._balls.get(t)
+        if balls is None:
             balls = self._balls[t] = self._ball_row(t)
         return balls
 
-    def _ball_constants(self):
-        """((k+1)!, r - k - 1, omega as w_num / 2^w_e, wp, [3 L_n for n <=
-        max_order]) of balls."""
-        tables = self.tables
-        bits = tables._guard[0]
-        with tables.prec.workdps():
-            z_num, z_e = _dyadic(tables.prec.series_stop)
-            wp = _hk_scale_bits()
-        exponent = mp.fsub(self.r, tables.k + 1, exact=True)
-        eta = tables.k + 2 * tables.max_order + 16
-        w_e = max(z_e, bits + 27)
-        w_num = (
-            3 * (z_num << w_e - z_e)
-            + (3 << w_e - bits - 27)
-            + (eta << w_e - bits + 2)
-        )
-        weights = [0] + [weight for _, weight in _lah_rows(tables.max_order)]
-        lahs = [
-            3 * sum(c * (2 * weight + 2) for c, weight in zip(self._rows[n][1], weights))
-            for n in range(tables.max_order + 1)
-        ]
-        return factorial(tables.k + 1), exponent, w_num, w_e, wp, lahs
-
     def _ball_row(self, t):
-        """The balls at t by order, each built on first use, or None."""
-        core = self.tables.ball_sums(t)
-        if core is None:
-            return None
-        fact, exponent = self._ball_terms[:2]
+        """The balls at t by order, each built on first use."""
+        tables = self.tables
+        core = tables.table(t)
+        fact = factorial(tables.k + 1)
         with mp.workprec(_FACTOR_BITS):
+            exponent = mp.fsub(self.r, tables.k + 1, exact=True)
             _, man, y, size = _power(t, exponent)._mpf_
         shift = _FACTOR_BITS - size + fact.bit_length()
         factors = [(man << shift) // fact]
@@ -581,7 +514,6 @@ class ScaledDerivative:
                 y + core.exp - shift,
                 e - den.bit_length() - self._s,
                 self._rows,
-                self._ball_terms[2:],
             )
         )
 
@@ -626,9 +558,8 @@ class ScaledDerivative:
         The walk is the scan's, orders outermost and t ascending, up to the
         tables' max_order, and each sign is ball_sign(B, R) of the bracket,
         judge's: B > R passes, B < -R fails and any other raises
-        NumericFailure, in integers, with no factor and no t^r.  A sign
-        that the scan's 30-digit ball settles is settled so here too, as
-        that ball holds the value at prec less and plus its radius (balls).
+        NumericFailure, in integers, with no factor and no t^r: every sign
+        that the scan reads from its balls (balls) or from judge.
 
         rows holds, by position, (S, radii, tops) of the first points of ts
         whose order 0 has passed: hk_sums' sums and radii, and tops[n] =
@@ -689,18 +620,15 @@ def _coefficient_row(a, s, n):
     return coeffs, magnitudes, sum(magnitudes)
 
 
-def _scaled_ball(core, factors, y, step, rows, terms, n):
-    """The ball of order n of ScaledDerivative.balls from the ball sums core,
-    the integer factors g_n at 2^(y + n step) and ScaledDerivative's rows."""
-    sums, radii = core.sums, core.radii
-    w_num, w_e, wp, lahs = terms
+def _scaled_ball(core, factors, y, step, rows, n):
+    """The ball of order n of ScaledDerivative.balls from the sums core at
+    prec, the integer factors g_n at 2^(y + n step) and ScaledDerivative's
+    rows."""
     coeffs, magnitudes, _ = rows[n]
     g = factors[n]
-    bracket = sum(map(mul, coeffs, sums))
-    spread = sum(map(mul, magnitudes, radii))
-    size = sum(map(mul, magnitudes, sums)) + spread
-    spread += (size * w_num >> w_e) + ((sums[0] + radii[0]) * lahs[n] >> wp) + 2
-    slack = (abs(bracket) + spread) * g * (8 + 4 * n) >> _FACTOR_BITS
+    bracket = sum(map(mul, coeffs, core.sums))
+    spread = sum(map(mul, magnitudes, core.radii))
+    slack = (abs(bracket) + spread) * g * (9 + 4 * n) >> _FACTOR_BITS
     mid = bracket * g
     return (-mid if n % 2 else mid), spread * g + slack + 1, y + n * step
 

@@ -30,8 +30,8 @@ from mpmath import mp
 
 from .cmdeg import LogGrid, ball_minimum
 from .laplace import _h_kernel_many
-from .laurent import BALL_DIGITS, h_balls, h_function
-from .specfun import DEFAULT_PRECISION, _dyadic, ball_sign, to_mpf
+from .laurent import BALL_DIGITS, h_balls
+from .specfun import DEFAULT_PRECISION, _dyadic, ball_sign, refine, to_mpf
 
 FPOLY_FORMS = ("A", "B", "C", "D")
 
@@ -151,24 +151,48 @@ def _scan(inequality, grid, ts, ball, margin, judge):
 
 def _h_minus_one_ball(t, prec, digits=BALL_DIGITS):
     """The ball of h(t) - 1 from h_balls at digits, whose radius covers that
-    one rounding, or None where h_balls gives none."""
+    one rounding, or None where h_balls gives none.  Where the unit 2^x of
+    the ball is 2 or more, 1 is less than one unit: the ball of h widened
+    by one unit then holds h - 1 and the values at prec, and no integer as
+    large as h (about e^(1/t)) is formed."""
     balls = h_balls(0, 0, t, prec, digits)
     if balls is None:
         return None
     ((mid, rad, x),) = balls
     if x > 0:
-        mid, rad, x = mid << x, rad << x, 0
+        return mid, rad + 1, x
     return mid - (1 << -x), rad, x
+
+
+def trigamma_margin(t, prec=DEFAULT_PRECISION):
+    """h(t) - 1 for t > 0, to prec's digits of the margin itself.
+
+    The value is the mid of the ball of h - 1 at the level's digits
+    (_h_minus_one_ball), whose radius is proven relative to h ~ 1, not to
+    the margin, 4.2e-10 at t = 100: where it exceeds |mid| 10^-(digits+3)
+    the ball is taken again at raised digits (specfun.refine), and a margin
+    that three raises cannot settle is refused with NumericFailure.
+    """
+    with prec.workdps():
+        t = to_mpf(t)
+
+    def evaluate(level):
+        mid, rad, x = _h_minus_one_ball(t, level, digits=level.digits)
+        return (mid, x), [(mid, rad)]
+
+    mid, x = refine(evaluate, prec, "trigamma_margin", t=t)
+    with prec.workdps():
+        return mp.mpf((mid, x))
 
 
 def check_ineq_trigamma(grid=DEFAULT_TRIGAMMA_GRID, prec=DEFAULT_PRECISION):
     """Scan psi'(t) < e^(1/t) - 1, i.e. margin h(t) - 1 > 0.
 
     At large t the margin decays like 1/(24 t^4), far above its radius on
-    the default grid.  The scan takes two passes: the margin h_function(t)
-    - 1 at prec only where a 30-digit ball (h_balls) leaves t a candidate
-    for the minimum, usually one grid point, or leaves its sign undecided,
-    which the ball of the table at prec then reads.
+    the default grid.  The scan takes two passes: the margin
+    trigamma_margin(t) at prec only where a 30-digit ball (h_balls) leaves
+    t a candidate for the minimum, usually one grid point, or leaves its
+    sign undecided, which the ball of the table at prec then reads.
     """
 
     def judge(t, _):
@@ -179,7 +203,7 @@ def check_ineq_trigamma(grid=DEFAULT_TRIGAMMA_GRID, prec=DEFAULT_PRECISION):
         ts = grid.values(prec)
         ball = partial(_h_minus_one_ball, prec=prec)
         return _scan(
-            "trigamma", grid, ts, ball, lambda t: h_function(t, prec) - 1, judge
+            "trigamma", grid, ts, ball, lambda t: trigamma_margin(t, prec), judge
         )
 
 

@@ -142,9 +142,7 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
     (3M + 2M^2) < 2^-(mp.prec+30).  The ratio is at most 1/2 past the stop
     M, so the tail past it is at most Q_M <= q_M + delta P, with P <= S_0 /
     (1 - delta) the exact partial sum: (*) holds with q = q_M, as T'_0 - S_0
-    <= q_M + 2 delta P.  Nor does the budget need a sum: the terms past
-    m_min at least halve, so the stop comes within b + 1 terms, 2^-b <=
-    series_stop (_hk_fits).
+    <= q_M + 2 delta P.
 
     Exp route, x >= 2(k+1).  There the head's terms increase, so head =
     sum_{m<=k} x^m/m! <= (k+1) x^k/k! <= (k+1)/2 x^(k+1)/(k+1)!, and the
@@ -195,17 +193,6 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
     and radii[0] = q + floor(S_0 2^-(mp.prec+28)) + 1 directly from (*).
     Each order's relative error is thus at most order 0's, as its tail is
     under q / S_0 times Y_n plus a few units.
-
-    Radii against the exact sums.  At the series stop q < series_stop S_0,
-    so sum_j L(n,j) x^j q < series_stop T'_n (on the exp route q = 0);
-    2n 2^-wp Y_n < 2^-(mp.prec+28) T'_n and the rounding term is at most
-    (T'_n + l_n) 2^-(mp.prec+28).  S_0 >= 2^wp and S_0 2^exp <= T_0, so
-    2^exp <= T_0 2^-wp, and with l_0 = 0
-
-        radii[n] 2^exp <= (series_stop + 2^-(mp.prec+27)) T_n + (2 l_n + 2) 2^-wp T_0,
-
-    a bound that needs no sum at this precision (cmdeg's scaled-derivative
-    balls).
     """
     _validate_order(k)
     if not isinstance(max_order, int) or max_order < 0:
@@ -354,27 +341,6 @@ def _hk_first_stop(k, t, max_order):
 def _hk_scale_bits():
     """wp of hk_sums at the current precision: S_0 >= 2^wp at every scale."""
     return mp.prec + _GUARD_BITS + 2 * _SERIES_LIMIT.bit_length()
-
-
-def _hk_fits(k, t, max_order, prec):
-    """Whether hk_sums(k, t, max_order, prec) surely ends inside the series
-    budget, judged without summing: on the exp route always, else m_min +
-    b + 1 < _SERIES_LIMIT with 2^-b <= series_stop (hk_sums).  It may raise
-    hk_sums' own failure of a first stop past the budget."""
-    with prec.workdps():
-        m_min = _hk_first_stop(k, t, max_order)[2]
-    if m_min is None:
-        return True
-    terms = _hk_stop_terms(prec)
-    return terms is not None and m_min + terms < _SERIES_LIMIT
-
-
-@lru_cache(maxsize=None)  # one entry per policy that the hk scans run at
-def _hk_stop_terms(prec):
-    """b + 1 with 2^-b <= series_stop, or None for a stop of 0."""
-    with prec.workdps():
-        s_num, s_e = _dyadic(prec.series_stop)
-    return s_e - s_num.bit_length() + 2 if s_num > 0 else None
 
 
 def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):

@@ -31,6 +31,7 @@ from .inequalities import (
     check_ineq_bessel,
     check_ineq_trigamma,
     f_poly,
+    trigamma_margin,
 )
 from .laplace import (
     KernelSpec,
@@ -39,7 +40,7 @@ from .laplace import (
     laplace_transform,
     verify_representation,
 )
-from .laurent import h_balls, h_function
+from .laurent import h_balls
 from .specfun import DEFAULT_PRECISION, polygamma, to_mpf
 
 
@@ -101,7 +102,7 @@ def criterion_h_complete_monotonicity(prec=DEFAULT_PRECISION):
             lambda t: None if balls(t) is None else balls(t)[0],
             lambda t: oracle(0, t),
         )
-        h100_gap = abs(h_function(100, prec) - 1)
+        h100_gap = abs(trigamma_margin(100, prec))
         passed = bool(
             report.passed
             and min_h > 1

@@ -22,7 +22,7 @@ error radius, which the package keeps private.
 interval_bessel_margin encloses the Bessel margin in mpmath's interval
 arithmetic.  ball_candidates picks a walk's candidates for the minimum
 from its balls alone, and h_table_passes records the digits of every pass
-that h_table takes.  CoarseStop is the one precision policy here: a stop so
+that h_table, or trigamma_margin, takes.  CoarseStop is the one precision policy here: a stop so
 coarse that the truncated tail carries every radius of the H_k sums.
 """
 
@@ -35,12 +35,11 @@ from cmcheck import (
     DEFAULT_PRECISION,
     NumericFailure,
     WorkingPrecision,
-    h_function,
     h_table,
 )
 from cmcheck import laurent
 from cmcheck.cmdeg import SignPatternReport, TableCache, Violation
-from cmcheck.inequalities import InequalityScanReport, bessel_margin
+from cmcheck.inequalities import InequalityScanReport, bessel_margin, trigamma_margin
 from cmcheck.laurent import _validate_order
 from cmcheck.specfun import _SERIES_LIMIT, to_mpf
 
@@ -474,10 +473,8 @@ def one_pass_bessel(grid, prec):
 
 
 def one_pass_trigamma(grid, prec):
-    """check_ineq_trigamma as one walk: h_function(t) - 1 at every grid point."""
-    return _one_pass_scan(
-        "trigamma", lambda t: h_function(t, prec) - 1, grid, prec
-    )
+    """check_ineq_trigamma as one walk: trigamma_margin(t) at every grid point."""
+    return _one_pass_scan("trigamma", lambda t: trigamma_margin(t, prec), grid, prec)
 
 
 def interval_bessel_margin(t, dps):
@@ -523,12 +520,12 @@ def ball_candidates(balls):
     return [key for key, low, _ in ends if low <= top]
 
 
-def h_table_passes(monkeypatch):
+def h_table_passes(monkeypatch, module=laurent):
     """{t: [digits of each pass]} of every h_table call from here on: the
     levels at which refine has it take its balls, first prec's and then
-    each raise's."""
+    each raise's; with module inequalities, of every trigamma_margin call."""
     passes = {}
-    refine = laurent.refine
+    refine = module.refine
 
     def recorded(evaluate, prec, operation, **inputs):
         def counted(level):
@@ -537,5 +534,5 @@ def h_table_passes(monkeypatch):
 
         return refine(counted, prec, operation, **inputs)
 
-    monkeypatch.setattr(laurent, "refine", recorded)
+    monkeypatch.setattr(module, "refine", recorded)
     return passes

@@ -306,6 +306,26 @@ class TestSubcommands:
         assert code == 0
         assert json.loads(out)["results"][0]["provenance"] == provenance
 
+    @pytest.mark.parametrize(
+        "argv, evaluations",
+        (
+            (("verify-cm", "--target", "hk", "--k", "0", "--digits", "30"), 35),
+            (("verify-cm", "--target", "hk", "--k", "0", "--digits", "50"), 35),
+            (("verify-cm", "--target", "h", "--max-order", "2", "--digits", "30"), 15),
+            (("inequality", "--which", "trigamma", "--digits", "30"), 5),
+        ),
+        ids=("hk-30", "hk-50", "h-30", "trigamma-30"),
+    )
+    def test_scans_from_a_huge_value(self, argv, evaluations, capsys):
+        # H_0(1e-40) and h(1e-40) are about e^(1e40): the scans compare
+        # balls and values without forming them as integers, and pass with
+        # a report
+        flags = ("--grid-min", "1e-40", "--grid-points", "5")
+        code, out, _ = run_cli([*argv, *flags], capsys)
+        assert code == 0
+        record = json.loads(out)["results"][0]
+        assert record["passed"] is True and record["evaluations"] == evaluations
+
     def test_verify_cm_h_small(self, capsys):
         code, out, _ = run_cli(
             [

@@ -36,7 +36,7 @@ from cmcheck.cmdeg import (
     ball_minimum,
 )
 from cmcheck.laurent import HkSums, _hk_exp_side, _lah_rows, hk_sums
-from cmcheck.specfun import _GUARD_BITS, _MAX_RAISES, _SERIES_LIMIT, _dyadic
+from cmcheck.specfun import _MAX_RAISES, _dyadic, ball_sign
 
 PREC = DEFAULT_PRECISION
 
@@ -742,6 +742,43 @@ class TestBallMinimum:
             ball_minimum([0, 1, 2, 3], balls.get, exact)
         assert failure.value.inputs == {"key": 1}
 
+    def test_huge_exponents_are_compared_by_their_leading_bits(self):
+        # values near 2^(10^40) and 2^-(10^40): no comparison shifts by the
+        # exponent gap, and an evaluated value keeps its own exponent, as
+        # neither integer could be formed.  Key 1's ball holds 0, so it is
+        # judged; key 4's lies below 0 and ends the judged walk
+        big = 10**40
+        with PREC.workdps():
+            values = dict(enumerate((
+                mp.ldexp(3, big), mp.ldexp(5, -big), mp.ldexp(7, big - 1),
+                mp.mpf(2), mp.ldexp(-1, big), mp.ldexp(-3, -big),
+            )))
+            balls = {}
+            for j, value in values.items():
+                negative, man, e, _ = value._mpf_
+                balls[j] = ((-man if negative else man) << 8, 1, e - 8)
+            balls[1] = (0, 8, -big)
+            for judged, want in ((True, (4, 5, True)), (False, (4, 6, False))):
+                source = FakeSource(values, balls)
+                got = source.run(judged)
+                assert got == source.reference(judged)
+                assert got[1:] == want
+                assert source.evaluated == ([1, 4] if judged else [4])
+
+    def test_comparisons_are_exact(self):
+        # a 2^x < b 2^y against exact rationals, every shift on either side
+        # of the integers' bit lengths: all small cases, and large integers
+        # at gaps up to 2^80
+        small = range(-9, 10)
+        large = (0, 1, -1, 3, -5, 2**69 + 5, -(2**69) - 3, 2**40)
+        cases = [(a, x, b, y) for a in small for b in small
+                 for x in range(-5, 6) for y in range(-5, 6)]
+        cases += [(a, x, b, y) for a in large for b in large
+                  for x in (-80, -7, 0, 7, 80) for y in (-80, -7, 0, 7, 80)]
+        for a, x, b, y in cases:
+            want = Fraction(a) * Fraction(2) ** x < Fraction(b) * Fraction(2) ** y
+            assert cmdeg._below(a, x, b, y) == want, (a, x, b, y)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
@@ -903,9 +940,8 @@ class TestTwoPassHScan:
 
 
 class LooseStop(WorkingPrecision):
-    # a series stop of 2^-81, the loosest the balls are proven for: the
-    # truncated tails carry both the ball sums' radius and the term for the
-    # value at prec
+    # a series stop of 2^-81: the truncated tails carry the radius of every
+    # bracket
     @property
     def series_stop(self):
         return mp.ldexp(1, -81)
@@ -921,14 +957,13 @@ BALL_POLICIES = (
 
 
 def documented_ball(oracle, n, t):
-    """(centre, least radius) that ScaledDerivative.balls' docstring allows,
-    as mpfs at the current precision: V B' and V (R' + 2.1 Q + 2.1 eta U),
-    from the ball sums of t and the Leibniz coefficients as Fractions."""
+    """(centre, least radius) that ScaledDerivative.balls' docstring needs,
+    as mpfs at the current precision: V B and V (R + (k + 2n + 8) 2^-P |B|),
+    from the sums of t at prec and the Leibniz coefficients as Fractions."""
     tables, prec = oracle.tables, oracle.tables.prec
-    core = tables.ball_sums(t)
-    k, n_max = tables.k, tables.max_order
+    core = tables.table(t)
     with prec.workdps():
-        bits, stop = mp.prec, prec.series_stop
+        bits = mp.prec
     a, s = _dyadic(oracle.r)
     r = Fraction(a, 2**s)
     coeffs = []  # C(n,j) (-r)^(j), against S_(n-j)
@@ -937,23 +972,14 @@ def documented_ball(oracle, n, t):
         for i in range(j):
             rising *= i - r
         coeffs.append(comb(n, j) * rising)
-    sums = [core.sums[n - j] for j in range(n + 1)]
-    radii = [core.radii[n - j] for j in range(n + 1)]
-    weights = [0] + [w for _, w in _lah_rows(n_max)]
     to = oracles.mpf_from_fraction
-    bracket = to(sum(c * q for c, q in zip(coeffs, sums)))
-    own = to(sum(abs(c) * q for c, q in zip(coeffs, radii)))
-    size = to(sum(abs(c) * (q + w) for c, q, w in zip(coeffs, sums, radii)))
-    lah = to(sum(abs(c) * (2 * weights[n - j] + 2) for j, c in enumerate(coeffs)))
-    wp = bits + _GUARD_BITS + 2 * _SERIES_LIMIT.bit_length()
-    q = (stop + mp.ldexp(1, -(bits + 27))) * size + mp.ldexp(
-        (core.sums[0] + core.radii[0]) * lah, -wp
-    )
-    eta = mp.ldexp(k + 2 * n_max + 16, -bits)
-    # V = t^(r-n) lead 2^exp', with the 2^-(s n) of the integer rows in r's
+    bracket = to(sum(c * core.sums[n - j] for j, c in enumerate(coeffs)))
+    own = to(sum(abs(c) * core.radii[n - j] for j, c in enumerate(coeffs)))
+    k = tables.k
+    # V = t^(r-n) lead 2^exp, with the 2^-(s n) of the integer rows in r's
     # Fractions instead
     value = mp.ldexp(t ** (to(r) - n - k - 1) / mp.factorial(k + 1), core.exp)
-    least = value * (own + mp.mpf("2.1") * (q + eta * size))
+    least = value * (own + mp.ldexp(k + 2 * n + 8, -bits) * abs(bracket))
     return (-1) ** n * value * bracket, least
 
 
@@ -1000,7 +1026,8 @@ class FakeScaledBalls(ScaledDerivative):
 
 
 class TestTwoPassHkScan:
-    """check_sign_pattern over a ScaledDerivative against one pass at prec."""
+    """check_sign_pattern over a ScaledDerivative, whose balls are its
+    brackets at prec, against one pass at prec."""
 
     @staticmethod
     def points():
@@ -1009,9 +1036,10 @@ class TestTwoPassHkScan:
             return [mp.mpf(t) for t in ("1e-2", "0.1", "1", "10", "1e3", "1e6")]
 
     def test_balls_hold_the_exact_and_the_prec_values(self):
-        # each ball holds the termwise route at 90 digits, three times the
-        # digits of the ball sums, and the value at prec with its radius, so
-        # a ball's sign is that of the value at prec
+        # each ball holds the termwise route at 90 digits, whose error is far
+        # under the 64-bit factor's share of any ball's radius, and the value
+        # at prec, and a ball that lies on one side of 0 has the sign of its
+        # bracket, ball_sign(B, R), as passes reads it
         fine = WorkingPrecision(90)
         ts = self.points()
         for prec in BALL_POLICIES[:3]:
@@ -1023,20 +1051,20 @@ class TestTwoPassHkScan:
                         exact = oracles.termwise_table(k, r, t, fine)
                         balls = oracle.balls(t)
                         for n in range(7):
-                            value, radius = oracles.value_and_radius(oracle, n, t)
-                            low = mp.fsub(value, radius, exact=True)
-                            high = mp.fadd(value, radius, exact=True)
-                            assert holds(balls[n], exact[n], low, high), (
-                                prec, k, r, n, t
-                            )
+                            value = oracle(n, t)
+                            assert holds(balls[n], exact[n], value), (prec, k, r, n, t)
+                            mid, rad, _ = balls[n]
+                            side = ball_sign((-1) ** n * mid, rad)
+                            if side:
+                                assert side == oracle.judge(n, t), (prec, k, r, n, t)
 
     def test_radius_covers_the_documented_budget(self):
-        # the radius is at least what balls' proof needs: the ball sums' own
-        # radius, 2.1 times the term for the value at prec, and the distance
-        # from the centre to V B'.  At the zero of the first derivative at
-        # t = 32 the bracket cancels, so the factor's rounding does not hide
-        # the prec term; under a stop of 2^-81 that term is as large as the
-        # sums' own radius
+        # the radius is at least what balls' proof needs: the bracket's own
+        # radius, the rounding of the value at prec, and the distance from
+        # the centre to V B.  At the zero of the first derivative at t = 32
+        # the bracket cancels, so the factor's rounding does not hide the
+        # bracket's radius; under a stop of 2^-81 the truncated tails carry
+        # that radius
         ts = self.points() + [mp.mpf(32)]
         for prec in BALL_POLICIES:
             for k in (0, 3):
@@ -1072,12 +1100,26 @@ class TestTwoPassHkScan:
                 )
                 assert got == want
                 assert got.passed == (r == k + 1)
-                # one sum per point; at 30 digits the ball sums are the
-                # tables, above it the balls leave one or two points to sum
-                assert len(tables._ball_sums) == grid.points
-                assert tables.series == grid.points if digits == 30 else (
-                    1 <= tables.series <= 2
-                )
+                # one table per point, at prec, the balls' and the values'
+                assert tables.series == grid.points
+
+    def test_huge_values_keep_the_walk(self):
+        # H_k near t = 1e-40 is about e^(1e40): its balls and values are
+        # compared by their leading bits, never shifted to a common exponent
+        cases = ((30, "1e-40"), (50, "1e-40"), (50, "1e-70"))
+        for digits, low in cases:
+            prec = WorkingPrecision(digits)
+            grid = LogGrid(low, 1e6, 5)
+            for k in (0, 2):
+                for r in (k + 1, Fraction(4 * k + 5, 4)):
+                    got = check_sign_pattern(
+                        ScaledTailOracle(k, 6, prec).at(r), grid, 6, prec
+                    )
+                    want = oracles.one_pass_sign_pattern(
+                        ScaledTailOracle(k, 6, prec).at(r), grid, 6, prec
+                    )
+                    assert got == want, (digits, low, k, r)
+                    assert got.passed == (r == k + 1)
 
     def test_violation_through_fake_balls(self):
         # balls that hold the values at prec, narrow or too wide to settle
@@ -1093,11 +1135,10 @@ class TestTwoPassHkScan:
             assert got == want and got.violation.order == 1
 
     def test_undecided_ball_is_judged_at_prec(self):
-        # at the zero of the first derivative at t = 32 the 30-digit ball of
-        # order 1 holds 0, so the walk judges that key at prec, where its
-        # bracket is undecided too, and raises as judge does.  A fake ball
-        # settled there would skip the evaluation, and the scan would pass
-        # instead
+        # at the zero of the first derivative at t = 32 the bracket of order
+        # 1 is undecided, so its ball holds 0: the walk judges that key, and
+        # raises as judge does.  A fake ball settled there would skip the
+        # evaluation, and the scan would pass instead
         zero = zero_of_first_derivative(0, 32, PREC)
         grid = LogGrid(1, 32, 2)
         oracle = ScaledTailOracle(0, 1, PREC).at(zero)
@@ -1115,11 +1156,11 @@ class TestTwoPassHkScan:
         assert report.passed and report.evaluations == 4
 
     def test_failures_are_the_one_pass_failures(self):
-        # no series stop: the ball sums fail, and each point is evaluated at
-        # prec, where the sum fails as the one-pass walk's does; a coarse
-        # stop gives no balls, so each value is judged at prec: the walk
-        # passes as the one-pass walk does, or refuses the undecided bracket
-        # at the zero of the first derivative at t = 32, as judge does
+        # no series stop: the sum at prec that the first ball needs fails,
+        # as the one-pass walk's does; under a coarse stop the balls are
+        # wide, and the walk passes as the one-pass walk does, or refuses
+        # the undecided bracket at the zero of the first derivative at
+        # t = 32, whose ball holds 0, as judge does
         coarse = CoarseStop(PREC.digits)
         cases = ((NoStopPolicy(50), LogGrid(1, 10, 2)), (coarse, LogGrid(1, 10, 5)))
         outcomes = []
@@ -1138,6 +1179,8 @@ class TestTwoPassHkScan:
         oracle = ScaledTailOracle(0, 1, coarse).at(zero)
         grid = LogGrid(32, 1e3, 2)
         got = outcome(lambda: check_sign_pattern(oracle, grid, 1, coarse))
-        assert all(oracle.balls(t) is None for t in grid.values(coarse))
-        assert got == outcome(lambda: oracle.judge(1, grid.values(coarse)[0]))
+        t = grid.values(coarse)[0]
+        mid, rad, _ = oracle.balls(t)[1]
+        assert abs(mid) <= rad
+        assert got == outcome(lambda: oracle.judge(1, t))
         assert got[0] == "ScaledTailOracle"

@@ -207,7 +207,7 @@ class TestInequalityScans:
     @pytest.mark.parametrize("digits", (30, 50, 100))
     def test_two_pass_trigamma_equals_the_one_pass_scan(self, digits):
         # the 30-digit balls of h - 1 pick the candidates; the report is the
-        # one of evaluating h_function(t) - 1 at every grid point
+        # one of evaluating trigamma_margin(t) at every grid point
         prec = WorkingPrecision(digits)
         grids = (LogGrid(1e-2, 100, 40), DEFAULT_TRIGAMMA_GRID)
         for grid in grids + (LogGrid("1e-3", "1e6", 25),):
@@ -223,19 +223,20 @@ class TestInequalityScans:
             assert check_ineq_bessel(grid, prec) == oracles.one_pass_bessel(grid, prec)
 
     def test_thirty_digit_margins_come_from_the_balls(self, monkeypatch):
-        # the scan sums h at prec only at ball_minimum's candidates, as picked
-        # from the 30-digit balls of h - 1 alone, each in one pass: h itself,
-        # order 0, never cancels, as h ~ e^(1/t) for small t and h ~ 1 for
-        # large t, so no table is raised
+        # the scan takes a margin at prec only at ball_minimum's candidates,
+        # as picked from the 30-digit balls of h - 1 alone, each in passes at
+        # rising digits from prec on: one where h - 1 does not cancel, a
+        # raise where it does (h ~ 1 + 1/(24 t^4) at large t)
         prec = WorkingPrecision(30)
         calls = []
+        margin = inequalities.trigamma_margin
 
         def counted(t, prec):
             calls.append(t)
-            return h_function(t, prec)
+            return margin(t, prec)
 
-        monkeypatch.setattr(inequalities, "h_function", counted)
-        passes = oracles.h_table_passes(monkeypatch)
+        monkeypatch.setattr(inequalities, "trigamma_margin", counted)
+        passes = oracles.h_table_passes(monkeypatch, inequalities)
         for grid in (LogGrid(1e-2, 100, 40), LogGrid("1e-3", "1e6", 25)):
             calls.clear()
             passes.clear()
@@ -244,8 +245,26 @@ class TestInequalityScans:
                 ts = grid.values(prec)
             balls = [(t, _h_minus_one_ball(t, prec)) for t in ts]
             assert calls == oracles.ball_candidates(balls)
-            assert passes == {t: [prec.digits] for t in calls}
+            assert sorted(passes) == sorted(calls)
+            for t, digits in passes.items():
+                assert digits[0] == prec.digits
+                assert digits == sorted(set(digits))
+                assert len(digits) == (1 if t < 10 else 2)
             assert got == oracles.one_pass_trigamma(grid, prec)
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_margin_keeps_its_digits(self, digits):
+        # h(t) - 1 cancels about 4 log10 t + 1.4 digits at large t; the margin
+        # is right to its own digits against mpmath at three times the digits
+        # plus that cancellation (h_function(t) - 1 was 3.4e-22 off at t = 1e6
+        # and 30 digits)
+        prec = WorkingPrecision(digits)
+        for t in ("0.01", "1", "100", "1e3", "1e6", "1e20"):
+            got = inequalities.trigamma_margin(t, prec)
+            with mp.workdps(3 * digits + 90):
+                x = mp.mpf(t)
+                want = mp.exp(1 / x) - mp.psi(1, x) - 1
+                assert abs(got - want) <= abs(want) * mp.mpf(10) ** -(digits + 2), t
 
 
 class TestDifferenceBound:
