@@ -1,4 +1,4 @@
-"""The golden scan reports: fixed verify-cm commands with their reports.
+"""The golden reports: fixed CLI commands with their reports.
 
 Each entry of golden_reports.json is one command's exit code and its JSON
 report, elapsed_seconds masked to null.  test_golden.py reruns every
@@ -18,6 +18,18 @@ import os
 import sys
 
 CORPUS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_reports.json")
+
+
+# the two eval calls of each function of the cli-mix benchmark workload
+EVAL_CALLS = (
+    ["trigamma", "--t", "0.7"], ["trigamma", "--t", "8"],
+    ["polygamma", "--n", "2", "--t", "1.3"], ["polygamma", "--n", "4", "--t", "12"],
+    ["bessel-i", "--nu", "0", "--z", "2.5"], ["bessel-i", "--nu", "3", "--z", "30"],
+    ["hyp1f2", "--b1", "2", "--b2", "3", "--t", "4"],
+    ["hyp1f2", "--b1", "5", "--b2", "6", "--t", "40"],
+    ["h", "--t", "0.9"], ["h", "--t", "15"],
+    ["hk", "--k", "1", "--z", "1.2"], ["hk", "--k", "4", "--z", "9"],
+)
 
 
 def commands():
@@ -42,6 +54,31 @@ def commands():
         ["verify-cm", "--target", "hk", "--k", "0", "--grid-min", "1e-100",
          "--grid-points", "5", "--digits", "50"]
     )
+    # the benchmark's cli-mix kinds at their centre points, with no jitter
+    integrals = {
+        "30": ["--rep", "f12", "--k", "1", "--z", "2"],
+        "50": ["--rep", "bessel", "--k", "2", "--z", "3.5"],
+        "100": ["--rep", "h-deriv", "--n", "1", "--z", "1"],
+    }
+    for digits in ("30", "50", "100"):
+        for which in ("trigamma", "bessel"):
+            out.append(
+                ["inequality", "--which", which, "--grid-points", "40", "--digits", digits]
+            )
+        for flags in EVAL_CALLS:
+            out.append(["eval", "--fn"] + flags + ["--digits", digits])
+        out.append(["verify-integral"] + integrals[digits] + ["--digits", digits])
+        for i, t, form in (("1", "3/2", "A"), ("6", "5/3", "B"), ("12", "9/4", "D")):
+            out.append(["fpoly", "--i", i, "--t", t, "--form", form, "--digits", digits])
+    for k in range(5):
+        out.append(["degree", "--k", str(k), "--digits", "50", "--grid-points", "24"])
+    # a bad t, printed to its 23 digits: exit 2 with its record
+    out.append(
+        ["eval", "--fn", "polygamma", "--n", "1", "--t", "-0.12345678901234567890123",
+         "--digits", "50"]
+    )
+    # h'(1e100000), which three raises cannot settle: exit 3 with its record
+    out.append(["eval", "--fn", "h-deriv", "--i", "1", "--t", "1e100000", "--digits", "30"])
     return out
 
 

@@ -1,4 +1,4 @@
-"""The golden scan reports (golden.py): every command's exit code and report
+"""The golden reports (golden.py): every command's exit code and report
 bytes, apart from elapsed_seconds, equal the committed corpus."""
 
 import json
@@ -19,8 +19,10 @@ def test_corpus_lists_every_command(corpus):
 
 
 def _id(argv):
-    """A test id with no spaces or slashes: the flags after verify-cm."""
-    return "-".join(a.lstrip("-").replace("/", "_") for a in argv[1:])
+    """A test id with no spaces or slashes: the flags after verify-cm, or
+    every other subcommand with its flags."""
+    words = argv[1:] if argv[0] == "verify-cm" else argv
+    return "-".join(a.lstrip("-").replace("/", "_") for a in words)
 
 
 @pytest.mark.parametrize("argv", golden.commands(), ids=_id)
