@@ -41,6 +41,7 @@ from operator import mul
 from typing import Optional
 
 from mpmath import mp
+from mpmath.libmp import from_int, mpf_pos, mpf_pow, mpf_sub, round_nearest
 
 from .laurent import _hk_lead, h_balls, h_table, hk_sums
 from .specfun import (
@@ -341,13 +342,11 @@ class HOracle(TableCache):
 _FACTOR_BITS = 64
 
 
-def _power(t, r):
-    """t^r at the working precision, rounded once from a pow at extra bits."""
-    # |r log t| < 2^extra, so log's error costs t^r under 2^-(prec+19)
-    extra = max(mp.mag(r), 0) + (abs(mp.mag(t)) + 1).bit_length() + 10
-    with mp.workprec(mp.prec + extra):
-        power = t**r
-    return +power
+def _power(t, r, bits):
+    """t^r for raw mpfs t > 0 and r at bits, rounded once from a pow at extra bits."""
+    # |r log t| < 2^extra, so log's error costs t^r under 2^-(bits+19)
+    extra = max(r[2] + r[3], 0) + (abs(t[2] + t[3]) + 1).bit_length() + 10
+    return mpf_pos(mpf_pow(t, r, bits + extra, round_nearest), bits, round_nearest)
 
 
 class ScaledTailOracle(TableCache):
@@ -451,7 +450,7 @@ class ScaledDerivative:
         point = self._points.get(t)
         if point is None:
             core = self.tables.table(t)
-            power = _power(t, self.r)
+            power = mp.make_mpf(_power(t._mpf_, self.r._mpf_, mp.prec))
             point = (core.sums, core.radii, self.tables.factors(t), power)
             self._points[t] = point
         return point
@@ -496,9 +495,8 @@ class ScaledDerivative:
         tables = self.tables
         core = tables.table(t)
         fact = factorial(tables.k + 1)
-        with mp.workprec(_FACTOR_BITS):
-            exponent = mp.fsub(self.r, tables.k + 1, exact=True)
-            _, man, y, size = _power(t, exponent)._mpf_
+        exponent = mpf_sub(self.r._mpf_, from_int(tables.k + 1))
+        _, man, y, size = _power(t._mpf_, exponent, _FACTOR_BITS)
         shift = _FACTOR_BITS - size + fact.bit_length()
         factors = [(man << shift) // fact]
         den, e = _dyadic(t)

@@ -42,6 +42,7 @@ from .specfun import (
     NumericFailure,
     _GUARD_BITS,
     _SERIES_LIMIT,
+    _as_mpf,
     _dyadic,
     _exp_recip_fixed,
     polygamma_fixed,
@@ -55,8 +56,9 @@ def _validate_order(k):
         raise ValueError(f"remainder order must be a nonnegative integer, got {k!r}")
 
 
-def _budget_exhausted(k, t, route="series"):
-    return NumericFailure("hk_sums", f"{route} budget exhausted", k=k, t=t)
+def _budget_exhausted(k, t, prec, route="series"):
+    with prec.workdps():  # so that t prints at prec's working digits
+        return NumericFailure("hk_sums", f"{route} budget exhausted", k=k, t=t)
 
 
 class HkSums(NamedTuple):
@@ -114,12 +116,12 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
     with (k+1)_d = (k+1)!/(k+1-d)!.  Every coefficient is positive, so
     nothing cancels.  T_0 = (k+1)! x^-(k+1) (e^x - sum_{m<=k} x^m/m!) comes
     by one of two routes, split at the seam x = 2(k+1); both leave an S_0 >=
-    2^wp, wp = mp.prec + 32 + 2b (b = bitlen(_SERIES_LIMIT)), a tail bound
+    2^wp, wp = prec.bits + 32 + 2b (b = bitlen(_SERIES_LIMIT)), a tail bound
     q <= S_0 and exp with
 
         S_0 <= T'_0 <= S_0 + q + eps S_0,                           (*)
 
-    writing T'_n = T_n 2^-exp and eps = 2^-(mp.prec+29) (1 + 2^-mp.prec).
+    writing T'_n = T_n 2^-exp and eps = 2^-(prec.bits+29) (1 + 2^-prec.bits).
     Both routes first take t = den / 2^e exactly and the series route's
     first stop m_min (_hk_first_stop), whose NumericFailure of an m_min at
     or past the series budget therefore comes before any sum; the exp route
@@ -139,7 +141,7 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
     so over M < _SERIES_LIMIT < 2^b terms q_m sits below
     the exact Q_m by at most 2M max(1, Q_m 2^-wp) units, and a rescale costs
     the sum one unit more.  S_0 is thus low by a relative delta <= 2^-wp
-    (3M + 2M^2) < 2^-(mp.prec+30).  The ratio is at most 1/2 past the stop
+    (3M + 2M^2) < 2^-(prec.bits+30).  The ratio is at most 1/2 past the stop
     M, so the tail past it is at most Q_M <= q_M + delta P, with P <= S_0 /
     (1 - delta) the exact partial sum: (*) holds with q = q_M, as T'_0 - S_0
     <= q_M + 2 delta P.
@@ -148,10 +150,10 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
     sum_{m<=k} x^m/m! <= (k+1) x^k/k! <= (k+1)/2 x^(k+1)/(k+1)!, and the
     tail e^x - head is at least 2 e^x / (k+3): the subtraction cancels at
     most log2((k+3)/2) bits.  _hk_exp_parts gives e^x ~ E 2^g, E a p-bit
-    integer, p = mp.prec + 34 + bitlen(k+3), within 1.52 units of 2^g (its
+    integer, p = prec.bits + 34 + bitlen(k+3), within 1.52 units of 2^g (its
     docstring), and ceil(head 2^-g) exactly; D = E - 2 - ceil(head 2^-g) is
     below (e^x - head) 2^-g by less than 4.52 units, a relative
-    5 (k+3) 2^-p < 2^-(mp.prec+31) of it.  With x^-(k+1) = den^(k+1)
+    5 (k+3) 2^-p < 2^-(prec.bits+31) of it.  With x^-(k+1) = den^(k+1)
     2^-(e(k+1)) exact, N = (k+1)! den^(k+1) D is below T_0 2^(e(k+1) - g)
     by that relative amount, and S_0 = N shifted to wp + 1 bits, floored,
     loses one unit, 2^-wp S_0 more: (*) holds with q = 0.  No term is
@@ -182,68 +184,65 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
 
     Radii.  S_n <= Y_n <= T'_n, and by (*) T'_n - S_n <= tail_n + (Y_n - S_n)
     + eps Y_n.  max_order < _SERIES_LIMIT < 2^18, so 2n 2^-F < 2^-13 and
-    eps + 2n 2^-wp < 2^-(mp.prec+29) (1 + 2^-20); with Y_n < (1 + 2^-12)
+    eps + 2n 2^-wp < 2^-(prec.bits+29) (1 + 2^-20); with Y_n < (1 + 2^-12)
     (S_n + l_n) that is T'_n - S_n < tail_n + 1 + 2^-13 l_n + (1 + 2^-11)
-    z/2, z = (S_n + l_n) 2^-(mp.prec+28).  floor(z) + l_n exceeds 2^-13 l_n
+    z/2, z = (S_n + l_n) 2^-(prec.bits+28).  floor(z) + l_n exceeds 2^-13 l_n
     + (1 + 2^-11) z/2 for every z >= 0 and l_n >= 1 (floor(z) >= z/2 from
     z = 1 on), so
 
-        radii[n] = tail_n + floor((S_n + l_n) 2^-(mp.prec+28)) + 1 + l_n,
+        radii[n] = tail_n + floor((S_n + l_n) 2^-(prec.bits+28)) + 1 + l_n,
 
-    and radii[0] = q + floor(S_0 2^-(mp.prec+28)) + 1 directly from (*).
+    and radii[0] = q + floor(S_0 2^-(prec.bits+28)) + 1 directly from (*).
     Each order's relative error is thus at most order 0's, as its tail is
     under q / S_0 times Y_n plus a few units.
     """
     _validate_order(k)
     if not isinstance(max_order, int) or max_order < 0:
         raise ValueError(f"max_order must be a nonnegative integer, got {max_order!r}")
-    with prec.workdps():
-        t = to_mpf(t)
-        if t <= 0:
-            raise ValueError(f"t must be positive, got {t}")
-        den, e, m_min = _hk_first_stop(k, t, max_order)
-        wp = _hk_scale_bits()
-        if m_min is None:
-            total, exp = _hk_exp_sum(k, den, e, wp)
-            q = 0
-        else:
-            total, q, exp = _hk_series_sum(k, t, den, e, m_min, prec, wp)
-        # X = 1/t at 2^-cut, an integer of wp + 1 bits; F = _GUARD_BITS fraction bits
-        bits = wp + den.bit_length()
-        recip = (1 << bits) // den
-        above = recip + 1
-        cut = bits - e
-        frac = _GUARD_BITS
-        lift = frac - exp
-        low = total << frac
-        high = q << frac
-        lows = []
-        highs = []
-        falling = 1
-        for j in range(1, max_order + 1):
-            low = low * recip >> cut
-            if j <= k + 1:
-                falling *= k + 2 - j
-                low += falling << lift if lift >= 0 else falling >> -lift
-            lows.append(low)
-            if q:
-                high = -(-high * above >> cut)
-                highs.append(high)
-        rel = mp.prec + 28
-        sums = [total]
-        radii = [q + (total >> rel) + 1]
-        for row, weight in _lah_rows(max_order):
-            derived = sum(map(mul, row, lows)) >> frac
-            tail = -(-sum(map(mul, row, highs)) >> frac) if q else 0
-            sums.append(derived)
-            radii.append(tail + (derived + weight >> rel) + 1 + weight)
-        return HkSums(sums, radii, exp)
+    t = _as_mpf(t, prec, positive=True)
+    den, e, m_min = _hk_first_stop(k, t, max_order, prec)
+    wp = _hk_scale_bits(prec.bits)
+    if m_min is None:
+        total, exp = _hk_exp_sum(k, den, e, wp, prec.bits)
+        q = 0
+    else:
+        total, q, exp = _hk_series_sum(k, t, den, e, m_min, prec, wp)
+    # X = 1/t at 2^-cut, an integer of wp + 1 bits; F = _GUARD_BITS fraction bits
+    bits = wp + den.bit_length()
+    recip = (1 << bits) // den
+    above = recip + 1
+    cut = bits - e
+    frac = _GUARD_BITS
+    lift = frac - exp
+    low = total << frac
+    high = q << frac
+    lows = []
+    highs = []
+    falling = 1
+    for j in range(1, max_order + 1):
+        low = low * recip >> cut
+        if j <= k + 1:
+            falling *= k + 2 - j
+            low += falling << lift if lift >= 0 else falling >> -lift
+        lows.append(low)
+        if q:
+            high = -(-high * above >> cut)
+            highs.append(high)
+    rel = prec.bits + 28
+    sums = [total]
+    radii = [q + (total >> rel) + 1]
+    for row, weight in _lah_rows(max_order):
+        derived = sum(map(mul, row, lows)) >> frac
+        tail = -(-sum(map(mul, row, highs)) >> frac) if q else 0
+        sums.append(derived)
+        radii.append(tail + (derived + weight >> rel) + 1 + weight)
+    return HkSums(sums, radii, exp)
 
 
 def _hk_series_sum(k, t, den, e, m_min, prec, wp):
     """(S_0, q_M, exp) of hk_sums' series route at t = den / 2^e."""
     # series_stop = s_num / 2^s_e exactly, so the stop test is in integers
-    s_num, s_e = _dyadic(prec.series_stop)
+    s_num, s_e = prec.dyadic_stop
     q = total = 1 << wp
     shift = 0
     m = k + 1
@@ -259,7 +258,7 @@ def _hk_series_sum(k, t, den, e, m_min, prec, wp):
     while q << s_e >= s_num * total:
         m += 1
         if m >= _SERIES_LIMIT:
-            raise _budget_exhausted(k, t)
+            raise _budget_exhausted(k, t, prec)
         q = (q << e) // (den * m)
         total += q
     return total, q, shift - wp
@@ -270,9 +269,9 @@ def _hk_exp_side(k, den, e):
     return (2 * k + 2) * den <= 1 << e
 
 
-def _hk_exp_parts(k, den, e):
+def _hk_exp_parts(k, den, e, bits):
     """(E, H, g) for hk_sums' exp route at t = den / 2^e, x = 1/t >= 2(k+1):
-    e^x ~ E 2^g with E a p-bit integer, p = mp.prec + 34 + bitlen(k+3), and
+    e^x ~ E 2^g with E a p-bit integer, p = bits + 34 + bitlen(k+3), and
     H = ceil(2^-g sum_{m<=k} x^m/m!).
 
     1/t is rounded to p + bitlen(floor(x)) bits, within 2^-(p+1) of x, which
@@ -282,7 +281,7 @@ def _hk_exp_parts(k, den, e):
     n_m = (k!/m!) den^(k-m) + 2^e n_(m+1), so H is an integer ceiling,
     taken in two steps for g >= 0, as g grows with x.
     """
-    p = mp.prec + 34 + (k + 3).bit_length()
+    p = bits + 34 + (k + 3).bit_length()
     bits = p + ((1 << e) // den).bit_length()
     x = mpf_div((0, 1, e, 1), from_int(den), bits, round_nearest)
     _, man, g, size = mpf_exp(x, p, round_nearest)
@@ -303,16 +302,16 @@ def _hk_exp_parts(k, den, e):
     return man, head, g
 
 
-def _hk_exp_sum(k, den, e, wp):
+def _hk_exp_sum(k, den, e, wp, bits):
     """(S_0, exp) of hk_sums' exp route at t = den / 2^e."""
-    man, head, g = _hk_exp_parts(k, den, e)
+    man, head, g = _hk_exp_parts(k, den, e, bits)
     big = factorial(k + 1) * den ** (k + 1) * (man - 2 - head)
     shift = big.bit_length() - wp - 1
     total = big >> shift if shift >= 0 else big << -shift
     return total, g - e * (k + 1) + shift
 
 
-def _hk_first_stop(k, t, max_order):
+def _hk_first_stop(k, t, max_order, prec):
     """(den, e, m_min) of hk_sums at an mpf t = den / 2^e > 0; m_min is None
     on the exp route (_hk_exp_side), which sums no series.
 
@@ -322,25 +321,26 @@ def _hk_first_stop(k, t, max_order):
     it raises at once instead of spending the budget.  The exp route has a
     budget of its own: k + 3 + max_order below the series budget, as its
     work and hk_sums' radius proof grow with k and max_order, and e <= wp +
-    bitlen(den), so x < 2^(wp+1) at wp = _hk_scale_bits() and 1/t fits the
+    bitlen(den), so x < 2^(wp+1) at wp = _hk_scale_bits(prec.bits) and 1/t fits the
     fixed-point reciprocal of the derived orders.
     """
     den, e = _dyadic(t)
     if _hk_exp_side(k, den, e):
-        if k + 3 + max_order >= _SERIES_LIMIT or e > _hk_scale_bits() + den.bit_length():
-            raise _budget_exhausted(k, t, "exp route")
+        wp = _hk_scale_bits(prec.bits)
+        if k + 3 + max_order >= _SERIES_LIMIT or e > wp + den.bit_length():
+            raise _budget_exhausted(k, t, prec, "exp route")
         return den, e, None
     m_min = max(
         k + 3 + max(max_order, -((-3 << e) // (2 * den))), -((-2 << e) // den) - 1
     )
     if m_min >= _SERIES_LIMIT:
-        raise _budget_exhausted(k, t)
+        raise _budget_exhausted(k, t, prec)
     return den, e, m_min
 
 
-def _hk_scale_bits():
-    """wp of hk_sums at the current precision: S_0 >= 2^wp at every scale."""
-    return mp.prec + _GUARD_BITS + 2 * _SERIES_LIMIT.bit_length()
+def _hk_scale_bits(bits):
+    """wp of hk_sums at bits bits: S_0 >= 2^wp at every scale."""
+    return bits + _GUARD_BITS + 2 * _SERIES_LIMIT.bit_length()
 
 
 def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):
@@ -356,8 +356,8 @@ def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):
     truncated tail (none past the seam) of the exact value before those few
     roundings; no order's truncated tail is relatively larger than order 0's.
     """
-    core = hk_sums(k, t, max_order, prec)
     with prec.workdps():
+        core = hk_sums(k, t, max_order, prec)
         t = to_mpf(t)
         invt = 1 / t
         scale = _hk_lead(k, t)
@@ -414,8 +414,7 @@ def h_table(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
     """
     if not isinstance(i_lo, int) or not isinstance(i_hi, int) or not 0 <= i_lo <= i_hi:
         raise ValueError(f"need integers 0 <= i_lo <= i_hi, got {i_lo!r}, {i_hi!r}")
-    with prec.workdps():
-        t = to_mpf(t)
+    t = _as_mpf(t, prec)
     more = min(max(t._mpf_[2] + t._mpf_[3], 0), GUARD_DIGITS)
 
     def evaluate(level):
@@ -438,11 +437,9 @@ def _ball_precision(prec, digits=BALL_DIGITS):
     2^-80 or the stop at prec exceeds the one at digits: h_balls proves its
     radius only under those two conditions."""
     ball = replace(prec, digits=digits)
-    with ball.workdps():
-        stop = ball.series_stop
-    with prec.workdps():
-        if stop <= mp.ldexp(1, -80) and prec.series_stop <= stop:
-            return ball
+    (s, e), (s_full, e_full) = ball.dyadic_stop, prec.dyadic_stop
+    if s << 80 <= 1 << e and s_full << e <= s << e_full:
+        return ball
     return None
 
 
@@ -460,8 +457,7 @@ def h_balls(i_lo, i_hi, t, prec=DEFAULT_PRECISION, digits=BALL_DIGITS):
     NumericFailure.  t is converted at prec and never rounded again, so
     both passes of a scan evaluate the same t.
     """
-    with prec.workdps():
-        t = to_mpf(t)
+    t = _as_mpf(t, prec)
     if digits == prec.digits:
         return _h_balls(i_lo, i_hi, t, prec, prec, prec)
     ball = _ball_precision(prec, digits)
@@ -502,17 +498,14 @@ def _h_balls(i_lo, i_hi, t, ball, psi, prec):
     of room for those factors, and the 4 units are the two floors and the
     two shifts.
     """
-    with prec.workdps():
-        s_full, e_full = _dyadic(prec.series_stop)
-    with psi.workdps():
-        s_psi, e_psi = _dyadic(psi.series_stop)
+    s_full, e_full = prec.dyadic_stop
+    s_psi, e_psi = psi.dyadic_stop
     if s_full << 80 > 1 << e_full or s_psi << 80 > 1 << e_psi:
         raise NumericFailure("h_balls", "series stop past the radius proof", t=t)
     # polygamma_fixed first: it refuses a t <= 0
     psis = polygamma_fixed(i_lo + 1, i_hi + 1, t, psi)
-    with ball.workdps():
-        bits = mp.prec
-        exps = _exp_recip_fixed(i_lo, i_hi, t)
+    bits = ball.bits
+    exps = _exp_recip_fixed(i_lo, i_hi, t, bits)
     # s + S = s_num / 2^s_e exactly
     s_e = max(e_psi, e_full)
     s_num = (s_psi << s_e - e_psi) + (s_full << s_e - e_full)

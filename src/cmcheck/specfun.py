@@ -7,20 +7,23 @@ and a relative stop threshold for positive-term series.  No function reads
 ambient mp.dps.  Every sign verdict of the package is ball_sign's: the sign
 of a value with a proven error radius, or undecided, and every value whose
 radius is too wide for its digits is taken again at more by refine.
-The engines compute in Python integers at binary scales, enter a workdps
-block and round once to a plain mpf at the end.  Polygamma and the
-e^(1/t) derivatives have integer cores (polygamma_fixed, _exp_recip_fixed)
-that return each value as an integer and its binary exponent, so
-laurent.h_table subtracts the two parts in integers before it rounds.
+The engines compute in Python integers at binary scales and round once to
+a plain mpf at the end, in a workdps block.  Polygamma and the e^(1/t)
+derivatives have integer cores (polygamma_fixed, _exp_recip_fixed) that
+return each value as an integer and its binary exponent, so
+laurent.h_table subtracts the two parts in integers before it rounds.  The
+cores enter no workdps block but call mpmath.libmp at the policy's bits.
 The 1F2 summation (_series_1f2) sums a sequence of arguments in one pass.
 """
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial, inf
 
 from mpmath import mp
+from mpmath.libmp import dps_to_prec, from_int, mpf_add, mpf_ceil, mpf_exp
+from mpmath.libmp import mpf_rdiv_int, mpf_sub, round_nearest, to_int
 
 GUARD_DIGITS = 15
 
@@ -131,8 +134,33 @@ class WorkingPrecision:
             stop = self._stops[mp.prec] = mp.mpf(10) ** -(self.digits + 5)
         return stop
 
+    @cached_property
+    def bits(self):
+        """mp.prec at working_dps: the precision of the integer cores."""
+        return dps_to_prec(self.working_dps)
+
+    @cached_property
+    def dyadic_stop(self):
+        """(num, e) with series_stop = num / 2^e exactly at bits."""
+        if mp.prec == self.bits:
+            return _dyadic(self.series_stop)
+        with mp.workprec(self.bits):
+            return _dyadic(self.series_stop)
+
 
 DEFAULT_PRECISION = WorkingPrecision()
+
+
+def _as_mpf(t, prec, positive=False):
+    """to_mpf(t) at prec's working precision, entering no workdps block for an
+    mpf; with positive, a t <= 0 raises a ValueError that prints it there."""
+    if type(t) is mp.mpf and not (positive and t <= 0):
+        return to_mpf(t)
+    with prec.workdps():
+        t = to_mpf(t)
+        if positive and t <= 0:
+            raise ValueError(f"t must be positive, got {t}")
+        return t
 
 
 def to_mpf(x):
@@ -201,7 +229,7 @@ def exp_recip_derivative(i, t, prec=DEFAULT_PRECISION):
         t = to_mpf(t)
         if t == 0:
             raise ValueError("t must be nonzero")
-        ((man, exp),) = _exp_recip_fixed(i, i, t)
+        ((man, exp),) = _exp_recip_fixed(i, i, t, prec.bits)
         return mp.mpf((man, exp))
 
 
@@ -211,38 +239,39 @@ def _exp_recip_row(i):
     return tuple(a_coeff(i, k) for k in range(i)) if i else (1,)
 
 
-def _exp_recip_fixed(i_lo, i_hi, t):
+def _exp_recip_fixed(i_lo, i_hi, t, bits):
     """[(F_i, f_i) for i = i_lo..i_hi]: d^i/dt^i e^(1/t) = F_i 2^f_i, t a nonzero mpf.
 
     With x = 1/t the derivative is (-1)^i e^x Q_i, Q_i = sum_k a_{i,k}
     x^(2i-k) (Q_0 = 1).  t = (+-) c 2^d with c a bc-bit integer, so
     |x| 2^g = 2^bc / c lies in (1, 2] for g = bc + d, and X = floor(2^(wq+bc)
-    / c), wq = mp.prec + 32, is that number at 2^-wq: one integer division.
-    X_m = |x|^m 2^(m g) at 2^-wq is X_(m-1) X >> wq.  Each order puts its
-    terms on the scale of its largest power x^top: top = i+1 for g > 0
-    (|x| <= 1), top = 2i otherwise, and top = 0 for i = 0.  Term k is
-    a_{i,k} X_(2i-k) shifted right by (2i-k-top) g >= 0 bits, so no integer
-    grows with log |t|, and for t < 0 it takes the sign (-1)^k of
-    x^(2i-k).  e^x is one mp.exp at p = mp.prec + 4 + max(0, 1-g) bits,
-    with mantissa e0 and exponent ex, and F_i = (-1)^i e0 Q, f_i = ex - wq
-    - top g.
+    / c), wq = bits + 32 at a working precision of bits bits, is that
+    number at 2^-wq: one integer division.  X_m = |x|^m 2^(m g) at 2^-wq is
+    X_(m-1) X >> wq.  Each order puts its terms on the scale of its largest
+    power x^top: top = i+1 for g > 0 (|x| <= 1), top = 2i otherwise, and
+    top = 0 for i = 0.  Term k is a_{i,k} X_(2i-k) shifted right by
+    (2i-k-top) g >= 0 bits, so no integer grows with log |t|, and for t < 0
+    it takes the sign (-1)^k of x^(2i-k).  e^x is mpf_exp of 1/t, both
+    rounded to nearest at p = bits + 4 + max(0, 1-g) bits, with mantissa e0
+    and exponent ex, and F_i = (-1)^i e0 Q, f_i = ex - wq - top g.
 
     Error bound.  |x| <= 2^(1-g), so rounding 1/t to p bits moves e^x by a
     relative |x| 2^-p, and exp's own error, under one ulp, adds 2^(1-p):
-    e0 2^ex is within (|x| + 2) 2^-p <= 2^-(mp.prec+2) relative of e^x.  X
+    e0 2^ex is within (|x| + 2) 2^-p <= 2^-(bits+2) relative of e^x.  X
     is low by less than one unit, a relative 2^-wq as X >= 2^wq, so X_m,
     after m - 1 more floors of integers >= 2^wq, is within (2m-1) 2^-wq
     relative, and each shifted term loses one unit more.  The integer Q is
     thus within 5i 2^-wq relative of Q_i(|x|) = sum_k a_{i,k} |x|^(2i-k) in
     units of 2^-(wq + top g), and so of Q_i itself for t > 0, whose terms
     are all positive.  The product e0 Q is exact, so for t > 0 each
-    F_i 2^f_i is within 2^-(mp.prec+1) relative of the derivative.
+    F_i 2^f_i is within 2^-(bits+1) relative of the derivative.
     """
     sign, man, exp, bc = t._mpf_
     g = bc + exp
-    with mp.workprec(mp.prec + 4 + max(0, 1 - g)):
-        _, e0, ex, _ = mp.exp(1 / t)._mpf_
-    wq = mp.prec + _GUARD_BITS
+    p = bits + 4 + max(0, 1 - g)
+    x = mpf_rdiv_int(1, t._mpf_, p, round_nearest)
+    _, e0, ex, _ = mpf_exp(x, p, round_nearest)
+    wq = bits + _GUARD_BITS
     x = (1 << (wq + bc)) // man
     powers = [1 << wq, x]
     for _ in range(2 * i_hi - 1):
@@ -260,7 +289,7 @@ def _exp_recip_fixed(i_lo, i_hi, t):
     return out
 
 
-# bits kept beyond mp.prec by the fixed-point sums
+# bits kept beyond the working precision by the fixed-point sums
 _GUARD_BITS = 32
 
 
@@ -336,14 +365,15 @@ def polygamma_fixed(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
     e^(-2 pi a) < 10^-(1.3 dps), so each tail stops after about 0.6 dps
     terms, inside the budget of N = max(300, dps) terms.
 
-    Scales.  a = t + shift is an exact mpf c 2^d with c a b-bit integer, so
-    2^(beta-1) <= a < 2^beta for beta = b + d.  Order n is kept at 2^-W_n,
-    W_n = wq + n beta with wq = mp.prec + 16 + 2 bitlen(N), where a^-n is
-    at least 2^wq units: every integer has about wq bits whatever t is,
-    and only the exponents W_n grow with log t.  U = floor(2^(wq+b) / c)
-    and U2 = floor(2^(wq+2b) / c^2) are 2^beta/a and (2^beta/a)^2 at 2^-wq,
-    one division each, and A_n = a^-n 2^(n beta) at 2^-wq is U^n, shifted
-    back by wq after each product.
+    Scales.  shift is the ceiling of target - t rounded to prec.bits, so a
+    = t + shift is at most a relative 2^-prec.bits below the target.  It is
+    an exact mpf c 2^d with c a b-bit integer, so 2^(beta-1) <= a < 2^beta
+    for beta = b + d.  Order n is kept at 2^-W_n, W_n = wq + n beta with wq
+    = prec.bits + 16 + 2 bitlen(N), where a^-n is at least 2^wq units: every
+    integer has about wq bits whatever t is, and only the exponents W_n
+    grow with log t.  U = floor(2^(wq+b) / c) and U2 = floor(2^(wq+2b) /
+    c^2) are 2^beta/a and (2^beta/a)^2 at 2^-wq, one division each, and A_n
+    = a^-n 2^(n beta) at 2^-wq is U^n, shifted back by wq after each product.
 
     Head.  When shift > 0, t = den / 2^e and _fixed_head sums every order
     at wp = wq + (n_hi+1) beta bits, where each term exceeds a^-(n_hi+1) >
@@ -372,7 +402,7 @@ def polygamma_fixed(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
 
     So the integer head + tail of order n is within n N^2/48 2^-wq + n (2n
     + 11) 2^-wq of the exact partial sum, relatively.  As N < 2^bitlen(N)
-    and bitlen(N) >= 9, that is under n 2^-(mp.prec+21) for n <= 512, and
+    and bitlen(N) >= 9, that is under n 2^-(prec.bits+21) for n <= 512, and
     the exact n! and sign leave that unchanged.  Each order keeps its own
     contraction check, its N-term budget and its relative stop: once a
     term drops below series_stop (head + tail), with the tail at its first
@@ -383,80 +413,79 @@ def polygamma_fixed(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
             raise ValueError(f"derivative order must be an integer >= 1, got {n!r}")
     if n_hi < n_lo:
         raise ValueError(f"need n_lo <= n_hi, got {n_lo!r}, {n_hi!r}")
-    with prec.workdps():
-        t = to_mpf(t)
-        if t <= 0:
-            raise ValueError(f"t must be positive, got {t}")
-        orders = range(n_lo, n_hi + 1)
-        target = max(2 * (n_hi + 1), prec.working_dps // 2 + 1)
-        shift = int(mp.ceil(target - t)) if t < target else 0
-        a = mp.fadd(t, shift, exact=True)
-        _, c, d, b = a._mpf_
-        beta = b + d
-        budget = max(300, prec.working_dps)
-        # 34 guard bits under 512 terms, two more each time the budget doubles
-        wq = mp.prec + 16 + 2 * budget.bit_length()
-        heads = [0] * len(orders)
-        if shift:
-            den, e = _dyadic(t)
-            wp = wq + (n_hi + 1) * beta
-            heads = [
-                h >> (n_hi + 1 - n) * beta
-                for n, h in zip(orders, _fixed_head(den, e, shift, n_lo + 1, n_hi + 1, wp))
-            ]
-        one = 1 << wq
-        u_scaled = (1 << (wq + b)) // c
-        u2_scaled = (1 << (wq + 2 * b)) // (c * c)
-        half_u = u_scaled >> (beta + 1)
-        # series_stop = s_num / 2^s_e exactly
-        s_num, s_e = _dyadic(prec.series_stop)
-        powers, sums, floors, risings = [], [], [], []
-        power = one
-        for _ in range(n_lo):
-            power = power * u_scaled >> wq
-        for n, head in zip(orders, heads):
-            powers.append(power)
-            sums.append(one // n + half_u)
-            # series_stop (head + tail) in units of a^-n 2^-wq
-            floors.append(s_num * ((head << wq) // power + sums[-1]) >> s_e)
-            risings.append(n + 1)  # (s)_{2v-1} at v = 1
-            power = power * u_scaled >> wq
-        u2v = one
-        prev = [inf] * len(orders)
-        active = list(range(len(orders)))
-        for v in range(1, budget):
-            # c_v (2^beta u)^(2v) at 2^-g, shared by every order
-            c_scaled, g = _em_weight(v, wq)
-            u2v = u2v * u2_scaled >> wq
-            weight = c_scaled * u2v >> wq
-            down = g - wq + 2 * v * beta
-            still = []
-            for i in active:
-                s = n_lo + i + 1
-                term = weight * risings[i] >> down
-                mag = abs(term)
-                if mag > prev[i]:
+    t = _as_mpf(t, prec, positive=True)
+    orders = range(n_lo, n_hi + 1)
+    target = max(2 * (n_hi + 1), prec.working_dps // 2 + 1)
+    gap = mpf_sub(from_int(target), t._mpf_, prec.bits, round_nearest)
+    shift = to_int(mpf_ceil(gap)) if t < target else 0
+    _, c, d, b = mpf_add(t._mpf_, from_int(shift))
+    beta = b + d
+    budget = max(300, prec.working_dps)
+    # 34 guard bits under 512 terms, two more each time the budget doubles
+    wq = prec.bits + 16 + 2 * budget.bit_length()
+    heads = [0] * len(orders)
+    if shift:
+        den, e = _dyadic(t)
+        wp = wq + (n_hi + 1) * beta
+        heads = [
+            h >> (n_hi + 1 - n) * beta
+            for n, h in zip(orders, _fixed_head(den, e, shift, n_lo + 1, n_hi + 1, wp))
+        ]
+    one = 1 << wq
+    u_scaled = (1 << (wq + b)) // c
+    u2_scaled = (1 << (wq + 2 * b)) // (c * c)
+    half_u = u_scaled >> (beta + 1)
+    # series_stop = s_num / 2^s_e exactly
+    s_num, s_e = prec.dyadic_stop
+    powers, sums, floors, risings = [], [], [], []
+    power = one
+    for _ in range(n_lo):
+        power = power * u_scaled >> wq
+    for n, head in zip(orders, heads):
+        powers.append(power)
+        sums.append(one // n + half_u)
+        # series_stop (head + tail) in units of a^-n 2^-wq
+        floors.append(s_num * ((head << wq) // power + sums[-1]) >> s_e)
+        risings.append(n + 1)  # (s)_{2v-1} at v = 1
+        power = power * u_scaled >> wq
+    u2v = one
+    prev = [inf] * len(orders)
+    active = list(range(len(orders)))
+    for v in range(1, budget):
+        # c_v (2^beta u)^(2v) at 2^-g, shared by every order
+        c_scaled, g = _em_weight(v, wq)
+        u2v = u2v * u2_scaled >> wq
+        weight = c_scaled * u2v >> wq
+        down = g - wq + 2 * v * beta
+        still = []
+        for i in active:
+            s = n_lo + i + 1
+            term = weight * risings[i] >> down
+            mag = abs(term)
+            if mag > prev[i]:
+                with prec.workdps():
                     raise NumericFailure(
                         "polygamma", "asymptotic tail failed to contract", n=s - 1, t=t
                     )
-                sums[i] += term
-                if mag < floors[i]:
-                    continue
-                risings[i] *= (s + 2 * v - 1) * (s + 2 * v)
-                prev[i] = mag
-                still.append(i)
-            active = still
-            if not active:
-                break
-        else:
+            sums[i] += term
+            if mag < floors[i]:
+                continue
+            risings[i] *= (s + 2 * v - 1) * (s + 2 * v)
+            prev[i] = mag
+            still.append(i)
+        active = still
+        if not active:
+            break
+    else:
+        with prec.workdps():
             raise NumericFailure(
                 "polygamma", "tail budget exhausted", n=n_lo + active[0], t=t
             )
-        out = []
-        for n, head, total, power in zip(orders, heads, sums, powers):
-            value = factorial(n) * (head + (total * power >> wq))
-            out.append((value if n % 2 else -value, -(wq + n * beta)))
-        return out
+    out = []
+    for n, head, total, power in zip(orders, heads, sums, powers):
+        value = factorial(n) * (head + (total * power >> wq))
+        out.append((value if n % 2 else -value, -(wq + n * beta)))
+    return out
 
 
 def polygamma_range(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
@@ -466,9 +495,8 @@ def polygamma_range(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
     within n 2^-(mp.prec+21) relative (n <= 512) of the sum it truncates at
     series_stop; each is rounded once to the working precision here.
     """
-    core = polygamma_fixed(n_lo, n_hi, t, prec)
     with prec.workdps():
-        return [mp.mpf(pair) for pair in core]
+        return [mp.mpf(pair) for pair in polygamma_fixed(n_lo, n_hi, t, prec)]
 
 
 def polygamma(n, t, prec=DEFAULT_PRECISION):

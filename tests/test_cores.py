@@ -1,0 +1,150 @@
+"""The integer cores of the scans enter no precision context: each takes its
+bits and its series stop from the policy it is given, never from the
+ambient mp.prec, and its integers are those of the context-based cores it
+replaced."""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+from mpmath import ctx_mp, mp
+
+from cmcheck import NumericFailure, WorkingPrecision, exp_recip_derivative
+from cmcheck.cmdeg import HOracle, LogGrid, ScaledTailOracle, check_sign_pattern
+from cmcheck.inequalities import check_ineq_trigamma
+from cmcheck.laurent import h_balls, hk_sums
+from cmcheck.specfun import polygamma_fixed
+
+CORE_DIGITS = (30, 50, 100, 200)
+CORE_TS = ("1e-5", "0.0101", "0.7", "1", "2.5", "33.3", "1000", "12345.678")
+
+
+def _points(prec):
+    """CORE_TS at prec, and two points just below 2 with more bits than 30
+    digits' working precision, 153: there the polygamma shift is the
+    ceiling of target - t = 21 + d rounded to nearest at 153 bits, as
+    mpmath's ceil of the difference took it, 21 for d = 2^-200 (rounded
+    down) and 22 for d = 3 2^-150, three quarters of a unit of 21's last
+    bit (rounded up)."""
+    with prec.workdps():
+        ts = [mp.mpf(t) for t in CORE_TS]
+    with mp.workprec(300):
+        return ts + [mp.mpf(2) - mp.ldexp(1, -200), mp.mpf(2) - mp.ldexp(3, -150)]
+
+
+def core_results(digits):
+    """{core: its integers (or raw mpfs) over _points} at digits."""
+    prec = WorkingPrecision(digits)
+    ts = _points(prec)
+    out = {
+        "polygamma_fixed": [polygamma_fixed(1, 9, t, prec) for t in ts],
+        "exp_recip_derivative": [
+            exp_recip_derivative(i, t, prec)._mpf_ for t in ts for i in (0, 1, 5)
+        ],
+        "h_balls": [h_balls(0, 8, t, prec) for t in ts]
+        + [h_balls(0, 8, t, prec, digits) for t in ts],
+        "hk_sums": [tuple(hk_sums(k, t, 6, prec)) for k in (0, 2) for t in ts],
+    }
+    tables = ScaledTailOracle(2, 6, prec)
+    balls = []
+    for r in (3, Fraction(13, 4), Fraction(1, 3)):
+        oracle = tables.at(r)
+        balls += [[oracle.balls(t)[n] for n in range(7)] for t in ts]
+    out["ScaledDerivative.balls"] = balls
+    return out
+
+
+def _digests(results):
+    return {
+        core: hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+        for core, value in results.items()
+    }
+
+
+# the digests of core_results from the cores that set mp.prec by a context
+PINNED = {
+    30: {"polygamma_fixed": "650ca7068b907ad6", "exp_recip_derivative": "15a39c3751605f5a", "h_balls": "eca9367ead93bb49", "hk_sums": "07a09ede4eab5d07", "ScaledDerivative.balls": "526d5e123395ebb2"},
+    50: {"polygamma_fixed": "dad11eca634bccff", "exp_recip_derivative": "f2fe3422e43aeba5", "h_balls": "a488feb31c584406", "hk_sums": "e88bf9ff84f74763", "ScaledDerivative.balls": "0a623a33e96b314e"},
+    100: {"polygamma_fixed": "b004073fbca14af1", "exp_recip_derivative": "87375af0a59cd859", "h_balls": "fb1affa694d39c82", "hk_sums": "477f7b668ed3f160", "ScaledDerivative.balls": "0eaa761e05ed4972"},
+    200: {"polygamma_fixed": "08f7890a5d966368", "exp_recip_derivative": "662ec8a5c14d14aa", "h_balls": "1b3920d8168fb4fc", "hk_sums": "9a1dbbbfa0242603", "ScaledDerivative.balls": "97e182f7afe140d2"},
+}
+
+
+class TestContextFreeCores:
+    @pytest.mark.parametrize("digits", CORE_DIGITS)
+    def test_integers_are_the_pinned_ones(self, digits):
+        assert _digests(core_results(digits)) == PINNED[digits]
+
+    @pytest.mark.parametrize("digits", CORE_DIGITS)
+    def test_ambient_precision_is_ignored(self, digits):
+        with WorkingPrecision(digits).workdps():
+            want = core_results(digits)
+        for ambient in (15, 600):
+            with mp.workdps(ambient):
+                prec = mp.prec
+                assert core_results(digits) == want, ambient
+                assert mp.prec == prec
+
+    def test_scans_enter_no_context_per_point(self, monkeypatch):
+        entered = []
+        enter = ctx_mp.PrecisionManager.__enter__
+
+        def counted(self):
+            entered.append(1)
+            return enter(self)
+
+        monkeypatch.setattr(ctx_mp.PrecisionManager, "__enter__", counted)
+        scans = {
+            "h": lambda grid, prec: check_sign_pattern(HOracle(4, prec), grid, 4, prec),
+            "trigamma": lambda grid, prec: check_ineq_trigamma(grid, prec),
+            "hk": lambda grid, prec: check_sign_pattern(
+                ScaledTailOracle(2, 6, prec).at(3), grid, 6, prec
+            ),
+        }
+        for name, scan in scans.items():
+            counts = []
+            for points in (20, 40):
+                scan(LogGrid("0.05", "50", 5), WorkingPrecision(50))
+                entered.clear()
+                scan(LogGrid("0.05", "50", points), WorkingPrecision(50))
+                counts.append(len(entered))
+            assert counts[1] <= counts[0], (name, counts)
+
+
+class NoStop(WorkingPrecision):
+    @property
+    def series_stop(self):
+        return mp.mpf(0)
+
+
+class TestErrorTexts:
+    """A failure prints t at the working digits of the policy that refused
+    it, whatever the ambient precision is."""
+
+    T = "0.12345678901234567890123"
+
+    def test_polygamma_failure(self):
+        with pytest.raises(NumericFailure) as failure:
+            polygamma_fixed(1, 9, self.T, NoStop(30))
+        assert str(failure.value) == (
+            "polygamma: asymptotic tail failed to contract "
+            "(n=1, t=0.12345678901234567890123)"
+        )
+
+    @pytest.mark.parametrize("core", ("polygamma_fixed", "hk_sums", "h_balls"))
+    def test_negative_t(self, core):
+        call = {
+            "polygamma_fixed": lambda t, prec: polygamma_fixed(1, 1, t, prec),
+            "hk_sums": lambda t, prec: hk_sums(0, t, 0, prec),
+            "h_balls": lambda t, prec: h_balls(0, 0, t, prec, 50),
+        }[core]
+        with pytest.raises(ValueError) as error:
+            call("-" + self.T, WorkingPrecision(50))
+        assert str(error.value) == "t must be positive, got -0.12345678901234567890123"
+
+    def test_hk_budget_failure(self):
+        with pytest.raises(NumericFailure) as failure:
+            hk_sums(0, "1.2345678901234567890123e-100", 0, WorkingPrecision(50))
+        assert str(failure.value) == (
+            "hk_sums: exp route budget exhausted (k=0, t=1.2345678901234567890123e-100)"
+        )

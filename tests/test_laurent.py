@@ -398,8 +398,7 @@ class TestHkSeam:
                 den, e = _dyadic(t)
                 if not _hk_exp_side(k, den, e):
                     continue
-                with prec.workdps():
-                    power, head, _ = _hk_exp_parts(k, den, e)
+                power, head, _ = _hk_exp_parts(k, den, e, prec.bits)
                 lost = power.bit_length() - (power - head).bit_length()
                 assert lost <= log2((k + 3) / 2) + 1, (k, t)
 
