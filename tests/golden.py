@@ -1,7 +1,8 @@
 """The golden reports: fixed CLI commands with their reports.
 
 Each entry of golden_reports.json is one command's exit code and its JSON
-report, elapsed_seconds masked to null.  test_golden.py reruns every
+report, every elapsed_seconds (suite records one per criterion) masked to
+null.  test_golden.py reruns every
 command in process and compares its report byte for byte; a change that
 means to alter a report rewrites the corpus with
 
@@ -29,6 +30,16 @@ EVAL_CALLS = (
     ["hyp1f2", "--b1", "5", "--b2", "6", "--t", "40"],
     ["h", "--t", "0.9"], ["h", "--t", "15"],
     ["hk", "--k", "1", "--z", "1.2"], ["hk", "--k", "4", "--z", "9"],
+)
+
+# the quadrature benchmark workload's kinds: rep, index, rel_tol, centre z
+QUADRATURE_KINDS = (
+    ("f12", "0", "1e-10", "0.5"), ("f12", "1", "1e-10", "1.7"),
+    ("f12", "2", "1e-10", "2.9"), ("f12", "3", "1e-10", "4.1"),
+    ("bessel", "0", "1e-10", "1.1"), ("bessel", "1", "1e-10", "2.3"),
+    ("bessel", "2", "1e-10", "3.5"), ("bessel", "3", "1e-10", "4.7"),
+    ("h", "0", "1e-8", "4.9"), ("h-deriv", "1", "1e-8", "0.8"),
+    ("h-deriv", "2", "1e-8", "2.0"),
 )
 
 
@@ -79,20 +90,44 @@ def commands():
     )
     # h'(1e100000), which three raises cannot settle: exit 3 with its record
     out.append(["eval", "--fn", "h-deriv", "--i", "1", "--t", "1e100000", "--digits", "30"])
+    for digits in ("30", "50", "100"):
+        out.append(["suite", "--digits", digits])
+    # the quadrature benchmark workload's kinds at their centre points
+    for rep, index, tol, z in QUADRATURE_KINDS:
+        flags = {"h": [], "h-deriv": ["--n", index]}.get(rep, ["--k", index])
+        out.append(
+            ["verify-integral", "--rep", rep] + flags
+            + ["--z", z, "--rel-tol", tol, "--digits", "50"]
+        )
+    # at z = 0.05 the first panels lie below u = 1/4, where h_kernel adds
+    # the Bernoulli tail
+    out.append(
+        ["verify-integral", "--rep", "h-deriv", "--n", "2", "--z", "0.05", "--digits", "100"]
+    )
     return out
 
 
+def _masked(value):
+    """value with every elapsed_seconds, at any depth, set to None."""
+    if isinstance(value, dict):
+        return {
+            key: None if key == "elapsed_seconds" else _masked(item)
+            for key, item in value.items()
+        }
+    if isinstance(value, list):
+        return [_masked(item) for item in value]
+    return value
+
+
 def run(argv):
-    """(exit code, report) of cli.main(argv) in process, elapsed_seconds
-    masked to None."""
+    """(exit code, report) of cli.main(argv) in process, every
+    elapsed_seconds masked to None."""
     from cmcheck.cli import main
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    report = json.loads(out.getvalue())
-    report["elapsed_seconds"] = None
-    return code, report
+    return code, _masked(json.loads(out.getvalue()))
 
 
 def render(corpus):
