@@ -223,7 +223,8 @@ def _bessel_margins(ts, prec):
     evaluation of the h kernel's sequence evaluator.
 
     Radius.  t/2 and u = (t/2)^2 are exact, and the h kernel is a - b
-    rounded once (_h_kernel_many's pieces).  With P = mp.prec and S the
+    rounded once (_h_kernel_many's pieces).  With P = prec.bits, the bits
+    the pieces are formed at whatever the ambient precision, and S the
     series stop, each piece is within S + 20 2^-P of itself, relative,
     taking a power of u within 4 ulps: the 1F2 sums F are low by under
     S + 2^-(P+28) (_series_sums: past the stop the term ratio is under
@@ -238,7 +239,7 @@ def _bessel_margins(ts, prec):
     with prec.workdps():
         halves = [to_mpf(t) / 2 for t in ts]
         us = [mp.fmul(half, half, exact=True) for half in halves]
-        relative = 2 * prec.series_stop + mp.ldexp(1, 6 - mp.prec)
+        relative = 2 * prec.series_stop + mp.ldexp(1, 6 - prec.bits)
         return [
             (half * (a - b), half * (abs(a) + abs(b)) * relative)
             for half, (a, b) in zip(halves, _h_kernel_many(us, prec, pieces=True))

@@ -27,7 +27,6 @@ radius covers h_table's value at any digits too, are the first pass of the
 h scans.
 """
 
-from dataclasses import replace
 from functools import lru_cache
 from math import comb, factorial
 from operator import mul
@@ -43,6 +42,7 @@ from .specfun import (
     _GUARD_BITS,
     _SERIES_LIMIT,
     _as_mpf,
+    _at_digits,
     _dyadic,
     _exp_recip_fixed,
     polygamma_fixed,
@@ -418,7 +418,7 @@ def h_table(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
     more = min(max(t._mpf_[2] + t._mpf_[3], 0), GUARD_DIGITS)
 
     def evaluate(level):
-        psi = replace(level, digits=level.digits + more)
+        psi = _at_digits(level, level.digits + more)
         balls = _h_balls(i_lo, i_hi, t, level, psi, psi)
         return balls, [(mid, rad) for mid, rad, _ in balls]
 
@@ -436,7 +436,7 @@ def _ball_precision(prec, digits=BALL_DIGITS):
     """prec's policy at digits, or None where either series stop exceeds
     2^-80 or the stop at prec exceeds the one at digits: h_balls proves its
     radius only under those two conditions."""
-    ball = replace(prec, digits=digits)
+    ball = _at_digits(prec, digits)
     (s, e), (s_full, e_full) = ball.dyadic_stop, prec.dyadic_stop
     if s << 80 <= 1 << e and s_full << e <= s << e_full:
         return ball

@@ -151,6 +151,13 @@ class WorkingPrecision:
 DEFAULT_PRECISION = WorkingPrecision()
 
 
+@lru_cache(maxsize=None)  # one entry per policy and digits that a process uses
+def _at_digits(prec, digits):
+    """prec's policy at digits, kept so that its bits and series stop are
+    derived once and not on every call that raises or lowers prec."""
+    return replace(prec, digits=digits)
+
+
 def _as_mpf(t, prec, positive=False):
     """to_mpf(t) at prec's working precision, entering no workdps block for an
     mpf; with positive, a t <= 0 raises a ValueError that prints it there."""
@@ -294,11 +301,11 @@ _GUARD_BITS = 32
 
 
 def _dyadic(x):
-    """(m, e) with x = m / 2^e exactly and e >= 0, for an int or a finite mpf
-    x; m carries the sign of x."""
+    """(m, e) with x = m / 2^e exactly and e >= 0, for an int, a finite mpf
+    or its raw tuple x; m carries the sign of x."""
     if isinstance(x, int):
         return x, 0
-    sign, man, exp, bc = x._mpf_
+    sign, man, exp, bc = x if type(x) is tuple else x._mpf_
     if not man and bc:
         raise ValueError(f"{x} is not a finite number")
     if sign:
@@ -525,9 +532,9 @@ def _series_1f2(terms, xs, b1, b2, prec, operation, inputs):
 
 
 def _series_sums(xs, b1, b2, prec):
-    """For each x in xs, (S, s) with sum_n x^n / ((b1)_n (b2)_n) = S 2^s,
-    low by the bound below, or None where the series cannot stop within
-    _SERIES_LIMIT terms.
+    """For each x in xs (ints, mpfs or raw mpf tuples), (S, s) with
+    sum_n x^n / ((b1)_n (b2)_n) = S 2^s, low by the bound below, or None
+    where the series cannot stop within _SERIES_LIMIT terms.
 
     Each sum stops once a term falls below the relative threshold and the
     next term ratio is below 1/2, where the geometric tail is dominated by
@@ -555,10 +562,11 @@ def _series_sums(xs, b1, b2, prec):
     more.  The sum is at least 2^wp at every scale, so it is low by a
     relative 2^-wp (3M + 2M^2) at most, and
 
-        wp = mp.prec + 32 + 2 bitlen(_SERIES_LIMIT)
+        wp = P + 32 + 2 bitlen(_SERIES_LIMIT)
 
-    bounds that by 2^-(mp.prec+29), under one ulp of the working precision,
-    for each argument.
+    bounds that by 2^-(P+29), under one ulp of the working precision,
+    for each argument.  P is prec.bits and the threshold prec.dyadic_stop,
+    whatever the ambient precision: the sums enter no precision context.
     """
     if not xs:
         return []
@@ -566,8 +574,8 @@ def _series_sums(xs, b1, b2, prec):
     pairs = [_dyadic(x) for x in xs]
     ex = max(e for _, e in pairs)
     # series_stop = s_num / 2^s_e exactly
-    s_num, s_e = _dyadic(prec.series_stop)
-    wp = mp.prec + _GUARD_BITS + 2 * _SERIES_LIMIT.bit_length()
+    s_num, s_e = prec.dyadic_stop
+    wp = prec.bits + _GUARD_BITS + 2 * _SERIES_LIMIT.bit_length()
     out = [None] * len(xs)
     last = ((b1n + (_SERIES_LIMIT << e1)) * (b2n + (_SERIES_LIMIT << e2))) << ex
     active = []  # [q, total, shift, num, position] of each unstopped argument

@@ -1,7 +1,7 @@
-"""The integer cores of the scans enter no precision context: each takes its
-bits and its series stop from the policy it is given, never from the
-ambient mp.prec, and its integers are those of the context-based cores it
-replaced."""
+"""The integer cores of the scans and the quadrature enter no precision
+context per point, panel, node or edge: each takes its bits and its series
+stop from the policy it is given, never from the ambient mp.prec, and its
+integers and raw mpfs are those of the context-based code it replaced."""
 
 import hashlib
 from fractions import Fraction
@@ -12,6 +12,7 @@ from mpmath import ctx_mp, mp
 from cmcheck import NumericFailure, WorkingPrecision, exp_recip_derivative
 from cmcheck.cmdeg import HOracle, LogGrid, ScaledTailOracle, check_sign_pattern
 from cmcheck.inequalities import check_ineq_trigamma
+from cmcheck.laplace import KernelSpec, laplace_transform
 from cmcheck.laurent import h_balls, hk_sums
 from cmcheck.specfun import polygamma_fixed
 
@@ -54,6 +55,39 @@ def core_results(digits):
     return out
 
 
+# the transforms of the pinned quadrature: kind, k, weight, rel_tol; the
+# tolerances are those verify_representation asks of the quadrature
+QUADRATURE_KERNELS = (
+    ("f12", 0, 0, "5e-11"), ("f12", 1, 0, "5e-11"), ("bessel", 2, 0, "5e-11"),
+    ("h", 0, 0, "5e-9"), ("h", 0, 1, "5e-9"), ("h", 0, 2, "5e-9"),
+)
+QUADRATURE_ZS = ("0.05", "1", "3.5")
+
+
+def quadrature_results(digits):
+    """{transform: the raw mpfs of its value, error bound, tail bound and
+    truncation point, with its nodes and bound evaluations} at digits, over
+    QUADRATURE_KERNELS and QUADRATURE_ZS, and at z = 1 under the tightest
+    tolerance the digits admit, where the nodes take more than 30 digits."""
+    prec = WorkingPrecision(digits)
+    cases = [(spec, z) for spec in QUADRATURE_KERNELS for z in QUADRATURE_ZS]
+    tight = f"1e-{digits - 10}"
+    cases += [((kind, k, weight, tight), "1") for kind, k, weight in
+              (("f12", 1, 0), ("bessel", 2, 0), ("h", 0, 1))]
+    out = {}
+    for (kind, k, weight, rel_tol), z in cases:
+        quad = laplace_transform(KernelSpec(kind, k, weight), z, rel_tol, prec)
+        out[f"{kind}-k{k}-w{weight}-z{z}-tol{rel_tol}"] = (
+            quad.value._mpf_,
+            quad.error_bound._mpf_,
+            quad.tail_bound._mpf_,
+            quad.truncation_point._mpf_,
+            quad.nodes,
+            quad.bound_evaluations,
+        )
+    return out
+
+
 def _digests(results):
     return {
         core: hashlib.sha256(repr(value).encode()).hexdigest()[:16]
@@ -68,6 +102,23 @@ PINNED = {
     100: {"polygamma_fixed": "b004073fbca14af1", "exp_recip_derivative": "87375af0a59cd859", "h_balls": "fb1affa694d39c82", "hk_sums": "477f7b668ed3f160", "ScaledDerivative.balls": "0eaa761e05ed4972"},
     200: {"polygamma_fixed": "08f7890a5d966368", "exp_recip_derivative": "662ec8a5c14d14aa", "h_balls": "1b3920d8168fb4fc", "hk_sums": "9a1dbbbfa0242603", "ScaledDerivative.balls": "97e182f7afe140d2"},
 }
+
+# the digests of quadrature_results from the mpf quadrature, whose every
+# step ran in a precision context at its policy's digits
+PINNED_QUADRATURE = {30: "ce04a376317a3658", 50: "6c56235fef50ea04", 100: "85f762a04eb7e2da"}
+
+
+def _counting_contexts(monkeypatch):
+    """A list that grows by one at each precision context entered."""
+    entered = []
+    enter = ctx_mp.PrecisionManager.__enter__
+
+    def counted(self):
+        entered.append(1)
+        return enter(self)
+
+    monkeypatch.setattr(ctx_mp.PrecisionManager, "__enter__", counted)
+    return entered
 
 
 class TestContextFreeCores:
@@ -86,14 +137,7 @@ class TestContextFreeCores:
                 assert mp.prec == prec
 
     def test_scans_enter_no_context_per_point(self, monkeypatch):
-        entered = []
-        enter = ctx_mp.PrecisionManager.__enter__
-
-        def counted(self):
-            entered.append(1)
-            return enter(self)
-
-        monkeypatch.setattr(ctx_mp.PrecisionManager, "__enter__", counted)
+        entered = _counting_contexts(monkeypatch)
         scans = {
             "h": lambda grid, prec: check_sign_pattern(HOracle(4, prec), grid, 4, prec),
             "trigamma": lambda grid, prec: check_ineq_trigamma(grid, prec),
@@ -109,6 +153,57 @@ class TestContextFreeCores:
                 scan(LogGrid("0.05", "50", points), WorkingPrecision(50))
                 counts.append(len(entered))
             assert counts[1] <= counts[0], (name, counts)
+
+
+class TestContextFreeQuadrature:
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_quadrature_is_the_pinned_one(self, digits):
+        digest = hashlib.sha256(repr(quadrature_results(digits)).encode()).hexdigest()
+        assert digest[:16] == PINNED_QUADRATURE[digits]
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_ambient_precision_is_ignored(self, digits):
+        with WorkingPrecision(digits).workdps():
+            want = quadrature_results(digits)
+        for ambient in (15, 600):
+            with mp.workdps(ambient):
+                prec = mp.prec
+                assert quadrature_results(digits) == want, ambient
+                assert mp.prec == prec
+
+    def test_quadrature_enters_no_context_per_panel(self, monkeypatch):
+        """The f12 and bessel transforms at z = 0.01 (306 nodes) enter no more
+        precision contexts than at z = 2 (64 nodes): two per transform, one
+        at prec and one at the bound precision, none per panel, node or
+        edge.  The h transforms enter one more per majorant whose ellipse
+        has 0 < Re w < 1/4, where 1 - e^-low is mp.expm1's, taken in its
+        own context: one to three at these points."""
+        entered = _counting_contexts(monkeypatch)
+        expm1 = mp.expm1
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return expm1(x)
+
+        monkeypatch.setattr(mp, "expm1", counted)
+        prec = WorkingPrecision(50)
+        for spec in (KernelSpec("f12", 1), KernelSpec("bessel", 2)):
+            counts = []
+            for z in ("2", "0.01"):
+                laplace_transform(spec, z, "5e-11", prec)
+                entered.clear()
+                quad = laplace_transform(spec, z, "5e-11", prec)
+                counts.append((len(entered), quad.nodes))
+            assert counts[0][0] == counts[1][0] == 2, (spec, counts)
+            assert counts[1][1] > 4 * counts[0][1], (spec, counts)
+        for weight in range(3):
+            for z in ("2", "0.01", "5"):
+                laplace_transform(KernelSpec("h", weight=weight), z, "5e-9", prec)
+                entered.clear()
+                calls.clear()
+                laplace_transform(KernelSpec("h", weight=weight), z, "5e-9", prec)
+                assert len(entered) == 2 + len(calls) <= 5, (weight, z)
 
 
 class NoStop(WorkingPrecision):

@@ -511,11 +511,16 @@ class TestPanelBounds:
             with _BOUND_PRECISION.workdps():
                 c, quarter = (a + b) / 2, (b - a) / 4
                 semis = [quarter * (rho + 1 / rho) for rho in FINE_RHOS]
-            majorants = [_ellipse_majorant(kernel, 1, c, semi) for semi in semis]
+            # the helpers take and give raw mpfs; the bound is rounded at the
+            # ambient precision, as the mpf arithmetic here is
+            one, half = mp.mpf(1)._mpf_, ((b - a) / 2)._mpf_
+            majorants = [
+                _ellipse_majorant(kernel, one, c._mpf_, semi._mpf_) for semi in semis
+            ]
             for order in (2, 4, 8, 16):
-                got = _gauss_panel(kernel, 1, a, b, order, prec)
+                got = mp.make_mpf(_gauss_panel(kernel, one, a._mpf_, b._mpf_, order, prec))
                 bound = min(
-                    _gauss_bound((b - a) / 2, m, rho, order)
+                    mp.make_mpf(_gauss_bound(half, m, rho._mpf_, order, mp.prec))
                     for m, rho in zip(majorants, FINE_RHOS)
                 )
                 with mp.workdps(3 * digits):
