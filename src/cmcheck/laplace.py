@@ -46,36 +46,11 @@ from functools import lru_cache
 from math import comb, cos, pi
 
 from mpmath import mp
-from mpmath.libmp import (
-    finf,
-    fnone,
-    fone,
-    from_int,
-    from_man_exp,
-    ftwo,
-    fzero,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
-    mpf_exp,
-    mpf_factorial,
-    mpf_gt,
-    mpf_le,
-    mpf_log,
-    mpf_lt,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_neg,
-    mpf_nint,
-    mpf_pi,
-    mpf_pow_int,
-    mpf_rdiv_int,
-    mpf_shift,
-    mpf_sub,
-    mpf_sum,
-    round_nearest,
-    to_int,
-)
+from mpmath.libmp import finf, fnone, fone, from_int, from_man_exp, ftwo, fzero
+from mpmath.libmp import mpf_abs, mpf_add, mpf_div, mpf_exp, mpf_factorial, mpf_gt
+from mpmath.libmp import mpf_le, mpf_log, mpf_lt, mpf_mul, mpf_mul_int, mpf_neg
+from mpmath.libmp import mpf_nint, mpf_pi, mpf_pow_int, mpf_rdiv_int, mpf_shift
+from mpmath.libmp import mpf_sub, mpf_sum, round_nearest, to_int
 
 
 from .laurent import h_derivative, h_function, remainder_hk
@@ -148,14 +123,10 @@ def _exhausted(prec, operation, **inputs):
         return NumericFailure(operation, _EXHAUSTED, **inputs)
 
 
-@lru_cache(maxsize=None)  # one entry per k and bits the kernels run at
-def _factorials(k, bits):
-    """k! (k+1)! and 1/(k+2)! as mp.factorial at bits forms and rounds them."""
-    fac = [mpf_factorial(from_int(n), bits, _RN) for n in (k, k + 1, k + 2)]
-    return (
-        mpf_mul(fac[0], fac[1], bits, _RN),
-        mpf_rdiv_int(1, fac[2], bits, _RN),
-    )
+@lru_cache(maxsize=None)  # one entry per n and bits the kernels run at
+def _factorial(n, bits):
+    """mp.factorial(n) at bits, as a raw mpf."""
+    return mpf_factorial(from_int(n), bits, _RN)
 
 
 def _f12_values(k, ts, prec):
@@ -163,7 +134,7 @@ def _f12_values(k, ts, prec):
     prec.bits: t^k / (k! (k+1)!) times the 1F2(1; k+1, k+2; t) sum of one
     _series_sums pass.  A failure is hyp1f2's, for the first t that fails."""
     bits = prec.bits
-    fact = _factorials(k, bits)[0]
+    fact = mpf_mul(_factorial(k, bits), _factorial(k + 1, bits), bits, _RN)
     out = []
     for t, pair in zip(ts, _series_sums(ts, k + 1, k + 2, prec)):
         if pair is None:
@@ -177,7 +148,7 @@ def _bessel_values(k, ts, prec):
     """[kernel_bessel(k, t) for t in ts] for raw ts >= 0, as raw mpfs at
     prec.bits: 1/(k+2)! times the 1F2(1; 1, k+3; t) sum of one pass."""
     bits = prec.bits
-    term = _factorials(k, bits)[1]
+    term = mpf_rdiv_int(1, _factorial(k + 2, bits), bits, _RN)
     out = []
     for t, pair in zip(ts, _series_sums(ts, 1, k + 3, prec)):
         if pair is None:
@@ -437,19 +408,11 @@ class KernelSpec:
             best = mpf_add(_f12_values(0, [radius], prec)[0], quotient, bits, _RN)
         x = mpf_div(radius, mpf_mul_int(mpf_pi(bits, _RN), 2, bits, _RN), bits, _RN)
         if mpf_lt(x, fone):
+            cube = mpf_pow_int(radius, 3, bits, _RN)
             shrink = mpf_sub(fone, mpf_div(radius, from_int(20), bits, _RN), bits, _RN)
-            first = mpf_div(
-                mpf_pow_int(radius, 3, bits, _RN),
-                mpf_mul_int(shrink, 144, bits, _RN),
-                bits,
-                _RN,
-            )
-            second = mpf_div(
-                mpf_mul_int(mpf_pow_int(x, 3, bits, _RN), 4, bits, _RN),
-                mpf_sub(fone, x, bits, _RN),
-                bits,
-                _RN,
-            )
+            first = mpf_div(cube, mpf_mul_int(shrink, 144, bits, _RN), bits, _RN)
+            poles = mpf_mul_int(mpf_pow_int(x, 3, bits, _RN), 4, bits, _RN)
+            second = mpf_div(poles, mpf_sub(fone, x, bits, _RN), bits, _RN)
             series = mpf_add(first, second, bits, _RN)
             if mpf_lt(series, best):
                 best = series
@@ -559,15 +522,10 @@ def _gauss_panel(kernel, z, a, b, order, prec):
     rule = _gauss_legendre(order, prec.working_dps)
     ts = [mpf_add(mid, mpf_mul(half, x, bits, _RN), bits, _RN) for x, _ in rule]
     minus_z = mpf_neg(z, bits, _RN)
-    terms = [
-        mpf_mul(
-            mpf_mul(w, value, bits, _RN),
-            mpf_exp(mpf_mul(minus_z, t, bits, _RN), bits, _RN),
-            bits,
-            _RN,
-        )
-        for (_, w), value, t in zip(rule, kernel._values(ts, prec), ts)
-    ]
+    terms = []
+    for (_, w), value, t in zip(rule, kernel._values(ts, prec), ts):
+        decay = mpf_exp(mpf_mul(minus_z, t, bits, _RN), bits, _RN)
+        terms.append(mpf_mul(mpf_mul(w, value, bits, _RN), decay, bits, _RN))
     return mpf_mul(half, mpf_sum(terms, bits, _RN), bits, _RN)
 
 
@@ -679,8 +637,8 @@ def laplace_transform(kernel, z, rel_tol=None, prec=DEFAULT_PRECISION):
 def _transform(kernel, z_mpf, rel_tol, T, edges, prec, node_prec):
     """laplace_transform's panels on raw mpfs: (value, error bound, T, tail
     bound, nodes, bound evaluations) from mpf inputs, the edges those of the
-    first cut.  Runs inside _BOUND_PRECISION.workdps(), the
-    precision of _tail_bound; its own failures print z and T at prec."""
+    first cut.  Runs inside _BOUND_PRECISION.workdps(), the precision of
+    _tail_bound; its own failures print z and T at prec."""
     bits, low_bits = prec.bits, _BOUND_PRECISION.bits
     z, rel_tol, T = z_mpf._mpf_, rel_tol._mpf_, T._mpf_
     nodes, bound_evaluations = 0, 0

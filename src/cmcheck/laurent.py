@@ -27,6 +27,7 @@ radius covers h_table's value at any digits too, are the first pass of the
 h scans.
 """
 
+from dataclasses import replace
 from functools import lru_cache
 from math import comb, factorial
 from operator import mul
@@ -436,7 +437,7 @@ def _ball_precision(prec, digits=BALL_DIGITS):
     """prec's policy at digits, or None where either series stop exceeds
     2^-80 or the stop at prec exceeds the one at digits: h_balls proves its
     radius only under those two conditions."""
-    ball = _at_digits(prec, digits)
+    ball = replace(prec, digits=digits)
     (s, e), (s_full, e_full) = ball.dyadic_stop, prec.dyadic_stop
     if s << 80 <= 1 << e and s_full << e <= s << e_full:
         return ball

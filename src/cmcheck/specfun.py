@@ -13,7 +13,8 @@ derivatives have integer cores (polygamma_fixed, _exp_recip_fixed) that
 return each value as an integer and its binary exponent, so
 laurent.h_table subtracts the two parts in integers before it rounds.  The
 cores enter no workdps block but call mpmath.libmp at the policy's bits.
-The 1F2 summation (_series_1f2) sums a sequence of arguments in one pass.
+The 1F2 summation (_series_1f2) sums a sequence of arguments in one pass;
+its integer core _series_sums reads the policy's bits and stop too.
 """
 
 from dataclasses import dataclass, field, replace

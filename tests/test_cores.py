@@ -12,7 +12,13 @@ from mpmath import ctx_mp, mp
 from cmcheck import NumericFailure, WorkingPrecision, exp_recip_derivative
 from cmcheck.cmdeg import HOracle, LogGrid, ScaledTailOracle, check_sign_pattern
 from cmcheck.inequalities import check_ineq_trigamma
-from cmcheck.laplace import KernelSpec, laplace_transform
+from cmcheck.laplace import (
+    KernelSpec,
+    _h_kernel_many,
+    kernel_1f2,
+    laplace_transform,
+    u_ratio,
+)
 from cmcheck.laurent import h_balls, hk_sums
 from cmcheck.specfun import polygamma_fixed
 
@@ -170,6 +176,28 @@ class TestContextFreeQuadrature:
                 prec = mp.prec
                 assert quadrature_results(digits) == want, ambient
                 assert mp.prec == prec
+
+    @pytest.mark.parametrize("low", ("1e-30", "1e-5", "0.01", "0.2", "0.25", "0.3", "2"))
+    def test_h_majorant_takes_the_mpf_expm1(self, low):
+        """The h majorant's 1 - e^-low is -mp.expm1(-low) at the bound
+        precision on both sides of 1/4: below about 2^-9 mpmath's expm1
+        cancels 10 bits or more and sums again at more bits, which one sum
+        at p + 25 bits would not; radius 7 > 2 pi leaves out the series."""
+        prec = WorkingPrecision(30)
+        with prec.workdps():
+            radius, low = mp.mpf(7), mp.mpf(low)
+            want = kernel_1f2(0, radius, prec) + radius / (-mp.expm1(-low))
+        assert KernelSpec("h").majorant(radius, low, prec) == want
+
+    def test_u_ratio_replica_at_a_double_rounding(self):
+        """At this u, about 0.2909, e^-u - 1 lies so near a midpoint of the
+        153-bit grid (30 digits) that one sum at 153 + 24 bits rounds onto it
+        and then to the other side than mp.expm1's sum at 153 + 25; h_kernel
+        forms u/(1 - e^-u) as u_ratio, through mp.expm1, does."""
+        prec = WorkingPrecision(30)
+        u = mp.make_mpf((0, 3321964951962051988199783304602565818647104741, -153, 152))
+        ((_, ratio),) = _h_kernel_many([u], prec, pieces=True)
+        assert ratio == u_ratio(u, prec)
 
     def test_quadrature_enters_no_context_per_panel(self, monkeypatch):
         """The f12 and bessel transforms at z = 0.01 (306 nodes) enter no more
