@@ -32,6 +32,16 @@ EVAL_CALLS = (
     ["hk", "--k", "1", "--z", "1.2"], ["hk", "--k", "4", "--z", "9"],
 )
 
+# the kernels' eval calls, on both sides of u = 1/4, where h_kernel changes
+# route
+KERNEL_CALLS = (
+    ["kernel-1f2", "--k", "0", "--t", "0.1"], ["kernel-1f2", "--k", "3", "--t", "40"],
+    ["kernel-bessel", "--k", "0", "--t", "0.1"],
+    ["kernel-bessel", "--k", "2", "--t", "3.5"],
+    ["h-kernel", "--t", "0.1"], ["h-kernel", "--t", "0.25"], ["h-kernel", "--t", "2"],
+    ["u-ratio", "--t", "0.1"], ["u-ratio", "--t", "2"],
+)
+
 # the quadrature benchmark workload's kinds: rep, index, rel_tol, centre z
 QUADRATURE_KINDS = (
     ("f12", "0", "1e-10", "0.5"), ("f12", "1", "1e-10", "1.7"),
@@ -104,6 +114,15 @@ def commands():
     out.append(
         ["verify-integral", "--rep", "h-deriv", "--n", "2", "--z", "0.05", "--digits", "100"]
     )
+    for digits in ("30", "50", "100"):
+        for flags in KERNEL_CALLS:
+            out.append(["eval", "--fn"] + flags + ["--digits", digits])
+    # a negative u: exit 2 with its record
+    out.append(["eval", "--fn", "h-kernel", "--t", "-1"])
+    # series whose ratio test cannot pass within the budget: exit 3 with
+    # their records, hyp1f2's for h_kernel from u = 1/4 on
+    out.append(["eval", "--fn", "h-kernel", "--t", "1e400000"])
+    out.append(["eval", "--fn", "kernel-bessel", "--k", "0", "--t", "1e400000"])
     return out
 
 
