@@ -29,7 +29,7 @@ from math import comb, factorial
 from mpmath import mp
 
 from .cmdeg import LogGrid, ball_minimum
-from .laplace import _h_kernel_many
+from .laplace import _h_pieces
 from .laurent import BALL_DIGITS, h_balls
 from .specfun import DEFAULT_PRECISION, _dyadic, ball_sign, refine, to_mpf
 
@@ -223,9 +223,9 @@ def _bessel_margins(ts, prec):
     evaluation of the h kernel's sequence evaluator.
 
     Radius.  t/2 and u = (t/2)^2 are exact, and the h kernel is a - b
-    rounded once (_h_kernel_many's pieces).  With P = prec.bits, the bits
-    the pieces are formed at whatever the ambient precision, and S the
-    series stop, each piece is within S + 20 2^-P of itself, relative,
+    rounded once, a and b the raw pieces of _h_pieces.  With P = prec.bits,
+    the bits the pieces are formed at whatever the ambient precision, and
+    S the series stop, each piece is within S + 20 2^-P of itself, relative,
     taking a power of u within 4 ulps: the 1F2 sums F are low by under
     S + 2^-(P+28) (_series_sums: past the stop the term ratio is under
     1/2, so the rest adds less than the last term), the Bernoulli tail T
@@ -238,11 +238,12 @@ def _bessel_margins(ts, prec):
     """
     with prec.workdps():
         halves = [to_mpf(t) / 2 for t in ts]
-        us = [mp.fmul(half, half, exact=True) for half in halves]
+        us = [mp.fmul(half, half, exact=True)._mpf_ for half in halves]
         relative = 2 * prec.series_stop + mp.ldexp(1, 6 - prec.bits)
+        pieces = [map(mp.make_mpf, pair) for pair in _h_pieces(us, prec)]
         return [
             (half * (a - b), half * (abs(a) + abs(b)) * relative)
-            for half, (a, b) in zip(halves, _h_kernel_many(us, prec, pieces=True))
+            for half, (a, b) in zip(halves, pieces)
         ]
 
 

@@ -14,7 +14,9 @@ The engine takes a sequence of arguments, and one private evaluator per
 kind (_f12_values, _bessel_values, _h_pieces) evaluates every node of a
 panel, or every edge of the first cut, in one pass (two for h, one per side
 of u = 1/4).  Each value, and the error bound of each argument, is the one
-a call per argument gives.
+a call per argument gives.  KernelSpec is the one entry to them: the
+quadrature reads its raw values, and each public kernel is its evaluate at
+one argument.
 
 The transform engine integrates over [0, T] with Gauss-Legendre panels and
 bounds the discarded tail with the exact closed form of
@@ -102,17 +104,6 @@ _RN = round_nearest
 DEFAULT_REL_TOL = {"f12": "1e-10", "bessel": "1e-10", "h": "1e-8", "h_deriv": "1e-8"}
 
 
-def _raw_args(xs, prec, name=None):
-    """xs as raw mpfs converted at prec's working precision; with a name, a
-    ValueError at the first negative, printed there."""
-    with prec.workdps():
-        xs = [to_mpf(x) for x in xs]
-        for x in xs:
-            if name and x < 0:
-                raise ValueError(f"{name} must be nonnegative, got {x}")
-        return [x._mpf_ for x in xs]
-
-
 def _exhausted(prec, operation, **inputs):
     """NumericFailure(operation, "series budget exhausted", **inputs), each
     raw mpf input made an mpf that prints at prec's working digits."""
@@ -163,15 +154,7 @@ def kernel_1f2(k, t, prec=DEFAULT_PRECISION):
     Equals t^k/(k! (k+1)!) 1F2(1; k+1, k+2; t); the series indexing starts
     at m = k+1 >= 1, so the would-be 1/Gamma(0) term never arises.
     """
-    return _kernel_1f2_many(k, [t], prec)[0]
-
-
-def _kernel_1f2_many(k, ts, prec):
-    """[kernel_1f2(k, t) for t in ts], the series summed in one pass; a
-    failure is hyp1f2's, for the first t that fails."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    return [mp.make_mpf(v) for v in _f12_values(k, _raw_args(ts, prec, "t"), prec)]
+    return KernelSpec("f12", k).evaluate(t, prec)
 
 
 def kernel_bessel(k, t, prec=DEFAULT_PRECISION):
@@ -180,14 +163,7 @@ def kernel_bessel(k, t, prec=DEFAULT_PRECISION):
     Equals I_{k+2}(2 sqrt t) / t^((k+2)/2) for t > 0; kernel-identities
     checks that against mpmath's besseli, which shares no code with it.
     """
-    return _kernel_bessel_many(k, [t], prec)[0]
-
-
-def _kernel_bessel_many(k, ts, prec):
-    """[kernel_bessel(k, t) for t in ts], the series summed in one pass."""
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
-    return [mp.make_mpf(v) for v in _bessel_values(k, _raw_args(ts, prec, "t"), prec)]
+    return KernelSpec("bessel", k).evaluate(t, prec)
 
 
 def u_ratio(u, prec=DEFAULT_PRECISION):
@@ -266,17 +242,7 @@ def h_kernel(u, prec=DEFAULT_PRECISION):
     Bernoulli tail of u/(1 - e^-u) (_bernoulli_tail).  T is negative, so the
     subtraction adds two positive pieces and cancels nothing.
     """
-    return _h_kernel_many([u], prec)[0]
-
-
-def _h_kernel_many(us, prec, pieces=False):
-    """[h_kernel(u) for u in us]; with pieces, the pairs (a, b) of
-    h_kernel(u) = a - b (_h_pieces)."""
-    pairs = _h_pieces(_raw_args(us, prec, "u"), prec)
-    if pieces:
-        return [(mp.make_mpf(a), mp.make_mpf(b)) for a, b in pairs]
-    bits = prec.bits
-    return [mp.make_mpf(mpf_sub(a, b, bits, _RN)) for a, b in pairs]
+    return KernelSpec("h").evaluate(u, prec)
 
 
 def _h_pieces(us, prec):
@@ -361,20 +327,21 @@ class KernelSpec:
             ]
         return values
 
-    def evaluate_many(self, ts, prec=DEFAULT_PRECISION):
-        """[kernel(t) t^weight for t in ts] at the working precision; each
-        value equals evaluate(t)'s, and a failure is the first evaluate
-        would raise."""
-        ts = _raw_args(ts, prec, _ARGUMENTS.get(self.kind))
-        return [mp.make_mpf(v) for v in self._values(ts, prec)]
-
     def evaluate(self, t, prec=DEFAULT_PRECISION):
-        """kernel(t) t^weight at the working precision."""
-        return self.evaluate_many([t], prec)[0]
+        """kernel(t) t^weight at the working precision, t converted there;
+        a t < 0 of f12, bessel or h raises a ValueError that prints it
+        there."""
+        with prec.workdps():
+            t = to_mpf(t)
+            name = _ARGUMENTS.get(self.kind)
+            if name and t < 0:
+                raise ValueError(f"{name} must be nonnegative, got {t}")
+        return mp.make_mpf(self._values([t._mpf_], prec)[0])
 
-    def majorant(self, radius, low, prec=DEFAULT_PRECISION):
+    def _majorant(self, radius, low, prec):
         """An upper bound on |kernel(w)| over complex w with |w| <= radius and
-        Re w >= low, or inf where the kernel may have a pole there.
+        Re w >= low, or inf where the kernel may have a pole there, for raw
+        radius >= 0 and low, as a raw mpf at prec.bits.
 
         f12, bessel and const have nonnegative Taylor coefficients, so
         kernel(radius) bounds them.  The h-kernel is the entire
@@ -384,16 +351,9 @@ class KernelSpec:
         series gives |h(w)| <= sum_{j>=3} [1/(j!(j+1)!) + 4 (2 pi)^-j] R^j,
         and the first part of that is at most R^3/(144 (1 - R/20)), its terms
         falling by R/20 or more.  The smaller applicable bound is returned.
-        """
-        name = None if self.kind == "h" else _ARGUMENTS.get(self.kind)
-        (radius,) = _raw_args([radius], prec, name)
-        (low,) = _raw_args([low], prec)
-        return mp.make_mpf(self._majorant(radius, low, prec))
-
-    def _majorant(self, radius, low, prec):
-        """majorant for raw radius >= 0 and low, as a raw mpf at prec.bits.
         For 0 < low < 1/4 the h-kernel's 1 - e^-low is mp.expm1's, in one
-        precision context at prec; from 1/4 on it is _one_less_exp."""
+        precision context at prec; from 1/4 on it is _one_less_exp.
+        """
         if self.kind != "h":
             return self._bases([radius], prec)[0]
         bits = prec.bits

@@ -13,11 +13,12 @@ derivatives have integer cores (polygamma_fixed, _exp_recip_fixed) that
 return each value as an integer and its binary exponent, so
 laurent.h_table subtracts the two parts in integers before it rounds.  The
 cores enter no workdps block but call mpmath.libmp at the policy's bits.
-The 1F2 summation (_series_1f2) sums a sequence of arguments in one pass;
-its integer core _series_sums reads the policy's bits and stop too.
+The 1F2 summation (_series_1f2) sums one argument; its integer core
+_series_sums, which the laplace kernels call directly, sums a sequence of
+arguments in one pass and reads the policy's bits and stop too.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, inf
@@ -111,8 +112,6 @@ class WorkingPrecision:
     """
 
     digits: int = 50
-    # the series stop by mp.prec, computed on first read
-    _stops: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.digits, int) or self.digits < 30:
@@ -129,11 +128,8 @@ class WorkingPrecision:
     @property
     def series_stop(self):
         """Relative term threshold 10^-(digits+5) for positive-term series,
-        rounded at the current precision and kept per precision."""
-        stop = self._stops.get(mp.prec)
-        if stop is None:
-            stop = self._stops[mp.prec] = mp.mpf(10) ** -(self.digits + 5)
-        return stop
+        rounded at the current precision."""
+        return mp.mpf(10) ** -(self.digits + 5)
 
     @cached_property
     def bits(self):
@@ -512,24 +508,19 @@ def polygamma(n, t, prec=DEFAULT_PRECISION):
     return polygamma_range(n, n, t, prec)[0]
 
 
-def _series_1f2(terms, xs, b1, b2, prec, operation, inputs):
-    """[term * sum_n x^n / ((b1)_n (b2)_n) for term, x in zip(terms, xs)],
-    each x >= 0, b1, b2 > 0.
+def _series_1f2(x, b1, b2, prec, operation, /, **inputs):
+    """sum_n x^n / ((b1)_n (b2)_n) for x >= 0, b1, b2 > 0, rounded to the
+    working precision.
 
-    The one positive-term summation behind bessel_i, hyp1f2 and the laplace
-    kernels, at the caller's working precision; a single argument is the
-    one-element case.  The sums come from one pass of _series_sums, whose
-    error bound holds for each argument unchanged.  Where an argument's
-    series cannot stop within _SERIES_LIMIT terms, raises
-    NumericFailure(operation, "series budget exhausted", **inputs[i]) for
-    the first such argument i, the one a call per argument would raise for;
-    inputs holds one dict per argument.
+    The one positive-term summation behind bessel_i and hyp1f2, at the
+    caller's working precision; the sum is _series_sums', within its error
+    bound.  Where the series cannot stop within _SERIES_LIMIT terms, raises
+    NumericFailure(operation, "series budget exhausted", **inputs).
     """
-    sums = _series_sums(xs, b1, b2, prec)
-    for pair, named in zip(sums, inputs):
-        if pair is None:
-            raise NumericFailure(operation, "series budget exhausted", **named)
-    return [term * mp.mpf(pair) for term, pair in zip(terms, sums)]
+    (pair,) = _series_sums([x], b1, b2, prec)
+    if pair is None:
+        raise NumericFailure(operation, "series budget exhausted", **inputs)
+    return mp.mpf(pair)
 
 
 def _series_sums(xs, b1, b2, prec):
@@ -625,9 +616,7 @@ def bessel_i(nu, z, prec=DEFAULT_PRECISION):
             return mp.mpf(1) if nu == 0 else mp.mpf(0)
         half = z / 2
         term = half ** nu / mp.factorial(nu)
-        return _series_1f2(
-            [term], [half * half], 1, nu + 1, prec, "bessel_i", [{"nu": nu, "z": z}]
-        )[0]
+        return term * _series_1f2(half * half, 1, nu + 1, prec, "bessel_i", nu=nu, z=z)
 
 
 def hyp1f2(b1, b2, t, prec=DEFAULT_PRECISION):
@@ -642,6 +631,4 @@ def hyp1f2(b1, b2, t, prec=DEFAULT_PRECISION):
             raise ValueError(f"lower parameters must be positive, got {b1}, {b2}")
         if t < 0:
             raise ValueError(f"argument must be nonnegative, got {t}")
-        return _series_1f2(
-            [mp.mpf(1)], [t], b1, b2, prec, "hyp1f2", [{"b1": b1, "b2": b2, "t": t}]
-        )[0]
+        return _series_1f2(t, b1, b2, prec, "hyp1f2", b1=b1, b2=b2, t=t)

@@ -4,6 +4,7 @@ oracles.  Single Gauss-Legendre panels are checked against mp.quad at 3x the
 digits: their error must stay within the Bernstein-ellipse bound."""
 
 import random
+from functools import partial
 from math import comb, factorial
 
 import pytest
@@ -21,6 +22,7 @@ from cmcheck import (
     kernel_bessel,
     laplace_transform,
     remainder_hk,
+    to_mpf,
     u_ratio,
     verify_representation,
 )
@@ -29,9 +31,6 @@ from cmcheck.laplace import (
     _ellipse_majorant,
     _gauss_bound,
     _gauss_panel,
-    _h_kernel_many,
-    _kernel_1f2_many,
-    _kernel_bessel_many,
     _node_precision,
     _tail_bound,
 )
@@ -171,9 +170,7 @@ class TestURatioAndHKernel:
         with PREC.workdps():
             quarter = mp.mpf(1) / 4
             for u in (mp.mpf("0.2"), quarter - mp.mpf(2) ** -40, quarter, mp.mpf("0.3")):
-                (head,) = _series_1f2(
-                    [u**3 / 144], [u], 4, 5, PREC, "h_kernel", [{"u": u}]
-                )
+                head = u**3 / 144 * _series_1f2(u, 4, 5, PREC, "h_kernel", u=u)
                 small = head - u**4 * _bernoulli_tail(u, PREC)
                 direct = kernel_1f2(0, u, PREC) - u_ratio(u, PREC)
                 assert abs(small - direct) <= mp.mpf("1e-45") * direct, u
@@ -283,30 +280,70 @@ def kernel_arguments(digits):
     return ts + ["0.25", "1e-60", 1000, "2e5", 0]
 
 
-class TestKernelBatches:
-    # one sequence evaluation gives each argument's one-at-a-time bits
+def raw(ts, prec):
+    """ts converted at prec's working precision, as raw mpfs."""
+    with prec.workdps():
+        return [to_mpf(t)._mpf_ for t in ts]
 
-    @pytest.mark.parametrize("digits", (30, 50, 100))
-    def test_kernels_batch_is_bit_identical(self, digits):
-        prec = WorkingPrecision(digits)
-        ts = kernel_arguments(digits)
-        for k in (0, 2):
-            assert _kernel_1f2_many(k, ts, prec) == [kernel_1f2(k, t, prec) for t in ts]
-            assert _kernel_bessel_many(k, ts, prec) == [
-                kernel_bessel(k, t, prec) for t in ts
-            ]
-        assert _h_kernel_many(ts, prec) == [h_kernel(u, prec) for u in ts]
+
+class TestKernelBatches:
+    # KernelSpec._values, which the quadrature calls over a panel's nodes,
+    # gives each argument's one-at-a-time bits
 
     @pytest.mark.parametrize("digits", (30, 50, 100))
     @pytest.mark.parametrize(
-        "kind, k", (("f12", 1), ("bessel", 2), ("h", 0), ("const", 0))
+        "kind, k",
+        (
+            ("f12", 0), ("f12", 1), ("f12", 2), ("bessel", 0), ("bessel", 1),
+            ("bessel", 2), ("h", 0), ("const", 0),
+        ),
     )
     def test_kernel_spec_batch_is_bit_identical(self, digits, kind, k):
         prec = WorkingPrecision(digits)
         ts = kernel_arguments(digits)
+        public = {
+            "f12": lambda t: kernel_1f2(k, t, prec),
+            "bessel": lambda t: kernel_bessel(k, t, prec),
+            "h": lambda u: h_kernel(u, prec),
+            "const": lambda t: 1,
+        }[kind]
         for weight in range(3):
             spec = KernelSpec(kind, k=k, weight=weight)
-            assert spec.evaluate_many(ts, prec) == [spec.evaluate(t, prec) for t in ts]
+            batch = [mp.make_mpf(v) for v in spec._values(raw(ts, prec), prec)]
+            assert batch == [spec.evaluate(t, prec) for t in ts]
+            if not weight:
+                assert batch == [public(t) for t in ts]
+
+    @staticmethod
+    def assert_first_failure(spec, ts, first, prec, single):
+        """spec's batch over ts raises what single(first, prec) raises alone."""
+        with pytest.raises(NumericFailure) as one:
+            single(first, prec)
+        with pytest.raises(NumericFailure) as batch:
+            spec._values(raw(ts, prec), prec)
+        assert (batch.value.operation, batch.value.detail, batch.value.inputs) == (
+            one.value.operation,
+            one.value.detail,
+            one.value.inputs,
+        )
+
+    @pytest.mark.parametrize(
+        "ts", (["0.5", "1e200"], ["1e200", "0.5"], ["1e-60", "0.5"]), ids=str
+    )
+    def test_f12_batch_raises_the_first_failure(self, ts):
+        # under a zero stop threshold each t runs the full budget (0.5) or
+        # fails up front (1e200); the failure, inputs included, is the one
+        # hyp1f2 raises for the first t
+        spec = KernelSpec("f12", 1)
+        self.assert_first_failure(spec, ts, ts[0], NoStop(30), partial(hyp1f2, 2, 3))
+
+    def test_bessel_batch_raises_the_first_failure(self):
+        # t = 1 runs the budget, t = 1e200 fails up front; with a threshold,
+        # only the second fails, and it is the one reported
+        for prec, first in ((NoStop(30), "1"), (PREC, "1e200")):
+            spec = KernelSpec("bessel", 0)
+            single = partial(kernel_bessel, 0)
+            self.assert_first_failure(spec, ["1", "1e200"], first, prec, single)
 
     @pytest.mark.parametrize(
         "us", (["0.5", "0.1"], ["0.1", "0.5"], [0, "0.3"]), ids=str
@@ -315,17 +352,8 @@ class TestKernelBatches:
         # under a zero stop threshold every u > 0 fails: from u = 1/4 on in
         # hyp1f2's budget, below in the Bernoulli tail; the batch raises
         # what the first failing u raises alone
-        prec = NoStop(30)
         first = next(u for u in us if u != 0)
-        with pytest.raises(NumericFailure) as one:
-            h_kernel(first, prec)
-        with pytest.raises(NumericFailure) as batch:
-            _h_kernel_many(us, prec)
-        assert (batch.value.operation, batch.value.detail, batch.value.inputs) == (
-            one.value.operation,
-            one.value.detail,
-            one.value.inputs,
-        )
+        self.assert_first_failure(KernelSpec("h"), us, first, NoStop(30), h_kernel)
 
 
 class TestLaplaceTransform:

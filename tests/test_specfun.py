@@ -26,7 +26,6 @@ from cmcheck import (
 )
 from cmcheck.specfun import (
     _MAX_RAISES,
-    _series_1f2,
     _series_sums,
     polygamma_fixed,
     refine,
@@ -522,37 +521,6 @@ def batch_arguments(digits):
     return [rng.uniform(0, 40) for _ in range(5)] + ["1e-60", 1000, "2e5", 0, "0.75"]
 
 
-def bessel_i_batch(nu, zs, prec):
-    """bessel_i over zs as one pass of the 1F2 engine, set up as bessel_i is."""
-    with prec.workdps():
-        halves = [to_mpf(z) / 2 for z in zs]
-        return _series_1f2(
-            [half**nu / mp.factorial(nu) for half in halves],
-            [half * half for half in halves],
-            1,
-            nu + 1,
-            prec,
-            "bessel_i",
-            [{"nu": nu, "z": 2 * half} for half in halves],
-        )
-
-
-def hyp1f2_batch(b1, b2, ts, prec):
-    """hyp1f2 over ts as one pass of the 1F2 engine, set up as hyp1f2 is."""
-    with prec.workdps():
-        ts = [to_mpf(t) for t in ts]
-        b1, b2 = (b if isinstance(b, int) else to_mpf(b) for b in (b1, b2))
-        return _series_1f2(
-            [mp.mpf(1)] * len(ts),
-            ts,
-            b1,
-            b2,
-            prec,
-            "hyp1f2",
-            [{"b1": b1, "b2": b2, "t": t} for t in ts],
-        )
-
-
 class TestRefine:
     """refine, the one rule by which a value too wide for its digits is
     taken again at more digits, on scripted balls."""
@@ -613,22 +581,6 @@ class TestRefine:
 class TestSeriesBatches:
     # one pass over many arguments gives each argument's one-at-a-time bits
 
-    @pytest.mark.parametrize("digits", (30, 50, 100))
-    @pytest.mark.parametrize("nu", (0, 1, 4))
-    def test_bessel_i_batch_is_bit_identical(self, digits, nu):
-        prec = WorkingPrecision(digits)
-        with prec.workdps():
-            # z = 2 sqrt x, so the series arguments are the x of batch_arguments
-            zs = [2 * mp.sqrt(to_mpf(x)) for x in batch_arguments(digits)]
-        assert bessel_i_batch(nu, zs, prec) == [bessel_i(nu, z, prec) for z in zs]
-
-    @pytest.mark.parametrize("digits", (30, 50, 100))
-    @pytest.mark.parametrize("b1, b2", ((1, 2), (4, 7), ("2.5", "1e-3")))
-    def test_hyp1f2_batch_is_bit_identical(self, digits, b1, b2):
-        prec = WorkingPrecision(digits)
-        ts = batch_arguments(digits)
-        assert hyp1f2_batch(b1, b2, ts, prec) == [hyp1f2(b1, b2, t, prec) for t in ts]
-
     def test_sums_are_those_of_single_arguments(self):
         # the integer pass itself, argument by argument, mixed exponents included
         with PREC.workdps():
@@ -638,40 +590,3 @@ class TestSeriesBatches:
                 _series_sums([x], 3, half, PREC)[0] for x in xs
             ]
             assert _series_sums([], 1, 2, PREC) == []
-
-
-class TestSeriesBatchFailures:
-    # under a zero stop threshold a batch raises what the first argument to
-    # fail one at a time raises: each argument below runs the full budget
-    # (0.5) or fails up front (1e200)
-
-    @pytest.mark.parametrize(
-        "ts", (["0.5", "1e200"], ["1e200", "0.5"], ["1e-60", "0.5"]), ids=str
-    )
-    def test_hyp1f2_batch_raises_the_first_failure(self, ts):
-        prec = NoStop(30)
-        with pytest.raises(NumericFailure) as one:
-            hyp1f2(2, 3, ts[0], prec)
-        with pytest.raises(NumericFailure) as batch:
-            hyp1f2_batch(2, 3, ts, prec)
-        assert (batch.value.operation, batch.value.detail, batch.value.inputs) == (
-            one.value.operation,
-            one.value.detail,
-            one.value.inputs,
-        )
-
-    def test_bessel_i_batch_raises_the_first_failure(self):
-        # z = 1 runs the budget, z = 1e1000 fails up front; with a threshold,
-        # only the second fails, and it is the one reported
-        for prec, zs, first in (
-            (NoStop(30), ["1", "1e1000"], "1"),
-            (PREC, ["1", "1e1000"], "1e1000"),
-        ):
-            with pytest.raises(NumericFailure) as one:
-                bessel_i(0, first, prec)
-            with pytest.raises(NumericFailure) as batch:
-                bessel_i_batch(0, zs, prec)
-            assert (batch.value.operation, batch.value.inputs) == (
-                one.value.operation,
-                one.value.inputs,
-            )
