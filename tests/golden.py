@@ -53,6 +53,42 @@ QUADRATURE_KINDS = (
 )
 
 
+# the CI smoke commands that run in under a second and are not listed
+# elsewhere in the corpus
+SMOKE_CALLS = (
+    ["eval", "--fn", "trigamma", "--t", "0.5", "--digits", "1000"],
+    ["eval", "--fn", "h", "--t", "0.05", "--digits", "1000"],
+    ["eval", "--fn", "hk", "--k", "4", "--z", "0.01", "--digits", "1000"],
+    ["eval", "--fn", "hk", "--k", "4", "--z", "0.5", "--digits", "1000"],
+    ["eval", "--fn", "hk-scaled-deriv", "--k", "2", "--r", "5", "--n", "6", "--t", "1e4",
+     "--digits", "500"],
+    ["eval", "--fn", "hk-scaled-deriv", "--k", "0", "--r", "300000", "--n", "1", "--t", "1"],
+    ["eval", "--fn", "hk-scaled-deriv", "--k", "0", "--r",
+     "1.01570637888381646861029459785159243155983896668030419359183", "--n", "1",
+     "--t", "32", "--digits", "100"],
+    ["verify-integral", "--rep", "h", "--z", "0.7", "--rel-tol", "1e-120", "--digits", "200"],
+    ["verify-cm", "--target", "h", "--digits", "500", "--grid-points", "20"],
+    ["inequality", "--which", "trigamma", "--digits", "500", "--grid-points", "20"],
+    ["verify-cm", "--target", "hk", "--k", "2", "--digits", "500", "--grid-points", "20"],
+    ["verify-cm", "--target", "hk", "--k", "0", "--grid-min", "1e-40", "--grid-points", "5",
+     "--digits", "50"],
+    ["verify-cm", "--target", "hk", "--k", "0", "--grid-min", "1e-40", "--grid-points", "5",
+     "--digits", "30"],
+    ["degree", "--k", "2", "--digits", "500", "--grid-points", "24"],
+    ["eval", "--fn", "hk", "--k", "0", "--z", "1e-7", "--digits", "30"],
+    ["degree", "--k", "1", "--grid-min", "1e-7", "--grid-points", "20", "--digits", "30"],
+    ["inequality", "--which", "bessel", "--digits", "30"],
+    ["eval", "--fn", "h-deriv", "--i", "1", "--t", "1e30", "--digits", "30"],
+    ["eval", "--fn", "h-kernel", "--t", "0.2", "--digits", "1000"],
+    ["verify-cm", "--target", "h", "--grid-min", "1e-3", "--grid-max", "1e7",
+     "--grid-points", "20", "--digits", "500"],
+    ["verify-cm", "--target", "hk", "--k", "2", "--r", "13/4", "--digits", "500",
+     "--grid-points", "20"],
+    ["eval", "--fn", "hk", "--k", "60000", "--z", "1e-5"],
+    ["eval", "--fn", "h-kernel", "--t", "1e400000", "--digits", "30"],
+)
+
+
 def commands():
     """Every command of the corpus, each an argv list for cli.main."""
     out = []
@@ -123,6 +159,18 @@ def commands():
     # their records, hyp1f2's for h_kernel from u = 1/4 on
     out.append(["eval", "--fn", "h-kernel", "--t", "1e400000"])
     out.append(["eval", "--fn", "kernel-bessel", "--k", "0", "--t", "1e400000"])
+    # the h and trigamma scans on wide grids, out to where h^(i) for i >= 1
+    # cancels about 21 digits and h - 1 about 21
+    for digits in ("30", "50", "100"):
+        out.append(
+            ["verify-cm", "--target", "h", "--grid-min", "1e-3", "--grid-max", "1e7",
+             "--grid-points", "30", "--digits", digits]
+        )
+        out.append(
+            ["inequality", "--which", "trigamma", "--grid-min", "1e-3", "--grid-max", "1e5",
+             "--grid-points", "30", "--digits", digits]
+        )
+    out.extend(list(argv) for argv in SMOKE_CALLS)
     return out
 
 
