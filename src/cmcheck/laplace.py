@@ -168,13 +168,17 @@ def kernel_bessel(k, t, prec=DEFAULT_PRECISION):
 
 def u_ratio(u, prec=DEFAULT_PRECISION):
     """u / (1 - e^-u), continued by its value 1 at u = 0; expm1 keeps the
-    denominator exact for every u > 0."""
+    denominator exact for every u > 0.  From u = (P + 2) ln 2 on, P =
+    prec.bits, e^-u <= 2^-(P+2) and -expm1(-u) rounds to exactly 1, so the
+    ratio is u itself, returned without forming e^-u."""
     with prec.workdps():
         u = to_mpf(u)
         if u < 0:
             raise ValueError(f"u must be nonnegative, got {u}")
         if u == 0:
             return mp.mpf(1)
+        if u >= (prec.bits + 2) * mp.ln2:
+            return u
         return u / (-mp.expm1(-u))
 
 

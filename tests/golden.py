@@ -86,6 +86,7 @@ SMOKE_CALLS = (
      "--grid-points", "20"],
     ["eval", "--fn", "hk", "--k", "60000", "--z", "1e-5"],
     ["eval", "--fn", "h-kernel", "--t", "1e400000", "--digits", "30"],
+    ["eval", "--fn", "u-ratio", "--t", "1e400000", "--digits", "30"],
 )
 
 

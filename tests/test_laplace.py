@@ -154,6 +154,27 @@ class TestURatioAndHKernel:
                 want = u / (-mp.expm1(-u))
                 assert abs(value - want) <= mp.mpf(10) ** (3 - digits) * want, u
 
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_u_ratio_at_huge_u_is_u(self, digits):
+        # from u = (P + 2) ln 2 on, -expm1(-u) rounds to 1 at P bits: the
+        # ratio is u to the bit, on both sides of that threshold, and u =
+        # 1e400000, where e^-u would take minutes, returns at once
+        prec = WorkingPrecision(digits)
+        with prec.workdps():
+            edge = (prec.bits + 2) * mp.ln2
+            us = [edge * (1 + mp.mpf(d)) for d in ("-1e-3", "-1e-9", 0, "1e-9", "1e-3")]
+            # at P ln 2 and below, -expm1(-u) is not 1
+            us += [edge - 2 * mp.ln2, edge - 3 * mp.ln2, mp.ceil(edge) + 1, 4 * edge]
+            us.append(mp.mpf("1e5"))
+        for u in us:
+            value = u_ratio(u, prec)
+            with prec.workdps():
+                assert value == u / (-mp.expm1(-u)), u
+                if u >= edge:
+                    assert value == u, u
+        with prec.workdps():
+            assert u_ratio("1e400000", prec) == mp.mpf("1e400000")
+
     def test_u_ratio_limit(self):
         with PREC.workdps():
             # u/(1-e^-u) = 1 + u/2 + O(u^2)
