@@ -43,7 +43,7 @@ from typing import Optional
 from mpmath import mp
 from mpmath.libmp import from_int, mpf_pos, mpf_pow, mpf_sub, round_nearest
 
-from .laurent import _hk_lead, h_balls, h_table, hk_sums
+from .laurent import _hk_lead, h_balls, h_sign_balls, h_table, hk_sums
 from .specfun import (
     DEFAULT_PRECISION,
     NumericFailure,
@@ -322,9 +322,13 @@ class HOracle(TableCache):
         return len(self._tables.keys() | self._balls.keys())
 
     def balls(self, t):
-        """The balls at t, an mpf at working precision, or None (h_balls)."""
+        """The balls at t, an mpf at working precision, or None: the sign
+        rung's (h_sign_balls), else the 30-digit ones (h_balls)."""
         if t not in self._balls:
-            self._balls[t] = h_balls(0, self.max_order, t, self.prec)
+            balls = h_sign_balls(self.max_order, t, self.prec)
+            if balls is None:
+                balls = h_balls(0, self.max_order, t, self.prec)
+            self._balls[t] = balls
         return self._balls[t]
 
     def __call__(self, n, t):

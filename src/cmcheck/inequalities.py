@@ -30,7 +30,7 @@ from mpmath import mp
 
 from .cmdeg import LogGrid, ball_minimum
 from .laplace import _h_pieces
-from .laurent import BALL_DIGITS, h_balls
+from .laurent import BALL_DIGITS, h_balls, h_sign_balls
 from .specfun import DEFAULT_PRECISION, _dyadic, ball_sign, refine, to_mpf
 
 FPOLY_FORMS = ("A", "B", "C", "D")
@@ -199,9 +199,12 @@ def check_ineq_trigamma(grid=DEFAULT_TRIGAMMA_GRID, prec=DEFAULT_PRECISION):
         mid, rad, _ = _h_minus_one_ball(t, prec, digits=prec.digits)
         return ball_sign(mid, rad, "check_ineq_trigamma", t=t)
 
+    def ball(t):
+        balls = h_sign_balls(0, t, prec, less=1)
+        return _h_minus_one_ball(t, prec) if balls is None else balls[0]
+
     with prec.workdps():
         ts = grid.values(prec)
-        ball = partial(_h_minus_one_ball, prec=prec)
         return _scan(
             "trigamma", grid, ts, ball, lambda t: trigamma_margin(t, prec), judge
         )

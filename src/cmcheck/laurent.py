@@ -29,12 +29,12 @@ h scans.
 
 from dataclasses import replace
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, inf
 from operator import mul
 from typing import NamedTuple
 
 from mpmath import mp
-from mpmath.libmp import from_int, mpf_div, mpf_exp, round_nearest
+from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_exp, round_nearest, to_int
 
 from .specfun import (
     DEFAULT_PRECISION,
@@ -45,7 +45,9 @@ from .specfun import (
     _as_mpf,
     _at_digits,
     _dyadic,
+    _em_weight,
     _exp_recip_fixed,
+    _fixed_head,
     polygamma_fixed,
     refine,
     to_mpf,
@@ -468,6 +470,158 @@ def h_balls(i_lo, i_hi, t, prec=DEFAULT_PRECISION, digits=BALL_DIGITS):
         return _h_balls(i_lo, i_hi, t, ball, ball, prec)
     except NumericFailure:
         return None
+
+
+# the sign rung of the h scans (h_sign_balls): the bits of its e^(1/t)
+# part and of its fixed point, its cap on Euler-Maclaurin terms and on
+# orders, and the point a = t + shift that at most three head terms reach
+_SIGN_EXP_BITS = 64
+_SIGN_BITS = 96
+_SIGN_TERMS = 40
+_SIGN_ORDERS = 64
+_SIGN_TARGET = 6
+
+
+def h_sign_balls(top, t, prec=DEFAULT_PRECISION, less=0):
+    """[(H_i, R_i, x_i) for i = 0..top]: balls that hold the exact h^(i)(t)
+    and h_table(0, top, t, prec)[i] alike, as h_balls' do, each summed only
+    until it excludes 0 by a factor of 16; with less = 1 and top = 0, the
+    ball of h(t) - 1 and of the trigamma margin at prec.  None where any
+    order stays undecided, where top >= _SIGN_ORDERS, or where prec's series
+    stop S is 0 or above 2^-80.  The first rung beneath h_balls' 30 digits.
+
+    (-1)^i h^(i)(t) = E - n! z with n = i + 1, E the exp part from
+    _exp_recip_fixed at 64 bits, within 2^-65 E, and z = zeta(n+1, t) =
+    sum_{j<shift} (t+j)^-s + a^-n B at s = n + 1, a = t + shift exact,
+    shift = min(3, ceil(6 - t)) head terms or none, and
+
+        B = 1/n + w/2 + sum_{v=1..V} T_v + rem,  T_v = c_v (s)_(2v-1) w^(2v),
+
+    w = 1/a, c_v = B_2v/(2v)!: rem lies between 0 and T_(V+1), as the summand
+    is completely monotone (polygamma_fixed's stop rests on the same fact).
+
+    Radius, counting every floor.  The integers are polygamma_fixed's at wq
+    = 96 bits, with v <= _SIGN_TERMS = 40 and n <= 64: the powers A_n of
+    2^beta/a at 2^-wq are low by a relative n 2^-wq, so the true A' <= A_n
+    (1 + 2^(8-wq)); term_v is within (2v+4) 2^-wq |T_v| + 1 <= 2^(7-wq)
+    |T_v| + 1 units of 2^-wq of T_v 2^wq, so |T_v| 2^wq <= (|term_v| + 1)
+    (1 + 2^(8-wq)); 1/n and w/2 are within 3 units.  With V terms summed
+    and m the sum of every |term_v| formed (v <= V + 1), the bracket's sum
+    b is thus within
+
+        e_B = |term_(V+1)| + V + 7 + floor(m 2^(9-wq))
+
+    units of B 2^wq, and the tail floor(b A_n 2^-wq) within 1 + 2^-wq A'
+    (e_B + |b| 2^(8-wq)) <= floor(K A_n 2^(1-wq)) + 2 units of a^-n B
+    2^W_n, W_n = wq + n beta, K = e_B + floor(|b| 2^(8-wq)) + 1, as A' <=
+    2 A_n.  The head (_fixed_head at 2^-wp, wp >= W_n) has at most three
+    powers, each low by 2s units or 2s 2^-wp of itself, and is shifted to
+    2^-W_n with one floor: within 6s + 1 units and 6s 2^-wp <= 2^(9-wq) of
+    itself (s <= 65), so under floor(head 2^(10-wq)) + 6s + 2.  So z 2^W_n
+    lies within
+
+        R_n = floor(K A_n 2^(1-wq)) + floor(head 2^(10-wq)) + 6s + 4
+
+    of head + tail.  At the coarser scale 2^x of the two parts, each shifted
+    there with one floor to e and p: E within floor(e 2^-64) + 3 units
+    (2^-65 E, and the shift), n! z within floor(n! R_n 2^-(x+W_n)) + 2.
+    Their sum r bounds the distance of (e - p) 2^x from (-1)^i h^(i), and
+    E + n! z <= c = e + p + r units.  h_table's value at prec, P =
+    prec.bits, is within 2^(1-P) (E + n! z) + S n! z of h^(i) (its error
+    bound), and the trigamma margin's within 2^(2-P) (E + n! z) more, for
+    its rounding and its unit: widened by floor(c 2^(4-P)) + floor(S c) + 2,
+    the ball holds both.  For less, 1 is taken from e - p, or is one more
+    unit of radius where 2^x >= 2.  An order adds terms until 16 times its
+    radius is at most |e - p|, and declines where a term is 0 or larger
+    than the last, or past 40 terms.
+    """
+    s_num, s_e = prec.dyadic_stop
+    if not s_num or s_num << 80 > 1 << s_e or top >= _SIGN_ORDERS:
+        return None
+    t = _as_mpf(t, prec, positive=True)
+    exps = _exp_recip_fixed(0, top, t, _SIGN_EXP_BITS)
+    t = t._mpf_
+    # floor(t) for t < 8, else no head term
+    shift = max(0, min(3, _SIGN_TARGET - to_int(t))) if t[2] + t[3] < 4 else 0
+    _, c, d, b = mpf_add(t, from_int(shift))
+    beta = b + d
+    wq = _SIGN_BITS
+    orders = range(1, top + 2)
+    heads = [0] * len(orders)
+    if shift:
+        den, e = _dyadic(t)
+        wp = wq + (top + 2) * beta
+        heads = [
+            h >> (top + 2 - n) * beta
+            for n, h in zip(orders, _fixed_head(den, e, shift, 2, top + 2, wp))
+        ]
+    u_scaled = (1 << (wq + b)) // c
+    u2_scaled = (1 << (wq + 2 * b)) // (c * c)
+    half_u = u_scaled >> (beta + 1)
+    bits = prec.bits
+    # per order: the bracket's sum, its |terms|, (s)_(2v-1), the last |term|,
+    # and the parts fixed before the tail
+    sums, mags, risings, prev, parts = [], [], [], [], []
+    power = 1 << wq
+    for n, (f, f_exp), head in zip(orders, exps, heads):
+        power = power * u_scaled >> wq
+        p_exp = -(wq + n * beta)
+        x = max(f_exp, p_exp)
+        e = abs(f) >> x - f_exp
+        sums.append((1 << wq) // n + half_u)
+        mags.append(0)
+        risings.append(n + 1)
+        prev.append(inf)
+        fixed = (head >> wq - 10) + 6 * n + 10
+        parts.append((head, power, factorial(n), x - p_exp, e, (e >> 64) + 3, x, fixed))
+
+    def ball(i, omitted, summed):
+        """The ball of order i with summed terms and the next one omitted,
+        or None where it does not exclude 0 by a factor of 16."""
+        head, power, fact, down, e, e_rad, x, fixed = parts[i]
+        b = sums[i]
+        k = omitted + summed + 8 + (mags[i] + omitted >> wq - 9) + (b >> wq - 8)
+        p = fact * (head + (b * power >> wq)) >> down
+        rad = e_rad + (fact * ((k * power >> wq - 1) + fixed) >> down) + 2
+        size = e + p + rad
+        rad += (size >> bits - 4) + (s_num * size >> s_e) + 2
+        mid = e - p
+        if less:
+            if x > 0:
+                rad += 1
+            else:
+                mid -= 1 << -x
+        if rad << 4 > abs(mid):
+            return None
+        return (-mid if i % 2 else mid), rad, x
+
+    balls = [None] * len(orders)
+    u2v = 1 << wq
+    active = list(range(len(orders)))
+    for v in range(1, _SIGN_TERMS + 1):
+        c_scaled, g = _em_weight(v, wq)
+        u2v = u2v * u2_scaled >> wq
+        weight = c_scaled * u2v >> wq
+        drop = g - wq + 2 * v * beta
+        still = []
+        for i in active:
+            term = weight * risings[i] >> drop
+            mag = abs(term)
+            balls[i] = ball(i, mag, v - 1)
+            if balls[i] is not None:
+                continue
+            if not mag or mag > prev[i]:
+                return None
+            sums[i] += term
+            mags[i] += mag
+            s = i + 2
+            risings[i] *= (s + 2 * v - 1) * (s + 2 * v)
+            prev[i] = mag
+            still.append(i)
+        active = still
+        if not active:
+            return balls
+    return None
 
 
 def _h_balls(i_lo, i_hi, t, ball, psi, prec):

@@ -1,6 +1,7 @@
 """Remainder family H_k, its derivatives, and h = e^(1/t) - psi' against
 subtractive, termwise, and finite-difference oracles."""
 
+import random
 import time
 from fractions import Fraction
 from math import log2, prod
@@ -30,14 +31,19 @@ from cmcheck import (
     scaled_remainder_derivative,
     to_mpf,
 )
-from cmcheck.cmdeg import ScaledTailOracle
-from cmcheck.inequalities import _h_minus_one_ball
+from cmcheck.cmdeg import DEFAULT_H_GRID, ScaledTailOracle
+from cmcheck.inequalities import (
+    DEFAULT_TRIGAMMA_GRID,
+    _h_minus_one_ball,
+    trigamma_margin,
+)
 from cmcheck.laurent import (
     BALL_DIGITS,
     _hk_exp_parts,
     _hk_exp_side,
     _lah_rows,
     h_balls,
+    h_sign_balls,
     hk_sums,
 )
 from cmcheck.specfun import _SERIES_LIMIT, _dyadic, polygamma_fixed
@@ -722,3 +728,90 @@ class TestHBalls:
         # the radius is proven for series stops up to 2^-80 only
         assert h_balls(0, 2, 1, CoarseStop(50)) is None
         assert h_balls(0, 2, 1, PREC) is not None
+
+
+class TestHSignBalls:
+    """The sign rung beneath the 30-digit balls of the h and trigamma scans."""
+
+    @staticmethod
+    def assert_holds(balls, t, prec, less=0, exact=True):
+        """Each ball excludes 0 by a factor of 16 and holds h_table's value at
+        prec (the trigamma margin's with less) and, with exact, the exact
+        h^(i)(t) (h - 1 with less), E and P at three times the digits."""
+        if less:
+            values = [trigamma_margin(t, prec)]
+        else:
+            values = h_table(0, len(balls) - 1, t, prec)
+        with mp.workdps(3 * prec.digits):
+            for i, ((mid, rad, x), value) in enumerate(zip(balls, values)):
+                unit = mp.ldexp(1, x)
+                assert abs(mid) >= 16 * rad, (i, t)
+                assert abs(value - mid * unit) <= rad * unit, (i, t)
+                if exact:
+                    exp_part, psi = TestHTable.parts(i, t)
+                    want = exp_part - psi - less
+                    assert abs(want - mid * unit) <= rad * unit, (i, t)
+
+    @pytest.mark.parametrize("digits, stride", ((30, 2), (50, 5), (100, 10)))
+    def test_balls_hold_both_values_on_the_default_grids(self, digits, stride):
+        # every point of both grids decides every order; the exact values,
+        # whose mpmath polygamma costs 1-8 ms an order, at every stride-th
+        # point of the h grid and every 2 stride-th of the trigamma grid
+        prec = WorkingPrecision(digits)
+        with prec.workdps():
+            hs = DEFAULT_H_GRID.values(prec)
+            ts = DEFAULT_TRIGAMMA_GRID.values(prec)
+        for j, t in enumerate(hs):
+            balls = h_sign_balls(8, t, prec)
+            assert balls is not None, t
+            self.assert_holds(balls, t, prec, exact=j % stride == 0)
+        for j, t in enumerate(ts):
+            balls = h_sign_balls(0, t, prec, less=1)
+            assert balls is not None, t
+            self.assert_holds(balls, t, prec, less=1, exact=j % (2 * stride) == 0)
+
+    def test_balls_hold_both_values_at_random_t(self):
+        # 400 log-uniform t in [1e-3, 1e7] at 30 digits: past about t = 3e5
+        # the orders i >= 1 cancel more than the 64 bits of the exp part, so
+        # the rung declines there and the 30-digit row is taken
+        prec = WorkingPrecision(30)
+        rng = random.Random(3011)
+        declined = 0
+        for _ in range(400):
+            with prec.workdps():
+                t = mp.mpf(10) ** mp.mpf(rng.uniform(-3, 7))
+            balls = h_sign_balls(8, t, prec)
+            if balls is None:
+                declined += 1
+                assert h_sign_balls(0, t, prec) is not None, t
+            else:
+                self.assert_holds(balls, t, prec)
+            margin = h_sign_balls(0, t, prec, less=1)
+            if margin is not None:
+                self.assert_holds(margin, t, prec, less=1)
+        assert 20 <= declined <= 100
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_decides_every_cli_mix_row(self, digits):
+        # the benchmark's cli-mix scans: h on 40 points from 0.05, raised by
+        # up to 1%, to 1e3, and the trigamma margin on 40 points of the
+        # default trigamma range
+        prec = WorkingPrecision(digits)
+        grids = [LogGrid(start, 1e3, 40) for start in ("0.05", "0.050005", "0.050495")]
+        with prec.workdps():
+            for grid in grids:
+                for t in grid.values(prec):
+                    assert h_sign_balls(8, t, prec) is not None, t
+            for t in LogGrid(1e-2, 100, 40).values(prec):
+                assert h_sign_balls(0, t, prec, less=1) is not None, t
+
+    def test_declines(self):
+        # a zero or coarse series stop, too many orders, and a row whose
+        # orders cancel past the exp part's bits get no balls
+        assert h_sign_balls(2, 1, NoStop(50)) is None
+        assert h_sign_balls(2, 1, CoarseStop(50)) is None
+        assert h_sign_balls(63, 1, PREC) is not None
+        assert h_sign_balls(64, 1, PREC) is None
+        assert h_sign_balls(8, "1e7", PREC) is None
+        assert h_sign_balls(0, "1e7", PREC) is not None
+        assert h_sign_balls(0, "1e5", PREC, less=1) is None
