@@ -35,7 +35,7 @@ from cmcheck.cmdeg import (
     ScaledTailOracle,
     ball_minimum,
 )
-from cmcheck.laurent import HkSums, _hk_exp_side, _lah_rows, hk_sums
+from cmcheck.laurent import HkSums, _hk_exp_side, _lah_rows, h_balls, h_sign_balls, hk_sums
 from cmcheck.specfun import _MAX_RAISES, _dyadic, ball_sign
 
 PREC = DEFAULT_PRECISION
@@ -634,6 +634,17 @@ class TestHOracle:
                 want = h_derivative(n, "0.7", PREC)
                 assert abs(oracle(n, "0.7") - want) <= rel * abs(want)
         assert oracle.series == 1
+
+    def test_balls_take_the_sign_rung_else_the_thirty_digit_row(self):
+        # the rung decides every order at t = 1; at t = 1e7 the orders i >= 1
+        # cancel past the 64 bits of its exp part, and the 30-digit row is
+        # taken
+        oracle = HOracle(8, PREC)
+        with PREC.workdps():
+            near, far = mp.mpf(1), mp.mpf("1e7")
+        assert oracle.balls(near) == h_sign_balls(8, near, PREC) is not None
+        assert h_sign_balls(8, far, PREC) is None
+        assert oracle.balls(far) == h_balls(0, 8, far, PREC)
 
     def test_order_beyond_table_is_rejected(self):
         with pytest.raises(ValueError):
