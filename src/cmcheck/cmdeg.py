@@ -17,9 +17,10 @@ its error ball are positive or negative where the ball lies on one side of
 0, and undecided, refused with NumericFailure, where it holds 0.  A
 bisection step reads every sign from an integer bracket and builds no mpf
 value (ScaledDerivative.passes).  The sign scans of h (HOracle) take two
-passes: one 30-digit table per grid point gives every derivative there as
-an integer ball that holds its value at the digits asked for (h_balls),
-and ball_minimum evaluates at those digits only the values whose balls do
+passes: one row per grid point gives every derivative there as an integer
+ball that holds its value at the digits asked for, from the sign rung,
+summed only until each ball excludes 0 (h_sign_balls), or where that
+declines from a 30-digit table (h_balls), and ball_minimum evaluates at those digits only the values whose balls do
 not lie above 0, each judged by its ball there, and the candidates for
 the minimum.  The sign scans of t^r H_k (ScaledDerivative) take the same
 walk in one pass: each ball is the bracket over the hk_sums that a
@@ -125,7 +126,7 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
 
     The walk is ball_minimum's, so its report is the one-pass walk's that
     evaluates every (n, t) it reaches.  An oracle with balls, an HOracle
-    (30-digit balls) or a ScaledDerivative (balls from its brackets at
+    (sign-rung or 30-digit balls) or a ScaledDerivative (balls from its brackets at
     prec), has its balls settle every sign they can up to its max_order,
     and only the rest, with the candidates for the minimum, are evaluated
     at prec, where the oracle's judge(n, t) reads the sign from its ball
@@ -303,14 +304,15 @@ class TableCache:
 
 
 class HOracle(TableCache):
-    """h^(n)(t), n <= max_order, over h_table, with a 30-digit ball per point.
+    """h^(n)(t), n <= max_order, over h_table, with a row of balls per point.
 
-    balls(t) is h_balls(0, max_order, t, prec), kept per t like the tables:
+    balls(t) is h_sign_balls(max_order, t, prec), or h_balls(0, max_order,
+    t, prec) where that declines, kept per t like the tables:
     check_sign_pattern and the suite walk an HOracle in two passes
     (ball_minimum), so the tables at prec are summed only at the points
     that the balls cannot settle.  series counts the points summed at either
-    precision.  judge(n, t) reads a sign that the 30-digit ball leaves
-    undecided from the ball of the table at prec.
+    precision.  judge(n, t) reads a sign that the balls leave undecided
+    from the ball of the table at prec.
     """
 
     def __init__(self, max_order, prec=DEFAULT_PRECISION):

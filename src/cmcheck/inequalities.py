@@ -5,8 +5,10 @@ the trigamma bound psi'(t) < e^(1/t) - 1 (margin h(t) - 1) and the Bessel
 lower bound I_1(t) > (t/2)^3 / (1 - e^(-(t/2)^2)) (margin (t/2) times the
 Laplace density of h - 1 at (t/2)^2).  A scan passes where the sign of
 every margin's ball is positive (specfun.ball_sign), and an undecided
-sign raises NumericFailure.  The trigamma scan takes two passes: 30-digit
-balls of h - 1 at every grid point (laurent.h_balls), and the margin at
+sign raises NumericFailure.  The trigamma scan takes two passes: a ball
+of h - 1 at every grid point, from the sign rung, summed only until it
+excludes 0 (laurent.h_sign_balls), or where that declines at 30 digits
+(laurent.h_balls), and the margin at
 the digits asked for only where cmdeg.ball_minimum cannot rule the point
 out of the minimum or its ball leaves the sign undecided.  The Bessel scan
 takes every margin of its grid, with a relative radius, from one sequence
@@ -190,9 +192,10 @@ def check_ineq_trigamma(grid=DEFAULT_TRIGAMMA_GRID, prec=DEFAULT_PRECISION):
 
     At large t the margin decays like 1/(24 t^4), far above its radius on
     the default grid.  The scan takes two passes: the margin
-    trigamma_margin(t) at prec only where a 30-digit ball (h_balls) leaves
-    t a candidate for the minimum, usually one grid point, or leaves its
-    sign undecided, which the ball of the table at prec then reads.
+    trigamma_margin(t) at prec only where the ball of h - 1, the sign
+    rung's (h_sign_balls) or where that declines a 30-digit one (h_balls),
+    leaves t a candidate for the minimum, usually one grid point, or leaves
+    its sign undecided, which the ball of the table at prec then reads.
     """
 
     def judge(t, _):

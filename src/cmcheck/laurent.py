@@ -22,9 +22,10 @@ sums by the Leibniz rule in cmdeg.
 Also hosts h(t) = e^(1/t) - psi'(t) and its derivatives, the difference of
 the two engines from specfun as integer balls (h_balls): h_table rounds
 the balls of a table at its own digits to mpfs, taken again at more digits
-where a ball is too wide (specfun.refine), and the 30-digit balls, whose
-radius covers h_table's value at any digits too, are the first pass of the
-h scans.
+where a ball is too wide (specfun.refine).  The first pass of the h scans
+takes balls whose radius covers h_table's value at any digits too: from
+the sign rung (h_sign_balls), whose tails stop once each ball excludes 0,
+or where it declines from a 30-digit table.
 """
 
 from dataclasses import replace
@@ -561,28 +562,26 @@ def h_sign_balls(top, t, prec=DEFAULT_PRECISION, less=0):
     bits = prec.bits
     # per order: the bracket's sum, its |terms|, (s)_(2v-1), the last |term|,
     # and the parts fixed before the tail
-    sums, mags, risings, prev, parts = [], [], [], [], []
+    sums = [(1 << wq) // n + half_u for n in orders]
+    mags, prev = [0] * len(orders), [inf] * len(orders)
+    risings = [n + 1 for n in orders]
+    parts = []
     power = 1 << wq
     for n, (f, f_exp), head in zip(orders, exps, heads):
         power = power * u_scaled >> wq
-        p_exp = -(wq + n * beta)
-        x = max(f_exp, p_exp)
-        e = abs(f) >> x - f_exp
-        sums.append((1 << wq) // n + half_u)
-        mags.append(0)
-        risings.append(n + 1)
-        prev.append(inf)
+        x = max(f_exp, -(wq + n * beta))
+        down, e = x + wq + n * beta, abs(f) >> x - f_exp
         fixed = (head >> wq - 10) + 6 * n + 10
-        parts.append((head, power, factorial(n), x - p_exp, e, (e >> 64) + 3, x, fixed))
+        parts.append((head, power, factorial(n), down, e, x, fixed))
 
     def ball(i, omitted, summed):
         """The ball of order i with summed terms and the next one omitted,
         or None where it does not exclude 0 by a factor of 16."""
-        head, power, fact, down, e, e_rad, x, fixed = parts[i]
+        head, power, fact, down, e, x, fixed = parts[i]
         b = sums[i]
         k = omitted + summed + 8 + (mags[i] + omitted >> wq - 9) + (b >> wq - 8)
         p = fact * (head + (b * power >> wq)) >> down
-        rad = e_rad + (fact * ((k * power >> wq - 1) + fixed) >> down) + 2
+        rad = (e >> 64) + 3 + (fact * ((k * power >> wq - 1) + fixed) >> down) + 2
         size = e + p + rad
         rad += (size >> bits - 4) + (s_num * size >> s_e) + 2
         mid = e - p

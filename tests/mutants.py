@@ -49,8 +49,8 @@ MUTANTS = (
     Mutant(
         "sign rung: error of the exp part dropped",
         "laurent.py",
-        "(e >> 64) + 3",
-        "3",
+        "(e >> 64) + 3 + ",
+        "3 + ",
         ("tests/test_laurent.py::TestHSignBalls::test_balls_hold_both_values_at_random_t",),
     ),
     Mutant(
