@@ -20,9 +20,9 @@ value (ScaledDerivative.passes).  The sign scans of h (HOracle) take two
 passes: one row per grid point gives every derivative there as an integer
 ball that holds its value at the digits asked for, from the sign rung,
 summed only until each ball excludes 0 (h_sign_balls), or where that
-declines from a 30-digit table (h_balls), and ball_minimum evaluates at those digits only the values whose balls do
-not lie above 0, each judged by its ball there, and the candidates for
-the minimum.  The sign scans of t^r H_k (ScaledDerivative) take the same
+declines from a 30-digit table (h_balls), and ball_minimum evaluates at
+those digits only the values whose balls do not lie above 0, each judged
+by its ball there, and the candidates for the minimum.  The sign scans of t^r H_k (ScaledDerivative) take the same
 walk in one pass: each ball is the bracket over the hk_sums that a
 bisection step reads, times an integer factor, so every sign is that
 bracket's.  Any other oracle goes through the same walk with no balls,
@@ -126,13 +126,13 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
 
     The walk is ball_minimum's, so its report is the one-pass walk's that
     evaluates every (n, t) it reaches.  An oracle with balls, an HOracle
-    (sign-rung or 30-digit balls) or a ScaledDerivative (balls from its brackets at
-    prec), has its balls settle every sign they can up to its max_order,
-    and only the rest, with the candidates for the minimum, are evaluated
-    at prec, where the oracle's judge(n, t) reads the sign from its ball
-    there; any other callable, and any order past
-    the oracle's max_order, is evaluated at every key the walk reaches, its
-    value a ball of radius 0.
+    (sign-rung or 30-digit balls) or a ScaledDerivative (balls from its
+    brackets at prec), has its balls settle every sign they can up to its
+    max_order, and only the rest, with the candidates for the minimum, are
+    evaluated at prec, where the oracle's judge(n, t) reads the sign from
+    its ball there; any other callable, and any order past the oracle's
+    max_order, is evaluated at every key the walk reaches, its value a ball
+    of radius 0.
     """
     if not isinstance(max_order, int) or max_order < 0:
         raise ValueError(f"max_order must be a nonnegative integer, got {max_order!r}")

@@ -503,8 +503,8 @@ def h_sign_balls(top, t, prec=DEFAULT_PRECISION, less=0):
 
     Radius, counting every floor.  The integers are polygamma_fixed's at wq
     = 96 bits, with v <= _SIGN_TERMS = 40 and n <= 64: the powers A_n of
-    2^beta/a at 2^-wq are low by a relative n 2^-wq, so the true A' <= A_n
-    (1 + 2^(8-wq)); term_v is within (2v+4) 2^-wq |T_v| + 1 <= 2^(7-wq)
+    2^beta/a at 2^-wq are low by a relative (2n - 1) 2^-wq < 2^(7-wq), so
+    the true A' <= A_n (1 + 2^(8-wq)); term_v is within (2v+4) 2^-wq |T_v| + 1 <= 2^(7-wq)
     |T_v| + 1 units of 2^-wq of T_v 2^wq, so |T_v| 2^wq <= (|term_v| + 1)
     (1 + 2^(8-wq)); 1/n and w/2 are within 3 units.  With V terms summed
     and m the sum of every |term_v| formed (v <= V + 1), the bracket's sum
