@@ -17,12 +17,13 @@ its error ball are positive or negative where the ball lies on one side of
 0, and undecided, refused with NumericFailure, where it holds 0.  A
 bisection step reads every sign from an integer bracket and builds no mpf
 value (ScaledDerivative.passes).  The sign scans of h (HOracle) take two
-passes: one row per grid point gives every derivative there as an integer
-ball that holds its value at the digits asked for, from the sign rung,
-summed only until each ball excludes 0 (h_sign_balls), or where that
-declines from a 30-digit table (h_balls), and ball_minimum evaluates at
-those digits only the values whose balls do not lie above 0, each judged
-by its ball there, and the candidates for the minimum.  The sign scans of t^r H_k (ScaledDerivative) take the same
+passes: one row per grid point from the sign rung (h_sign_balls), whose
+bits grow with t, gives every derivative there as an integer ball that
+holds its value at the digits asked for, summed only until each ball
+excludes 0, and ball_minimum evaluates at those digits only the values
+whose balls do not lie above 0, or whose row the rung declines past its
+cap, each judged by the ball of the table there (h_balls), and the
+candidates for the minimum.  The sign scans of t^r H_k (ScaledDerivative) take the same
 walk in one pass: each ball is the bracket over the hk_sums that a
 bisection step reads, times an integer factor, so every sign is that
 bracket's.  Any other oracle goes through the same walk with no balls,
@@ -126,7 +127,7 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
 
     The walk is ball_minimum's, so its report is the one-pass walk's that
     evaluates every (n, t) it reaches.  An oracle with balls, an HOracle
-    (sign-rung or 30-digit balls) or a ScaledDerivative (balls from its
+    (the sign rung's balls) or a ScaledDerivative (balls from its
     brackets at prec), has its balls settle every sign they can up to its
     max_order, and only the rest, with the candidates for the minimum, are
     evaluated at prec, where the oracle's judge(n, t) reads the sign from
@@ -306,13 +307,12 @@ class TableCache:
 class HOracle(TableCache):
     """h^(n)(t), n <= max_order, over h_table, with a row of balls per point.
 
-    balls(t) is h_sign_balls(max_order, t, prec), or h_balls(0, max_order,
-    t, prec) where that declines, kept per t like the tables:
-    check_sign_pattern and the suite walk an HOracle in two passes
-    (ball_minimum), so the tables at prec are summed only at the points
-    that the balls cannot settle.  series counts the points summed at either
-    precision.  judge(n, t) reads a sign that the balls leave undecided
-    from the ball of the table at prec.
+    balls(t) is the sign rung's row h_sign_balls(max_order, t, prec), or
+    None past its cap, kept per t like the tables: check_sign_pattern walks
+    an HOracle in two passes (ball_minimum), so the tables at prec are
+    summed only at the points that the balls cannot settle.  series counts
+    the points that have a row or a table.  judge(n, t) reads a sign that
+    the balls leave undecided from the ball of the table at prec.
     """
 
     def __init__(self, max_order, prec=DEFAULT_PRECISION):
@@ -324,13 +324,9 @@ class HOracle(TableCache):
         return len(self._tables.keys() | self._balls.keys())
 
     def balls(self, t):
-        """The balls at t, an mpf at working precision, or None: the sign
-        rung's (h_sign_balls), else the 30-digit ones (h_balls)."""
+        """The sign rung's balls at t, an mpf at working precision, or None."""
         if t not in self._balls:
-            balls = h_sign_balls(self.max_order, t, self.prec)
-            if balls is None:
-                balls = h_balls(0, self.max_order, t, self.prec)
-            self._balls[t] = balls
+            self._balls[t] = h_sign_balls(self.max_order, t, self.prec)
         return self._balls[t]
 
     def __call__(self, n, t):
@@ -340,7 +336,7 @@ class HOracle(TableCache):
 
     def judge(self, n, t):
         """The sign of (-1)^n h^(n)(t) by the ball of the table at prec."""
-        ((mid, rad, _),) = h_balls(n, n, t, self.prec, self.prec.digits)
+        ((mid, rad, _),) = h_balls(n, n, t, self.prec)
         return ball_sign((-1) ** n * mid, rad, "HOracle", n=n, t=t)
 
 

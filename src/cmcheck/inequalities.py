@@ -6,11 +6,10 @@ lower bound I_1(t) > (t/2)^3 / (1 - e^(-(t/2)^2)) (margin (t/2) times the
 Laplace density of h - 1 at (t/2)^2).  A scan passes where the sign of
 every margin's ball is positive (specfun.ball_sign), and an undecided
 sign raises NumericFailure.  The trigamma scan takes two passes: a ball
-of h - 1 at every grid point, from the sign rung, summed only until it
-excludes 0 (laurent.h_sign_balls), or where that declines at 30 digits
-(laurent.h_balls), and the margin at
-the digits asked for only where cmdeg.ball_minimum cannot rule the point
-out of the minimum or its ball leaves the sign undecided.  The Bessel scan
+of h - 1 at every grid point from the sign rung, summed only until it
+excludes 0 (laurent.h_sign_balls), and the margin at the digits asked for
+only where cmdeg.ball_minimum cannot rule the point out of the minimum, or
+where the rung declines, past its cap.  The Bessel scan
 takes every margin of its grid, with a relative radius, from one sequence
 evaluation of the h kernel.  The polynomial family f_i(t) that drives the
 difference-derivative bound
@@ -32,7 +31,7 @@ from mpmath import mp
 
 from .cmdeg import LogGrid, ball_minimum
 from .laplace import _h_pieces
-from .laurent import BALL_DIGITS, h_balls, h_sign_balls
+from .laurent import _less_one, h_balls, h_sign_balls
 from .specfun import DEFAULT_PRECISION, _dyadic, ball_sign, refine, to_mpf
 
 FPOLY_FORMS = ("A", "B", "C", "D")
@@ -151,19 +150,10 @@ def _scan(inequality, grid, ts, ball, margin, judge):
     return InequalityScanReport(inequality, grid, best, best_t, not stopped, count)
 
 
-def _h_minus_one_ball(t, prec, digits=BALL_DIGITS):
-    """The ball of h(t) - 1 from h_balls at digits, whose radius covers that
-    one rounding, or None where h_balls gives none.  Where the unit 2^x of
-    the ball is 2 or more, 1 is less than one unit: the ball of h widened
-    by one unit then holds h - 1 and the values at prec, and no integer as
-    large as h (about e^(1/t)) is formed."""
-    balls = h_balls(0, 0, t, prec, digits)
-    if balls is None:
-        return None
-    ((mid, rad, x),) = balls
-    if x > 0:
-        return mid, rad + 1, x
-    return mid - (1 << -x), rad, x
+def _h_minus_one_ball(t, prec):
+    """The ball of h(t) - 1 from h_balls at prec, whose radius covers that
+    one rounding."""
+    return _less_one(*h_balls(0, 0, t, prec)[0])
 
 
 def trigamma_margin(t, prec=DEFAULT_PRECISION):
@@ -179,7 +169,7 @@ def trigamma_margin(t, prec=DEFAULT_PRECISION):
         t = to_mpf(t)
 
     def evaluate(level):
-        mid, rad, x = _h_minus_one_ball(t, level, digits=level.digits)
+        mid, rad, x = _h_minus_one_ball(t, level)
         return (mid, x), [(mid, rad)]
 
     mid, x = refine(evaluate, prec, "trigamma_margin", t=t)
@@ -192,19 +182,19 @@ def check_ineq_trigamma(grid=DEFAULT_TRIGAMMA_GRID, prec=DEFAULT_PRECISION):
 
     At large t the margin decays like 1/(24 t^4), far above its radius on
     the default grid.  The scan takes two passes: the margin
-    trigamma_margin(t) at prec only where the ball of h - 1, the sign
-    rung's (h_sign_balls) or where that declines a 30-digit one (h_balls),
-    leaves t a candidate for the minimum, usually one grid point, or leaves
-    its sign undecided, which the ball of the table at prec then reads.
+    trigamma_margin(t) at prec only where the sign rung's ball of h - 1
+    (h_sign_balls) leaves t a candidate for the minimum, usually one grid
+    point, or where the rung declines, past its cap, and the ball of the
+    table at prec then reads the sign.
     """
 
     def judge(t, _):
-        mid, rad, _ = _h_minus_one_ball(t, prec, digits=prec.digits)
+        mid, rad, _ = _h_minus_one_ball(t, prec)
         return ball_sign(mid, rad, "check_ineq_trigamma", t=t)
 
     def ball(t):
         balls = h_sign_balls(0, t, prec, less=1)
-        return _h_minus_one_ball(t, prec) if balls is None else balls[0]
+        return None if balls is None else balls[0]
 
     with prec.workdps():
         ts = grid.values(prec)
@@ -296,7 +286,7 @@ def check_difference_bound(i, t, prec=DEFAULT_PRECISION):
         t = to_mpf(t)
         if t <= 0:
             raise ValueError(f"t must be positive, got {t}")
-        balls = partial(h_balls, i, i, prec=prec, digits=prec.digits)
+        balls = partial(h_balls, i, i, prec=prec)
         after = balls(mp.fadd(t, 1, exact=True))[0]
         return _difference_bound(i, t, balls(t)[0], after, prec)
 

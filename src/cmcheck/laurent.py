@@ -23,19 +23,20 @@ Also hosts h(t) = e^(1/t) - psi'(t) and its derivatives, the difference of
 the two engines from specfun as integer balls (h_balls): h_table rounds
 the balls of a table at its own digits to mpfs, taken again at more digits
 where a ball is too wide (specfun.refine).  The first pass of the h scans
-takes balls whose radius covers h_table's value at any digits too: from
-the sign rung (h_sign_balls), whose tails stop once each ball excludes 0,
-or where it declines from a 30-digit table.
+takes balls whose radius covers h_table's value at any digits too, from
+the sign rung (h_sign_balls): polygamma_fixed's Euler-Maclaurin loop,
+stopped once each ball excludes 0, at widths that grow with the bits h^(i)
+cancels at t (_sign_width).  Past the rung's cap the scans take the table
+at the digits asked for.
 """
 
-from dataclasses import replace
 from functools import lru_cache
-from math import comb, factorial, inf
+from math import comb, factorial
 from operator import mul
 from typing import NamedTuple
 
 from mpmath import mp
-from mpmath.libmp import from_int, mpf_add, mpf_div, mpf_exp, round_nearest, to_int
+from mpmath.libmp import from_int, mpf_div, mpf_exp, round_nearest, to_int
 
 from .specfun import (
     DEFAULT_PRECISION,
@@ -46,9 +47,8 @@ from .specfun import (
     _as_mpf,
     _at_digits,
     _dyadic,
-    _em_weight,
+    _em_tail,
     _exp_recip_fixed,
-    _fixed_head,
     polygamma_fixed,
     refine,
     to_mpf,
@@ -410,7 +410,7 @@ def h_table(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
     about 3 log10 t at large t for i >= 1, and S is relative to |P|, so P
     is summed one digit further per bit of t's exponent, at most
     GUARD_DIGITS: one pass settles every table to about t = 3e3.  The pass
-    is the integer mid of _h_balls at its digits, whose radius covers this
+    is the integer mid of _h_balls at its level, whose radius covers this
     bound; where any order's radius exceeds |mid| 10^-(digits+3) the table
     is taken again at raised digits (specfun.refine) and rounded at prec.
     A table that three raises cannot settle is refused with NumericFailure
@@ -423,7 +423,7 @@ def h_table(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
 
     def evaluate(level):
         psi = _at_digits(level, level.digits + more)
-        balls = _h_balls(i_lo, i_hi, t, level, psi, psi)
+        balls = _h_balls(i_lo, i_hi, t, level, psi)
         return balls, [(mid, rad) for mid, rad, _ in balls]
 
     balls = refine(evaluate, prec, "h_table", t=t)
@@ -431,56 +431,66 @@ def h_table(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
         return [mp.mpf((mid, x)) for mid, _, x in balls]
 
 
-# digits of the first pass of the h scans, the lowest the CLI accepts
-BALL_DIGITS = 30
-
-
-@lru_cache(maxsize=None)  # one entry per policy that the h scans run at
-def _ball_precision(prec, digits=BALL_DIGITS):
-    """prec's policy at digits, or None where either series stop exceeds
-    2^-80 or the stop at prec exceeds the one at digits: h_balls proves its
-    radius only under those two conditions."""
-    ball = replace(prec, digits=digits)
-    (s, e), (s_full, e_full) = ball.dyadic_stop, prec.dyadic_stop
-    if s << 80 <= 1 << e and s_full << e <= s << e_full:
-        return ball
-    return None
-
-
-def h_balls(i_lo, i_hi, t, prec=DEFAULT_PRECISION, digits=BALL_DIGITS):
-    """[(H_i, R_i, x_i) for i = i_lo..i_hi]: h^(i)(t) from a table at digits
-    digits, 30 by default, as integers whose ball [H_i - R_i, H_i + R_i]
-    2^x_i holds the exact h^(i)(t) and h_table(i_lo, i_hi, t, prec)[i - i_lo]
-    alike.
-
-    None where _ball_precision(prec, digits) is None or the table at digits
-    raises NumericFailure: the caller then evaluates h_table at prec, so
-    any failure it reports is the one there.  With digits = prec.digits
-    the balls are a table at prec itself, which settle a sign that the
-    30-digit balls leave undecided, and there a failure raises
-    NumericFailure.  t is converted at prec and never rounded again, so
-    both passes of a scan evaluate the same t.
+def h_balls(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
+    """[(H_i, R_i, x_i) for i = i_lo..i_hi]: the balls of the table at prec,
+    whose [H_i - R_i, H_i + R_i] 2^x_i holds the exact h^(i)(t) and
+    h_table(i_lo, i_hi, t, prec)[i - i_lo] alike; a series stop above 2^-80
+    raises NumericFailure.  They judge a sign that the sign rung leaves
+    undecided.  t is converted at prec and never rounded again.
     """
-    t = _as_mpf(t, prec)
-    if digits == prec.digits:
-        return _h_balls(i_lo, i_hi, t, prec, prec, prec)
-    ball = _ball_precision(prec, digits)
-    if ball is None:
-        return None
-    try:
-        return _h_balls(i_lo, i_hi, t, ball, ball, prec)
-    except NumericFailure:
-        return None
+    return _h_balls(i_lo, i_hi, _as_mpf(t, prec), prec, prec)
 
 
 # the sign rung of the h scans (h_sign_balls): the bits of its e^(1/t)
-# part and of its fixed point, its cap on Euler-Maclaurin terms and on
+# part wherever they suffice, its cap on Euler-Maclaurin terms and on
 # orders, and the point a = t + shift that at most three head terms reach
 _SIGN_EXP_BITS = 64
-_SIGN_BITS = 96
 _SIGN_TERMS = 40
 _SIGN_ORDERS = 64
 _SIGN_TARGET = 6
+
+
+def _h_cancelled_bits(t, less=0):
+    """The bits that h^(i)(t), i >= 1, cancels of d^i/dt^i e^(1/t) at large
+    t, or with less that h(t) - 1 cancels of e^(1/t): the bit length of 6
+    T^3 (24 T^4), T = lead 2^drop >= t the mpf t rounded up to 32 bits, as
+    that of 6 lead^3 plus 3 drop.  At large t |d/dt e^(1/t)| / |h'(t)| = 6
+    t^3 (1 - 1/(4t) + ...), order i's ratio 144 t^3 / ((i+1)(i+2)(i+3)) is
+    smaller for i > 1, and e^(1/t) / (h(t) - 1) = 24 t^4 (1 + O(t^-2)).
+    """
+    _, man, exp, bc = t._mpf_
+    lead = man << 32 - bc if bc <= 32 else -(-man >> bc - 32)
+    ratio, power = (24, 4) if less else (6, 3)
+    return (ratio * lead**power).bit_length() + power * (bc + exp - 32)
+
+
+def _sign_width(top, t, prec, less=0):
+    """q, the bits of h_sign_balls' exp part at t (its fixed point has q +
+    32), or None past the rung's cap.
+
+    A row of top >= 1, or with less, cancels c = _h_cancelled_bits(t, less)
+    bits, any other none: |h^(i)| (|h - 1|) is about 2^-c E or more, E the
+    exp part, and the psi part n! z is about E, or psi'(t) <= 2^(2-g) E for
+    h - 1, 2^(g-1) <= t < 2^g.  The radius is about 2^-q E, the psi part's
+    share under 2^-20, and the widening for h_table's value, 2^(4-P) (E +
+    n! z) + S n! z, so the ball excludes 0 by 16 where 2^(c+4-q) + 2^(c+9-P)
+    + 2^y S stays below 1, y = c + 5, or c + 7 - g for h - 1.  So q = 64
+    where c + 4 <= 64, the rows the rung decided at 64 bits, else q = c + 4
+    + k for the least k >= 1 with 2^-k at most room = 1 - 2^(c+9-P) - 2^y S
+    - 2^-8.  Where room <= 0 (at 30 digits from t = 7.6e10 for h^(i) and
+    2.6e10 for h - 1, at 50 from 3.2e17 and 2.4e15) the row is declined.
+    """
+    c = _h_cancelled_bits(t, less) if top or less else 0
+    if c + 4 <= _SIGN_EXP_BITS:
+        return _SIGN_EXP_BITS
+    if c + 9 >= prec.bits:
+        return None
+    s_num, s_e = prec.dyadic_stop
+    y = c + 7 - mp.mag(t) if less else c + 5
+    room = (1 << s_e) - (1 << s_e + c + 9 - prec.bits) - (s_num << y) - (1 << s_e - 8)
+    if room <= 0:
+        return None
+    return c + 5 + s_e - room.bit_length()
 
 
 def h_sign_balls(top, t, prec=DEFAULT_PRECISION, less=0):
@@ -488,27 +498,31 @@ def h_sign_balls(top, t, prec=DEFAULT_PRECISION, less=0):
     and h_table(0, top, t, prec)[i] alike, as h_balls' do, each summed only
     until it excludes 0 by a factor of 16; with less = 1 and top = 0, the
     ball of h(t) - 1 and of the trigamma margin at prec.  None where any
-    order stays undecided, where top >= _SIGN_ORDERS, or where prec's series
-    stop S is 0 or above 2^-80.  The first rung beneath h_balls' 30 digits.
+    order stays undecided, where top >= _SIGN_ORDERS, where prec's series
+    stop S is 0 or above 2^-80, and, before any sum, past the rung's cap
+    (_sign_width).  The first rung of the h scans, beneath the tables at
+    prec.
 
     (-1)^i h^(i)(t) = E - n! z with n = i + 1, E the exp part from
-    _exp_recip_fixed at 64 bits, within 2^-65 E, and z = zeta(n+1, t) =
-    sum_{j<shift} (t+j)^-s + a^-n B at s = n + 1, a = t + shift exact,
-    shift = min(3, ceil(6 - t)) head terms or none, and
+    _exp_recip_fixed at q = _sign_width(top, t, prec, less) bits, 64 or
+    more as t grows, within 2^-(q+1) E, and z = zeta(n+1, t) = sum_{j<shift}
+    (t+j)^-s + a^-n B at s = n + 1, a = t + shift exact, shift = min(3,
+    ceil(6 - t)) head terms or none, and
 
         B = 1/n + w/2 + sum_{v=1..V} T_v + rem,  T_v = c_v (s)_(2v-1) w^(2v),
 
     w = 1/a, c_v = B_2v/(2v)!: rem lies between 0 and T_(V+1), as the summand
     is completely monotone (polygamma_fixed's stop rests on the same fact).
 
-    Radius, counting every floor.  The integers are polygamma_fixed's at wq
-    = 96 bits, with v <= _SIGN_TERMS = 40 and n <= 64: the powers A_n of
-    2^beta/a at 2^-wq are low by a relative (2n - 1) 2^-wq < 2^(7-wq), so
-    the true A' <= A_n (1 + 2^(8-wq)); term_v is within (2v+4) 2^-wq |T_v| + 1 <= 2^(7-wq)
-    |T_v| + 1 units of 2^-wq of T_v 2^wq, so |T_v| 2^wq <= (|term_v| + 1)
-    (1 + 2^(8-wq)); 1/n and w/2 are within 3 units.  With V terms summed
-    and m the sum of every |term_v| formed (v <= V + 1), the bracket's sum
-    b is thus within
+    Radius, counting every floor.  The integers are those of _em_tail,
+    polygamma_fixed's loop, at wq = q + 32 >= 96 bits, with v <=
+    _SIGN_TERMS = 40 and n <= 64: the powers A_n of 2^beta/a at 2^-wq are
+    low by a relative (2n - 1) 2^-wq < 2^(7-wq), so the true A' <= A_n (1 +
+    2^(8-wq)); term_v is within (2v+4) 2^-wq |T_v| + 1 <= 2^(7-wq) |T_v| +
+    1 units of 2^-wq of T_v 2^wq, so |T_v| 2^wq <= (|term_v| + 1) (1 +
+    2^(8-wq)); 1/n and w/2 are within 3 units.  With V terms summed and m
+    the sum of every |term_v| formed (v <= V + 1), the bracket's sum b is
+    thus within
 
         e_B = |term_(V+1)| + V + 7 + floor(m 2^(9-wq))
 
@@ -524,152 +538,123 @@ def h_sign_balls(top, t, prec=DEFAULT_PRECISION, less=0):
         R_n = floor(K A_n 2^(1-wq)) + floor(head 2^(10-wq)) + 6s + 4
 
     of head + tail.  At the coarser scale 2^x of the two parts, each shifted
-    there with one floor to e and p: E within floor(e 2^-64) + 3 units
-    (2^-65 E, and the shift), n! z within floor(n! R_n 2^-(x+W_n)) + 2.
-    Their sum r bounds the distance of (e - p) 2^x from (-1)^i h^(i), and
-    E + n! z <= c = e + p + r units.  h_table's value at prec, P =
-    prec.bits, is within 2^(1-P) (E + n! z) + S n! z of h^(i) (its error
-    bound), and the trigamma margin's within 2^(2-P) (E + n! z) more, for
-    its rounding and its unit: widened by floor(c 2^(4-P)) + floor(S c) + 2,
-    the ball holds both.  For less, 1 is taken from e - p, or is one more
-    unit of radius where 2^x >= 2.  An order adds terms until 16 times its
-    radius is at most |e - p|, and declines where a term is 0 or larger
-    than the last, or past 40 terms.
+    there with one floor to e and p: E within floor(e 2^-q) + 3 units
+    (2^-(q+1) E, and the shift), n! z within floor(n! R_n 2^-(x+W_n)) + 2.
+    Their sum r bounds the distance of (e - p) 2^x from (-1)^i h^(i), so
+    n! z <= p + r and E + n! z <= e + p + r units.  h_table's value at
+    prec, P = prec.bits, is within 2^(1-P) (E + n! z) + S n! z of h^(i)
+    (its error bound), and the trigamma margin's within 2^(2-P) (E + n! z)
+    more, for its rounding and its unit: widened by floor((e + p + r)
+    2^(4-P)) + floor(S w) + 2, the ball holds both, with w = p + r, or at
+    q = 64 the larger e + p + r that the rung has always taken there.  For
+    less, 1 is taken from e - p, or is one more unit of radius where 2^x >=
+    2.  No step asks more of q than q >= 64 and wq >= 96, so the widths may
+    grow with t.  An order adds terms until 16 times its radius is at most
+    |e - p| (_em_tail's stop), and declines where a term grows, or past 40
+    terms.
     """
     s_num, s_e = prec.dyadic_stop
     if not s_num or s_num << 80 > 1 << s_e or top >= _SIGN_ORDERS:
         return None
     t = _as_mpf(t, prec, positive=True)
-    exps = _exp_recip_fixed(0, top, t, _SIGN_EXP_BITS)
-    t = t._mpf_
+    q = _sign_width(top, t, prec, less)
+    if q is None:
+        return None
+    wq = q + _GUARD_BITS
+    exps = _exp_recip_fixed(0, top, t, q)
+    raw = t._mpf_
     # floor(t) for t < 8, else no head term
-    shift = max(0, min(3, _SIGN_TARGET - to_int(t))) if t[2] + t[3] < 4 else 0
-    _, c, d, b = mpf_add(t, from_int(shift))
-    beta = b + d
-    wq = _SIGN_BITS
-    orders = range(1, top + 2)
-    heads = [0] * len(orders)
-    if shift:
-        den, e = _dyadic(t)
-        wp = wq + (top + 2) * beta
-        heads = [
-            h >> (top + 2 - n) * beta
-            for n, h in zip(orders, _fixed_head(den, e, shift, 2, top + 2, wp))
-        ]
-    u_scaled = (1 << (wq + b)) // c
-    u2_scaled = (1 << (wq + 2 * b)) // (c * c)
-    half_u = u_scaled >> (beta + 1)
+    shift = max(0, min(3, _SIGN_TARGET - to_int(raw))) if raw[2] + raw[3] < 4 else 0
     bits = prec.bits
-    # per order: the bracket's sum, its |terms|, (s)_(2v-1), the last |term|,
-    # and the parts fixed before the tail
-    sums = [(1 << wq) // n + half_u for n in orders]
-    mags, prev = [0] * len(orders), [inf] * len(orders)
-    risings = [n + 1 for n in orders]
-    parts = []
-    power = 1 << wq
-    for n, (f, f_exp), head in zip(orders, exps, heads):
-        power = power * u_scaled >> wq
-        x = max(f_exp, -(wq + n * beta))
-        down, e = x + wq + n * beta, abs(f) >> x - f_exp
-        fixed = (head >> wq - 10) + 6 * n + 10
-        parts.append((head, power, factorial(n), down, e, x, fixed))
+    balls = [None] * (top + 1)
+    mags = [0] * (top + 1)  # per order, the sum of every |term| formed
 
-    def ball(i, omitted, summed):
-        """The ball of order i with summed terms and the next one omitted,
-        or None where it does not exclude 0 by a factor of 16."""
-        head, power, fact, down, e, x, fixed = parts[i]
-        b = sums[i]
-        k = omitted + summed + 8 + (mags[i] + omitted >> wq - 9) + (b >> wq - 8)
-        p = fact * (head + (b * power >> wq)) >> down
-        rad = (e >> 64) + 3 + (fact * ((k * power >> wq - 1) + fixed) >> down) + 2
-        size = e + p + rad
-        rad += (size >> bits - 4) + (s_num * size >> s_e) + 2
-        mid = e - p
-        if less:
-            if x > 0:
-                rad += 1
-            else:
-                mid -= 1 << -x
-        if rad << 4 > abs(mid):
-            return None
-        return (-mid if i % 2 else mid), rad, x
+    def stopper(beta, heads, powers, brackets):
+        parts = []  # per order, the parts fixed before the tail
+        for n, (f, f_exp), head, power in zip(range(1, top + 2), exps, heads, powers):
+            x = max(f_exp, -(wq + n * beta))
+            down, e = x + wq + n * beta, abs(f) >> x - f_exp
+            fixed = (head >> wq - 10) + 6 * n + 10
+            parts.append((head, power, factorial(n), down, e, x, fixed))
 
-    balls = [None] * len(orders)
-    u2v = 1 << wq
-    active = list(range(len(orders)))
-    for v in range(1, _SIGN_TERMS + 1):
-        c_scaled, g = _em_weight(v, wq)
-        u2v = u2v * u2_scaled >> wq
-        weight = c_scaled * u2v >> wq
-        drop = g - wq + 2 * v * beta
-        still = []
-        for i in active:
-            term = weight * risings[i] >> drop
-            mag = abs(term)
-            balls[i] = ball(i, mag, v - 1)
-            if balls[i] is not None:
-                continue
-            if not mag or mag > prev[i]:
-                return None
-            sums[i] += term
+        def done(i, v, term, mag):
+            # order i's ball with term v omitted, kept if it excludes 0 by 16
+            head, power, fact, down, e, x, fixed = parts[i]
+            b = brackets[i] - term
             mags[i] += mag
-            s = i + 2
-            risings[i] *= (s + 2 * v - 1) * (s + 2 * v)
-            prev[i] = mag
-            still.append(i)
-        active = still
-        if not active:
-            return balls
-    return None
+            k = mag + v + 7 + (mags[i] >> wq - 9) + (b >> wq - 8)
+            p = fact * (head + (b * power >> wq)) >> down
+            rad = (e >> q) + 3 + (fact * ((k * power >> wq - 1) + fixed) >> down) + 2
+            size = e + p + rad
+            psi = p + rad if q > _SIGN_EXP_BITS else size
+            rad += (size >> bits - 4) + (s_num * psi >> s_e) + 2
+            mid = e - p
+            if less:
+                mid, rad, _ = _less_one(mid, rad, x)
+            if rad << 4 > abs(mid):
+                return False
+            balls[i] = (-mid if i % 2 else mid), rad, x
+            return True
+
+        return done
+
+    failure = _em_tail(t, shift, 1, top + 1, wq, _SIGN_TERMS, stopper)[-1]
+    return None if failure else balls
 
 
-def _h_balls(i_lo, i_hi, t, ball, psi, prec):
+def _less_one(mid, rad, x):
+    """The ball (mid, rad, x) less 1: 1 taken from mid, or where the unit 2^x
+    is 2 or more one more unit of radius, so that no integer as large as the
+    ball's value (h's is about e^(1/t)) is formed."""
+    return (mid, rad + 1, x) if x > 0 else (mid - (1 << -x), rad, x)
+
+
+def _h_balls(i_lo, i_hi, t, ball, psi):
     """h_balls' integers for an mpf t: E_i 2^x_i ~ d^i/dt^i e^(1/t) from
     _exp_recip_fixed at ball's working precision, of p >= 153 bits, and
-    P_i 2^x_i ~ psi^(i+1)(t) from polygamma_fixed at psi, each pair shifted
-    to the coarser of its two scales, and H_i = E_i - P_i; psi and prec
-    have P >= p bits (h_table passes psi as prec: its value is the mid).
+    P_i 2^x_i ~ psi^(i+1)(t) from polygamma_fixed at psi, of P >= p bits,
+    each pair shifted to the coarser of its two scales, and H_i = E_i -
+    P_i.  h_balls passes its prec as both; h_table passes a level and the
+    policy its polygamma runs at, and takes the mids as its value.
 
     Radius.  In units u = 2^x_i, with E and P the exact parts of order i,
-    s and S the series stops of psi and of prec, each <= 2^-80 (else
-    NumericFailure("h_balls", ...)), and i < 512: S bounds the stop of
-    h_table at prec, whose polygamma runs at prec's digits or more, and at
-    its raised digits, as WorkingPrecision's stop falls with its digits.
+    S the series stop of psi, <= 2^-80 (else NumericFailure("h_balls",
+    ...)), and i < 512.  With ball and psi both prec, S bounds the stop of
+    h_table at prec too, whose polygamma runs at prec's digits or more, and
+    at its raised digits, as WorkingPrecision's stop falls with its digits.
     - the ball's own error (h_table's bound without its final rounding):
-      E_i within 2^-(p+1) |E| + u, P_i within (i+1) 2^-(p+21) |P| + s |P|
+      E_i within 2^-(p+1) |E| + u, P_i within (i+1) 2^-(p+21) |P| + S |P|
       + u, the u for the shift to the coarser scale;
     - h_table at prec, from its pass at prec or at raised digits: within
       2^-P (|h^(i)| + |E| + |P|) + S |P| <= 2^(1-P) (|E| + |P|) + S |P|;
     - one more rounding at P bits of that value minus any c with |c| <= |E|,
       such as the trigamma margin h - 1: at most 3 2^-P (|E| + |P|).
     The coefficients of |E| + |P| sum to under 5.6 2^-p.  |E| + |P| <=
-    (|E_i| + |P_i| + 2) u / (1 - 2^-79), and the same factor on (s + S) |P|
+    (|E_i| + |P_i| + 2) u / (1 - 2^-79), and the same factor on 2 S |P|
     costs under 2^-157 (|P_i| + 1) u, so
 
-        R_i = floor((|E_i| + |P_i| + 2) 2^(3-p)) + floor((s + S)(|P_i| + 1)) + 4
+        R_i = floor((|E_i| + |P_i| + 2) 2^(3-p)) + floor(2 S (|P_i| + 1)) + 4
 
     covers the distance from H_i u to both values: 2^(3-p) leaves 2.3 2^-p
     of room for those factors, and the 4 units are the two floors and the
-    two shifts.
+    two shifts.  As h_table passes them, the same R_i covers the distance
+    from its mid to the exact value.
     """
-    s_full, e_full = prec.dyadic_stop
-    s_psi, e_psi = psi.dyadic_stop
-    if s_full << 80 > 1 << e_full or s_psi << 80 > 1 << e_psi:
+    s_num, s_e = psi.dyadic_stop
+    if s_num << 80 > 1 << s_e:
         raise NumericFailure("h_balls", "series stop past the radius proof", t=t)
     # polygamma_fixed first: it refuses a t <= 0
     psis = polygamma_fixed(i_lo + 1, i_hi + 1, t, psi)
     bits = ball.bits
     exps = _exp_recip_fixed(i_lo, i_hi, t, bits)
-    # s + S = s_num / 2^s_e exactly
-    s_e = max(e_psi, e_full)
-    s_num = (s_psi << s_e - e_psi) + (s_full << s_e - e_full)
     balls = []
     for (e, e_exp), (p, p_exp) in zip(exps, psis):
         x = max(e_exp, p_exp)
         e >>= x - e_exp
         p >>= x - p_exp
         size = abs(p) + 1
-        rad = (abs(e) + size + 1 >> bits - 3) + (s_num * size >> s_e) + 4
+        # 2 S = s_num / 2^(s_e - 1) exactly
+        rad = (abs(e) + size + 1 >> bits - 3) + (s_num * size >> s_e - 1) + 4
         balls.append((e - p, rad, x))
     return balls
 

@@ -410,7 +410,7 @@ def polygamma_fixed(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
     the exact n! and sign leave that unchanged.  Each order keeps its own
     contraction check, its N-term budget and its relative stop: once a
     term drops below series_stop (head + tail), with the tail at its first
-    two terms, all compared in integers.
+    two terms, all compared in integers: _em_tail's loop, with this stop.
     """
     for n in (n_lo, n_hi):
         if not isinstance(n, int) or n < 1:
@@ -418,15 +418,49 @@ def polygamma_fixed(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
     if n_hi < n_lo:
         raise ValueError(f"need n_lo <= n_hi, got {n_lo!r}, {n_hi!r}")
     t = _as_mpf(t, prec, positive=True)
-    orders = range(n_lo, n_hi + 1)
     target = max(2 * (n_hi + 1), prec.working_dps // 2 + 1)
     gap = mpf_sub(from_int(target), t._mpf_, prec.bits, round_nearest)
     shift = to_int(mpf_ceil(gap)) if t < target else 0
-    _, c, d, b = mpf_add(t._mpf_, from_int(shift))
-    beta = b + d
     budget = max(300, prec.working_dps)
     # 34 guard bits under 512 terms, two more each time the budget doubles
     wq = prec.bits + 16 + 2 * budget.bit_length()
+    # series_stop = s_num / 2^s_e exactly
+    s_num, s_e = prec.dyadic_stop
+
+    def stopper(beta, heads, powers, brackets):
+        # series_stop (head + tail) in units of a^-n 2^-wq
+        floors = [
+            s_num * ((head << wq) // power + bracket) >> s_e
+            for head, power, bracket in zip(heads, powers, brackets)
+        ]
+        return lambda i, v, term, mag: mag < floors[i]
+
+    beta, heads, brackets, powers, failure = _em_tail(
+        t, shift, n_lo, n_hi, wq, budget - 1, stopper
+    )
+    if failure:
+        with prec.workdps():
+            raise NumericFailure("polygamma", failure[0], n=n_lo + failure[1], t=t)
+    out = []
+    for n, head, total, power in zip(range(n_lo, n_hi + 1), heads, brackets, powers):
+        value = factorial(n) * (head + (total * power >> wq))
+        out.append((value if n % 2 else -value, -(wq + n * beta)))
+    return out
+
+
+def _em_tail(t, shift, n_lo, n_hi, wq, last, stopper):
+    """polygamma_fixed's head and Euler-Maclaurin tail of sum_{j>=0}
+    (t+j)^-(n+1), n = n_lo..n_hi, at 2^-wq and a = t + shift, with at most
+    last terms an order: (beta, heads, brackets, powers, failure), order n
+    at i = n - n_lo being heads[i] + (brackets[i] powers[i] >> wq) at
+    2^-(wq + n beta).  stopper(beta, heads, powers, brackets), called once
+    the brackets hold 1/n + u/2, returns done(i, v, term, mag), true where
+    order i stops after term v is added.  failure is None or (detail, i):
+    the first order whose term grew, or still going after last terms.
+    """
+    _, c, d, b = mpf_add(t._mpf_, from_int(shift))
+    beta = b + d
+    orders = range(n_lo, n_hi + 1)
     heads = [0] * len(orders)
     if shift:
         den, e = _dyadic(t)
@@ -439,23 +473,17 @@ def polygamma_fixed(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
     u_scaled = (1 << (wq + b)) // c
     u2_scaled = (1 << (wq + 2 * b)) // (c * c)
     half_u = u_scaled >> (beta + 1)
-    # series_stop = s_num / 2^s_e exactly
-    s_num, s_e = prec.dyadic_stop
-    powers, sums, floors, risings = [], [], [], []
-    power = one
-    for _ in range(n_lo):
-        power = power * u_scaled >> wq
-    for n, head in zip(orders, heads):
-        powers.append(power)
-        sums.append(one // n + half_u)
-        # series_stop (head + tail) in units of a^-n 2^-wq
-        floors.append(s_num * ((head << wq) // power + sums[-1]) >> s_e)
-        risings.append(n + 1)  # (s)_{2v-1} at v = 1
-        power = power * u_scaled >> wq
+    powers = [one]
+    for _ in range(n_hi):
+        powers.append(powers[-1] * u_scaled >> wq)
+    del powers[:n_lo]
+    brackets = [one // n + half_u for n in orders]
+    risings = [n + 1 for n in orders]  # (s)_{2v-1} at v = 1
+    done = stopper(beta, heads, powers, brackets)
     u2v = one
     prev = [inf] * len(orders)
     active = list(range(len(orders)))
-    for v in range(1, budget):
+    for v in range(1, last + 1):
         # c_v (2^beta u)^(2v) at 2^-g, shared by every order
         c_scaled, g = _em_weight(v, wq)
         u2v = u2v * u2_scaled >> wq
@@ -463,33 +491,22 @@ def polygamma_fixed(n_lo, n_hi, t, prec=DEFAULT_PRECISION):
         down = g - wq + 2 * v * beta
         still = []
         for i in active:
-            s = n_lo + i + 1
             term = weight * risings[i] >> down
             mag = abs(term)
-            if mag > prev[i]:
-                with prec.workdps():
-                    raise NumericFailure(
-                        "polygamma", "asymptotic tail failed to contract", n=s - 1, t=t
-                    )
-            sums[i] += term
-            if mag < floors[i]:
+            brackets[i] += term
+            if done(i, v, term, mag):
                 continue
+            if mag > prev[i]:
+                failure = ("asymptotic tail failed to contract", i)
+                return beta, heads, brackets, powers, failure
+            s = n_lo + i + 1
             risings[i] *= (s + 2 * v - 1) * (s + 2 * v)
             prev[i] = mag
             still.append(i)
         active = still
         if not active:
-            break
-    else:
-        with prec.workdps():
-            raise NumericFailure(
-                "polygamma", "tail budget exhausted", n=n_lo + active[0], t=t
-            )
-    out = []
-    for n, head, total, power in zip(orders, heads, sums, powers):
-        value = factorial(n) * (head + (total * power >> wq))
-        out.append((value if n % 2 else -value, -(wq + n * beta)))
-    return out
+            return beta, heads, brackets, powers, None
+    return beta, heads, brackets, powers, ("tail budget exhausted", active[0])
 
 
 def polygamma_range(n_lo, n_hi, t, prec=DEFAULT_PRECISION):

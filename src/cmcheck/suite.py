@@ -40,7 +40,7 @@ from .laplace import (
     laplace_transform,
     verify_representation,
 )
-from .laurent import h_balls
+from .laurent import h_balls, h_sign_balls
 from .specfun import DEFAULT_PRECISION, polygamma, to_mpf
 
 
@@ -87,21 +87,28 @@ def criterion_degree(prec=DEFAULT_PRECISION):
     }
 
 
+def _h_ball(t, prec):
+    """A ball of h(t) that ranks h, or None: the rung's ball of h - 1, which
+    holds h_table's value less 1 too, moved back up by 1 unless its unit
+    2^x >= 2 took the 1 as radius.  Its radius is under 1/16 of h - 1 ~
+    1/(24 t^4), which changes by about 20% per step of DEFAULT_H_GRID."""
+    balls = h_sign_balls(0, t, prec, less=1)
+    if balls is None:
+        return None
+    ((mid, rad, x),) = balls
+    return (mid, rad, x) if x > 0 else (mid + (1 << -x), rad, x)
+
+
 def criterion_h_complete_monotonicity(prec=DEFAULT_PRECISION):
     """(-1)^i h^(i)(t) > 0 for i <= 8 on [0.05, 1e3], h > 1, h(100) ~ 1."""
     start = time.monotonic()
     oracle = HOracle(DEFAULT_H_ORDER, prec)
     report = check_sign_pattern(oracle, DEFAULT_H_GRID, DEFAULT_H_ORDER, prec)
     with prec.workdps():
-        # the scan kept one ball per grid point; order 0 is h itself, and
-        # ball_minimum evaluates it at prec only where a ball leaves t a
-        # candidate for the minimum
-        balls = oracle.balls
-        min_h, _, _, _ = ball_minimum(
-            DEFAULT_H_GRID.values(prec),
-            lambda t: None if balls(t) is None else balls(t)[0],
-            lambda t: oracle(0, t),
-        )
+        # ball_minimum evaluates h at prec only where a ball of h that
+        # ranks it leaves t a candidate for the minimum
+        ts = DEFAULT_H_GRID.values(prec)
+        min_h = ball_minimum(ts, partial(_h_ball, prec=prec), partial(oracle, 0))[0]
         h100_gap = abs(trigamma_margin(100, prec))
         passed = bool(
             report.passed
@@ -250,7 +257,7 @@ def criterion_proof_algebra(prec=DEFAULT_PRECISION):
         # one ball table of the orders 0..6 at t and at t + 1 (exact) serves
         # every i
         ts = LogGrid(0.25, 50, 25).values(prec)
-        balls = partial(h_balls, 0, 6, prec=prec, digits=prec.digits)
+        balls = partial(h_balls, 0, 6, prec=prec)
         tables = [(balls(t), balls(mp.fadd(t, 1, exact=True))) for t in ts]
         diff_ok = all(
             _difference_bound(i, t, at[i], after[i], prec).passed

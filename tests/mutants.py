@@ -32,24 +32,25 @@ SIGN_GRIDS = (
     "tests/test_laurent.py::TestHSignBalls::"
     "test_balls_hold_both_values_on_the_default_grids[30-2]"
 )
+PINNED_CORES = "tests/test_cores.py::TestContextFreeCores::test_integers_are_the_pinned_ones"
 PINNED_QUADRATURE = (
     "tests/test_cores.py::TestContextFreeQuadrature::test_quadrature_is_the_pinned_one"
 )
 LEFT_FOLD = "__import__('functools').reduce(lambda x, y: mpf_add(x, y, bits, _RN), "
 
 MUTANTS = (
-    # the sign rung of the h scans (laurent.h_sign_balls)
+    # the sign rung of the h scans (laurent.h_sign_balls) and its widths
     Mutant(
         "sign rung: omitted term dropped",
         "laurent.py",
-        "k = omitted + summed + 8",
-        "k = summed + 8",
+        "k = mag + v + 7",
+        "k = v + 7",
         (SIGN_GRIDS,),
     ),
     Mutant(
         "sign rung: error of the exp part dropped",
         "laurent.py",
-        "(e >> 64) + 3 + ",
+        "(e >> q) + 3 + ",
         "3 + ",
         ("tests/test_laurent.py::TestHSignBalls::test_balls_hold_both_values_at_random_t",),
     ),
@@ -61,7 +62,7 @@ MUTANTS = (
         (
             SIGN_GRIDS,
             "tests/test_inequalities.py::TestInequalityScans::"
-            "test_thirty_digit_margins_come_from_the_balls",
+            "test_margins_come_from_the_balls[30]",
         ),
     ),
     Mutant(
@@ -73,6 +74,35 @@ MUTANTS = (
             "tests/test_cmdeg.py::TestTwoPassHScan::test_failure_is_the_one_pass_failure",
             "tests/test_laurent.py::TestHSignBalls::test_declines",
         ),
+    ),
+    Mutant(
+        "sign rung: width one bit short",
+        "laurent.py",
+        "return c + 5 + s_e - room.bit_length()",
+        "return c + 4 + s_e - room.bit_length()",
+        (
+            "tests/test_laurent.py::TestHSignBalls::test_decides_just_below_each_width_step",
+        ),
+    ),
+    # the Euler-Maclaurin loop that polygamma_fixed and the rung share
+    Mutant(
+        "Euler-Maclaurin loop: stop taken one term early",
+        "specfun.py",
+        "            brackets[i] += term\n"
+        "            if done(i, v, term, mag):\n"
+        "                continue\n",
+        "            if done(i, v, term, mag):\n"
+        "                continue\n"
+        "            brackets[i] += term\n",
+        (PINNED_CORES + "[30]",),
+    ),
+    # the balls that rank min_h in the suite
+    Mutant(
+        "min_h ball: unit shift dropped",
+        "suite.py",
+        "(mid + (1 << -x), rad, x)",
+        "(mid, rad, x)",
+        ("tests/test_acceptance.py::test_min_h_is_ranked_by_balls_of_h[30]",),
     ),
     # the context-free quadrature (laplace)
     Mutant(
@@ -130,14 +160,15 @@ EQUIVALENT = (
         Mutant(
             "sign rung: widening for h_table's value dropped",
             "laurent.py",
-            "rad += (size >> bits - 4) + (s_num * size >> s_e) + 2",
+            "rad += (size >> bits - 4) + (s_num * psi >> s_e) + 2",
             "pass",
             (),
         ),
-        "the widening is under 2^-140 (E + n! z) + 2 units, while the exp "
-        "part's own radius has 2^-65 E of room and E > n! z wherever the "
-        "signs are those of a completely monotonic h, so every ball still "
-        "holds h_table's value",
+        "the widening covers h_table's error bound at prec, but h_table "
+        "refines its value to within 10^-(digits+3) of h^(i), while the "
+        "radius without it, about 2^-q E, is still some 2^-(k+5) |h^(i)| "
+        "(_sign_width), and the mid's true error is far below its radius at "
+        "every point a test reaches, so every ball still holds h_table's value",
     ),
     (
         Mutant(

@@ -9,7 +9,9 @@ construction.
 import pytest
 from mpmath import mp
 
-from cmcheck import WorkingPrecision, suite
+from cmcheck import WorkingPrecision, cmdeg, suite
+from cmcheck.cmdeg import DEFAULT_H_GRID
+from cmcheck.laurent import h_table
 
 PREC = WorkingPrecision(50)
 
@@ -39,6 +41,35 @@ def test_h_alternating_derivatives():
     assert mp.mpf(record["min_h"]) > 1
     assert mp.mpf(record["h100_minus_1"]) < mp.mpf("1e-8")
     assert record["passed"] is True
+
+
+@pytest.mark.parametrize("digits", (30, 100))
+def test_min_h_is_ranked_by_balls_of_h(digits, monkeypatch):
+    # the criterion ranks h by the balls of _h_ball, from the sign rung's
+    # row of h - 1, so it sums h_table at prec at one or two points, where
+    # balls good only for signs left 118 of the 200 candidates; each ball
+    # holds h_table(0, 0, t, prec) and h itself, from mpmath at three times
+    # the digits
+    prec = WorkingPrecision(digits)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return h_table(*args)
+
+    monkeypatch.setattr(cmdeg, "h_table", counted)
+    assert suite.criterion_h_complete_monotonicity(prec)["passed"] is True
+    assert len(calls) <= 2
+    with prec.workdps():
+        ts = DEFAULT_H_GRID.values(prec)
+    for t in ts:
+        mid, rad, x = suite._h_ball(t, prec)
+        value = h_table(0, 0, t, prec)[0]
+        with mp.workdps(3 * prec.digits):
+            unit = mp.ldexp(1, x)
+            exact = mp.exp(1 / t) - mp.psi(1, t)
+            assert abs(value - mid * unit) <= rad * unit, t
+            assert abs(exact - mid * unit) <= rad * unit, t
 
 
 def test_integral_representations():

@@ -35,7 +35,7 @@ from cmcheck.cmdeg import (
     ScaledTailOracle,
     ball_minimum,
 )
-from cmcheck.laurent import HkSums, _hk_exp_side, _lah_rows, h_balls, h_sign_balls, hk_sums
+from cmcheck.laurent import HkSums, _hk_exp_side, _lah_rows, h_sign_balls, hk_sums
 from cmcheck.specfun import _MAX_RAISES, _dyadic, ball_sign
 
 PREC = DEFAULT_PRECISION
@@ -635,16 +635,16 @@ class TestHOracle:
                 assert abs(oracle(n, "0.7") - want) <= rel * abs(want)
         assert oracle.series == 1
 
-    def test_balls_take_the_sign_rung_else_the_thirty_digit_row(self):
-        # the rung decides every order at t = 1; at t = 1e7 the orders i >= 1
-        # cancel past the 64 bits of its exp part, and the 30-digit row is
-        # taken
+    def test_balls_are_the_sign_rungs(self):
+        # the rung decides every order at t = 1 at 64 bits, and at t = 1e7,
+        # where the orders i >= 1 cancel past them, at more; past its cap
+        # there is no row, and the scan sums the table at prec
         oracle = HOracle(8, PREC)
         with PREC.workdps():
-            near, far = mp.mpf(1), mp.mpf("1e7")
-        assert oracle.balls(near) == h_sign_balls(8, near, PREC) is not None
-        assert h_sign_balls(8, far, PREC) is None
-        assert oracle.balls(far) == h_balls(0, 8, far, PREC)
+            ts = [mp.mpf(1), mp.mpf("1e7"), mp.mpf("1e18")]
+        for t in ts[:2]:
+            assert oracle.balls(t) == h_sign_balls(8, t, PREC) is not None
+        assert oracle.balls(ts[2]) is None
 
     def test_order_beyond_table_is_rejected(self):
         with pytest.raises(ValueError):
@@ -911,12 +911,13 @@ class TestTwoPassHScan:
             check_sign_pattern(HOracle(2, PREC), LogGrid(1, 2, 2), 3, PREC)
         assert failure.value.operation == "check_sign_pattern"
 
-    def test_thirty_digit_tables_come_from_the_balls(self, monkeypatch):
+    @pytest.mark.parametrize("digits", (30, 50))
+    def test_tables_come_from_the_balls(self, monkeypatch, digits):
         # the scan sums a table at prec only at the points of ball_minimum's
-        # candidates, as picked from the 30-digit balls alone, and each of
+        # candidates, as picked from the rung's balls alone, and each of
         # those takes at most _MAX_RAISES raises (none up to t = 3e3, one
-        # past it)
-        prec = WorkingPrecision(30)
+        # past it); the rung decides every row out to 1e10
+        prec = WorkingPrecision(digits)
         calls = []
 
         def counted(*args):
@@ -925,7 +926,7 @@ class TestTwoPassHScan:
 
         monkeypatch.setattr(cmdeg, "h_table", counted)
         passes = oracles.h_table_passes(monkeypatch)
-        for grid in (LogGrid("0.0503", 1e3, 40), LogGrid(2e3, 1e6, 6)):
+        for grid in (LogGrid("0.0503", 1e3, 40), LogGrid(2e3, 1e10, 6)):
             calls.clear()
             passes.clear()
             oracle = HOracle(8, prec)

@@ -29,9 +29,8 @@ from cmcheck.inequalities import (
     DEFAULT_TRIGAMMA_GRID,
     FPOLY_FORMS,
     _difference_bound,
-    _h_minus_one_ball,
 )
-from cmcheck.laurent import h_balls
+from cmcheck.laurent import h_balls, h_sign_balls
 from cmcheck.specfun import to_mpf
 
 PREC = DEFAULT_PRECISION
@@ -222,12 +221,13 @@ class TestInequalityScans:
         for grid in (LogGrid(1e-2, 50, 40), DEFAULT_BESSEL_GRID):
             assert check_ineq_bessel(grid, prec) == oracles.one_pass_bessel(grid, prec)
 
-    def test_thirty_digit_margins_come_from_the_balls(self, monkeypatch):
+    @pytest.mark.parametrize("digits", (30, 50))
+    def test_margins_come_from_the_balls(self, monkeypatch, digits):
         # the scan takes a margin at prec only at ball_minimum's candidates,
-        # as picked from the 30-digit balls of h - 1 alone, each in passes at
-        # rising digits from prec on: one where h - 1 does not cancel, a
+        # as picked from the sign rung's balls of h - 1 alone, each in passes
+        # at rising digits from prec on: one where h - 1 does not cancel, a
         # raise where it does (h ~ 1 + 1/(24 t^4) at large t)
-        prec = WorkingPrecision(30)
+        prec = WorkingPrecision(digits)
         calls = []
         margin = inequalities.trigamma_margin
 
@@ -243,13 +243,13 @@ class TestInequalityScans:
             got = check_ineq_trigamma(grid, prec)
             with prec.workdps():
                 ts = grid.values(prec)
-            balls = [(t, _h_minus_one_ball(t, prec)) for t in ts]
+            balls = [(t, h_sign_balls(0, t, prec, less=1)[0]) for t in ts]
             assert calls == oracles.ball_candidates(balls)
             assert sorted(passes) == sorted(calls)
-            for t, digits in passes.items():
-                assert digits[0] == prec.digits
-                assert digits == sorted(set(digits))
-                assert len(digits) == (1 if t < 10 else 2)
+            for t, levels in passes.items():
+                assert levels[0] == prec.digits
+                assert levels == sorted(set(levels))
+                assert len(levels) == (1 if t < 10 else 2)
             assert got == oracles.one_pass_trigamma(grid, prec)
 
     @pytest.mark.parametrize("digits", (30, 50, 100))
@@ -310,7 +310,7 @@ class TestDifferenceBound:
             rel = mp.mpf(10) ** (5 - digits)
             for t in LogGrid(0.25, 50, 25).values(prec):
                 at, after = (
-                    h_balls(0, 6, x, prec, digits)
+                    h_balls(0, 6, x, prec)
                     for x in (t, mp.fadd(t, 1, exact=True))
                 )
                 for i in range(7):

@@ -37,11 +37,13 @@ from cmcheck.inequalities import (
     _h_minus_one_ball,
     trigamma_margin,
 )
+from cmcheck import laurent
 from cmcheck.laurent import (
-    BALL_DIGITS,
+    _h_cancelled_bits,
     _hk_exp_parts,
     _hk_exp_side,
     _lah_rows,
+    _sign_width,
     h_balls,
     h_sign_balls,
     hk_sums,
@@ -666,25 +668,23 @@ class TestHTable:
 
 
 class TestHBalls:
-    """The 30-digit balls that the two-pass h scans settle their signs with."""
+    """The balls of the table at prec that judge the signs the sign rung
+    leaves undecided, and give both sides of the difference-bound check."""
 
     @pytest.mark.parametrize("digits", (30, 50, 100))
     def test_radius_covers_the_documented_budget(self, digits):
         # each ball holds the exact h^(i)(t) (E and P at three times the
         # digits) and h_table's value at prec, and its radius is at least the
-        # budget its docstring adds up: the 30-digit table's own error,
-        # h_table's at prec and one more rounding there.  The targets +- 1/2
-        # of polygamma_fixed at 30 digits and at prec sit on both sides of
-        # its shifts.
+        # budget its docstring adds up: the table's own error, h_table's at
+        # prec and one more rounding there, with S = s, the one series stop.
+        # The targets +- 1/2 of polygamma_fixed at prec sit on both sides of
+        # its shift
         prec = WorkingPrecision(digits)
-        ball = WorkingPrecision(BALL_DIGITS)
-        with ball.workdps():
-            p, s = mp.prec, ball.series_stop
         with prec.workdps():
-            big_p, big_s = mp.prec, prec.series_stop
+            p, s = mp.prec, prec.series_stop
             ts = [mp.mpf(t) for t in ("1e-3", "0.05", "1", "99.5", "1e3", "1e6")]
-            for target in {ball.working_dps // 2 + 1, prec.working_dps // 2 + 1}:
-                ts += [target - mp.mpf("0.5"), target + mp.mpf("0.5")]
+            target = prec.working_dps // 2 + 1
+            ts += [target - mp.mpf("0.5"), target + mp.mpf("0.5")]
         for t in ts:
             balls = h_balls(0, 8, t, prec)
             table = h_table(0, 8, t, prec)
@@ -701,9 +701,9 @@ class TestHBalls:
                         mp.ldexp(abs(exp_part), -(p + 1))
                         + (i + 1) * mp.ldexp(abs(psi), -(p + 21))
                         + 2 * unit
-                        + mp.ldexp(abs(exact) + parts, -big_p)
-                        + 3 * mp.ldexp(parts, -big_p)
-                        + (s + big_s) * abs(psi)
+                        + mp.ldexp(abs(exact) + parts, -p)
+                        + 3 * mp.ldexp(parts, -p)
+                        + 2 * s * abs(psi)
                     )
                     assert radius >= budget, (i, t)
 
@@ -724,14 +724,16 @@ class TestHBalls:
                     assert abs(margin - mid * unit) <= rad * unit
                     assert abs(exp_part - psi - 1 - mid * unit) <= rad * unit
 
-    def test_coarse_stops_get_no_balls(self):
+    def test_coarse_stops_are_refused(self):
         # the radius is proven for series stops up to 2^-80 only
-        assert h_balls(0, 2, 1, CoarseStop(50)) is None
+        with pytest.raises(NumericFailure) as failure:
+            h_balls(0, 2, 1, CoarseStop(50))
+        assert failure.value.operation == "h_balls"
         assert h_balls(0, 2, 1, PREC) is not None
 
 
 class TestHSignBalls:
-    """The sign rung beneath the 30-digit balls of the h and trigamma scans."""
+    """The sign rung of the h and trigamma scans, whose bits grow with t."""
 
     @staticmethod
     def assert_holds(balls, t, prec, less=0, exact=True):
@@ -771,25 +773,94 @@ class TestHSignBalls:
             self.assert_holds(balls, t, prec, less=1, exact=j % (2 * stride) == 0)
 
     def test_balls_hold_both_values_at_random_t(self):
-        # 400 log-uniform t in [1e-3, 1e7] at 30 digits: past about t = 3e5
-        # the orders i >= 1 cancel more than the 64 bits of the exp part, so
-        # the rung declines there and the 30-digit row is taken
+        # 400 log-uniform t in [1e-3, 1e7] at 30 digits: every row is decided,
+        # past t = 6e5 (h^(i)) and 1.5e4 (h - 1) with more than 64 bits
         prec = WorkingPrecision(30)
         rng = random.Random(3011)
-        declined = 0
+        wide = 0
         for _ in range(400):
             with prec.workdps():
                 t = mp.mpf(10) ** mp.mpf(rng.uniform(-3, 7))
             balls = h_sign_balls(8, t, prec)
-            if balls is None:
-                declined += 1
-                assert h_sign_balls(0, t, prec) is not None, t
-            else:
-                self.assert_holds(balls, t, prec)
+            assert balls is not None, t
+            self.assert_holds(balls, t, prec)
             margin = h_sign_balls(0, t, prec, less=1)
-            if margin is not None:
-                self.assert_holds(margin, t, prec, less=1)
-        assert 20 <= declined <= 100
+            assert margin is not None, t
+            self.assert_holds(margin, t, prec, less=1)
+            wide += _sign_width(8, t, prec) > 64
+        assert 20 <= wide <= 100
+
+    @pytest.mark.parametrize("digits", (30, 50))
+    def test_decides_every_row_below_the_cap(self, digits):
+        # log-uniform t in [1e-3, 1e16]: a row whose width _sign_width
+        # gives is decided and holds the exact values.  The widening for
+        # h_table's value caps the rung: at 30 digits h^(i) from t = 7.6e10
+        # and h - 1 from 2.6e10, at 50 digits h - 1 from 2.4e15 and h^(i)
+        # only past 1e16
+        prec = WorkingPrecision(digits)
+        rng = random.Random(3101 + digits)
+        capped = {0: 0, 1: 0}
+        for j in range(60):
+            with prec.workdps():
+                t = mp.mpf(10) ** mp.mpf(rng.uniform(-3, 16))
+            for top, less in ((8, 0), (0, 1)):
+                balls = h_sign_balls(top, t, prec, less=less)
+                if _sign_width(top, t, prec, less) is None:
+                    assert balls is None, t
+                    capped[less] += 1
+                    continue
+                assert balls is not None, (top, less, t)
+                self.assert_holds(balls, t, prec, less=less, exact=j % 3 == 0)
+        assert capped[1] > 0
+        assert (capped[0] > 0) == (digits == 30)
+
+    @pytest.mark.parametrize("less", (0, 1))
+    def test_decides_just_below_each_width_step(self, less):
+        # the width steps where the count c of _h_cancelled_bits does: at t
+        # just below a step (6 t^3 or 24 t^4 = 2^c (1 - 2^-16)) h^(i) or h - 1
+        # cancels almost c bits, and one bit less of width leaves the ball
+        # short of excluding 0 by 16, most of all near the cap, where the
+        # widening takes most of the room
+        prec = WorkingPrecision(30)
+        power, lead = (4, 24) if less else (3, 6)
+        steps = [61, 62, 70, 80, 90, 100, 105, 108, 109, 110]
+        for c in steps:
+            with mp.workdps(60):
+                t = (mp.ldexp(1 - mp.ldexp(1, -16), c) / lead) ** (mp.mpf(1) / power)
+            with prec.workdps():
+                t = +t
+            assert _h_cancelled_bits(t, less) == c
+            top = 0 if less else 8
+            assert _sign_width(top, t, prec, less) is not None, c
+            balls = h_sign_balls(top, t, prec, less=less)
+            assert balls is not None, c
+            self.assert_holds(balls, t, prec, less=less, exact=c % 10 == 0)
+
+    def test_cancelled_bits(self):
+        # the bit length of 6 T^3 (24 T^4 with less), T >= t rounded up to
+        # 32 bits: above log2(6 t^3), and at most one bit more than that
+        # plus the rounding of T
+        for t in ("1e-30", "0.3", "1", "7.5", "1e4", "123456.789", "1e7", "1e16", "1e300"):
+            with PREC.workdps():
+                t = mp.mpf(t)
+            with mp.workdps(60):
+                for less, lead, power in ((0, 6, 3), (1, 24, 4)):
+                    want = mp.log(lead * t**power, 2)
+                    got = _h_cancelled_bits(t, less)
+                    assert want <= got <= want + 1 + 1e-8, (t, less)
+
+    def test_cap_declines_before_any_sum(self, monkeypatch):
+        # past the cap the rung returns None without a single sum
+        def refuse(*args):
+            raise AssertionError("summed past the cap")
+
+        monkeypatch.setattr(laurent, "_exp_recip_fixed", refuse)
+        monkeypatch.setattr(laurent, "_em_tail", refuse)
+        prec = WorkingPrecision(30)
+        for top, less, t in ((8, 0, "1e11"), (1, 0, "1e100000"), (0, 1, "1e11")):
+            with prec.workdps():
+                assert _sign_width(top, mp.mpf(t), prec, less) is None
+            assert h_sign_balls(top, t, prec, less=less) is None
 
     @pytest.mark.parametrize("digits", (30, 50, 100))
     def test_decides_every_cli_mix_row(self, digits):
@@ -806,12 +877,16 @@ class TestHSignBalls:
                 assert h_sign_balls(0, t, prec, less=1) is not None, t
 
     def test_declines(self):
-        # a zero or coarse series stop, too many orders, and a row whose
-        # orders cancel past the exp part's bits get no balls
+        # a zero or coarse series stop, too many orders, and a row past the
+        # cap get no balls; rows that cancel past 64 bits take more
         assert h_sign_balls(2, 1, NoStop(50)) is None
         assert h_sign_balls(2, 1, CoarseStop(50)) is None
         assert h_sign_balls(63, 1, PREC) is not None
         assert h_sign_balls(64, 1, PREC) is None
-        assert h_sign_balls(8, "1e7", PREC) is None
-        assert h_sign_balls(0, "1e7", PREC) is not None
-        assert h_sign_balls(0, "1e5", PREC, less=1) is None
+        assert h_sign_balls(8, "1e7", PREC) is not None
+        assert h_sign_balls(0, "1e5", PREC, less=1) is not None
+        assert h_sign_balls(8, "1e17", PREC) is not None
+        assert h_sign_balls(8, "1e18", PREC) is None
+        assert h_sign_balls(0, "1e18", PREC) is not None
+        assert h_sign_balls(0, "1e15", PREC, less=1) is not None
+        assert h_sign_balls(0, "1e16", PREC, less=1) is None
