@@ -480,13 +480,15 @@ def _sign_width(top, t, prec, less=0):
     - 2^-8.  Where room <= 0 (at 30 digits from t = 7.6e10 for h^(i) and
     2.6e10 for h - 1, at 50 from 3.2e17 and 2.4e15) the row is declined.
     """
-    c = _h_cancelled_bits(t, less) if top or less else 0
+    g = t._mpf_[2] + t._mpf_[3]
+    # below t = 2^12 no row cancels more than 53 bits, so no count is made
+    c = _h_cancelled_bits(t, less) if (top or less) and g > 12 else 0
     if c + 4 <= _SIGN_EXP_BITS:
         return _SIGN_EXP_BITS
     if c + 9 >= prec.bits:
         return None
     s_num, s_e = prec.dyadic_stop
-    y = c + 7 - mp.mag(t) if less else c + 5
+    y = c + 7 - g if less else c + 5
     room = (1 << s_e) - (1 << s_e + c + 9 - prec.bits) - (s_num << y) - (1 << s_e - 8)
     if room <= 0:
         return None
