@@ -20,10 +20,10 @@ value (ScaledDerivative.passes).  The sign scans of h (HOracle) take two
 passes: one row per grid point from the sign rung (h_sign_balls), whose
 bits grow with t, gives every derivative there as an integer ball that
 holds its value at the digits asked for, summed only until each ball
-excludes 0, and ball_minimum evaluates at those digits only the values
-whose balls do not lie above 0, or whose row the rung declines past its
-cap, each judged by the ball of the table there (h_balls), and the
-candidates for the minimum.  The sign scans of t^r H_k (ScaledDerivative) take the same
+excludes 0, or past its cap the balls of the table at those digits
+(h_balls), and ball_minimum evaluates at those digits only the values
+whose balls do not lie above 0, each judged by the ball of the table
+there, and the candidates for the minimum.  The sign scans of t^r H_k (ScaledDerivative) take the same
 walk in one pass: each ball is the bracket over the hk_sums that a
 bisection step reads, times an integer factor, so every sign is that
 bracket's.  Any other oracle goes through the same walk with no balls,
@@ -308,11 +308,11 @@ class HOracle(TableCache):
     """h^(n)(t), n <= max_order, over h_table, with a row of balls per point.
 
     balls(t) is the sign rung's row h_sign_balls(max_order, t, prec), or
-    None past its cap, kept per t like the tables: check_sign_pattern walks
-    an HOracle in two passes (ball_minimum), so the tables at prec are
-    summed only at the points that the balls cannot settle.  series counts
-    the points that have a row or a table.  judge(n, t) reads a sign that
-    the balls leave undecided from the ball of the table at prec.
+    past its cap the table's at prec (h_balls), kept per t like the tables:
+    check_sign_pattern walks an HOracle in two passes (ball_minimum), so the
+    tables at prec are summed only at the points that the balls cannot
+    settle.  series counts the points that have a row or a table.  judge(n,
+    t) reads a sign that the balls leave undecided from the table's ball.
     """
 
     def __init__(self, max_order, prec=DEFAULT_PRECISION):
@@ -324,9 +324,11 @@ class HOracle(TableCache):
         return len(self._tables.keys() | self._balls.keys())
 
     def balls(self, t):
-        """The sign rung's balls at t, an mpf at working precision, or None."""
+        """The balls at t, an mpf at working precision: the sign rung's
+        (h_sign_balls), else the table's at prec (h_balls)."""
         if t not in self._balls:
-            self._balls[t] = h_sign_balls(self.max_order, t, self.prec)
+            row = h_sign_balls(self.max_order, t, self.prec)
+            self._balls[t] = row or h_balls(0, self.max_order, t, self.prec)
         return self._balls[t]
 
     def __call__(self, n, t):

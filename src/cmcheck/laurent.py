@@ -26,8 +26,8 @@ where a ball is too wide (specfun.refine).  The first pass of the h scans
 takes balls whose radius covers h_table's value at any digits too, from
 the sign rung (h_sign_balls): polygamma_fixed's Euler-Maclaurin loop,
 stopped once each ball excludes 0, at widths that grow with the bits h^(i)
-cancels at t (_sign_width).  Past the rung's cap the scans take the table
-at the digits asked for.
+cancels at t (_sign_width).  Past the rung's cap the h scans take the
+balls of the table at the digits asked for (h_balls).
 """
 
 from functools import lru_cache
@@ -435,8 +435,8 @@ def h_balls(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
     """[(H_i, R_i, x_i) for i = i_lo..i_hi]: the balls of the table at prec,
     whose [H_i - R_i, H_i + R_i] 2^x_i holds the exact h^(i)(t) and
     h_table(i_lo, i_hi, t, prec)[i - i_lo] alike; a series stop above 2^-80
-    raises NumericFailure.  They judge a sign that the sign rung leaves
-    undecided.  t is converted at prec and never rounded again.
+    raises NumericFailure.  The h scans' row past the sign rung's cap, they
+    also judge a sign left undecided.  t is rounded once, at prec.
     """
     return _h_balls(i_lo, i_hi, _as_mpf(t, prec), prec, prec)
 

@@ -84,6 +84,16 @@ MUTANTS = (
             "tests/test_laurent.py::TestHSignBalls::test_decides_just_below_each_width_step",
         ),
     ),
+    Mutant(
+        "h scans: no row at prec past the rung's cap",
+        "cmdeg.py",
+        "row or h_balls(0, self.max_order, t, self.prec)",
+        "row",
+        (
+            "tests/test_cmdeg.py::TestTwoPassHScan::"
+            "test_past_the_cap_the_rows_at_prec_settle_the_signs",
+        ),
+    ),
     # the Euler-Maclaurin loop that polygamma_fixed and the rung share
     Mutant(
         "Euler-Maclaurin loop: stop taken one term early",

@@ -35,7 +35,7 @@ from cmcheck.cmdeg import (
     ScaledTailOracle,
     ball_minimum,
 )
-from cmcheck.laurent import HkSums, _hk_exp_side, _lah_rows, h_sign_balls, hk_sums
+from cmcheck.laurent import HkSums, _hk_exp_side, _lah_rows, h_balls, h_sign_balls, hk_sums
 from cmcheck.specfun import _MAX_RAISES, _dyadic, ball_sign
 
 PREC = DEFAULT_PRECISION
@@ -635,16 +635,21 @@ class TestHOracle:
                 assert abs(oracle(n, "0.7") - want) <= rel * abs(want)
         assert oracle.series == 1
 
-    def test_balls_are_the_sign_rungs(self):
-        # the rung decides every order at t = 1 at 64 bits, and at t = 1e7,
-        # where the orders i >= 1 cancel past them, at more; past its cap
-        # there is no row, and the scan sums the table at prec
-        oracle = HOracle(8, PREC)
-        with PREC.workdps():
-            ts = [mp.mpf(1), mp.mpf("1e7"), mp.mpf("1e18")]
+    def test_balls_take_the_sign_rung_else_the_row_at_prec(self):
+        # at 30 digits the rung decides every order at t = 1 at 64 bits, and
+        # at t = 1e7, where the orders i >= 1 cancel past them, at more; past
+        # its cap, 7.6e10, the row is the table's at prec, which decides
+        # every order at 1e11 and order 0 alone at 1e12
+        prec = WorkingPrecision(30)
+        oracle = HOracle(8, prec)
+        with prec.workdps():
+            ts = [mp.mpf(1), mp.mpf("1e7"), mp.mpf("1e11"), mp.mpf("1e12")]
         for t in ts[:2]:
-            assert oracle.balls(t) == h_sign_balls(8, t, PREC) is not None
-        assert oracle.balls(ts[2]) is None
+            assert oracle.balls(t) == h_sign_balls(8, t, prec) is not None
+        for t, decided in zip(ts[2:], (9, 1)):
+            assert h_sign_balls(8, t, prec) is None
+            assert oracle.balls(t) == h_balls(0, 8, t, prec)
+            assert sum(rad < abs(mid) for mid, rad, _ in oracle.balls(t)) == decided
 
     def test_order_beyond_table_is_rejected(self):
         with pytest.raises(ValueError):
@@ -949,6 +954,27 @@ class TestTwoPassHScan:
             with prec.workdps():
                 for t in ts:
                     assert oracle.table(t) == h_table(0, 8, t, prec)
+
+
+    def test_past_the_cap_the_rows_at_prec_settle_the_signs(self, monkeypatch):
+        # at 30 digits the rung declines every row from t = 7.6e10 on; the
+        # rows of the tables at prec settle order 0 out to 1e12 and order 1
+        # up to t = 2.1e11, where the table is summed once and its ball
+        # refuses the sign (the one-pass walk takes the raised tables'
+        # values as they are and passes)
+        prec = WorkingPrecision(30)
+        grid = LogGrid("1e-3", 1e12, 200)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return h_table(*args)
+
+        monkeypatch.setattr(cmdeg, "h_table", counted)
+        got = outcome(lambda: check_sign_pattern(HOracle(8, prec), grid, 8, prec))
+        assert got[:2] == ("HOracle", "sign undecided: the error ball holds 0")
+        assert got[2]["n"] == 1 and calls == [got[2]["t"]]
+        assert int(got[2]["t"]) == 209704640132
 
 
 class LooseStop(WorkingPrecision):
