@@ -89,6 +89,21 @@ SMOKE_CALLS = (
     ["eval", "--fn", "u-ratio", "--t", "1e400000", "--digits", "30"],
 )
 
+# H_k values whose factor t^(r-n)/(k+1)! lies at extreme exponents, or is
+# carried to a high order or a large k: past the seam at 1e-60 and 1e-50,
+# at large t, and over a grid from 1e-60 to 1e30
+FACTOR_CALLS = (
+    ["eval", "--fn", "hk-deriv", "--k", "3", "--n", "6", "--t", "1e-60", "--digits", "50"],
+    ["eval", "--fn", "hk", "--k", "2", "--z", "1e12", "--digits", "1000"],
+    ["eval", "--fn", "hk-scaled-deriv", "--k", "1", "--r", "7/3", "--n", "6",
+     "--t", "1e-50", "--digits", "60"],
+    ["eval", "--fn", "hk-scaled-deriv", "--k", "1", "--r", "7/3", "--n", "6",
+     "--t", "1e12", "--digits", "200"],
+    ["eval", "--fn", "hk-deriv", "--k", "400", "--n", "12", "--t", "0.001", "--digits", "40"],
+    ["verify-cm", "--target", "hk", "--k", "3", "--r", "4", "--grid-min", "1e-60",
+     "--grid-max", "1e30", "--grid-points", "37", "--digits", "45"],
+)
+
 
 def commands():
     """Every command of the corpus, each an argv list for cli.main."""
@@ -172,6 +187,7 @@ def commands():
              "--grid-points", "30", "--digits", digits]
         )
     out.extend(list(argv) for argv in SMOKE_CALLS)
+    out.extend(list(argv) for argv in FACTOR_CALLS)
     return out
 
 
