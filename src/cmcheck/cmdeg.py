@@ -30,25 +30,28 @@ bracket's.  Any other oracle goes through the same walk with no balls,
 each value a ball of radius 0.
 A grid scan can only certify failure (a witness) or survive it (no claim
 beyond the grid), so the result is a bracket, never an attained value.
-scaled_remainder_derivative, the one value of t^r H_k that eval prints,
-comes from the same bracket and its radius, taken again at more digits
+Every value of t^r H_k, scaled_remainder_derivative's that eval prints
+among them, is the same bracket times the same integer factor at 32 bits
+past the working precision, rounded once, taken again at more digits
 where the bracket cancels.
 """
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from itertools import accumulate
-from math import comb, factorial
+from math import comb
 from operator import mul
 from typing import Optional
 
 from mpmath import mp
-from mpmath.libmp import from_int, mpf_pos, mpf_pow, mpf_sub, round_nearest
+from mpmath.libmp import from_int, from_man_exp, mpf_sub, round_nearest
 
-from .laurent import _hk_lead, h_balls, h_sign_balls, h_table, hk_sums
+from .laurent import _hk_factor, h_balls, h_sign_balls, h_table, hk_sums
 from .specfun import (
     DEFAULT_PRECISION,
     NumericFailure,
+    _GUARD_BITS,
+    _as_mpf,
     _dyadic,
     ball_sign,
     refine,
@@ -346,22 +349,14 @@ class HOracle(TableCache):
 _FACTOR_BITS = 64
 
 
-def _power(t, r, bits):
-    """t^r for raw mpfs t > 0 and r at bits, rounded once from a pow at extra bits."""
-    # |r log t| < 2^extra, so log's error costs t^r under 2^-(bits+19)
-    extra = max(r[2] + r[3], 0) + (abs(t[2] + t[3]) + 1).bit_length() + 10
-    return mpf_pos(mpf_pow(t, r, bits + extra, round_nearest), bits, round_nearest)
-
-
 class ScaledTailOracle(TableCache):
     """d^n/dt^n [t^r H_k(t)] for any r from one r-independent table per t.
 
     The table of t is hk_sums' integer sums S_i, i <= max_order, of
     T_i = sum_{m>k} (m)^(i) t^(k+1-m) (k+1)!/m! in units of 2^exp (rising
-    factorials), with their radii.  The r-independent factors
-    lead 2^exp (-1/t)^n are built by factors(t) on first use and kept.
-    From H_k^(i)(t) = (-1)^i lead t^-i T_i, the Leibniz rule and the
-    Vandermonde identity for rising factorials give
+    factorials), with their radii.  From H_k^(i)(t) = (-1)^i lead t^-i T_i,
+    lead = t^-(k+1)/(k+1)!, the Leibniz rule and the Vandermonde identity
+    for rising factorials give
 
         (-1)^n d^n/dt^n [t^r H_k(t)] = t^(r-n) lead sum_j C(n,j) (-r)^(j) T_(n-j),
 
@@ -376,29 +371,10 @@ class ScaledTailOracle(TableCache):
         # the tables alive after the last scan
         super().__init__(lambda t: hk_sums(k, t, max_order, prec), max_order, prec)
         self.k = k
-        self._factors = {}
 
     def at(self, r):
         """The oracle(n, t) = d^n/dt^n [t^r H_k(t)] for check_sign_pattern."""
         return ScaledDerivative(self, r)
-
-    @cached_property
-    def _guard(self):
-        """(bits, eta) of every ScaledDerivative's values at prec: mp.prec
-        there and eta = (k + 2 max_order + 16) 2^-bits, built on first use."""
-        with self.prec.workdps():
-            return mp.prec, mp.ldexp(self.k + 2 * self.max_order + 16, -mp.prec)
-
-    def factors(self, t):
-        """[lead 2^exp (-1/t)^n for n <= max_order] at t, built on first use."""
-        factors = self._factors.get(t)
-        if factors is None:
-            step = -1 / t
-            factors = [mp.ldexp(_hk_lead(self.k, t), self.table(t).exp)]
-            for _ in range(self.max_order):
-                factors.append(factors[-1] * step)
-            self._factors[t] = factors
-        return factors
 
 
 class ScaledDerivative:
@@ -407,25 +383,16 @@ class ScaledDerivative:
     r = a / 2^s is the dyadic of its mpf, so 2^(s n) C(n,j) (-r)^(j) is the
     integer coeff_j = C(n,j) prod_{i<j} (i 2^s - a) 2^(s(n-j)); row n of
     them, with its absolute values and their sum W_n, is built on first use
-    of order n (_coefficient_row).  Nothing else is built per r, as the
-    radius's mpf constants are the tables', built at the first value of any
-    r.  Each evaluation forms the exact bracket B = sum_j coeff_j S_(n-j)
-    and returns B times the factor t^r 2^-(s n) lead 2^exp (-1/t)^n, which
-    costs one pow per (r, t) it values.  The factor is positive up to
-    (-1)^n, so the sign of (-1)^n d^n/dt^n [t^r H_k(t)] is that of the
-    exact bracket, which lies within R, the radius below, of B: it is
-    ball_sign(B, R), read in integers (judge, passes).
-
-    Error radius (ball).  hk_sums gives S_i <= T_i 2^-exp <= S_i + radii[i],
-    so the exact bracket is within R = sum_j |coeff_j| radii[n-j] of B.  The
-    factor F is within a relative (k + 2n + 7) 2^-prec of its exact value:
-    k + 4 roundings in lead (1/t raised to k+1, one division), 2n in the
-    powers of -1/t, 2 in t^r (taken at enough extra bits that the error of
-    the logarithm, scaled by |r log t|, stays below one of them) and 1 in
-    the product.  The conversion of the product B F rounds once more.  With
-    eta = (k + 2 max_order + 16) 2^-prec, which leaves room for second-order
-    terms and the rounding of the radius itself, the value v = B F is thus
-    within R |F| (1 + eta) + |v| eta of the exact derivative.
+    of order n (_coefficient_row), and nothing else is built per r.  The
+    exact bracket B = sum_j coeff_j S_(n-j) times the positive factor V =
+    t^(r-n) lead 2^(exp - s n) is (-1)^n d^n/dt^n [t^r H_k(t)] up to the
+    sums' radii, so its sign is that of the exact bracket, which lies within
+    R = sum_j |coeff_j| radii[n-j] of B: it is ball_sign(B, R), read in
+    integers with no factor (judge, passes).  V enters only as the integer
+    factor of laurent._hk_factor, in the balls at 64 bits (balls) and at
+    prec.bits + 32 (value_ball), whose mid rounded once at prec.bits is the
+    value: a point costs one pow per width it is built at, and no other mpf
+    arithmetic.
 
     check_sign_pattern walks it as an HOracle: balls(t) gives every order
     at t as an integer ball from the same sums, and only the values the
@@ -434,120 +401,77 @@ class ScaledDerivative:
 
     def __init__(self, tables, r):
         self.tables = tables
-        if type(r) is mp.mpf:  # kept as it is at any precision
-            self.r = to_mpf(r)
-        else:
-            with tables.prec.workdps():
-                self.r = to_mpf(r)
+        self.r = _as_mpf(r, tables.prec)  # an mpf kept as it is at any precision
         a, self._s = _dyadic(self.r)
         # a builder that holds no reference to self, as the tables' summer
         self._rows = _Lazy(partial(_coefficient_row, a, self._s))
-        self._points = {}
         self._balls = {}
 
     @property
     def max_order(self):
         return self.tables.max_order
 
-    def _point(self, t):
-        """(S, radii, factors, t^r) at t; all but t^r are r-independent."""
-        point = self._points.get(t)
-        if point is None:
-            core = self.tables.table(t)
-            power = mp.make_mpf(_power(t._mpf_, self.r._mpf_, mp.prec))
-            point = (core.sums, core.radii, self.tables.factors(t), power)
-            self._points[t] = point
-        return point
-
     def balls(self, t):
         """[(H, rad, x) for n <= max_order]: d^n/dt^n [t^r H_k(t)] and the
-        value v = B F of __call__ both in [H - rad, H + rad] 2^x, from the
-        sums of t at prec that passes reads.  Kept per t.
+        value v of __call__ both in [H - rad, H + rad] 2^x, from the sums
+        of t at prec that passes reads.  Kept per t.
 
         With V = t^(r-n) lead 2^(exp - s n) > 0, the exact (-1)^n d^n/dt^n
-        [t^r H_k(t)] is V b for a b within R of B (error radius), and (-1)^n
-        v is within (k + 2n + 8) 2^-P |B| V of V B, P = mp.prec at prec:
-        the factor's k + 2n + 7 roundings and the product's one.
+        [t^r H_k(t)] is V b for a b within R of B.  At w bits _hk_factor
+        gives g 2^y within a relative eps_n = (8 + 4n) 2^-w of V, either way
+        (p = r - k - 1 is exact; 2^exp and 2^-(s n) enter y exactly).  So V
+        b lies within (R + eps_n (|B| + R)) g 2^y of B g 2^y, and the row at
+        w bits is
 
-        The factor.  V = g 2^y within a relative eps_n = (8 + 4n) 2^-64 of
-        g 2^y, as V = t^(r-k-1-n) 2^(exp - s n) / (k+1)!.  At order 0,
-        t^(r-k-1) at 64 bits (_power; r - k - 1 is exact) is within 2 2^-64,
-        and g is the floor of its mantissa, shifted to over 2^63, over
-        (k+1)!: 2^-63 more.  Each order multiplies g by inv =
-        floor(2^(64+b)/den), b = bitlen(den) and t = den/2^e, within 2^-64 of
-        2^(64+b-e)/t, and shifts it down by 64 bits, within 2^-63 as g stays
-        over 2^63; 2^exp, 2^-s and the rest of 1/t enter y exactly.  So V b
-        lies within (R + eps_n (|B| + R)) g 2^y of B g 2^y, and (-1)^n v
-        within (eps_n + 2^-64) |B| g 2^y, as P >= 153 and k and n are under
-        hk_sums' series budget, so (k + 2n + 8) 2^-P (1 + eps_n) < 2^-64:
+            H = (-1)^n B g,  rad = R g + floor((|B| + R) g (9 + 4n) 2^-w) + 1.
 
-            H = (-1)^n B g,  rad = R g + floor((|B| + R) g (9 + 4n) 2^-64) + 1.
-
-        As rad >= R g, a ball above 0 has B > R and one below 0 has B < -R:
-        its sign is ball_sign(B, R), judge's and passes'.  A point costs one
-        pow at 64 bits; an order costs integer sums, one multiply and one
-        shift for its factor, and no mpf.  The orders are built on first
-        use, so a walk that stops at order 1 builds no more.
+        The value v is the mid of the row at w = P + 32, P = prec.bits,
+        rounded once at P bits, so (-1)^n v is within ((8 + 4n) 2^-(P+32) +
+        2^-P) (1 + eps_n) |B| V of B V, and of B g 2^y at w = 64 within
+        (eps_n + 2^-64) |B| g 2^y, as P >= 153 and n is under hk_sums'
+        series budget, 2^18: rad at 64 bits covers it with the unit of (9 +
+        4n) past eps_n.  As rad >= R g, a ball above 0 has B > R and one
+        below 0 has B < -R: its sign is ball_sign(B, R), judge's and
+        passes'.  An order costs integer sums, one multiply and one shift
+        for its factor, and no mpf.  The orders are built on first use, so
+        a walk that stops at order 1 builds no more.
         """
-        balls = self._balls.get(t)
-        if balls is None:
-            balls = self._balls[t] = self._ball_row(t)
-        return balls
+        return self._row(t, _FACTOR_BITS)
 
-    def _ball_row(self, t):
-        """The balls at t by order, each built on first use."""
-        tables = self.tables
-        core = tables.table(t)
-        fact = factorial(tables.k + 1)
-        exponent = mpf_sub(self.r._mpf_, from_int(tables.k + 1))
-        _, man, y, size = _power(t._mpf_, exponent, _FACTOR_BITS)
-        shift = _FACTOR_BITS - size + fact.bit_length()
-        factors = [(man << shift) // fact]
-        den, e = _dyadic(t)
-        inv = (1 << _FACTOR_BITS + den.bit_length()) // den
-        for _ in range(self.max_order):
-            factors.append(factors[-1] * inv >> _FACTOR_BITS)
-        # a builder that holds no reference to self, as the tables' summer
-        return _Lazy(
-            partial(
-                _scaled_ball,
-                core,
-                factors,
-                y + core.exp - shift,
-                e - den.bit_length() - self._s,
-                self._rows,
-            )
-        )
+    def value_ball(self, n, t):
+        """(H, rad, x) of order n at t with factors of prec.bits + 32 bits,
+        as balls proves: d^n/dt^n [t^r H_k(t)] is in [H - rad, H + rad] 2^x,
+        and __call__ returns H 2^x rounded once at prec.bits."""
+        self.tables._check_order(n)
+        t = _as_mpf(t, self.tables.prec)
+        return self._row(t, self.tables.prec.bits + _GUARD_BITS)[n]
 
-    def _evaluate(self, n, t):
-        """(v, B, R, F): the value, the integer bracket and its radius, the factor."""
-        sums, radii, factors, power = self._point(t)
-        coeffs, magnitudes, _ = self._rows[n]
-        bracket = sum(map(mul, coeffs, sums))
-        radius = sum(map(mul, magnitudes, radii))
-        factor = mp.ldexp(power * factors[n], -self._s * n)
-        return factor * bracket, bracket, radius, factor
-
-    def _radius(self, value, radius, factor):
-        eta = self.tables._guard[1]
-        return abs(factor) * radius * (1 + eta) + abs(value) * eta
+    def _row(self, t, bits):
+        """The balls at t with factors of bits bits by order, each built on
+        first use, and kept per (t, bits)."""
+        row = self._balls.get((t, bits))
+        if row is None:
+            tables = self.tables
+            core = tables.table(t)
+            p = mpf_sub(self.r._mpf_, from_int(tables.k + 1))
+            factors, y, step = _hk_factor(tables.k, t, p, self.max_order, bits)
+            args = (core, factors, y + core.exp, step - self._s, self._rows, bits)
+            # a builder that holds no reference to self, as the tables' summer
+            row = self._balls[t, bits] = _Lazy(partial(_scaled_ball, *args))
+        return row
 
     def __call__(self, n, t):
-        if mp.prec != self.tables._guard[0]:
-            with self.tables.prec.workdps():
-                return self(n, t)
-        self.tables._check_order(n)
-        if type(t) is not mp.mpf:
-            t = to_mpf(t)
-        return self._evaluate(n, t)[0]
+        mid, _, x = self.value_ball(n, t)
+        return mp.make_mpf(from_man_exp(mid, x, self.tables.prec.bits, round_nearest))
 
     def judge(self, n, t):
         """The sign of (-1)^n d^n/dt^n [t^r H_k(t)], ball_sign(B, R) of the
         bracket at prec, as passes reads it."""
         self.tables._check_order(n)
-        with self.tables.prec.workdps():
-            _, bracket, radius, _ = self._evaluate(n, to_mpf(t))
-        return self._sign(bracket, radius, n, t)
+        sums, radii, _ = self.tables.table(_as_mpf(t, self.tables.prec))
+        coeffs, magnitudes, _ = self._rows[n]
+        bracket = sum(map(mul, coeffs, sums))
+        return self._sign(bracket, sum(map(mul, magnitudes, radii)), n, t)
 
     def _sign(self, bracket, radius, n, t):
         return ball_sign(
@@ -622,15 +546,15 @@ def _coefficient_row(a, s, n):
     return coeffs, magnitudes, sum(magnitudes)
 
 
-def _scaled_ball(core, factors, y, step, rows, n):
+def _scaled_ball(core, factors, y, step, rows, bits, n):
     """The ball of order n of ScaledDerivative.balls from the sums core at
-    prec, the integer factors g_n at 2^(y + n step) and ScaledDerivative's
-    rows."""
+    prec, the integer factors g_n of bits bits at 2^(y + n step) and
+    ScaledDerivative's rows."""
     coeffs, magnitudes, _ = rows[n]
     g = factors[n]
     bracket = sum(map(mul, coeffs, core.sums))
     spread = sum(map(mul, magnitudes, core.radii))
-    slack = (abs(bracket) + spread) * g * (9 + 4 * n) >> _FACTOR_BITS
+    slack = (abs(bracket) + spread) * g * (9 + 4 * n) >> bits
     mid = bracket * g
     return (-mid if n % 2 else mid), spread * g + slack + 1, y + n * step
 
@@ -638,14 +562,14 @@ def _scaled_ball(core, factors, y, step, rows, n):
 def scaled_remainder_derivative(k, r, n, t, prec=DEFAULT_PRECISION):
     """d^n/dt^n [t^r H_k(t)] for t > 0 and real r, to prec's digits.
 
-    The value v and its error radius are ScaledDerivative's: the integer
-    Leibniz bracket over hk_sums times one mpf factor, within the radius
-    its docstring proves.  Where the bracket cancels (r near a zero of the
-    derivative, or an integer r > k at large t, where the leading terms of
-    the termwise sum vanish) the radius may exceed |v| 10^-(digits+3);
-    specfun.refine then takes v again at more digits, or refuses with
-    NumericFailure.  r and t are converted once, at prec, so every attempt
-    evaluates the same point.
+    The value is ScaledDerivative's: the integer Leibniz bracket over
+    hk_sums times the integer factor, the mid of the ball at prec.bits + 32
+    bits that ScaledDerivative.balls proves, rounded once.  Where the
+    bracket cancels (r near a zero of the derivative, or an integer r > k at
+    large t, where the leading terms of the termwise sum vanish) the ball's
+    rad may exceed |H| 10^-(digits+3); specfun.refine then takes the value
+    again at more digits, or refuses with NumericFailure.  r and t are
+    converted once, at prec, so every attempt evaluates the same point.
     """
     with prec.workdps():
         t = to_mpf(t)
@@ -653,9 +577,8 @@ def scaled_remainder_derivative(k, r, n, t, prec=DEFAULT_PRECISION):
 
     def evaluate(level):
         oracle = ScaledTailOracle(k, n, level).at(r)
-        with level.workdps():
-            value, _, radius, factor = oracle._evaluate(n, t)
-            return value, [(value, oracle._radius(value, radius, factor))]
+        mid, rad, _ = oracle.value_ball(n, t)
+        return oracle(n, t), [(mid, rad)]
 
     value = refine(evaluate, prec, "scaled_remainder_derivative", k=k, r=r, n=n, t=t)
     with prec.workdps():

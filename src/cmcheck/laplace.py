@@ -60,11 +60,11 @@ from .specfun import (
     DEFAULT_PRECISION,
     NumericFailure,
     WorkingPrecision,
-    _GUARD_BITS,
     _SERIES_LIMIT,
     _at_digits,
     _dyadic,
     _em_coefficient,
+    _series_bits,
     _series_sums,
     to_mpf,
 )
@@ -205,10 +205,11 @@ def _bernoulli_tail(u, prec):
     as an mpf rounded to prec.bits.
 
     Summed in fixed point on the exact pairs of _em_coefficient, with u =
-    un / 2^us and wp = P + 32 + 2 bitlen(_SERIES_LIMIT) bits, P = prec.bits.
-    The terms alternate and shrink by at least u^2/(4 pi^2) < 1/600, so the
-    sum stops after the first term below series_stop of it (prec.dyadic_stop),
-    the omitted tail being smaller still.  The power u^(2v-4) is floored
+    un / 2^us and wp = _series_bits(P) = P + 32 + 2 bitlen(_SERIES_LIMIT)
+    bits, P = prec.bits.  The terms alternate and shrink by at least
+    u^2/(4 pi^2) < 1/600, so the sum stops after the first term below
+    series_stop of it (prec.dyadic_stop), the omitted tail being smaller
+    still.  The power u^(2v-4) is floored
     once per term, and so is its product with the coefficient; that costs
     each term at most 1 + 1/600 units of 2^-wp, against |T| > 1/722.  Over
     at most _SERIES_LIMIT terms T is thus off by a relative 2^-(P+40) at
@@ -218,7 +219,7 @@ def _bernoulli_tail(u, prec):
     un, us = _dyadic(u)
     u2, shift = un * un, 2 * us
     s_num, s_e = prec.dyadic_stop
-    wp = prec.bits + _GUARD_BITS + 2 * _SERIES_LIMIT.bit_length()
+    wp = _series_bits(prec.bits)
     power, total = 1 << wp, 0
     for v in range(2, _SERIES_LIMIT):
         p, q = _em_coefficient(v)

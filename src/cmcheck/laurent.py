@@ -16,9 +16,10 @@ is a positive-term series with integer multipliers, and the Lah numbers
 make each a fixed positive combination of the order-0 tail and a short
 exact prefix: hk_sums takes that tail in fixed-point integers, from its
 series or, past the seam, from one exponential, derives every order from
-it with a proven radius, and hk_table turns the results into mpfs.  The
-scaled family d^n/dt^n [t^r H_k(t)] for real r is built from those integer
-sums by the Leibniz rule in cmdeg.
+it with a proven radius, and hk_table turns the results into mpfs, each
+times one integer factor t^(p-n)/(k+1)! (_hk_factor).  The scaled family
+d^n/dt^n [t^r H_k(t)] for real r is built from those integer sums by the
+Leibniz rule in cmdeg, times the same factors at p = r - k - 1.
 Also hosts h(t) = e^(1/t) - psi'(t) and its derivatives, the difference of
 the two engines from specfun as integer balls (h_balls): h_table rounds
 the balls of a table at its own digits to mpfs, taken again at more digits
@@ -36,7 +37,8 @@ from operator import mul
 from typing import NamedTuple
 
 from mpmath import mp
-from mpmath.libmp import from_int, mpf_div, mpf_exp, round_nearest, to_int
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_exp, mpf_pos, mpf_pow
+from mpmath.libmp import round_nearest, to_int
 
 from .specfun import (
     DEFAULT_PRECISION,
@@ -49,9 +51,9 @@ from .specfun import (
     _dyadic,
     _em_tail,
     _exp_recip_fixed,
+    _series_bits,
     polygamma_fixed,
     refine,
-    to_mpf,
 )
 
 
@@ -72,21 +74,15 @@ class HkSums(NamedTuple):
     n relative to its first term, S_n 2^exp <= T_n <= (S_n + radii[n]) 2^exp,
     and
 
-        H_k^(n)(t) = (-1)^n lead t^-n T_n,   lead = _hk_lead(k, t) > 0.
+        H_k^(n)(t) = (-1)^n lead t^-n T_n,   lead = t^-(k+1)/(k+1)! > 0,
+
+    the first term of H_k(t), applied with t^-n as one integer factor per
+    order (_hk_factor) by hk_table and cmdeg.ScaledDerivative.
     """
 
     sums: list
     radii: list
     exp: int
-
-
-def _hk_lead(k, t):
-    """lead = t^-(k+1)/(k+1)! for an mpf t > 0, at the current precision.
-
-    The first term of H_k(t), which HkSums leaves out: hk_table and the
-    factors of cmdeg.ScaledTailOracle apply it only where they build a value.
-    """
-    return (1 / t) ** (k + 1) / mp.factorial(k + 1)
 
 
 @lru_cache(maxsize=None)  # one entry per max_order that hk_sums is asked for
@@ -120,8 +116,8 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
     with (k+1)_d = (k+1)!/(k+1-d)!.  Every coefficient is positive, so
     nothing cancels.  T_0 = (k+1)! x^-(k+1) (e^x - sum_{m<=k} x^m/m!) comes
     by one of two routes, split at the seam x = 2(k+1); both leave an S_0 >=
-    2^wp, wp = prec.bits + 32 + 2b (b = bitlen(_SERIES_LIMIT)), a tail bound
-    q <= S_0 and exp with
+    2^wp, wp = _series_bits(prec.bits) = prec.bits + 32 + 2b (b =
+    bitlen(_SERIES_LIMIT)), a tail bound q <= S_0 and exp with
 
         S_0 <= T'_0 <= S_0 + q + eps S_0,                           (*)
 
@@ -205,7 +201,7 @@ def hk_sums(k, t, max_order, prec=DEFAULT_PRECISION):
         raise ValueError(f"max_order must be a nonnegative integer, got {max_order!r}")
     t = _as_mpf(t, prec, positive=True)
     den, e, m_min = _hk_first_stop(k, t, max_order, prec)
-    wp = _hk_scale_bits(prec.bits)
+    wp = _series_bits(prec.bits)
     if m_min is None:
         total, exp = _hk_exp_sum(k, den, e, wp, prec.bits)
         q = 0
@@ -325,12 +321,12 @@ def _hk_first_stop(k, t, max_order, prec):
     it raises at once instead of spending the budget.  The exp route has a
     budget of its own: k + 3 + max_order below the series budget, as its
     work and hk_sums' radius proof grow with k and max_order, and e <= wp +
-    bitlen(den), so x < 2^(wp+1) at wp = _hk_scale_bits(prec.bits) and 1/t fits the
-    fixed-point reciprocal of the derived orders.
+    bitlen(den), so x < 2^(wp+1) at wp = _series_bits(prec.bits) and 1/t
+    fits the fixed-point reciprocal of the derived orders.
     """
     den, e = _dyadic(t)
     if _hk_exp_side(k, den, e):
-        wp = _hk_scale_bits(prec.bits)
+        wp = _series_bits(prec.bits)
         if k + 3 + max_order >= _SERIES_LIMIT or e > wp + den.bit_length():
             raise _budget_exhausted(k, t, prec, "exp route")
         return den, e, None
@@ -342,9 +338,41 @@ def _hk_first_stop(k, t, max_order, prec):
     return den, e, m_min
 
 
-def _hk_scale_bits(bits):
-    """wp of hk_sums at bits bits: S_0 >= 2^wp at every scale."""
-    return bits + _GUARD_BITS + 2 * _SERIES_LIMIT.bit_length()
+def _hk_factor(k, t, p, max_order, bits):
+    """(g, y, step): integers g[n], n = 0..max_order, with g[n] 2^(y + n step)
+    within a relative eps_n = (8 + 4n) 2^-bits of t^(p-n)/(k+1)!, for an
+    mpf t > 0, a raw mpf p and bits >= 64.  The one factor of every value
+    of H_k and its scaled family: hk_table's at p = -(k+1), and
+    cmdeg.ScaledDerivative's balls and values at p = r - k - 1.
+
+    Error bound.  Write w = bits and t = den / 2^e, b = bitlen(den).  At
+    order 0, t^p at w bits, rounded once from a pow at extra bits, is
+    within 2 2^-w of itself (the pow's own error is far smaller), and g[0] is
+    the floor of its mantissa, shifted to over 2^(w-1), over (k+1)!: 2^-(w-1)
+    more.  Each order multiplies g by inv = floor(2^(w+b)/den) >= 2^w,
+    within 2^-w of 2^(w+b-e)/t, and shifts it down by w bits, within
+    2^-(w-1) as g stays over 2^(w-1); the rest of 1/t, 2^(e-b), enters step
+    exactly.  So order n carries at most 4 + 3n relative errors of 2^-w
+    each, and their product is within (4 + 3n) 2^-w (1 + 2^-40) of 1 as
+    n is under hk_sums' series budget, 2^18, and w >= 64; measured against
+    g[n] 2^(y + n step) rather than the exact factor that costs a factor 1
+    + 2^-40 more, so eps_n = (8 + 4n) 2^-w bounds either.  The floors make
+    g[n] 2^(y + n step) at most a relative 2 2^-w above the exact factor.
+    A point costs one pow; an order one multiply and one shift.
+    """
+    fact = factorial(k + 1)
+    t = t._mpf_
+    # |p log t| < 2^extra, so log's error costs t^p under 2^-(bits+19)
+    extra = max(p[2] + p[3], 0) + (abs(t[2] + t[3]) + 1).bit_length() + 10
+    power = mpf_pow(t, p, bits + extra, round_nearest)
+    _, man, y, size = mpf_pos(power, bits, round_nearest)
+    shift = bits - size + fact.bit_length()
+    factors = [(man << shift) // fact]
+    den, e = _dyadic(t)
+    inv = (1 << bits + den.bit_length()) // den
+    for _ in range(max_order):
+        factors.append(factors[-1] * inv >> bits)
+    return factors, y - shift, e - den.bit_length()
 
 
 def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):
@@ -355,21 +383,23 @@ def hk_table(k, t, max_order, prec=DEFAULT_PRECISION):
     series with integer multipliers, which hk_sums derives from one
     fixed-point value of the order-0 tail: the series summed where 1/t <
     2(k+1), one exponential less the head of its Taylor series from that
-    seam on.  The sign, t^-n and the lead factor are applied here, once per
-    order, so each entry is within a relative 2^-(mp.prec+27) plus the
-    truncated tail (none past the seam) of the exact value before those few
-    roundings; no order's truncated tail is relatively larger than order 0's.
+    seam on.  The sign, t^-n and the lead factor enter as the integer
+    factor of _hk_factor at p = -(k+1) and P + 32 bits, P = prec.bits, so
+    each entry is S_n times that factor rounded once at P bits: within half
+    an ulp, a relative 2^-(P+27) + (8 + 4n) 2^-(P+32) and the truncated tail
+    (none past the seam) of the exact value; no order's truncated tail is
+    relatively larger than order 0's.
     """
-    with prec.workdps():
-        core = hk_sums(k, t, max_order, prec)
-        t = to_mpf(t)
-        invt = 1 / t
-        scale = _hk_lead(k, t)
-        out = []
-        for total in core.sums:
-            out.append(scale * mp.mpf((total, core.exp)))
-            scale *= -invt
-        return out
+    core = hk_sums(k, t, max_order, prec)
+    bits = prec.bits
+    t, p = _as_mpf(t, prec), from_int(-k - 1)
+    factors, y, step = _hk_factor(k, t, p, max_order, bits + _GUARD_BITS)
+    out = []
+    for n, (total, g) in enumerate(zip(core.sums, factors)):
+        mid = -total * g if n % 2 else total * g
+        raw = from_man_exp(mid, core.exp + y + n * step, bits, round_nearest)
+        out.append(mp.make_mpf(raw))
+    return out
 
 
 def remainder_hk(k, z, prec=DEFAULT_PRECISION):

@@ -297,6 +297,12 @@ def _exp_recip_fixed(i_lo, i_hi, t, bits):
 _GUARD_BITS = 32
 
 
+def _series_bits(bits):
+    """wp of the fixed-point series of _series_sums, laurent.hk_sums and
+    laplace._bernoulli_tail at bits bits, for the floors of their terms."""
+    return bits + _GUARD_BITS + 2 * _SERIES_LIMIT.bit_length()
+
+
 def _dyadic(x):
     """(m, e) with x = m / 2^e exactly and e >= 0, for an int, a finite mpf
     or its raw tuple x; m carries the sign of x."""
@@ -571,7 +577,7 @@ def _series_sums(xs, b1, b2, prec):
     more.  The sum is at least 2^wp at every scale, so it is low by a
     relative 2^-wp (3M + 2M^2) at most, and
 
-        wp = P + 32 + 2 bitlen(_SERIES_LIMIT)
+        wp = _series_bits(P) = P + 32 + 2 bitlen(_SERIES_LIMIT)
 
     bounds that by 2^-(P+29), under one ulp of the working precision,
     for each argument.  P is prec.bits and the threshold prec.dyadic_stop,
@@ -584,7 +590,7 @@ def _series_sums(xs, b1, b2, prec):
     ex = max(e for _, e in pairs)
     # series_stop = s_num / 2^s_e exactly
     s_num, s_e = prec.dyadic_stop
-    wp = prec.bits + _GUARD_BITS + 2 * _SERIES_LIMIT.bit_length()
+    wp = _series_bits(prec.bits)
     out = [None] * len(xs)
     last = ((b1n + (_SERIES_LIMIT << e1)) * (b2n + (_SERIES_LIMIT << e2))) << ex
     active = []  # [q, total, shift, num, position] of each unstopped argument

@@ -94,6 +94,31 @@ MUTANTS = (
             "test_past_the_cap_the_rows_at_prec_settle_the_signs",
         ),
     ),
+    # the one integer factor of every H_k and t^r H_k value (laurent._hk_factor)
+    Mutant(
+        "factor: scaled values at 64 bits",
+        "cmdeg.py",
+        "self._row(t, self.tables.prec.bits + _GUARD_BITS)",
+        "self._row(t, _FACTOR_BITS)",
+        ("tests/test_laurent.py::TestScaledDerivatives::test_frozen_value",),
+    ),
+    Mutant(
+        "factor: hk_table at 64 bits",
+        "laurent.py",
+        "_hk_factor(k, t, p, max_order, bits + _GUARD_BITS)",
+        "_hk_factor(k, t, p, max_order, 64)",
+        ("tests/test_laurent.py::TestRemainderDerivatives::test_termwise_oracle",),
+    ),
+    Mutant(
+        "factor: slack dropped from the value balls",
+        "cmdeg.py",
+        "g * (9 + 4 * n) >> bits",
+        "g * (9 + 4 * n) * (bits == _FACTOR_BITS) >> bits",
+        (
+            "tests/test_cmdeg.py::TestScaledTailOracle::"
+            "test_balls_hold_the_bracket_times_the_exact_factor[30]",
+        ),
+    ),
     # the Euler-Maclaurin loop that polygamma_fixed and the rung share
     Mutant(
         "Euler-Maclaurin loop: stop taken one term early",

@@ -17,8 +17,8 @@ against.  termwise_table keeps its tables, summed once per point for all
 the tests that meet there, and TableOracle serves such tables to
 check_sign_pattern as termwise_oracle does; rising_sums sums the r = 0 case
 termwise in integers, fast enough for t down to 1e-5, where the mpf route
-takes seconds.  value_and_radius reads a ScaledDerivative's value and its
-error radius, which the package keeps private.
+takes seconds.  value_and_radius reads a ScaledDerivative's value and the
+bound on its error from its value ball.
 interval_bessel_margin encloses the Bessel margin in mpmath's interval
 arithmetic.  ball_candidates picks a walk's candidates for the minimum
 from its balls alone, and h_table_passes records the digits of every pass
@@ -30,6 +30,7 @@ from fractions import Fraction
 from math import comb
 
 from mpmath import iv, mp
+from mpmath.libmp import from_man_exp
 
 from cmcheck import (
     DEFAULT_PRECISION,
@@ -274,12 +275,15 @@ class TableOracle(TableCache):
 
 def value_and_radius(oracle, n, t):
     """(v, rad) of a ScaledDerivative at order n and t: v the value that
-    oracle(n, t) returns and rad the bound on its error that its error
-    radius documents, from the same _evaluate and _radius as the guard."""
-    oracle.tables._check_order(n)
-    with oracle.tables.prec.workdps():
-        value, _, radius, factor = oracle._evaluate(n, to_mpf(t))
-        return value, oracle._radius(value, radius, factor)
+    oracle(n, t) returns and rad, exact, the bound on its error that its
+    value ball gives (ScaledDerivative.value_ball): the ball's radius plus
+    the distance from v to the ball's mid."""
+    value = oracle(n, t)
+    mid, rad, x = oracle.value_ball(n, t)
+    negative, man, e, _ = value._mpf_
+    low = min(x, e)
+    off = ((-man if negative else man) << e - low) - (mid << x - low)
+    return value, mp.make_mpf(from_man_exp(abs(off) + (rad << x - low), low))
 
 
 # tail_scaled_derivatives tables by (prec, k, r, t), shared by every test

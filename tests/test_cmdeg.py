@@ -353,6 +353,34 @@ class TestScaledTailOracle:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("digits", (30, 100))
+    def test_balls_hold_the_bracket_times_the_exact_factor(self, digits):
+        # with the sums' radii set to 0 a ball's radius is the factor's slack
+        # alone, so at 64 bits and at the values' width each ball must hold
+        # the bracket times t^(r-k-1-n) 2^(exp - s n) / (k+1)!, taken at four
+        # times the bits
+        prec = WorkingPrecision(digits)
+        with prec.workdps():
+            points = [mp.mpf(t) for t in ("0.01", "0.7", "33.3", "1e4")]
+        for k in (0, 2):
+            tables = ScaledTailOracle(k, 6, prec)
+            table = tables.table
+            tables.table = lambda t: HkSums(table(t).sums, [0] * 7, table(t).exp)
+            for r in (k + 1, k + Fraction(33, 32), Fraction(1, 3)):
+                oracle = tables.at(r)
+                _, s = _dyadic(oracle.r)
+                for t in points:
+                    sums, _, exp = tables.table(t)
+                    for n in range(7):
+                        bracket = sum(c * v for c, v in zip(oracle._rows[n][0], sums))
+                        with mp.workprec(4 * prec.bits):
+                            want = (-1) ** n * bracket * mp.ldexp(
+                                t ** (oracle.r - k - 1 - n), exp - s * n
+                            ) / mp.factorial(k + 1)
+                            for mid, rad, x in (oracle.balls(t)[n], oracle.value_ball(n, t)):
+                                assert rad < abs(mid)
+                                assert abs(want - mp.ldexp(mid, x)) <= mp.ldexp(rad, x), (k, r, n, t)
+
     def test_order_beyond_table_is_rejected(self):
         oracle = ScaledTailOracle(0, 2, PREC).at(1)
         with pytest.raises(ValueError):
@@ -379,14 +407,13 @@ class TestSignPredicate:
                 if r != k + 1 + Fraction(1, 2**60):
                     assert want == (r <= k + 1), (k, r)
             # a passing scan settles every sign in integers: it takes no t^r
-            # and builds no factor; so does a failing one, whose violation's
-            # sign is its bracket's
+            # and builds no factor, so no value and no ball; so does a
+            # failing one, whose violation's sign is its bracket's
             fresh = ScaledTailOracle(k, 6, prec)
             for r, passed in ((k + 1, True), (k + 2, False)):
                 oracle = fresh.at(r)
                 assert oracle.passes(ts) is passed
-                assert oracle._points == {}
-            assert fresh._factors == {}
+                assert oracle._balls == {}
 
     @pytest.mark.parametrize("digits", (30, 50))
     def test_fallback_is_the_scan_verdict(self, digits):
@@ -504,7 +531,8 @@ class TestSignPredicate:
     @pytest.mark.parametrize("digits", (30, 50, 100))
     def test_bisection_builds_no_mpf_value(self, digits, monkeypatch):
         # every step of a bisection on the bench grid, passing or failing,
-        # is decided in integers: no t^r and no factor
+        # is decided in integers: no t^r and no factor, so no value and no
+        # ball
         prec = WorkingPrecision(digits)
         made = []
 
@@ -522,8 +550,7 @@ class TestSignPredicate:
                 assert (estimate.r_lo, estimate.r_hi) == (k + 1, k + 1 + mp.mpf(1) / 32)
             assert len(made) == estimate.bisections + 2 == 8
             (tables,) = {tables for tables, _ in made}
-            assert all(oracle._points == {} for _, oracle in made)
-            assert tables._factors == {}
+            assert all(oracle._balls == {} for _, oracle in made)
 
     @pytest.mark.parametrize("digits", (30, 500))
     def test_default_brackets(self, digits):

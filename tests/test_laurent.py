@@ -4,6 +4,7 @@ subtractive, termwise, and finite-difference oracles."""
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 from math import log2, prod
 from operator import mul
 
@@ -51,6 +52,10 @@ from cmcheck.laurent import (
 from cmcheck.specfun import _SERIES_LIMIT, _dyadic, polygamma_fixed
 
 PREC = DEFAULT_PRECISION
+
+# the termwise integer sums by (k, t, max_order, bits), shared by the tests
+# of the seam that meet at the same point
+_rising_sums = lru_cache(maxsize=None)(oracles.rising_sums)
 
 # frozen from the subtractive route e^(1/z) - partial sum at 160 dps
 H2_HALF = "2.3890560989306502272304274605750078131803155705518"
@@ -387,7 +392,7 @@ class TestHkSeam:
                 den, e = _dyadic(t)
                 sides.append(_hk_exp_side(k, den, e))
                 core = hk_sums(k, t, 6, prec)
-                exact = oracles.rising_sums(k, t, 6, bits)
+                exact = _rising_sums(k, t, 6, bits)
                 for n in range(7):
                     low = Fraction(core.sums[n]) * Fraction(2) ** core.exp
                     high = low + Fraction(core.radii[n]) * Fraction(2) ** core.exp
@@ -395,6 +400,45 @@ class TestHkSeam:
             assert sides[:4] == [True] * 4 and sides[-2:] == [False] * 2, k
             if k < 2:
                 assert sides[4], k
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_table_values_match_the_termwise_sums(self, digits):
+        # hk_table's one integer factor per order, on both sides of the seam,
+        # against T_n summed termwise in integers at three times the digits
+        prec = WorkingPrecision(digits)
+        fine = WorkingPrecision(3 * digits)
+        with fine.workdps():
+            bits, rel = mp.prec, mp.mpf(10) ** (3 - digits)
+        for k in (0, 1, 4, 12):
+            for t in self.points(k, prec):
+                got = laurent.hk_table(k, t, 6, prec)
+                exact = _rising_sums(k, t, 6, bits)
+                with fine.workdps():
+                    lead = t ** -(k + 1) / mp.factorial(k + 1)
+                    for n in range(7):
+                        want = (-1) ** n * lead * t**-n * oracles.mpf_from_fraction(exact[n])
+                        assert abs(got[n] - want) <= rel * abs(want), (k, n, t)
+
+    @pytest.mark.parametrize("digits", (30, 50, 100))
+    def test_scaled_values_match_the_termwise_route(self, digits):
+        # the values of t^r H_k and their value balls on both sides of the
+        # seam, from 1e-3 up, against the mpf termwise route at three times
+        # the digits
+        prec = WorkingPrecision(digits)
+        fine = WorkingPrecision(3 * digits)
+        with fine.workdps():
+            rel = mp.mpf(10) ** (3 - digits)
+        for k in (0, 1, 4, 12):
+            tables = ScaledTailOracle(k, 6, prec)
+            for r in (k + 1, k + Fraction(33, 32), Fraction(1, 3)):
+                oracle = tables.at(r)
+                for t in self.points(k, prec)[1:]:
+                    exact = tail_scaled_derivatives(k, oracle.r, t, 6, fine)
+                    for n in range(7):
+                        value, radius = oracles.value_and_radius(oracle, n, t)
+                        with fine.workdps():
+                            assert abs(value - exact[n]) <= rel * abs(exact[n]), (k, r, n, t)
+                            assert abs(value - exact[n]) <= radius, (k, r, n, t)
 
     @pytest.mark.parametrize("digits", (30, 50, 100))
     def test_subtraction_cancels_few_bits(self, digits):
