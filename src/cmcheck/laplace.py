@@ -209,12 +209,11 @@ def _bernoulli_tail(u, prec):
     bits, P = prec.bits.  The terms alternate and shrink by at least
     u^2/(4 pi^2) < 1/600, so the sum stops after the first term below
     series_stop of it (prec.dyadic_stop), the omitted tail being smaller
-    still.  The power u^(2v-4) is floored
-    once per term, and so is its product with the coefficient; that costs
-    each term at most 1 + 1/600 units of 2^-wp, against |T| > 1/722.  Over
-    at most _SERIES_LIMIT terms T is thus off by a relative 2^-(P+40) at
-    most.  A zero threshold never stops the sum; it raises once the power
-    underflows to zero.
+    still.  The power u^(2v-4) is floored once per term, and so is its
+    product with the coefficient; that costs each term at most 1 + 1/600
+    units of 2^-wp, against |T| > 1/722.  Over at most _SERIES_LIMIT terms
+    T is thus off by a relative 2^-(P+40) at most.  A zero threshold never
+    stops the sum; it raises once the power underflows to zero.
     """
     un, us = _dyadic(u)
     u2, shift = un * un, 2 * us
