@@ -16,18 +16,19 @@ radius.  Every sign is read by one rule, specfun.ball_sign: a value and
 its error ball are positive or negative where the ball lies on one side of
 0, and undecided, refused with NumericFailure, where it holds 0.  A
 bisection step reads every sign from an integer bracket and builds no mpf
-value (ScaledDerivative.passes).  The sign scans of h (HOracle) take two
-passes: one row per grid point from the sign rung (h_sign_balls), whose
-bits grow with t, gives every derivative there as an integer ball that
-holds its value at the digits asked for, summed only until each ball
-excludes 0, or past its cap the balls of the table at those digits
-(h_balls), and ball_minimum evaluates at those digits only the values
-whose balls do not lie above 0, each judged by the ball of the table
-there, and the candidates for the minimum.  The sign scans of t^r H_k (ScaledDerivative) take the same
-walk in one pass: each ball is the bracket over the hk_sums that a
-bisection step reads, times an integer factor, so every sign is that
-bracket's.  Any other oracle goes through the same walk with no balls,
-each value a ball of radius 0.
+value (ScaledDerivative.passes).  A scan (ball_minimum) reads a sign from
+its ball where that lies off 0, else from a value of proven sign.  The
+sign scans of h (HOracle) take two passes: one row per grid point from
+the sign rung (h_sign_balls), whose bits grow with t, gives every
+derivative there as an integer ball that holds its value at the digits
+asked for, summed only until each ball excludes 0, or past its cap the
+balls of the table at those digits (h_balls), and ball_minimum evaluates
+at those digits, through refine, only the values whose balls do not lie
+above 0 and the candidates for the minimum.  The sign scans of t^r H_k
+(ScaledDerivative) take the same walk in one pass: each ball is the
+bracket over the hk_sums that a bisection step reads, times an integer
+factor, so every sign is that bracket's.  Any other oracle goes through
+the same walk with no balls, each value a ball of radius 0.
 A grid scan can only certify failure (a witness) or survive it (no claim
 beyond the grid), so the result is a bracket, never an attained value.
 Every value of t^r H_k, scaled_remainder_derivative's that eval prints
@@ -37,6 +38,8 @@ where the bracket cancels.
 """
 
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from math import comb
@@ -74,7 +77,7 @@ class LogGrid:
     def __post_init__(self):
         if not isinstance(self.points, int) or self.points < 2:
             raise ValueError(f"points must be an integer >= 2, got {self.points!r}")
-        if not 0 < float(self.t_min) < float(self.t_max):
+        if not 0 < _exact(self.t_min) < _exact(self.t_max):
             raise ValueError(
                 f"need 0 < t_min < t_max, got {self.t_min!r}, {self.t_max!r}"
             )
@@ -89,6 +92,22 @@ class LogGrid:
                 out.append(out[-1] * ratio)
             out.append(hi)
             return tuple(out)
+
+
+def _exact(end):
+    """A grid end as a Decimal or a Fraction, which compare exactly with each
+    other, or ValueError where it is no finite real."""
+    try:
+        if isinstance(end, mp.mpf):
+            num, e = _dyadic(end)
+            return Fraction(num, 1 << e)
+        if isinstance(end, Fraction):
+            return end
+        if Decimal(end).is_finite():
+            return Decimal(end)
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    raise ValueError(f"cannot interpret {end!r} as a finite real number")
 
 
 @dataclass(frozen=True)
@@ -133,10 +152,9 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
     (the sign rung's balls) or a ScaledDerivative (balls from its
     brackets at prec), has its balls settle every sign they can up to its
     max_order, and only the rest, with the candidates for the minimum, are
-    evaluated at prec, where the oracle's judge(n, t) reads the sign from
-    its ball there; any other callable, and any order past the oracle's
-    max_order, is evaluated at every key the walk reaches, its value a ball
-    of radius 0.
+    evaluated at prec, each of proven sign or refused; any other callable,
+    and any order past the oracle's max_order, is evaluated at every key
+    the walk reaches, its value a ball of radius 0 and a 0 refused.
     """
     if not isinstance(max_order, int) or max_order < 0:
         raise ValueError(f"max_order must be a nonnegative integer, got {max_order!r}")
@@ -144,7 +162,6 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
     # f^(n)(t) for n <= the oracle's max_order; every other key has no ball
     balls = getattr(derivative_oracle, "balls", None)
     top = -1 if balls is None else derivative_oracle.max_order
-    judge = getattr(derivative_oracle, "judge", None)
     rows = []  # the balls of ts by position, fetched as order 0 reaches them
 
     def ball(key):
@@ -159,12 +176,6 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
         mid, rad, x = row[n]
         return (-mid if n % 2 else mid), rad, x
 
-    def sign(key, signed):
-        n, t = key[0], ts[key[1]]
-        if judge is not None:
-            return judge(n, t)
-        return ball_sign(signed, 0, "check_sign_pattern", n=n, t=t)
-
     with prec.workdps():
         ts = grid.values(prec)
         keys = [(n, i) for n in range(max_order + 1) for i in range(len(ts))]
@@ -172,7 +183,6 @@ def check_sign_pattern(derivative_oracle, grid, max_order, prec=DEFAULT_PRECISIO
             keys,
             ball,
             lambda key: _signed_value(derivative_oracle, key[0], ts[key[1]]),
-            sign,
         )
         # the violation, if any, is the one negative signed value walked
         violation = None
@@ -206,20 +216,19 @@ def _below(a, x, b, y):
     return a < b << shift
 
 
-def ball_minimum(keys, ball, exact, judge=None):
+def ball_minimum(keys, ball, exact):
     """(least, key, count, stopped): the smallest exact(key) over keys in
     order, as a one-pass walk that evaluates every key finds it.
 
     ball(key) is None or integers (H, R, x) with exact(key) in
-    [H - R, H + R] 2^x; exact(key) is the value itself, an mpf.  The walk
-    takes the keys in order, and a key whose ball is None is evaluated at
-    once.  With judge, the walk also reads the sign of every key
-    (ball_sign): a key whose ball lies above 0 is positive, and any other
-    is evaluated at once, its sign the ball's where that lies below 0, else
-    judge(key, value), 1 or -1, which raises NumericFailure where its own
-    ball leaves the sign undecided.  The first negative key ends the walk:
-    stopped is then True and that key is the last of the count walked.
-    Every other key is settled by its ball alone.
+    [H - R, H + R] 2^x; exact(key) is the value itself, an mpf that is
+    nonzero and of proven sign, or it raises NumericFailure.  The walk
+    takes the keys in order and reads the sign of each (ball_sign): a key
+    whose ball lies above 0 is positive, and any other is evaluated at
+    once, its sign the ball's where that lies below 0, else its value's.
+    The first negative key ends the walk: stopped is then True and that
+    key is the last of the count walked.  Every other key is settled by
+    its ball alone.
 
     A ball whose lower end lies above the smallest upper end of all the
     balls walked, kept during the walk, holds a value larger than that
@@ -236,12 +245,11 @@ def ball_minimum(keys, ball, exact, judge=None):
     for key in keys:
         b = ball(key)
         value = None
-        sign = 1 if judge is None else 0 if b is None else ball_sign(b[0], b[1])
-        if b is None or sign < 1:
+        sign = 0 if b is None else ball_sign(b[0], b[1])
+        if sign < 1:
             value = exact(key)
-            if sign == 0:
-                sign = judge(key, value)
             negative, man, e, _ = value._mpf_
+            sign = sign or (-1 if negative else 1)
             b = (-man if negative else man, 0, e)
         walked.append((key, b, value))
         mid, rad, x = b
@@ -261,15 +269,17 @@ def ball_minimum(keys, ball, exact, judge=None):
 
 
 def _signed_value(derivative_oracle, n, t):
-    """(-1)^n f^(n)(t); oracle errors surface as NumericFailure."""
+    """(-1)^n f^(n)(t); oracle errors, and a 0, surface as NumericFailure."""
     try:
-        return (-1) ** n * to_mpf(derivative_oracle(n, t))
+        value = (-1) ** n * to_mpf(derivative_oracle(n, t))
     except NumericFailure:
         raise
     except (ValueError, ArithmeticError) as exc:
         raise NumericFailure(
             "check_sign_pattern", f"oracle failed: {exc}", n=n, t=t
         ) from exc
+    ball_sign(value, 0, "check_sign_pattern", n=n, t=t)
+    return value
 
 
 class TableCache:
@@ -314,8 +324,8 @@ class HOracle(TableCache):
     past its cap the table's at prec (h_balls), kept per t like the tables:
     check_sign_pattern walks an HOracle in two passes (ball_minimum), so the
     tables at prec are summed only at the points that the balls cannot
-    settle.  series counts the points that have a row or a table.  judge(n,
-    t) reads a sign that the balls leave undecided from the table's ball.
+    settle.  series counts the points that have a row or a table.  A value
+    has the sign of h_table's balls, which refine passes only off 0.
     """
 
     def __init__(self, max_order, prec=DEFAULT_PRECISION):
@@ -338,11 +348,6 @@ class HOracle(TableCache):
         self._check_order(n)
         with self.prec.workdps():
             return self.table(to_mpf(t))[n]
-
-    def judge(self, n, t):
-        """The sign of (-1)^n h^(n)(t) by the ball of the table at prec."""
-        ((mid, rad, _),) = h_balls(n, n, t, self.prec)
-        return ball_sign((-1) ** n * mid, rad, "HOracle", n=n, t=t)
 
 
 # bits of the integer factors of ScaledDerivative.balls
@@ -388,15 +393,14 @@ class ScaledDerivative:
     t^(r-n) lead 2^(exp - s n) is (-1)^n d^n/dt^n [t^r H_k(t)] up to the
     sums' radii, so its sign is that of the exact bracket, which lies within
     R = sum_j |coeff_j| radii[n-j] of B: it is ball_sign(B, R), read in
-    integers with no factor (judge, passes).  V enters only as the integer
-    factor of laurent._hk_factor, in the balls at 64 bits (balls) and at
-    prec.bits + 32 (value_ball), whose mid rounded once at prec.bits is the
-    value: a point costs one pow per width it is built at, and no other mpf
-    arithmetic.
+    integers with no factor (__call__, passes).  V enters only as the
+    integer factor of laurent._hk_factor, in the balls at 64 bits (balls)
+    and at prec.bits + 32 (value_ball), whose mid rounded once at prec.bits
+    is the value: a point costs one pow per width it is built at, and no
+    other mpf arithmetic.
 
-    check_sign_pattern walks it as an HOracle: balls(t) gives every order
-    at t as an integer ball from the same sums, and only the values the
-    balls cannot settle are evaluated.
+    check_sign_pattern walks it as an HOracle, over balls(t) from the same
+    sums.
     """
 
     def __init__(self, tables, r):
@@ -431,7 +435,7 @@ class ScaledDerivative:
         (eps_n + 2^-64) |B| g 2^y, as P >= 153 and n is under hk_sums'
         series budget, 2^18: rad at 64 bits covers it with the unit of (9 +
         4n) past eps_n.  As rad >= R g, a ball above 0 has B > R and one
-        below 0 has B < -R: its sign is ball_sign(B, R), judge's and
+        below 0 has B < -R: its sign is ball_sign(B, R), __call__'s and
         passes'.  An order costs integer sums, one multiply and one shift
         for its factor, and no mpf.  The orders are built on first use, so
         a walk that stops at order 1 builds no more.
@@ -461,17 +465,14 @@ class ScaledDerivative:
         return row
 
     def __call__(self, n, t):
+        """value_ball's mid rounded once at prec.bits, of the sign of its
+        bracket, ball_sign(B, R), refused where passes refuses it."""
         mid, _, x = self.value_ball(n, t)
-        return mp.make_mpf(from_man_exp(mid, x, self.tables.prec.bits, round_nearest))
-
-    def judge(self, n, t):
-        """The sign of (-1)^n d^n/dt^n [t^r H_k(t)], ball_sign(B, R) of the
-        bracket at prec, as passes reads it."""
-        self.tables._check_order(n)
         sums, radii, _ = self.tables.table(_as_mpf(t, self.tables.prec))
         coeffs, magnitudes, _ = self._rows[n]
         bracket = sum(map(mul, coeffs, sums))
-        return self._sign(bracket, sum(map(mul, magnitudes, radii)), n, t)
+        self._sign(bracket, sum(map(mul, magnitudes, radii)), n, t)
+        return mp.make_mpf(from_man_exp(mid, x, self.tables.prec.bits, round_nearest))
 
     def _sign(self, bracket, radius, n, t):
         return ball_sign(
@@ -483,9 +484,9 @@ class ScaledDerivative:
 
         The walk is the scan's, orders outermost and t ascending, up to the
         tables' max_order, and each sign is ball_sign(B, R) of the bracket,
-        judge's: B > R passes, B < -R fails and any other raises
+        __call__'s: B > R passes, B < -R fails and any other raises
         NumericFailure, in integers, with no factor and no t^r: every sign
-        that the scan reads from its balls (balls) or from judge.
+        that the scan reads from its balls (balls) or from its values.
 
         rows holds, by position, (S, radii, tops) of the first points of ts
         whose order 0 has passed: hk_sums' sums and radii, and tops[n] =
@@ -576,13 +577,12 @@ def scaled_remainder_derivative(k, r, n, t, prec=DEFAULT_PRECISION):
         r = to_mpf(r)
 
     def evaluate(level):
-        oracle = ScaledTailOracle(k, n, level).at(r)
-        mid, rad, _ = oracle.value_ball(n, t)
-        return oracle(n, t), [(mid, rad)]
+        mid, rad, x = ScaledTailOracle(k, n, level).at(r).value_ball(n, t)
+        return from_man_exp(mid, x, level.bits, round_nearest), [(mid, rad)]
 
     value = refine(evaluate, prec, "scaled_remainder_derivative", k=k, r=r, n=n, t=t)
     with prec.workdps():
-        return +value
+        return +mp.make_mpf(value)
 
 
 @dataclass(frozen=True)

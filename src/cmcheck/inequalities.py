@@ -3,16 +3,17 @@
 Two inequalities are scanned over log grids, both through the h engines:
 the trigamma bound psi'(t) < e^(1/t) - 1 (margin h(t) - 1) and the Bessel
 lower bound I_1(t) > (t/2)^3 / (1 - e^(-(t/2)^2)) (margin (t/2) times the
-Laplace density of h - 1 at (t/2)^2).  A scan passes where the sign of
-every margin's ball is positive (specfun.ball_sign), and an undecided
-sign raises NumericFailure.  The trigamma scan takes two passes: a ball
+Laplace density of h - 1 at (t/2)^2).  A scan passes where every margin
+is positive, its sign read from its ball where that lies off 0
+(specfun.ball_sign), else from the margin, which is of proven sign or
+refused with NumericFailure.  The trigamma scan takes two passes: a ball
 of h - 1 at every grid point from the sign rung, summed only until it
-excludes 0 (laurent.h_sign_balls), and the margin at the digits asked for
-only where cmdeg.ball_minimum cannot rule the point out of the minimum, or
-where the rung declines, past its cap.  The Bessel scan
-takes every margin of its grid, with a relative radius, from one sequence
-evaluation of the h kernel.  The polynomial family f_i(t) that drives the
-difference-derivative bound
+excludes 0 (laurent.h_sign_balls), and the margin at the digits asked
+for, through refine, only where cmdeg.ball_minimum cannot settle the
+point by that ball, or where the rung declines, past its cap.  The Bessel
+scan takes every margin of its grid, with a relative radius, from one
+sequence evaluation of the h kernel.  The polynomial family f_i(t) that
+drives the difference-derivative bound
 
     (-1)^i [h(t+1) - h(t)]^(i) < i! f_i(t) / (12 t^(i+3) (t+1)^(i+3))
 
@@ -143,10 +144,10 @@ class InequalityScanReport:
     evaluations: int
 
 
-def _scan(inequality, grid, ts, ball, margin, judge):
-    """The report of ball_minimum(ts, ball, margin, judge) over the grid's
-    values ts, which passes where no margin's sign is negative."""
-    best, best_t, count, stopped = ball_minimum(ts, ball, margin, judge)
+def _scan(inequality, grid, ts, ball, margin):
+    """The report of ball_minimum(ts, ball, margin) over the grid's values
+    ts, which passes where no margin's sign is negative."""
+    best, best_t, count, stopped = ball_minimum(ts, ball, margin)
     return InequalityScanReport(inequality, grid, best, best_t, not stopped, count)
 
 
@@ -184,13 +185,9 @@ def check_ineq_trigamma(grid=DEFAULT_TRIGAMMA_GRID, prec=DEFAULT_PRECISION):
     the default grid.  The scan takes two passes: the margin
     trigamma_margin(t) at prec only where the sign rung's ball of h - 1
     (h_sign_balls) leaves t a candidate for the minimum, usually one grid
-    point, or where the rung declines, past its cap, and the ball of the
-    table at prec then reads the sign.
+    point, or where the rung declines, past its cap; the margin's sign is
+    then its own, as refine takes it only from a ball that lies off 0.
     """
-
-    def judge(t, _):
-        mid, rad, _ = _h_minus_one_ball(t, prec)
-        return ball_sign(mid, rad, "check_ineq_trigamma", t=t)
 
     def ball(t):
         balls = h_sign_balls(0, t, prec, less=1)
@@ -198,9 +195,7 @@ def check_ineq_trigamma(grid=DEFAULT_TRIGAMMA_GRID, prec=DEFAULT_PRECISION):
 
     with prec.workdps():
         ts = grid.values(prec)
-        return _scan(
-            "trigamma", grid, ts, ball, lambda t: trigamma_margin(t, prec), judge
-        )
+        return _scan("trigamma", grid, ts, ball, lambda t: trigamma_margin(t, prec))
 
 
 def bessel_margin(t, prec=DEFAULT_PRECISION):
@@ -249,16 +244,19 @@ def check_ineq_bessel(grid=DEFAULT_BESSEL_GRID, prec=DEFAULT_PRECISION):
     For small t both sides open t/2 + t^3/16 + O(t^5) and the margin is
     ~ t^7/18432, which is why the scan needs the extended working precision.
     Every margin of the grid comes from one _bessel_margins, and each sign
-    is read from the margin and its radius.
+    is read from the margin and its radius, or refused where they leave it
+    undecided.
     """
     with prec.workdps():
         ts = grid.values(prec)
         margins = dict(zip(ts, _bessel_margins(ts, prec)))
 
-        def judge(t, margin):
-            return ball_sign(margin, margins[t][1], "check_ineq_bessel", t=t)
+        def margin(t):
+            value, radius = margins[t]
+            ball_sign(value, radius, "check_ineq_bessel", t=t)
+            return value
 
-        return _scan("bessel", grid, ts, lambda t: None, lambda t: margins[t][0], judge)
+        return _scan("bessel", grid, ts, lambda t: None, margin)
 
 
 @dataclass(frozen=True)

@@ -465,8 +465,8 @@ def h_balls(i_lo, i_hi, t, prec=DEFAULT_PRECISION):
     """[(H_i, R_i, x_i) for i = i_lo..i_hi]: the balls of the table at prec,
     whose [H_i - R_i, H_i + R_i] 2^x_i holds the exact h^(i)(t) and
     h_table(i_lo, i_hi, t, prec)[i - i_lo] alike; a series stop above 2^-80
-    raises NumericFailure.  The h scans' row past the sign rung's cap, they
-    also judge a sign left undecided.  t is rounded once, at prec.
+    raises NumericFailure.  The h scans' row past the sign rung's cap.  t is
+    rounded once, at prec.
     """
     return _h_balls(i_lo, i_hi, _as_mpf(t, prec), prec, prec)
 
@@ -577,13 +577,12 @@ def h_sign_balls(top, t, prec=DEFAULT_PRECISION, less=0):
     prec, P = prec.bits, is within 2^(1-P) (E + n! z) + S n! z of h^(i)
     (its error bound), and the trigamma margin's within 2^(2-P) (E + n! z)
     more, for its rounding and its unit: widened by floor((e + p + r)
-    2^(4-P)) + floor(S w) + 2, the ball holds both, with w = p + r, or at
-    q = 64 the larger e + p + r that the rung has always taken there.  For
-    less, 1 is taken from e - p, or is one more unit of radius where 2^x >=
-    2.  No step asks more of q than q >= 64 and wq >= 96, so the widths may
-    grow with t.  An order adds terms until 16 times its radius is at most
-    |e - p| (_em_tail's stop), and declines where a term grows, or past 40
-    terms.
+    2^(4-P)) + floor(S (p + r)) + 2, the ball holds both.  For less, 1 is
+    taken from e - p, or is one more unit of radius where 2^x >= 2.  No
+    step asks more of q than q >= 64 and wq >= 96, so the widths may grow
+    with t.  An order adds terms until 16 times its radius is at most
+    |e - p| (_em_tail's stop), and declines where a term grows, or past
+    40 terms.
     """
     s_num, s_e = prec.dyadic_stop
     if not s_num or s_num << 80 > 1 << s_e or top >= _SIGN_ORDERS:
@@ -617,9 +616,7 @@ def h_sign_balls(top, t, prec=DEFAULT_PRECISION, less=0):
             k = mag + v + 7 + (mags[i] >> wq - 9) + (b >> wq - 8)
             p = fact * (head + (b * power >> wq)) >> down
             rad = (e >> q) + 3 + (fact * ((k * power >> wq - 1) + fixed) >> down) + 2
-            size = e + p + rad
-            psi = p + rad if q > _SIGN_EXP_BITS else size
-            rad += (size >> bits - 4) + (s_num * psi >> s_e) + 2
+            rad += (e + p + rad >> bits - 4) + (s_num * (p + rad) >> s_e) + 2
             mid = e - p
             if less:
                 mid, rad, _ = _less_one(mid, rad, x)

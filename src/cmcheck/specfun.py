@@ -6,7 +6,7 @@ policy object is WorkingPrecision: user-facing digits plus a fixed guard
 and a relative stop threshold for positive-term series.  No function reads
 ambient mp.dps.  Every sign verdict of the package is ball_sign's: the sign
 of a value with a proven error radius, or undecided, and every value whose
-radius is too wide for its digits is taken again at more by refine.
+radius is too wide for its digits, or 0, is taken again at more by refine.
 The engines compute in Python integers at binary scales and round once to
 a plain mpf at the end, in a workdps block.  Polygamma and the e^(1/t)
 derivatives have integer cores (polygamma_fixed, _exp_recip_fixed) that
@@ -72,21 +72,21 @@ def refine(evaluate, prec, operation, **inputs):
 
     evaluate(level) returns (result, balls) for a WorkingPrecision level:
     balls are pairs (mid, rad), exact reals with rad >= 0, each of which
-    must have rad <= |mid| 10^-(digits+3) at prec's digits.  Where one does
-    not, result is taken again at level's digits raised by the digits lost,
-    ceil(log10(rad/|mid|)) at the widest ball or every working digit of
-    level where a ball holds 0, plus prec's digits + 5, but by at most
-    level's digits: a raise at most doubles them, so the last of
-    _MAX_RAISES raises runs at no more than 8 times prec's digits.  A ball
-    still too wide there refuses with NumericFailure(operation, "error
-    radius ...") naming the inputs.
+    must have mid != 0 and rad <= |mid| 10^-(digits+3) at prec's digits,
+    so each lies off 0.  Where one does not, result is taken again at
+    level's digits raised by the digits lost, ceil(log10(rad/|mid|)) at the
+    widest ball or every working digit of level where a ball holds 0, plus
+    prec's digits + 5, but by at most level's digits: a raise at most
+    doubles them, so the last of _MAX_RAISES raises runs at no more than 8
+    times prec's digits.  A ball still too wide there refuses with
+    NumericFailure(operation, "error radius ...") naming the inputs.
     """
     scale = 10 ** (prec.digits + 3)
     level = prec
     for _ in range(_MAX_RAISES + 1):
         result, balls = evaluate(level)
         with level.workdps():
-            wide = [(mid, rad) for mid, rad in balls if rad * scale > abs(mid)]
+            wide = [b for b in balls if not b[0] or b[1] * scale > abs(b[0])]
             if not wide:
                 return result
             worst = max(mp.mpf(rad) / abs(mid) if mid else mp.inf for mid, rad in wide)

@@ -94,6 +94,41 @@ MUTANTS = (
             "test_past_the_cap_the_rows_at_prec_settle_the_signs",
         ),
     ),
+    # the sign contract of the scan walks: an evaluated value proves its sign
+    Mutant(
+        "sign: a plain callable's 0 accepted",
+        "cmdeg.py",
+        '    ball_sign(value, 0, "check_sign_pattern", n=n, t=t)\n',
+        "",
+        ("tests/test_cmdeg.py::TestCheckSignPattern::test_zero_value_is_undecided",),
+    ),
+    Mutant(
+        "sign: the Bessel margin's radius dropped",
+        "inequalities.py",
+        '            ball_sign(value, radius, "check_ineq_bessel", t=t)\n',
+        "",
+        (
+            "tests/test_inequalities.py::TestInequalityScans::"
+            "test_undecided_bessel_margin_is_refused",
+        ),
+    ),
+    Mutant(
+        "sign: a t^r H_k value's bracket unchecked",
+        "cmdeg.py",
+        "        self._sign(bracket, sum(map(mul, magnitudes, radii)), n, t)\n",
+        "",
+        (
+            "tests/test_cmdeg.py::TestTwoPassHkScan::"
+            "test_undecided_ball_is_judged_at_prec",
+        ),
+    ),
+    Mutant(
+        "sign: refine accepts a zero mid",
+        "specfun.py",
+        "if not b[0] or b[1] * scale",
+        "if b[1] * scale",
+        ("tests/test_specfun.py::TestRefine::test_a_zero_mid_with_no_radius_holds_0",),
+    ),
     # the one integer factor of every H_k and t^r H_k value (laurent._hk_factor)
     Mutant(
         "factor: scaled values at 64 bits",
@@ -195,7 +230,7 @@ EQUIVALENT = (
         Mutant(
             "sign rung: widening for h_table's value dropped",
             "laurent.py",
-            "rad += (size >> bits - 4) + (s_num * psi >> s_e) + 2",
+            "rad += (e + p + rad >> bits - 4) + (s_num * (p + rad) >> s_e) + 2",
             "pass",
             (),
         ),

@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import comb
 
 from mpmath import iv, mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, round_nearest
 
 from cmcheck import (
     DEFAULT_PRECISION,
@@ -274,12 +274,14 @@ class TableOracle(TableCache):
 
 
 def value_and_radius(oracle, n, t):
-    """(v, rad) of a ScaledDerivative at order n and t: v the value that
-    oracle(n, t) returns and rad, exact, the bound on its error that its
-    value ball gives (ScaledDerivative.value_ball): the ball's radius plus
-    the distance from v to the ball's mid."""
-    value = oracle(n, t)
+    """(v, rad) of a ScaledDerivative at order n and t from its value ball
+    (ScaledDerivative.value_ball), unchecked: v the ball's mid rounded once
+    at prec.bits, the value that oracle(n, t) returns wherever the bracket
+    decides its sign, and rad, exact, the ball's radius plus the distance
+    from v to the ball's mid."""
     mid, rad, x = oracle.value_ball(n, t)
+    bits = oracle.tables.prec.bits
+    value = mp.make_mpf(from_man_exp(mid, x, bits, round_nearest))
     negative, man, e, _ = value._mpf_
     low = min(x, e)
     off = ((-man if negative else man) << e - low) - (mid << x - low)
@@ -403,16 +405,16 @@ def value_sign(value, **inputs):
     return 1 if value > 0 else -1
 
 
-def one_pass_minimum(keys, exact, judged=False):
-    """cmdeg.ball_minimum's result by evaluating every key in order; judged,
-    the first negative value ends the walk, and a zero raises."""
+def one_pass_minimum(keys, exact):
+    """cmdeg.ball_minimum's result by evaluating every key in order: the
+    first negative value ends the walk, and a zero raises."""
     least, arg, count = None, None, 0
     for key in keys:
         value = exact(key)
         count += 1
         if least is None or value < least:
             least, arg = value, key
-        if judged and value_sign(value, key=key) < 0:
+        if value_sign(value, key=key) < 0:
             return least, arg, count, True
     return least, arg, count, False
 
@@ -460,7 +462,7 @@ def _one_pass_scan(inequality, margin, grid, prec):
     where every margin is positive."""
     with prec.workdps():
         ts = grid.values(prec)
-        least, arg, count, stopped = one_pass_minimum(ts, margin, judged=True)
+        least, arg, count, stopped = one_pass_minimum(ts, margin)
         return InequalityScanReport(
             inequality=inequality,
             grid=grid,

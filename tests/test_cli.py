@@ -521,6 +521,35 @@ class TestExitCodes:
         assert code == 2
         assert "points must be an integer >= 2" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["verify-cm", "--target", "h", "--grid-min", "1e-400"],
+            ["inequality", "--which", "trigamma", "--grid-min", "1",
+             "--grid-max", "1.00000000000000000001"],
+        ),
+    )
+    def test_grid_ends_past_a_float_are_exact(self, argv, capsys):
+        # an end below a float's range, and two ends a float cannot tell apart
+        flags = ["--grid-points", "5", "--digits", "30"]
+        code, out, _ = run_cli(argv + flags, capsys)
+        assert code == 0
+        assert json.loads(out)["pass"] is True
+
+    @pytest.mark.parametrize(
+        "ends",
+        (
+            ("0", "1"), ("-1", "1"), ("5", "5"), ("1", "inf"), ("nan", "1"),
+            ("abc", "1"),
+        ),
+    )
+    def test_bad_grid_ends_are_two(self, ends, capsys):
+        # zero, negative, equal, non-finite and non-numeric ends
+        argv = ["verify-cm", "--target", "h", "--grid-min", ends[0],
+                "--grid-max", ends[1], "--grid-points", "5", "--digits", "30"]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 2
+
     @pytest.mark.parametrize("rel_tol", ("2", "1.5e-40"))
     def test_rel_tol_error_names_the_given_value(self, rel_tol, capsys):
         argv = ["verify-integral", "--rep", "f12", "--k", "1", "--z", "2"]

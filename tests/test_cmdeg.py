@@ -89,6 +89,23 @@ class TestLogGrid:
         with pytest.raises(ValueError):
             LogGrid(10, 10, 5)
 
+    def test_ends_are_compared_exactly(self):
+        # ends past a float's range or its 53 bits are compared as rationals
+        accepted = (
+            ("1e-400", 1), (1, "1.00000000000000000001"), (Fraction(1, 3), "0.3334"),
+        )
+        for low, high in accepted:
+            LogGrid(low, high, 5)
+        rejected = (
+            (0, 1), ("0", "1"), ("-1", 1), ("-1e-400", "1e-401"), (5, "5.0"),
+            ("1.00000000000000000001", 1), (1, "inf"), ("nan", 1),
+            (float("nan"), 1), (1, float("inf")), (mp.mpf(1), mp.inf),
+            ("abc", 1), ("1/3", 1), (None, 1),
+        )
+        for low, high in rejected:
+            with pytest.raises(ValueError):
+                LogGrid(low, high, 5)
+
     def test_default_grid(self):
         assert DEFAULT_DEGREE_GRID == LogGrid("1e-2", "1e6", 200)
 
@@ -336,7 +353,7 @@ class TestScaledTailOracle:
             assert abs(value) <= radius
             values.append(value > 0)
             with pytest.raises(NumericFailure, match="undecided"):
-                oracle.judge(1, 32)
+                oracle(1, 32)
             with pytest.raises(NumericFailure, match="undecided"):
                 check_sign_pattern(oracle, grid, 1, coarse)
         assert values == [False, True]
@@ -706,18 +723,18 @@ class FakeSource:
         self.evaluated = []
 
     def exact(self, key):
+        """The value, of proven sign: a zero raises, as ball_minimum's
+        contract asks."""
         self.evaluated.append(key)
-        return self.values[key]
+        value = self.values[key]
+        oracles.value_sign(value, key=key)
+        return value
 
-    def judge(self, key, value):
-        return oracles.value_sign(value, key=key)
+    def run(self):
+        return ball_minimum(list(self.values), self.balls.get, self.exact)
 
-    def run(self, judged=False):
-        judge = self.judge if judged else None
-        return ball_minimum(list(self.values), self.balls.get, self.exact, judge)
-
-    def reference(self, judged=False):
-        return oracles.one_pass_minimum(list(self.values), self.values.get, judged)
+    def reference(self):
+        return oracles.one_pass_minimum(list(self.values), self.values.get)
 
 
 class TestBallMinimum:
@@ -726,12 +743,12 @@ class TestBallMinimum:
             values = dict(enumerate(map(mp.mpf, ("3", "0.5", "2", "0.75", "1"))))
             balls = {j: ball_around(v) for j, v in values.items()}
             source = FakeSource(values, balls)
-            assert source.run(True) == source.reference(True)
+            assert source.run() == source.reference()
         assert source.evaluated == [1]
 
     def test_undecided_balls_are_evaluated_in_walk_order(self):
-        # balls 1 and 3 hold 0, so they are judged as the walk reaches them;
-        # neither is a violation, and 1 is also the minimum
+        # balls 1 and 3 hold 0, so their values are taken as the walk
+        # reaches them; neither is a violation, and 1 is also the minimum
         with PREC.workdps():
             tiny = mp.ldexp(1, -100)
             values = {0: mp.mpf(1), 1: tiny, 2: mp.mpf(2), 3: 4 * tiny}
@@ -739,14 +756,14 @@ class TestBallMinimum:
             for j in (1, 3):
                 balls[j] = ball_of(values[j], 8 * tiny)
             source = FakeSource(values, balls)
-            got = source.run(True)
-            assert got == source.reference(True)
+            got = source.run()
+            assert got == source.reference()
             assert got[1:] == (1, 4, False)
         assert source.evaluated == [1, 3]
 
     def test_violation_ends_the_walk(self):
-        # the violation's ball lies below 0, or holds it and the key is
-        # judged negative
+        # the violation's ball lies below 0, or holds it and the key's
+        # value is negative
         for widen in (1, 1 << 100):
             with PREC.workdps():
                 tiny = -mp.ldexp(1, -100)
@@ -754,8 +771,8 @@ class TestBallMinimum:
                 balls = {j: ball_around(v) for j, v in values.items()}
                 balls[2] = ball_around(tiny, widen=widen)
                 source = FakeSource(values, balls)
-                got = source.run(True)
-                assert got == source.reference(True) == (tiny, 2, 3, True)
+                got = source.run()
+                assert got == source.reference() == (tiny, 2, 3, True)
             # the violation is evaluated as the walk reaches it; the key past
             # it is never looked at
             assert source.evaluated == [2]
@@ -789,7 +806,7 @@ class TestBallMinimum:
         # values near 2^(10^40) and 2^-(10^40): no comparison shifts by the
         # exponent gap, and an evaluated value keeps its own exponent, as
         # neither integer could be formed.  Key 1's ball holds 0, so it is
-        # judged; key 4's lies below 0 and ends the judged walk
+        # evaluated; key 4's lies below 0 and ends the walk
         big = 10**40
         with PREC.workdps():
             values = dict(enumerate((
@@ -801,12 +818,11 @@ class TestBallMinimum:
                 negative, man, e, _ = value._mpf_
                 balls[j] = ((-man if negative else man) << 8, 1, e - 8)
             balls[1] = (0, 8, -big)
-            for judged, want in ((True, (4, 5, True)), (False, (4, 6, False))):
-                source = FakeSource(values, balls)
-                got = source.run(judged)
-                assert got == source.reference(judged)
-                assert got[1:] == want
-                assert source.evaluated == ([1, 4] if judged else [4])
+            source = FakeSource(values, balls)
+            got = source.run()
+            assert got == source.reference()
+            assert got[1:] == (4, 5, True)
+            assert source.evaluated == [1, 4]
 
     def test_comparisons_are_exact(self):
         # a 2^x < b 2^y against exact rationals, every shift on either side
@@ -844,10 +860,9 @@ class TestBallMinimum:
             for j, (v, below, above, present) in enumerate(items):
                 if present:
                     balls[j] = (8 * v + 4 * (above - below), 4 * (above + below), -6)
-            for judged in (False, True):
-                source = FakeSource(values, balls)
-                got = outcome(lambda: source.run(judged))
-                assert got == outcome(lambda: source.reference(judged))
+            source = FakeSource(values, balls)
+            got = outcome(source.run)
+            assert got == outcome(source.reference)
 
 
 class NoStopPolicy(WorkingPrecision):
@@ -858,9 +873,7 @@ class NoStopPolicy(WorkingPrecision):
 
 class FakeBallOracle(HOracle):
     """An HOracle over summer(t), with balls that hold its values, widened
-    by widen units; its values are judged as balls of radius 0."""
-
-    judge = None
+    by widen units; its values enter the walk as balls of radius 0."""
 
     def __init__(self, summer, max_order, prec, widen):
         super().__init__(max_order, prec)
@@ -984,11 +997,11 @@ class TestTwoPassHScan:
 
 
     def test_past_the_cap_the_rows_at_prec_settle_the_signs(self, monkeypatch):
-        # at 30 digits the rung declines every row from t = 7.6e10 on; the
-        # rows of the tables at prec settle order 0 out to 1e12 and order 1
-        # up to t = 2.1e11, where the table is summed once and its ball
-        # refuses the sign (the one-pass walk takes the raised tables'
-        # values as they are and passes)
+        # at 30 digits the rung declines every row from t = 7.6e10 on, 15
+        # grid points; the rows of the tables at prec settle order 0 out to
+        # 1e12 and order 1 up to t = 2.1e11, and from there a table is
+        # summed at each of the 10 points, raised by refine until its balls
+        # lie off 0, so the scan passes as the one-pass walk does
         prec = WorkingPrecision(30)
         grid = LogGrid("1e-3", 1e12, 200)
         calls = []
@@ -998,10 +1011,24 @@ class TestTwoPassHScan:
             return h_table(*args)
 
         monkeypatch.setattr(cmdeg, "h_table", counted)
-        got = outcome(lambda: check_sign_pattern(HOracle(8, prec), grid, 8, prec))
-        assert got[:2] == ("HOracle", "sign undecided: the error ball holds 0")
-        assert got[2]["n"] == 1 and calls == [got[2]["t"]]
-        assert int(got[2]["t"]) == 209704640132
+        oracle = HOracle(8, prec)
+        got = check_sign_pattern(oracle, grid, 8, prec)
+        assert got.passed
+        assert got == oracles.one_pass_h_sign_pattern(grid, 8, prec)
+        assert len(calls) == 10 and int(calls[0]) == 209704640132
+        with prec.workdps():
+            ts = grid.values(prec)
+        undecided = [
+            t for t in ts
+            if any(not ball_sign(mid, rad) for mid, rad, _ in oracle.balls(t))
+        ]
+        assert calls == undecided
+        # the value of h' there is right to its digits
+        t = calls[0]
+        with mp.workdps(3 * prec.working_dps):
+            want = -mp.exp(1 / t) / t**2 - mp.psi(2, t)
+            bound = mp.mpf(10) ** (1 - prec.digits) * abs(want)
+            assert abs(oracle(1, t) - want) <= bound
 
 
 class LooseStop(WorkingPrecision):
@@ -1116,12 +1143,13 @@ class TestTwoPassHkScan:
                         exact = oracles.termwise_table(k, r, t, fine)
                         balls = oracle.balls(t)
                         for n in range(7):
-                            value = oracle(n, t)
+                            value, _ = oracles.value_and_radius(oracle, n, t)
                             assert holds(balls[n], exact[n], value), (prec, k, r, n, t)
                             mid, rad, _ = balls[n]
                             side = ball_sign((-1) ** n * mid, rad)
                             if side:
-                                assert side == oracle.judge(n, t), (prec, k, r, n, t)
+                                signed = (-1) ** n * oracle(n, t)
+                                assert side == ball_sign(signed, 0), (prec, k, r, n, t)
 
     def test_radius_covers_the_documented_budget(self):
         # the radius is at least what balls' proof needs: the bracket's own
@@ -1201,9 +1229,9 @@ class TestTwoPassHkScan:
 
     def test_undecided_ball_is_judged_at_prec(self):
         # at the zero of the first derivative at t = 32 the bracket of order
-        # 1 is undecided, so its ball holds 0: the walk judges that key, and
-        # raises as judge does.  A fake ball settled there would skip the
-        # evaluation, and the scan would pass instead
+        # 1 is undecided, so its ball holds 0: the walk evaluates that key,
+        # and the value refuses the bracket.  A fake ball settled there
+        # would skip the evaluation, and the scan would pass instead
         zero = zero_of_first_derivative(0, 32, PREC)
         grid = LogGrid(1, 32, 2)
         oracle = ScaledTailOracle(0, 1, PREC).at(zero)
@@ -1212,7 +1240,7 @@ class TestTwoPassHkScan:
             mid, rad, _ = oracle.balls(t)[1]
             assert abs(mid) <= rad
         got = outcome(lambda: check_sign_pattern(oracle, grid, 1, PREC))
-        assert got == outcome(lambda: oracle.judge(1, t))
+        assert got == outcome(lambda: oracle(1, t))
         assert got[0] == "ScaledTailOracle" and got[2]["n"] == 1
         # far above every other value, so not a candidate for the minimum
         settled = {(1, t): ball_of(-mp.ldexp(1, 100), 0)}
@@ -1225,7 +1253,7 @@ class TestTwoPassHkScan:
         # as the one-pass walk's does; under a coarse stop the balls are
         # wide, and the walk passes as the one-pass walk does, or refuses
         # the undecided bracket at the zero of the first derivative at
-        # t = 32, whose ball holds 0, as judge does
+        # t = 32, whose ball holds 0, as its value does
         coarse = CoarseStop(PREC.digits)
         cases = ((NoStopPolicy(50), LogGrid(1, 10, 2)), (coarse, LogGrid(1, 10, 5)))
         outcomes = []
@@ -1247,5 +1275,5 @@ class TestTwoPassHkScan:
         t = grid.values(coarse)[0]
         mid, rad, _ = oracle.balls(t)[1]
         assert abs(mid) <= rad
-        assert got == outcome(lambda: oracle.judge(1, t))
+        assert got == outcome(lambda: oracle(1, t))
         assert got[0] == "ScaledTailOracle"

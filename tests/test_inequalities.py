@@ -12,6 +12,7 @@ import oracles
 from cmcheck import (
     DEFAULT_PRECISION,
     LogGrid,
+    NumericFailure,
     WorkingPrecision,
     check_difference_bound,
     check_ineq_bessel,
@@ -212,6 +213,34 @@ class TestInequalityScans:
         for grid in grids + (LogGrid("1e-3", "1e6", 25),):
             got = check_ineq_trigamma(grid, prec)
             assert got == oracles.one_pass_trigamma(grid, prec)
+
+    def test_undecided_bessel_margin_is_refused(self, monkeypatch):
+        # a margin whose radius holds 0 has no sign: the scan refuses it at
+        # the point the walk reaches it, naming that point
+        margins = inequalities._bessel_margins
+
+        def widened(ts, prec):
+            out = margins(ts, prec)
+            margin, _ = out[2]
+            out[2] = (margin, 2 * margin)
+            return out
+
+        monkeypatch.setattr(inequalities, "_bessel_margins", widened)
+        grid = LogGrid(1e-2, 1, 5)
+        with pytest.raises(NumericFailure, match="undecided") as failure:
+            check_ineq_bessel(grid, PREC)
+        assert failure.value.operation == "check_ineq_bessel"
+        assert failure.value.inputs == {"t": grid.values(PREC)[2]}
+
+    def test_past_the_cap_the_margins_settle_the_signs(self):
+        # at 30 digits the rung declines h - 1 from t = 2.6e10 on; the margin
+        # there, about 1/(24 t^4), is taken through refine, whose balls lie
+        # off 0, so the scan to 1e12 passes as the one-pass walk does
+        prec = WorkingPrecision(30)
+        grid = LogGrid("1e-3", "1e12", DEFAULT_TRIGAMMA_GRID.points)
+        got = check_ineq_trigamma(grid, prec)
+        assert got.passed
+        assert got == oracles.one_pass_trigamma(grid, prec)
 
     @pytest.mark.parametrize("digits", (30, 50, 100))
     def test_bessel_scan_equals_the_point_by_point_scan(self, digits):

@@ -528,14 +528,16 @@ class TestRefine:
     @staticmethod
     def run(widths, digits=30):
         """refine over balls of mid 10^9000 and radius 10^(9000 + w), w the
-        next of widths at each pass (None: a ball that holds 0); returns the
-        digits of every pass."""
+        next of widths at each pass (None: a ball that holds 0, "zero": the
+        ball of mid 0 and radius 0); returns the digits of every pass."""
         levels = []
         widths = iter(widths)
 
         def evaluate(level):
             levels.append(level.digits)
             width = next(widths)
+            if width == "zero":
+                return "value", [(0, 0)]
             mid = 10**9000 if width is not None else 0
             return "value", [(mid, 10 ** (9000 + (width or 0)))]
 
@@ -556,6 +558,12 @@ class TestRefine:
         # add 80; a raise adds at most the level's digits
         assert self.run([None, -40]) == [30, 60]
         assert self.run([0, None, None, -40]) == [30, 60, 120, 240]
+
+    def test_a_zero_mid_with_no_radius_holds_0(self):
+        # a 0 proves no sign, so it is taken again as a ball that holds 0
+        assert self.run(["zero", -40]) == [30, 60]
+        with pytest.raises(NumericFailure, match="error radius"):
+            self.run(["zero"] * (_MAX_RAISES + 1))
 
     def test_refuses_after_the_last_raise(self):
         with pytest.raises(NumericFailure) as failure:
